@@ -150,12 +150,15 @@ pub fn run_twe(rt: &Runtime, input: &KMeansInput) -> KMeansOutput {
     );
     // The WorkTask fan-out is admitted as one batch: every task reads Root,
     // so per-task admission would pay one scheduler round per point chunk
-    // for an identical footprint. Note for figure 6.3's single-queue rows:
-    // batch admission parks the whole fan-out in the queue up front, so on
-    // machines where per-task submission used to interleave with execution
-    // (few cores), the naive scheduler's O(queue) rescans now always see
-    // the full queue — the long-queue shape whose cost is precisely the
-    // paper's argument for the tree scheduler, which is unaffected.
+    // for an identical footprint. Note for figure 6.3: batch admission
+    // parks the whole fan-out in the scheduler up front, so on machines
+    // where per-task submission used to interleave with execution (few
+    // cores) every nested `accumulate` is admitted against the full
+    // fan-out. Neither scheduler may pay for that per admission: the tree
+    // holds the `reads Root` records as *exact* records of the root node,
+    // which a descending `writes Clusters:[k]` never examines — before that
+    // split each nested admission walked all of them, and a job's cost
+    // grew with the square of the point count.
     let futures = rt.submit_all(ranges.into_iter().map(|range| {
         let input = input.clone();
         let accums = accums.clone();
@@ -313,6 +316,39 @@ mod tests {
             let got = run_twe(&rt, &input);
             assert!(outputs_match(&got, &expected), "{kind:?}");
         }
+    }
+
+    #[test]
+    fn one_task_per_point_at_the_benchmark_shape() {
+        // The shape `kmeans-batch` drives (Fig. 6.3): 2 000 `reads Root`
+        // WorkTasks in flight, each blocking on one nested `execute`, 40
+        // clusters to collide on.
+        let input = generate(&KMeansConfig {
+            n_clusters: 40,
+            ..KMeansConfig::default()
+        });
+        assert_eq!(
+            (input.config.n_points, input.config.points_per_task),
+            (2_000, 1)
+        );
+        let expected = run_sequential(&input);
+        let run = move || {
+            for kind in [SchedulerKind::Naive, SchedulerKind::Tree] {
+                for threads in [1, 2] {
+                    let rt = Runtime::new(threads, kind);
+                    let got = run_twe(&rt, &input);
+                    assert!(
+                        outputs_match(&got, &expected),
+                        "{kind:?}, {threads} threads"
+                    );
+                }
+            }
+        };
+        // The waiting thread helps run WorkTasks, each of which blocks in a
+        // nested `execute` and helps in turn: up to 2 000 frames deep, more
+        // than an unoptimized build fits in a test thread's default stack.
+        let handle = thread::Builder::new().stack_size(256 << 20).spawn(run);
+        handle.unwrap().join().unwrap();
     }
 
     #[test]

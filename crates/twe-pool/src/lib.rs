@@ -121,6 +121,14 @@ impl Shared {
     }
 }
 
+/// Stack size of a worker thread. A worker blocked in `help_until` runs
+/// other jobs on top of the blocked one, so its stack depth follows the
+/// number of blocked tasks in flight (one nested `execute` per k-means
+/// point, thousands deep): the 2 MiB default holds a few thousand such
+/// frames of an optimized build and fewer than 2 000 of an unoptimized
+/// one. Untouched stack is address space only.
+const WORKER_STACK_BYTES: usize = 16 << 20;
+
 /// A fixed-size work-stealing thread pool.
 pub struct ThreadPool {
     shared: Arc<Shared>,
@@ -152,6 +160,7 @@ impl ThreadPool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("twe-worker-{i}"))
+                    .stack_size(WORKER_STACK_BYTES)
                     .spawn(move || worker_loop(shared, worker))
                     .expect("failed to spawn worker thread")
             })

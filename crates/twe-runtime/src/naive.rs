@@ -457,11 +457,14 @@ impl NaiveScheduler {
         decision
     }
 
-    /// One enable round: evaluates the candidate slots in queue order
-    /// against round-start statuses, then marks every passing task
-    /// `Enabled` (still under the caller's lock) and returns them so the
-    /// enable callback can run outside it. Enabling a task never *unblocks*
-    /// further waiting tasks (it only adds constraints), so a single round
+    /// One enable round: evaluates the candidate slots in queue order,
+    /// marking each passing task `Enabled` at once (still under the
+    /// caller's lock), and returns them so the enable callback can run
+    /// outside it. Marking at once matters for *prioritized* candidates,
+    /// which are checked against enabled tasks only: two prioritized
+    /// waiters on one region must not both pass because neither was enabled
+    /// when the round began. Enabling a task never *unblocks* further
+    /// waiting tasks (it only adds constraints), so a single round
     /// suffices — the historical argument, unchanged.
     fn run_enable_round(
         inner: &mut QueueInner,
@@ -492,16 +495,12 @@ impl NaiveScheduler {
                     }
                 };
                 if ok {
+                    task.sched.lock().status = TaskStatus::Enabled;
                     ready.push(task);
                 }
             }
         }
         inner.wake_work += work;
-        // Mark them enabled while still holding the lock so a concurrent
-        // scan does not double-enable them.
-        for task in &ready {
-            task.sched.lock().status = TaskStatus::Enabled;
-        }
         ready
     }
 }
@@ -764,6 +763,27 @@ mod tests {
             assert_eq!(b.status(), TaskStatus::Prioritized);
             gate.mark_done();
             sched.task_done(&gate);
+            assert_eq!(&*enabled.lock(), &[1, 2, 3]);
+        }
+    }
+
+    #[test]
+    fn prioritized_waiters_on_one_region_are_enabled_one_at_a_time() {
+        // Both waiters are prioritized (each is awaited, as a nested
+        // `execute` does), so each only has to be isolated from *enabled*
+        // tasks — including the other one, once it wins the round.
+        for (enabled, sched) in [collecting_scheduler(), collecting_full_scan()] {
+            let t: Vec<_> = (1..=3).map(|i| task(i, "writes C:[0]")).collect();
+            for x in &t {
+                sched.submit(x.clone());
+                sched.on_await(None, x);
+            }
+            t[0].mark_done();
+            sched.task_done(&t[0]);
+            assert_eq!(&*enabled.lock(), &[1, 2]);
+            assert_eq!(t[2].status(), TaskStatus::Prioritized);
+            t[1].mark_done();
+            sched.task_done(&t[1]);
             assert_eq!(&*enabled.lock(), &[1, 2, 3]);
         }
     }

@@ -68,14 +68,18 @@
 //! * a small **root-records domain** (`root_records`, a depth-0 node):
 //!   effects that genuinely settle at the root (`*`, `Root:[?]`,
 //!   `reads/writes Root`) live here, as do descending records stopped at
-//!   root level by a conflict. A gauge (`root_live`) counts its records.
+//!   root level by a conflict. A gauge (`root_live`) counts its
+//!   **covering** records — the wildcard settlers and the parked ones. The
+//!   exact records (`reads Root`, `writes Root`) stay out of it: the region
+//!   `Root` is disjoint from every region a shard admits (see `NodeInner`).
 //!
 //! Tenant-disjoint traffic (`Tenant:[i]:…`) routes to its shard, checks
 //! `root_live == 0`, and admits entirely under that shard's locks — no
-//! shared lock with any other tenant. Only when the gauge is non-zero (a
-//! root settler is present) does admission detour through the root-records
-//! domain first, which restores exactly the old total order: park behind
-//! enabled root settlers, then descend. Cross-shard walks (a settler's
+//! shared lock with any other tenant, however many `reads Root` tasks are
+//! in flight. Only when the gauge is non-zero (a covering root record is
+//! present) does admission detour through the root-records domain first,
+//! which restores exactly the old total order: park behind enabled
+//! covering records, then descend. Cross-shard walks (a settler's
 //! `check_below`) hold the root-records lock throughout and visit shards in
 //! sorted interned-id order — the same deterministic first-conflict order
 //! as a single node's sorted child walk. The fast-path soundness argument
@@ -130,6 +134,10 @@ pub struct EffectRecord {
     pub task: Weak<TaskRecord>,
     /// The tree node currently holding this effect.
     pub node: Mutex<Option<NodeRef>>,
+    /// Back-index: this record's slot in its class list at `node`, which is
+    /// what makes unlinking O(1). Read and written only under that node's
+    /// lock (hence `Relaxed`).
+    slot: AtomicUsize,
     /// Whether the effect is currently enabled.
     pub enabled: AtomicBool,
     /// Effects that are waiting because they conflict with this one.
@@ -149,6 +157,7 @@ impl EffectRecord {
             prefix_path: effect.rpl.prefix_id_path(),
             task: Arc::downgrade(task),
             node: Mutex::new(None),
+            slot: AtomicUsize::new(0),
             enabled: AtomicBool::new(false),
             waiters: Mutex::new(Vec::new()),
         })
@@ -254,6 +263,29 @@ impl ChildEntry {
     }
 }
 
+/// Class of a record whose region *is* its node's region: wildcard-free and
+/// settled at its own depth (`reads Root` at the root).
+const EXACT: usize = 0;
+/// Class of every other record at a node: a wildcard settler (`P:*`,
+/// `P:[?]`) or a deeper record parked here by a conflict.
+const COVERING: usize = 1;
+
+/// One class of a node's records, in arrival order. Unlinking leaves a
+/// tombstone (`None`) instead of shifting the tail: a record leaves in O(1)
+/// through its back-index ([`EffectRecord::slot`]), a walk that unlinks
+/// mid-scan keeps its cursor, and the arrival order the first-conflict rule
+/// depends on is never disturbed. A push squeezes the tombstones out once
+/// they outnumber the live records (amortized O(1) per unlink).
+#[derive(Default)]
+struct RecordList {
+    /// `(arrival stamp, record)`. Stamps are per node and increase across
+    /// both classes, so a two-class walk merges them back into arrival order.
+    slots: Vec<Option<(u64, Arc<EffectRecord>)>>,
+    live: usize,
+    /// Live write records: a read effect skips a class without any.
+    writes: usize,
+}
+
 /// The contents of one scheduler-tree node (Figure 5.3).
 ///
 /// Each node corresponds to a wildcard-free RPL, so children are keyed by
@@ -261,47 +293,151 @@ impl ChildEntry {
 /// element compare — and descent indexes the effect's precomputed prefix id
 /// path.
 ///
-/// The node keeps a one-word summary of its record list — the number of
-/// write records — so the conflict walks can skip scanning read-only nodes
-/// for read effects (reads never conflict with reads), which is the common
-/// shape of `reads Root`-heavy workloads. Per-child subtree Blooms (see
-/// `ChildEntry` and the module docs) extend the same idea below the node.
+/// The records are held in two classes, `EXACT` and `COVERING`, because
+/// the RPL algebra separates them: distinct wildcard-free RPLs are disjoint,
+/// so a record whose settle node lies *below* this one (passing through, or
+/// parked here) never overlaps an exact record and is checked against the
+/// covering class alone — no work at all under a `reads Root` fan-out,
+/// however wide. A record settling here meets both classes, minus any class
+/// without a write when it is itself a read; per-child subtree Blooms (see
+/// `ChildEntry`) extend that write-count idea below the node.
 #[derive(Default)]
 pub struct NodeInner {
     depth: usize,
-    effects: Vec<Arc<EffectRecord>>,
+    /// The node's records by class, indexed by [`EXACT`] / [`COVERING`].
+    records: [RecordList; 2],
+    /// Arrival stamp of the newest record.
+    stamp: u64,
     children: HashMap<RplId, ChildEntry>,
-    /// Number of entries of `effects` that are write records.
-    write_records: usize,
-    /// Atomic mirror of `effects.len()`, set only on the root-records node
-    /// of the sharded root plane (`RootPlane::root_live`): every record
-    /// entering or leaving the node funnels through
-    /// `push_record`/`remove_record_at`, so the gauge is the single choke
-    /// point shard fast paths read without taking this node's lock. SeqCst
-    /// on both sides — see `RootPlane` for the ordering argument.
+    /// Atomic mirror of the **covering** class's live count, set only on the
+    /// root-records node of the sharded root plane (`RootPlane::root_live`):
+    /// every record entering or leaving the node funnels through
+    /// `push_record`/`unlink`, so the gauge is the single choke point shard
+    /// fast paths read without taking this node's lock. Nothing a shard
+    /// admits can overlap the region `Root`, so exact records stay out.
+    /// SeqCst on both sides — see `RootPlane` for the ordering argument.
     live_gauge: Option<Arc<AtomicUsize>>,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// What the cost-shape tests count, per thread: records `check_at`
+    /// examined, slots unlinking touched (compaction included).
+    static EXAMINED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    static UNLINK_STEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl NodeInner {
-    fn push_record(&mut self, e: Arc<EffectRecord>) {
-        if let Some(gauge) = &self.live_gauge {
-            gauge.fetch_add(1, Ordering::SeqCst);
+    fn class_of(&self, e: &EffectRecord) -> usize {
+        if e.rpl.has_wildcard() || e.prefix_depth() != self.depth {
+            COVERING
+        } else {
+            EXACT
         }
-        if e.write {
-            self.write_records += 1;
-        }
-        self.effects.push(e);
     }
 
-    fn remove_record_at(&mut self, i: usize) -> Arc<EffectRecord> {
-        if let Some(gauge) = &self.live_gauge {
+    fn push_record(&mut self, e: Arc<EffectRecord>) {
+        let class = self.class_of(&e);
+        if let (COVERING, Some(gauge)) = (class, &self.live_gauge) {
+            gauge.fetch_add(1, Ordering::SeqCst);
+        }
+        self.stamp += 1;
+        let list = &mut self.records[class];
+        if list.slots.len() >= 2 * list.live + 8 {
+            #[cfg(test)]
+            UNLINK_STEPS.with(|n| n.set(n.get() + list.slots.len()));
+            list.slots.retain(Option::is_some);
+            for (i, (_, r)) in list.slots.iter().flatten().enumerate() {
+                r.slot.store(i, Ordering::Relaxed);
+            }
+        }
+        e.slot.store(list.slots.len(), Ordering::Relaxed);
+        list.live += 1;
+        list.writes += usize::from(e.write);
+        list.slots.push(Some((self.stamp, e)));
+    }
+
+    /// Unlinks the live record in slot `i` of `class`.
+    fn unlink(&mut self, class: usize, i: usize) -> Arc<EffectRecord> {
+        #[cfg(test)]
+        UNLINK_STEPS.with(|n| n.set(n.get() + 1));
+        if let (COVERING, Some(gauge)) = (class, &self.live_gauge) {
             gauge.fetch_sub(1, Ordering::SeqCst);
         }
-        let e = self.effects.remove(i);
-        if e.write {
-            self.write_records -= 1;
+        let list = &mut self.records[class];
+        let (_, e) = list.slots[i].take().expect("unlink of a live slot");
+        list.live -= 1;
+        list.writes -= usize::from(e.write);
+        if list.live == 0 {
+            list.slots.clear();
         }
         e
+    }
+
+    /// Cursors for a conflict walk on behalf of `e`. A class it cannot
+    /// conflict with starts exhausted: the exact class when `e` settles
+    /// below this node (it denotes only deeper regions, disjoint from the
+    /// node's own — on a descent that usually leaves no record at all), and
+    /// any class without a write when `e` is a read.
+    fn scan_for(&self, e: &EffectRecord) -> [usize; 2] {
+        let passing = e.prefix_depth() > self.depth;
+        [EXACT, COVERING].map(|class| {
+            let skip = (class == EXACT && passing) || (!e.write && self.records[class].writes == 0);
+            if skip {
+                usize::MAX
+            } else {
+                0
+            }
+        })
+    }
+
+    /// The next live record in arrival order across both classes, as
+    /// (class, slot, handle). Unlinking it mid-walk leaves `cur` valid.
+    fn next_record(&self, cur: &mut [usize; 2]) -> Option<(usize, usize, Arc<EffectRecord>)> {
+        let mut heads = [None, None];
+        for class in [EXACT, COVERING] {
+            let slots = &self.records[class].slots;
+            while let Some(slot) = slots.get(cur[class]) {
+                if slot.is_some() {
+                    heads[class] = slot.as_ref();
+                    break;
+                }
+                cur[class] += 1;
+            }
+        }
+        let class = match heads {
+            [Some((exact, _)), Some((covering, _))] if covering < exact => COVERING,
+            [Some(_), _] => EXACT,
+            [None, Some(_)] => COVERING,
+            [None, None] => return None,
+        };
+        let i = cur[class];
+        cur[class] += 1;
+        Some((class, i, heads[class]?.1.clone()))
+    }
+
+    fn live_records(&self) -> impl Iterator<Item = &Arc<EffectRecord>> {
+        let slots = self.records.iter().flat_map(|list| &list.slots);
+        slots.flatten().map(|(_, e)| e)
+    }
+
+    fn record_count(&self) -> usize {
+        self.records[EXACT].live + self.records[COVERING].live
+    }
+
+    /// No records and no children: nothing a walk could find here.
+    fn is_vacant(&self) -> bool {
+        self.record_count() == 0 && self.children.is_empty()
+    }
+
+    /// Unlinks every record whose task record was dropped before completion.
+    fn sweep_dead(&mut self, swept: &mut Vec<Arc<EffectRecord>>) {
+        let mut cur = [0; 2];
+        while let Some((class, i, e)) = self.next_record(&mut cur) {
+            if e.task.strong_count() == 0 {
+                swept.push(self.unlink(class, i));
+            }
+        }
     }
 
     /// The node's true subtree summary as far as this node can know it:
@@ -313,7 +449,7 @@ impl NodeInner {
         let mut bloom = 0u64;
         let mut write_bloom = 0u64;
         let mut live = 0u32;
-        for e in &self.effects {
+        for e in self.live_records() {
             let bit = record_bit(e);
             bloom |= bit;
             if e.write {
@@ -339,10 +475,7 @@ type NodeGuard = ArcMutexGuard<RawMutex, NodeInner>;
 fn new_node(depth: usize) -> NodeRef {
     Arc::new(Mutex::new(NodeInner {
         depth,
-        effects: Vec::new(),
-        children: HashMap::new(),
-        write_records: 0,
-        live_gauge: None,
+        ..NodeInner::default()
     }))
 }
 
@@ -352,8 +485,9 @@ fn add_effect(node: &NodeRef, guard: &mut NodeGuard, e: &Arc<EffectRecord>) {
 }
 
 fn remove_effect(guard: &mut NodeGuard, e: &Arc<EffectRecord>) {
-    if let Some(i) = guard.effects.iter().position(|x| Arc::ptr_eq(x, e)) {
-        guard.remove_record_at(i);
+    let (class, i) = (guard.class_of(e), e.slot.load(Ordering::Relaxed));
+    if matches!(guard.records[class].slots.get(i), Some(Some((_, x))) if Arc::ptr_eq(x, e)) {
+        guard.unlink(class, i);
     }
 }
 
@@ -408,9 +542,14 @@ struct RouteEntry {
 ///
 /// # Why the fast path cannot miss a settler (and vice versa)
 ///
+/// "Settler" below means a *covering* one (`*`, `Root:[?]`): an exact root
+/// record (`reads Root`, `writes Root`) neither bumps the gauge nor walks
+/// the shards, and needs neither — distinct wildcard-free RPLs are
+/// disjoint, so it and a shard admission have nothing to tell each other.
+///
 /// A shard admission holds its slot lock when it reads `root_live`; a
 /// settler bumps the gauge (by entering `root_records` — the gauge is
-/// maintained inside `push_record`/`remove_record_at`) *before* it walks
+/// maintained inside `push_record`/`unlink`) *before* it walks
 /// any shard, and holds the root-records lock for the whole walk. For a
 /// shard the settler's walk already visited, the admission's slot acquire
 /// synchronizes with the walk's slot release, making the earlier gauge
@@ -428,7 +567,8 @@ struct RootPlane {
     buckets: Vec<AtomicPtr<RouteEntry>>,
     /// The depth-0 domain: root settlers and conflict-parked records.
     root_records: NodeRef,
-    /// Gauge over `root_records`' record list (see `NodeInner::live_gauge`).
+    /// Gauge over `root_records`' covering records (see
+    /// `NodeInner::live_gauge`).
     root_live: Arc<AtomicUsize>,
     /// Force every shard admission through the root-records detour — one
     /// lock domain total, the faithful single-root baseline the benches and
@@ -440,11 +580,8 @@ impl RootPlane {
     fn new(single_lock: bool) -> Self {
         let root_live = Arc::new(AtomicUsize::new(0));
         let root_records = Arc::new(Mutex::new(NodeInner {
-            depth: 0,
-            effects: Vec::new(),
-            children: HashMap::new(),
-            write_records: 0,
             live_gauge: Some(Arc::clone(&root_live)),
+            ..NodeInner::default()
         }));
         RootPlane {
             buckets: (0..ROUTE_BUCKETS)
@@ -685,11 +822,11 @@ impl TreeScheduler {
         fn count(node: &NodeRef) -> usize {
             let guard = node.lock();
             let children: Vec<NodeRef> = guard.children.values().map(|c| c.node.clone()).collect();
-            let here = guard.effects.len();
+            let here = guard.record_count();
             drop(guard);
             here + children.iter().map(count).sum::<usize>()
         }
-        let mut total = self.inner.plane.root_records.lock().effects.len();
+        let mut total = self.inner.plane.root_records.lock().record_count();
         for route in self.inner.plane.snapshot_sorted() {
             let child = route.shard.slot.lock().node.clone();
             total += count(&child);
@@ -715,7 +852,7 @@ impl TreeScheduler {
         for route in self.inner.plane.snapshot_sorted() {
             let child = route.shard.slot.lock().node.clone();
             let guard = child.lock();
-            if guard.effects.is_empty() && guard.children.is_empty() {
+            if guard.is_vacant() {
                 continue;
             }
             let children: Vec<NodeRef> = guard.children.values().map(|c| c.node.clone()).collect();
@@ -916,30 +1053,15 @@ impl TreeInner {
         prio: bool,
         swept: &mut Vec<Arc<EffectRecord>>,
     ) -> bool {
-        if guard.effects.is_empty() {
-            // Interior nodes of a deep hierarchy usually hold no records at
-            // all (records only park here when stopped by a conflict);
-            // bail before any per-effect work — this check sits on the
-            // per-record, per-level path of batch descents.
-            return false;
-        }
-        if !e.write && guard.write_records == 0 {
-            // Node summary: only read records here, and reads never conflict
-            // with a read — skip the scan entirely.
-            return false;
-        }
-        // Index-based iteration: `guard.effects` is only mutated through this
-        // same guard, and cloning the whole list here is a hot-path
-        // allocation (this node may hold every outstanding `reads Root`).
-        let mut i = 0;
-        while i < guard.effects.len() {
-            let existing = guard.effects[i].clone();
+        let mut cur = guard.scan_for(e);
+        while let Some((class, i, existing)) = guard.next_record(&mut cur) {
+            #[cfg(test)]
+            EXAMINED.with(|n| n.set(n.get() + 1));
             if Arc::ptr_eq(&existing, e) {
-                i += 1;
                 continue;
             }
             if existing.task.strong_count() == 0 {
-                swept.push(guard.remove_record_at(i)); // dead-record sweep
+                swept.push(guard.unlink(class, i)); // dead-record sweep
                 continue;
             }
             if existing.is_enabled() && self.conflicts(&existing, e) {
@@ -950,7 +1072,6 @@ impl TreeInner {
                     return true;
                 }
             }
-            i += 1;
         }
         false
     }
@@ -1062,7 +1183,7 @@ impl TreeInner {
                     entry.live_below = live_below;
                 }
             }
-            let prune = cg.effects.is_empty() && cg.children.is_empty();
+            let prune = cg.is_vacant();
             drop(cg);
             if prune {
                 // Safe under the parent lock: every descent into a child
@@ -1095,32 +1216,27 @@ impl TreeInner {
         prio: bool,
         swept: &mut Vec<Arc<EffectRecord>>,
     ) -> bool {
-        if e.write || cg.write_records > 0 {
-            let mut i = 0;
-            while i < cg.effects.len() {
-                let existing = cg.effects[i].clone();
-                if existing.task.strong_count() == 0 {
-                    swept.push(cg.remove_record_at(i)); // dead-record sweep
-                    continue;
+        let mut cur = cg.scan_for(e);
+        while let Some((class, i, existing)) = cg.next_record(&mut cur) {
+            if existing.task.strong_count() == 0 {
+                swept.push(cg.unlink(class, i)); // dead-record sweep
+                continue;
+            }
+            if self.conflicts(&existing, e) {
+                if !existing.enabled.load(Ordering::Acquire)
+                    || (prio && self.try_disable(&existing))
+                {
+                    // Move the (disabled) conflicting effect up to ne so
+                    // that rechecking it later starts from a node where it
+                    // will encounter `e`.
+                    push_waiter(e, &existing);
+                    cg.unlink(class, i);
+                    target.push_record(existing.clone());
+                    *existing.node.lock() = Some(ne.clone());
+                } else {
+                    push_waiter(&existing, e);
+                    return true;
                 }
-                if self.conflicts(&existing, e) {
-                    if !existing.enabled.load(Ordering::Acquire)
-                        || (prio && self.try_disable(&existing))
-                    {
-                        // Move the (disabled) conflicting effect up to ne
-                        // so that rechecking it later starts from a node
-                        // where it will encounter `e`.
-                        push_waiter(e, &existing);
-                        cg.remove_record_at(i);
-                        target.push_record(existing.clone());
-                        *existing.node.lock() = Some(ne.clone());
-                        continue;
-                    } else {
-                        push_waiter(&existing, e);
-                        return true;
-                    }
-                }
-                i += 1;
             }
         }
         if !any_index_only {
@@ -1637,7 +1753,7 @@ impl TreeInner {
     /// per-shard replacement for the root-level stretch of the old single
     /// root descent.
     ///
-    /// **Fast path** (no live root record, gauge read under the slot
+    /// **Fast path** (no covering root record, gauge read under the slot
     /// lock): publish the group's bits into the slot summary, lock the
     /// first-level child, release the slot, insert at depth 1 — tenant-
     /// disjoint groups touch nothing shared.
@@ -1874,20 +1990,8 @@ impl TreeInner {
         let mut reached_first = true;
         while guards.len() > 1 {
             let mut guard = guards.pop().unwrap();
-            let mut i = 0;
-            while i < guard.effects.len() {
-                if guard.effects[i].task.strong_count() == 0 {
-                    swept.push(guard.remove_record_at(i));
-                    continue;
-                }
-                i += 1;
-            }
-            let empty = guard.effects.is_empty() && guard.children.is_empty();
-            let summary = if empty {
-                None
-            } else {
-                Some(guard.fresh_summary())
-            };
+            guard.sweep_dead(&mut swept);
+            let summary = (!guard.is_vacant()).then(|| guard.fresh_summary());
             drop(guard);
             let key = path[guards.len() + 1];
             let parent = guards.last_mut().unwrap();
@@ -1912,20 +2016,9 @@ impl TreeInner {
             // The unwind reached the first-level node: sweep it and rewrite
             // its slot summary (zeroed when the whole subtree is gone).
             let mut guard = guards.pop().unwrap();
-            let mut i = 0;
-            while i < guard.effects.len() {
-                if guard.effects[i].task.strong_count() == 0 {
-                    swept.push(guard.remove_record_at(i));
-                    continue;
-                }
-                i += 1;
-            }
-            let (bloom, write_bloom, live_below) =
-                if guard.effects.is_empty() && guard.children.is_empty() {
-                    (0, 0, 0)
-                } else {
-                    guard.fresh_summary()
-                };
+            guard.sweep_dead(&mut swept);
+            // A vacant node's fresh summary is all zeroes.
+            let (bloom, write_bloom, live_below) = guard.fresh_summary();
             drop(guard);
             slot.bloom = bloom;
             slot.write_bloom = write_bloom;
@@ -1943,7 +2036,7 @@ impl TreeInner {
         for e in &records {
             let (_node, mut guard) = self.lock_containing_node(e);
             remove_effect(&mut guard, e);
-            if guard.depth > 0 && guard.effects.is_empty() && guard.children.is_empty() {
+            if guard.depth > 0 && guard.is_vacant() {
                 // The finished task emptied this node: prune it eagerly
                 // instead of leaving it for the next wildcard walk, so
                 // index-region traffic (`Data:[i]`) keeps the tree flat even
@@ -3035,5 +3128,196 @@ mod tests {
         assert_eq!(t2.status(), TaskStatus::Enabled);
         h.finish(&t2);
         assert_eq!(h.sched.tree_nodes(), 1, "everything pruned after t2");
+    }
+
+    fn root_live(sched: &TreeScheduler) -> usize {
+        sched.inner.plane.root_live.load(Ordering::SeqCst)
+    }
+
+    /// The first-level node `name` (its shard must exist).
+    fn first_level_node(sched: &TreeScheduler, name: &str) -> NodeRef {
+        let id = twe_effects::Rpl::parse(name).prefix_id_path()[1];
+        let route = sched.inner.plane.find(id).expect("shard exists");
+        let node = route.shard.slot.lock().node.clone();
+        node
+    }
+
+    /// The k-means shape (Fig. 6.3) at width `n`: `n` enabled `reads Root`
+    /// WorkTasks, then `n` nested `reads Root, writes Clusters:[k]`
+    /// admissions over 40 clusters, then everything finished. Returns
+    /// (records `check_at` examined during the nested admissions, unlink
+    /// steps taken by the completions).
+    fn kmeans_shape_costs(sched: TreeScheduler, n: u64) -> (usize, usize) {
+        let work: Vec<_> = (0..n).map(|i| task(i, "reads Root")).collect();
+        for t in &work {
+            sched.submit(t.clone());
+            assert_eq!(t.status(), TaskStatus::Enabled);
+        }
+        assert_eq!(root_live(&sched), 0);
+        EXAMINED.with(|c| c.set(0));
+        let nested: Vec<_> = (0..n)
+            .map(|i| task(n + i, &format!("reads Root, writes Clusters:[{}]", i % 40)))
+            .collect();
+        for t in &nested {
+            sched.submit(t.clone());
+        }
+        let examined = EXAMINED.with(|c| c.get());
+        UNLINK_STEPS.with(|c| c.set(0));
+        for t in nested.iter().chain(&work) {
+            assert_eq!(t.status(), TaskStatus::Enabled, "FIFO per cluster");
+            t.mark_done();
+            sched.task_done(t);
+        }
+        assert_eq!(sched.recorded_effects(), 0);
+        (examined, UNLINK_STEPS.with(|c| c.get()))
+    }
+
+    #[test]
+    fn reads_root_fanout_costs_nested_admissions_nothing() {
+        // Counts, not timings. Each nested admission examines exactly one
+        // record — the head of its cluster's queue, or itself when it is the
+        // head — and none of the `n` root records, on the sharded plane
+        // (the gauge stays 0, no detour) and on the single-root baseline
+        // (the detour's `check_at` meets the empty covering class). Each
+        // of the 3n records then leaves in one unlink step.
+        for n in [1_000u64, 4_000] {
+            for make in [TreeScheduler::new, TreeScheduler::new_single_root] {
+                let (examined, unlink_steps) = kmeans_shape_costs(make(Box::new(|_| {})), n);
+                assert_eq!(examined, n as usize, "n = {n}");
+                assert_eq!(unlink_steps, 3 * n as usize, "n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn unlinked_slots_are_reclaimed_and_arrival_order_survives() {
+        // A sliding window of four readers on X: 400 records come and go
+        // through one list. The tombstones they leave must be squeezed out
+        // (bounded list, amortized-constant unlink cost, back-indices still
+        // right afterwards), and a writer must still queue behind the
+        // readers in arrival order.
+        let h = harness();
+        UNLINK_STEPS.with(|c| c.set(0));
+        let mut window = std::collections::VecDeque::new();
+        for i in 0..400u64 {
+            let t = task(i, "reads X");
+            h.sched.submit(t.clone());
+            window.push_back(t);
+            if window.len() > 4 {
+                h.finish(&window.pop_front().unwrap());
+            }
+            let slots = first_level_node(&h.sched, "X").lock().records[EXACT]
+                .slots
+                .len();
+            assert!(slots <= 2 * 5 + 8, "{slots} slots for 5 live records");
+        }
+        let steps = UNLINK_STEPS.with(|c| c.get());
+        assert!(steps <= 4 * 396, "{steps} steps for 396 unlinks");
+        let writer = task(1_000, "writes X");
+        h.sched.submit(writer.clone());
+        for t in &window {
+            assert_eq!(writer.status(), TaskStatus::Waiting);
+            h.finish(t);
+        }
+        assert_eq!(writer.status(), TaskStatus::Enabled);
+        h.finish(&writer);
+        assert_eq!(h.sched.recorded_effects(), 0);
+    }
+
+    #[test]
+    fn exact_root_writer_does_not_stop_descending_writers() {
+        // `writes Root` is the one region `Root`, disjoint from `A:[1]`.
+        let h = harness();
+        let root = task(1, "writes Root");
+        let deep = task(2, "writes A:[1]");
+        h.sched.submit(root.clone());
+        assert_eq!(
+            root_live(&h.sched),
+            0,
+            "exact records stay out of the gauge"
+        );
+        h.sched.submit(deep.clone());
+        assert_eq!(h.enabled_ids(), vec![1, 2]);
+        assert_eq!(root_live(&h.sched), 0);
+        h.finish(&root);
+        h.finish(&deep);
+        assert_eq!(h.sched.recorded_effects(), 0);
+    }
+
+    #[test]
+    fn covering_root_records_stop_descending_writers_and_bump_the_gauge() {
+        for (cover, prey) in [
+            ("writes Root:*", "writes A:[1]"),
+            ("reads Root:[?]", "writes [3]"),
+        ] {
+            let h = harness();
+            let settler = task(1, cover);
+            let writer = task(2, prey);
+            h.sched.submit(settler.clone());
+            assert_eq!(root_live(&h.sched), 1, "{cover}");
+            h.sched.submit(writer.clone());
+            assert_eq!(
+                writer.status(),
+                TaskStatus::Waiting,
+                "{prey} behind {cover}"
+            );
+            assert_eq!(root_live(&h.sched), 2, "the parked writer is covering too");
+            h.finish(&settler);
+            assert_eq!(writer.status(), TaskStatus::Enabled);
+            assert_eq!(root_live(&h.sched), 0, "the writer moved down to its shard");
+            h.finish(&writer);
+            assert_eq!(h.sched.recorded_effects(), 0);
+        }
+    }
+
+    #[test]
+    fn record_parked_at_an_ancestor_is_covering() {
+        // t2 is parked at A (depth 1) by t1's `A:*`. Exact traffic at A
+        // ignores it, but it still counts as one of A's covering records:
+        // once t1 is done t2 moves down, is enabled at A:B:C, and t3 —
+        // descending through A, where nothing covering is left — meets it
+        // there.
+        let h = harness();
+        let t1 = task(1, "writes A:*");
+        let t2 = task(2, "writes A:B:C");
+        let t3 = task(3, "writes A:B:C");
+        let exact = task(4, "writes A");
+        h.sched.submit(t1.clone());
+        h.sched.submit(t2.clone());
+        h.sched.submit(t3.clone());
+        assert_eq!(h.enabled_ids(), vec![1]);
+        let covering_at_a = || first_level_node(&h.sched, "A").lock().records[COVERING].live;
+        assert_eq!(covering_at_a(), 3, "the settler and both parked writers");
+        assert_eq!(root_live(&h.sched), 0, "parked at A, not at the root");
+        h.finish(&t1);
+        assert_eq!(h.enabled_ids(), vec![1, 2]);
+        assert_eq!(t3.status(), TaskStatus::Waiting, "t3 met t2 at A:B:C");
+        assert_eq!(covering_at_a(), 0, "both moved down");
+        h.sched.submit(exact.clone());
+        assert_eq!(exact.status(), TaskStatus::Enabled, "`A` overlaps neither");
+        h.finish(&t2);
+        assert_eq!(t3.status(), TaskStatus::Enabled);
+        h.finish(&t3);
+        h.finish(&exact);
+        assert_eq!(h.sched.tree_nodes(), 1);
+    }
+
+    #[test]
+    fn exact_read_and_write_at_one_node_still_serialize() {
+        let h = harness();
+        let w = task(1, "writes Root");
+        let r = task(2, "reads Root");
+        let w2 = task(3, "writes Root");
+        h.sched.submit(w.clone());
+        h.sched.submit(r.clone());
+        h.sched.submit(w2.clone());
+        assert_eq!(h.enabled_ids(), vec![1]);
+        h.finish(&w);
+        assert_eq!(h.enabled_ids(), vec![1, 2], "the read first: arrival order");
+        h.finish(&r);
+        assert_eq!(h.enabled_ids(), vec![1, 2, 3]);
+        h.finish(&w2);
+        assert_eq!(h.sched.recorded_effects(), 0);
+        assert_eq!(root_live(&h.sched), 0);
     }
 }

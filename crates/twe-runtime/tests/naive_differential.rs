@@ -10,6 +10,13 @@
 //! this is the race-free exact tie the sampled in-scheduler debug assert
 //! cannot be (a concurrent `mark_done` makes the oracle drift benignly).
 //!
+//! A second lockstep tie runs the k-means shape of Fig. 6.3 — a `reads
+//! Root` fan-out whose tasks each block on a nested `reads Root, writes
+//! Clusters:[k]` — through the naive scheduler, the tree scheduler and the
+//! tree's single-root baseline at once: the tree files the fan-out's
+//! records apart from the ones descending writers meet, and must still
+//! decide every step as the single queue does.
+//!
 //! The saturation tier then proves the point of the index: an unbounded
 //! 100k-deep disjoint backlog drains with near-linear total wakeup work
 //! (measured by the deterministic `wake_scan_work` counter, not
@@ -23,6 +30,7 @@ use twe_effects::EffectSet;
 use twe_runtime::naive::NaiveScheduler;
 use twe_runtime::scheduler::Scheduler;
 use twe_runtime::task::{TaskRecord, TaskStatus};
+use twe_runtime::tree::TreeScheduler;
 use twe_runtime::{AdmissionPolicy, Runtime, SchedulerKind};
 
 /// Same shape space as `batch_differential::arb_effect_text`: anchored
@@ -74,9 +82,9 @@ fn make_tasks(batch: &[Vec<String>]) -> Vec<Arc<TaskRecord>> {
         .collect()
 }
 
-fn log_and_scheduler(
-    make: impl FnOnce(Box<dyn Fn(Arc<TaskRecord>) + Send + Sync>) -> NaiveScheduler,
-) -> (Arc<Mutex<Vec<u64>>>, NaiveScheduler) {
+fn log_and_scheduler<S>(
+    make: impl FnOnce(Box<dyn Fn(Arc<TaskRecord>) + Send + Sync>) -> S,
+) -> (Arc<Mutex<Vec<u64>>>, S) {
     let log: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let l2 = log.clone();
     let sched = make(Box::new(move |t| l2.lock().unwrap().push(t.id)));
@@ -181,6 +189,148 @@ proptest! {
         }
         prop_assert_eq!(full.diagnostics().queued_tasks, 0);
         prop_assert_eq!(indexed.diagnostics().queued_tasks, 0);
+    }
+}
+
+/// One scheduler's side of the k-means lockstep trace: its enable log, its
+/// own copies of the `M` WorkTasks, and the nested task each started
+/// WorkTask is blocked on.
+struct KmeansRun {
+    name: &'static str,
+    sched: Box<dyn Scheduler>,
+    log: Arc<Mutex<Vec<u64>>>,
+    work: Vec<Arc<TaskRecord>>,
+    nested: Vec<Option<Arc<TaskRecord>>>,
+}
+
+impl KmeansRun {
+    fn new<S: Scheduler + 'static>(
+        name: &'static str,
+        work_tasks: usize,
+        make: impl FnOnce(Box<dyn Fn(Arc<TaskRecord>) + Send + Sync>) -> S,
+    ) -> Self {
+        let (log, sched) = log_and_scheduler(make);
+        let work: Vec<_> = (0..work_tasks as u64)
+            .map(|i| TaskRecord::new(i, "WorkTask", EffectSet::parse("reads Root"), false))
+            .collect();
+        sched.submit_batch(work.clone());
+        let nested = vec![None; work_tasks];
+        KmeansRun {
+            name,
+            sched: Box::new(sched),
+            log,
+            work,
+            nested,
+        }
+    }
+
+    /// WorkTask `i` runs: it submits its accumulate task and blocks on it,
+    /// as `TaskCtx::execute` does.
+    fn start(&mut self, i: usize, cluster: u64) {
+        let effects = EffectSet::parse(&format!("reads Root, writes Clusters:[{cluster}]"));
+        let nested = TaskRecord::new((self.work.len() + i) as u64, "accumulate", effects, false);
+        self.sched.submit(nested.clone());
+        *self.work[i].blocker.lock() = Some(nested.clone());
+        self.sched.on_await(Some(&self.work[i]), &nested);
+        self.nested[i] = Some(nested);
+    }
+
+    /// WorkTask `i`'s accumulate task finishes, then the WorkTask itself.
+    fn complete(&mut self, i: usize) {
+        let nested = self.nested[i].take().expect("started");
+        assert_eq!(
+            nested.status(),
+            TaskStatus::Enabled,
+            "{}: nested {i}",
+            self.name
+        );
+        nested.mark_done();
+        self.sched.task_done(&nested);
+        *self.work[i].blocker.lock() = None;
+        self.work[i].mark_done();
+        self.sched.task_done(&self.work[i]);
+    }
+
+    fn statuses(&self) -> Vec<TaskStatus> {
+        let nested = self.nested.iter().flatten();
+        self.work.iter().chain(nested).map(|t| t.status()).collect()
+    }
+}
+
+/// The k-means shape in lockstep: `M` `reads Root` WorkTasks admitted as one
+/// batch, then a seeded interleaving of "a WorkTask starts and blocks on its
+/// nested `reads Root, writes Clusters:[k]`" and "an enabled nested task and
+/// its WorkTask finish", at most 16 WorkTasks in flight over K = 3 clusters
+/// so the clusters collide. After every step the naive scheduler, the
+/// sharded tree and the single-root tree must agree on every live task's
+/// status, and the two trees on the enable log as well.
+#[test]
+fn kmeans_shape_tree_equals_naive_in_lockstep() {
+    const M: usize = 120;
+    const K: u64 = 3;
+    const IN_FLIGHT: usize = 16;
+    for seed in 1..=8u64 {
+        let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut next = move || {
+            // SplitMix64.
+            rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut runs = [
+            KmeansRun::new("naive", M, NaiveScheduler::new),
+            KmeansRun::new("tree", M, TreeScheduler::new),
+            KmeansRun::new("single-root tree", M, TreeScheduler::new_single_root),
+        ];
+        let agree = |runs: &[KmeansRun; 3], step: &str| {
+            for run in &runs[1..] {
+                assert_eq!(
+                    runs[0].statuses(),
+                    run.statuses(),
+                    "seed {seed}: {} left naive after {step}",
+                    run.name
+                );
+            }
+            assert_eq!(
+                &*runs[1].log.lock().unwrap(),
+                &*runs[2].log.lock().unwrap(),
+                "seed {seed}: tree enable logs after {step}"
+            );
+        };
+        agree(&runs, "the fan-out");
+        let mut started = 0usize;
+        let mut in_flight: Vec<usize> = Vec::new();
+        while started < M || !in_flight.is_empty() {
+            let may_start = started < M && in_flight.len() < IN_FLIGHT;
+            if may_start && (in_flight.is_empty() || next() % 2 == 0) {
+                let cluster = next() % K;
+                for run in &mut runs {
+                    run.start(started, cluster);
+                }
+                in_flight.push(started);
+                started += 1;
+                agree(&runs, "a start");
+            } else {
+                let ready: Vec<usize> = (0..in_flight.len())
+                    .filter(|&p| {
+                        let nested = runs[0].nested[in_flight[p]].as_ref().unwrap();
+                        nested.status() == TaskStatus::Enabled
+                    })
+                    .collect();
+                assert!(!ready.is_empty(), "seed {seed}: naive stalled");
+                let i = in_flight.swap_remove(ready[next() as usize % ready.len()]);
+                for run in &mut runs {
+                    run.complete(i);
+                }
+                agree(&runs, "a completion");
+            }
+        }
+        for run in &runs {
+            let d = run.sched.diagnostics();
+            assert_eq!((d.queued_tasks, d.recorded_effects), (0, 0), "{}", run.name);
+        }
     }
 }
 
