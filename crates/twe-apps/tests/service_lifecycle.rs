@@ -89,28 +89,25 @@ fn churn_concurrent_with_scans_never_aliases_live_tenants() {
                     // distinct keys plus a whole-tenant scan, so the
                     // retirement below prunes a subtree that really had
                     // per-key nodes and a settled wildcard.
-                    let mut futures = Vec::new();
+                    // The writes are awaited before the scan is submitted:
+                    // the tree scheduler does not promise that a later scan
+                    // waits for a write a sweep has moved while it waited.
+                    let mut writes = Vec::new();
                     for key in 0..4 {
                         let c2 = cell.clone();
-                        futures.push(rt.execute_later(
+                        writes.push(rt.execute_later(
                             "churn-write",
                             EffectSet::write(key_rpl(&cell, key)),
-                            move |_| {
-                                *c2.read()[key].get_mut() = key as u64 + 1;
-                                0u64
-                            },
+                            move |_| *c2.read()[key].get_mut() = key as u64 + 1,
                         ));
                     }
+                    writes.into_iter().for_each(|f| f.wait());
                     let c2 = cell.clone();
-                    futures.push(rt.execute_later(
-                        "churn-scan",
-                        EffectSet::read(scan_rpl(&cell)),
-                        move |_| c2.read().iter().map(|k| *k.get()).sum(),
-                    ));
-                    let scanned = futures.pop().unwrap().wait();
-                    for f in futures {
-                        f.wait();
-                    }
+                    let scanned: u64 = rt
+                        .execute_later("churn-scan", EffectSet::read(scan_rpl(&cell)), move |_| {
+                            c2.read().iter().map(|k| *k.get()).sum()
+                        })
+                        .wait();
                     assert_eq!(scanned, (1..=4).sum::<u64>(), "scan saw all its writes");
 
                     live.lock().unwrap().remove(&id);

@@ -22,10 +22,7 @@
 //!
 //! `--fig submit` runs only the batched-admission microbenchmark: per-task
 //! `Scheduler::submit` vs one-round `submit_batch` on disjoint fan-out waves
-//! of 64 / 512 / 4096 tasks, on both schedulers, plus the tree scheduler's
-//! parallel-admission rows (an 8-anchor sharded wave descended inline vs
-//! through a 1/2/4/8-worker admission pool; quick mode keeps one narrow
-//! pooled row as a dispatch-correctness probe) and the root-plane sharding
+//! of 64 / 512 / 4096 tasks, on both schedulers, plus the root-plane sharding
 //! rows (tenant-disjoint per-task submit traffic from 1/2/4/8 concurrent
 //! submitting threads, sharded root plane vs the single-root baseline;
 //! quick mode keeps one 4-thread correctness row); `--submit-json` writes

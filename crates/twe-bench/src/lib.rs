@@ -35,7 +35,6 @@ use std::time::Instant;
 use twe_apps::{barneshut, coloring, fourwins, imageedit, kmeans, montecarlo, refine, ssca2, tsp};
 use twe_effects::rpl::oracle;
 use twe_effects::{Effect, EffectSet, Rpl, RplElement};
-use twe_pool::ThreadPool;
 use twe_runtime::naive::NaiveScheduler;
 use twe_runtime::scheduler::Scheduler;
 use twe_runtime::task::TaskRecord;
@@ -713,22 +712,10 @@ pub struct SubmitRow {
     pub batched_ops_per_sec: f64,
     /// `batched_ops_per_sec / per_task_ops_per_sec`.
     pub speedup: f64,
-    /// Admission-pool workers for the sharded parallel-admission rows:
-    /// `0` for the classic per-task-vs-batched rows (no pool attached),
-    /// `1` for the sharded shape on the genuine inline path (no pool), and
-    /// `≥ 2` for the sharded shape with the wave's first-level groups
-    /// dispatched to an admission pool of that many workers.
-    pub admit_threads: usize,
-    /// Batched throughput of this row over the batched throughput of the
-    /// same sharded shape on the inline path (the `admit_threads == 1`
-    /// row); `1.0` on the classic rows. Only meaningful on hosts with
-    /// enough CPUs — the CI bar applies at `host_cpus >= 4` on scheduled
-    /// runs.
-    pub sharded_vs_inline: f64,
     /// Concurrent submitting threads for the tenant-disjoint root-plane
-    /// rows: `0` for every single-submitter row (classic and
-    /// parallel-admission), `≥ 1` for the multi-threaded sweep where that
-    /// many threads `submit` tenant-disjoint waves concurrently. On these
+    /// rows: `0` for every single-submitter row, `≥ 1` for the multi-threaded
+    /// sweep where that many threads `submit` tenant-disjoint waves
+    /// concurrently. On these
     /// rows the two throughput columns are repurposed:
     /// `per_task_ops_per_sec` is the **single-root baseline**
     /// ([`twe_runtime::tree::TreeScheduler::new_single_root`], every
@@ -752,16 +739,6 @@ pub const SUBMIT_FANOUTS: [usize; 3] = [64, 512, 4096];
 /// depth 2) and two nested hierarchies sharing 3 / 5 prefix elements.
 pub const SUBMIT_DEPTHS: [usize; 3] = [2, 4, 6];
 
-/// Admission-pool worker counts the sharded parallel-admission rows sweep
-/// (full mode; `1` is the inline baseline every `sharded_vs_inline` ratio
-/// divides by).
-pub const ADMIT_THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// Top-level anchors of the sharded admit waves: the root stage forks each
-/// wave into this many disjoint first-level groups, the unit the tree
-/// scheduler dispatches to the admission pool.
-pub const ADMIT_SHARDS: usize = 8;
-
 /// Concurrent submitting-thread counts the tenant-disjoint root-plane rows
 /// sweep (sharded root plane vs the single-root baseline).
 pub const SUBMIT_THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -780,19 +757,6 @@ pub const TENANT_DEPTH: usize = 3;
 fn submit_effect(depth: usize, i: usize) -> EffectSet {
     let mut path: Vec<String> = (1..depth).map(|level| format!("F{level}")).collect();
     path.push(format!("[{i}]"));
-    EffectSet::parse(&format!("writes {}", path.join(":")))
-}
-
-/// The disjoint effect `P{i % shards}:F2:…:F{depth−1}:[i / shards]` used by
-/// the parallel-admission waves: `shards` distinct top-level anchors so the
-/// wave's settle-at-root pass forks it into `shards` first-level groups —
-/// the sub-trees the tree scheduler can descend on admission-pool workers —
-/// with a distinct trailing index per task under each anchor so the wave
-/// stays pairwise disjoint.
-fn sharded_submit_effect(depth: usize, shards: usize, i: usize) -> EffectSet {
-    let mut path: Vec<String> = vec![format!("P{}", i % shards)];
-    path.extend((2..depth).map(|level| format!("F{level}")));
-    path.push(format!("[{}]", i / shards));
     EffectSet::parse(&format!("writes {}", path.join(":")))
 }
 
@@ -966,19 +930,8 @@ fn multithread_submit_throughput(threads: usize, single_root: bool, min_seconds:
 /// across [`SUBMIT_FANOUTS`] (execution excluded: the enable callback is a
 /// no-op and tasks are drained untimed between waves). Every admitted task
 /// must come out `Enabled` — the waves are disjoint — which doubles as a
-/// correctness check on the batch path.
-///
-/// After the classic sweep, a second sweep measures *parallel admission* on
-/// the tree scheduler: one sharded wave shape ([`ADMIT_SHARDS`] top-level
-/// anchors, so the root stage forks the wave into that many first-level
-/// groups) submitted batched through an admission pool of
-/// [`ADMIT_THREADS`] workers. The `admit_threads == 1` row takes the
-/// genuine inline path (no pool attached) and is the baseline every
-/// `sharded_vs_inline` ratio divides by; the pooled rows assert that at
-/// least one wave really dispatched to the pool (`parallel_waves() > 0`),
-/// so a gating regression cannot silently publish inline numbers as pooled
-/// ones. Quick mode keeps one narrow pooled row as a correctness probe —
-/// the speedup bar only applies to full runs on wide-enough hosts.
+/// correctness check on the batch path. A second sweep measures the sharded
+/// root plane against the single-root baseline under concurrent submitters.
 pub fn run_submit_bench(quick: bool) -> Vec<SubmitRow> {
     let min_seconds = if quick { 0.08 } else { 0.4 };
     let host_cpus = std::thread::available_parallelism()
@@ -1016,67 +969,12 @@ pub fn run_submit_bench(quick: bool) -> Vec<SubmitRow> {
                     per_task_ops_per_sec: per_task,
                     batched_ops_per_sec: batched,
                     speedup: batched / per_task.max(1e-12),
-                    admit_threads: 0,
-                    sharded_vs_inline: 1.0,
                     submit_threads: 0,
                     root_sharded_vs_single: 1.0,
                     host_cpus,
                 });
             }
         }
-    }
-
-    // Parallel-admission sweep: the sharded shape on the tree scheduler,
-    // inline (1) vs pooled (≥ 2) descent of the wave's first-level groups.
-    let (admit_fanout, admit_threads): (usize, &[usize]) = if quick {
-        (512, &[1, 4])
-    } else {
-        (4096, &ADMIT_THREADS)
-    };
-    let admit_depth = 4;
-    let effects: Vec<EffectSet> = (0..admit_fanout)
-        .map(|i| sharded_submit_effect(admit_depth, ADMIT_SHARDS, i))
-        .collect();
-    let mut inline_batched = 0.0f64;
-    for &threads in admit_threads {
-        let enabled = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let make = |enabled: Arc<std::sync::atomic::AtomicU64>| -> TreeScheduler {
-            let enable: Box<dyn Fn(Arc<TaskRecord>) + Send + Sync> = Box::new(move |_t| {
-                enabled.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            });
-            if threads == 1 {
-                TreeScheduler::new(enable)
-            } else {
-                TreeScheduler::with_admission(enable, Arc::new(ThreadPool::new(threads)))
-            }
-        };
-        let per_sched = make(enabled.clone());
-        let per_task = submit_throughput(&per_sched, &effects, false, min_seconds, &enabled);
-        let batch_sched = make(enabled.clone());
-        let batched = submit_throughput(&batch_sched, &effects, true, min_seconds, &enabled);
-        if threads > 1 {
-            assert!(
-                batch_sched.parallel_waves() > 0,
-                "the sharded batched waves must dispatch to the admission pool \
-                 ({admit_fanout} records over {ADMIT_SHARDS} groups clears the \
-                 default thresholds)"
-            );
-        } else {
-            inline_batched = batched;
-        }
-        rows.push(SubmitRow {
-            scheduler: "tree".to_string(),
-            fanout: admit_fanout,
-            depth: admit_depth,
-            per_task_ops_per_sec: per_task,
-            batched_ops_per_sec: batched,
-            speedup: batched / per_task.max(1e-12),
-            admit_threads: threads,
-            sharded_vs_inline: batched / inline_batched.max(1e-12),
-            submit_threads: 0,
-            root_sharded_vs_single: 1.0,
-            host_cpus,
-        });
     }
 
     // Root-plane sharding sweep: tenant-disjoint per-task `submit` traffic
@@ -1094,8 +992,6 @@ pub fn run_submit_bench(quick: bool) -> Vec<SubmitRow> {
             per_task_ops_per_sec: single,
             batched_ops_per_sec: sharded,
             speedup: sharded / single.max(1e-12),
-            admit_threads: 0,
-            sharded_vs_inline: 1.0,
             submit_threads: threads,
             root_sharded_vs_single: sharded / single.max(1e-12),
             host_cpus,
@@ -1104,50 +1000,38 @@ pub fn run_submit_bench(quick: bool) -> Vec<SubmitRow> {
     rows
 }
 
-/// Pretty-prints the submit microbenchmark rows. The `admit` column is `-`
-/// on the classic per-task-vs-batched rows and the admission-pool worker
-/// count on the sharded parallel-admission rows (`1` = inline baseline);
-/// `vs-inline` is each sharded row's batched throughput over the inline
-/// baseline's. The `subm` column is the concurrent submitting-thread count
-/// of the tenant-disjoint root-plane rows (`-` elsewhere) — on those rows
+/// Pretty-prints the submit microbenchmark rows. The `subm` column is the
+/// concurrent submitting-thread count of the tenant-disjoint root-plane
+/// rows (`-` elsewhere) — on those rows
 /// the two throughput columns are single-root vs sharded-root and
 /// `vs-single` is their ratio.
 pub fn print_submit_rows(rows: &[SubmitRow]) {
     println!(
-        "{:<10} {:<8} {:<6} {:<6} {:<5} {:>18} {:>18} {:>9} {:>10} {:>10}",
+        "{:<10} {:<8} {:<6} {:<5} {:>18} {:>18} {:>9} {:>10}",
         "scheduler",
         "fanout",
         "depth",
-        "admit",
         "subm",
         "per-task ops/s",
         "batched ops/s",
         "speedup",
-        "vs-inline",
         "vs-single"
     );
     for r in rows {
-        let admit = if r.admit_threads == 0 {
-            "-".to_string()
-        } else {
-            r.admit_threads.to_string()
-        };
         let subm = if r.submit_threads == 0 {
             "-".to_string()
         } else {
             r.submit_threads.to_string()
         };
         println!(
-            "{:<10} {:<8} {:<6} {:<6} {:<5} {:>18.0} {:>18.0} {:>8.2}x {:>9.2}x {:>9.2}x",
+            "{:<10} {:<8} {:<6} {:<5} {:>18.0} {:>18.0} {:>8.2}x {:>9.2}x",
             r.scheduler,
             r.fanout,
             r.depth,
-            admit,
             subm,
             r.per_task_ops_per_sec,
             r.batched_ops_per_sec,
             r.speedup,
-            r.sharded_vs_inline,
             r.root_sharded_vs_single
         );
     }
@@ -1244,28 +1128,6 @@ mod tests {
             // concrete sibling.
             assert!(!Rpl::new(paths[0].clone()).disjoint(&r));
         }
-    }
-
-    #[test]
-    fn sharded_submit_effects_are_disjoint_and_fork_by_anchor() {
-        let effects: Vec<EffectSet> = (0..32).map(|i| sharded_submit_effect(4, 8, i)).collect();
-        for (i, a) in effects.iter().enumerate() {
-            assert_eq!(a.len(), 1);
-            // Pairwise disjoint (a write self-interferes), so the admission
-            // wave built from them must enable every task.
-            for (j, b) in effects.iter().enumerate() {
-                assert_eq!(a.non_interfering(b), i != j);
-            }
-            // Anchored at `P{i % 8}`: exactly 8 distinct first elements, the
-            // group fan-out the admission pool descends in parallel.
-            let rpl = &a.iter().next().unwrap().rpl;
-            assert_eq!(rpl.elements().len(), 4, "full depth incl. anchor+index");
-        }
-        let anchors: std::collections::HashSet<RplElement> = effects
-            .iter()
-            .map(|e| e.iter().next().unwrap().rpl.elements()[0])
-            .collect();
-        assert_eq!(anchors.len(), 8);
     }
 
     #[test]

@@ -43,17 +43,9 @@ thread_local! {
 struct Shared {
     id: u64,
     injector: Injector<Job>,
-    /// Admission lane: scheduler-internal jobs (parallel batch admission)
-    /// that [`Shared::find_job`] drains *before* any user job, so a burst of
-    /// already-enabled tasks can never starve the admission of the next
-    /// wave. Bounded by construction — one batch sub-wave enqueues at most
-    /// one job per first-level child — so user tasks cannot starve either.
-    admission: Injector<Job>,
     stealers: Vec<Stealer<Job>>,
     /// Number of jobs submitted but not yet finished executing.
     pending: AtomicUsize,
-    /// Number of jobs currently executing (on workers or helping threads).
-    running: AtomicUsize,
     shutdown: AtomicBool,
     /// Sleep/wake machinery for idle workers and helpers.
     sleep_lock: Mutex<()>,
@@ -61,13 +53,9 @@ struct Shared {
 }
 
 impl Shared {
-    /// Finds any runnable job: the admission lane first (admission priority
-    /// — see the `admission` field), then the local deque (if this thread is
-    /// a worker of this pool), then the injector, then other workers' deques.
+    /// Finds any runnable job: the local deque first (if this thread is a
+    /// worker of this pool), then the injector, then other workers' deques.
     fn find_job(&self) -> Option<Job> {
-        if let Some(job) = self.steal_admission() {
-            return Some(job);
-        }
         // Local deque (only on worker threads of this pool).
         let local = LOCAL.with(|l| {
             let guard = l.borrow();
@@ -100,21 +88,8 @@ impl Shared {
         None
     }
 
-    /// Steals one job from the admission lane, retrying on contention.
-    fn steal_admission(&self) -> Option<Job> {
-        loop {
-            match self.admission.steal() {
-                crossbeam::deque::Steal::Success(job) => return Some(job),
-                crossbeam::deque::Steal::Retry => continue,
-                crossbeam::deque::Steal::Empty => return None,
-            }
-        }
-    }
-
     fn run_job(&self, job: Job) {
-        self.running.fetch_add(1, Ordering::AcqRel);
         job();
-        self.running.fetch_sub(1, Ordering::AcqRel);
         self.pending.fetch_sub(1, Ordering::Release);
         // A completed job may unblock helpers waiting on a condition.
         self.wakeup.notify_all();
@@ -145,10 +120,8 @@ impl ThreadPool {
         let shared = Arc::new(Shared {
             id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
             injector: Injector::new(),
-            admission: Injector::new(),
             stealers,
             pending: AtomicUsize::new(0),
-            running: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             sleep_lock: Mutex::new(()),
             wakeup: Condvar::new(),
@@ -205,51 +178,6 @@ impl ThreadPool {
             self.shared.injector.push(job);
         }
         self.shared.wakeup.notify_one();
-    }
-
-    /// Submits a job to the **admission lane**: a shared queue every worker
-    /// (and every helping thread) drains *before* any user job, so
-    /// scheduler-internal admission work — the per-group subtree inserts of
-    /// a parallel batch wave — cannot be starved by a backlog of enabled
-    /// tasks. Always goes to the shared lane (never a local deque): the
-    /// whole point is that *other* threads pick the work up.
-    pub fn execute_admission(&self, job: Job) {
-        self.shared.pending.fetch_add(1, Ordering::Acquire);
-        self.shared.admission.push(job);
-        self.shared.wakeup.notify_one();
-    }
-
-    /// Runs at most one admission-lane job on the calling thread. Returns
-    /// whether a job was run.
-    ///
-    /// This is the help-first path a batch submitter uses while it
-    /// coordinates a parallel admission wave: unlike [`ThreadPool::help_until`]
-    /// it can never pick up an arbitrary user job — a user task body may
-    /// itself submit tasks (taking scheduler locks the coordinating thread
-    /// already holds), whereas admission jobs only ever lock *downward* from
-    /// a wave's already-claimed group nodes.
-    pub fn run_one_admission_job(&self) -> bool {
-        match self.shared.steal_admission() {
-            Some(job) => {
-                self.shared.run_job(job);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Number of worker threads not currently executing a job.
-    ///
-    /// Deterministic gate for the parallel-admission fallback: a 1-thread
-    /// pool whose only worker is the one submitting a batch (from inside a
-    /// task body) reports 0 idle workers, so admission stays inline and
-    /// cannot deadlock waiting for itself. The count is conservative —
-    /// external helping threads executing jobs are counted against the
-    /// worker budget — which can only ever fall back to inline admission,
-    /// never dispatch to a pool with nobody to serve it.
-    pub fn idle_workers(&self) -> usize {
-        self.num_threads
-            .saturating_sub(self.shared.running.load(Ordering::Acquire))
     }
 
     /// Runs jobs on the calling thread until `done()` returns true.
@@ -500,95 +428,36 @@ mod tests {
     }
 
     #[test]
-    fn admission_lane_runs_before_queued_user_jobs() {
-        // Occupy the single worker, queue user jobs and then an admission
-        // job; once the worker frees up it must drain the admission lane
-        // first even though the user jobs were enqueued earlier.
-        let pool = ThreadPool::new(1);
-        let gate = Arc::new(AtomicBool::new(false));
+    fn find_job_serves_local_deque_then_injector_then_steals() {
+        // No worker threads: the test thread poses as worker 0 of a
+        // hand-built pool, so the three sources are probed deterministically.
+        let mine: Worker<Job> = Worker::new_lifo();
+        let other: Worker<Job> = Worker::new_lifo();
+        let shared = Shared {
+            id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
+            injector: Injector::new(),
+            stealers: vec![mine.stealer(), other.stealer()],
+            pending: AtomicUsize::new(3),
+            shutdown: AtomicBool::new(false),
+            sleep_lock: Mutex::new(()),
+            wakeup: Condvar::new(),
+        };
         let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
-        {
-            let gate = Arc::clone(&gate);
-            pool.execute(Box::new(move || {
-                while !gate.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            }));
-        }
-        for _ in 0..3 {
+        let job = |name: &'static str| -> Job {
             let order = Arc::clone(&order);
-            pool.execute(Box::new(move || order.lock().push("user")));
+            Box::new(move || order.lock().push(name))
+        };
+        // Enqueued in the reverse of the order they must be served in.
+        other.push(job("stolen"));
+        shared.injector.push(job("injected"));
+        mine.push(job("local"));
+        LOCAL.with(|l| *l.borrow_mut() = Some((shared.id, mine)));
+        while let Some(job) = shared.find_job() {
+            shared.run_job(job);
         }
-        {
-            let order = Arc::clone(&order);
-            pool.execute_admission(Box::new(move || order.lock().push("admission")));
-        }
-        gate.store(true, Ordering::Release);
-        pool.wait_idle();
-        assert_eq!(
-            order.lock().first(),
-            Some(&"admission"),
-            "the admission lane must be drained before user jobs"
-        );
-        assert_eq!(order.lock().len(), 4);
-    }
-
-    #[test]
-    fn run_one_admission_job_runs_exactly_the_lane() {
-        let pool = ThreadPool::new(1);
-        // Nothing queued: reports false.
-        assert!(!pool.run_one_admission_job());
-        let ran = Arc::new(AtomicBool::new(false));
-        // A *user* job must not be picked up by the admission helper.
-        let user_gate = Arc::new(AtomicBool::new(false));
-        {
-            let user_gate = Arc::clone(&user_gate);
-            pool.execute(Box::new(move || {
-                while !user_gate.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            }));
-        }
-        assert!(!pool.run_one_admission_job());
-        {
-            let ran = Arc::clone(&ran);
-            pool.execute_admission(Box::new(move || ran.store(true, Ordering::Release)));
-        }
-        // The admission job may be taken either by this thread or by the
-        // worker (if the user job has not yet occupied it); both count.
-        while !ran.load(Ordering::Acquire) {
-            pool.run_one_admission_job();
-            std::thread::yield_now();
-        }
-        user_gate.store(true, Ordering::Release);
-        pool.wait_idle();
-    }
-
-    #[test]
-    fn idle_workers_tracks_running_jobs() {
-        let pool = ThreadPool::new(2);
-        // Eventually both workers are idle (no jobs yet).
-        while pool.idle_workers() != 2 {
-            std::thread::yield_now();
-        }
-        let gate = Arc::new(AtomicBool::new(false));
-        for _ in 0..2 {
-            let gate = Arc::clone(&gate);
-            pool.execute(Box::new(move || {
-                while !gate.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            }));
-        }
-        // Both workers become busy.
-        while pool.idle_workers() != 0 {
-            std::thread::yield_now();
-        }
-        gate.store(true, Ordering::Release);
-        pool.wait_idle();
-        while pool.idle_workers() != 2 {
-            std::thread::yield_now();
-        }
+        LOCAL.with(|l| *l.borrow_mut() = None);
+        assert_eq!(*order.lock(), ["local", "injected", "stolen"]);
+        assert_eq!(shared.pending.load(Ordering::Acquire), 0);
     }
 
     #[test]

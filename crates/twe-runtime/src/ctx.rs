@@ -73,16 +73,8 @@ impl<'rt> TaskCtx<'rt> {
     /// equals calling [`TaskCtx::execute_later`] per triple sequentially
     /// (exact slice order on the naive scheduler; a valid sequential order
     /// on the tree scheduler — see `Scheduler::submit_batch`); only the
-    /// per-task admission overhead is batched away.
-    ///
-    /// Because this form runs *on a pool worker*, the tree scheduler's
-    /// parallel batch admission only dispatches the wave's groups to other
-    /// workers when at least one is idle; on a fully-busy pool (in
-    /// particular any 1-thread runtime) admission falls back to running
-    /// inline on this worker, so calling this from inside a task can never
-    /// deadlock the pool. See
-    /// [`Runtime::submit_all`](crate::Runtime::submit_all) for the
-    /// inline-vs-pooled rules.
+    /// per-task admission overhead is batched away. Admission runs on the
+    /// calling worker, so this can never wait on the pool it is called from.
     pub fn execute_all_later<T, N, F>(
         &self,
         tasks: impl IntoIterator<Item = (N, EffectSet, F)>,

@@ -346,7 +346,7 @@ pub struct RuntimeStats {
 }
 
 pub(crate) struct RtInner {
-    pub(crate) pool: Arc<ThreadPool>,
+    pub(crate) pool: ThreadPool,
     scheduler: Box<dyn Scheduler>,
     next_task_id: AtomicU64,
     pub(crate) dynamic: DynamicEffectTable,
@@ -800,10 +800,6 @@ impl Runtime {
 
     /// Creates a runtime with an explicit [`AdmissionPolicy`].
     pub fn with_policy(threads: usize, kind: SchedulerKind, policy: AdmissionPolicy) -> Self {
-        // The pool is shared with the tree scheduler (parallel batch
-        // admission dispatches per-group subtree inserts to it), so it is
-        // created up front and handed to both sides.
-        let pool = Arc::new(ThreadPool::new(threads));
         let inner = Arc::new_cyclic(|weak: &Weak<RtInner>| {
             let enable_weak = weak.clone();
             let enable: Box<dyn Fn(Arc<TaskRecord>) + Send + Sync> = Box::new(move |task| {
@@ -822,12 +818,10 @@ impl Runtime {
             });
             let scheduler: Box<dyn Scheduler> = match kind {
                 SchedulerKind::Naive => Box::new(NaiveScheduler::new(enable)),
-                SchedulerKind::Tree => {
-                    Box::new(TreeScheduler::with_admission(enable, Arc::clone(&pool)))
-                }
+                SchedulerKind::Tree => Box::new(TreeScheduler::new(enable)),
             };
             RtInner {
-                pool: Arc::clone(&pool),
+                pool: ThreadPool::new(threads),
                 scheduler,
                 next_task_id: AtomicU64::new(1),
                 dynamic: DynamicEffectTable::new(),
@@ -970,19 +964,6 @@ impl Runtime {
     /// between chunks, every task is admitted, and all futures are
     /// returned. Waves submitted from a pool worker thread bypass the
     /// policy entirely (see [`AdmissionPolicy`]).
-    ///
-    /// **Inline vs pooled admission.** On the tree scheduler the admission
-    /// work itself may also be parallelized: when a sub-wave is wide enough
-    /// (≥ 64 records across ≥ 2 first-level groups by default) *and* at
-    /// least one pool worker is idle, the per-group subtree descents run as
-    /// admission jobs on this runtime's own worker pool, overlapping with
-    /// each other and with already-enabled tasks. Otherwise — including
-    /// every call made from *inside* a task on a fully-busy pool, such as a
-    /// [`TaskCtx::execute_all_later`] call on a 1-thread runtime — admission
-    /// runs inline on the calling thread, so `submit_all` never deadlocks
-    /// waiting for a worker that is itself the caller. Either way the
-    /// scheduling outcome is identical; see
-    /// [`scheduler::Scheduler::submit_batch`].
     ///
     /// ```
     /// use twe_runtime::{Runtime, SchedulerKind};
@@ -1229,19 +1210,24 @@ mod tests {
     }
 
     #[test]
-    fn execute_all_later_works_from_inside_a_task() {
-        let rt = Runtime::new(4, SchedulerKind::Tree);
-        let total = rt.run("driver", EffectSet::parse("reads Root"), |ctx| {
-            let futures = ctx.execute_all_later((0..32).map(|i| {
-                (
-                    format!("shard{i}"),
-                    EffectSet::parse(&format!("writes Out:[{i}]")),
-                    move |_: &TaskCtx<'_>| i as u64,
-                )
-            }));
-            futures.iter().map(|f| f.get_value(ctx)).sum::<u64>()
-        });
-        assert_eq!(total, (0..32).sum::<u64>());
+    fn wide_execute_all_later_from_inside_a_task_completes_even_on_one_thread() {
+        // 128 tasks over 8 first-level groups, batched from inside a task:
+        // the caller is the only worker of the 1-thread runtime, so the
+        // batch must be admitted without waiting on the pool.
+        for threads in [1, 4] {
+            let rt = Runtime::new(threads, SchedulerKind::Tree);
+            let total = rt.run("driver", EffectSet::parse("reads Root"), |ctx| {
+                let futures = ctx.execute_all_later((0..128).map(|i| {
+                    (
+                        format!("shard{i}"),
+                        EffectSet::parse(&format!("writes Out{}:[{}]", i % 8, i / 8)),
+                        move |_: &TaskCtx<'_>| i as u64,
+                    )
+                }));
+                futures.iter().map(|f| f.get_value(ctx)).sum::<u64>()
+            });
+            assert_eq!(total, (0..128).sum::<u64>(), "{threads} thread(s)");
+        }
     }
 
     #[test]

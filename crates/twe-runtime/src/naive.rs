@@ -457,48 +457,50 @@ impl NaiveScheduler {
         decision
     }
 
-    /// One enable round: evaluates the candidate slots in queue order,
-    /// marking each passing task `Enabled` at once (still under the
-    /// caller's lock), and returns them so the enable callback can run
-    /// outside it. Marking at once matters for *prioritized* candidates,
-    /// which are checked against enabled tasks only: two prioritized
-    /// waiters on one region must not both pass because neither was enabled
-    /// when the round began. Enabling a task never *unblocks* further
-    /// waiting tasks (it only adds constraints), so a single round
-    /// suffices — the historical argument, unchanged.
+    /// Evaluates the task at slot `pos`, marking it `Enabled` at once if it
+    /// passes (still under the caller's lock) and returning it so the
+    /// enable callback can run outside the lock. `scratch` and `work` are
+    /// the caller's per-round candidate buffer and scan-width tally.
+    fn evaluate(
+        inner: &QueueInner,
+        pos: usize,
+        scratch: &mut Vec<u64>,
+        work: &mut u64,
+    ) -> Option<Arc<TaskRecord>> {
+        let task = inner.slots.get(pos)?.clone()?;
+        let status = task.status();
+        if status != TaskStatus::Waiting && status != TaskStatus::Prioritized {
+            return None;
+        }
+        let ok = match &inner.index {
+            Some(index) => Self::can_enable_indexed(inner, index, scratch, work, pos, &task),
+            None => {
+                *work += inner.slots.len() as u64;
+                Self::can_enable(&inner.slots, pos, &task)
+            }
+        };
+        ok.then(|| {
+            task.sched.lock().status = TaskStatus::Enabled;
+            task
+        })
+    }
+
+    /// One enable round: evaluates the candidate slots in queue order and
+    /// returns the tasks that passed. Marking each at once matters for
+    /// *prioritized* candidates, which are checked against enabled tasks
+    /// only: two prioritized waiters on one region must not both pass
+    /// because neither was enabled when the round began. Enabling a task
+    /// never *unblocks* further waiting tasks (it only adds constraints),
+    /// so a single round suffices — the historical argument, unchanged.
     fn run_enable_round(
         inner: &mut QueueInner,
         mut candidates: Vec<usize>,
     ) -> Vec<Arc<TaskRecord>> {
         candidates.sort_unstable();
         candidates.dedup();
-        let mut ready = Vec::new();
-        let mut scratch = Vec::new();
-        let mut work = 0u64;
-        {
-            let inner: &QueueInner = inner;
-            for pos in candidates {
-                let Some(task) = inner.slots.get(pos).and_then(|slot| slot.clone()) else {
-                    continue;
-                };
-                let status = task.status();
-                if status != TaskStatus::Waiting && status != TaskStatus::Prioritized {
-                    continue;
-                }
-                let ok = match &inner.index {
-                    Some(index) => {
-                        Self::can_enable_indexed(inner, index, &mut scratch, &mut work, pos, &task)
-                    }
-                    None => {
-                        work += inner.slots.len() as u64;
-                        Self::can_enable(&inner.slots, pos, &task)
-                    }
-                };
-                if ok {
-                    task.sched.lock().status = TaskStatus::Enabled;
-                    ready.push(task);
-                }
-            }
+        let (mut ready, mut scratch, mut work) = (Vec::new(), Vec::new(), 0u64);
+        for pos in candidates {
+            ready.extend(Self::evaluate(inner, pos, &mut scratch, &mut work));
         }
         inner.wake_work += work;
         ready
@@ -511,40 +513,25 @@ impl Scheduler for NaiveScheduler {
     }
 
     fn submit(&self, task: Arc<TaskRecord>) {
-        // A new task only adds constraints, so the sole candidate for
-        // enabling is the task itself.
-        let to_enable = {
-            let mut inner = self.inner.lock();
-            let pos = inner.push(task);
-            Self::run_enable_round(&mut inner, vec![pos])
-        };
-        for task in to_enable {
-            (self.enable)(task);
-        }
+        self.submit_batch(vec![task]);
     }
 
     fn submit_batch(&self, tasks: Vec<Arc<TaskRecord>>) {
-        if tasks.len() <= 1 {
-            // A single-element batch must be *exactly* `submit` (one queue
-            // push, one enable round over the task itself).
-            if let Some(task) = tasks.into_iter().next() {
-                self.submit(task);
-            }
-            return;
-        }
-        // One-pass batch admission: take the queue lock once, append the
-        // whole batch, and run a single enable round over it. New tasks
-        // only add constraints, so no pre-existing waiter can become
-        // enabled; and a batch member must be isolated from every relevant
-        // task ahead of it — pre-existing tasks (all ahead) and earlier
-        // batch members — which is exactly `can_enable`'s rule for a
-        // freshly appended waiting task, so the shared round applies
-        // unchanged (indexed mode consults each member's buckets instead
-        // of rescanning the extended queue).
+        // Sequential submission under one lock hold. A new task only adds
+        // constraints, so the sole candidate for enabling is the task
+        // itself; each member is pushed and evaluated before the next is
+        // pushed, so its bucket probe meets only the tasks ahead of it
+        // (pushing the whole batch first made member i probe all n members
+        // of its bucket, not the i ahead).
         let to_enable = {
             let mut inner = self.inner.lock();
-            let positions: Vec<usize> = tasks.into_iter().map(|t| inner.push(t)).collect();
-            Self::run_enable_round(&mut inner, positions)
+            let (mut ready, mut scratch, mut work) = (Vec::new(), Vec::new(), 0u64);
+            for task in tasks {
+                let pos = inner.push(task);
+                ready.extend(Self::evaluate(&inner, pos, &mut scratch, &mut work));
+            }
+            inner.wake_work += work;
+            ready
         };
         for task in to_enable {
             (self.enable)(task);

@@ -79,39 +79,10 @@ pub trait Scheduler: Send + Sync {
     /// the plain [`Scheduler::submit`] path (no extra recheck round), so
     /// `submit_all` of one task is *exactly* `execute_later`.
     ///
-    /// # Parallel admission
-    ///
-    /// An implementation may execute the admission work itself on multiple
-    /// threads, provided the outcome stays within the contract above — the
-    /// per-task statuses after `submit_batch` returns must equal those of
-    /// some sequential admission of the batch, and isolation must hold at
-    /// every intermediate instant (a concurrent `submit`, `on_await`, or
-    /// `task_done` must never observe a state no sequential admission could
-    /// produce). The tree scheduler does this for wide waves: records that
-    /// settle at root level are admitted first, inline, in the root-records
-    /// domain of its sharded root plane; the remaining records are
-    /// partitioned by first-level child and each group's admission — the
-    /// claim of that child's root-plane shard plus the subtree descent —
-    /// is dispatched to the worker pool. Groups are pairwise conflict-free
-    /// (their level-1 prefixes differ, so their RPLs are disjoint) and each
-    /// group's shard is its own lock domain, which makes every interleaving
-    /// of group admissions equivalent to the inline order. Only the
-    /// relative order of enable *callbacks* across different groups may
-    /// vary from the inline run — within a group, and between any group
-    /// member and a conflicting record outside the batch, ordering is
-    /// unchanged.
-    ///
-    /// **Threshold semantics.** Parallel dispatch is a pure optimization
-    /// gated on wave width — by default a sub-wave must carry ≥ 64 records
-    /// across ≥ 2 first-level groups (tunable via
-    /// `TreeScheduler::set_admission_thresholds`) *and* an idle pool worker
-    /// must exist; otherwise admission runs inline on the calling thread.
-    /// Callers must not depend on which path a given batch takes.
-    ///
     /// The default implementation is the sequential loop; both bundled
     /// schedulers override it (the tree scheduler inserts the whole batch
-    /// under a single root descent, the naive scheduler takes its queue lock
-    /// once and runs one enable round over the batch).
+    /// under a single root descent, the naive scheduler submits the members
+    /// in order under one hold of its queue lock).
     fn submit_batch(&self, tasks: Vec<Arc<TaskRecord>>) {
         for task in tasks {
             self.submit(task);

@@ -88,34 +88,14 @@
 //! gauge and the routing table) lives in ARCHITECTURE.md ("Root-plane
 //! sharding"). Lock order everywhere: root-records → slot (sorted order
 //! across shards) → nodes strictly downward.
-//!
-//! # Parallel admission
-//!
-//! A wide sub-wave need not descend on the submitting thread: when the
-//! scheduler was built with [`TreeScheduler::with_admission`], a sub-wave
-//! holding enough records over enough first-level groups (see
-//! [`TreeScheduler::set_admission_thresholds`]) is fanned out to the worker
-//! pool — root settlers are still admitted inline first, then each
-//! first-level group's admission (shard claim + subtree descent) runs as
-//! one *admission job* on the pool's priority lane. Since every group
-//! claims its own shard's slot lock and publishes under it, there is no
-//! global guard to hand over: the submitter just dispatches the jobs and
-//! helps drain admission jobs (never user jobs, which could re-enter
-//! `submit`) until the wave completes. Waves that are too narrow — or
-//! submitted while every pool worker is busy, e.g. from inside a task on a
-//! 1-thread pool — fall back to the inline descent. The equivalence
-//! argument lives in ARCHITECTURE.md ("Parallel admission").
 
 use crate::scheduler::Scheduler;
 use crate::task::{blocked_on, TaskRecord, TaskStatus};
-use parking_lot::{ArcMutexGuard, Condvar, Mutex, RawMutex};
+use parking_lot::{ArcMutexGuard, Mutex, RawMutex};
 use std::collections::HashMap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
 use twe_effects::{Effect, EffectKind, Rpl, RplId};
-use twe_pool::ThreadPool;
 
 /// Callback used to hand an enabled task to the execution substrate.
 pub type EnableFn = Box<dyn Fn(Arc<TaskRecord>) + Send + Sync>;
@@ -693,11 +673,9 @@ impl Drop for RootPlane {
     }
 }
 
-/// One per-child group of descending records staged by `insert_stage`:
-/// the records of one sub-wave whose next path component is `key`, plus the
-/// Bloom bits they contribute to the child's subtree filter. Staging and
-/// descent are split so a root sub-wave's groups can descend either inline
-/// or as parallel admission jobs on the worker pool.
+/// One per-child group of descending records staged by `insert`: the
+/// records of one sub-wave whose next path component is `key`, plus the
+/// Bloom bits they contribute to the child's subtree filter.
 struct Group {
     key: RplId,
     child: NodeRef,
@@ -707,16 +685,7 @@ struct Group {
 }
 
 /// The tree-based scheduler.
-///
-/// Internally an [`Arc`]-shared `TreeInner`: parallel batch admission
-/// (see `admit_groups_parallel`) hands per-group shard admissions to the
-/// worker pool, and those admission jobs need an owned handle to the tree.
 pub struct TreeScheduler {
-    inner: Arc<TreeInner>,
-}
-
-/// The shared state of a [`TreeScheduler`].
-struct TreeInner {
     /// The sharded root plane (module docs, "Root-plane sharding").
     plane: RootPlane,
     /// Serialises whole-task rechecks (Figure 5.12): only one task at a time
@@ -724,48 +693,16 @@ struct TreeInner {
     /// repeatedly disabling each other's effects without progress.
     recheck_lock: Mutex<()>,
     enable: EnableFn,
-    /// The worker pool parallel batch admission dispatches group inserts to;
-    /// `None` (the [`TreeScheduler::new`] constructor) keeps every batch
-    /// descent on the submitting thread.
-    admission: Option<Arc<ThreadPool>>,
-    /// Minimum records in a sub-wave before its groups are dispatched.
-    par_min_records: AtomicUsize,
-    /// Minimum first-level groups in a sub-wave before it is dispatched.
-    par_min_groups: AtomicUsize,
-    /// Number of sub-waves admitted through the parallel dispatch path
-    /// (diagnostic; lets tests assert inline fallback / dispatch coverage).
-    par_waves: AtomicUsize,
     /// Tasks submitted and not yet done — the queue-depth gauge surfaced
     /// through [`Scheduler::diagnostics`] (spawned tasks bypass the
     /// scheduler and are not counted).
     queued: AtomicUsize,
 }
 
-/// Default for the minimum sub-wave size worth dispatching: below this the
-/// per-group coordination (queue round-trips + two condvar phases) costs
-/// more than the descent it parallelizes.
-const PAR_MIN_RECORDS: usize = 64;
-/// Default for the minimum number of first-level groups: one group has
-/// nothing to overlap with, so dispatching it only adds a handoff.
-const PAR_MIN_GROUPS: usize = 2;
-
 impl TreeScheduler {
     /// Creates a tree scheduler that enables tasks through `enable`.
-    /// Batch admission runs entirely on the submitting thread.
     pub fn new(enable: EnableFn) -> Self {
-        Self::build(enable, None, false)
-    }
-
-    /// Creates a tree scheduler that additionally parallelizes wide batch
-    /// admission waves over `pool`: after the settle-at-root pass of each
-    /// sub-wave, per-first-level-child groups are dispatched to the pool's
-    /// admission lane and descend concurrently (see
-    /// [`Scheduler::submit_batch`] for the equivalence contract). Narrow
-    /// waves — and waves submitted while no pool worker is idle, e.g. from
-    /// inside a task running on a 1-thread pool — fall back to the inline
-    /// path of [`TreeScheduler::new`].
-    pub fn with_admission(enable: EnableFn, pool: Arc<ThreadPool>) -> Self {
-        Self::build(enable, Some(pool), false)
+        Self::build(enable, false)
     }
 
     /// Creates a tree scheduler whose root plane is forced into a single
@@ -774,42 +711,16 @@ impl TreeScheduler {
     /// behaviour. Baseline for the sharded-vs-single-root benches and the
     /// differential tests; not meant for production use.
     pub fn new_single_root(enable: EnableFn) -> Self {
-        Self::build(enable, None, true)
+        Self::build(enable, true)
     }
 
-    fn build(enable: EnableFn, admission: Option<Arc<ThreadPool>>, single_lock: bool) -> Self {
+    fn build(enable: EnableFn, single_lock: bool) -> Self {
         TreeScheduler {
-            inner: Arc::new(TreeInner {
-                plane: RootPlane::new(single_lock),
-                recheck_lock: Mutex::new(()),
-                enable,
-                admission,
-                par_min_records: AtomicUsize::new(PAR_MIN_RECORDS),
-                par_min_groups: AtomicUsize::new(PAR_MIN_GROUPS),
-                par_waves: AtomicUsize::new(0),
-                queued: AtomicUsize::new(0),
-            }),
+            plane: RootPlane::new(single_lock),
+            recheck_lock: Mutex::new(()),
+            enable,
+            queued: AtomicUsize::new(0),
         }
-    }
-
-    /// Overrides the parallel-admission thresholds: a sub-wave is dispatched
-    /// to the pool only when it holds at least `min_records` records across
-    /// at least `min_groups` first-level groups (defaults: 64 and 2). Used
-    /// by tests and benchmarks to force (or suppress) dispatch on small
-    /// waves; a no-op scheduler-wise when no pool was attached.
-    pub fn set_admission_thresholds(&self, min_records: usize, min_groups: usize) {
-        self.inner
-            .par_min_records
-            .store(min_records, Ordering::Relaxed);
-        self.inner
-            .par_min_groups
-            .store(min_groups.max(1), Ordering::Relaxed);
-    }
-
-    /// Number of batch sub-waves admitted through the parallel dispatch path
-    /// so far (diagnostic: 0 means every wave ran inline).
-    pub fn parallel_waves(&self) -> usize {
-        self.inner.par_waves.load(Ordering::Relaxed)
     }
 
     /// Number of effects currently recorded in the tree (diagnostic).
@@ -826,8 +737,8 @@ impl TreeScheduler {
             drop(guard);
             here + children.iter().map(count).sum::<usize>()
         }
-        let mut total = self.inner.plane.root_records.lock().record_count();
-        for route in self.inner.plane.snapshot_sorted() {
+        let mut total = self.plane.root_records.lock().record_count();
+        for route in self.plane.snapshot_sorted() {
             let child = route.shard.slot.lock().node.clone();
             total += count(&child);
         }
@@ -849,7 +760,7 @@ impl TreeScheduler {
             1 + children.iter().map(count).sum::<usize>()
         }
         let mut total = 1;
-        for route in self.inner.plane.snapshot_sorted() {
+        for route in self.plane.snapshot_sorted() {
             let child = route.shard.slot.lock().node.clone();
             let guard = child.lock();
             if guard.is_vacant() {
@@ -861,72 +772,7 @@ impl TreeScheduler {
         }
         total
     }
-}
 
-/// Coordination state of one parallel admission wave: each group job claims
-/// its own shard (there is no global root guard to hand over any more, so
-/// the old two-phase `locked` count is gone), and the submitter waits for
-/// the group admissions to finish (`done == total`), collecting their swept
-/// dead records (and at most one panic payload) on the way.
-struct WaveSync {
-    total: usize,
-    state: Mutex<WaveState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct WaveState {
-    done: usize,
-    swept: Vec<Arc<EffectRecord>>,
-    panic: Option<Box<dyn std::any::Any + Send>>,
-}
-
-impl WaveSync {
-    fn new(total: usize) -> Self {
-        WaveSync {
-            total,
-            state: Mutex::new(WaveState::default()),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn note_done(&self, result: Result<Vec<Arc<EffectRecord>>, Box<dyn std::any::Any + Send>>) {
-        let mut s = self.state.lock();
-        match result {
-            Ok(mut swept) => s.swept.append(&mut swept),
-            Err(panic) => {
-                // Keep the first panic; the submitter resumes it after the
-                // wave so the batch caller observes it like an inline one.
-                s.panic.get_or_insert(panic);
-            }
-        }
-        s.done += 1;
-        drop(s);
-        self.cv.notify_all();
-    }
-
-    /// Waits until every group job is done, running `help()` (one admission
-    /// job at a time) between checks so the wave progresses even when every
-    /// pool worker is busy; parks briefly when there is nothing to help
-    /// with.
-    fn wait_done(&self, mut help: impl FnMut() -> bool) {
-        loop {
-            if self.state.lock().done == self.total {
-                return;
-            }
-            if help() {
-                continue;
-            }
-            let mut s = self.state.lock();
-            if s.done == self.total {
-                return;
-            }
-            self.cv.wait_for(&mut s, Duration::from_micros(200));
-        }
-    }
-}
-
-impl TreeInner {
     /// Builds and registers the per-effect tree records of a task being
     /// submitted, setting its disabled-effect count (shared by the single
     /// and batched admission paths).
@@ -1046,13 +892,16 @@ impl TreeInner {
     /// caller can recheck their waiters once every node lock is released —
     /// a task parked behind the dropped task must not stay blocked on a
     /// conflict that no longer exists.
+    ///
+    /// Like every conflict walk below, returns the record `e` now waits
+    /// behind, `None` when nothing blocks it.
     fn check_at(
         &self,
         guard: &mut NodeGuard,
         e: &Arc<EffectRecord>,
         prio: bool,
         swept: &mut Vec<Arc<EffectRecord>>,
-    ) -> bool {
+    ) -> Option<Arc<EffectRecord>> {
         let mut cur = guard.scan_for(e);
         while let Some((class, i, existing)) = guard.next_record(&mut cur) {
             #[cfg(test)]
@@ -1069,11 +918,11 @@ impl TreeInner {
                     push_waiter(e, &existing);
                 } else {
                     push_waiter(&existing, e);
-                    return true;
+                    return Some(existing);
                 }
             }
         }
-        false
+        None
     }
 
     /// Checks `e` against the effects in the subtree below the locked
@@ -1109,11 +958,11 @@ impl TreeInner {
         mut ne_guard: Option<&mut NodeGuard>,
         prio: bool,
         swept: &mut Vec<Arc<EffectRecord>>,
-    ) -> bool {
+    ) -> Option<Arc<EffectRecord>> {
         if !e.rpl.has_wildcard() {
             // A wildcard-free RPL is disjoint from every RPL with a longer
             // wildcard-free prefix, so nothing below can conflict.
-            return false;
+            return None;
         }
         let any_index_only = e.rpl.is_parent_any_index();
         // Walk the children in interned-id order, not `HashMap` iteration
@@ -1163,14 +1012,14 @@ impl TreeInner {
             }
             let child = entry.node.clone();
             let mut cg = child.lock_arc();
-            let conflict_found = {
+            let blocker = {
                 let target: &mut NodeGuard = match ne_guard {
                     Some(ref mut g) => g,
                     None => parent_guard,
                 };
                 self.check_child(&mut cg, e, ne, target, any_index_only, prio, swept)
             };
-            if !conflict_found {
+            if blocker.is_none() {
                 // Lazy rebuild: the child was examined without an early
                 // conflict exit, so rewrite its stale superset filter with
                 // the node's freshest knowledge (exact bits for its own
@@ -1191,11 +1040,11 @@ impl TreeInner {
                 // empty node, and the NodeRef itself is refcounted.
                 parent_guard.children.remove(&key);
             }
-            if conflict_found {
-                return true;
+            if blocker.is_some() {
+                return blocker;
             }
         }
-        false
+        None
     }
 
     /// The per-child body shared by [`check_below`](Self::check_below) and
@@ -1204,7 +1053,7 @@ impl TreeInner {
     /// conflicting records up into `target`, which is the guard of `ne` —
     /// the node holding `e`), then recurses below the child unless `e` is a
     /// `P:[?]` shape (which cannot overlap anything deeper than the index
-    /// children of P). Returns true at the first blocking conflict.
+    /// children of P). Returns at the first blocking conflict.
     #[allow(clippy::too_many_arguments)]
     fn check_child(
         &self,
@@ -1215,7 +1064,7 @@ impl TreeInner {
         any_index_only: bool,
         prio: bool,
         swept: &mut Vec<Arc<EffectRecord>>,
-    ) -> bool {
+    ) -> Option<Arc<EffectRecord>> {
         let mut cur = cg.scan_for(e);
         while let Some((class, i, existing)) = cg.next_record(&mut cur) {
             if existing.task.strong_count() == 0 {
@@ -1235,14 +1084,14 @@ impl TreeInner {
                     *existing.node.lock() = Some(ne.clone());
                 } else {
                     push_waiter(&existing, e);
-                    return true;
+                    return Some(existing);
                 }
             }
         }
         if !any_index_only {
             return self.check_below(cg, e, ne, Some(target), prio, swept);
         }
-        false
+        None
     }
 
     /// [`check_below`](Self::check_below) for a root-settling effect: walks
@@ -1266,11 +1115,11 @@ impl TreeInner {
         e: &Arc<EffectRecord>,
         prio: bool,
         swept: &mut Vec<Arc<EffectRecord>>,
-    ) -> bool {
+    ) -> Option<Arc<EffectRecord>> {
         if !e.rpl.has_wildcard() {
             // A wildcard-free root effect is the concrete `Root` region,
             // which is disjoint from every longer wildcard-free prefix.
-            return false;
+            return None;
         }
         let any_index_only = e.rpl.is_parent_any_index();
         let rr = self.plane.root_records.clone();
@@ -1294,9 +1143,8 @@ impl TreeInner {
             }
             let child = slot.node.clone();
             let mut cg = child.lock_arc();
-            let conflict_found =
-                self.check_child(&mut cg, e, &rr, rr_guard, any_index_only, prio, swept);
-            if !conflict_found {
+            let blocker = self.check_child(&mut cg, e, &rr, rr_guard, any_index_only, prio, swept);
+            if blocker.is_none() {
                 let (bloom, write_bloom, live_below) = cg.fresh_summary();
                 slot.bloom = bloom;
                 slot.write_bloom = write_bloom;
@@ -1304,11 +1152,11 @@ impl TreeInner {
             }
             drop(cg);
             drop(slot);
-            if conflict_found {
-                return true;
+            if blocker.is_some() {
+                return blocker;
             }
         }
-        false
+        None
     }
 
     // ------------------------------------------------------------------
@@ -1316,7 +1164,8 @@ impl TreeInner {
     // ------------------------------------------------------------------
 
     /// Inserts a group of effect records (possibly from many tasks of one
-    /// batch) into the subtree rooted at the locked `node`.
+    /// batch) into the subtree rooted at the locked `node`, at depth ≥ 1
+    /// (the root-level analogue is `admit_wave`).
     ///
     /// An effect settles at the node of its maximal wildcard-free prefix
     /// (its RPL either ends there or continues with a wildcard). Records
@@ -1340,26 +1189,6 @@ impl TreeInner {
         depth: usize,
         swept: &mut Vec<Arc<EffectRecord>>,
     ) {
-        let below = self.insert_stage(&node, &mut guard, effects, depth, swept);
-        self.descend_groups(guard, below, depth, swept);
-    }
-
-    /// The per-node stage of [`TreeInner::insert`]: settles (and checks) the
-    /// records whose maximal wildcard-free prefix is this node, parks
-    /// descending records stopped by a conflict here, groups the rest per
-    /// child, and publishes each group's Bloom bits into the child's entry —
-    /// all under `guard`, which stays held. Returns the groups still to
-    /// descend inline ([`TreeInner::descend_groups`]). Runs only at depth
-    /// ≥ 1: the root-level analogue is `stage_wave` + `admit_root_settlers`
-    /// + per-shard `admit_group`.
-    fn insert_stage(
-        &self,
-        node: &NodeRef,
-        guard: &mut NodeGuard,
-        effects: Vec<Arc<EffectRecord>>,
-        depth: usize,
-        swept: &mut Vec<Arc<EffectRecord>>,
-    ) -> Vec<Group> {
         // Two passes by reference instead of a `partition` (which would
         // allocate two vectors per visited node — at a 4096-wide fork that
         // is thousands of allocations per wave, once per leaf).
@@ -1369,18 +1198,18 @@ impl TreeInner {
                 if e.prefix_depth() != depth {
                     continue;
                 }
-                add_effect(node, guard, e);
-                let conflicts_here = self.check_at(guard, e, false, swept);
-                if !conflicts_here {
-                    let conflicts_below = self.check_below(guard, e, node, None, false, swept);
-                    if !conflicts_below {
-                        self.enable_effect(e);
-                    }
+                add_effect(&node, &mut guard, e);
+                if self.check_at(&mut guard, e, false, swept).is_none()
+                    && self
+                        .check_below(&mut guard, e, &node, None, false, swept)
+                        .is_none()
+                {
+                    self.enable_effect(e);
                 }
             }
         }
         if n_descend == 0 {
-            return Vec::new();
+            return;
         }
         // Group the descending records per child. One wave usually runs
         // long same-child stretches (the whole batch shares a region
@@ -1397,9 +1226,8 @@ impl TreeInner {
             if e.prefix_depth() == depth {
                 continue;
             }
-            let conflicts_here = self.check_at(guard, e, false, swept);
-            if conflicts_here {
-                add_effect(node, guard, e);
+            if self.check_at(&mut guard, e, false, swept).is_some() {
+                add_effect(&node, &mut guard, e);
                 continue;
             }
             let next = e.prefix_path[depth + 1];
@@ -1444,21 +1272,9 @@ impl TreeInner {
                 entry.live_below = entry.live_below.saturating_add(group.records.len() as u32);
             }
         }
-        below
-    }
-
-    /// The inline (sequential) descent of the groups staged by
-    /// [`TreeInner::insert_stage`]: hand-over-hand, lock every needed child,
-    /// release this node, recurse into the children one by one on the
-    /// calling thread.
-    fn descend_groups(
-        &self,
-        guard: NodeGuard,
-        groups: Vec<Group>,
-        depth: usize,
-        swept: &mut Vec<Arc<EffectRecord>>,
-    ) {
-        let locked: Vec<(NodeRef, NodeGuard, Vec<Arc<EffectRecord>>)> = groups
+        // Hand-over-hand: lock every needed child, release this node, then
+        // recurse into the children one by one.
+        let locked: Vec<(NodeRef, NodeGuard, Vec<Arc<EffectRecord>>)> = below
             .into_iter()
             .map(|group| {
                 let child_guard = group.child.lock_arc();
@@ -1468,47 +1284,6 @@ impl TreeInner {
         drop(guard);
         for (child, child_guard, effs) in locked {
             self.insert(child, child_guard, effs, depth + 1, swept);
-        }
-    }
-
-    /// The parallel admission of a root sub-wave's first-level groups: one
-    /// admission job per group on the pool's admission lane, each claiming
-    /// its own shard through [`admit_group`](Self::admit_group) — there is
-    /// no global root guard to hand over, so the old two-phase
-    /// `note_locked` protocol is gone (see the module docs and
-    /// ARCHITECTURE.md for the equivalence argument; cross-group
-    /// disjointness at the first level is what makes the groups' relative
-    /// order immaterial). The submitter helps with *admission jobs only*
-    /// while waiting — running a user job here could re-enter `submit` and
-    /// deadlock on scheduler state this wave still holds — then merges the
-    /// groups' swept dead records into `swept` and resumes the first
-    /// panic, if any, so a panicking admission behaves like an inline one.
-    fn admit_groups_parallel(
-        self: &Arc<Self>,
-        pool: &Arc<ThreadPool>,
-        groups: Vec<(RplId, Vec<Arc<EffectRecord>>)>,
-        swept: &mut Vec<Arc<EffectRecord>>,
-    ) {
-        self.par_waves.fetch_add(1, Ordering::Relaxed);
-        let sync = Arc::new(WaveSync::new(groups.len()));
-        for (key, records) in groups {
-            let tree = Arc::clone(self);
-            let sync = Arc::clone(&sync);
-            pool.execute_admission(Box::new(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    let mut local_swept = Vec::new();
-                    tree.admit_group(key, records, &mut local_swept);
-                    local_swept
-                }));
-                sync.note_done(result);
-            }));
-        }
-        sync.wait_done(|| pool.run_one_admission_job());
-        let mut state = sync.state.lock();
-        swept.append(&mut state.swept);
-        if let Some(panic) = state.panic.take() {
-            drop(state);
-            resume_unwind(panic);
         }
     }
 
@@ -1541,7 +1316,8 @@ impl TreeInner {
     }
 
     /// Re-checks a single effect that could not previously be enabled
-    /// (Figure 5.12, lines 14–30). Consumes the guard of its containing node.
+    /// (Figure 5.12, lines 14–30). Consumes the guard of its containing
+    /// node; returns the record still blocking `e`, `None` once it is enabled.
     fn recheck_effect(
         &self,
         mut node: NodeRef,
@@ -1549,27 +1325,25 @@ impl TreeInner {
         e: &Arc<EffectRecord>,
         prio: bool,
         swept: &mut Vec<Arc<EffectRecord>>,
-    ) {
+    ) -> Option<Arc<EffectRecord>> {
         loop {
-            let conflicts_here = self.check_at(&mut guard, e, prio, swept);
-            if conflicts_here {
-                drop(guard);
-                return;
+            let blocker = self.check_at(&mut guard, e, prio, swept);
+            if blocker.is_some() {
+                return blocker;
             }
             let d = guard.depth;
             if e.prefix_depth() == d {
-                let conflicts_below = if d == 0 {
+                let blocker = if d == 0 {
                     // Depth 0 is the root-records domain: the subtrees hang
                     // off the root plane's shards, not a children map.
                     self.check_below_root(&mut guard, e, prio, swept)
                 } else {
                     self.check_below(&mut guard, e, &node, None, prio, swept)
                 };
-                if !conflicts_below {
+                if blocker.is_none() {
                     self.enable_effect(e);
                 }
-                drop(guard);
-                return;
+                return blocker;
             }
             // No conflict here and not yet at the maximal wildcard-free
             // prefix: move the effect down one level and continue from there.
@@ -1656,11 +1430,18 @@ impl TreeInner {
             let (node, guard) = self.lock_containing_node(&waiter);
             if !waiter.enabled.load(Ordering::Acquire) {
                 let prio = waiter_task.sched.lock().status == TaskStatus::Prioritized;
-                self.recheck_effect(node, guard, &waiter, prio, swept);
-                if prio && waiter_task.sched.lock().status == TaskStatus::Prioritized {
-                    // Rechecking the single effect was not sufficient (some of
-                    // the task's other effects may have been disabled):
-                    // recheck the whole task.
+                let blocker = self.recheck_effect(node, guard, &waiter, prio, swept);
+                // Rechecking the single effect was not sufficient when a
+                // prioritized task is still not enabled (some of its other
+                // effects may have been disabled), or when the waiter is now
+                // parked behind a task that is itself still waiting: nobody
+                // may ever await either, and two such tasks can each hold
+                // the effect the other waits for. Recheck the whole task,
+                // which may take effects from tasks that are not enabled.
+                let blocker_waits = blocker
+                    .and_then(|b| b.task.upgrade())
+                    .is_some_and(|t| t.status() < TaskStatus::Enabled);
+                if blocker_waits || (prio && waiter_task.status() == TaskStatus::Prioritized) {
                     self.recheck_task(&waiter_task);
                 }
             } else {
@@ -1682,19 +1463,19 @@ impl TreeInner {
     }
 
     // ------------------------------------------------------------------
-    // Admission entry points (bodies of the `Scheduler` impl)
+    // Admission
     // ------------------------------------------------------------------
 
-    /// The root-plane analogue of `insert_stage`'s partitioning, without a
+    /// The root-plane analogue of `insert`'s partitioning, without a
     /// lock: splits a sub-wave into root-settling records (prefix depth 0)
     /// and per-first-level-child groups, the groups in first-appearance
     /// order. First-appearance order (not sorted) preserves the enable
-    /// order a sequential submission would produce when the wave runs
-    /// inline — across groups the records are disjoint at the first level,
+    /// order a sequential submission would produce — across groups the
+    /// records are disjoint at the first level,
     /// so only the order *within* a group (preserved) and the settle-first
     /// rule (the settlers are admitted before any group) are semantically
     /// load-bearing. The per-record fast path is a single id compare
-    /// against the previous record's child, as in `insert_stage`.
+    /// against the previous record's child, as in `insert`.
     #[allow(clippy::type_complexity)]
     fn stage_wave(
         &self,
@@ -1741,8 +1522,10 @@ impl TreeInner {
         let mut guard = rr.lock_arc();
         for e in settlers {
             add_effect(&rr, &mut guard, &e);
-            if !self.check_at(&mut guard, &e, false, swept)
-                && !self.check_below_root(&mut guard, &e, false, swept)
+            if self.check_at(&mut guard, &e, false, swept).is_none()
+                && self
+                    .check_below_root(&mut guard, &e, false, swept)
+                    .is_none()
             {
                 self.enable_effect(&e);
             }
@@ -1791,7 +1574,7 @@ impl TreeInner {
             let mut rr_guard = rr.lock_arc();
             let mut survivors: Vec<Arc<EffectRecord>> = Vec::with_capacity(records.len());
             for e in records {
-                if self.check_at(&mut rr_guard, &e, false, swept) {
+                if self.check_at(&mut rr_guard, &e, false, swept).is_some() {
                     add_effect(&rr, &mut rr_guard, &e);
                 } else {
                     survivors.push(e);
@@ -1816,130 +1599,17 @@ impl TreeInner {
         self.insert(child, cg, records, 1, swept);
     }
 
-    /// Admits one sub-wave of records. The settle-at-root pass and the
-    /// per-first-level-child grouping always run on the calling thread
-    /// (`stage_wave` + `admit_root_settlers`); the groups then claim their
-    /// shards on the worker pool's admission lane when the wave is wide
-    /// enough (`par_min_records` records over `par_min_groups` groups)
-    /// *and* a pool is attached *and* at least one pool worker is idle —
-    /// the last condition is the 1-thread fallback rule: a worker
-    /// submitting from inside a task sees itself as the only (busy) worker
-    /// and must not queue admission work it would then have to wait on.
-    /// Every other wave admits its groups inline, exactly as in `submit`.
-    fn flush_wave(
-        self: &Arc<Self>,
-        wave: &mut Vec<Arc<EffectRecord>>,
-        swept: &mut Vec<Arc<EffectRecord>>,
-    ) {
-        if wave.is_empty() {
-            return;
-        }
-        let pool = self
-            .admission
-            .as_ref()
-            .filter(|p| {
-                wave.len() >= self.par_min_records.load(Ordering::Relaxed) && p.idle_workers() > 0
-            })
-            .cloned();
-        let (settlers, groups) = self.stage_wave(std::mem::take(wave));
+    /// Admits one wave of records — one task's, or one sub-wave of a
+    /// batch's — on the calling thread: the root settlers first (the
+    /// settle-first rule of `insert`, at root level), then each first-level
+    /// group into its shard.
+    fn admit_wave(&self, wave: Vec<Arc<EffectRecord>>, swept: &mut Vec<Arc<EffectRecord>>) {
+        let (settlers, groups) = self.stage_wave(wave);
         if !settlers.is_empty() {
             self.admit_root_settlers(settlers, swept);
         }
-        match pool {
-            Some(pool) if groups.len() >= self.par_min_groups.load(Ordering::Relaxed) => {
-                self.admit_groups_parallel(&pool, groups, swept);
-            }
-            _ => {
-                for (key, records) in groups {
-                    self.admit_group(key, records, swept);
-                }
-            }
-        }
-    }
-
-    fn submit_impl(self: &Arc<Self>, task: Arc<TaskRecord>) {
-        let records = self.register_records(&task);
-        if records.is_empty() {
-            // A pure task can run immediately.
-            self.enable_pure(task);
-            return;
-        }
-        let mut swept = Vec::new();
-        let (settlers, groups) = self.stage_wave(records);
-        if !settlers.is_empty() {
-            self.admit_root_settlers(settlers, &mut swept);
-        }
-        for (key, group) in groups {
-            self.admit_group(key, group, &mut swept);
-        }
-        self.recheck_swept(swept);
-    }
-
-    fn submit_batch_impl(self: &Arc<Self>, tasks: Vec<Arc<TaskRecord>>) {
-        if tasks.len() <= 1 {
-            // A single-element batch must be *exactly* `submit` — same
-            // single descent, same single deferred recheck round.
-            if let Some(task) = tasks.into_iter().next() {
-                self.submit_impl(task);
-            }
-            return;
-        }
-        // Register every task's records first, then admit the batch in
-        // sub-waves of up to `CHUNK` records, each staged once over the
-        // root plane: shared region prefixes are locked and checked once
-        // per sub-wave (instead of once per task), and the deferred
-        // dead-record recheck round runs once at the end. The chunking
-        // bounds the working set a single wave streams through — one huge
-        // wave touches every record once per level and falls out of cache
-        // between levels — while keeping per-task admission overhead
-        // amortized. Sub-wave boundaries fall on task boundaries, so the
-        // admission order is still sequential-equivalent (a sequence of
-        // sequential-equivalent waves, via the settle-first ordering of
-        // `flush_wave` and `insert` — preserved when a wave's groups go to
-        // the pool; see `admit_groups_parallel`).
-        const CHUNK: usize = 512;
-        let mut swept = Vec::new();
-        let mut wave: Vec<Arc<EffectRecord>> = Vec::new();
-        for task in tasks {
-            let records = self.register_records(&task);
-            if records.is_empty() {
-                self.enable_pure(task);
-            } else {
-                wave.extend(records);
-                if wave.len() >= CHUNK {
-                    self.flush_wave(&mut wave, &mut swept);
-                }
-            }
-        }
-        self.flush_wave(&mut wave, &mut swept);
-        self.recheck_swept(swept);
-    }
-
-    fn on_await_impl(&self, target: &Arc<TaskRecord>) {
-        if target.is_done() {
-            return;
-        }
-        {
-            let mut s = target.sched.lock();
-            if s.status == TaskStatus::Waiting {
-                s.status = TaskStatus::Prioritized;
-            }
-        }
-        // Walk the blocker chain starting from the target (Figure 5.11): the
-        // fact that the caller is now blocked may allow tasks in the chain to
-        // be enabled through effect transfer.
-        let mut current = Some(target.clone());
-        let mut hops = 0usize;
-        while let Some(task) = current {
-            let status = task.sched.lock().status;
-            if status < TaskStatus::Enabled && !task.spawned {
-                self.recheck_task(&task);
-            }
-            current = task.blocker.lock().clone();
-            hops += 1;
-            if hops > 1_000_000 {
-                break;
-            }
+        for (key, records) in groups {
+            self.admit_group(key, records, swept);
         }
     }
 
@@ -2028,8 +1698,92 @@ impl TreeInner {
         drop(slot);
         self.recheck_swept(swept);
     }
+}
 
-    fn task_done_impl(&self, task: &Arc<TaskRecord>) {
+impl Scheduler for TreeScheduler {
+    fn name(&self) -> &'static str {
+        "tree"
+    }
+
+    fn submit(&self, task: Arc<TaskRecord>) {
+        self.queued.fetch_add(1, Ordering::Relaxed);
+        let records = self.register_records(&task);
+        if records.is_empty() {
+            // A pure task can run immediately.
+            self.enable_pure(task);
+            return;
+        }
+        let mut swept = Vec::new();
+        self.admit_wave(records, &mut swept);
+        self.recheck_swept(swept);
+    }
+
+    fn submit_batch(&self, tasks: Vec<Arc<TaskRecord>>) {
+        self.queued.fetch_add(tasks.len(), Ordering::Relaxed);
+        // Register every task's records, then admit the batch in sub-waves
+        // of up to `CHUNK` records, each staged once over the root plane:
+        // shared region prefixes are locked and checked once per sub-wave
+        // (instead of once per task), and the deferred dead-record recheck
+        // round runs once at the end. The chunking bounds the working set a
+        // single wave streams through — one huge wave touches every record
+        // once per level and falls out of cache between levels — while
+        // keeping per-task admission overhead amortized. Sub-wave boundaries
+        // fall on task boundaries, so the admission order is still
+        // sequential-equivalent (a sequence of sequential-equivalent waves,
+        // via the settle-first ordering of `admit_wave` and `insert`), and a
+        // one-task batch is exactly `submit`.
+        const CHUNK: usize = 512;
+        let mut swept = Vec::new();
+        let mut wave: Vec<Arc<EffectRecord>> = Vec::new();
+        for task in tasks {
+            let records = self.register_records(&task);
+            if records.is_empty() {
+                self.enable_pure(task);
+                continue;
+            }
+            wave.extend(records);
+            if wave.len() >= CHUNK {
+                self.admit_wave(std::mem::take(&mut wave), &mut swept);
+            }
+        }
+        self.admit_wave(wave, &mut swept);
+        self.recheck_swept(swept);
+    }
+
+    fn on_await(&self, _blocked: Option<&Arc<TaskRecord>>, target: &Arc<TaskRecord>) {
+        if target.is_done() {
+            return;
+        }
+        {
+            let mut s = target.sched.lock();
+            if s.status == TaskStatus::Waiting {
+                s.status = TaskStatus::Prioritized;
+            }
+        }
+        // Walk the blocker chain starting from the target (Figure 5.11): the
+        // fact that the caller is now blocked may allow tasks in the chain to
+        // be enabled through effect transfer.
+        let mut current = Some(target.clone());
+        let mut hops = 0usize;
+        while let Some(task) = current {
+            let status = task.sched.lock().status;
+            if status < TaskStatus::Enabled && !task.spawned {
+                self.recheck_task(&task);
+            }
+            current = task.blocker.lock().clone();
+            hops += 1;
+            if hops > 1_000_000 {
+                break;
+            }
+        }
+    }
+
+    fn task_done(&self, task: &Arc<TaskRecord>) {
+        if !task.spawned {
+            // Spawned tasks were never submitted, so they were never
+            // counted; the guard keeps the gauge from underflowing.
+            self.queued.fetch_sub(1, Ordering::Relaxed);
+        }
         // The runtime has already set the task's status to Done.
         let records = task.tree_effects.get().cloned().unwrap_or_default();
         let mut quiescent_paths: Vec<&[RplId]> = Vec::new();
@@ -2057,7 +1811,7 @@ impl TreeInner {
         self.recheck_swept(swept);
     }
 
-    fn spawned_child_done_impl(&self, parent: &Arc<TaskRecord>) {
+    fn spawned_child_done(&self, parent: &Arc<TaskRecord>) {
         // A completed spawned child may have been the only thing keeping a
         // conflict alive (Figure 5.8 checks the spawned children of blocked
         // tasks), so recheck the waiters recorded on the parent's effects.
@@ -2067,39 +1821,6 @@ impl TreeInner {
             self.recheck_waiters_of(e, &mut swept);
         }
         self.recheck_swept(swept);
-    }
-}
-
-impl Scheduler for TreeScheduler {
-    fn name(&self) -> &'static str {
-        "tree"
-    }
-
-    fn submit(&self, task: Arc<TaskRecord>) {
-        self.inner.queued.fetch_add(1, Ordering::Relaxed);
-        self.inner.submit_impl(task);
-    }
-
-    fn submit_batch(&self, tasks: Vec<Arc<TaskRecord>>) {
-        self.inner.queued.fetch_add(tasks.len(), Ordering::Relaxed);
-        self.inner.submit_batch_impl(tasks);
-    }
-
-    fn on_await(&self, _blocked: Option<&Arc<TaskRecord>>, target: &Arc<TaskRecord>) {
-        self.inner.on_await_impl(target);
-    }
-
-    fn task_done(&self, task: &Arc<TaskRecord>) {
-        if !task.spawned {
-            // Spawned tasks were never submitted, so they were never
-            // counted; the guard keeps the gauge from underflowing.
-            self.inner.queued.fetch_sub(1, Ordering::Relaxed);
-        }
-        self.inner.task_done_impl(task);
-    }
-
-    fn spawned_child_done(&self, parent: &Arc<TaskRecord>) {
-        self.inner.spawned_child_done_impl(parent);
     }
 
     fn region_retired(&self, region: RplId) {
@@ -2112,15 +1833,14 @@ impl Scheduler for TreeScheduler {
         // region's own node — pruning the interned path covers them; any
         // deeper records under manually-built sub-region RPLs are left to
         // the normal sweep walks.
-        self.inner
-            .prune_quiescent_path(twe_effects::arena::id_path(region));
+        self.prune_quiescent_path(twe_effects::arena::id_path(region));
     }
 
     fn diagnostics(&self) -> crate::scheduler::SchedulerDiagnostics {
         crate::scheduler::SchedulerDiagnostics {
             tree_nodes: self.tree_nodes(),
             recorded_effects: self.recorded_effects(),
-            queued_tasks: self.inner.queued.load(Ordering::Relaxed),
+            queued_tasks: self.queued.load(Ordering::Relaxed),
         }
     }
 }
@@ -2885,161 +2605,31 @@ mod tests {
         assert_eq!(sched.recorded_effects(), 0);
     }
 
-    // ------------------------------------------------------------------
-    // Parallel admission
-    // ------------------------------------------------------------------
-
-    fn pooled_harness(threads: usize) -> Harness {
-        let enabled: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        let e2 = enabled.clone();
-        let sched = TreeScheduler::with_admission(
-            Box::new(move |t| e2.lock().push(t.id)),
-            Arc::new(ThreadPool::new(threads)),
-        );
-        Harness { sched, enabled }
-    }
-
-    fn sharded_batch(n: usize, shards: usize) -> Vec<Arc<TaskRecord>> {
-        (0..n)
-            .map(|i| {
-                task(
-                    i as u64 + 1,
-                    &format!("writes Par{}:[{}]", i % shards, i / shards),
-                )
-            })
-            .collect()
-    }
-
     #[test]
-    fn wide_batch_dispatches_to_the_pool_and_matches_inline() {
-        let par = pooled_harness(4);
-        let inline = harness();
-        let batch_par = sharded_batch(128, 8);
-        let batch_inline = sharded_batch(128, 8);
-        par.sched.submit_batch(batch_par.clone());
-        inline.sched.submit_batch(batch_inline.clone());
-        assert!(
-            par.sched.parallel_waves() >= 1,
-            "a 128-record, 8-group batch from an external thread must dispatch"
-        );
-        // All records are pairwise disjoint, so every task enables; the
-        // statuses and the *set* of enabled ids must match the inline run
-        // (cross-group callback order may differ).
-        for (p, i) in batch_par.iter().zip(&batch_inline) {
-            assert_eq!(p.status(), i.status());
-            assert_eq!(p.status(), TaskStatus::Enabled);
+    fn root_settlers_win_over_grouped_records_in_both_orders() {
+        // Settle-first at root level: a root-settling wildcard is admitted
+        // (and enabled) before any first-level group of its wave, wherever
+        // it sits in the batch, so every grouped record below it must wait.
+        for sweeper_last in [false, true] {
+            let h = harness();
+            let sweeper = task(1000, "writes Root:*");
+            let mut batch: Vec<_> = (0..64)
+                .map(|i| task(i + 1, &format!("writes Root:[{}]", i % 8)))
+                .collect();
+            batch.insert(if sweeper_last { 64 } else { 0 }, sweeper.clone());
+            h.sched.submit_batch(batch.clone());
+            assert_eq!(sweeper.status(), TaskStatus::Enabled);
+            for t in batch.iter().filter(|t| t.id != 1000) {
+                assert_eq!(
+                    t.status(),
+                    TaskStatus::Waiting,
+                    "records below an enabled root wildcard must wait"
+                );
+            }
+            h.finish(&sweeper);
+            // One task per `Root:[k]` runs, the rest queue behind it.
+            assert_eq!(h.enabled_ids().len(), 1 + 8);
         }
-        let mut par_ids = par.enabled_ids();
-        let mut inline_ids = inline.enabled_ids();
-        par_ids.sort_unstable();
-        inline_ids.sort_unstable();
-        assert_eq!(par_ids, inline_ids);
-    }
-
-    #[test]
-    fn narrow_batch_falls_back_to_inline_descent() {
-        let h = pooled_harness(4);
-        // 16 records < the 64-record default threshold. (The batch handle
-        // stays live: records of dropped tasks are swept, not enabled.)
-        let batch = sharded_batch(16, 4);
-        h.sched.submit_batch(batch.clone());
-        assert_eq!(h.sched.parallel_waves(), 0);
-        assert_eq!(h.enabled_ids().len(), 16);
-    }
-
-    #[test]
-    fn one_thread_pool_worker_submits_inline_without_deadlock() {
-        // The 1-thread fallback rule: a batch submitted from the pool's
-        // only worker sees no idle worker and must admit inline — with a
-        // fire-and-forget dispatch this would deadlock (the worker would
-        // queue admission jobs only it could run, then wait on them).
-        let pool = Arc::new(ThreadPool::new(1));
-        let enabled: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        let e2 = enabled.clone();
-        let sched = Arc::new(TreeScheduler::with_admission(
-            Box::new(move |t| e2.lock().push(t.id)),
-            Arc::clone(&pool),
-        ));
-        sched.set_admission_thresholds(1, 2);
-        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let batch = sharded_batch(64, 8);
-        {
-            let sched = Arc::clone(&sched);
-            let done = Arc::clone(&done);
-            let batch = batch.clone();
-            pool.execute(Box::new(move || {
-                sched.submit_batch(batch);
-                done.store(true, Ordering::Release);
-            }));
-        }
-        pool.help_until(|| done.load(Ordering::Acquire));
-        assert!(done.load(Ordering::Acquire));
-        assert_eq!(
-            sched.parallel_waves(),
-            0,
-            "a busy 1-thread pool must force the inline path"
-        );
-        assert_eq!(enabled.lock().len(), 64);
-    }
-
-    #[test]
-    fn thresholds_can_force_dispatch_of_small_batches() {
-        let h = pooled_harness(2);
-        h.sched.set_admission_thresholds(1, 2);
-        let batch = sharded_batch(8, 4);
-        h.sched.submit_batch(batch.clone());
-        assert!(h.sched.parallel_waves() >= 1);
-        assert_eq!(h.enabled_ids().len(), 8);
-    }
-
-    #[test]
-    fn root_settlers_win_over_dispatched_groups() {
-        // The settle-first invariant must survive parallel dispatch: a
-        // root-settling wildcard in the same wave is admitted (and enabled)
-        // under the root lock before any group job starts, so every
-        // grouped record below it must wait.
-        let h = pooled_harness(4);
-        h.sched.set_admission_thresholds(1, 2);
-        let sweeper = task(1000, "writes Root:*");
-        let mut batch = vec![sweeper.clone()];
-        batch.extend((0..64).map(|i| task(i + 1, &format!("writes Root:[{}]", i % 8))));
-        h.sched.submit_batch(batch.clone());
-        assert_eq!(sweeper.status(), TaskStatus::Enabled);
-        for t in &batch[1..] {
-            assert_eq!(
-                t.status(),
-                TaskStatus::Waiting,
-                "records below an enabled root wildcard must wait"
-            );
-        }
-        h.finish(&sweeper);
-        let unique_index_tasks = 8; // one per Root:[k] runs, the rest queue behind it
-        assert!(h.enabled_ids().len() > unique_index_tasks);
-    }
-
-    #[test]
-    fn panicking_admission_job_propagates_to_the_submitter() {
-        // An enable callback that panics inside a dispatched group must
-        // surface on the submitting thread (like the inline path) and must
-        // not wedge the wave's two-phase handoff.
-        let sched = TreeScheduler::with_admission(
-            Box::new(|t| {
-                if t.id == 13 {
-                    panic!("boom from enable");
-                }
-            }),
-            Arc::new(ThreadPool::new(2)),
-        );
-        sched.set_admission_thresholds(1, 2);
-        let batch = sharded_batch(32, 4);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            sched.submit_batch(batch.clone());
-        }));
-        assert!(result.is_err(), "the admission panic must propagate");
-        // The scheduler survives: a later, disjoint batch still admits.
-        let later = task(5000, "writes Elsewhere");
-        sched.submit(later.clone());
-        assert_eq!(later.status(), TaskStatus::Enabled);
     }
 
     #[test]
@@ -3114,7 +2704,7 @@ mod tests {
         let t1 = task(1, "writes X:[1]");
         h.sched.submit(t1.clone());
         {
-            let route = h.sched.inner.plane.find(x).expect("X shard exists");
+            let route = h.sched.plane.find(x).expect("X shard exists");
             let entry = route.shard.slot.lock();
             assert_eq!(entry.live_below, 1, "publication counted t1's record");
         }
@@ -3131,13 +2721,13 @@ mod tests {
     }
 
     fn root_live(sched: &TreeScheduler) -> usize {
-        sched.inner.plane.root_live.load(Ordering::SeqCst)
+        sched.plane.root_live.load(Ordering::SeqCst)
     }
 
     /// The first-level node `name` (its shard must exist).
     fn first_level_node(sched: &TreeScheduler, name: &str) -> NodeRef {
         let id = twe_effects::Rpl::parse(name).prefix_id_path()[1];
-        let route = sched.inner.plane.find(id).expect("shard exists");
+        let route = sched.plane.find(id).expect("shard exists");
         let node = route.shard.slot.lock().node.clone();
         node
     }

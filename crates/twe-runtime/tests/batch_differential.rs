@@ -14,7 +14,6 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use twe_effects::EffectSet;
-use twe_pool::ThreadPool;
 use twe_runtime::scheduler::{tasks_conflict, Scheduler};
 use twe_runtime::task::{TaskRecord, TaskStatus};
 use twe_runtime::{naive::NaiveScheduler, tree::TreeScheduler};
@@ -251,87 +250,6 @@ proptest! {
         drain(&sched, &tasks);
         prop_assert_eq!(violations.load(Ordering::Relaxed), 0, "isolation violated");
         prop_assert_eq!(sched.recorded_effects(), 0);
-    }
-
-    /// Tree scheduler, concurrent admission: `submit_batch` through a real
-    /// worker pool (thresholds forced down so even small random batches
-    /// dispatch) must be observationally equivalent to the inline descent —
-    /// identical per-task statuses after admission, the same enable *set*
-    /// (only cross-group callback order may differ), and identical statuses
-    /// after every step of a lockstep drain. This is the per-node ordering
-    /// argument of ARCHITECTURE.md "Parallel admission" run as an oracle:
-    /// both schedulers end admission with the same records at the same
-    /// nodes, so everything downstream must behave identically.
-    #[test]
-    fn tree_parallel_admission_equals_inline(batch in arb_batch()) {
-        let (inline_log, inline_sched) = log_and_scheduler(TreeScheduler::new);
-        let inline_tasks = make_tasks(&batch, 0);
-        inline_sched.submit_batch(inline_tasks.clone());
-
-        let (par_log, par_sched) = log_and_scheduler(|enable| {
-            TreeScheduler::with_admission(enable, Arc::new(ThreadPool::new(2)))
-        });
-        par_sched.set_admission_thresholds(1, 2);
-        let par_tasks = make_tasks(&batch, 0);
-        par_sched.submit_batch(par_tasks.clone());
-
-        for (i, p) in inline_tasks.iter().zip(&par_tasks) {
-            prop_assert_eq!(i.status(), p.status(), "task {} after admission", i.id);
-        }
-        let mut inline_ids = inline_log.lock().unwrap().clone();
-        let mut par_ids = par_log.lock().unwrap().clone();
-        inline_ids.sort_unstable();
-        par_ids.sort_unstable();
-        prop_assert_eq!(inline_ids, par_ids, "enable sets after admission");
-
-        // Lockstep drain: finish the lowest-id enabled task in both runs;
-        // when nothing is enabled, apply the same prioritized recheck to
-        // both. Statuses must agree after every step.
-        let mut remaining: Vec<(Arc<TaskRecord>, Arc<TaskRecord>)> =
-            inline_tasks.into_iter().zip(par_tasks).collect();
-        let mut rounds = 0;
-        while !remaining.is_empty() {
-            rounds += 1;
-            prop_assert!(rounds < 100_000, "stalled with {}", remaining.len());
-            let next = remaining
-                .iter()
-                .position(|(i, _)| i.status() == TaskStatus::Enabled);
-            let pos = match next {
-                Some(pos) => pos,
-                None => {
-                    for (i, p) in remaining.iter() {
-                        inline_sched.on_await(None, i);
-                        par_sched.on_await(None, p);
-                    }
-                    remaining
-                        .iter()
-                        .position(|(i, _)| i.status() == TaskStatus::Enabled)
-                        .expect("inline tree scheduler stalled")
-                }
-            };
-            let (i, p) = remaining.remove(pos);
-            prop_assert_eq!(
-                p.status(),
-                TaskStatus::Enabled,
-                "parallel run diverged on task {}",
-                p.id
-            );
-            i.mark_done();
-            inline_sched.task_done(&i);
-            p.mark_done();
-            par_sched.task_done(&p);
-            for (i, p) in remaining.iter() {
-                prop_assert_eq!(
-                    i.status(),
-                    p.status(),
-                    "task {} mid-drain, batch {:?}",
-                    i.id,
-                    batch
-                );
-            }
-        }
-        prop_assert_eq!(inline_sched.recorded_effects(), 0);
-        prop_assert_eq!(par_sched.recorded_effects(), 0);
     }
 
     /// Sharded root plane vs the faithful single-root baseline

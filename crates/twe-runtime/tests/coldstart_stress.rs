@@ -12,9 +12,8 @@
 //!   created for brand-new regions must be prunable immediately after their
 //!   records drain, and the walk must stay correct while still racing
 //!   interners;
-//! * parallel batch admission racing execution: waves wide enough to
-//!   dispatch their group descents onto the worker pool are admitted while
-//!   the same pool is executing earlier waves' tasks and wildcard sweepers
+//! * wide batch admission racing execution: multi-group waves are admitted
+//!   while the pool is executing earlier waves' tasks and wildcard sweepers
 //!   claim whole anchors.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -96,19 +95,17 @@ fn cold_start_interning_races_conflict_walks() {
     assert_eq!(swept.load(Ordering::Relaxed), 12);
 }
 
-/// Parallel batch admission races execution on one shared pool: each wave
-/// is wide enough (128 records over 8 first-level anchors) to dispatch its
-/// group descents to the workers — the same workers that are concurrently
-/// executing earlier waves' tasks — while sweepers repeatedly claim whole
-/// anchors, forcing conflict walks over subtrees mid-admission. Narrow
-/// moments (all workers busy) take the inline fallback instead; either
-/// path, every task must run exactly once and the counters must add up.
+/// Wide batch admission races execution: each wave (128 records over 8
+/// first-level anchors) is admitted while the pool is executing earlier
+/// waves' tasks and sweepers repeatedly claim whole anchors, forcing
+/// conflict walks over subtrees mid-admission. Every task must run exactly
+/// once and the counters must add up.
 #[test]
-fn parallel_admission_races_execution_and_sweeps() {
+fn wide_batch_admission_races_execution_and_sweeps() {
     const SUBMITTERS: usize = 2;
     const WAVES: usize = 6;
     const ANCHORS: usize = 8;
-    const PER_ANCHOR: usize = 16; // 128 records/wave ≥ the 64-record dispatch floor
+    const PER_ANCHOR: usize = 16; // 128 records/wave
 
     let rt = Arc::new(Runtime::new(4, SchedulerKind::Tree));
     let ran = Arc::new(AtomicUsize::new(0));

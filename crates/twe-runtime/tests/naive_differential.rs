@@ -82,6 +82,17 @@ fn make_tasks(batch: &[Vec<String>]) -> Vec<Arc<TaskRecord>> {
         .collect()
 }
 
+/// A SplitMix64 stream from `state`.
+fn splitmix64(mut state: u64) -> impl FnMut() -> u64 {
+    move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
 fn log_and_scheduler<S>(
     make: impl FnOnce(Box<dyn Fn(Arc<TaskRecord>) + Send + Sync>) -> S,
 ) -> (Arc<Mutex<Vec<u64>>>, S) {
@@ -270,15 +281,7 @@ fn kmeans_shape_tree_equals_naive_in_lockstep() {
     const K: u64 = 3;
     const IN_FLIGHT: usize = 16;
     for seed in 1..=8u64 {
-        let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut next = move || {
-            // SplitMix64.
-            rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = rng;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut next = splitmix64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut runs = [
             KmeansRun::new("naive", M, NaiveScheduler::new),
             KmeansRun::new("tree", M, TreeScheduler::new),
@@ -331,6 +334,88 @@ fn kmeans_shape_tree_equals_naive_in_lockstep() {
             let d = run.sched.diagnostics();
             assert_eq!((d.queued_tasks, d.recorded_effects), (0, 0), "{}", run.name);
         }
+    }
+}
+
+/// A three-task read/write cycle: T1 and T2 each get one read enabled at
+/// submit (behind T0's reads) and park a write behind the other's read.
+/// After T0 completes, some task must be enabled without anyone awaiting —
+/// the single queue enables T1; the tree may pick either, but not neither.
+#[test]
+fn read_write_cycle_makes_progress_without_an_awaiter() {
+    fn run(name: &str, batched: bool, sched: &dyn Scheduler) {
+        let tasks = make_tasks(&[
+            vec!["reads K:[2]".into(), "reads K:[0]".into()],
+            vec!["writes K:[0]".into(), "reads K:[2]".into()],
+            vec!["reads K:[0]".into(), "writes K:[2]".into()],
+        ]);
+        if batched {
+            sched.submit_batch(tasks.clone());
+        } else {
+            tasks.iter().for_each(|t| sched.submit(t.clone()));
+        }
+        assert_eq!(tasks[0].status(), TaskStatus::Enabled, "{name}");
+        // Drain in whatever order the scheduler enables: three completions.
+        for round in 0..3 {
+            let next = tasks.iter().find(|t| t.status() == TaskStatus::Enabled);
+            let next = next.unwrap_or_else(|| {
+                panic!("{name} (batched={batched}): nothing enabled in round {round}")
+            });
+            next.mark_done();
+            sched.task_done(next);
+        }
+        assert_eq!(sched.diagnostics().queued_tasks, 0, "{name}");
+    }
+    for batched in [false, true] {
+        run("naive", batched, &NaiveScheduler::new(Box::new(|_| {})));
+        run("tree", batched, &TreeScheduler::new(Box::new(|_| {})));
+        let single_root = TreeScheduler::new_single_root(Box::new(|_| {}));
+        run("single-root tree", batched, &single_root);
+    }
+}
+
+/// The same cycle at scale, through a `Runtime`: 4 000 fire-and-forget
+/// tasks over 4 tenants x 16 keys, one in ten writing three keys at once.
+/// Nobody awaits anything, so every task must be enabled by completions
+/// alone (before the whole-task fallback of `recheck_waiters_of` this
+/// stalled with hundreds of tasks parked).
+#[test]
+fn multi_key_writers_drain_without_awaiters() {
+    const N: u64 = 4_000;
+    for (threads, wave, seed) in [(1, 1, 5u64), (2, 64, 1)] {
+        let mut next = splitmix64(seed);
+        let key = |n: u64| format!("T{}:Key:[{}]", n % 4, (n / 4) % 16);
+        let effects: Vec<EffectSet> = (0..N)
+            .map(|_| {
+                let (a, b, c) = (key(next()), key(next()), key(next()));
+                EffectSet::parse(&match next() % 100 {
+                    0..=9 => format!("writes {a}, writes {b}, writes {c}"),
+                    10..=39 => format!("writes {a}"),
+                    40..=49 => format!("reads T{}:*", next() % 4),
+                    _ => format!("reads {a}"),
+                })
+            })
+            .collect();
+        let rt = Runtime::new(threads, SchedulerKind::Tree);
+        let done = Arc::new(AtomicU64::new(0));
+        for chunk in effects.chunks(wave) {
+            rt.submit_all(chunk.iter().map(|e| {
+                let done = done.clone();
+                ("t", e.clone(), move |_: &twe_runtime::TaskCtx<'_>| {
+                    done.fetch_add(1, Ordering::Relaxed);
+                })
+            }));
+        }
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while done.load(Ordering::Relaxed) < N && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        let done = done.load(Ordering::Relaxed);
+        if done < N {
+            // Dropping the runtime would wait on the stalled tasks.
+            std::mem::forget(rt);
+        }
+        assert_eq!(done, N, "threads={threads} wave={wave} seed={seed}");
     }
 }
 
