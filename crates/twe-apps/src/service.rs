@@ -617,11 +617,11 @@ pub struct TraceOutcome {
 ///   [`sequential_trace`];
 /// * the **tree** scheduler enables a task as soon as it interferes
 ///   with no *enabled* task (Figure 5.6 checks enabled records only),
-///   so a later read may legitimately pass a still-pending writer.
-///   Same-key writers do serialize in submission order — any enabled
-///   record blocking one blocks the other, and waiter recheck runs in
-///   park order — so the **per-key final states** still equal the
-///   sequential oracle's; individual read/scan results may not.
+///   so a later request may legitimately pass a still-pending one, and
+///   two writes to one key may run in either order (a parked write and a
+///   newly submitted one race for the region the moment its holder
+///   finishes). Each key's final value is one of its own writes; neither
+///   it nor the individual read/scan results need equal the oracle's.
 ///
 /// A `Retire` op waits that tenant's outstanding requests, drops the
 /// cell (routing the region through the epoch reclaimer), and installs a
@@ -675,8 +675,8 @@ pub fn apply_trace(
 }
 
 /// The sequential oracle: applies the trace in order against a plain
-/// model store. [`apply_trace`] on either scheduler must produce exactly
-/// this outcome.
+/// model store. [`apply_trace`] on the naive scheduler must produce
+/// exactly this outcome.
 pub fn sequential_trace(
     tenants: usize,
     keys_per_tenant: usize,

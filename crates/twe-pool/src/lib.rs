@@ -13,26 +13,88 @@
 //!   recursive spawn patterns such as TSP), tasks submitted from outside go
 //!   to a shared injector queue;
 //! * idle workers steal from the injector and then from other workers;
+//! * the pool signals only idle workers, and one worker lingers ~100 µs
+//!   before parking: a push, a completion or a shutdown touches the condvar
+//!   only when some thread is registered asleep, and the first thread to run
+//!   out of work polls a queued-jobs gauge for `LINGER` before it registers
+//!   (see "Idle protocol" below);
 //! * a thread that must block (a `getValue`/`join` of an unfinished task)
 //!   calls [`ThreadPool::help_until`], which runs other ready jobs instead of
 //!   sleeping — the analogue of `ForkJoinPool`'s helping / "run awaited tasks
 //!   in the blocking thread" behaviour that keeps all cores busy and avoids
 //!   thread-starvation deadlocks.
+//!
+//! ## Idle protocol: who sleeps, who gets woken
+//!
+//! A thread with nothing to run (a worker, or a helper inside
+//! [`ThreadPool::help_until`]) goes through two stages:
+//!
+//! 1. **Linger.** Coming off a job (or on entering `help_until`), and if
+//!    no other thread is lingering, it polls the `queued` gauge and its own
+//!    `done()` for up to `LINGER`, then gives the slot up. At most one
+//!    thread lingers, and a thread that wakes to nothing goes straight back
+//!    to sleep, so the cost is bounded at one core while jobs keep arriving
+//!    and is zero on an idle pool; every other idle thread parks at once.
+//! 2. **Park.** Under `sleep_lock` it adds itself to `sleepers`, issues a
+//!    SeqCst fence, re-checks `queued` and `done()`, and only then waits on
+//!    the condvar (which releases the lock atomically).
+//!
+//! Every wake site — [`ThreadPool::execute`] after its push, the end of
+//! every job, [`ThreadPool::notify_all`] and `Drop` — goes through one
+//! helper: publish (the push, the completion flag, the shutdown flag), SeqCst
+//! fence, then `if sleepers > 0 { lock sleep_lock; notify }`. This is the
+//! store-buffering (Dekker) pattern: with a full fence between each side's
+//! store and its load, either the sleeper's re-check sees what was
+//! published or the waker's load sees the sleeper. In the second case the
+//! waker's notify cannot fall into the gap between the re-check and the
+//! wait, because the sleeper holds `sleep_lock` across that gap and the
+//! waker notifies under the same lock. With no sleeper registered a wake
+//! costs one fence and one load — no lock, no futex call.
+//!
+//! The timed wait (`PARK_BACKSTOP`) is kept as insurance, not as part of
+//! the protocol: the unit tests count waits that timed out and *then* found
+//! work or `done()` — wakeups the protocol lost and the timer rescued — and
+//! assert that count is zero.
 
 #![warn(missing_docs)]
 
-use crossbeam::deque::{Injector, Stealer, Worker};
+use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use parking_lot::{Condvar, Mutex};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A unit of work: a boxed closure run on some worker thread.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
+
+/// How long the one lingering thread polls for work before it parks: about
+/// 4× the park + unpark round trip it saves. Measured on the 2-CPU host
+/// (`benchmark`, svc-disjoint, 20 000 req/s, traced): a parked worker costs
+/// the submitter ~11 µs of futex wake inside `execute` and the job ~14 µs
+/// of wake-up latency, ~25 µs of a 31 µs request; at 100 µs the linger
+/// covers two mean inter-arrival gaps of that workload, and an idle pool
+/// still reaches the parked state 100 µs after its last job.
+const LINGER: Duration = Duration::from_micros(100);
+
+/// Upper bound on one park. The idle protocol does not depend on it (see
+/// the crate docs); it bounds the damage of a wakeup the protocol loses and
+/// of a `help_until` condition that turns true outside any pool job without
+/// a [`ThreadPool::notify_all`]. Every parked thread pays for it with one
+/// timed wakeup per period, 10–20 µs each on the 2-CPU host: at the 1 ms
+/// (workers) and 200 µs (helpers) that used to double as the rescue for lost
+/// wakeups, four idle workers burned 11–15 ms of CPU per 300 ms (23 ms in a
+/// debug build); at 10 ms they burn 1–2 ms. Under `cfg(test)` it is long
+/// enough that a timeout coinciding with a notify in flight cannot be
+/// mistaken for a rescue, and a lost wakeup is a visible stall.
+const PARK_BACKSTOP: Duration = if cfg!(test) {
+    Duration::from_secs(2)
+} else {
+    Duration::from_millis(10)
+};
 
 thread_local! {
     /// The local deque of the current worker thread, if this thread belongs
@@ -46,16 +108,63 @@ struct Shared {
     stealers: Vec<Stealer<Job>>,
     /// Number of jobs submitted but not yet finished executing.
     pending: AtomicUsize,
+    /// Number of jobs sitting in some queue: raised before the push, lowered
+    /// when `find_job` takes one. What a lingering thread polls and a
+    /// parking thread re-checks.
+    queued: AtomicUsize,
     shutdown: AtomicBool,
-    /// Sleep/wake machinery for idle workers and helpers.
+    /// Threads registered asleep on `wakeup`; changed only under
+    /// `sleep_lock`, read by wakers without it.
+    sleepers: AtomicUsize,
+    /// Set while one thread holds the linger slot.
+    lingering: AtomicBool,
     sleep_lock: Mutex<()>,
     wakeup: Condvar,
+    #[cfg(test)]
+    counters: TestCounters,
+}
+
+/// What the unit tests count instead of timing.
+#[cfg(test)]
+#[derive(Default)]
+struct TestCounters {
+    /// Condvar notifications issued (wakes that found a sleeper).
+    notifies: AtomicUsize,
+    /// Parks that timed out and then found work or `done()`: wakeups the
+    /// protocol lost and the backstop rescued.
+    rescues: AtomicUsize,
+    /// Threads inside the linger loop now, and the most there ever were.
+    lingerers: AtomicUsize,
+    lingerers_peak: AtomicUsize,
 }
 
 impl Shared {
+    fn new(stealers: Vec<Stealer<Job>>) -> Self {
+        Shared {
+            id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
+            injector: Injector::new(),
+            stealers,
+            pending: AtomicUsize::new(0),
+            queued: AtomicUsize::new(0),
+            shutdown: AtomicBool::new(false),
+            sleepers: AtomicUsize::new(0),
+            lingering: AtomicBool::new(false),
+            sleep_lock: Mutex::new(()),
+            wakeup: Condvar::new(),
+            #[cfg(test)]
+            counters: TestCounters::default(),
+        }
+    }
+
     /// Finds any runnable job: the local deque first (if this thread is a
     /// worker of this pool), then the injector, then other workers' deques.
     fn find_job(&self) -> Option<Job> {
+        let job = self.probe_queues()?;
+        self.queued.fetch_sub(1, Ordering::SeqCst);
+        Some(job)
+    }
+
+    fn probe_queues(&self) -> Option<Job> {
         // Local deque (only on worker threads of this pool).
         let local = LOCAL.with(|l| {
             let guard = l.borrow();
@@ -70,18 +179,18 @@ impl Shared {
         // Injector, retrying on contention.
         loop {
             match self.injector.steal() {
-                crossbeam::deque::Steal::Success(job) => return Some(job),
-                crossbeam::deque::Steal::Retry => continue,
-                crossbeam::deque::Steal::Empty => break,
+                Steal::Success(job) => return Some(job),
+                Steal::Retry => continue,
+                Steal::Empty => break,
             }
         }
         // Steal from other workers.
         for stealer in &self.stealers {
             loop {
                 match stealer.steal() {
-                    crossbeam::deque::Steal::Success(job) => return Some(job),
-                    crossbeam::deque::Steal::Retry => continue,
-                    crossbeam::deque::Steal::Empty => break,
+                    Steal::Success(job) => return Some(job),
+                    Steal::Retry => continue,
+                    Steal::Empty => break,
                 }
             }
         }
@@ -92,7 +201,103 @@ impl Shared {
         job();
         self.pending.fetch_sub(1, Ordering::Release);
         // A completed job may unblock helpers waiting on a condition.
-        self.wakeup.notify_all();
+        self.wake(true);
+    }
+
+    /// The one wake site. The caller has already published what a sleeper
+    /// waits for (a pushed job, a completion, the shutdown flag); the fence
+    /// orders that before the `sleepers` load, pairing with the fence in
+    /// [`Shared::park`]. Only a registered sleeper costs the lock and the
+    /// futex call.
+    fn wake(&self, all: bool) {
+        fence(Ordering::SeqCst);
+        if self.sleepers.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        // Under the lock: a registered sleeper holds it from its re-check
+        // to its wait, so this notify cannot land between the two.
+        let _guard = self.sleep_lock.lock();
+        #[cfg(test)]
+        self.counters.notifies.fetch_add(1, Ordering::Relaxed);
+        if all {
+            self.wakeup.notify_all();
+        } else {
+            self.wakeup.notify_one();
+        }
+    }
+
+    /// Runs jobs on the calling thread until `done()` holds: the loop of a
+    /// worker (`done` = shutdown) and of [`ThreadPool::help_until`]. With
+    /// nothing to run it lingers if it has just been busy (on entry, or
+    /// after a job) and the slot is free, and parks otherwise — a thread
+    /// that wakes to nothing (a completion that was not its own, the
+    /// backstop) goes straight back to sleep, so an idle pool does not poll.
+    fn run_until(&self, done: &dyn Fn() -> bool) {
+        let mut was_busy = true;
+        while !done() {
+            if let Some(job) = self.find_job() {
+                self.run_job(job);
+                was_busy = true;
+            } else if !(was_busy && self.linger(done)) {
+                was_busy = false;
+                self.park(done);
+            }
+        }
+    }
+
+    /// Polls for work or `done()` for up to [`LINGER`] if no other thread is
+    /// lingering. Returns true when there is something to do.
+    ///
+    /// The poll yields rather than spins: with more runnable threads than
+    /// cores (a pool as wide as the host plus the submitting thread) a
+    /// spinning lingerer takes the submitter's core. Measured on the
+    /// `figures --fig service` harness (2 workers + submitter + reapers on
+    /// 2 CPUs, tree, 80 000 req/s): enable p50 16–21 µs at the parent,
+    /// 25–60 µs spinning, 18–29 µs yielding; with a core to itself
+    /// (`benchmark`, svc-disjoint) both give 6.1 µs.
+    fn linger(&self, done: &dyn Fn() -> bool) -> bool {
+        if self.lingering.swap(true, Ordering::Acquire) {
+            return false;
+        }
+        #[cfg(test)]
+        {
+            let now = self.counters.lingerers.fetch_add(1, Ordering::SeqCst) + 1;
+            self.counters
+                .lingerers_peak
+                .fetch_max(now, Ordering::SeqCst);
+        }
+        let start = Instant::now();
+        let found = loop {
+            if self.queued.load(Ordering::Acquire) > 0 || done() {
+                break true;
+            }
+            if start.elapsed() >= LINGER {
+                break false;
+            }
+            std::thread::yield_now();
+        };
+        #[cfg(test)]
+        self.counters.lingerers.fetch_sub(1, Ordering::SeqCst);
+        self.lingering.store(false, Ordering::Release);
+        found
+    }
+
+    /// Registers as a sleeper, re-checks, and waits for a wake. `done` runs
+    /// with `sleep_lock` held and must not call into the pool.
+    fn park(&self, done: &dyn Fn() -> bool) {
+        let mut guard = self.sleep_lock.lock();
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        // Pairs with the fence in `wake`: either this re-check sees what the
+        // waker published, or the waker's load sees this registration.
+        fence(Ordering::SeqCst);
+        if self.queued.load(Ordering::SeqCst) == 0 && !done() {
+            let _timed_out = self.wakeup.wait_for(&mut guard, PARK_BACKSTOP).timed_out();
+            #[cfg(test)]
+            if _timed_out && (self.queued.load(Ordering::SeqCst) > 0 || done()) {
+                self.counters.rescues.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -116,16 +321,7 @@ impl ThreadPool {
     pub fn new(num_threads: usize) -> Self {
         let num_threads = num_threads.max(1);
         let workers: Vec<Worker<Job>> = (0..num_threads).map(|_| Worker::new_lifo()).collect();
-        let stealers = workers.iter().map(Worker::stealer).collect();
-        let shared = Arc::new(Shared {
-            id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
-            injector: Injector::new(),
-            stealers,
-            pending: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            sleep_lock: Mutex::new(()),
-            wakeup: Condvar::new(),
-        });
+        let shared = Arc::new(Shared::new(workers.iter().map(Worker::stealer).collect()));
         let threads = workers
             .into_iter()
             .enumerate()
@@ -161,9 +357,12 @@ impl ThreadPool {
 
     /// Submits a job for execution. Jobs submitted from a worker thread of
     /// this pool go to that worker's own deque (LIFO); jobs submitted from
-    /// any other thread go to the shared injector.
+    /// any other thread go to the shared injector. One sleeping thread is
+    /// signalled if there is one; with every worker busy or lingering the
+    /// call touches no lock but the queue's.
     pub fn execute(&self, job: Job) {
         self.shared.pending.fetch_add(1, Ordering::Acquire);
+        self.shared.queued.fetch_add(1, Ordering::SeqCst);
         let not_pushed_locally = LOCAL.with(|l| {
             let guard = l.borrow();
             match guard.as_ref() {
@@ -177,38 +376,28 @@ impl ThreadPool {
         if let Some(job) = not_pushed_locally {
             self.shared.injector.push(job);
         }
-        self.shared.wakeup.notify_one();
+        self.shared.wake(false);
     }
 
     /// Runs jobs on the calling thread until `done()` returns true.
     ///
     /// This is how a blocked task waits: instead of sleeping while holding a
-    /// worker thread hostage, it *helps* by executing other ready jobs. If no
-    /// job is available it parks briefly and re-checks.
+    /// worker thread hostage, it *helps* by executing other ready jobs. With
+    /// no job available it lingers or parks like an idle worker; a finished
+    /// job or a new one wakes it. `done` may be called with an internal lock
+    /// held and must not call back into the pool. A condition that turns
+    /// true outside any job of this pool should be followed by
+    /// [`ThreadPool::notify_all`]; without it a parked helper notices only
+    /// at its next timed wakeup (10 ms).
     pub fn help_until(&self, done: impl Fn() -> bool) {
-        loop {
-            if done() {
-                return;
-            }
-            if let Some(job) = self.shared.find_job() {
-                self.shared.run_job(job);
-                continue;
-            }
-            if done() {
-                return;
-            }
-            // Nothing to run: park briefly; completions and submissions wake us.
-            let mut guard = self.shared.sleep_lock.lock();
-            self.shared
-                .wakeup
-                .wait_for(&mut guard, Duration::from_micros(200));
-        }
+        self.shared.run_until(&done);
     }
 
-    /// Wakes every sleeping worker and helper (used by the runtime when a
-    /// task future completes or a task becomes enabled).
+    /// Wakes every sleeping worker and helper so they re-check their
+    /// conditions. The pool does this itself after every job; callers need
+    /// it only for a `help_until` condition they change from outside a job.
     pub fn notify_all(&self) {
-        self.shared.wakeup.notify_all();
+        self.shared.wake(true);
     }
 
     /// Number of submitted jobs that have not finished executing.
@@ -225,8 +414,8 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.wakeup.notify_all();
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.wake(true);
         // The pool can be dropped *from one of its own worker threads*: jobs
         // hold clones of the owner's `Arc` (e.g. the runtime's task closures),
         // so the last clone may die inside a job. A thread cannot join
@@ -245,21 +434,7 @@ impl Drop for ThreadPool {
 
 fn worker_loop(shared: Arc<Shared>, worker: Worker<Job>) {
     LOCAL.with(|l| *l.borrow_mut() = Some((shared.id, worker)));
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        if let Some(job) = shared.find_job() {
-            shared.run_job(job);
-            continue;
-        }
-        let mut guard = shared.sleep_lock.lock();
-        // Re-check under the lock to avoid missed shutdown notifications.
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        shared.wakeup.wait_for(&mut guard, Duration::from_millis(1));
-    }
+    shared.run_until(&|| shared.shutdown.load(Ordering::SeqCst));
     LOCAL.with(|l| *l.borrow_mut() = None);
 }
 
@@ -433,15 +608,9 @@ mod tests {
         // hand-built pool, so the three sources are probed deterministically.
         let mine: Worker<Job> = Worker::new_lifo();
         let other: Worker<Job> = Worker::new_lifo();
-        let shared = Shared {
-            id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
-            injector: Injector::new(),
-            stealers: vec![mine.stealer(), other.stealer()],
-            pending: AtomicUsize::new(3),
-            shutdown: AtomicBool::new(false),
-            sleep_lock: Mutex::new(()),
-            wakeup: Condvar::new(),
-        };
+        let shared = Shared::new(vec![mine.stealer(), other.stealer()]);
+        shared.pending.store(3, Ordering::Relaxed);
+        shared.queued.store(3, Ordering::Relaxed);
         let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
         let job = |name: &'static str| -> Job {
             let order = Arc::clone(&order);
@@ -458,6 +627,146 @@ mod tests {
         LOCAL.with(|l| *l.borrow_mut() = None);
         assert_eq!(*order.lock(), ["local", "injected", "stolen"]);
         assert_eq!(shared.pending.load(Ordering::Acquire), 0);
+        assert_eq!(shared.queued.load(Ordering::Acquire), 0);
+    }
+
+    /// Spins (yielding) until `cond` holds; panics after 10 s so a lost
+    /// wakeup fails the test instead of hanging it.
+    fn spin_until(what: &str, cond: impl Fn() -> bool) {
+        let start = Instant::now();
+        while !cond() {
+            assert!(start.elapsed() < Duration::from_secs(10), "stuck: {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    fn notifies(shared: &Shared) -> usize {
+        shared.counters.notifies.load(Ordering::Relaxed)
+    }
+
+    fn rescues(shared: &Shared) -> usize {
+        shared.counters.rescues.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn execute_onto_busy_workers_issues_no_notify() {
+        // Both workers are inside jobs and the test thread never parks, so
+        // nobody is asleep: a push must not touch the condvar.
+        let pool = ThreadPool::new(2);
+        let inside = Arc::new(AtomicU32::new(0));
+        let release = Arc::new(AtomicBool::new(false));
+        for _ in 0..2 {
+            let inside = Arc::clone(&inside);
+            let release = Arc::clone(&release);
+            pool.execute(Box::new(move || {
+                inside.fetch_add(1, Ordering::SeqCst);
+                while !release.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            }));
+        }
+        spin_until("both workers inside their job", || {
+            inside.load(Ordering::SeqCst) == 2
+        });
+        assert_eq!(pool.shared.sleepers.load(Ordering::SeqCst), 0);
+        let before = notifies(&pool.shared);
+        let ran = Arc::new(AtomicU32::new(0));
+        for _ in 0..1000 {
+            let ran = Arc::clone(&ran);
+            pool.execute(Box::new(move || {
+                ran.fetch_add(1, Ordering::Relaxed);
+            }));
+        }
+        assert_eq!(
+            notifies(&pool.shared),
+            before,
+            "a push onto busy workers notified"
+        );
+        release.store(true, Ordering::Release);
+        pool.wait_idle();
+        assert_eq!(ran.load(Ordering::Relaxed), 1000);
+        assert_eq!(rescues(&pool.shared), 0);
+    }
+
+    #[test]
+    fn ping_pong_handoffs_are_never_rescued_by_the_backstop() {
+        // One job at a time onto an otherwise idle pool. Back-to-back
+        // handoffs find the worker lingering; a pause longer than LINGER
+        // (one handoff in eight pauses 0–300 µs) finds it parked. The test
+        // thread waits by spinning on even rounds and inside `help_until` on
+        // odd ones, so both the worker's and the helper's park are crossed.
+        const ROUNDS: usize = 100_000;
+        let pool = ThreadPool::new(1);
+        let done = Arc::new(AtomicUsize::new(0));
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        for round in 1..=ROUNDS {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            if rng >> 61 == 0 {
+                let pause = Duration::from_micros((rng >> 33) % 300);
+                let start = Instant::now();
+                while start.elapsed() < pause {
+                    std::hint::spin_loop();
+                }
+            }
+            let d = Arc::clone(&done);
+            pool.execute(Box::new(move || {
+                d.store(round, Ordering::Release);
+            }));
+            if round % 2 == 0 {
+                spin_until("handoff", || done.load(Ordering::Acquire) == round);
+            } else {
+                pool.help_until(|| done.load(Ordering::Acquire) == round);
+            }
+        }
+        pool.wait_idle();
+        let notified = notifies(&pool.shared);
+        assert!(notified > 0, "no handoff ever met a parked thread");
+        assert!(
+            notified < 2 * ROUNDS,
+            "every push and every completion notified: nobody ever lingered"
+        );
+        assert_eq!(rescues(&pool.shared), 0, "a wakeup was lost");
+    }
+
+    #[test]
+    fn at_most_one_thread_lingers() {
+        let pool = ThreadPool::new(4);
+        let ran = Arc::new(AtomicU32::new(0));
+        for burst in 1..=200u32 {
+            for _ in 0..8 {
+                let ran = Arc::clone(&ran);
+                pool.execute(Box::new(move || {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                }));
+            }
+            spin_until("burst", || ran.load(Ordering::Relaxed) == burst * 8);
+        }
+        pool.wait_idle();
+        let counters = &pool.shared.counters;
+        assert_eq!(counters.lingerers_peak.load(Ordering::SeqCst), 1);
+        // With nothing left to do every worker ends up parked, not polling.
+        spin_until("all four workers parked", || {
+            pool.shared.sleepers.load(Ordering::SeqCst) == 4
+        });
+        assert_eq!(counters.lingerers.load(Ordering::SeqCst), 0);
+        assert_eq!(rescues(&pool.shared), 0);
+    }
+
+    #[test]
+    fn drop_while_every_worker_is_parked_joins_without_the_backstop() {
+        let pool = ThreadPool::new(3);
+        let shared = Arc::clone(&pool.shared);
+        spin_until("all three workers parked", || {
+            shared.sleepers.load(Ordering::SeqCst) == 3
+        });
+        drop(pool);
+        assert_eq!(
+            rescues(&shared),
+            0,
+            "shutdown reached a parked worker only through the timeout"
+        );
     }
 
     #[test]
