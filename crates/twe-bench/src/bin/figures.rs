@@ -1,11 +1,10 @@
 //! Regenerates the tables behind every figure of the TWE evaluation.
 //!
 //! ```text
-//! figures [--fig 6.1|6.2|6.3|6.4|7.1|conflict|submit|intern|reclaim|service|backlog|all]
+//! figures [--fig 6.1|6.2|6.3|6.4|7.1|conflict|submit|reclaim|service|backlog|all]
 //!         [--quick] [--json out.json] [--conflict-json BENCH_conflict.json]
-//!         [--submit-json BENCH_submit.json] [--intern-json BENCH_intern.json]
-//!         [--reclaim-json BENCH_reclaim.json] [--service-json BENCH_service.json]
-//!         [--backlog-json BENCH_backlog.json]
+//!         [--submit-json BENCH_submit.json] [--reclaim-json BENCH_reclaim.json]
+//!         [--service-json BENCH_service.json] [--backlog-json BENCH_backlog.json]
 //! ```
 //!
 //! `--quick` shrinks the workloads so the whole sweep finishes in a couple of
@@ -27,11 +26,6 @@
 //! submitting threads, sharded root plane vs the single-root baseline;
 //! quick mode keeps one 4-thread correctness row); `--submit-json` writes
 //! the rows as `BENCH_submit.json` (also a CI smoke-job artifact).
-//!
-//! `--fig intern` runs only the first-intern scaling microbenchmark:
-//! cold-start interning of fresh `Data:[i]:[j]` subtrees at 1/2/4/8 threads,
-//! the sharded arena vs a single-lock baseline replica; `--intern-json`
-//! writes the rows as `BENCH_intern.json` (also a CI smoke-job artifact).
 //!
 //! `--fig reclaim` runs only the dynamic-region churn microbenchmark:
 //! create/drop churn of `__DynRegion` ids at 1/2/4 churn threads under two
@@ -59,9 +53,9 @@
 //! scaling bar (indexed 64k per_done_ns ≤ 8x its 4k value).
 
 use twe_bench::{
-    print_backlog_rows, print_conflict_rows, print_intern_rows, print_reclaim_rows, print_rows,
-    print_service_rows, print_submit_rows, run_backlog_bench, run_conflict_bench, run_figures,
-    run_intern_bench, run_reclaim_bench, run_service_bench, run_submit_bench,
+    print_backlog_rows, print_conflict_rows, print_reclaim_rows, print_rows, print_service_rows,
+    print_submit_rows, run_backlog_bench, run_conflict_bench, run_figures, run_reclaim_bench,
+    run_service_bench, run_submit_bench,
 };
 
 fn main() {
@@ -71,7 +65,6 @@ fn main() {
     let mut json_path: Option<String> = None;
     let mut conflict_json_path: Option<String> = None;
     let mut submit_json_path: Option<String> = None;
-    let mut intern_json_path: Option<String> = None;
     let mut reclaim_json_path: Option<String> = None;
     let mut service_json_path: Option<String> = None;
     let mut backlog_json_path: Option<String> = None;
@@ -98,10 +91,6 @@ fn main() {
                 submit_json_path = args.get(i + 1).cloned();
                 i += 2;
             }
-            "--intern-json" => {
-                intern_json_path = args.get(i + 1).cloned();
-                i += 2;
-            }
             "--reclaim-json" => {
                 reclaim_json_path = args.get(i + 1).cloned();
                 i += 2;
@@ -116,11 +105,10 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: figures [--fig 6.1|6.2|6.3|6.4|7.1|conflict|submit|intern|reclaim|service|backlog|all] \
+                    "usage: figures [--fig 6.1|6.2|6.3|6.4|7.1|conflict|submit|reclaim|service|backlog|all] \
                      [--quick] [--json out.json] [--conflict-json BENCH_conflict.json] \
-                     [--submit-json BENCH_submit.json] [--intern-json BENCH_intern.json] \
-                     [--reclaim-json BENCH_reclaim.json] [--service-json BENCH_service.json] \
-                     [--backlog-json BENCH_backlog.json]"
+                     [--submit-json BENCH_submit.json] [--reclaim-json BENCH_reclaim.json] \
+                     [--service-json BENCH_service.json] [--backlog-json BENCH_backlog.json]"
                 );
                 return;
             }
@@ -135,13 +123,11 @@ fn main() {
     // are never silently paid for twice in one invocation.
     let run_conflict = which == "conflict" || conflict_json_path.is_some();
     let run_submit = which == "submit" || submit_json_path.is_some();
-    let run_intern = which == "intern" || intern_json_path.is_some();
     let run_reclaim = which == "reclaim" || reclaim_json_path.is_some();
     let run_service = which == "service" || service_json_path.is_some();
     let run_backlog = which == "backlog" || backlog_json_path.is_some();
     let micro_only = which == "conflict"
         || which == "submit"
-        || which == "intern"
         || which == "reclaim"
         || which == "service"
         || which == "backlog";
@@ -149,8 +135,8 @@ fn main() {
         if json_path.is_some() {
             eprintln!(
                 "# note: --json applies to figure rows and is ignored with --fig {which}; \
-                 use --conflict-json / --submit-json / --intern-json / --reclaim-json / \
-                 --service-json / --backlog-json for the microbench records"
+                 use --conflict-json / --submit-json / --reclaim-json / --service-json / \
+                 --backlog-json for the microbench records"
             );
         }
     } else {
@@ -192,22 +178,6 @@ fn main() {
         if let Some(path) = submit_json_path {
             let json = serde_json::to_string_pretty(&rows).expect("serialize submit rows");
             std::fs::write(&path, json).expect("write submit JSON output");
-            eprintln!("# wrote {path}");
-        }
-    }
-    if run_intern {
-        eprintln!(
-            "# first-intern scaling microbench ({} mode, host parallelism = {})",
-            if quick { "quick" } else { "full" },
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        );
-        let rows = run_intern_bench(quick);
-        print_intern_rows(&rows);
-        if let Some(path) = intern_json_path {
-            let json = serde_json::to_string_pretty(&rows).expect("serialize intern rows");
-            std::fs::write(&path, json).expect("write intern JSON output");
             eprintln!("# wrote {path}");
         }
     }

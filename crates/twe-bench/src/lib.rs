@@ -15,7 +15,6 @@
 #![warn(missing_docs)]
 
 pub mod backlog;
-pub mod intern;
 pub mod reclaim;
 pub mod service;
 
@@ -23,7 +22,6 @@ pub use backlog::{
     print_backlog_rows, run_backlog_bench, BacklogRow, BACKLOG_DEPTHS_FULL_SCAN,
     BACKLOG_DEPTHS_INDEXED,
 };
-pub use intern::{print_intern_rows, run_intern_bench, InternRow, INTERN_THREADS};
 pub use reclaim::{print_reclaim_rows, run_reclaim_bench, ReclaimRow, RECLAIM_THREADS};
 pub use service::{
     print_service_rows, run_service_bench, ServiceRow, SERVICE_RATES, SERVICE_TENANTS,
@@ -438,8 +436,8 @@ pub struct ConflictRow {
     ///
     /// * `"concrete"` — fully-specified RPLs (the pure id-compare path);
     /// * `"wild-mix"` — every fourth RPL a wildcard cycling trailing-star /
-    ///   trailing-`[?]` / mid-star (ancestor test, `[?]` shape test, memo
-    ///   cache);
+    ///   trailing-`[?]` / mid-star (ancestor test, `[?]` shape test,
+    ///   element-wise fallback);
     /// * `"anyindex"` — `P:[?]` against concrete index children (the
     ///   dedicated O(1) shape fast path);
     /// * `"set-disjoint"` — pairwise-disjoint `EffectSet`s (`depth` is the
@@ -467,8 +465,9 @@ pub struct ConflictRow {
 /// With `wildcard`, every fourth path is a wildcard RPL cycling through the
 /// three shapes the id-based implementation handles differently: a
 /// trailing star at a varying truncation depth (the O(1) ancestor-test fast
-/// path), a trailing `[?]`, and a mid-path star (both resolved through the
-/// memoized relation cache).
+/// path), a trailing `[?]` (the O(1) shape test against concrete and
+/// trailing-wildcard partners), and a mid-path star (always the element-wise
+/// fallback, as is a trailing `[?]` against it).
 ///
 /// Shared by the `figures --fig conflict` throughput record and the
 /// `conflict` criterion bench so the two always measure the same shapes.
@@ -480,16 +479,17 @@ pub fn conflict_paths(depth: usize, n: usize, wildcard: bool) -> Vec<Vec<RplElem
             if wildcard && i % 4 == 0 && depth > 1 {
                 match (i / 4) % 3 {
                     1 if depth > 2 => {
-                        // Trailing any-index: memo-cache path.
+                        // Trailing any-index.
                         for level in 1..depth - 1 {
                             path.push(RplElement::name(&format!("L{level}")));
                         }
                         path.push(RplElement::AnyIndex);
                     }
                     2 if depth > 2 => {
-                        // Mid-path star with a distinct tail: memo-cache
-                        // path. Exactly `depth` elements like every other
-                        // shape, so the row's depth label stays truthful.
+                        // Mid-path star with a distinct tail: the
+                        // element-wise fallback. Exactly `depth` elements
+                        // like every other shape, so the row's depth label
+                        // stays truthful.
                         for level in 1..depth - 2 {
                             path.push(RplElement::name(&format!("L{level}")));
                         }
@@ -522,8 +522,8 @@ pub fn conflict_paths(depth: usize, n: usize, wildcard: bool) -> Vec<Vec<RplElem
 /// other path is the trailing-any-index wildcard `P:[?]` over a shared
 /// concrete prefix, the rest are concrete index children `P:[i]` — the
 /// index-partitioned shape (`Data:[i]` workers vs a `Data:[?]` sweeper)
-/// whose conflict test now resolves through the dedicated O(1) parent-id +
-/// last-element-kind check instead of the memo cache.
+/// whose conflict test resolves through the dedicated O(1) parent-id +
+/// last-element-kind check.
 pub fn anyindex_paths(depth: usize, n: usize) -> Vec<Vec<RplElement>> {
     assert!(depth >= 2, "the P:[?] shape needs a parent and a tail");
     (0..n)
@@ -601,7 +601,7 @@ fn all_pairs_throughput(
 }
 
 /// Measures an RPL workload: cross-checks the id-based disjointness against
-/// the element-wise oracle (also warming the interner/caches), then records
+/// the element-wise oracle (also warming the interner), then records
 /// steady-state throughput of both.
 fn conflict_row(
     shape: &str,
@@ -650,7 +650,7 @@ pub fn run_conflict_bench(quick: bool) -> Vec<ConflictRow> {
         }
     }
     // The `P:[?]` shape: wildcard rows that resolve entirely through the
-    // O(1) parent-id check (no memo-cache traffic).
+    // O(1) parent-id check.
     for depth in [2usize, 4, 8] {
         let paths = anyindex_paths(depth, 64);
         rows.push(conflict_row("anyindex", depth, true, &paths, min_seconds));

@@ -33,10 +33,39 @@
 
 use serde::Serialize;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
+use std::time::Instant;
 use twe_effects::reclaim::{DynRegion, Epoch, Leak, Reclaimer};
 use twe_effects::{arena, Rpl, RplElement};
 
-use crate::intern::timed_parallel;
+/// Runs `work(thread_index)` on `threads` threads released together by a
+/// barrier, and returns the wall-clock span `max(end) − min(start)` over
+/// the workers' *own* timestamps. Timing inside the workers keeps the span
+/// honest even on an oversubscribed host, where the coordinating thread may
+/// not be rescheduled until the workers have already finished (spawn cost
+/// stays excluded: clocks start after the barrier).
+fn timed_parallel(threads: usize, work: impl Fn(usize) + Sync) -> f64 {
+    let barrier = Barrier::new(threads);
+    let spans = parking_lot::Mutex::new(Vec::with_capacity(threads));
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            let barrier = &barrier;
+            let work = &work;
+            let spans = &spans;
+            scope.spawn(move || {
+                barrier.wait();
+                let start = Instant::now();
+                work(t);
+                let end = Instant::now();
+                spans.lock().push((start, end));
+            });
+        }
+    });
+    let spans = spans.into_inner();
+    let first = spans.iter().map(|(s, _)| *s).min().expect("no workers");
+    let last = spans.iter().map(|(_, e)| *e).max().expect("no workers");
+    last.duration_since(first).as_secs_f64()
+}
 
 /// One row of `BENCH_reclaim.json`: region churn throughput at one churn
 /// thread count, epoch reclaimer vs leaking baseline, with arena-footprint

@@ -22,9 +22,8 @@
 //! so every read-side query ([`parent`], [`depth`], [`last_elem`], [`path`],
 //! [`id_path`], [`is_ancestor_or_self`], [`is_index_child_of`]) is a pair of
 //! plain atomic loads — bucket pointer, then slot — with **no lock of any
-//! kind**. Only the write path (the *first* intern of a given child) takes a
-//! lock — the child-index shard of the parent, see below — and no
-//! conflict-plane read ever touches it.
+//! kind**. Only the write path (the *first* intern of a given child) takes
+//! the child index's write lock, and no conflict-plane read ever touches it.
 //!
 //! **Publication invariant:** an entry is fully initialized — parent, depth,
 //! element, and both leaked path slices written and released via its slot's
@@ -34,41 +33,31 @@
 //! accessors treat an unpublished slot as a logic error (panic), not a state
 //! to wait on.
 //!
-//! # Write-path concurrency: the sharded child index
+//! # Write-path concurrency: one child-index lock
 //!
-//! The child index `(parent, elem) → id` is split into 64 lock shards
-//! (`CHILD_SHARD_COUNT`) **keyed by the parent id** (a multiplicative hash
-//! of the raw index picks the shard). Consequences:
+//! The child index `(parent, elem) → id` is one `RwLock`ed map. A repeat
+//! intern takes its read lock (shared, uncontended in steady state); a first
+//! intern takes its write lock. Consequences:
 //!
-//! * **First-interns of different parents' children never contend.** A
-//!   cold-start burst over a fresh `Data:[i]:[j]` partition — one thread per
-//!   `Data:[i]` subtree — takes one *distinct* shard write lock per thread.
-//!   The only cross-shard write-path serialization is a single relaxed
-//!   `fetch_add` on the id allocator.
 //! * **One winner per `(parent, elem)` race.** Two threads first-interning
-//!   the *same* child hash to the same shard and serialize on its write
-//!   lock; the loser's double-check under the lock finds the winner's entry
-//!   and returns the winner's id. Ids are allocated *after* the double-check
-//!   fails, under the shard lock, so a lost race never burns an id and ids
-//!   stay canonical.
-//! * **Parent-before-child id ordering survives sharding.** A child's id is
-//!   allocated by a `fetch_add` that the interning thread performs while
-//!   already *holding* the parent's id, and the parent's id was handed out
-//!   only after the parent's own (earlier) allocation — so every child's
-//!   index is strictly greater than its parent's even when the two interns
-//!   happen on different shards.
+//!   the same child serialize on the write lock; the loser's double-check
+//!   under the lock finds the winner's entry and returns the winner's id.
+//!   Ids are allocated *after* the double-check fails, under the lock, so a
+//!   lost race never burns an id and ids stay canonical.
+//! * **Parent-before-child id ordering.** A child's id is allocated while
+//!   the interning thread already *holds* the parent's id, which was handed
+//!   out only after the parent's own (earlier) allocation — so every child's
+//!   index is strictly greater than its parent's.
 //! * **Reads are untouched.** Conflict-plane queries resolve ids through the
-//!   chunked store only and never touch any shard lock; a repeat intern of
-//!   an existing child takes just its shard's *read* lock (shared,
-//!   uncontended in steady state).
+//!   chunked store only and never touch the index lock.
 //!
-//! The per-slot `OnceLock` publication protocol is unchanged and is what
-//! keeps reads safe during a racing first-intern: the winner fully writes
-//! the entry and releases it through the slot's `OnceLock` *before* the id
-//! escapes the shard lock, so no thread can ever observe a half-initialized
-//! entry — any thread holding the id acquired it via a release/acquire edge
-//! (the `OnceLock` slot, or the shard lock's own ordering) that happens
-//! after the slot was fully published.
+//! The per-slot `OnceLock` publication protocol is what keeps reads safe
+//! during a racing first-intern: the winner fully writes the entry and
+//! releases it through the slot's `OnceLock` *before* the id escapes the
+//! lock, so no thread can ever observe a half-initialized entry — any thread
+//! holding the id acquired it via a release/acquire edge (the `OnceLock`
+//! slot, or the index lock's own ordering) that happens after the slot was
+//! fully published.
 //!
 //! # Invariants
 //!
@@ -135,60 +124,18 @@ struct Entry {
 /// The chunked store's bucket layout: bucket `b` holds
 /// `FIRST_BUCKET_LEN << b` slots, so 27 buckets cover the whole `u32` id
 /// space while an id resolves to its slot with a handful of ALU ops.
-///
-/// `#[doc(hidden)] pub` — not a supported API — solely so the intern
-/// microbench's single-lock baseline replica (`twe-bench`) can build its
-/// entry store with the *identical* layout the real arena uses, keeping
-/// the sharded-vs-single-lock comparison a pure locking-discipline
-/// measurement with no copied constants to drift.
-#[doc(hidden)]
-pub mod store_layout {
-    /// Number of exponentially-sized buckets covering the `u32` id space.
-    pub const BUCKET_COUNT: usize = 27;
-    /// log2 of the first bucket's slot count.
-    pub const FIRST_BUCKET_BITS: u32 = 6;
-    /// Slot count of the first bucket.
-    pub const FIRST_BUCKET_LEN: usize = 1 << FIRST_BUCKET_BITS;
+const BUCKET_COUNT: usize = 27;
+/// log2 of the first bucket's slot count.
+const FIRST_BUCKET_BITS: u32 = 6;
+/// Slot count of the first bucket.
+const FIRST_BUCKET_LEN: usize = 1 << FIRST_BUCKET_BITS;
 
-    /// Bucket index and offset of an entry index.
-    pub fn locate(index: usize) -> (usize, usize) {
-        let v = (index >> FIRST_BUCKET_BITS) + 1;
-        let bucket = (usize::BITS - 1 - v.leading_zeros()) as usize;
-        let bucket_start = ((1usize << bucket) - 1) << FIRST_BUCKET_BITS;
-        (bucket, index - bucket_start)
-    }
-}
-
-use store_layout::{locate, BUCKET_COUNT, FIRST_BUCKET_LEN};
-
-/// Number of child-index lock shards (a power of two). 64 shards make
-/// write-write collisions between unrelated parents rare at any plausible
-/// core count while keeping the idle footprint trivial (one `RwLock` +
-/// empty map per shard).
-const CHILD_SHARD_COUNT: usize = 64;
-
-/// The shard holding `parent`'s children: a Fibonacci multiplicative hash
-/// of the raw parent index (sequential parent ids — the common case for a
-/// freshly-interned partition — spread across shards instead of clustering).
-/// The shift is derived from `CHILD_SHARD_COUNT`, so retuning the shard
-/// count keeps using the hash's top bits.
-fn child_shard(parent: RplId) -> usize {
-    let shift = 32 - CHILD_SHARD_COUNT.trailing_zeros();
-    (parent.0.wrapping_mul(0x9E37_79B9) >> shift) as usize & (CHILD_SHARD_COUNT - 1)
-}
-
-/// One shard of the child index. Padded to a cache line so two shards'
-/// lock words never share one (first-interns on different shards must not
-/// false-share).
-#[repr(align(64))]
-struct ChildShard {
-    /// `(parent, elem) → id` for every parent hashing to this shard.
-    /// Repeat interns take the read lock; the write lock is the
-    /// first-intern mutex for this shard's parents only. Conflict-plane
-    /// queries never touch it. Keyed with the multiply-rotate id hasher
-    /// (`crate::idhash`): SipHash on a 12-byte id key costs more than the
-    /// probe it guards.
-    index: RwLock<IdHashMap<(RplId, RplElement), RplId>>,
+/// Bucket index and offset of an entry index.
+fn locate(index: usize) -> (usize, usize) {
+    let v = (index >> FIRST_BUCKET_BITS) + 1;
+    let bucket = (usize::BITS - 1 - v.leading_zeros()) as usize;
+    let bucket_start = ((1usize << bucket) - 1) << FIRST_BUCKET_BITS;
+    (bucket, index - bucket_start)
 }
 
 struct Arena {
@@ -197,13 +144,15 @@ struct Arena {
     /// individually. Neither is ever moved afterwards, so reads are plain
     /// loads.
     buckets: [OnceLock<Box<[OnceLock<Entry>]>>; BUCKET_COUNT],
-    /// The id allocator: next unallocated entry index. `fetch_add` here is
-    /// the only write-path synchronization shared across shards (and the
-    /// source of the `len` diagnostic).
+    /// The id allocator: next unallocated entry index (and the source of the
+    /// `len` diagnostic). Only advanced under `index`'s write lock.
     next: AtomicUsize,
-    /// The sharded child index (see the module docs, "Write-path
-    /// concurrency").
-    shards: [ChildShard; CHILD_SHARD_COUNT],
+    /// The child index `(parent, elem) → id`. Repeat interns take the read
+    /// lock; the write lock is the first-intern mutex. Conflict-plane
+    /// queries never touch it. Keyed with the multiply-rotate id hasher
+    /// (`crate::idhash`): SipHash on a 12-byte id key costs more than the
+    /// probe it guards.
+    index: RwLock<IdHashMap<(RplId, RplElement), RplId>>,
 }
 
 static ARENA: OnceLock<Arena> = OnceLock::new();
@@ -213,9 +162,7 @@ fn arena() -> &'static Arena {
         let a = Arena {
             buckets: [const { OnceLock::new() }; BUCKET_COUNT],
             next: AtomicUsize::new(1),
-            shards: std::array::from_fn(|_| ChildShard {
-                index: RwLock::new(IdHashMap::default()),
-            }),
+            index: RwLock::new(IdHashMap::default()),
         };
         let bucket0 = a.buckets[0].get_or_init(|| new_bucket(0));
         let root = Entry {
@@ -249,14 +196,11 @@ fn entry(id: RplId) -> &'static Entry {
 
 /// Interns the child region `parent : elem`, returning its id. Idempotent.
 ///
-/// Repeat lookups take only the read lock of the parent's child-index
-/// *shard*; the shard's write lock is taken the first time a given child is
-/// seen, so first-interns under different parents (different shards) run
-/// fully in parallel — their only shared write is one relaxed `fetch_add`
-/// on the id allocator. The new entry is fully published into the chunked
-/// store *before* its id is inserted into the index or returned (see the
-/// module docs for the publication invariant and the one-winner race
-/// resolution).
+/// Repeat lookups take only the child index's read lock; its write lock is
+/// taken the first time a given child is seen. The new entry is fully
+/// published into the chunked store *before* its id is inserted into the
+/// index or returned (see the module docs for the publication invariant and
+/// the one-winner race resolution).
 ///
 /// # Panics
 ///
@@ -268,22 +212,19 @@ pub fn intern_child(parent: RplId, elem: RplElement) -> RplId {
         "only wildcard-free elements may be interned in the RPL arena"
     );
     let a = arena();
-    let shard = &a.shards[child_shard(parent)];
-    if let Some(&id) = shard.index.read().get(&(parent, elem)) {
+    if let Some(&id) = a.index.read().get(&(parent, elem)) {
         return id;
     }
-    let mut index_map = shard.index.write();
+    let mut index_map = a.index.write();
     if let Some(&id) = index_map.get(&(parent, elem)) {
-        // Lost the first-intern race: the winner (a previous holder of this
-        // shard lock) already published the entry and inserted its id.
+        // Lost the first-intern race: the winner (a previous holder of the
+        // write lock) already published the entry and inserted its id.
         return id;
     }
-    // This thread holds the shard write lock for (parent, elem), so it is
-    // the unique winner for this child: it alone allocates the id. The
-    // allocator is shared across shards, so ids stay globally unique, and
-    // parent-before-child ordering holds because this fetch_add happens
-    // strictly after the one that produced `parent` (whose id this thread
-    // already holds).
+    // This thread holds the write lock, so it is the unique winner for this
+    // child: it alone allocates the id. Parent-before-child ordering holds
+    // because this fetch_add happens strictly after the one that produced
+    // `parent` (whose id this thread already holds).
     let index = a.next.fetch_add(1, Ordering::Relaxed);
     let id = RplId(u32::try_from(index).expect("RPL arena overflow (u32 ids)"));
     let parent_entry = entry(parent);
@@ -510,24 +451,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_hash_spreads_sequential_parents() {
-        // Sequential parent ids — the shape a fresh `Data:[i]` partition
-        // produces — must not pile onto a handful of shards.
-        let mut hit = [false; CHILD_SHARD_COUNT];
-        for raw in 0..256u32 {
-            hit[child_shard(RplId(raw))] = true;
-        }
-        let distinct = hit.iter().filter(|&&h| h).count();
-        assert!(
-            distinct > CHILD_SHARD_COUNT / 2,
-            "256 sequential parents landed on only {distinct} shards"
-        );
-    }
-
-    #[test]
     fn racing_first_interns_of_the_same_child_elect_one_winner() {
         // All threads hammer the *same* fresh (parent, elem) pairs, so every
-        // intern is a genuine same-shard race; each pair must still resolve
+        // intern is a genuine first-intern race; each pair must still resolve
         // to exactly one id everywhere, and ids must stay parent-ordered.
         let parent = intern_path(&[name("Arena"), name("Race")]);
         let barrier = std::sync::Arc::new(std::sync::Barrier::new(8));
@@ -553,11 +479,11 @@ mod tests {
     }
 
     #[test]
-    fn cross_shard_first_interns_stay_canonical_and_ordered() {
-        // Writers fan out over distinct parents (distinct shards) while all
-        // racing the shared id allocator; every published id must resolve,
-        // be unique, and stay strictly greater than its parent's.
-        let base = intern_path(&[name("Arena"), name("XShard")]);
+    fn cross_parent_first_interns_stay_canonical_and_ordered() {
+        // Writers fan out over distinct parents while all racing the shared
+        // id allocator; every published id must resolve, be unique, and stay
+        // strictly greater than its parent's.
+        let base = intern_path(&[name("Arena"), name("XParent")]);
         let handles: Vec<_> = (0..8)
             .map(|t| {
                 std::thread::spawn(move || {
@@ -580,7 +506,7 @@ mod tests {
         let count = all.len();
         all.sort_unstable();
         all.dedup();
-        assert_eq!(all.len(), count, "ids across shards must be unique");
+        assert_eq!(all.len(), count, "ids across parents must be unique");
     }
 
     #[test]

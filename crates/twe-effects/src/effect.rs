@@ -40,7 +40,7 @@
 //! Summary construction sits on the conflict plane's *read* side: anchors
 //! come from already-interned prefix id paths ([`Rpl::prefix_id_path`] is a
 //! wait-free arena load), so `push`/`union`/`union_all` never intern, never
-//! take an arena shard lock, and can run concurrently with any number of
+//! take the arena's child-index lock, and can run concurrently with any number of
 //! cold-start first-interns on other threads. All interning happened when
 //! the `Rpl`s themselves were built (parse/`child`/`from_elements`).
 
@@ -410,10 +410,24 @@ impl EffectSet {
     }
 
     /// Parses a comma-separated effect list, e.g. `"writes Top, reads Root"`.
-    /// Each item must parse with [`Effect::parse`]; items that do not parse
-    /// are skipped.
+    /// Blank items and the literal `pure` (what `Display` prints for the
+    /// empty set) contribute nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other item [`Effect::parse`] cannot read: silently
+    /// dropping it would admit the task without that effect's isolation.
     pub fn parse(text: &str) -> Self {
-        EffectSet::from_effects(text.split(',').filter_map(Effect::parse))
+        EffectSet::from_effects(
+            text.split(',')
+                .map(str::trim)
+                .filter(|item| !item.is_empty() && *item != "pure")
+                .map(|item| {
+                    Effect::parse(item).unwrap_or_else(|| {
+                        panic!("unreadable effect {item:?} in effect list {text:?}")
+                    })
+                }),
+        )
     }
 
     /// One read effect.
@@ -675,6 +689,26 @@ mod tests {
         assert!(!Effect::write(r("A")).included_in(&Effect::read(r("A"))));
         assert!(Effect::write(r("A:B")).included_in(&Effect::write(r("A:*"))));
         assert!(!Effect::write(r("A:*")).included_in(&Effect::write(r("A:B"))));
+    }
+
+    #[test]
+    #[should_panic(expected = "unreadable effect \"wrties Clusters:[3]\" in effect list")]
+    fn parse_rejects_a_misspelt_item() {
+        EffectSet::parse("reads Root, wrties Clusters:[3]");
+    }
+
+    #[test]
+    #[should_panic(expected = "unreadable effect \"write A\"")]
+    fn parse_rejects_a_lone_unreadable_item() {
+        EffectSet::parse("write A");
+    }
+
+    #[test]
+    fn parse_reads_blank_items_and_pure_as_nothing() {
+        assert!(EffectSet::parse("").is_empty());
+        assert!(EffectSet::parse("pure").is_empty());
+        assert_eq!(EffectSet::parse("reads A, "), EffectSet::parse("reads A"));
+        assert_eq!(EffectSet::parse("reads A, ").len(), 1);
     }
 
     #[test]

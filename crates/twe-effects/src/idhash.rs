@@ -4,19 +4,12 @@
 //! protects when the keys are a couple of `u32` interned ids (the PR-2
 //! wildcard relation rows sat below 1× for exactly this reason). This
 //! Fibonacci-style mix is plenty for keys whose quality requirement is only
-//! bucket spread, and is shared by the RPL relation caches, the full-path
-//! table ([`crate::rpl`]) and the arena's child-index shards
-//! ([`crate::arena`]).
+//! bucket spread, and is shared by the full-path table ([`crate::rpl`]) and
+//! the arena's child index ([`crate::arena`]).
 //!
 //! Not a general-purpose hasher: no DoS resistance, and `write` (raw bytes)
 //! is a plain FNV-style fold kept only for completeness. Do not use it for
 //! attacker-controlled or variable-length keys.
-//!
-//! The module is `#[doc(hidden)] pub` — not a supported API — solely so the
-//! intern microbench's single-lock baseline replica (`twe-bench`) can key
-//! its child map with the *identical* hasher the real arena's shards use,
-//! keeping the sharded-vs-single-lock comparison a pure locking-discipline
-//! measurement with no copy to drift.
 
 use std::collections::HashMap;
 

@@ -32,31 +32,26 @@
 //! [`arena::RplId`] carrying its parent pointer and depth, and the (rare,
 //! short) wildcard suffix is interned separately. An [`Rpl`] is therefore an
 //! 8-byte `Copy` value whose equality and hash are O(1), whose hot
-//! concrete-vs-concrete disjointness test is a single id comparison, whose
-//! trailing-star (`P:*`) and trailing-any-index (`P:[?]`) relations are O(1)
-//! shape tests, and whose remaining wildcard relations are memoized per id
-//! pair. The element-wise procedure of §2.3.1 is retained verbatim in
-//! [`rpl::oracle`] as the fallback for those cases and as the
-//! differential-testing baseline.
+//! concrete-vs-concrete disjointness test is a single id comparison, and
+//! whose trailing-star (`P:*`) and trailing-any-index (`P:[?]`) relations are
+//! O(1) shape tests. The element-wise procedure of §2.3.1 is retained verbatim in
+//! [`rpl::oracle`] as the fallback for the remaining wildcard shapes (a
+//! wildcard before the last element) and as the differential-testing
+//! baseline.
 //!
 //! Arena entries live in an append-only **chunked store** with wait-free
 //! reads: every read-side query (`depth`/`id_path`/element resolution/
 //! ancestor and `P:[?]` shape tests) is a pair of plain atomic loads with no
-//! lock of any kind. The write side is **sharded**: the child index is
-//! split into lock shards keyed by parent id, so a cold-start burst of
-//! first-interns (a fresh `Data:[i]:[j]` partition, one parent per thread)
-//! scales with cores instead of serializing on one write lock, and a
-//! repeat intern takes only its shard's read lock. The **publication
-//! invariant** — an entry is fully initialized before its id is handed
-//! out — is what makes the lock-free reads safe even while first-interns
-//! race; see the [`arena`] module docs for it, for the
+//! lock of any kind. The write side is one child-index lock: a first
+//! intern takes its write lock, a repeat intern its read lock. The
+//! **publication invariant** — an entry is fully initialized before its id
+//! is handed out — is what makes the lock-free reads safe even while
+//! first-interns race; see the [`arena`] module docs for it, for the
 //! one-winner-per-`(parent, element)` race resolution, and for the
-//! id-ordering and parent/depth invariants. Wildcard relation results are
-//! memoized in sharded fixed-capacity id-pair tables with wait-free
-//! lookups (see [`rpl`]). The arena also reserves the root-level
-//! region `__DynRegion` ([`arena::dyn_region_root`]) for the dynamic
-//! reference regions of chapter 7, so dynamic claims share the same id
-//! space and fast paths as static effects.
+//! id-ordering and parent/depth invariants. The arena also reserves the
+//! root-level region `__DynRegion` ([`arena::dyn_region_root`]) for the
+//! dynamic reference regions of chapter 7, so dynamic claims share the same
+//! id space and fast paths as static effects.
 //!
 //! # Effect-set summaries
 //!
@@ -86,8 +81,7 @@
 pub mod arena;
 pub mod compound;
 pub mod effect;
-#[doc(hidden)]
-pub mod idhash;
+mod idhash;
 pub mod intern;
 mod leak;
 pub mod reclaim;

@@ -20,6 +20,22 @@ fn arb_elements() -> impl Strategy<Value = Vec<RplElement>> {
     proptest::collection::vec(arb_element(), 0..8)
 }
 
+/// Element lists with a wildcard *before* the last element, so the RPL never
+/// takes an O(1) shape fast path and every relation on it reaches the
+/// element-wise fallback.
+fn arb_interior_wildcard_elements() -> impl Strategy<Value = Vec<RplElement>> {
+    (
+        proptest::collection::vec(arb_element(), 0..4),
+        prop_oneof![Just(RplElement::Star), Just(RplElement::AnyIndex)],
+        proptest::collection::vec(arb_element(), 1..4),
+    )
+        .prop_map(|(mut head, wildcard, tail)| {
+            head.push(wildcard);
+            head.extend(tail);
+            head
+        })
+}
+
 fn arb_concrete_elements() -> impl Strategy<Value = Vec<RplElement>> {
     proptest::collection::vec(
         prop_oneof![
@@ -32,31 +48,38 @@ fn arb_concrete_elements() -> impl Strategy<Value = Vec<RplElement>> {
 
 proptest! {
     /// Id-based disjointness agrees with the element-wise oracle on
-    /// arbitrary pairs, wildcard suffixes included.
+    /// arbitrary pairs, wildcard suffixes included; `w` reaches the
+    /// element-wise fallback on every case.
     #[test]
-    fn disjoint_matches_oracle(a in arb_elements(), b in arb_elements()) {
-        let (ra, rb) = (Rpl::new(a.clone()), Rpl::new(b.clone()));
-        prop_assert_eq!(
-            ra.disjoint(&rb),
-            !oracle::overlaps(&a, &b),
-            "disjoint mismatch for {:?} vs {:?}", ra, rb
-        );
-        // And through the cache: a second query must answer the same.
-        prop_assert_eq!(ra.disjoint(&rb), !oracle::overlaps(&a, &b));
+    fn disjoint_matches_oracle(
+        a in arb_elements(), b in arb_elements(), w in arb_interior_wildcard_elements()
+    ) {
+        for (x, y) in [(&a, &b), (&w, &b), (&b, &w)] {
+            let (rx, ry) = (Rpl::new(x.clone()), Rpl::new(y.clone()));
+            prop_assert_eq!(
+                rx.disjoint(&ry),
+                !oracle::overlaps(x, y),
+                "disjoint mismatch for {:?} vs {:?}", rx, ry
+            );
+        }
     }
 
     /// Id-based inclusion agrees with the element-wise oracle in both
-    /// directions.
+    /// directions; `w` reaches the element-wise fallback on every case.
     #[test]
-    fn includes_matches_oracle(a in arb_elements(), b in arb_elements()) {
-        let (ra, rb) = (Rpl::new(a.clone()), Rpl::new(b.clone()));
-        prop_assert_eq!(
-            ra.includes(&rb),
-            oracle::includes(&a, &b),
-            "includes mismatch for {:?} ⊇ {:?}", ra, rb
-        );
-        prop_assert_eq!(rb.includes(&ra), oracle::includes(&b, &a));
-        prop_assert_eq!(ra.included_in(&rb), oracle::includes(&b, &a));
+    fn includes_matches_oracle(
+        a in arb_elements(), b in arb_elements(), w in arb_interior_wildcard_elements()
+    ) {
+        for (x, y) in [(&a, &b), (&w, &b)] {
+            let (rx, ry) = (Rpl::new(x.clone()), Rpl::new(y.clone()));
+            prop_assert_eq!(
+                rx.includes(&ry),
+                oracle::includes(x, y),
+                "includes mismatch for {:?} ⊇ {:?}", rx, ry
+            );
+            prop_assert_eq!(ry.includes(&rx), oracle::includes(y, x));
+            prop_assert_eq!(rx.included_in(&ry), oracle::includes(y, x));
+        }
     }
 
     /// The concrete-concrete fast path (id inequality) agrees with the
@@ -180,6 +203,14 @@ proptest! {
         prop_assert_eq!(sb.included_in(&sa), pairwise_included_in(&b, &a));
     }
 
+    /// `Display` and `parse` round-trip every set, the empty one (`pure`)
+    /// included.
+    #[test]
+    fn set_parse_display_roundtrip(a in arb_effect_vec()) {
+        let set = build_set(&a);
+        prop_assert_eq!(EffectSet::parse(&set.to_string()), set);
+    }
+
     /// Union is deduplicating but semantically a union: it interferes with
     /// exactly what either operand interferes with, and covers both.
     #[test]
@@ -199,17 +230,16 @@ proptest! {
     }
 }
 
-/// Cross-shard canonical-interning differential proptest: every thread
-/// interning the same randomized element paths — whose wildcard-free
-/// prefixes spread over many parents and hence many child-index shards —
-/// must observe identical ids for identical paths (one winner per
-/// `(parent, element)` race, shard boundaries notwithstanding), and the ids
-/// must resolve to the interned elements.
+/// Canonical-interning differential proptest: every thread interning the
+/// same randomized element paths — whose wildcard-free prefixes spread over
+/// many parents — must observe identical ids for identical paths (one winner
+/// per `(parent, element)` race), and the ids must resolve to the interned
+/// elements.
 #[test]
-fn concurrent_interning_across_shards_is_canonical() {
+fn concurrent_interning_across_parents_is_canonical() {
     use proptest::test_runner::TestRng;
 
-    let mut rng = TestRng::deterministic("concurrent_interning_across_shards_is_canonical");
+    let mut rng = TestRng::deterministic("concurrent_interning_across_parents_is_canonical");
     // A modest number of cases: each case spawns a fresh thread pack.
     for case in 0..16 {
         let paths: Vec<Vec<RplElement>> = (0..48)
@@ -217,7 +247,7 @@ fn concurrent_interning_across_shards_is_canonical() {
             .map(|mut els| {
                 // A distinct top-level region per case keeps every case a
                 // cold start (all first-interns), like a fresh partition.
-                els.insert(0, RplElement::name(&format!("XShardCase{case}")));
+                els.insert(0, RplElement::name(&format!("XParentCase{case}")));
                 els
             })
             .collect();
@@ -280,11 +310,10 @@ fn wait_free_reads_race_first_interns() {
     let stop = Arc::new(AtomicBool::new(false));
 
     // Writers: keep forcing first-interns of brand-new paths (fresh index
-    // tails under per-writer parents, i.e. across distinct child-index
-    // shards), growing the store across bucket boundaries while readers
-    // run. Each round also re-interns an already-published seed path — the
-    // shard read-lock repeat path — which must keep returning the seed's
-    // canonical id while its shard's write lock churns.
+    // tails under per-writer parents), growing the store across bucket
+    // boundaries while readers run. Each round also re-interns an
+    // already-published seed path — the read-lock repeat path — which must
+    // keep returning the seed's canonical id while the write lock churns.
     let writers: Vec<_> = (0..4)
         .map(|t| {
             let stop = stop.clone();

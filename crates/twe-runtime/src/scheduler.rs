@@ -136,9 +136,9 @@ pub trait Scheduler: Send + Sync {
 /// spawned children's effects conflict with `new`.
 ///
 /// The disjointness test runs over interned RPL ids ([`twe_effects::Rpl`]):
-/// for two fully-specified RPLs it is one integer comparison, and wildcard
-/// pairs are memoized, so this function is cheap enough to sit on the
-/// per-task hot path of both schedulers.
+/// for two fully-specified RPLs it is one integer comparison, and a
+/// trailing `*` / `[?]` is an O(1) shape test, so this function is cheap
+/// enough to sit on the per-task hot path of both schedulers.
 pub fn effects_conflict(
     existing_task: &Arc<TaskRecord>,
     existing: &Effect,

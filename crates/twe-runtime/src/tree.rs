@@ -31,7 +31,8 @@
 //! skip whole subtrees without locking them:
 //!
 //! * a **read** effect skips any child whose `write_bloom` is empty (no
-//!   write record anywhere below — reads never conflict with reads);
+//!   write record anywhere below — reads never conflict with reads), a
+//!   **write** effect any child whose `bloom` is empty (no record below);
 //! * a **`P:[?]`** effect skips an index child whose filter lacks the
 //!   child's own prefix bit: `P:[?]` denotes only the depth-`|P|+1` regions
 //!   `P:[n]`, so it can conflict only with records settled *at* the index
@@ -53,15 +54,13 @@
 //! There is no single root node (and no root lock). The root plane is:
 //!
 //! * a **lock-free routing table** mapping each first-level child id to its
-//!   `RootShard` — fixed bucket array of CAS-appended chains, same
-//!   multiply-rotate bucket hash and one-winner publication discipline as
-//!   the interning arena's sharded child index. Routes are never removed
+//!   `RootShard` — fixed bucket array of CAS-appended chains with
+//!   one-winner publication (`RootPlane::route`). Routes are never removed
 //!   (the table is bounded by the number of *distinct* first-level names
 //!   ever used; recycled `__DynRegion` ids reuse one route), so lookups are
 //!   plain pointer chases with no reclamation problem;
 //! * one **slot lock per shard** (`RootShard::slot`), guarding the shard's
-//!   `ChildEntry` — subtree Bloom, write Bloom, `live_below` — and
-//!   playing the old root lock's role for exactly that first-level subtree:
+//!   `ChildEntry` — subtree Bloom and write Bloom — and playing the old root lock's role for exactly that first-level subtree:
 //!   bits are published and the child node locked *before* the slot is
 //!   released, so the monotone-superset reading of the entry is preserved
 //!   per shard;
@@ -202,21 +201,6 @@ struct ChildEntry {
     bloom: u64,
     /// The same filter restricted to write records.
     write_bloom: u64,
-    /// Stale **upper bound** on the records below whose task is alive and
-    /// not done — the records that can still conflict, need enabling, or
-    /// need moving up. Maintained with the same discipline as the Blooms:
-    /// incremented under the parent lock whenever a record enters the
-    /// subtree ([`ChildEntry::absorb`] / group publication), never
-    /// decremented in place, rewritten fresh by a full walk
-    /// ([`NodeInner::fresh_summary`]). Zero is therefore definitive while
-    /// the parent lock is held: nothing below is live, so trailing-star
-    /// *write* walks — which have no Bloom skip of their own, a write
-    /// overlaps everything under its wildcard — may skip the subtree.
-    /// (This subsumes an "enabled writers below" count: a write walk must
-    /// also visit live *waiting* records to move them up, and live
-    /// *readers* to conflict with, so live-records-below is the weakest
-    /// count that is still a sound skip.)
-    live_below: u32,
 }
 
 impl ChildEntry {
@@ -225,7 +209,6 @@ impl ChildEntry {
             node: new_node(depth),
             bloom: 0,
             write_bloom: 0,
-            live_below: 0,
         }
     }
 
@@ -239,7 +222,6 @@ impl ChildEntry {
         if e.write {
             self.write_bloom |= bit;
         }
-        self.live_below = self.live_below.saturating_add(1);
     }
 }
 
@@ -421,30 +403,24 @@ impl NodeInner {
     }
 
     /// The node's true subtree summary as far as this node can know it:
-    /// exact Bloom bits and an exact liveness count for its own records, the
-    /// (superset) child entries for everything deeper. Used to rewrite this
-    /// node's entry in its parent after a full walk. Returns
-    /// `(bloom, write_bloom, live_below)`.
-    fn fresh_summary(&self) -> (u64, u64, u32) {
+    /// exact Bloom bits for its own records, the (superset) child entries for
+    /// everything deeper. Used to rewrite this node's entry in its parent
+    /// after a full walk. Returns `(bloom, write_bloom)`.
+    fn fresh_summary(&self) -> (u64, u64) {
         let mut bloom = 0u64;
         let mut write_bloom = 0u64;
-        let mut live = 0u32;
         for e in self.live_records() {
             let bit = record_bit(e);
             bloom |= bit;
             if e.write {
                 write_bloom |= bit;
             }
-            if e.task.upgrade().is_some_and(|t| !t.is_done()) {
-                live = live.saturating_add(1);
-            }
         }
         for entry in self.children.values() {
             bloom |= entry.bloom;
             write_bloom |= entry.write_bloom;
-            live = live.saturating_add(entry.live_below);
         }
-        (bloom, write_bloom, live)
+        (bloom, write_bloom)
     }
 }
 
@@ -499,8 +475,8 @@ fn push_waiter(on: &EffectRecord, waiter: &Arc<EffectRecord>) {
 const ROUTE_BUCKETS: usize = 64;
 
 /// One first-level lock domain of the sharded root plane: the slot mutex
-/// guards the shard's [`ChildEntry`] (subtree Bloom + write Bloom +
-/// `live_below` + the first-level node handle) with exactly the discipline
+/// guards the shard's [`ChildEntry`] (subtree Bloom + write Bloom + the
+/// first-level node handle) with exactly the discipline
 /// the old root lock gave every first-level child — bits are published and
 /// the child node locked before the slot is released, so a later slot
 /// holder always reads a superset of the subtree's records.
@@ -573,8 +549,8 @@ impl RootPlane {
         }
     }
 
-    /// The bucket for `key`: same multiply-rotate bucket hash as the
-    /// arena's sharded child index (top bits of a Fibonacci product).
+    /// The bucket for `key`: the top bits of a Fibonacci product, so
+    /// sequential first-level ids spread across buckets.
     fn bucket(&self, key: RplId) -> &AtomicPtr<RouteEntry> {
         &self.buckets[(key.index().wrapping_mul(0x9E37_79B9) >> 26) as usize % ROUTE_BUCKETS]
     }
@@ -989,16 +965,11 @@ impl TreeScheduler {
                 // cannot conflict with anything down there.
                 continue;
             }
-            if e.write && entry.live_below == 0 {
-                // No live record anywhere in the subtree: nothing below can
-                // conflict (`conflicts` ignores dead and done tasks),
-                // nothing needs enabling, and nothing needs moving up, so a
-                // trailing-star *write* walk — for which the Blooms never
-                // help, a write overlaps everything under its wildcard — may
-                // skip the subtree wholesale. Sound because `live_below` is
-                // a superset count under the parent lock, exactly like the
-                // Blooms. Restricted to write walks so read walks keep
-                // today's sweep behavior over write-bearing subtrees.
+            if e.write && entry.bloom == 0 {
+                // No linked record anywhere in the subtree, so nothing for a
+                // write walk to conflict with, move up or sweep. (A subtree
+                // holding only done or dropped records still has bits set:
+                // the walk visits it and sweeps them.)
                 continue;
             }
             if any_index_only && entry.bloom & twe_effects::bloom_bit(key) == 0 {
@@ -1025,11 +996,10 @@ impl TreeScheduler {
                 // the node's freshest knowledge (exact bits for its own
                 // records, superset entries for everything deeper). This is
                 // where the sweep/prune walks shrink the Blooms back down.
-                let (bloom, write_bloom, live_below) = cg.fresh_summary();
+                let (bloom, write_bloom) = cg.fresh_summary();
                 if let Some(entry) = parent_guard.children.get_mut(&key) {
                     entry.bloom = bloom;
                     entry.write_bloom = write_bloom;
-                    entry.live_below = live_below;
                 }
             }
             let prune = cg.is_vacant();
@@ -1135,7 +1105,7 @@ impl TreeScheduler {
             if !e.write && slot.write_bloom == 0 {
                 continue;
             }
-            if e.write && slot.live_below == 0 {
+            if e.write && slot.bloom == 0 {
                 continue;
             }
             if any_index_only && slot.bloom & twe_effects::bloom_bit(route.key) == 0 {
@@ -1145,10 +1115,9 @@ impl TreeScheduler {
             let mut cg = child.lock_arc();
             let blocker = self.check_child(&mut cg, e, &rr, rr_guard, any_index_only, prio, swept);
             if blocker.is_none() {
-                let (bloom, write_bloom, live_below) = cg.fresh_summary();
+                let (bloom, write_bloom) = cg.fresh_summary();
                 slot.bloom = bloom;
                 slot.write_bloom = write_bloom;
-                slot.live_below = live_below;
             }
             drop(cg);
             drop(slot);
@@ -1269,7 +1238,6 @@ impl TreeScheduler {
             if let Some(entry) = guard.children.get_mut(&group.key) {
                 entry.bloom |= group.bloom;
                 entry.write_bloom |= group.write_bloom;
-                entry.live_below = entry.live_below.saturating_add(group.records.len() as u32);
             }
         }
         // Hand-over-hand: lock every needed child, release this node, then
@@ -1563,7 +1531,6 @@ impl TreeScheduler {
                     slot.write_bloom |= bit;
                 }
             }
-            slot.live_below = slot.live_below.saturating_add(records.len() as u32);
         }
         let route = self.plane.route(key);
         let mut slot = route.shard.slot.lock();
@@ -1671,11 +1638,10 @@ impl TreeScheduler {
                     // Keep unwinding: removing this node may have emptied
                     // the parent too.
                 }
-                Some((bloom, write_bloom, live_below)) => {
+                Some((bloom, write_bloom)) => {
                     if let Some(entry) = parent.children.get_mut(&key) {
                         entry.bloom = bloom;
                         entry.write_bloom = write_bloom;
-                        entry.live_below = live_below;
                     }
                     reached_first = false;
                     break;
@@ -1688,11 +1654,10 @@ impl TreeScheduler {
             let mut guard = guards.pop().unwrap();
             guard.sweep_dead(&mut swept);
             // A vacant node's fresh summary is all zeroes.
-            let (bloom, write_bloom, live_below) = guard.fresh_summary();
+            let (bloom, write_bloom) = guard.fresh_summary();
             drop(guard);
             slot.bloom = bloom;
             slot.write_bloom = write_bloom;
-            slot.live_below = live_below;
         }
         drop(guards);
         drop(slot);
@@ -2673,7 +2638,7 @@ mod tests {
     #[test]
     fn write_walk_skip_is_sound_with_waiting_records() {
         // A subtree holding only a *waiting* record must not be skipped by
-        // the live-below write skip: the trailing-star walk has to find t2
+        // the empty-Bloom write skip: the trailing-star walk has to find t2
         // and park behind the subtree's conflict chain.
         let h = harness();
         let t1 = task(1, "writes X:[1]");
@@ -2698,26 +2663,29 @@ mod tests {
     }
 
     #[test]
-    fn live_below_counts_follow_absorb_and_rebuild() {
+    fn write_walk_skips_empty_bloom_children_and_sweeps_dead_ones() {
         let h = harness();
-        let x = twe_effects::Rpl::parse("X:[1]").prefix_id_path()[1];
+        let dead = twe_effects::Rpl::parse("X:[1]").prefix_id();
+        let empty = twe_effects::Rpl::parse("X:[7]").prefix_id();
+        // X:[1] ends up holding only a dropped task's record: its Bloom
+        // bits stay set.
         let t1 = task(1, "writes X:[1]");
         h.sched.submit(t1.clone());
-        {
-            let route = h.sched.plane.find(x).expect("X shard exists");
-            let entry = route.shard.slot.lock();
-            assert_eq!(entry.live_below, 1, "publication counted t1's record");
-        }
-        // t2's trailing-star walk visits the X subtree (live_below == 1, no
-        // skip), finds no conflict deeper than X:[1]'s record... t2 parks
-        // behind t1, and the walk's rebuild rewrites the entry.
+        drop(t1);
+        // X:[7] is a child with an empty subtree Bloom. No admission leaves
+        // one behind below the first level (an emptied node is pruned), so
+        // it is linked by hand.
+        let x = first_level_node(&h.sched, "X");
+        x.lock().children.insert(empty, ChildEntry::new(2));
         let t2 = task(2, "writes X:*");
         h.sched.submit(t2.clone());
-        assert_eq!(t2.status(), TaskStatus::Waiting);
-        h.finish(&t1);
         assert_eq!(t2.status(), TaskStatus::Enabled);
-        h.finish(&t2);
-        assert_eq!(h.sched.tree_nodes(), 1, "everything pruned after t2");
+        assert_eq!(h.sched.recorded_effects(), 1, "t1's dead record was swept");
+        // A visited child that turns out vacant is unlinked; a skipped one
+        // is never locked, so it is still there.
+        let children = &x.lock().children;
+        assert!(!children.contains_key(&dead), "X:[1] visited and pruned");
+        assert!(children.contains_key(&empty), "X:[7] skipped");
     }
 
     fn root_live(sched: &TreeScheduler) -> usize {

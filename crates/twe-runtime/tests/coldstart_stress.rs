@@ -1,8 +1,8 @@
-//! Cold-start stress: the tree scheduler's node-creation path inherits the
-//! arena's *sharded* intern write side, so a burst of first-interns (fresh
+//! Cold-start stress: the tree scheduler's node-creation path sits behind
+//! the arena's intern write side, so a burst of first-interns (fresh
 //! `Cold:[i]:[j]` partitions submitted from several threads at once) races
-//! both the arena's shard locks and the scheduler's conflict walks. These
-//! tests drive that combination end to end:
+//! both the arena's child-index lock and the scheduler's conflict walks.
+//! These tests drive that combination end to end:
 //!
 //! * multi-threaded submitters cold-start fresh partitions (every effect
 //!   RPL is a first-intern on the submitting thread) while wildcard
@@ -28,7 +28,7 @@ use twe_runtime::{Runtime, SchedulerKind};
 /// one shared runtime while a sweeper repeatedly claims the whole parent
 /// region: every task must run exactly once and the counters must add up.
 /// The effect sets are parsed (and their RPLs first-interned) on the
-/// submitting threads, so admission races genuine cross-shard interning.
+/// submitting threads, so admission races genuine concurrent interning.
 #[test]
 fn cold_start_interning_races_conflict_walks() {
     const SUBMITTERS: usize = 4;
@@ -246,7 +246,7 @@ fn sweep_and_prune_reclaim_freshly_interned_subtrees() {
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
 
     // Background interner: keeps creating brand-new sibling regions (fresh
-    // shard traffic) while the main thread churns and prunes.
+    // first-intern traffic) while the main thread churns and prunes.
     let interner = {
         let stop = stop.clone();
         std::thread::spawn(move || {
