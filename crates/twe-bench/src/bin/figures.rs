@@ -21,10 +21,7 @@
 //!
 //! `--fig submit` runs only the batched-admission microbenchmark: per-task
 //! `Scheduler::submit` vs one-round `submit_batch` on disjoint fan-out waves
-//! of 64 / 512 / 4096 tasks, on both schedulers, plus the root-plane sharding
-//! rows (tenant-disjoint per-task submit traffic from 1/2/4/8 concurrent
-//! submitting threads, sharded root plane vs the single-root baseline;
-//! quick mode keeps one 4-thread correctness row); `--submit-json` writes
+//! of 64 / 512 / 4096 tasks, on both schedulers; `--submit-json` writes
 //! the rows as `BENCH_submit.json` (also a CI smoke-job artifact).
 //!
 //! `--fig reclaim` runs only the dynamic-region churn microbenchmark:

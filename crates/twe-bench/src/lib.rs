@@ -712,21 +712,6 @@ pub struct SubmitRow {
     pub batched_ops_per_sec: f64,
     /// `batched_ops_per_sec / per_task_ops_per_sec`.
     pub speedup: f64,
-    /// Concurrent submitting threads for the tenant-disjoint root-plane
-    /// rows: `0` for every single-submitter row, `≥ 1` for the multi-threaded
-    /// sweep where that many threads `submit` tenant-disjoint waves
-    /// concurrently. On these
-    /// rows the two throughput columns are repurposed:
-    /// `per_task_ops_per_sec` is the **single-root baseline**
-    /// ([`twe_runtime::tree::TreeScheduler::new_single_root`], every
-    /// admission through one root lock) and `batched_ops_per_sec` is the
-    /// **sharded root plane** under the same load.
-    pub submit_threads: usize,
-    /// Sharded-root throughput over single-root throughput at this row's
-    /// `submit_threads` (equals `speedup` there); `1.0` on every
-    /// single-submitter row. The CI bar (`≥ 1.5` at 4 submitting threads)
-    /// applies on scheduled runs with `host_cpus >= 4`.
-    pub root_sharded_vs_single: f64,
     /// `std::thread::available_parallelism()` of the measuring host.
     pub host_cpus: usize,
 }
@@ -738,17 +723,6 @@ pub const SUBMIT_FANOUTS: [usize; 3] = [64, 512, 4096];
 /// The RPL depths the submit bench sweeps: a flat partition (`Data:[i]`,
 /// depth 2) and two nested hierarchies sharing 3 / 5 prefix elements.
 pub const SUBMIT_DEPTHS: [usize; 3] = [2, 4, 6];
-
-/// Concurrent submitting-thread counts the tenant-disjoint root-plane rows
-/// sweep (sharded root plane vs the single-root baseline).
-pub const SUBMIT_THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// Per-wave width of each submitting thread in the tenant-disjoint sweep.
-pub const TENANT_FANOUT: usize = 256;
-
-/// RPL depth of the tenant-disjoint sweep's effects
-/// (`N{t}:F2:[i]` — tenant anchor, one shared level, trailing index).
-pub const TENANT_DEPTH: usize = 3;
 
 /// The disjoint effect `F1:…:F{depth−1}:[i]` used by the submit waves: a
 /// shared `depth − 1`-element prefix with a distinct trailing index, the
@@ -828,110 +802,11 @@ fn submit_throughput(
     admitted as f64 / elapsed.max(1e-12)
 }
 
-/// Measures total `submit`/`task_done` throughput (tasks/second summed over
-/// all submitting threads) of the tree scheduler under tenant-disjoint
-/// traffic: `threads` submitter threads, each owning its own first-level
-/// anchor (`N{t}:…`), repeatedly admit and drain [`TENANT_FANOUT`]-wide
-/// pairwise-disjoint waves per-task for `min_seconds` of wall time.
-/// `single_root` selects the faithful single-lock-domain baseline
-/// ([`TreeScheduler::new_single_root`]) instead of the sharded root plane.
-/// Unlike the single-submitter benches this times the whole admit+drain
-/// loop under contention — the quantity root-plane sharding is meant to
-/// scale. Every admitted task must come out enabled (the waves are
-/// disjoint), asserted at the end.
-fn multithread_submit_throughput(threads: usize, single_root: bool, min_seconds: f64) -> f64 {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    let enabled = Arc::new(AtomicU64::new(0));
-    let sched = {
-        let enabled = enabled.clone();
-        let enable: Box<dyn Fn(Arc<TaskRecord>) + Send + Sync> = Box::new(move |_t| {
-            enabled.fetch_add(1, Ordering::Relaxed);
-        });
-        Arc::new(if single_root {
-            TreeScheduler::new_single_root(enable)
-        } else {
-            TreeScheduler::new(enable)
-        })
-    };
-    // Per-thread tenant-disjoint effects, parsed (and interned) up front.
-    let all_effects: Vec<Vec<EffectSet>> = (0..threads)
-        .map(|t| {
-            (0..TENANT_FANOUT)
-                .map(|i| {
-                    let mut path = vec![format!("N{t}")];
-                    path.extend((2..TENANT_DEPTH).map(|level| format!("F{level}")));
-                    path.push(format!("[{i}]"));
-                    EffectSet::parse(&format!("writes {}", path.join(":")))
-                })
-                .collect()
-        })
-        .collect();
-    let stop = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(std::sync::Barrier::new(threads + 1));
-    let total = Arc::new(AtomicU64::new(0));
-    let mut started = None;
-    std::thread::scope(|scope| {
-        for (t, effects) in all_effects.iter().enumerate() {
-            let sched = sched.clone();
-            let stop = stop.clone();
-            let barrier = barrier.clone();
-            let total = total.clone();
-            scope.spawn(move || {
-                // Globally-unique task ids per thread (`conflicts` treats
-                // equal ids as one task).
-                let mut next_id = ((t as u64) << 40) | 1;
-                // One untimed warm-up wave grows this tenant's subtree (and
-                // publishes its route) to the steady shape.
-                let warm = submit_wave(effects, next_id);
-                next_id += TENANT_FANOUT as u64;
-                for task in &warm {
-                    sched.submit(task.clone());
-                }
-                for task in &warm {
-                    task.mark_done();
-                    sched.task_done(task);
-                }
-                let mut admitted = 0u64;
-                barrier.wait();
-                while !stop.load(Ordering::Relaxed) {
-                    let wave = submit_wave(effects, next_id);
-                    next_id += TENANT_FANOUT as u64;
-                    for task in &wave {
-                        sched.submit(task.clone());
-                    }
-                    for task in &wave {
-                        task.mark_done();
-                        sched.task_done(task);
-                    }
-                    admitted += TENANT_FANOUT as u64;
-                }
-                total.fetch_add(admitted, Ordering::Relaxed);
-            });
-        }
-        barrier.wait();
-        started = Some(Instant::now());
-        std::thread::sleep(std::time::Duration::from_secs_f64(min_seconds));
-        stop.store(true, Ordering::Relaxed);
-    });
-    // Elapsed is read after every worker joined, so the final partial waves
-    // are inside the measured window and the count matches the clock.
-    let elapsed = started.expect("barrier passed").elapsed().as_secs_f64();
-    let admitted = total.load(Ordering::Relaxed);
-    assert_eq!(
-        enabled.load(Ordering::Relaxed),
-        admitted + (threads * TENANT_FANOUT) as u64,
-        "tenant-disjoint waves must enable every admitted task \
-         (single_root={single_root}, threads={threads})"
-    );
-    admitted as f64 / elapsed.max(1e-12)
-}
-
 /// Measures per-task vs batched admission throughput on both schedulers
 /// across [`SUBMIT_FANOUTS`] (execution excluded: the enable callback is a
 /// no-op and tasks are drained untimed between waves). Every admitted task
 /// must come out `Enabled` — the waves are disjoint — which doubles as a
-/// correctness check on the batch path. A second sweep measures the sharded
-/// root plane against the single-root baseline under concurrent submitters.
+/// correctness check on the batch path.
 pub fn run_submit_bench(quick: bool) -> Vec<SubmitRow> {
     let min_seconds = if quick { 0.08 } else { 0.4 };
     let host_cpus = std::thread::available_parallelism()
@@ -969,70 +844,29 @@ pub fn run_submit_bench(quick: bool) -> Vec<SubmitRow> {
                     per_task_ops_per_sec: per_task,
                     batched_ops_per_sec: batched,
                     speedup: batched / per_task.max(1e-12),
-                    submit_threads: 0,
-                    root_sharded_vs_single: 1.0,
                     host_cpus,
                 });
             }
         }
     }
-
-    // Root-plane sharding sweep: tenant-disjoint per-task `submit` traffic
-    // from 1/2/4/8 concurrent submitting threads, sharded root plane vs
-    // the faithful single-root baseline. Quick mode keeps one 4-thread row
-    // as a correctness probe (both modes must still enable every task).
-    let submit_threads_sweep: &[usize] = if quick { &[4] } else { &SUBMIT_THREADS };
-    for &threads in submit_threads_sweep {
-        let single = multithread_submit_throughput(threads, true, min_seconds);
-        let sharded = multithread_submit_throughput(threads, false, min_seconds);
-        rows.push(SubmitRow {
-            scheduler: "tree".to_string(),
-            fanout: TENANT_FANOUT,
-            depth: TENANT_DEPTH,
-            per_task_ops_per_sec: single,
-            batched_ops_per_sec: sharded,
-            speedup: sharded / single.max(1e-12),
-            submit_threads: threads,
-            root_sharded_vs_single: sharded / single.max(1e-12),
-            host_cpus,
-        });
-    }
     rows
 }
 
-/// Pretty-prints the submit microbenchmark rows. The `subm` column is the
-/// concurrent submitting-thread count of the tenant-disjoint root-plane
-/// rows (`-` elsewhere) — on those rows
-/// the two throughput columns are single-root vs sharded-root and
-/// `vs-single` is their ratio.
+/// Pretty-prints the submit microbenchmark rows.
 pub fn print_submit_rows(rows: &[SubmitRow]) {
     println!(
-        "{:<10} {:<8} {:<6} {:<5} {:>18} {:>18} {:>9} {:>10}",
-        "scheduler",
-        "fanout",
-        "depth",
-        "subm",
-        "per-task ops/s",
-        "batched ops/s",
-        "speedup",
-        "vs-single"
+        "{:<10} {:<8} {:<6} {:>18} {:>18} {:>9}",
+        "scheduler", "fanout", "depth", "per-task ops/s", "batched ops/s", "speedup"
     );
     for r in rows {
-        let subm = if r.submit_threads == 0 {
-            "-".to_string()
-        } else {
-            r.submit_threads.to_string()
-        };
         println!(
-            "{:<10} {:<8} {:<6} {:<5} {:>18.0} {:>18.0} {:>8.2}x {:>9.2}x",
+            "{:<10} {:<8} {:<6} {:>18.0} {:>18.0} {:>8.2}x",
             r.scheduler,
             r.fanout,
             r.depth,
-            subm,
             r.per_task_ops_per_sec,
             r.batched_ops_per_sec,
-            r.speedup,
-            r.root_sharded_vs_single
+            r.speedup
         );
     }
 }

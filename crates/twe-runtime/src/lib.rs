@@ -986,10 +986,9 @@ impl Runtime {
     /// overhead, which dominates wide
     /// fan-out phases (one task per array partition, image block, or
     /// cluster): the tree scheduler inserts all the batch's effect records
-    /// in one admission round — records are grouped per first-level child,
-    /// each group claims its root-plane shard once, and a shared region
-    /// prefix is locked and conflict-checked once per batch instead of
-    /// once per task — and runs
+    /// in one admission round — records are grouped per child as the
+    /// descent forks, so a shared region prefix is locked and
+    /// conflict-checked once per batch instead of once per task — and runs
     /// one deferred recheck round; the naive scheduler takes its queue lock
     /// once and evaluates each member against only the queued tasks its
     /// interference index proves could conflict with it.

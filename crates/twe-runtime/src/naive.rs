@@ -47,8 +47,7 @@
 //! rejects.)
 //!
 //! [`NaiveScheduler::new_full_scan`] keeps the historical full-rescan
-//! discipline alive as a differential-testing and benchmarking baseline,
-//! mirroring the tree scheduler's `new_single_root`.
+//! discipline alive as a differential-testing and benchmarking baseline.
 
 use crate::scheduler::{tasks_conflict, Scheduler};
 use crate::task::{TaskRecord, TaskStatus};
@@ -315,8 +314,7 @@ impl NaiveScheduler {
     /// decisions are identical to [`NaiveScheduler::new`] — the
     /// `naive_indexed_equals_full_scan` differential proptest drains both
     /// in lockstep — but each event costs O(queue). Kept as the
-    /// differential-testing and benchmarking baseline, mirroring the tree
-    /// scheduler's `new_single_root`.
+    /// differential-testing and benchmarking baseline.
     pub fn new_full_scan(enable: EnableFn) -> Self {
         NaiveScheduler {
             inner: Mutex::new(QueueInner {

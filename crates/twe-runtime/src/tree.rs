@@ -49,50 +49,24 @@
 //! further, which makes the batch observably equivalent to sequential
 //! submission (see `insert`).
 //!
-//! # Root-plane sharding
+//! # The root
 //!
-//! There is no single root node (and no root lock). The root plane is:
-//!
-//! * a **lock-free routing table** mapping each first-level child id to its
-//!   `RootShard` — fixed bucket array of CAS-appended chains with
-//!   one-winner publication (`RootPlane::route`). Routes are never removed
-//!   (the table is bounded by the number of *distinct* first-level names
-//!   ever used; recycled `__DynRegion` ids reuse one route), so lookups are
-//!   plain pointer chases with no reclamation problem;
-//! * one **slot lock per shard** (`RootShard::slot`), guarding the shard's
-//!   `ChildEntry` — subtree Bloom and write Bloom — and playing the old root lock's role for exactly that first-level subtree:
-//!   bits are published and the child node locked *before* the slot is
-//!   released, so the monotone-superset reading of the entry is preserved
-//!   per shard;
-//! * a small **root-records domain** (`root_records`, a depth-0 node):
-//!   effects that genuinely settle at the root (`*`, `Root:[?]`,
-//!   `reads/writes Root`) live here, as do descending records stopped at
-//!   root level by a conflict. A gauge (`root_live`) counts its
-//!   **covering** records — the wildcard settlers and the parked ones. The
-//!   exact records (`reads Root`, `writes Root`) stay out of it: the region
-//!   `Root` is disjoint from every region a shard admits (see `NodeInner`).
-//!
-//! Tenant-disjoint traffic (`Tenant:[i]:…`) routes to its shard, checks
-//! `root_live == 0`, and admits entirely under that shard's locks — no
-//! shared lock with any other tenant, however many `reads Root` tasks are
-//! in flight. Only when the gauge is non-zero (a covering root record is
-//! present) does admission detour through the root-records domain first,
-//! which restores exactly the old total order: park behind enabled
-//! covering records, then descend. Cross-shard walks (a settler's
-//! `check_below`) hold the root-records lock throughout and visit shards in
-//! sorted interned-id order — the same deterministic first-conflict order
-//! as a single node's sorted child walk. The fast-path soundness argument
-//! (why a shard admission and a concurrent settler can never miss each
-//! other, resting on the slot-lock handoff plus SeqCst ordering between the
-//! gauge and the routing table) lives in ARCHITECTURE.md ("Root-plane
-//! sharding"). Lock order everywhere: root-records → slot (sorted order
-//! across shards) → nodes strictly downward.
+//! The root is an ordinary depth-0 node and every admission starts there.
+//! Effects that settle at it — `*`, `Root:[?]`, `reads/writes Root` — and
+//! descending records stopped by a conflict with one of them are its
+//! records; first-level nodes are its children, created on first admission
+//! and pruned when vacant like any other node. The exact records
+//! (`reads Root`, `writes Root`) are invisible to passers-by: the region
+//! `Root` is disjoint from every region below it, so a descending record
+//! is checked against the covering class alone (see `NodeInner`) and a
+//! `reads Root` fan-out, however wide, costs the admissions beneath it
+//! nothing. Lock order everywhere is strictly downward from the root.
 
 use crate::scheduler::Scheduler;
 use crate::task::{blocked_on, TaskRecord, TaskStatus};
 use parking_lot::{ArcMutexGuard, Mutex, RawMutex};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use twe_effects::{Effect, EffectKind, Rpl, RplId};
 
@@ -271,14 +245,6 @@ pub struct NodeInner {
     /// Arrival stamp of the newest record.
     stamp: u64,
     children: HashMap<RplId, ChildEntry>,
-    /// Atomic mirror of the **covering** class's live count, set only on the
-    /// root-records node of the sharded root plane (`RootPlane::root_live`):
-    /// every record entering or leaving the node funnels through
-    /// `push_record`/`unlink`, so the gauge is the single choke point shard
-    /// fast paths read without taking this node's lock. Nothing a shard
-    /// admits can overlap the region `Root`, so exact records stay out.
-    /// SeqCst on both sides — see `RootPlane` for the ordering argument.
-    live_gauge: Option<Arc<AtomicUsize>>,
 }
 
 #[cfg(test)]
@@ -300,9 +266,6 @@ impl NodeInner {
 
     fn push_record(&mut self, e: Arc<EffectRecord>) {
         let class = self.class_of(&e);
-        if let (COVERING, Some(gauge)) = (class, &self.live_gauge) {
-            gauge.fetch_add(1, Ordering::SeqCst);
-        }
         self.stamp += 1;
         let list = &mut self.records[class];
         if list.slots.len() >= 2 * list.live + 8 {
@@ -323,9 +286,6 @@ impl NodeInner {
     fn unlink(&mut self, class: usize, i: usize) -> Arc<EffectRecord> {
         #[cfg(test)]
         UNLINK_STEPS.with(|n| n.set(n.get() + 1));
-        if let (COVERING, Some(gauge)) = (class, &self.live_gauge) {
-            gauge.fetch_sub(1, Ordering::SeqCst);
-        }
         let list = &mut self.records[class];
         let (_, e) = list.slots[i].take().expect("unlink of a live slot");
         list.live -= 1;
@@ -469,186 +429,6 @@ fn push_waiter(on: &EffectRecord, waiter: &Arc<EffectRecord>) {
     }
 }
 
-/// Number of head pointers in the root routing table. Collisions only cost
-/// a short chain walk on route *lookup* (shard locks are per-entry, not
-/// per-bucket), so this does not need to scale with shard count.
-const ROUTE_BUCKETS: usize = 64;
-
-/// One first-level lock domain of the sharded root plane: the slot mutex
-/// guards the shard's [`ChildEntry`] (subtree Bloom + write Bloom + the
-/// first-level node handle) with exactly the discipline
-/// the old root lock gave every first-level child — bits are published and
-/// the child node locked before the slot is released, so a later slot
-/// holder always reads a superset of the subtree's records.
-struct RootShard {
-    slot: Mutex<ChildEntry>,
-}
-
-/// One published entry of the root routing table: an interned first-level
-/// id, its shard, and the chain link. Entries are heap-allocated, published
-/// by a single CAS winner, and never freed before the plane itself drops.
-struct RouteEntry {
-    key: RplId,
-    shard: RootShard,
-    next: AtomicPtr<RouteEntry>,
-}
-
-/// The sharded root plane replacing the old single root node (module docs,
-/// "Root-plane sharding").
-///
-/// # Why the fast path cannot miss a settler (and vice versa)
-///
-/// "Settler" below means a *covering* one (`*`, `Root:[?]`): an exact root
-/// record (`reads Root`, `writes Root`) neither bumps the gauge nor walks
-/// the shards, and needs neither — distinct wildcard-free RPLs are
-/// disjoint, so it and a shard admission have nothing to tell each other.
-///
-/// A shard admission holds its slot lock when it reads `root_live`; a
-/// settler bumps the gauge (by entering `root_records` — the gauge is
-/// maintained inside `push_record`/`unlink`) *before* it walks
-/// any shard, and holds the root-records lock for the whole walk. For a
-/// shard the settler's walk already visited, the admission's slot acquire
-/// synchronizes with the walk's slot release, making the earlier gauge
-/// bump visible — the admission detours through root-records and blocks
-/// behind the settler. For a shard the walk has not reached yet, the
-/// admission publishes its bits and locks the child before releasing the
-/// slot, so the walk finds the records. The one remaining race is a shard
-/// *created* concurrently with the walk's table snapshot: the gauge ops,
-/// the snapshot's bucket loads, and the route-publish CAS are all SeqCst,
-/// so in the single total order either the walk's snapshot sees the new
-/// route, or the new shard's gauge read sees the settler's bump — both
-/// sides reading stale is impossible.
-struct RootPlane {
-    /// Lock-free routing table: bucket heads of CAS-appended chains.
-    buckets: Vec<AtomicPtr<RouteEntry>>,
-    /// The depth-0 domain: root settlers and conflict-parked records.
-    root_records: NodeRef,
-    /// Gauge over `root_records`' covering records (see
-    /// `NodeInner::live_gauge`).
-    root_live: Arc<AtomicUsize>,
-    /// Force every shard admission through the root-records detour — one
-    /// lock domain total, the faithful single-root baseline the benches and
-    /// differential tests compare against.
-    single_lock: bool,
-}
-
-impl RootPlane {
-    fn new(single_lock: bool) -> Self {
-        let root_live = Arc::new(AtomicUsize::new(0));
-        let root_records = Arc::new(Mutex::new(NodeInner {
-            live_gauge: Some(Arc::clone(&root_live)),
-            ..NodeInner::default()
-        }));
-        RootPlane {
-            buckets: (0..ROUTE_BUCKETS)
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                .collect(),
-            root_records,
-            root_live,
-            single_lock,
-        }
-    }
-
-    /// The bucket for `key`: the top bits of a Fibonacci product, so
-    /// sequential first-level ids spread across buckets.
-    fn bucket(&self, key: RplId) -> &AtomicPtr<RouteEntry> {
-        &self.buckets[(key.index().wrapping_mul(0x9E37_79B9) >> 26) as usize % ROUTE_BUCKETS]
-    }
-
-    /// Wait-free route lookup. `None` only before the first admission under
-    /// `key` — callers that merely *observe* (prune, diagnostics) treat a
-    /// missing route as an empty subtree.
-    fn find(&self, key: RplId) -> Option<&RouteEntry> {
-        // SAFETY: entries are published with a fully-initialized box and
-        // never freed while `&self` is alive (only `Drop` reclaims them).
-        let mut p = self.bucket(key).load(Ordering::SeqCst);
-        while !p.is_null() {
-            let entry = unsafe { &*p };
-            if entry.key == key {
-                return Some(entry);
-            }
-            p = entry.next.load(Ordering::Relaxed);
-        }
-        None
-    }
-
-    /// Route lookup, creating the shard on first use. One-winner
-    /// publication: racing creators allocate, CAS the bucket head, and the
-    /// losers free their candidate and adopt the winner's entry.
-    fn route(&self, key: RplId) -> &RouteEntry {
-        if let Some(entry) = self.find(key) {
-            return entry;
-        }
-        let head = self.bucket(key);
-        let candidate = Box::into_raw(Box::new(RouteEntry {
-            key,
-            shard: RootShard {
-                slot: Mutex::new(ChildEntry::new(1)),
-            },
-            next: AtomicPtr::new(std::ptr::null_mut()),
-        }));
-        loop {
-            let old = head.load(Ordering::SeqCst);
-            // Re-walk the chain: a racing creator may have won since the
-            // last look (the chain only ever grows from the head, so the
-            // full current chain is reachable from `old`).
-            let mut p = old;
-            while !p.is_null() {
-                // SAFETY: as in `find`; `candidate` is still unpublished
-                // and exclusively ours to free.
-                let entry = unsafe { &*p };
-                if entry.key == key {
-                    drop(unsafe { Box::from_raw(candidate) });
-                    return entry;
-                }
-                p = entry.next.load(Ordering::Relaxed);
-            }
-            // SAFETY: `candidate` is unpublished, so the store is unshared.
-            unsafe { &*candidate }.next.store(old, Ordering::Relaxed);
-            if head
-                .compare_exchange(old, candidate, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                // SAFETY: now published; shared references only from here on.
-                return unsafe { &*candidate };
-            }
-        }
-    }
-
-    /// Every published route, sorted by interned id — the deterministic
-    /// cross-shard walk order (and the diagnostics' iteration order). The
-    /// bucket loads are SeqCst; see the type docs for why that closes the
-    /// new-shard race against the gauge.
-    fn snapshot_sorted(&self) -> Vec<&RouteEntry> {
-        let mut routes = Vec::new();
-        for bucket in &self.buckets {
-            let mut p = bucket.load(Ordering::SeqCst);
-            while !p.is_null() {
-                // SAFETY: as in `find`.
-                let entry = unsafe { &*p };
-                routes.push(entry);
-                p = entry.next.load(Ordering::Relaxed);
-            }
-        }
-        routes.sort_unstable_by_key(|entry| entry.key);
-        routes
-    }
-}
-
-impl Drop for RootPlane {
-    fn drop(&mut self) {
-        for bucket in &mut self.buckets {
-            let mut p = *bucket.get_mut();
-            while !p.is_null() {
-                // SAFETY: `&mut self` means no concurrent readers; each
-                // entry was allocated by `Box::into_raw` and is freed once.
-                let entry = unsafe { Box::from_raw(p) };
-                p = entry.next.load(Ordering::Relaxed);
-            }
-        }
-    }
-}
-
 /// One per-child group of descending records staged by `insert`: the
 /// records of one sub-wave whose next path component is `key`, plus the
 /// Bloom bits they contribute to the child's subtree filter.
@@ -662,8 +442,8 @@ struct Group {
 
 /// The tree-based scheduler.
 pub struct TreeScheduler {
-    /// The sharded root plane (module docs, "Root-plane sharding").
-    plane: RootPlane,
+    /// The depth-0 node (module docs, "The root").
+    root: NodeRef,
     /// Serialises whole-task rechecks (Figure 5.12): only one task at a time
     /// may have its effects rechecked, preventing two conflicting tasks from
     /// repeatedly disabling each other's effects without progress.
@@ -678,75 +458,36 @@ pub struct TreeScheduler {
 impl TreeScheduler {
     /// Creates a tree scheduler that enables tasks through `enable`.
     pub fn new(enable: EnableFn) -> Self {
-        Self::build(enable, false)
-    }
-
-    /// Creates a tree scheduler whose root plane is forced into a single
-    /// lock domain: every shard admission detours through the root-records
-    /// lock, faithfully replicating the pre-sharding one-root-mutex
-    /// behaviour. Baseline for the sharded-vs-single-root benches and the
-    /// differential tests; not meant for production use.
-    pub fn new_single_root(enable: EnableFn) -> Self {
-        Self::build(enable, true)
-    }
-
-    fn build(enable: EnableFn, single_lock: bool) -> Self {
         TreeScheduler {
-            plane: RootPlane::new(single_lock),
+            root: new_node(0),
             recheck_lock: Mutex::new(()),
             enable,
             queued: AtomicUsize::new(0),
         }
     }
 
-    /// Number of effects currently recorded in the tree (diagnostic).
-    ///
-    /// Sums shard by shard — root records, then each route's subtree —
-    /// holding only one shard's locks at a time, so the count never
-    /// reintroduces a global serialization point (it is a racy snapshot
-    /// under concurrent traffic, exact when the tree is quiescent).
-    pub fn recorded_effects(&self) -> usize {
-        fn count(node: &NodeRef) -> usize {
-            let guard = node.lock();
-            let children: Vec<NodeRef> = guard.children.values().map(|c| c.node.clone()).collect();
-            let here = guard.record_count();
-            drop(guard);
-            here + children.iter().map(count).sum::<usize>()
-        }
-        let mut total = self.plane.root_records.lock().record_count();
-        for route in self.plane.snapshot_sorted() {
-            let child = route.shard.slot.lock().node.clone();
-            total += count(&child);
-        }
-        total
+    /// Sums `f` over every node of the tree, one node lock at a time: a racy
+    /// snapshot under concurrent traffic, exact when the tree is quiescent.
+    fn sum_nodes(node: &NodeRef, f: &impl Fn(&NodeInner) -> usize) -> usize {
+        let guard = node.lock();
+        let children: Vec<NodeRef> = guard.children.values().map(|c| c.node.clone()).collect();
+        let here = f(&guard);
+        drop(guard);
+        here + children
+            .iter()
+            .map(|c| Self::sum_nodes(c, f))
+            .sum::<usize>()
     }
 
-    /// Number of nodes in the scheduling tree, the root plane counted as
-    /// one (diagnostic; exercised by the empty-leaf pruning tests). A
-    /// shard whose first-level node is empty and childless counts as zero:
-    /// routes are never unpublished, so a pruned-away subtree leaves an
-    /// empty shard behind, and counting it would make the node count
-    /// depend on which first-level ids were *ever* touched. Per-shard
-    /// locking as in [`recorded_effects`](Self::recorded_effects).
+    /// Number of effects currently recorded in the tree (diagnostic).
+    pub fn recorded_effects(&self) -> usize {
+        Self::sum_nodes(&self.root, &NodeInner::record_count)
+    }
+
+    /// Number of nodes in the scheduling tree, the root included (diagnostic;
+    /// exercised by the empty-leaf pruning tests).
     pub fn tree_nodes(&self) -> usize {
-        fn count(node: &NodeRef) -> usize {
-            let guard = node.lock();
-            let children: Vec<NodeRef> = guard.children.values().map(|c| c.node.clone()).collect();
-            drop(guard);
-            1 + children.iter().map(count).sum::<usize>()
-        }
-        let mut total = 1;
-        for route in self.plane.snapshot_sorted() {
-            let child = route.shard.slot.lock().node.clone();
-            let guard = child.lock();
-            if guard.is_vacant() {
-                continue;
-            }
-            let children: Vec<NodeRef> = guard.children.values().map(|c| c.node.clone()).collect();
-            drop(guard);
-            total += 1 + children.iter().map(count).sum::<usize>();
-        }
-        total
+        Self::sum_nodes(&self.root, &|_| 1)
     }
 
     /// Builds and registers the per-effect tree records of a task being
@@ -984,11 +725,42 @@ impl TreeScheduler {
             let child = entry.node.clone();
             let mut cg = child.lock_arc();
             let blocker = {
+                // The guard of `ne`, which receives the records moved up.
                 let target: &mut NodeGuard = match ne_guard {
                     Some(ref mut g) => g,
                     None => parent_guard,
                 };
-                self.check_child(&mut cg, e, ne, target, any_index_only, prio, swept)
+                let mut blocker = None;
+                let mut cur = cg.scan_for(e);
+                while let Some((class, i, existing)) = cg.next_record(&mut cur) {
+                    if existing.task.strong_count() == 0 {
+                        swept.push(cg.unlink(class, i)); // dead-record sweep
+                        continue;
+                    }
+                    if self.conflicts(&existing, e) {
+                        if !existing.enabled.load(Ordering::Acquire)
+                            || (prio && self.try_disable(&existing))
+                        {
+                            // Move the (disabled) conflicting effect up to ne
+                            // so that rechecking it later starts from a node
+                            // where it will encounter `e`.
+                            push_waiter(e, &existing);
+                            cg.unlink(class, i);
+                            target.push_record(existing.clone());
+                            *existing.node.lock() = Some(ne.clone());
+                        } else {
+                            push_waiter(&existing, e);
+                            blocker = Some(existing);
+                            break;
+                        }
+                    }
+                }
+                if blocker.is_none() && !any_index_only {
+                    // `P:[?]` cannot overlap anything deeper than the index
+                    // children of P; every other wildcard walks on down.
+                    blocker = self.check_below(&mut cg, e, ne, Some(target), prio, swept);
+                }
+                blocker
             };
             if blocker.is_none() {
                 // Lazy rebuild: the child was examined without an early
@@ -1017,124 +789,13 @@ impl TreeScheduler {
         None
     }
 
-    /// The per-child body shared by [`check_below`](Self::check_below) and
-    /// [`check_below_root`](Self::check_below_root): scans the locked child
-    /// `cg` for conflicts with `e` (sweeping dead records, moving disabled
-    /// conflicting records up into `target`, which is the guard of `ne` —
-    /// the node holding `e`), then recurses below the child unless `e` is a
-    /// `P:[?]` shape (which cannot overlap anything deeper than the index
-    /// children of P). Returns at the first blocking conflict.
-    #[allow(clippy::too_many_arguments)]
-    fn check_child(
-        &self,
-        cg: &mut NodeGuard,
-        e: &Arc<EffectRecord>,
-        ne: &NodeRef,
-        target: &mut NodeGuard,
-        any_index_only: bool,
-        prio: bool,
-        swept: &mut Vec<Arc<EffectRecord>>,
-    ) -> Option<Arc<EffectRecord>> {
-        let mut cur = cg.scan_for(e);
-        while let Some((class, i, existing)) = cg.next_record(&mut cur) {
-            if existing.task.strong_count() == 0 {
-                swept.push(cg.unlink(class, i)); // dead-record sweep
-                continue;
-            }
-            if self.conflicts(&existing, e) {
-                if !existing.enabled.load(Ordering::Acquire)
-                    || (prio && self.try_disable(&existing))
-                {
-                    // Move the (disabled) conflicting effect up to ne so
-                    // that rechecking it later starts from a node where it
-                    // will encounter `e`.
-                    push_waiter(e, &existing);
-                    cg.unlink(class, i);
-                    target.push_record(existing.clone());
-                    *existing.node.lock() = Some(ne.clone());
-                } else {
-                    push_waiter(&existing, e);
-                    return Some(existing);
-                }
-            }
-        }
-        if !any_index_only {
-            return self.check_below(cg, e, ne, Some(target), prio, swept);
-        }
-        None
-    }
-
-    /// [`check_below`](Self::check_below) for a root-settling effect: walks
-    /// the shards of the root plane instead of a children map. `rr_guard`
-    /// is the held root-records guard — `e` lives (or is being settled)
-    /// there, and conflicting disabled records are moved up into it.
-    ///
-    /// Shards are visited in sorted interned-id order (the same
-    /// deterministic first-conflict order `check_below` guarantees), each
-    /// one's slot lock held across its whole subtree walk: the slot is
-    /// acquired before the first-level node and released after the walk
-    /// leaves the subtree, so the walk and a shard admission exclude each
-    /// other per shard exactly as they excluded each other globally under
-    /// the old root mutex. The slot's summary gives the same three skip
-    /// rules `check_below` applies to child entries; a fully walked shard
-    /// has its stale summary rewritten fresh (an emptied shard becomes a
-    /// zeroed summary — routes are never unpublished).
-    fn check_below_root(
-        &self,
-        rr_guard: &mut NodeGuard,
-        e: &Arc<EffectRecord>,
-        prio: bool,
-        swept: &mut Vec<Arc<EffectRecord>>,
-    ) -> Option<Arc<EffectRecord>> {
-        if !e.rpl.has_wildcard() {
-            // A wildcard-free root effect is the concrete `Root` region,
-            // which is disjoint from every longer wildcard-free prefix.
-            return None;
-        }
-        let any_index_only = e.rpl.is_parent_any_index();
-        let rr = self.plane.root_records.clone();
-        for route in self.plane.snapshot_sorted() {
-            if any_index_only
-                && !twe_effects::arena::is_index_child_of(route.key, e.rpl.prefix_id())
-            {
-                // `Root:[?]` only reaches index children of the root.
-                continue;
-            }
-            let mut slot = route.shard.slot.lock();
-            // The three `check_below` skip rules, off the slot's summary.
-            if !e.write && slot.write_bloom == 0 {
-                continue;
-            }
-            if e.write && slot.bloom == 0 {
-                continue;
-            }
-            if any_index_only && slot.bloom & twe_effects::bloom_bit(route.key) == 0 {
-                continue;
-            }
-            let child = slot.node.clone();
-            let mut cg = child.lock_arc();
-            let blocker = self.check_child(&mut cg, e, &rr, rr_guard, any_index_only, prio, swept);
-            if blocker.is_none() {
-                let (bloom, write_bloom) = cg.fresh_summary();
-                slot.bloom = bloom;
-                slot.write_bloom = write_bloom;
-            }
-            drop(cg);
-            drop(slot);
-            if blocker.is_some() {
-                return blocker;
-            }
-        }
-        None
-    }
-
     // ------------------------------------------------------------------
     // Insertion (Figure 5.4)
     // ------------------------------------------------------------------
 
     /// Inserts a group of effect records (possibly from many tasks of one
-    /// batch) into the subtree rooted at the locked `node`, at depth ≥ 1
-    /// (the root-level analogue is `admit_wave`).
+    /// batch) into the subtree rooted at the locked `node`; an admission is
+    /// this call on the root.
     ///
     /// An effect settles at the node of its maximal wildcard-free prefix
     /// (its RPL either ends there or continues with a wildcard). Records
@@ -1301,13 +962,7 @@ impl TreeScheduler {
             }
             let d = guard.depth;
             if e.prefix_depth() == d {
-                let blocker = if d == 0 {
-                    // Depth 0 is the root-records domain: the subtrees hang
-                    // off the root plane's shards, not a children map.
-                    self.check_below_root(&mut guard, e, prio, swept)
-                } else {
-                    self.check_below(&mut guard, e, &node, None, prio, swept)
-                };
+                let blocker = self.check_below(&mut guard, e, &node, None, prio, swept);
                 if blocker.is_none() {
                     self.enable_effect(e);
                 }
@@ -1317,24 +972,6 @@ impl TreeScheduler {
             // prefix: move the effect down one level and continue from there.
             remove_effect(&mut guard, e);
             let next = e.prefix_path[d + 1];
-            if d == 0 {
-                // Leaving the root-records domain (where a conflict once
-                // parked this record) into its first-level shard: publish
-                // into the slot summary and hand over under the slot lock,
-                // the shard analogue of the entry absorb below. Lock order
-                // root-records → slot → child holds throughout.
-                let route = self.plane.route(next);
-                let mut slot = route.shard.slot.lock();
-                slot.absorb(e);
-                let child = slot.node.clone();
-                let mut child_guard = child.lock_arc();
-                add_effect(&child, &mut child_guard, e);
-                drop(slot);
-                drop(guard);
-                node = child;
-                guard = child_guard;
-                continue;
-            }
             let child_depth = d + 1;
             let entry = guard
                 .children
@@ -1434,150 +1071,11 @@ impl TreeScheduler {
     // Admission
     // ------------------------------------------------------------------
 
-    /// The root-plane analogue of `insert`'s partitioning, without a
-    /// lock: splits a sub-wave into root-settling records (prefix depth 0)
-    /// and per-first-level-child groups, the groups in first-appearance
-    /// order. First-appearance order (not sorted) preserves the enable
-    /// order a sequential submission would produce — across groups the
-    /// records are disjoint at the first level,
-    /// so only the order *within* a group (preserved) and the settle-first
-    /// rule (the settlers are admitted before any group) are semantically
-    /// load-bearing. The per-record fast path is a single id compare
-    /// against the previous record's child, as in `insert`.
-    #[allow(clippy::type_complexity)]
-    fn stage_wave(
-        &self,
-        wave: Vec<Arc<EffectRecord>>,
-    ) -> (Vec<Arc<EffectRecord>>, Vec<(RplId, Vec<Arc<EffectRecord>>)>) {
-        let mut settlers: Vec<Arc<EffectRecord>> = Vec::new();
-        let mut groups: Vec<(RplId, Vec<Arc<EffectRecord>>)> = Vec::new();
-        let mut index: HashMap<RplId, usize> = HashMap::new();
-        let mut last: Option<(RplId, usize)> = None;
-        for e in wave {
-            if e.prefix_depth() == 0 {
-                settlers.push(e);
-                continue;
-            }
-            let next = e.prefix_path[1];
-            let slot = match last {
-                Some((key, slot)) if key == next => slot,
-                _ => {
-                    let slot = *index.entry(next).or_insert_with(|| {
-                        groups.push((next, Vec::new()));
-                        groups.len() - 1
-                    });
-                    last = Some((next, slot));
-                    slot
-                }
-            };
-            groups[slot].1.push(e);
-        }
-        (settlers, groups)
-    }
-
-    /// Admits the root-settling records of one sub-wave, in wave order,
-    /// under the root-records lock. Settling adds the record to the
-    /// root-records node *before* walking the shards — the gauge bump
-    /// inside `push_record` is what diverts concurrent shard admissions
-    /// onto the slow path for the whole duration of the walk (see
-    /// `RootPlane`).
-    fn admit_root_settlers(
-        &self,
-        settlers: Vec<Arc<EffectRecord>>,
-        swept: &mut Vec<Arc<EffectRecord>>,
-    ) {
-        let rr = self.plane.root_records.clone();
-        let mut guard = rr.lock_arc();
-        for e in settlers {
-            add_effect(&rr, &mut guard, &e);
-            if self.check_at(&mut guard, &e, false, swept).is_none()
-                && self
-                    .check_below_root(&mut guard, &e, false, swept)
-                    .is_none()
-            {
-                self.enable_effect(&e);
-            }
-        }
-    }
-
-    /// Admits one first-level group of a sub-wave into its shard — the
-    /// per-shard replacement for the root-level stretch of the old single
-    /// root descent.
-    ///
-    /// **Fast path** (no covering root record, gauge read under the slot
-    /// lock): publish the group's bits into the slot summary, lock the
-    /// first-level child, release the slot, insert at depth 1 — tenant-
-    /// disjoint groups touch nothing shared.
-    ///
-    /// **Slow path** (`root_live != 0`, or a single-root-baseline tree):
-    /// re-acquire in root-records → slot order and check each record
-    /// against the root-settled records first, exactly as the old descent
-    /// checked them on its way past the root; a conflicting record parks
-    /// *at* root-records (where the settler's completion walk rechecks
-    /// it), survivors are published and descend as on the fast path. The
-    /// root-records lock is held until the first-level child is locked so
-    /// a settler admitted meanwhile cannot miss the survivors.
-    fn admit_group(
-        &self,
-        key: RplId,
-        records: Vec<Arc<EffectRecord>>,
-        swept: &mut Vec<Arc<EffectRecord>>,
-    ) {
-        fn publish(slot: &mut ChildEntry, records: &[Arc<EffectRecord>]) {
-            for e in records {
-                let bit = record_bit(e);
-                slot.bloom |= bit;
-                if e.write {
-                    slot.write_bloom |= bit;
-                }
-            }
-        }
-        let route = self.plane.route(key);
-        let mut slot = route.shard.slot.lock();
-        if self.plane.single_lock || self.plane.root_live.load(Ordering::SeqCst) != 0 {
-            // Lock order is root-records before slot: release and re-acquire.
-            drop(slot);
-            let rr = self.plane.root_records.clone();
-            let mut rr_guard = rr.lock_arc();
-            let mut survivors: Vec<Arc<EffectRecord>> = Vec::with_capacity(records.len());
-            for e in records {
-                if self.check_at(&mut rr_guard, &e, false, swept).is_some() {
-                    add_effect(&rr, &mut rr_guard, &e);
-                } else {
-                    survivors.push(e);
-                }
-            }
-            if survivors.is_empty() {
-                return;
-            }
-            let mut slot = route.shard.slot.lock();
-            publish(&mut slot, &survivors);
-            let child = slot.node.clone();
-            let cg = child.lock_arc();
-            drop(slot);
-            drop(rr_guard);
-            self.insert(child, cg, survivors, 1, swept);
-            return;
-        }
-        publish(&mut slot, &records);
-        let child = slot.node.clone();
-        let cg = child.lock_arc();
-        drop(slot);
-        self.insert(child, cg, records, 1, swept);
-    }
-
     /// Admits one wave of records — one task's, or one sub-wave of a
-    /// batch's — on the calling thread: the root settlers first (the
-    /// settle-first rule of `insert`, at root level), then each first-level
-    /// group into its shard.
+    /// batch's — on the calling thread: one `insert` at the root.
     fn admit_wave(&self, wave: Vec<Arc<EffectRecord>>, swept: &mut Vec<Arc<EffectRecord>>) {
-        let (settlers, groups) = self.stage_wave(wave);
-        if !settlers.is_empty() {
-            self.admit_root_settlers(settlers, swept);
-        }
-        for (key, records) in groups {
-            self.admit_group(key, records, swept);
-        }
+        let guard = self.root.lock_arc();
+        self.insert(self.root.clone(), guard, wave, 0, swept);
     }
 
     /// Eagerly prunes the tree along one root-to-node id path: every node on
@@ -1592,31 +1090,20 @@ impl TreeScheduler {
     /// region's interned path so a recycled `__DynRegion` id never greets its
     /// next era with the previous era's node.
     ///
-    /// Locking: the shard's slot lock is taken first and held for the whole
-    /// prune, then the guard chain is acquired strictly downward from the
-    /// first-level node (the same order as every admission and walk), so it
-    /// cannot deadlock with concurrent traffic. The unwind pops the deepest
-    /// guard first; each parent-entry rewrite/removal happens while that
-    /// parent's guard is still held, which is exactly the discipline
-    /// `check_below`'s rebuild and prune steps follow (node additions
-    /// require the parent lock, so an entry written from a summary computed
-    /// under the child lock stays a superset). The first-level node itself
-    /// is never unlinked — routes are permanent — so an emptied shard ends
-    /// as a zeroed slot summary instead.
+    /// Locking: the guard chain is acquired strictly downward from the root
+    /// (the same order as every admission and walk), so it cannot deadlock
+    /// with concurrent traffic. The unwind pops the deepest guard first; each
+    /// parent-entry rewrite/removal happens while that parent's guard is
+    /// still held, which is exactly the discipline `check_below`'s rebuild
+    /// and prune steps follow (node additions require the parent lock, so an
+    /// entry written from a summary computed under the child lock stays a
+    /// superset).
     fn prune_quiescent_path(&self, path: &[RplId]) {
-        if path.len() < 2 {
-            // `path[0]` is ROOT; the root-records domain is never pruned.
-            return;
-        }
-        let Some(route) = self.plane.find(path[1]) else {
-            // Never admitted under this first-level child: nothing to prune.
-            return;
-        };
-        let mut slot = route.shard.slot.lock();
-        let first = slot.node.clone();
-        // `guards[i]` holds the node of `path[i + 1]`.
-        let mut guards: Vec<NodeGuard> = vec![first.lock_arc()];
-        for key in &path[2..] {
+        // `guards[i]` holds the node of `path[i]`; `path[0]` is the root,
+        // which is never pruned.
+        let mut guards: Vec<NodeGuard> = Vec::with_capacity(path.len());
+        guards.push(self.root.lock_arc());
+        for key in &path[1..] {
             let child = match guards.last().unwrap().children.get(key) {
                 Some(entry) => entry.node.clone(),
                 None => break,
@@ -1624,13 +1111,12 @@ impl TreeScheduler {
             guards.push(child.lock_arc());
         }
         let mut swept = Vec::new();
-        let mut reached_first = true;
         while guards.len() > 1 {
             let mut guard = guards.pop().unwrap();
             guard.sweep_dead(&mut swept);
             let summary = (!guard.is_vacant()).then(|| guard.fresh_summary());
             drop(guard);
-            let key = path[guards.len() + 1];
+            let key = path[guards.len()];
             let parent = guards.last_mut().unwrap();
             match summary {
                 None => {
@@ -1643,24 +1129,11 @@ impl TreeScheduler {
                         entry.bloom = bloom;
                         entry.write_bloom = write_bloom;
                     }
-                    reached_first = false;
                     break;
                 }
             }
         }
-        if reached_first {
-            // The unwind reached the first-level node: sweep it and rewrite
-            // its slot summary (zeroed when the whole subtree is gone).
-            let mut guard = guards.pop().unwrap();
-            guard.sweep_dead(&mut swept);
-            // A vacant node's fresh summary is all zeroes.
-            let (bloom, write_bloom) = guard.fresh_summary();
-            drop(guard);
-            slot.bloom = bloom;
-            slot.write_bloom = write_bloom;
-        }
         drop(guards);
-        drop(slot);
         self.recheck_swept(swept);
     }
 }
@@ -1686,7 +1159,7 @@ impl Scheduler for TreeScheduler {
     fn submit_batch(&self, tasks: Vec<Arc<TaskRecord>>) {
         self.queued.fetch_add(tasks.len(), Ordering::Relaxed);
         // Register every task's records, then admit the batch in sub-waves
-        // of up to `CHUNK` records, each staged once over the root plane:
+        // of up to `CHUNK` records, each one `insert` at the root:
         // shared region prefixes are locked and checked once per sub-wave
         // (instead of once per task), and the deferred dead-record recheck
         // round runs once at the end. The chunking bounds the working set a
@@ -2673,8 +2146,7 @@ mod tests {
         h.sched.submit(t1.clone());
         drop(t1);
         // X:[7] is a child with an empty subtree Bloom. No admission leaves
-        // one behind below the first level (an emptied node is pruned), so
-        // it is linked by hand.
+        // one behind (an emptied node is pruned), so it is linked by hand.
         let x = first_level_node(&h.sched, "X");
         x.lock().children.insert(empty, ChildEntry::new(2));
         let t2 = task(2, "writes X:*");
@@ -2688,16 +2160,17 @@ mod tests {
         assert!(children.contains_key(&empty), "X:[7] skipped");
     }
 
-    fn root_live(sched: &TreeScheduler) -> usize {
-        sched.plane.root_live.load(Ordering::SeqCst)
-    }
-
-    /// The first-level node `name` (its shard must exist).
+    /// The first-level node `name` (it must exist).
     fn first_level_node(sched: &TreeScheduler, name: &str) -> NodeRef {
         let id = twe_effects::Rpl::parse(name).prefix_id_path()[1];
-        let route = sched.plane.find(id).expect("shard exists");
-        let node = route.shard.slot.lock().node.clone();
+        let node = sched.root.lock().children[&id].node.clone();
         node
+    }
+
+    /// Live covering records at the root: wildcard settlers and the
+    /// descending records a conflict parked there.
+    fn covering_at_root(sched: &TreeScheduler) -> usize {
+        sched.root.lock().records[COVERING].live
     }
 
     /// The k-means shape (Fig. 6.3) at width `n`: `n` enabled `reads Root`
@@ -2705,13 +2178,13 @@ mod tests {
     /// admissions over 40 clusters, then everything finished. Returns
     /// (records `check_at` examined during the nested admissions, unlink
     /// steps taken by the completions).
-    fn kmeans_shape_costs(sched: TreeScheduler, n: u64) -> (usize, usize) {
+    fn kmeans_shape_costs(n: u64) -> (usize, usize) {
+        let sched = TreeScheduler::new(Box::new(|_| {}));
         let work: Vec<_> = (0..n).map(|i| task(i, "reads Root")).collect();
         for t in &work {
             sched.submit(t.clone());
             assert_eq!(t.status(), TaskStatus::Enabled);
         }
-        assert_eq!(root_live(&sched), 0);
         EXAMINED.with(|c| c.set(0));
         let nested: Vec<_> = (0..n)
             .map(|i| task(n + i, &format!("reads Root, writes Clusters:[{}]", i % 40)))
@@ -2734,16 +2207,13 @@ mod tests {
     fn reads_root_fanout_costs_nested_admissions_nothing() {
         // Counts, not timings. Each nested admission examines exactly one
         // record — the head of its cluster's queue, or itself when it is the
-        // head — and none of the `n` root records, on the sharded plane
-        // (the gauge stays 0, no detour) and on the single-root baseline
-        // (the detour's `check_at` meets the empty covering class). Each
-        // of the 3n records then leaves in one unlink step.
+        // head — and none of the `n` exact root records: passing the root,
+        // its `check_at` meets only the empty covering class. Each of the
+        // 3n records then leaves in one unlink step.
         for n in [1_000u64, 4_000] {
-            for make in [TreeScheduler::new, TreeScheduler::new_single_root] {
-                let (examined, unlink_steps) = kmeans_shape_costs(make(Box::new(|_| {})), n);
-                assert_eq!(examined, n as usize, "n = {n}");
-                assert_eq!(unlink_steps, 3 * n as usize, "n = {n}");
-            }
+            let (examined, unlink_steps) = kmeans_shape_costs(n);
+            assert_eq!(examined, n as usize, "n = {n}");
+            assert_eq!(unlink_steps, 3 * n as usize, "n = {n}");
         }
     }
 
@@ -2789,21 +2259,16 @@ mod tests {
         let root = task(1, "writes Root");
         let deep = task(2, "writes A:[1]");
         h.sched.submit(root.clone());
-        assert_eq!(
-            root_live(&h.sched),
-            0,
-            "exact records stay out of the gauge"
-        );
         h.sched.submit(deep.clone());
         assert_eq!(h.enabled_ids(), vec![1, 2]);
-        assert_eq!(root_live(&h.sched), 0);
+        assert_eq!(covering_at_root(&h.sched), 0, "nothing parked at the root");
         h.finish(&root);
         h.finish(&deep);
         assert_eq!(h.sched.recorded_effects(), 0);
     }
 
     #[test]
-    fn covering_root_records_stop_descending_writers_and_bump_the_gauge() {
+    fn covering_root_records_stop_descending_writers_at_the_root() {
         for (cover, prey) in [
             ("writes Root:*", "writes A:[1]"),
             ("reads Root:[?]", "writes [3]"),
@@ -2811,18 +2276,29 @@ mod tests {
             let h = harness();
             let settler = task(1, cover);
             let writer = task(2, prey);
+            let writer_depth = || {
+                let record = &writer.tree_effects.get().unwrap()[0];
+                let node = record.node.lock().clone().unwrap();
+                let depth = node.lock().depth;
+                depth
+            };
             h.sched.submit(settler.clone());
-            assert_eq!(root_live(&h.sched), 1, "{cover}");
+            assert_eq!(covering_at_root(&h.sched), 1, "{cover}");
             h.sched.submit(writer.clone());
             assert_eq!(
                 writer.status(),
                 TaskStatus::Waiting,
                 "{prey} behind {cover}"
             );
-            assert_eq!(root_live(&h.sched), 2, "the parked writer is covering too");
+            assert_eq!(covering_at_root(&h.sched), 2, "the writer is parked there");
+            assert_eq!(writer_depth(), 0);
             h.finish(&settler);
             assert_eq!(writer.status(), TaskStatus::Enabled);
-            assert_eq!(root_live(&h.sched), 0, "the writer moved down to its shard");
+            assert_eq!(covering_at_root(&h.sched), 0);
+            assert_eq!(
+                writer_depth(),
+                writer.tree_effects.get().unwrap()[0].prefix_depth()
+            );
             h.finish(&writer);
             assert_eq!(h.sched.recorded_effects(), 0);
         }
@@ -2846,7 +2322,11 @@ mod tests {
         assert_eq!(h.enabled_ids(), vec![1]);
         let covering_at_a = || first_level_node(&h.sched, "A").lock().records[COVERING].live;
         assert_eq!(covering_at_a(), 3, "the settler and both parked writers");
-        assert_eq!(root_live(&h.sched), 0, "parked at A, not at the root");
+        assert_eq!(
+            covering_at_root(&h.sched),
+            0,
+            "parked at A, not at the root"
+        );
         h.finish(&t1);
         assert_eq!(h.enabled_ids(), vec![1, 2]);
         assert_eq!(t3.status(), TaskStatus::Waiting, "t3 met t2 at A:B:C");
@@ -2876,6 +2356,60 @@ mod tests {
         assert_eq!(h.enabled_ids(), vec![1, 2, 3]);
         h.finish(&w2);
         assert_eq!(h.sched.recorded_effects(), 0);
-        assert_eq!(root_live(&h.sched), 0);
+    }
+
+    /// The leak the sharded root plane introduced (PR 8 – PR 15): a program
+    /// that partitions the root by index kept one routing-table entry, slot
+    /// mutex and first-level node per index ever seen until the scheduler
+    /// dropped, because routes were never unpublished (its `tree_nodes()`
+    /// hid them by not counting vacant shards). First-level nodes are now
+    /// ordinary children of the root: "the root has no children" is the
+    /// assertion the parent commit could not meet — its route snapshot held
+    /// all 10 000 entries after the same drain.
+    ///
+    /// Second half: a first-level node that was pruned is rebuilt by the
+    /// next admission under the same name, and a `writes *` sweeper still
+    /// finds its records.
+    #[test]
+    fn first_level_nodes_are_pruned_when_vacant_and_rebuilt_on_readmission() {
+        let h = harness();
+        let assert_flat = |h: &Harness, what: &str| {
+            assert!(h.sched.root.lock().children.is_empty(), "{what}");
+            assert_eq!(h.sched.tree_nodes(), 1, "{what}");
+            assert_eq!(h.sched.recorded_effects(), 0, "{what}");
+        };
+        let wave = |base: u64| -> Vec<_> {
+            (0..10_000u64)
+                .map(|i| task(base + i, &format!("writes [{i}]:X")))
+                .collect()
+        };
+        let per_task = wave(0);
+        for t in &per_task {
+            h.sched.submit(t.clone());
+        }
+        assert_eq!(h.sched.root.lock().children.len(), 10_000);
+        for t in &per_task {
+            h.finish(t);
+        }
+        assert_flat(&h, "per-task admission drained");
+        let batch = wave(10_000);
+        h.sched.submit_batch(batch.clone());
+        assert_eq!(h.enabled_ids().len(), 20_000);
+        for t in &batch {
+            h.finish(t);
+        }
+        assert_flat(&h, "batch admission drained");
+
+        let again = task(20_000, "writes [7]:X");
+        let sweeper = task(20_001, "writes *");
+        h.sched.submit(again.clone());
+        assert_eq!(again.status(), TaskStatus::Enabled);
+        assert_eq!(h.sched.tree_nodes(), 3, "root, [7] and [7]:X rebuilt");
+        h.sched.submit(sweeper.clone());
+        assert_eq!(sweeper.status(), TaskStatus::Waiting, "found below [7]");
+        h.finish(&again);
+        assert_eq!(sweeper.status(), TaskStatus::Enabled);
+        h.finish(&sweeper);
+        assert_flat(&h, "readmitted subtree drained");
     }
 }

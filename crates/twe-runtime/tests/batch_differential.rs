@@ -21,9 +21,9 @@ use twe_runtime::{naive::NaiveScheduler, tree::TreeScheduler};
 /// One randomly-shaped effect: an anchor, a depth, concrete / trailing-star
 /// / trailing-`[?]` shape, and read-or-write kind. One draw in nine is a
 /// *root-settling* shape — concrete `Root`, the global `*`, or `Root:[?]` —
-/// so every differential below also exercises the sharded root plane's
-/// cross-shard path (settle at root-records, sorted-order shard walk)
-/// against per-shard traffic.
+/// so every differential below also exercises records settling at the root
+/// (and their walk over every first-level subtree) against traffic
+/// descending past it.
 fn arb_effect_text() -> impl Strategy<Value = String> {
     (
         // anchor (3 = a root-index anchor `[i]`, the shape `Root:[?]`
@@ -250,90 +250,5 @@ proptest! {
         drain(&sched, &tasks);
         prop_assert_eq!(violations.load(Ordering::Relaxed), 0, "isolation violated");
         prop_assert_eq!(sched.recorded_effects(), 0);
-    }
-
-    /// Sharded root plane vs the faithful single-root baseline
-    /// (`TreeScheduler::new_single_root`, every shard admission forced
-    /// through the root-records lock): on mixed batches *including
-    /// root-wildcard shapes* (`*`, `Root:[?]`, root reads/writes — see
-    /// `arb_effect_text`), the two must be **exactly** equivalent — same
-    /// enable log, same per-task statuses after admission and after every
-    /// step of a lockstep drain. Both run inline and deterministic, so
-    /// this is drain-step equivalence, not just set equivalence: the
-    /// sorted-order shard walk must reproduce the single root's
-    /// first-conflict order record for record.
-    #[test]
-    fn tree_sharded_equals_single_root(batch in arb_batch()) {
-        let (single_log, single_sched) = log_and_scheduler(TreeScheduler::new_single_root);
-        let single_tasks = make_tasks(&batch, 0);
-        single_sched.submit_batch(single_tasks.clone());
-
-        let (shard_log, shard_sched) = log_and_scheduler(TreeScheduler::new);
-        let shard_tasks = make_tasks(&batch, 0);
-        shard_sched.submit_batch(shard_tasks.clone());
-
-        prop_assert_eq!(
-            &*single_log.lock().unwrap(),
-            &*shard_log.lock().unwrap(),
-            "enable logs after admission"
-        );
-        for (s, h) in single_tasks.iter().zip(&shard_tasks) {
-            prop_assert_eq!(s.status(), h.status(), "task {} after admission", s.id);
-        }
-
-        // Lockstep drain: finish the lowest-id enabled task in both runs;
-        // when nothing is enabled, apply the same prioritized recheck to
-        // both. Logs and statuses must agree after every step.
-        let mut remaining: Vec<(Arc<TaskRecord>, Arc<TaskRecord>)> =
-            single_tasks.into_iter().zip(shard_tasks).collect();
-        let mut rounds = 0;
-        while !remaining.is_empty() {
-            rounds += 1;
-            prop_assert!(rounds < 100_000, "stalled with {}", remaining.len());
-            let next = remaining
-                .iter()
-                .position(|(s, _)| s.status() == TaskStatus::Enabled);
-            let pos = match next {
-                Some(pos) => pos,
-                None => {
-                    for (s, h) in remaining.iter() {
-                        single_sched.on_await(None, s);
-                        shard_sched.on_await(None, h);
-                    }
-                    remaining
-                        .iter()
-                        .position(|(s, _)| s.status() == TaskStatus::Enabled)
-                        .expect("single-root tree scheduler stalled")
-                }
-            };
-            let (s, h) = remaining.remove(pos);
-            prop_assert_eq!(
-                h.status(),
-                TaskStatus::Enabled,
-                "sharded run diverged on task {}",
-                h.id
-            );
-            s.mark_done();
-            single_sched.task_done(&s);
-            h.mark_done();
-            shard_sched.task_done(&h);
-            prop_assert_eq!(
-                &*single_log.lock().unwrap(),
-                &*shard_log.lock().unwrap(),
-                "enable logs mid-drain"
-            );
-            for (s, h) in remaining.iter() {
-                prop_assert_eq!(
-                    s.status(),
-                    h.status(),
-                    "task {} mid-drain, batch {:?}",
-                    s.id,
-                    batch
-                );
-            }
-        }
-        prop_assert_eq!(single_sched.recorded_effects(), 0);
-        prop_assert_eq!(shard_sched.recorded_effects(), 0);
-        prop_assert_eq!(shard_sched.tree_nodes(), 1, "everything pruned after drain");
     }
 }

@@ -203,13 +203,12 @@ proptest! {
     }
 }
 
-/// One scheduler's side of the k-means lockstep trace: its enable log, its
-/// own copies of the `M` WorkTasks, and the nested task each started
-/// WorkTask is blocked on.
+/// One scheduler's side of the k-means lockstep trace: its own copies of
+/// the `M` WorkTasks, and the nested task each started WorkTask is blocked
+/// on.
 struct KmeansRun {
     name: &'static str,
     sched: Box<dyn Scheduler>,
-    log: Arc<Mutex<Vec<u64>>>,
     work: Vec<Arc<TaskRecord>>,
     nested: Vec<Option<Arc<TaskRecord>>>,
 }
@@ -220,7 +219,7 @@ impl KmeansRun {
         work_tasks: usize,
         make: impl FnOnce(Box<dyn Fn(Arc<TaskRecord>) + Send + Sync>) -> S,
     ) -> Self {
-        let (log, sched) = log_and_scheduler(make);
+        let sched = make(Box::new(|_| {}));
         let work: Vec<_> = (0..work_tasks as u64)
             .map(|i| TaskRecord::new(i, "WorkTask", EffectSet::parse("reads Root"), false))
             .collect();
@@ -229,7 +228,6 @@ impl KmeansRun {
         KmeansRun {
             name,
             sched: Box::new(sched),
-            log,
             work,
             nested,
         }
@@ -272,9 +270,8 @@ impl KmeansRun {
 /// batch, then a seeded interleaving of "a WorkTask starts and blocks on its
 /// nested `reads Root, writes Clusters:[k]`" and "an enabled nested task and
 /// its WorkTask finish", at most 16 WorkTasks in flight over K = 3 clusters
-/// so the clusters collide. After every step the naive scheduler, the
-/// sharded tree and the single-root tree must agree on every live task's
-/// status, and the two trees on the enable log as well.
+/// so the clusters collide. After every step the naive scheduler and the
+/// tree must agree on every live task's status.
 #[test]
 fn kmeans_shape_tree_equals_naive_in_lockstep() {
     const M: usize = 120;
@@ -285,21 +282,12 @@ fn kmeans_shape_tree_equals_naive_in_lockstep() {
         let mut runs = [
             KmeansRun::new("naive", M, NaiveScheduler::new),
             KmeansRun::new("tree", M, TreeScheduler::new),
-            KmeansRun::new("single-root tree", M, TreeScheduler::new_single_root),
         ];
-        let agree = |runs: &[KmeansRun; 3], step: &str| {
-            for run in &runs[1..] {
-                assert_eq!(
-                    runs[0].statuses(),
-                    run.statuses(),
-                    "seed {seed}: {} left naive after {step}",
-                    run.name
-                );
-            }
+        let agree = |runs: &[KmeansRun; 2], step: &str| {
             assert_eq!(
-                &*runs[1].log.lock().unwrap(),
-                &*runs[2].log.lock().unwrap(),
-                "seed {seed}: tree enable logs after {step}"
+                runs[0].statuses(),
+                runs[1].statuses(),
+                "seed {seed}: tree left naive after {step}"
             );
         };
         agree(&runs, "the fan-out");
@@ -369,8 +357,6 @@ fn read_write_cycle_makes_progress_without_an_awaiter() {
     for batched in [false, true] {
         run("naive", batched, &NaiveScheduler::new(Box::new(|_| {})));
         run("tree", batched, &TreeScheduler::new(Box::new(|_| {})));
-        let single_root = TreeScheduler::new_single_root(Box::new(|_| {}));
-        run("single-root tree", batched, &single_root);
     }
 }
 
