@@ -22,9 +22,10 @@ use twe_effects::EffectSet;
 use twe_runtime::scheduler::SchedulerDiagnostics;
 use twe_runtime::{AdmissionPolicy, Runtime, SchedulerKind};
 
-/// Polls diagnostics until they return to `baseline` (completion of the
-/// last future races the final `task_done` pruning, and retirement
-/// pruning runs from drop hooks — both settle quickly but asynchronously).
+/// Polls diagnostics until they return to `baseline` (retirement pruning
+/// runs from drop hooks, which settle quickly but asynchronously; the
+/// vacated paths completions leave pending are flushed by the diagnostics
+/// themselves).
 fn assert_returns_to_baseline(rt: &Runtime, baseline: SchedulerDiagnostics) {
     let mut diag = rt.scheduler_diagnostics();
     for _ in 0..500 {

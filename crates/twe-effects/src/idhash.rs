@@ -4,8 +4,9 @@
 //! protects when the keys are a couple of `u32` interned ids (the PR-2
 //! wildcard relation rows sat below 1× for exactly this reason). This
 //! Fibonacci-style mix is plenty for keys whose quality requirement is only
-//! bucket spread, and is shared by the full-path table ([`crate::rpl`]) and
-//! the arena's child index ([`crate::arena`]).
+//! bucket spread, and is shared by the full-path table ([`crate::rpl`]), the
+//! arena's child index ([`crate::arena`]) and the scheduling tree's child
+//! maps in `twe-runtime`.
 //!
 //! Not a general-purpose hasher: no DoS resistance, and `write` (raw bytes)
 //! is a plain FNV-style fold kept only for completeness. Do not use it for

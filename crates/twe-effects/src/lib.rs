@@ -81,7 +81,7 @@
 pub mod arena;
 pub mod compound;
 pub mod effect;
-mod idhash;
+pub mod idhash;
 pub mod intern;
 mod leak;
 pub mod reclaim;

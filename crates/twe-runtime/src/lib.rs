@@ -44,10 +44,12 @@
 //!    its effects and rechecks the records parked on their waiter lists.
 //!    The task's future completes last, so a waiter that sees it done
 //!    finds the effects released and the admission slot free.
-//! 5. **Sweep/prune** — records of tasks whose `TaskRecord` was dropped
-//!    *before* completion are unlinked lazily by later conflict walks,
-//!    their waiters rechecked, and empty leaves pruned, so the scheduling
-//!    tree does not grow monotonically under index-region churn.
+//! 5. **Sweep/prune** — the tree nodes finished tasks leave vacant are
+//!    pruned in batches by later admissions; records of tasks whose
+//!    `TaskRecord` was dropped *before* completion are unlinked lazily by
+//!    later conflict walks, their waiters rechecked, and empty leaves
+//!    pruned, so the scheduling tree does not grow monotonically under
+//!    index-region churn.
 //!
 //! Wide fan-out phases should prefer the batched admission path
 //! ([`Runtime::submit_all`], [`TaskCtx::execute_all_later`]): same
@@ -580,10 +582,8 @@ impl RtInner {
     /// admission-policy arms of [`RtInner::submit_all_impl`]).
     fn build_batch_member<T, N, F>(
         self: &Arc<Self>,
-        name: N,
-        effects: EffectSet,
-        body: F,
-    ) -> (Arc<TaskRecord>, TaskFuture<T>)
+        (name, effects, body): (N, EffectSet, F),
+    ) -> TaskFuture<T>
     where
         T: Send + 'static,
         N: Into<String>,
@@ -592,34 +592,33 @@ impl RtInner {
         let (record, state) = self.new_task::<T>(name, effects, false);
         let job = self.make_job(record.clone(), state.clone(), body, None);
         *record.job.lock() = Some(job);
-        let future = TaskFuture {
+        TaskFuture {
             rt: self.clone(),
-            record: record.clone(),
+            record,
             state,
-        };
-        (record, future)
-    }
-
-    /// Stamps a wave (or chunk) immediately before its admission, so
-    /// submit→enable measures scheduler admission + queueing, not the
-    /// caller's wave-building work.
-    fn stamp_wave(&self, records: &[Arc<TaskRecord>]) {
-        if self.latency_probe.load(Ordering::Relaxed) {
-            for record in records {
-                record.stamp_submitted();
-            }
         }
     }
 
-    /// Hands a wave (or chunk) to the scheduler through the batch path.
-    fn admit_wave(&self, mut records: Vec<Arc<TaskRecord>>) {
+    /// Hands a wave (or chunk) of just-built tasks to the scheduler: a wave
+    /// of one — what an open-loop service sends almost every time — through
+    /// plain `submit`, anything longer through the batch path. Stamps each
+    /// task immediately before, so submit→enable measures scheduler
+    /// admission + queueing, not the caller's wave-building work.
+    fn admit_wave<T>(&self, wave: &[TaskFuture<T>]) {
         #[cfg(test)]
-        self.wave_sizes.lock().push(records.len());
-        self.stamp_wave(&records);
-        match records.len() {
-            0 => {}
-            1 => self.scheduler().submit(records.pop().expect("one record")),
-            _ => self.scheduler().submit_batch(records),
+        self.wave_sizes.lock().push(wave.len());
+        if self.latency_probe.load(Ordering::Relaxed) {
+            for future in wave {
+                future.record.stamp_submitted();
+            }
+        }
+        match wave {
+            [] => {}
+            [one] => self.scheduler().submit(one.record.clone()),
+            _ => {
+                let records = wave.iter().map(|f| f.record.clone()).collect();
+                self.scheduler().submit_batch(records);
+            }
         }
     }
 
@@ -633,7 +632,9 @@ impl RtInner {
     /// the admitted prefix only, and the shed tail is counted in
     /// [`AdmissionStats::shed`]. Under [`AdmissionPolicy::BoundedBlock`] the
     /// wave is admitted in chunks as room frees up, blocking between chunks;
-    /// every task is eventually admitted and all futures are returned.
+    /// every task is eventually admitted and all futures are returned. Only
+    /// those two need the wave's length before they build a task, so only
+    /// they collect it first.
     pub(crate) fn submit_all_impl<T, N, F>(
         self: &Arc<Self>,
         tasks: impl IntoIterator<Item = (N, EffectSet, F)>,
@@ -643,54 +644,33 @@ impl RtInner {
         N: Into<String>,
         F: FnOnce(&TaskCtx<'_>) -> T + Send + 'static,
     {
-        let mut triples: Vec<(N, EffectSet, F)> = tasks.into_iter().collect();
-        let total = triples.len();
-        if total == 0 {
-            return Vec::new();
-        }
-        let bypass = self.admission_exempt();
+        let build = |triple| self.build_batch_member(triple);
         match self.policy {
-            AdmissionPolicy::BoundedShed { max_queued } if !bypass => {
-                let take = self.admission.reserve_up_to(total, max_queued);
-                self.admission.count_shed(total - take);
+            AdmissionPolicy::BoundedShed { max_queued } if !self.admission_exempt() => {
+                let mut triples: Vec<(N, EffectSet, F)> = tasks.into_iter().collect();
+                let take = self.admission.reserve_up_to(triples.len(), max_queued);
+                self.admission.count_shed(triples.len() - take);
                 triples.truncate(take);
-                let mut records = Vec::with_capacity(take);
-                let mut futures = Vec::with_capacity(take);
-                for (name, effects, body) in triples {
-                    let (record, future) = self.build_batch_member(name, effects, body);
-                    records.push(record);
-                    futures.push(future);
-                }
-                self.admit_wave(records);
+                let futures: Vec<_> = triples.into_iter().map(build).collect();
+                self.admit_wave(&futures);
                 futures
             }
-            AdmissionPolicy::BoundedBlock { max_queued } if !bypass => {
-                let mut futures = Vec::with_capacity(total);
+            AdmissionPolicy::BoundedBlock { max_queued } if !self.admission_exempt() => {
+                let triples: Vec<(N, EffectSet, F)> = tasks.into_iter().collect();
+                let mut futures = Vec::with_capacity(triples.len());
                 let mut rest = triples.into_iter();
-                let mut remaining = total;
-                while remaining > 0 {
-                    let take = self.admission.reserve_blocking(remaining, max_queued);
-                    let mut records = Vec::with_capacity(take);
-                    for (name, effects, body) in rest.by_ref().take(take) {
-                        let (record, future) = self.build_batch_member(name, effects, body);
-                        records.push(record);
-                        futures.push(future);
-                    }
-                    self.admit_wave(records);
-                    remaining -= take;
+                while rest.len() > 0 {
+                    let take = self.admission.reserve_blocking(rest.len(), max_queued);
+                    let admitted = futures.len();
+                    futures.extend(rest.by_ref().take(take).map(build));
+                    self.admit_wave(&futures[admitted..]);
                 }
                 futures
             }
             _ => {
-                self.admission.reserve_forced(total);
-                let mut records = Vec::with_capacity(total);
-                let mut futures = Vec::with_capacity(total);
-                for (name, effects, body) in triples {
-                    let (record, future) = self.build_batch_member(name, effects, body);
-                    records.push(record);
-                    futures.push(future);
-                }
-                self.admit_wave(records);
+                let futures: Vec<_> = tasks.into_iter().map(build).collect();
+                self.admission.reserve_forced(futures.len());
+                self.admit_wave(&futures);
                 futures
             }
         }
@@ -1173,8 +1153,9 @@ mod tests {
         let rt = Runtime::new(2, SchedulerKind::Tree);
         let baseline = rt.scheduler_diagnostics();
         rt.run("touch", EffectSet::parse("writes Diag:[3]"), |_| ());
-        // After the run drains, eager pruning returns the tree to its
-        // baseline shape and no effects remain recorded.
+        // After the run drains the tree is back to its baseline shape (the
+        // diagnostics flush the vacated path the completion left pending)
+        // and no effects remain recorded.
         let mut diag = rt.scheduler_diagnostics();
         for _ in 0..100 {
             if diag == baseline {

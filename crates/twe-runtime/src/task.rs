@@ -183,6 +183,12 @@ impl TaskRecord {
         self.done_flag.store(true, Ordering::Release);
     }
 
+    /// The tree scheduler's per-effect records (empty until it admits the
+    /// task).
+    pub(crate) fn tree_records(&self) -> &[Arc<EffectRecord>] {
+        self.tree_effects.get().map_or(&[], Vec::as_slice)
+    }
+
     /// Snapshot of the not-yet-joined spawned children.
     pub fn spawned_children_snapshot(&self) -> Vec<Arc<TaskRecord>> {
         self.spawned_children.lock().clone()

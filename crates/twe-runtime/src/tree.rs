@@ -47,7 +47,32 @@
 //! deferred dead-record recheck round runs once at the end. At each node,
 //! records that settle there are processed *before* records descending
 //! further, which makes the batch observably equivalent to sequential
-//! submission (see `insert`).
+//! submission (see `insert`). A task of one record — and any record a batch
+//! leaves alone in its group — needs no staging (`descend`): it walks hand
+//! over hand down its own path, allocating nothing per level. A task of
+//! several is a batch of one task: its admission has to be atomic against a
+//! concurrent submitter (see `submit`).
+//!
+//! # Pruning
+//!
+//! Unlinking the node a finished task left vacant means locking its whole
+//! path from the root, so the worker does not do it: `task_done` unlinks
+//! the record under its one node lock and pushes the vacated path onto a
+//! scheduler-level list. The **admitting** thread drains the list, at the
+//! end of the admission that finds `PRUNE_BATCH` (64) paths pending: nodes are
+//! allocated and freed by one thread, a node traffic came back to in the
+//! meantime is found occupied and left alone, and a drain locks the nodes
+//! its paths share once per chunk of `PRUNE_BATCH`, letting the root go in
+//! between. The garbage is bounded — fewer than `PRUNE_BATCH` vacant paths
+//! survive an admission and a completion can only vacate a node that was
+//! live, so the tree never exceeds its peak of live nodes plus one batch
+//! (a batch of N nobody follows: N vacant nodes until its last completion).
+//! A completion that leaves the scheduler empty flushes a list of
+//! `IDLE_PRUNE` or more itself (nobody may ever submit again), and
+//! `region_retired` and the diagnostic counters flush it, so "a drained
+//! scheduler is a bare root" and "a recycled region id never meets its
+//! previous era's node" stay observable. The list is a plain mutex, never
+//! held with a node lock.
 //!
 //! # The root
 //!
@@ -55,7 +80,7 @@
 //! Effects that settle at it — `*`, `Root:[?]`, `reads/writes Root` — and
 //! descending records stopped by a conflict with one of them are its
 //! records; first-level nodes are its children, created on first admission
-//! and pruned when vacant like any other node. The exact records
+//! and pruned once vacant like any other node. The exact records
 //! (`reads Root`, `writes Root`) are invisible to passers-by: the region
 //! `Root` is disjoint from every region below it, so a descending record
 //! is checked against the covering class alone (see `NodeInner`) and a
@@ -65,9 +90,9 @@
 use crate::scheduler::Scheduler;
 use crate::task::{blocked_on, TaskRecord, TaskStatus};
 use parking_lot::{ArcMutexGuard, Mutex, RawMutex};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
+use twe_effects::idhash::IdHashMap;
 use twe_effects::{Effect, EffectKind, Rpl, RplId};
 
 /// Callback used to hand an enabled task to the execution substrate.
@@ -136,13 +161,7 @@ impl EffectRecord {
 
     /// Is the effect currently enabled (and its task not yet done)?
     pub fn is_enabled(&self) -> bool {
-        if !self.enabled.load(Ordering::Acquire) {
-            return false;
-        }
-        match self.task.upgrade() {
-            Some(t) => !t.is_done(),
-            None => false,
-        }
+        self.enabled.load(Ordering::Acquire) && self.task.upgrade().is_some_and(|t| !t.is_done())
     }
 }
 
@@ -244,7 +263,7 @@ pub struct NodeInner {
     records: [RecordList; 2],
     /// Arrival stamp of the newest record.
     stamp: u64,
-    children: HashMap<RplId, ChildEntry>,
+    children: IdHashMap<RplId, ChildEntry>,
 }
 
 #[cfg(test)]
@@ -367,8 +386,7 @@ impl NodeInner {
     /// everything deeper. Used to rewrite this node's entry in its parent
     /// after a full walk. Returns `(bloom, write_bloom)`.
     fn fresh_summary(&self) -> (u64, u64) {
-        let mut bloom = 0u64;
-        let mut write_bloom = 0u64;
+        let (mut bloom, mut write_bloom) = (0u64, 0u64);
         for e in self.live_records() {
             let bit = record_bit(e);
             bloom |= bit;
@@ -395,9 +413,9 @@ fn new_node(depth: usize) -> NodeRef {
     }))
 }
 
-fn add_effect(node: &NodeRef, guard: &mut NodeGuard, e: &Arc<EffectRecord>) {
+fn add_effect(guard: &mut NodeGuard, e: &Arc<EffectRecord>) {
     guard.push_record(e.clone());
-    *e.node.lock() = Some(node.clone());
+    *e.node.lock() = Some(NodeGuard::mutex(guard).clone());
 }
 
 fn remove_effect(guard: &mut NodeGuard, e: &Arc<EffectRecord>) {
@@ -429,17 +447,6 @@ fn push_waiter(on: &EffectRecord, waiter: &Arc<EffectRecord>) {
     }
 }
 
-/// One per-child group of descending records staged by `insert`: the
-/// records of one sub-wave whose next path component is `key`, plus the
-/// Bloom bits they contribute to the child's subtree filter.
-struct Group {
-    key: RplId,
-    child: NodeRef,
-    bloom: u64,
-    write_bloom: u64,
-    records: Vec<Arc<EffectRecord>>,
-}
-
 /// The tree-based scheduler.
 pub struct TreeScheduler {
     /// The depth-0 node (module docs, "The root").
@@ -453,7 +460,17 @@ pub struct TreeScheduler {
     /// through [`Scheduler::diagnostics`] (spawned tasks bypass the
     /// scheduler and are not counted).
     queued: AtomicUsize,
+    /// Paths of the nodes finished tasks left vacant, waiting for the next
+    /// drain (module docs, "Pruning").
+    vacated: Mutex<Vec<&'static [RplId]>>,
 }
+
+/// Pending vacated paths at which an admission flushes the list, and the
+/// most one hold of the root prunes.
+const PRUNE_BATCH: usize = 64;
+/// ... at which the completion that leaves the scheduler empty does: steady
+/// traffic keeps the list below this, so its workers never prune.
+const IDLE_PRUNE: usize = 2 * PRUNE_BATCH;
 
 impl TreeScheduler {
     /// Creates a tree scheduler that enables tasks through `enable`.
@@ -463,6 +480,7 @@ impl TreeScheduler {
             recheck_lock: Mutex::new(()),
             enable,
             queued: AtomicUsize::new(0),
+            vacated: Mutex::new(Vec::new()),
         }
     }
 
@@ -481,43 +499,41 @@ impl TreeScheduler {
 
     /// Number of effects currently recorded in the tree (diagnostic).
     pub fn recorded_effects(&self) -> usize {
+        self.flush_vacated();
         Self::sum_nodes(&self.root, &NodeInner::record_count)
     }
 
     /// Number of nodes in the scheduling tree, the root included (diagnostic;
     /// exercised by the empty-leaf pruning tests).
     pub fn tree_nodes(&self) -> usize {
+        self.flush_vacated();
         Self::sum_nodes(&self.root, &|_| 1)
     }
 
     /// Builds and registers the per-effect tree records of a task being
     /// submitted, setting its disabled-effect count (shared by the single
-    /// and batched admission paths).
-    fn register_records(&self, task: &Arc<TaskRecord>) -> Vec<Arc<EffectRecord>> {
+    /// and batched admission paths). A pure task has none, needs no tree
+    /// insertion and is enabled on the spot.
+    fn register_records<'t>(&self, task: &'t Arc<TaskRecord>) -> &'t [Arc<EffectRecord>] {
         let records: Vec<Arc<EffectRecord>> = task
             .effects
             .iter()
             .map(|e| EffectRecord::new(task, e))
             .collect();
-        task.sched.lock().disabled_effects = records.len();
-        let _ = task.tree_effects.set(records.clone());
-        records
-    }
-
-    /// Enables a task with no effects (a pure task needs no tree insertion).
-    fn enable_pure(&self, task: Arc<TaskRecord>) {
-        let submit = {
+        let run_now = {
             let mut s = task.sched.lock();
-            if s.status < TaskStatus::Enabled {
+            s.disabled_effects = records.len();
+            let pure = records.is_empty() && s.status < TaskStatus::Enabled;
+            if pure {
                 s.status = TaskStatus::Enabled;
-                true
-            } else {
-                false
             }
+            pure
         };
-        if submit {
-            (self.enable)(task);
+        let _ = task.tree_effects.set(records);
+        if run_now {
+            (self.enable)(task.clone());
         }
+        task.tree_records()
     }
 
     // ------------------------------------------------------------------
@@ -532,12 +548,11 @@ impl TreeScheduler {
         let submit = {
             let mut s = task.sched.lock();
             s.disabled_effects = s.disabled_effects.saturating_sub(1);
-            if s.disabled_effects == 0 && s.status < TaskStatus::Enabled {
+            let submit = s.disabled_effects == 0 && s.status < TaskStatus::Enabled;
+            if submit {
                 s.status = TaskStatus::Enabled;
-                true
-            } else {
-                false
             }
+            submit
         };
         if submit {
             (self.enable)(task);
@@ -643,11 +658,10 @@ impl TreeScheduler {
     }
 
     /// Checks `e` against the effects in the subtree below the locked
-    /// `parent` guard (Figure 5.7). `ne` is the node containing `e`;
-    /// conflicting effects that are not enabled (or can be disabled) are
-    /// moved up to it. `ne_guard` is `None` when `parent` *is* `ne` (the
-    /// top-level call), in which case `parent_guard` receives the moved
-    /// effects.
+    /// `parent` guard (Figure 5.7). Conflicting effects that are not
+    /// enabled (or can be disabled) are moved up to `ne`, the node
+    /// containing `e`: `ne_guard`, or `parent_guard` itself when that is
+    /// `None` (the top-level call).
     ///
     /// Four refinements over the plain Figure 5.7 walk:
     ///
@@ -671,7 +685,6 @@ impl TreeScheduler {
         &self,
         parent_guard: &mut NodeGuard,
         e: &Arc<EffectRecord>,
-        ne: &NodeRef,
         mut ne_guard: Option<&mut NodeGuard>,
         prio: bool,
         swept: &mut Vec<Arc<EffectRecord>>,
@@ -682,12 +695,11 @@ impl TreeScheduler {
             return None;
         }
         let any_index_only = e.rpl.is_parent_any_index();
-        // Walk the children in interned-id order, not `HashMap` iteration
-        // order: the walk stops at the *first* conflicting enabled record,
-        // and which record a waiter parks behind must not depend on a map's
-        // per-instance hash seed — the differential tests replay one batch
-        // through two scheduler instances and compare the resulting waiter
-        // graphs step for step.
+        // Walk the children in interned-id order, not map iteration order:
+        // the walk stops at the *first* conflicting enabled record, and
+        // which record a waiter parks behind must be reproducible — the
+        // differential tests replay one batch through two scheduler
+        // instances and compare the waiter graphs step for step.
         let mut keys: Vec<RplId> = parent_guard.children.keys().copied().collect();
         keys.sort_unstable();
         for key in keys {
@@ -746,8 +758,7 @@ impl TreeScheduler {
                             // where it will encounter `e`.
                             push_waiter(e, &existing);
                             cg.unlink(class, i);
-                            target.push_record(existing.clone());
-                            *existing.node.lock() = Some(ne.clone());
+                            add_effect(target, &existing);
                         } else {
                             push_waiter(&existing, e);
                             blocker = Some(existing);
@@ -758,7 +769,7 @@ impl TreeScheduler {
                 if blocker.is_none() && !any_index_only {
                     // `P:[?]` cannot overlap anything deeper than the index
                     // children of P; every other wildcard walks on down.
-                    blocker = self.check_below(&mut cg, e, ne, Some(target), prio, swept);
+                    blocker = self.check_below(&mut cg, e, Some(target), prio, swept);
                 }
                 blocker
             };
@@ -793,13 +804,82 @@ impl TreeScheduler {
     // Insertion (Figure 5.4)
     // ------------------------------------------------------------------
 
-    /// Inserts a group of effect records (possibly from many tasks of one
-    /// batch) into the subtree rooted at the locked `node`; an admission is
-    /// this call on the root.
+    /// Checks `e`, a record of the locked node — its settle node, that of
+    /// its maximal wildcard-free prefix — against the node and the subtree
+    /// below, and enables it if nothing blocks it.
+    fn settle(
+        &self,
+        guard: &mut NodeGuard,
+        e: &Arc<EffectRecord>,
+        prio: bool,
+        swept: &mut Vec<Arc<EffectRecord>>,
+    ) -> Option<Arc<EffectRecord>> {
+        let blocker = self
+            .check_at(guard, e, prio, swept)
+            .or_else(|| self.check_below(guard, e, None, prio, swept));
+        if blocker.is_none() {
+            self.enable_effect(e);
+        }
+        blocker
+    }
+
+    /// Walks one record down from the locked node to its settle node, hand
+    /// over hand: lock the child, fold the record's Bloom bit into the
+    /// child's entry under the parent lock, release the parent. At every
+    /// node on the way `check_at` may park the record behind a conflict.
+    /// Returns the record `e` now waits behind, `None` once enabled.
     ///
-    /// An effect settles at the node of its maximal wildcard-free prefix
-    /// (its RPL either ends there or continues with a wildcard). Records
-    /// that settle **here** are processed before records descending
+    /// Both the admission of one record (Figure 5.4; `linked` is false: the
+    /// record joins only the node it stops at, and nothing is allocated on
+    /// the way but a missing child) and the recheck of a record that could
+    /// not previously be enabled (Figure 5.12, lines 14–30; `linked` is
+    /// true: the record is in the locked node's list and moves from list to
+    /// list, so a concurrent recheck always finds it).
+    fn descend(
+        &self,
+        mut guard: NodeGuard,
+        e: &Arc<EffectRecord>,
+        linked: bool,
+        prio: bool,
+        swept: &mut Vec<Arc<EffectRecord>>,
+    ) -> Option<Arc<EffectRecord>> {
+        loop {
+            if e.prefix_depth() == guard.depth {
+                if !linked {
+                    add_effect(&mut guard, e);
+                }
+                return self.settle(&mut guard, e, prio, swept);
+            }
+            if let Some(blocker) = self.check_at(&mut guard, e, prio, swept) {
+                if !linked {
+                    add_effect(&mut guard, e); // parked on the way down
+                }
+                return Some(blocker);
+            }
+            // No conflict here and not yet at the settle node: one level down.
+            if linked {
+                remove_effect(&mut guard, e);
+            }
+            let child_depth = guard.depth + 1;
+            let entry = guard
+                .children
+                .entry(e.prefix_path[child_depth])
+                .or_insert_with(|| ChildEntry::new(child_depth));
+            entry.absorb(e);
+            let mut child_guard = entry.node.lock_arc();
+            if linked {
+                add_effect(&mut child_guard, e);
+            }
+            guard = child_guard;
+        }
+    }
+
+    /// Inserts a group of effect records (possibly from many tasks of one
+    /// batch) into the subtree rooted at the locked node; a batch admission
+    /// is this call on the root. The slice is this call's scratch space: it
+    /// comes back permuted.
+    ///
+    /// Records that settle **here** are processed before records descending
     /// further: a record that settles (and possibly enables) at this node
     /// must be visible to every deeper batch record's `check_at` on its way
     /// past, exactly as if it had been submitted first — without this
@@ -813,106 +893,68 @@ impl TreeScheduler {
     /// task the order is immaterial — a task never conflicts with itself.)
     fn insert(
         &self,
-        node: NodeRef,
         mut guard: NodeGuard,
-        effects: Vec<Arc<EffectRecord>>,
-        depth: usize,
+        records: &mut [Arc<EffectRecord>],
         swept: &mut Vec<Arc<EffectRecord>>,
     ) {
-        // Two passes by reference instead of a `partition` (which would
-        // allocate two vectors per visited node — at a 4096-wide fork that
-        // is thousands of allocations per wave, once per leaf).
-        let n_descend = effects.iter().filter(|e| e.prefix_depth() != depth).count();
-        if n_descend != effects.len() {
-            for e in &effects {
-                if e.prefix_depth() != depth {
-                    continue;
-                }
-                add_effect(&node, &mut guard, e);
-                if self.check_at(&mut guard, e, false, swept).is_none()
-                    && self
-                        .check_below(&mut guard, e, &node, None, false, swept)
-                        .is_none()
-                {
-                    self.enable_effect(e);
-                }
-            }
+        let depth = guard.depth;
+        for e in records.iter().filter(|e| e.prefix_depth() == depth) {
+            add_effect(&mut guard, e);
+            self.settle(&mut guard, e, false, swept);
         }
-        if n_descend == 0 {
-            return;
-        }
-        // Group the descending records per child. One wave usually runs
-        // long same-child stretches (the whole batch shares a region
-        // prefix until the fork level), so the per-record fast path is a
-        // single id compare against the previous record's child; only a
-        // change of child pays the hash lookups. Each group's Bloom bits
-        // are accumulated locally and folded into the child's subtree
-        // filter *before this node's lock is released* (the publication
-        // invariant the skip rules rely on).
-        let mut below: Vec<Group> = Vec::new();
-        let mut below_index: HashMap<RplId, usize> = HashMap::new();
-        let mut last: Option<(RplId, usize)> = None;
-        for e in &effects {
+        // The records that pass this node unhindered are compacted to the
+        // front of the slice, in order; one a conflict stops parks here.
+        let mut passing = 0;
+        for i in 0..records.len() {
+            let e = &records[i];
             if e.prefix_depth() == depth {
                 continue;
             }
-            if self.check_at(&mut guard, e, false, swept).is_some() {
-                add_effect(&node, &mut guard, e);
-                continue;
-            }
-            let next = e.prefix_path[depth + 1];
-            let slot = match last {
-                Some((key, slot)) if key == next => slot,
-                _ => {
-                    let child_depth = guard.depth + 1;
-                    let entry = guard
-                        .children
-                        .entry(next)
-                        .or_insert_with(|| ChildEntry::new(child_depth));
-                    let child = entry.node.clone();
-                    let slot = *below_index.entry(next).or_insert_with(|| {
-                        below.push(Group {
-                            key: next,
-                            child,
-                            bloom: 0,
-                            write_bloom: 0,
-                            records: Vec::new(),
-                        });
-                        below.len() - 1
-                    });
-                    last = Some((next, slot));
-                    slot
+            match self.check_at(&mut guard, e, false, swept) {
+                Some(_) => add_effect(&mut guard, e),
+                None => {
+                    records.swap(passing, i);
+                    passing += 1;
                 }
-            };
-            let group = &mut below[slot];
-            let bit = record_bit(e);
-            group.bloom |= bit;
-            if e.write {
-                group.write_bloom |= bit;
-            }
-            group.records.push(e.clone());
-        }
-        drop(effects);
-        // Publish the accumulated bits into the children's subtree filters
-        // while this node's lock is still held.
-        for group in &below {
-            if let Some(entry) = guard.children.get_mut(&group.key) {
-                entry.bloom |= group.bloom;
-                entry.write_bloom |= group.write_bloom;
             }
         }
-        // Hand-over-hand: lock every needed child, release this node, then
-        // recurse into the children one by one.
-        let locked: Vec<(NodeRef, NodeGuard, Vec<Arc<EffectRecord>>)> = below
-            .into_iter()
-            .map(|group| {
-                let child_guard = group.child.lock_arc();
-                (group.child, child_guard, group.records)
-            })
-            .collect();
+        // Group them per child in place, no per-level vectors or maps: a
+        // stable sort by next path component keeps each child's records in
+        // wave order, and children are disjoint subtrees, so the order
+        // *between* them decides nothing.
+        let mut rest = &mut records[..passing];
+        let next = |e: &Arc<EffectRecord>| e.prefix_path[depth + 1];
+        rest.sort_by_key(next);
+        // Hand-over-hand: fold each group's Bloom bits into its child's
+        // subtree filter and lock the child *before this node's lock is
+        // released* (the publication invariant the skip rules rely on), then
+        // continue in the children one by one.
+        let mut locked: Vec<(NodeGuard, usize)> = Vec::new();
+        let mut grouped = 0;
+        while grouped < rest.len() {
+            let key = next(&rest[grouped]);
+            let entry = guard
+                .children
+                .entry(key)
+                .or_insert_with(|| ChildEntry::new(depth + 1));
+            let start = grouped;
+            for e in rest[start..].iter().take_while(|e| next(e) == key) {
+                entry.absorb(e);
+                grouped += 1;
+            }
+            locked.push((entry.node.lock_arc(), grouped - start));
+        }
         drop(guard);
-        for (child, child_guard, effs) in locked {
-            self.insert(child, child_guard, effs, depth + 1, swept);
+        for (child_guard, len) in locked {
+            let (group, tail) = rest.split_at_mut(len);
+            rest = tail;
+            // Staging pays only where records still share a prefix: a group
+            // of one goes the rest of its way as a single-record descent.
+            if let [e] = group {
+                self.descend(child_guard, e, false, false, swept);
+            } else {
+                self.insert(child_guard, group, swept);
+            }
         }
     }
 
@@ -920,70 +962,19 @@ impl TreeScheduler {
     // Rechecking (Figures 5.12, 5.13)
     // ------------------------------------------------------------------
 
-    fn lock_containing_node(&self, e: &Arc<EffectRecord>) -> (NodeRef, NodeGuard) {
+    fn lock_containing_node(&self, e: &Arc<EffectRecord>) -> NodeGuard {
         loop {
-            let node = { e.node.lock().clone() };
-            let Some(node) = node else {
-                // The effect is between nodes (insert/recheck is moving it);
-                // yield rather than spin so the moving thread can finish on
-                // machines with few cores.
+            let Some(node) = e.node.lock().clone() else {
+                // The effect is not in any node yet (its admission is still
+                // descending); yield rather than spin so the admitting
+                // thread can finish on machines with few cores.
                 std::thread::yield_now();
                 continue;
             };
             let guard = node.lock_arc();
-            let still_there = e
-                .node
-                .lock()
-                .as_ref()
-                .map(|n| Arc::ptr_eq(n, &node))
-                .unwrap_or(false);
-            if still_there {
-                return (node, guard);
+            if matches!(&*e.node.lock(), Some(n) if Arc::ptr_eq(n, &node)) {
+                return guard;
             }
-            drop(guard);
-        }
-    }
-
-    /// Re-checks a single effect that could not previously be enabled
-    /// (Figure 5.12, lines 14–30). Consumes the guard of its containing
-    /// node; returns the record still blocking `e`, `None` once it is enabled.
-    fn recheck_effect(
-        &self,
-        mut node: NodeRef,
-        mut guard: NodeGuard,
-        e: &Arc<EffectRecord>,
-        prio: bool,
-        swept: &mut Vec<Arc<EffectRecord>>,
-    ) -> Option<Arc<EffectRecord>> {
-        loop {
-            let blocker = self.check_at(&mut guard, e, prio, swept);
-            if blocker.is_some() {
-                return blocker;
-            }
-            let d = guard.depth;
-            if e.prefix_depth() == d {
-                let blocker = self.check_below(&mut guard, e, &node, None, prio, swept);
-                if blocker.is_none() {
-                    self.enable_effect(e);
-                }
-                return blocker;
-            }
-            // No conflict here and not yet at the maximal wildcard-free
-            // prefix: move the effect down one level and continue from there.
-            remove_effect(&mut guard, e);
-            let next = e.prefix_path[d + 1];
-            let child_depth = d + 1;
-            let entry = guard
-                .children
-                .entry(next)
-                .or_insert_with(|| ChildEntry::new(child_depth));
-            entry.absorb(e);
-            let child = entry.node.clone();
-            let mut child_guard = child.lock_arc();
-            add_effect(&child, &mut child_guard, e);
-            drop(guard);
-            node = child;
-            guard = child_guard;
         }
     }
 
@@ -997,16 +988,13 @@ impl TreeScheduler {
                 return;
             }
             task.sched.lock().rechecking = true;
-            let records = task.tree_effects.get().cloned().unwrap_or_default();
-            for e in records {
-                let (node, guard) = self.lock_containing_node(&e);
+            for e in task.tree_records() {
+                let guard = self.lock_containing_node(e);
                 if !e.enabled.load(Ordering::Acquire) {
-                    self.recheck_effect(node, guard, &e, true, &mut swept);
+                    self.descend(guard, e, true, true, &mut swept);
                     if task.sched.lock().status >= TaskStatus::Enabled {
                         break;
                     }
-                } else {
-                    drop(guard);
                 }
             }
             task.sched.lock().rechecking = false;
@@ -1032,10 +1020,10 @@ impl TreeScheduler {
             if waiter_task.is_done() {
                 continue;
             }
-            let (node, guard) = self.lock_containing_node(&waiter);
+            let guard = self.lock_containing_node(&waiter);
             if !waiter.enabled.load(Ordering::Acquire) {
                 let prio = waiter_task.sched.lock().status == TaskStatus::Prioritized;
-                let blocker = self.recheck_effect(node, guard, &waiter, prio, swept);
+                let blocker = self.descend(guard, &waiter, true, prio, swept);
                 // Rechecking the single effect was not sufficient when a
                 // prioritized task is still not enabled (some of its other
                 // effects may have been disabled), or when the waiter is now
@@ -1049,8 +1037,6 @@ impl TreeScheduler {
                 if blocker_waits || (prio && waiter_task.status() == TaskStatus::Prioritized) {
                     self.recheck_task(&waiter_task);
                 }
-            } else {
-                drop(guard);
             }
         }
     }
@@ -1068,73 +1054,89 @@ impl TreeScheduler {
     }
 
     // ------------------------------------------------------------------
-    // Admission
+    // Admission and pruning
     // ------------------------------------------------------------------
 
-    /// Admits one wave of records — one task's, or one sub-wave of a
-    /// batch's — on the calling thread: one `insert` at the root.
-    fn admit_wave(&self, wave: Vec<Arc<EffectRecord>>, swept: &mut Vec<Arc<EffectRecord>>) {
-        let guard = self.root.lock_arc();
-        self.insert(self.root.clone(), guard, wave, 0, swept);
+    /// Flushes the vacated paths once `full` of them are pending.
+    fn drain_if_full(&self, full: usize) {
+        if self.vacated.lock().len() >= full {
+            self.flush_vacated();
+        }
     }
 
-    /// Eagerly prunes the tree along one root-to-node id path: every node on
-    /// the path that is (or becomes) empty is unlinked from its parent, and
-    /// the surviving deepest node's entry is rewritten with a fresh summary.
-    /// Dead records met along the way are swept exactly as a conflict walk
-    /// would sweep them.
+    /// Prunes the tree along every pending vacated path (module docs,
+    /// "Pruning"). Every node on a path that is (or becomes) empty is
+    /// unlinked from its parent, a surviving node's entry is rewritten with
+    /// a fresh summary, and dead records met on the way are swept exactly as
+    /// a conflict walk would sweep them. A path whose node was readmitted to
+    /// since (or is already gone) costs its descent and nothing else.
     ///
-    /// This is how quiescent state leaves the tree without waiting for a
-    /// wildcard walk to stumble over it: `task_done` calls it for each node a
-    /// finished task emptied, and `region_retired` calls it with the retired
-    /// region's interned path so a recycled `__DynRegion` id never greets its
-    /// next era with the previous era's node.
-    ///
-    /// Locking: the guard chain is acquired strictly downward from the root
-    /// (the same order as every admission and walk), so it cannot deadlock
-    /// with concurrent traffic. The unwind pops the deepest guard first; each
-    /// parent-entry rewrite/removal happens while that parent's guard is
-    /// still held, which is exactly the discipline `check_below`'s rebuild
-    /// and prune steps follow (node additions require the parent lock, so an
-    /// entry written from a summary computed under the child lock stays a
-    /// superset).
-    fn prune_quiescent_path(&self, path: &[RplId]) {
-        // `guards[i]` holds the node of `path[i]`; `path[0]` is the root,
-        // which is never pruned.
-        let mut guards: Vec<NodeGuard> = Vec::with_capacity(path.len());
-        guards.push(self.root.lock_arc());
-        for key in &path[1..] {
-            let child = match guards.last().unwrap().children.get(key) {
-                Some(entry) => entry.node.clone(),
-                None => break,
-            };
-            guards.push(child.lock_arc());
-        }
+    /// Locking: called with no node lock held. The paths are walked in
+    /// sorted order, `PRUNE_BATCH` per chain of guards, and the root is let
+    /// go between chunks: a long list stalls no admission for longer than
+    /// one batch. A chain only ever grows downward from a node it holds, so
+    /// it cannot deadlock with concurrent traffic, and each parent-entry
+    /// rewrite/removal happens while that parent's guard is still held —
+    /// the discipline of `check_below`'s rebuild and prune steps.
+    fn flush_vacated(&self) {
+        let mut paths = {
+            let mut pending = self.vacated.lock();
+            if pending.is_empty() {
+                return;
+            }
+            std::mem::replace(&mut *pending, Vec::with_capacity(PRUNE_BATCH))
+        };
+        paths.sort_unstable();
+        // `guards[i]` holds the node of `held[i]` (`held` may run on past a
+        // missing child); `guards[0]` is the root, which is never pruned.
+        let mut guards = Vec::new();
         let mut swept = Vec::new();
-        while guards.len() > 1 {
-            let mut guard = guards.pop().unwrap();
-            guard.sweep_dead(&mut swept);
+        for chunk in paths.chunks(PRUNE_BATCH) {
+            guards.push(self.root.lock_arc());
+            let mut held: &[RplId] = &[];
+            for &path in chunk {
+                let shared = held.iter().zip(path).take_while(|(a, b)| a == b).count();
+                Self::unwind(&mut guards, held, shared.max(1), &mut swept);
+                for key in &path[guards.len()..] {
+                    let Some(entry) = guards[guards.len() - 1].children.get(key) else {
+                        break;
+                    };
+                    let child_guard = entry.node.lock_arc();
+                    guards.push(child_guard);
+                }
+                held = path;
+            }
+            Self::unwind(&mut guards, held, 1, &mut swept);
+            guards.clear();
+        }
+        self.recheck_swept(swept);
+    }
+
+    /// Releases the chain's guards down to its first `keep`, deepest first:
+    /// each node is swept, then unlinked from its parent if that left it
+    /// vacant (which may in turn vacate the parent) or re-summarised there.
+    fn unwind(
+        guards: &mut Vec<NodeGuard>,
+        held: &[RplId],
+        keep: usize,
+        swept: &mut Vec<Arc<EffectRecord>>,
+    ) {
+        while guards.len() > keep {
+            let mut guard = guards.pop().expect("deeper than `keep`");
+            guard.sweep_dead(swept);
             let summary = (!guard.is_vacant()).then(|| guard.fresh_summary());
             drop(guard);
-            let key = path[guards.len()];
-            let parent = guards.last_mut().unwrap();
-            match summary {
-                None => {
-                    parent.children.remove(&key);
-                    // Keep unwinding: removing this node may have emptied
-                    // the parent too.
-                }
-                Some((bloom, write_bloom)) => {
-                    if let Some(entry) = parent.children.get_mut(&key) {
-                        entry.bloom = bloom;
-                        entry.write_bloom = write_bloom;
-                    }
-                    break;
-                }
+            let key = held[guards.len()];
+            let parent = guards.last_mut().expect("the root stays");
+            let Some((bloom, write_bloom)) = summary else {
+                parent.children.remove(&key);
+                continue;
+            };
+            if let Some(entry) = parent.children.get_mut(&key) {
+                entry.bloom = bloom;
+                entry.write_bloom = write_bloom;
             }
         }
-        drop(guards);
-        self.recheck_swept(swept);
     }
 }
 
@@ -1145,47 +1147,47 @@ impl Scheduler for TreeScheduler {
 
     fn submit(&self, task: Arc<TaskRecord>) {
         self.queued.fetch_add(1, Ordering::Relaxed);
-        let records = self.register_records(&task);
-        if records.is_empty() {
-            // A pure task can run immediately.
-            self.enable_pure(task);
-            return;
-        }
         let mut swept = Vec::new();
-        self.admit_wave(records, &mut swept);
+        match self.register_records(&task) {
+            [] => {}
+            // One record — every service request — needs no staging.
+            [e] => drop(self.descend(self.root.lock_arc(), e, false, false, &mut swept)),
+            // Several must go in atomically: `insert` locks every child
+            // before it releases a node, so two tasks are ordered alike at
+            // every node they share. Record by record, `K:[0], K:[2]` and
+            // `K:[2], K:[0]` could each park their second behind the other's
+            // first, and without an awaiter nothing would recheck either.
+            records => self.insert(self.root.lock_arc(), &mut records.to_vec(), &mut swept),
+        }
         self.recheck_swept(swept);
+        self.drain_if_full(PRUNE_BATCH);
     }
 
     fn submit_batch(&self, tasks: Vec<Arc<TaskRecord>>) {
         self.queued.fetch_add(tasks.len(), Ordering::Relaxed);
-        // Register every task's records, then admit the batch in sub-waves
-        // of up to `CHUNK` records, each one `insert` at the root:
-        // shared region prefixes are locked and checked once per sub-wave
-        // (instead of once per task), and the deferred dead-record recheck
-        // round runs once at the end. The chunking bounds the working set a
-        // single wave streams through — one huge wave touches every record
-        // once per level and falls out of cache between levels — while
-        // keeping per-task admission overhead amortized. Sub-wave boundaries
-        // fall on task boundaries, so the admission order is still
+        // Register every task's records and admit the batch in sub-waves of
+        // up to `CHUNK` records, each one `insert` at the root: shared region
+        // prefixes are locked and checked once per sub-wave instead of once
+        // per task, and the deferred dead-record recheck round runs once at
+        // the end. The chunking bounds the working set a wave streams
+        // through — one huge wave touches every record once per level and
+        // falls out of cache between levels. Sub-wave boundaries fall on
+        // task boundaries, so the admission order is still
         // sequential-equivalent (a sequence of sequential-equivalent waves,
-        // via the settle-first ordering of `admit_wave` and `insert`), and a
-        // one-task batch is exactly `submit`.
+        // via the settle-first ordering of `insert`).
         const CHUNK: usize = 512;
         let mut swept = Vec::new();
         let mut wave: Vec<Arc<EffectRecord>> = Vec::new();
         for task in tasks {
-            let records = self.register_records(&task);
-            if records.is_empty() {
-                self.enable_pure(task);
-                continue;
-            }
-            wave.extend(records);
+            wave.extend_from_slice(self.register_records(&task));
             if wave.len() >= CHUNK {
-                self.admit_wave(std::mem::take(&mut wave), &mut swept);
+                self.insert(self.root.lock_arc(), &mut wave, &mut swept);
+                wave.clear();
             }
         }
-        self.admit_wave(wave, &mut swept);
+        self.insert(self.root.lock_arc(), &mut wave, &mut swept);
         self.recheck_swept(swept);
+        self.drain_if_full(PRUNE_BATCH);
     }
 
     fn on_await(&self, _blocked: Option<&Arc<TaskRecord>>, target: &Arc<TaskRecord>) {
@@ -1217,45 +1219,41 @@ impl Scheduler for TreeScheduler {
     }
 
     fn task_done(&self, task: &Arc<TaskRecord>) {
-        if !task.spawned {
-            // Spawned tasks were never submitted, so they were never
-            // counted; the guard keeps the gauge from underflowing.
-            self.queued.fetch_sub(1, Ordering::Relaxed);
-        }
+        // Spawned tasks were never submitted, so they were never counted;
+        // the guard keeps the gauge from underflowing.
+        let last = !task.spawned && self.queued.fetch_sub(1, Ordering::Relaxed) == 1;
         // The runtime has already set the task's status to Done.
-        let records = task.tree_effects.get().cloned().unwrap_or_default();
-        let mut quiescent_paths: Vec<&[RplId]> = Vec::new();
-        for e in &records {
-            let (_node, mut guard) = self.lock_containing_node(e);
+        for e in task.tree_records() {
+            let mut guard = self.lock_containing_node(e);
             remove_effect(&mut guard, e);
-            if guard.depth > 0 && guard.is_vacant() {
-                // The finished task emptied this node: prune it eagerly
-                // instead of leaving it for the next wildcard walk, so
-                // index-region traffic (`Data:[i]`) keeps the tree flat even
-                // when no wildcard effect ever visits it.
-                quiescent_paths.push(&e.prefix_path[..=guard.depth]);
-            }
+            let vacated = (guard.depth > 0 && guard.is_vacant()).then_some(guard.depth);
             drop(guard);
-        }
-        for path in quiescent_paths {
-            // Idempotent (a path already pruned by an earlier iteration or a
-            // concurrent walk just stops at the missing child), so no dedup.
-            self.prune_quiescent_path(path);
+            if let Some(depth) = vacated {
+                // The finished task emptied this node; unlinking it is
+                // left to the admitting side (module docs, "Pruning"). A
+                // path pending twice is pruned once, so no dedup.
+                self.vacated.lock().push(&e.prefix_path[..=depth]);
+            }
         }
         let mut swept = Vec::new();
-        for e in &records {
+        for e in task.tree_records() {
             self.recheck_waiters_of(e, &mut swept);
         }
         self.recheck_swept(swept);
+        if last {
+            // Nobody may ever submit again, so an idle scheduler must not
+            // sit on what a batch left behind; the list steady traffic
+            // leaves is the next admission's.
+            self.drain_if_full(IDLE_PRUNE);
+        }
     }
 
     fn spawned_child_done(&self, parent: &Arc<TaskRecord>) {
         // A completed spawned child may have been the only thing keeping a
         // conflict alive (Figure 5.8 checks the spawned children of blocked
         // tasks), so recheck the waiters recorded on the parent's effects.
-        let records = parent.tree_effects.get().cloned().unwrap_or_default();
         let mut swept = Vec::new();
-        for e in &records {
+        for e in parent.tree_records() {
             self.recheck_waiters_of(e, &mut swept);
         }
         self.recheck_swept(swept);
@@ -1266,12 +1264,14 @@ impl Scheduler for TreeScheduler {
         // `DynCell::drop`, and live effects keep the cell alive through
         // their task), so everything at the region's node is dead or done
         // and the node can be pruned before the epoch reclaimer hands the
-        // id to a new cell. Production cell effects are fully specified
-        // (`cell.rpl()` has no wildcard), so they settle exactly at the
-        // region's own node — pruning the interned path covers them; any
-        // deeper records under manually-built sub-region RPLs are left to
-        // the normal sweep walks.
-        self.prune_quiescent_path(twe_effects::arena::id_path(region));
+        // id to a new cell. Cell effects are fully specified, so they settle
+        // exactly at the region's own node — pruning the interned path
+        // covers them, once the flush has pruned the sub-region nodes
+        // (`cell:Key:[j]`) finished tasks vacated below it.
+        self.vacated
+            .lock()
+            .push(twe_effects::arena::id_path(region));
+        self.flush_vacated();
     }
 
     fn diagnostics(&self) -> crate::scheduler::SchedulerDiagnostics {
@@ -1605,10 +1605,10 @@ mod tests {
     #[test]
     fn empty_leaf_nodes_are_pruned_after_index_churn() {
         let h = harness();
-        // Finished tasks are pruned eagerly by `task_done` (see
-        // `task_done_prunes_quiescent_subtrees_without_wildcard_walks`);
-        // *dropped* tasks leave dead records behind and still rely on the
-        // lazy wildcard-walk sweep exercised here.
+        // The nodes finished tasks vacate are pruned by the drains (see
+        // `index_traffic_stays_bounded_without_wildcard_walks`); *dropped*
+        // tasks leave dead records behind and still rely on the lazy
+        // wildcard-walk sweep exercised here.
         let tasks: Vec<_> = (0..64)
             .map(|i| task(i, &format!("writes Churn:[{i}]")))
             .collect();
@@ -1631,8 +1631,9 @@ mod tests {
         let after = h.sched.tree_nodes();
         assert_eq!(after, 2, "only root and the Churn node may remain");
         h.finish(&sweeper);
+        assert_eq!(raw_nodes(&h.sched), 2, "the sweeper's node is only vacated");
+        assert_eq!(h.sched.tree_nodes(), 1, "and pruned by the flush");
         assert_eq!(h.sched.recorded_effects(), 0);
-        assert_eq!(h.sched.tree_nodes(), 1, "the sweeper's own node pruned");
     }
 
     #[test]
@@ -1713,34 +1714,69 @@ mod tests {
         // The settle-first regression: a batch pairing a deep concrete
         // record with a shallower wildcard that overlaps it must serialize
         // the pair regardless of batch order — without settle-first
-        // processing, the order [deep, wildcard] let both enable.
-        for flip in [false, true] {
-            let h = harness();
-            let deep = task(1, "writes X:Y");
-            let wild = task(2, "writes X:*");
-            let batch = if flip {
-                vec![deep.clone(), wild.clone()]
-            } else {
-                vec![wild.clone(), deep.clone()]
-            };
-            h.sched.submit_batch(batch);
-            let enabled = h.enabled_ids();
-            assert_eq!(
-                enabled.len(),
-                1,
-                "exactly one of the pair may enable (flip={flip})"
-            );
-            let (first, second) = if enabled[0] == 1 {
-                (deep.clone(), wild.clone())
-            } else {
-                (wild.clone(), deep.clone())
-            };
-            assert_eq!(second.status(), TaskStatus::Waiting);
-            h.finish(&first);
-            assert_eq!(second.status(), TaskStatus::Enabled, "flip={flip}");
-            h.finish(&second);
-            assert_eq!(h.sched.recorded_effects(), 0);
+        // processing, the order [deep, wildcard] let both enable. The other
+        // pairs put the conflict where the single-record descent takes over
+        // from the staged insert: multi-effect tasks whose records settle at
+        // different depths (conflicting at the deep one, then at the shallow
+        // one), and a wildcard whose partner leaves the shared prefix as a
+        // group of one.
+        for (a, b) in [
+            ("writes X:Y", "writes X:*"),
+            ("writes X, reads X:Y:Z", "writes X:Y:Z, reads W"),
+            ("reads X:Y:Z, writes X", "reads X, reads V:[1]"),
+            ("writes X:Y:Z:[4]", "reads X:Y:*"),
+        ] {
+            for flip in [false, true] {
+                let h = harness();
+                let (a, b) = (task(1, a), task(2, b));
+                let batch = if flip {
+                    vec![a.clone(), b.clone()]
+                } else {
+                    vec![b.clone(), a.clone()]
+                };
+                h.sched.submit_batch(batch);
+                let enabled = h.enabled_ids();
+                assert_eq!(
+                    enabled.len(),
+                    1,
+                    "exactly one of {a:?} and {b:?} may enable (flip={flip})"
+                );
+                let (first, second) = if enabled[0] == 1 { (&a, &b) } else { (&b, &a) };
+                assert_eq!(second.status(), TaskStatus::Waiting);
+                h.finish(first);
+                assert_eq!(second.status(), TaskStatus::Enabled, "flip={flip}");
+                h.finish(second);
+                assert_eq!(h.sched.recorded_effects(), 0);
+            }
         }
+    }
+
+    #[test]
+    fn groups_of_one_descend_alone_and_may_park_on_the_way() {
+        // Both members of the batch leave the root as a group of one, so
+        // each goes the rest of its way as a single-record descent: `Q`
+        // settles and enables, `X:Y:Z` meets the holder's `X:*` at `X` and
+        // parks there, two levels above its settle node, until the holder
+        // is done.
+        let h = harness();
+        let holder = task(1, "writes X:*");
+        let deep = task(2, "writes X:Y:Z");
+        let other = task(3, "writes Q");
+        let depth_of = |t: &Arc<TaskRecord>| {
+            let node = t.tree_records()[0].node.lock().clone().unwrap();
+            let depth = node.lock().depth;
+            depth
+        };
+        h.sched.submit(holder.clone());
+        h.sched.submit_batch(vec![deep.clone(), other.clone()]);
+        assert_eq!(h.enabled_ids(), vec![1, 3]);
+        assert_eq!(depth_of(&deep), 1, "parked at X");
+        h.finish(&holder);
+        assert_eq!(deep.status(), TaskStatus::Enabled);
+        assert_eq!(depth_of(&deep), 3, "moved down to X:Y:Z");
+        h.finish(&deep);
+        h.finish(&other);
+        assert_eq!(h.sched.tree_nodes(), 1);
     }
 
     #[test]
@@ -2044,6 +2080,68 @@ mod tests {
     }
 
     #[test]
+    fn crossing_multi_effect_submitters_never_park_behind_each_other() {
+        // A task's admission is atomic against a concurrent submitter: its
+        // whole wave goes through one `insert`, which locks every child
+        // before it releases the node, so two submitters are totally ordered
+        // at every node they share. Admitting the records one descent at a
+        // time instead lets `K:[0], K:[2]` and `K:[2], K:[0]` each enable
+        // their first record and park their second behind the other's —
+        // nothing ever completes, so nothing ever rechecks, and without an
+        // awaiter both wait forever. Fire-and-forget here: no `on_await`.
+        // (Unfixed, about one round in 120 stuck: 20 000 is ample.)
+        let rounds = 20_000;
+        let sched = TreeScheduler::new(Box::new(|_| {}));
+        let barrier = std::sync::Barrier::new(2);
+        let pairs: Vec<_> = (0..rounds)
+            .map(|i| {
+                let a = task(2 * i, "writes K:[0], writes K:[2]");
+                let b = task(2 * i + 1, "writes K:[2], writes K:[0]");
+                (a, b)
+            })
+            .collect();
+        // Both threads walk every round (a panic between two barrier waits
+        // would strand the other thread); the first stuck round is reported
+        // at the end.
+        let mut stuck = None;
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for (_, b) in &pairs {
+                    barrier.wait();
+                    sched.submit(b.clone());
+                    barrier.wait();
+                    barrier.wait();
+                }
+            });
+            for (round, (a, b)) in pairs.iter().enumerate() {
+                barrier.wait();
+                sched.submit(a.clone());
+                barrier.wait();
+                let first = if a.status() == TaskStatus::Enabled {
+                    a
+                } else {
+                    b
+                };
+                let second = if a.status() == TaskStatus::Enabled {
+                    b
+                } else {
+                    a
+                };
+                for t in [first, second] {
+                    if t.status() != TaskStatus::Enabled {
+                        stuck.get_or_insert((round, a.status(), b.status()));
+                    }
+                    t.mark_done();
+                    sched.task_done(t);
+                }
+                barrier.wait();
+            }
+        });
+        assert_eq!(stuck, None, "(round, A, B) with nobody to await either");
+        assert_eq!(sched.recorded_effects(), 0);
+    }
+
+    #[test]
     fn root_settlers_win_over_grouped_records_in_both_orders() {
         // Settle-first at root level: a root-settling wildcard is admitted
         // (and enabled) before any first-level group of its wave, wherever
@@ -2071,24 +2169,34 @@ mod tests {
     }
 
     #[test]
-    fn task_done_prunes_quiescent_subtrees_without_wildcard_walks() {
-        // Pure index-region traffic, no wildcard effect ever submitted: the
-        // eager task_done prune alone must keep the tree flat (before PR 7,
-        // only wildcard walks pruned, so this pattern grew one leaf chain
-        // per distinct index forever).
+    fn index_traffic_stays_bounded_without_wildcard_walks() {
+        // Pure index-region traffic, no wildcard effect ever submitted, one
+        // request at a time: every completion vacates a fresh three-node
+        // chain and leaves the scheduler empty. The drains alone must keep
+        // the tree bounded (before PR 7 only wildcard walks pruned, so this
+        // pattern grew one leaf chain per distinct index forever) — and
+        // they are the admissions': steady traffic never leaves a
+        // completion `IDLE_PRUNE` paths, so the worker prunes nothing.
         let h = harness();
-        for i in 0..32u64 {
+        let mut peak = 0;
+        for i in 0..1_000u64 {
             let t = task(i + 1, &format!("writes Data:[{i}]:Sub"));
             h.sched.submit(t.clone());
             assert_eq!(t.status(), TaskStatus::Enabled);
             h.finish(&t);
-            assert_eq!(
-                h.sched.tree_nodes(),
-                1,
-                "iteration {i}: finished task's emptied chain must be pruned"
+            let nodes = raw_nodes(&h.sched);
+            assert!(
+                nodes <= 2 + 2 * PRUNE_BATCH,
+                "iteration {i}: {nodes} nodes for an empty scheduler"
             );
+            peak = peak.max(nodes);
         }
-        assert_eq!(h.sched.recorded_effects(), 0);
+        assert!(
+            peak > 2 * (PRUNE_BATCH - 1),
+            "pruned before the list filled"
+        );
+        assert_eq!(h.sched.tree_nodes(), 1);
+        assert_eq!(raw_nodes(&h.sched), 1, "`tree_nodes` flushed the rest");
     }
 
     #[test]
@@ -2165,6 +2273,12 @@ mod tests {
         let id = twe_effects::Rpl::parse(name).prefix_id_path()[1];
         let node = sched.root.lock().children[&id].node.clone();
         node
+    }
+
+    /// Nodes in the tree right now, pending prunes included
+    /// ([`TreeScheduler::tree_nodes`] flushes them first).
+    fn raw_nodes(sched: &TreeScheduler) -> usize {
+        TreeScheduler::sum_nodes(&sched.root, &|_| 1)
     }
 
     /// Live covering records at the root: wildcard settlers and the
@@ -2358,58 +2472,99 @@ mod tests {
         assert_eq!(h.sched.recorded_effects(), 0);
     }
 
-    /// The leak the sharded root plane introduced (PR 8 – PR 15): a program
-    /// that partitions the root by index kept one routing-table entry, slot
-    /// mutex and first-level node per index ever seen until the scheduler
-    /// dropped, because routes were never unpublished (its `tree_nodes()`
-    /// hid them by not counting vacant shards). First-level nodes are now
-    /// ordinary children of the root: "the root has no children" is the
-    /// assertion the parent commit could not meet — its route snapshot held
-    /// all 10 000 entries after the same drain.
-    ///
-    /// Second half: a first-level node that was pruned is rebuilt by the
-    /// next admission under the same name, and a `writes *` sweeper still
-    /// finds its records.
+    /// Pruning is deferred, bounded and sound, at the first level too. (The
+    /// sharded root plane of PR 8 – PR 15 never unpublished a first-level
+    /// route: a program that partitions the root by index kept one node per
+    /// index ever seen.) 10 000 `writes [i]:X` with no wildcard ever, first
+    /// per task with 100 in flight, then as one batch: the root never has
+    /// more children than requests in flight plus one batch of vacated
+    /// paths, and a drained scheduler is a bare root.
     #[test]
-    fn first_level_nodes_are_pruned_when_vacant_and_rebuilt_on_readmission() {
+    fn vacated_paths_are_pruned_in_batches_and_rebuilt_on_readmission() {
         let h = harness();
-        let assert_flat = |h: &Harness, what: &str| {
-            assert!(h.sched.root.lock().children.is_empty(), "{what}");
-            assert_eq!(h.sched.tree_nodes(), 1, "{what}");
-            assert_eq!(h.sched.recorded_effects(), 0, "{what}");
-        };
+        let first_level = |h: &Harness| h.sched.root.lock().children.len();
         let wave = |base: u64| -> Vec<_> {
             (0..10_000u64)
                 .map(|i| task(base + i, &format!("writes [{i}]:X")))
                 .collect()
         };
-        let per_task = wave(0);
-        for t in &per_task {
+        let mut window = std::collections::VecDeque::new();
+        let mut deferred = false;
+        for t in wave(0) {
             h.sched.submit(t.clone());
+            window.push_back(t);
+            if window.len() > 100 {
+                h.finish(&window.pop_front().unwrap());
+            }
+            let live = first_level(&h);
+            assert!(live <= window.len() + PRUNE_BATCH, "{live} children");
+            deferred |= live > window.len();
         }
-        assert_eq!(h.sched.root.lock().children.len(), 10_000);
-        for t in &per_task {
+        assert!(
+            deferred,
+            "a completion with requests in flight prunes nothing"
+        );
+        for t in &window {
             h.finish(t);
         }
-        assert_flat(&h, "per-task admission drained");
+        assert!(first_level(&h) < IDLE_PRUNE, "idle: less than a batch left");
+        assert_eq!(h.sched.tree_nodes(), 1);
+        assert_eq!(first_level(&h), 0, "`tree_nodes` flushed the rest");
+
         let batch = wave(10_000);
         h.sched.submit_batch(batch.clone());
         assert_eq!(h.enabled_ids().len(), 20_000);
-        for t in &batch {
+        let (last, rest) = batch.split_last().unwrap();
+        for t in rest {
             h.finish(t);
         }
-        assert_flat(&h, "batch admission drained");
+        assert_eq!(first_level(&h), 10_000, "nobody admitted, nobody pruned");
+        h.finish(last);
+        assert_eq!(first_level(&h), 0, "the completion that emptied it drained");
+        assert_eq!(h.sched.recorded_effects(), 0);
 
-        let again = task(20_000, "writes [7]:X");
-        let sweeper = task(20_001, "writes *");
+        // A node is readmitted to while its vacated path is still pending:
+        // the drain must leave it alone, and a `writes *` sweeper must find
+        // the record in it.
+        let once = task(20_000, "writes [7]:X");
+        h.sched.submit(once.clone());
+        h.finish(&once);
+        assert_eq!(raw_nodes(&h.sched), 3, "root, [7] and [7]:X, path pending");
+        let again = task(20_001, "writes [7]:X");
+        let sweeper = task(20_002, "writes *");
         h.sched.submit(again.clone());
         assert_eq!(again.status(), TaskStatus::Enabled);
-        assert_eq!(h.sched.tree_nodes(), 3, "root, [7] and [7]:X rebuilt");
+        assert_eq!(h.sched.tree_nodes(), 3, "flushed around the live record");
         h.sched.submit(sweeper.clone());
         assert_eq!(sweeper.status(), TaskStatus::Waiting, "found below [7]");
         h.finish(&again);
         assert_eq!(sweeper.status(), TaskStatus::Enabled);
         h.finish(&sweeper);
-        assert_flat(&h, "readmitted subtree drained");
+        assert_eq!(h.sched.tree_nodes(), 1);
+    }
+
+    #[test]
+    fn retiring_a_region_prunes_its_pending_vacated_subtree() {
+        // Finished requests left `cell:Key:[j]` vacant and pending; nobody
+        // admits again. Retirement must still leave no node of the region,
+        // or a recycled id would meet its previous era's subtree.
+        let h = harness();
+        let cell = crate::DynCell::new(0u32);
+        let keeper = task(100, "writes Other");
+        h.sched.submit(keeper.clone());
+        for j in 0..8 {
+            let t = task(j, &format!("writes {}:Key:[{j}]", cell.rpl()));
+            h.sched.submit(t.clone());
+            h.finish(&t);
+        }
+        assert_eq!(
+            raw_nodes(&h.sched),
+            2 + 3 + 8,
+            "root, Other; region, Key, [j]"
+        );
+        h.sched.region_retired(cell.region_id());
+        assert_eq!(raw_nodes(&h.sched), 2, "root and Other");
+        h.finish(&keeper);
+        assert_eq!(h.sched.tree_nodes(), 1);
     }
 }

@@ -1,0 +1,180 @@
+//! Allocation budgets for the uncontended request path, counted, not timed.
+//!
+//! A staging `Vec` or a cloned record list on this path costs 60–100 ns that
+//! no test notices and every request pays; here it is one allocation over
+//! the bar. The allocator counts per thread and only while a measurement is
+//! armed, so pool workers and the harness do not disturb the numbers. Run
+//! with `--test-threads=1` all the same: the bars are about one submitter.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+use twe_effects::{EffectSet, Rpl};
+use twe_runtime::scheduler::Scheduler;
+use twe_runtime::tree::TreeScheduler;
+use twe_runtime::{DynCell, Runtime, SchedulerKind, TaskCtx, TaskRecord};
+
+struct Counting;
+
+thread_local! {
+    /// Allocations (and growing reallocations) made by this thread while
+    /// armed; `None` when not measuring.
+    static COUNT: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+fn note() {
+    // `try_with`: the allocator also runs while a thread's locals are torn
+    // down.
+    let _ = COUNT.try_with(|c| c.set(c.get().map(|n| n + 1)));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter is a
+// const-initialised thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations the calling thread makes inside `f`.
+fn allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    COUNT.with(|c| c.set(Some(0)));
+    let result = f();
+    let n = COUNT.with(|c| c.replace(None)).expect("armed above");
+    (n, result)
+}
+
+const TENANTS: usize = 16;
+const KEYS: usize = 1024;
+
+/// `reads tenant:Key:[key]`, the benchmark's point read.
+fn point_read(tenant: &DynCell<u32>, key: usize) -> EffectSet {
+    EffectSet::read(tenant.rpl().child_name("Key").child_index(key as i64))
+}
+
+fn key_regions(tenants: &[Arc<DynCell<u32>>]) -> Vec<Rpl> {
+    // Interned up front, as a service's key space is.
+    (0..TENANTS * KEYS)
+        .map(|i| {
+            tenants[i % TENANTS]
+                .rpl()
+                .child_name("Key")
+                .child_index((i / TENANTS) as i64)
+        })
+        .collect()
+}
+
+#[test]
+fn tree_submit_and_task_done_stay_within_their_allocation_budgets() {
+    const REQUESTS: usize = 4096;
+    let tenants: Vec<_> = (0..TENANTS).map(|_| DynCell::new(0u32)).collect();
+    let regions = key_regions(&tenants);
+    let sched = TreeScheduler::new(Box::new(|_| {}));
+    // One long request per tenant keeps `__DynRegion`, the tenant's node and
+    // its `Key` node in the tree, as steady traffic does.
+    let pinned: Vec<_> = tenants
+        .iter()
+        .enumerate()
+        .map(|(i, t)| TaskRecord::new(i as u64, "", point_read(t, KEYS), false))
+        .collect();
+    for task in &pinned {
+        sched.submit(task.clone());
+    }
+    let (mut submit, mut done) = (0, 0);
+    for (i, region) in regions.iter().take(REQUESTS).enumerate() {
+        let task = TaskRecord::new((TENANTS + i) as u64, "", EffectSet::read(*region), false);
+        submit += allocations(|| sched.submit(task.clone())).0;
+        task.mark_done();
+        done += allocations(|| sched.task_done(&task)).0;
+    }
+    // The record list, its one record, the leaf node and the leaf's record
+    // slots; a drain every 64th request adds two.
+    let per_submit = submit as f64 / REQUESTS as f64;
+    let per_done = done as f64 / REQUESTS as f64;
+    eprintln!("tree: {per_submit} allocations per submit, {per_done} per task_done");
+    assert!(per_submit <= 6.0, "{per_submit} allocations per submit");
+    assert!(per_done <= 1.0, "{per_done} allocations per task_done");
+    for task in &pinned {
+        task.mark_done();
+        sched.task_done(task);
+    }
+    assert_eq!(sched.tree_nodes(), 1);
+}
+
+#[test]
+fn submit_all_of_one_stays_within_its_allocation_budget() {
+    const REQUESTS: usize = 2048;
+    for (kind, bar) in [(SchedulerKind::Tree, 10.0), (SchedulerKind::Naive, 8.5)] {
+        let tenants: Vec<_> = (0..TENANTS).map(|_| DynCell::new(0u32)).collect();
+        let regions = key_regions(&tenants);
+        let rt = Runtime::new(1, kind);
+        let mut total = 0;
+        for region in regions.iter().take(REQUESTS) {
+            let effects = EffectSet::read(*region);
+            let (n, futures) = allocations(|| rt.submit_all([("", effects, |_: &TaskCtx<'_>| ())]));
+            total += n;
+            for future in futures {
+                future.wait();
+            }
+        }
+        // Task record, future state, boxed job and the returned `Vec`, plus
+        // the scheduler's share (the tree's includes rebuilding the interior
+        // nodes a drain pruned: one request at a time leaves them vacant).
+        let per_request = total as f64 / REQUESTS as f64;
+        eprintln!("{kind:?}: {per_request} allocations per submit_all of one");
+        assert!(
+            per_request <= bar,
+            "{kind:?}: {per_request} allocations per submit_all of one"
+        );
+    }
+}
+
+#[test]
+fn tree_submit_batch_stages_a_wave_in_place() {
+    const WAVES: usize = 64;
+    const WAVE: usize = 64;
+    let tenants: Vec<_> = (0..TENANTS).map(|_| DynCell::new(0u32)).collect();
+    let regions = key_regions(&tenants);
+    let sched = TreeScheduler::new(Box::new(|_| {}));
+    let mut total = 0;
+    let mut previous: Vec<Arc<TaskRecord>> = Vec::new();
+    // Keys scattered over the tenants, so the descent forks at `__DynRegion`
+    // and again below each `Key`; one wave stays in flight behind the next.
+    let mut state = 1u64;
+    for w in 0..WAVES {
+        let wave: Vec<_> = (0..WAVE)
+            .map(|i| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let region = regions[(state >> 33) as usize % regions.len()];
+                TaskRecord::new((w * WAVE + i) as u64, "", EffectSet::read(region), false)
+            })
+            .collect();
+        let admitted = wave.clone();
+        total += allocations(|| sched.submit_batch(admitted)).0;
+        for task in previous.drain(..) {
+            task.mark_done();
+            sched.task_done(&task);
+        }
+        previous = wave;
+    }
+    // What a record needs on its own (see above) plus the wave's record
+    // vector and one vector of child guards per fork: no per-level maps, no
+    // per-group vectors.
+    let per_record = total as f64 / (WAVES * WAVE) as f64;
+    eprintln!("tree: {per_record} allocations per record of a wave of {WAVE}");
+    assert!(
+        per_record <= 5.5,
+        "{per_record} allocations per batched record"
+    );
+}

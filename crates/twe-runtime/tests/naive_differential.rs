@@ -325,6 +325,98 @@ fn kmeans_shape_tree_equals_naive_in_lockstep() {
     }
 }
 
+/// The shapes where the tree's single-record descent takes over from its
+/// staged batch insert, in lockstep with the single queue: a multi-effect
+/// task whose records settle at different depths (tasks 0 and 10), records
+/// that park at an ancestor mid-descent (4 and 5 behind 3's `X:*`), and
+/// batch members that leave a shared prefix as a group of one (7 at the
+/// root, 9 below `P:Q`). The script avoids the one freedom a batch has —
+/// which of two conflicting *members* goes first — so every way of
+/// admitting it (as scripted, every batch member by member, every single
+/// submission as a batch of one) must give the same statuses after every
+/// step, on both schedulers.
+#[test]
+fn descent_shapes_tree_equals_naive_in_lockstep() {
+    #[derive(Clone, Copy)]
+    enum Step {
+        Submit(&'static [usize]),
+        Done(usize),
+    }
+    use Step::*;
+    const EFFECTS: [&str; 11] = [
+        "writes A, reads A:B:C",
+        "writes A:B:C",
+        "reads A",
+        "writes X:*",
+        "writes X:Y:Z",
+        "reads X:Y",
+        "writes P:Q:R:[1]",
+        "writes S:[2]:U",
+        "writes P:Q:R:[1]",
+        "reads P:Q",
+        "writes X:Y:Z, reads S:[2]:U",
+    ];
+    const SCRIPT: [Step; 18] = [
+        Submit(&[0]),
+        Submit(&[1]),
+        Submit(&[2]),
+        Submit(&[3]),
+        Submit(&[4, 5]),
+        Submit(&[6, 7, 8, 9]),
+        Done(0),
+        Done(3),
+        Submit(&[10]),
+        Done(4),
+        Done(7),
+        Done(10),
+        Done(6),
+        Done(1),
+        Done(2),
+        Done(5),
+        Done(8),
+        Done(9),
+    ];
+    #[derive(Clone, Copy, Debug)]
+    enum Mode {
+        Scripted,
+        MemberByMember,
+        AlwaysBatch,
+    }
+    let trace = |sched: &dyn Scheduler, mode: Mode| -> Vec<Vec<TaskStatus>> {
+        let batch: Vec<Vec<String>> = EFFECTS.iter().map(|e| vec![e.to_string()]).collect();
+        let tasks = make_tasks(&batch);
+        let mut trace = Vec::new();
+        for step in SCRIPT {
+            match (step, mode) {
+                (Submit(&[one]), Mode::Scripted) => sched.submit(tasks[one].clone()),
+                (Submit(wave), Mode::MemberByMember) => {
+                    wave.iter().for_each(|&i| sched.submit(tasks[i].clone()));
+                }
+                (Submit(wave), _) => {
+                    sched.submit_batch(wave.iter().map(|&i| tasks[i].clone()).collect());
+                }
+                (Done(i), _) => {
+                    assert_eq!(tasks[i].status(), TaskStatus::Enabled, "{mode:?}: task {i}");
+                    tasks[i].mark_done();
+                    sched.task_done(&tasks[i]);
+                }
+            }
+            trace.push(tasks.iter().map(|t| t.status()).collect());
+        }
+        let d = sched.diagnostics();
+        assert_eq!((d.queued_tasks, d.recorded_effects), (0, 0), "{mode:?}");
+        trace
+    };
+    let naive = trace(&NaiveScheduler::new(Box::new(|_| {})), Mode::Scripted);
+    // Not vacuous: 1, 2, 4, 5, 8 and 10 all had to wait.
+    let waited = |i: usize| naive.iter().any(|s| s[i] == TaskStatus::Waiting);
+    assert!([1, 2, 4, 5, 8, 10].into_iter().all(waited));
+    for mode in [Mode::Scripted, Mode::MemberByMember, Mode::AlwaysBatch] {
+        let tree = trace(&TreeScheduler::new(Box::new(|_| {})), mode);
+        assert_eq!(tree, naive, "tree ({mode:?}) left naive");
+    }
+}
+
 /// A three-task read/write cycle: T1 and T2 each get one read enabled at
 /// submit (behind T0's reads) and park a write behind the other's read.
 /// After T0 completes, some task must be enabled without anyone awaiting —

@@ -3,7 +3,7 @@
 //! being recycled, exercising the full PR-7 stack end to end:
 //!
 //! * `DynCell::drop` → retire-sink notifications (claim-table purge +
-//!   eager tree prune) → epoch retire, racing wildcard sweepers whose
+//!   tree prune) → epoch retire, racing wildcard sweepers whose
 //!   `check_below` walks visit `__DynRegion` nodes as they disappear;
 //! * id recycling under the epoch reclaimer: a recycled id must come back
 //!   with a bumped generation (the stale-handle check fires) and must
@@ -49,7 +49,7 @@ fn cell_churn_races_wildcard_conflict_walks() {
                     // Two conflicting writers on the same region: the
                     // second must park behind the first at the region's
                     // tree node, so finishing and dropping exercises both
-                    // the waiter recheck and the eager prune on a node
+                    // the waiter recheck and the retire prune on a node
                     // that just held a conflict chain.
                     let c1 = cell.clone();
                     let ran1 = ran.clone();

@@ -7,15 +7,15 @@
 //! * **first-level submitters** — threads admitting tenant-disjoint traffic,
 //!   each under its own first-level child (named anchors and root-index
 //!   regions, so both `*` and `Root:[?]` sweepers have prey), creating
-//!   their first-level nodes on the way down and leaving them to be pruned
-//!   when their waves drain;
+//!   their first-level nodes on the way down and leaving them vacant, to
+//!   be pruned by a later admission's drain of the vacated paths;
 //! * **root sweepers** — `writes *` and `writes Root:[?]` tasks that settle
 //!   at the root and walk its children in sorted order, parking
 //!   concurrent descents behind them at the root;
 //! * **retire-driven pruning** — `DynCell` regions retiring mid-traffic,
-//!   whose `region_retired` prune runs `prune_quiescent_path` down the
-//!   `__DynRegion` subtree while the same subtree admits new cells'
-//!   records.
+//!   whose `region_retired` flushes the vacated paths (`flush_vacated`, guard
+//!   chains from the root down) through the `__DynRegion` subtree
+//!   while the same subtree admits new cells' records.
 //!
 //! Every task must run exactly once; the enable callback path is the real
 //! runtime's, so a lost wakeup or a walk that misses a freshly-created
@@ -98,7 +98,7 @@ fn first_level_submits_race_root_wildcard_sweepers() {
 /// `DynCell` retire-driven pruning races `__DynRegion` traffic and sweepers:
 /// churn threads create cells, run a writing task on each, and drop the
 /// cell — each drop retires the region and prunes its node out of the
-/// `__DynRegion` subtree (`prune_quiescent_path`, root lock downward) while
+/// `__DynRegion` subtree (`flush_vacated`, root lock downward) while
 /// the same subtree keeps admitting the *next* cells' records and
 /// `__DynRegion:[?]` / `*` sweepers walk it.
 #[test]
