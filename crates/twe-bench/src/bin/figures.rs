@@ -42,17 +42,22 @@
 //! saturation cells; `--service-json` writes the rows as
 //! `BENCH_service.json` (also a CI smoke-job artifact).
 //!
-//! `--fig backlog` runs only the naive-scheduler backlog microbenchmark:
-//! per-`task_done` wakeup cost at 4k/16k/64k queue depths, the indexed
-//! discipline vs the dissertation's full rescan (full scan stops at 16k —
-//! deeper is the quadratic grind the index removes); `--backlog-json`
-//! writes the rows as `BENCH_backlog.json`, the input of the scheduled-CI
-//! scaling bar (indexed 64k per_done_ns ≤ 8x its 4k value).
+//! `--fig backlog` runs only the backlog microbenchmarks. The conflicting
+//! mix: the `svc-contended` population through a `Runtime` on both
+//! schedulers, closed loop at 64 to 4 096 in flight, three repetitions —
+//! per-request time and rechecks per completion (quick mode stops at 256).
+//! The naive chains: per-`task_done` wakeup cost at 4k/16k/64k queue
+//! depths, the indexed discipline vs the dissertation's full rescan (full
+//! scan stops at 16k — deeper is the quadratic grind the index removes).
+//! `--backlog-json` writes both as `BENCH_backlog.json`, the input of the
+//! scheduled-CI scaling bars (tree per-request time at 1 024 in flight
+//! within 6x of 64; indexed 64k per_done_ns ≤ 8x its 4k value).
 
 use twe_bench::{
-    print_backlog_rows, print_conflict_rows, print_reclaim_rows, print_rows, print_service_rows,
-    print_submit_rows, run_backlog_bench, run_conflict_bench, run_figures, run_reclaim_bench,
-    run_service_bench, run_submit_bench,
+    print_backlog_rows, print_conflict_rows, print_conflicting_rows, print_reclaim_rows,
+    print_rows, print_service_rows, print_submit_rows, run_backlog_bench, run_conflict_bench,
+    run_conflicting_sweep, run_figures, run_reclaim_bench, run_service_bench, run_submit_bench,
+    BacklogRecord,
 };
 
 fn main() {
@@ -212,16 +217,20 @@ fn main() {
     }
     if run_backlog {
         eprintln!(
-            "# naive-scheduler backlog microbench ({} mode, host parallelism = {})",
+            "# backlog microbenches ({} mode, host parallelism = {})",
             if quick { "quick" } else { "full" },
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
         );
-        let rows = run_backlog_bench(quick);
-        print_backlog_rows(&rows);
+        let record = BacklogRecord {
+            conflicting_mix: run_conflicting_sweep(quick),
+            naive_chains: run_backlog_bench(quick),
+        };
+        print_conflicting_rows(&record.conflicting_mix);
+        print_backlog_rows(&record.naive_chains);
         if let Some(path) = backlog_json_path {
-            let json = serde_json::to_string_pretty(&rows).expect("serialize backlog rows");
+            let json = serde_json::to_string_pretty(&record).expect("serialize backlog rows");
             std::fs::write(&path, json).expect("write backlog JSON output");
             eprintln!("# wrote {path}");
         }

@@ -19,8 +19,9 @@ pub mod reclaim;
 pub mod service;
 
 pub use backlog::{
-    print_backlog_rows, run_backlog_bench, BacklogRow, BACKLOG_DEPTHS_FULL_SCAN,
-    BACKLOG_DEPTHS_INDEXED,
+    print_backlog_rows, print_conflicting_rows, run_backlog_bench, run_conflicting_sweep,
+    BacklogRecord, BacklogRow, ConflictingRow, Spread, BACKLOG_DEPTHS_FULL_SCAN,
+    BACKLOG_DEPTHS_INDEXED, CONFLICTING_IN_FLIGHT,
 };
 pub use reclaim::{print_reclaim_rows, run_reclaim_bench, ReclaimRow, RECLAIM_THREADS};
 pub use service::{

@@ -8,6 +8,9 @@
 //!
 //! Design:
 //!
+//! * the pool is generic over what it runs (a [`Job`]): boxed closures by
+//!   default, or a caller's own handle — the TWE runtime queues the task's
+//!   one `Arc`, so enabling a task allocates nothing;
 //! * each worker owns a LIFO deque (`crossbeam_deque::Worker`); tasks
 //!   submitted from a worker thread go to its own deque (good locality for
 //!   recursive spawn patterns such as TSP), tasks submitted from outside go
@@ -60,14 +63,27 @@
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use parking_lot::{Condvar, Mutex};
+use std::any::Any;
 use std::cell::RefCell;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A unit of work: a boxed closure run on some worker thread.
-pub type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A unit of work, run once on some worker (or helping) thread.
+pub trait Job: Send + 'static {
+    /// Runs the job, consuming it.
+    fn run(self);
+}
+
+/// The default job: a boxed closure.
+pub type BoxedJob = Box<dyn FnOnce() + Send + 'static>;
+
+impl Job for BoxedJob {
+    fn run(self) {
+        self()
+    }
+}
 
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -98,14 +114,26 @@ const PARK_BACKSTOP: Duration = if cfg!(test) {
 
 thread_local! {
     /// The local deque of the current worker thread, if this thread belongs
-    /// to a pool: (pool id, worker deque).
-    static LOCAL: RefCell<Option<(u64, Worker<Job>)>> = const { RefCell::new(None) };
+    /// to a pool: (pool id, that pool's `Worker<J>`; a thread-local cannot
+    /// name `J`).
+    static LOCAL: RefCell<Option<(u64, Box<dyn Any>)>> = const { RefCell::new(None) };
 }
 
-struct Shared {
+/// Runs `f` on the calling thread's local deque if the thread is a worker of
+/// pool `id`.
+fn with_local<J: Job, R>(id: u64, f: impl FnOnce(&Worker<J>) -> R) -> Option<R> {
+    LOCAL.with(|l| match l.borrow().as_ref() {
+        Some((pool, worker)) if *pool == id => Some(f(worker
+            .downcast_ref()
+            .expect("a pool's workers hold its job type"))),
+        _ => None,
+    })
+}
+
+struct Shared<J> {
     id: u64,
-    injector: Injector<Job>,
-    stealers: Vec<Stealer<Job>>,
+    injector: Injector<J>,
+    stealers: Vec<Stealer<J>>,
     /// Number of jobs submitted but not yet finished executing.
     pending: AtomicUsize,
     /// Number of jobs sitting in some queue: raised before the push, lowered
@@ -138,8 +166,8 @@ struct TestCounters {
     lingerers_peak: AtomicUsize,
 }
 
-impl Shared {
-    fn new(stealers: Vec<Stealer<Job>>) -> Self {
+impl<J: Job> Shared<J> {
+    fn new(stealers: Vec<Stealer<J>>) -> Self {
         Shared {
             id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
             injector: Injector::new(),
@@ -158,21 +186,21 @@ impl Shared {
 
     /// Finds any runnable job: the local deque first (if this thread is a
     /// worker of this pool), then the injector, then other workers' deques.
-    fn find_job(&self) -> Option<Job> {
+    ///
+    /// Like `linger` and `park` kept out of line: `run_until`'s frame stays
+    /// on the stack under every job a blocked helper runs — thousands deep
+    /// when each job blocks in turn — and should hold only what it needs
+    /// while a job runs.
+    #[inline(never)]
+    fn find_job(&self) -> Option<J> {
         let job = self.probe_queues()?;
         self.queued.fetch_sub(1, Ordering::SeqCst);
         Some(job)
     }
 
-    fn probe_queues(&self) -> Option<Job> {
+    fn probe_queues(&self) -> Option<J> {
         // Local deque (only on worker threads of this pool).
-        let local = LOCAL.with(|l| {
-            let guard = l.borrow();
-            match guard.as_ref() {
-                Some((id, worker)) if *id == self.id => worker.pop(),
-                _ => None,
-            }
-        });
+        let local = with_local(self.id, Worker::pop).flatten();
         if local.is_some() {
             return local;
         }
@@ -197,8 +225,8 @@ impl Shared {
         None
     }
 
-    fn run_job(&self, job: Job) {
-        job();
+    fn run_job(&self, job: J) {
+        job.run();
         self.pending.fetch_sub(1, Ordering::Release);
         // A completed job may unblock helpers waiting on a condition.
         self.wake(true);
@@ -255,6 +283,7 @@ impl Shared {
     /// 2 CPUs, tree, 80 000 req/s): enable p50 16–21 µs at the parent,
     /// 25–60 µs spinning, 18–29 µs yielding; with a core to itself
     /// (`benchmark`, svc-disjoint) both give 6.1 µs.
+    #[inline(never)]
     fn linger(&self, done: &dyn Fn() -> bool) -> bool {
         if self.lingering.swap(true, Ordering::Acquire) {
             return false;
@@ -284,6 +313,7 @@ impl Shared {
 
     /// Registers as a sleeper, re-checks, and waits for a wake. `done` runs
     /// with `sleep_lock` held and must not call into the pool.
+    #[inline(never)]
     fn park(&self, done: &dyn Fn() -> bool) {
         let mut guard = self.sleep_lock.lock();
         self.sleepers.fetch_add(1, Ordering::SeqCst);
@@ -309,18 +339,18 @@ impl Shared {
 /// one. Untouched stack is address space only.
 const WORKER_STACK_BYTES: usize = 16 << 20;
 
-/// A fixed-size work-stealing thread pool.
-pub struct ThreadPool {
-    shared: Arc<Shared>,
+/// A fixed-size work-stealing thread pool running jobs of type `J`.
+pub struct ThreadPool<J: Job = BoxedJob> {
+    shared: Arc<Shared<J>>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     num_threads: usize,
 }
 
-impl ThreadPool {
+impl<J: Job> ThreadPool<J> {
     /// Creates a pool with `num_threads` worker threads (at least 1).
     pub fn new(num_threads: usize) -> Self {
         let num_threads = num_threads.max(1);
-        let workers: Vec<Worker<Job>> = (0..num_threads).map(|_| Worker::new_lifo()).collect();
+        let workers: Vec<Worker<J>> = (0..num_threads).map(|_| Worker::new_lifo()).collect();
         let shared = Arc::new(Shared::new(workers.iter().map(Worker::stealer).collect()));
         let threads = workers
             .into_iter()
@@ -352,7 +382,7 @@ impl ThreadPool {
     /// blocking admission policy, which would deadlock if the thread it
     /// blocked was one of the workers expected to drain the backlog.
     pub fn on_worker_thread(&self) -> bool {
-        LOCAL.with(|l| matches!(l.borrow().as_ref(), Some((id, _)) if *id == self.shared.id))
+        with_local(self.shared.id, |_: &Worker<J>| ()).is_some()
     }
 
     /// Submits a job for execution. Jobs submitted from a worker thread of
@@ -360,20 +390,14 @@ impl ThreadPool {
     /// any other thread go to the shared injector. One sleeping thread is
     /// signalled if there is one; with every worker busy or lingering the
     /// call touches no lock but the queue's.
-    pub fn execute(&self, job: Job) {
+    pub fn submit(&self, job: J) {
         self.shared.pending.fetch_add(1, Ordering::Acquire);
         self.shared.queued.fetch_add(1, Ordering::SeqCst);
-        let not_pushed_locally = LOCAL.with(|l| {
-            let guard = l.borrow();
-            match guard.as_ref() {
-                Some((id, worker)) if *id == self.shared.id => {
-                    worker.push(job);
-                    None
-                }
-                _ => Some(job),
-            }
+        let mut job = Some(job);
+        with_local(self.shared.id, |worker| {
+            worker.push(job.take().expect("pushed once"))
         });
-        if let Some(job) = not_pushed_locally {
+        if let Some(job) = job {
             self.shared.injector.push(job);
         }
         self.shared.wake(false);
@@ -412,7 +436,16 @@ impl ThreadPool {
     }
 }
 
-impl Drop for ThreadPool {
+impl ThreadPool {
+    /// [`ThreadPool::submit`] for the default job type. Kept apart so that
+    /// `ThreadPool::new(n)` followed by `execute(Box::new(..))` needs no
+    /// type annotation.
+    pub fn execute(&self, job: BoxedJob) {
+        self.submit(job);
+    }
+}
+
+impl<J: Job> Drop for ThreadPool<J> {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.wake(true);
@@ -432,8 +465,8 @@ impl Drop for ThreadPool {
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, worker: Worker<Job>) {
-    LOCAL.with(|l| *l.borrow_mut() = Some((shared.id, worker)));
+fn worker_loop<J: Job>(shared: Arc<Shared<J>>, worker: Worker<J>) {
+    LOCAL.with(|l| *l.borrow_mut() = Some((shared.id, Box::new(worker))));
     shared.run_until(&|| shared.shutdown.load(Ordering::SeqCst));
     LOCAL.with(|l| *l.borrow_mut() = None);
 }
@@ -606,13 +639,13 @@ mod tests {
     fn find_job_serves_local_deque_then_injector_then_steals() {
         // No worker threads: the test thread poses as worker 0 of a
         // hand-built pool, so the three sources are probed deterministically.
-        let mine: Worker<Job> = Worker::new_lifo();
-        let other: Worker<Job> = Worker::new_lifo();
+        let mine: Worker<BoxedJob> = Worker::new_lifo();
+        let other: Worker<BoxedJob> = Worker::new_lifo();
         let shared = Shared::new(vec![mine.stealer(), other.stealer()]);
         shared.pending.store(3, Ordering::Relaxed);
         shared.queued.store(3, Ordering::Relaxed);
         let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
-        let job = |name: &'static str| -> Job {
+        let job = |name: &'static str| -> BoxedJob {
             let order = Arc::clone(&order);
             Box::new(move || order.lock().push(name))
         };
@@ -620,7 +653,7 @@ mod tests {
         other.push(job("stolen"));
         shared.injector.push(job("injected"));
         mine.push(job("local"));
-        LOCAL.with(|l| *l.borrow_mut() = Some((shared.id, mine)));
+        LOCAL.with(|l| *l.borrow_mut() = Some((shared.id, Box::new(mine))));
         while let Some(job) = shared.find_job() {
             shared.run_job(job);
         }
@@ -640,11 +673,11 @@ mod tests {
         }
     }
 
-    fn notifies(shared: &Shared) -> usize {
+    fn notifies(shared: &Shared<BoxedJob>) -> usize {
         shared.counters.notifies.load(Ordering::Relaxed)
     }
 
-    fn rescues(shared: &Shared) -> usize {
+    fn rescues(shared: &Shared<BoxedJob>) -> usize {
         shared.counters.rescues.load(Ordering::Relaxed)
     }
 
@@ -756,7 +789,7 @@ mod tests {
 
     #[test]
     fn drop_while_every_worker_is_parked_joins_without_the_backstop() {
-        let pool = ThreadPool::new(3);
+        let pool: ThreadPool = ThreadPool::new(3);
         let shared = Arc::clone(&pool.shared);
         spin_until("all three workers parked", || {
             shared.sleepers.load(Ordering::SeqCst) == 3

@@ -121,24 +121,15 @@ impl<'rt> TaskCtx<'rt> {
             let mut covering = self.covering.borrow_mut();
             *covering = covering.sub(effects.clone());
         }
-        let (record, state) = self.rt.new_task::<T>(name, effects.clone(), true);
+        let future = self
+            .rt
+            .new_task(name, effects.clone(), Some(self.record.clone()), body);
         // The spawned task is enabled from the start.
-        record.sched.lock().status = TaskStatus::Enabled;
-        self.record.add_spawned_child(record.clone());
-        let job = self.rt.make_job(
-            record.clone(),
-            state.clone(),
-            body,
-            Some(self.record.clone()),
-        );
-        *record.job.lock() = Some(job);
-        self.rt.submit_enabled(record.clone());
+        future.record.sched.lock().status = TaskStatus::Enabled;
+        self.record.add_spawned_child(future.record.clone());
+        self.rt.submit_enabled(future.record.clone());
         SpawnedTaskFuture {
-            future: TaskFuture {
-                rt: self.rt.clone(),
-                record,
-                state,
-            },
+            future,
             transferred: effects,
             parent_id: self.record.id,
             joined: AtomicBool::new(false),

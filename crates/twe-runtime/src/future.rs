@@ -8,33 +8,47 @@
 //! once and only by the task that spawned it.
 
 use crate::ctx::TaskCtx;
-use crate::task::{FutureState, TaskRecord};
-use crate::RtInner;
+use crate::task::TaskRecord;
+use parking_lot::Mutex;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use twe_effects::EffectSet;
 
-/// A handle to one execution of a task created with `executeLater`.
+/// A handle to one execution of a task created with `executeLater`: the
+/// task's record (which holds the result slot and the runtime) and the type
+/// of the value in that slot.
 pub struct TaskFuture<T> {
-    pub(crate) rt: Arc<RtInner>,
     pub(crate) record: Arc<TaskRecord>,
-    pub(crate) state: Arc<FutureState<T>>,
+    pub(crate) value: PhantomData<fn() -> T>,
 }
 
 impl<T> Clone for TaskFuture<T> {
     fn clone(&self) -> Self {
-        TaskFuture {
-            rt: self.rt.clone(),
-            record: self.record.clone(),
-            state: self.state.clone(),
-        }
+        let (record, value) = (self.record.clone(), PhantomData);
+        TaskFuture { record, value }
     }
 }
 
 impl<T: Send + 'static> TaskFuture<T> {
     /// Is the task done (non-blocking)?
     pub fn is_done(&self) -> bool {
-        self.state.is_done()
+        self.record.completed.load(Ordering::Acquire)
+    }
+
+    /// Takes the result; re-raises the payload if the task panicked.
+    /// Panics if called before completion or if the value was already taken.
+    fn take(&self) -> T {
+        assert!(self.is_done(), "task result taken before completion");
+        let slot = self.record.body.slot();
+        let slot: &Mutex<Option<std::thread::Result<T>>> = slot
+            .downcast_ref()
+            .expect("a future is typed like its task's body");
+        let outcome = slot.lock().take();
+        match outcome.expect("task result already taken (getValue may consume it only once)") {
+            Ok(value) => value,
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
     }
 
     /// The scheduler-facing record (used by tests and the benchmarks).
@@ -51,21 +65,20 @@ impl<T: Send + 'static> TaskFuture<T> {
     /// may be taken only once; a second `get_value` on the same future
     /// panics.
     pub fn get_value(&self, ctx: &TaskCtx<'_>) -> T {
-        let state = self.state.clone();
-        ctx.await_target(&self.record, move || state.is_done());
-        self.state.take()
+        ctx.await_target(&self.record, || self.is_done());
+        self.take()
     }
 
     /// Waits for the task from *outside* the runtime (e.g. the main thread)
     /// and returns its value. The awaited task is prioritized, but no effect
     /// transfer takes place because the caller is not a task.
     pub fn wait(&self) -> T {
-        if !self.state.is_done() {
-            self.rt.scheduler().on_await(None, &self.record);
-            let state = self.state.clone();
-            self.rt.pool.help_until(move || state.is_done());
+        if !self.is_done() {
+            let rt = self.record.runtime();
+            rt.scheduler().on_await(None, &self.record);
+            rt.pool.help_until(|| self.is_done());
         }
-        self.state.take()
+        self.take()
     }
 }
 
@@ -107,13 +120,12 @@ impl<T: Send + 'static> SpawnedTaskFuture<T> {
             !self.joined.swap(true, Ordering::AcqRel),
             "a spawned task may be joined only once"
         );
-        let state = self.future.state.clone();
-        ctx.await_target(&self.future.record, move || state.is_done());
+        ctx.await_target(&self.future.record, || self.future.is_done());
         // Effect transfer back to the parent: the parent may again perform
         // operations covered by the child's effects.
         ctx.transfer_back(&self.transferred);
         ctx.unregister_spawned_child(self.future.record.id);
-        self.future.state.take()
+        self.future.take()
     }
 }
 
@@ -131,5 +143,15 @@ mod tests {
         let fut = rt.execute_later("t", EffectSet::parse("writes A"), |_| 5usize);
         assert_eq!(fut.wait(), 5);
         assert!(fut.is_done());
+    }
+
+    #[test]
+    #[should_panic(expected = "already taken")]
+    fn a_value_is_taken_only_once() {
+        let rt = crate::Runtime::new(1, crate::SchedulerKind::Tree);
+        let fut = rt.execute_later("t", EffectSet::pure(), |_| 1u8);
+        let again = fut.clone();
+        assert_eq!(fut.wait(), 1);
+        again.wait();
     }
 }

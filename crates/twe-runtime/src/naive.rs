@@ -217,6 +217,8 @@ struct QueueInner {
     /// Total enablement-scan width (tasks examined across all enable
     /// rounds) — see [`NaiveScheduler::wake_scan_work`].
     wake_work: u64,
+    /// Queued tasks re-evaluated by wake rounds ([`Scheduler::wake_rechecks`]).
+    rechecks: u64,
 }
 
 impl QueueInner {
@@ -303,6 +305,7 @@ impl NaiveScheduler {
                 live: 0,
                 index: Some(WaiterIndex::default()),
                 wake_work: 0,
+                rechecks: 0,
             }),
             enable,
         }
@@ -323,6 +326,7 @@ impl NaiveScheduler {
                 live: 0,
                 index: None,
                 wake_work: 0,
+                rechecks: 0,
             }),
             enable,
         }
@@ -496,6 +500,7 @@ impl NaiveScheduler {
     ) -> Vec<Arc<TaskRecord>> {
         candidates.sort_unstable();
         candidates.dedup();
+        inner.rechecks += candidates.len() as u64;
         let (mut ready, mut scratch, mut work) = (Vec::new(), Vec::new(), 0u64);
         for pos in candidates {
             ready.extend(Self::evaluate(inner, pos, &mut scratch, &mut work));
@@ -503,24 +508,13 @@ impl NaiveScheduler {
         inner.wake_work += work;
         ready
     }
-}
-
-impl Scheduler for NaiveScheduler {
-    fn name(&self) -> &'static str {
-        "naive"
-    }
-
-    fn submit(&self, task: Arc<TaskRecord>) {
-        self.submit_batch(vec![task]);
-    }
-
-    fn submit_batch(&self, tasks: Vec<Arc<TaskRecord>>) {
-        // Sequential submission under one lock hold. A new task only adds
-        // constraints, so the sole candidate for enabling is the task
-        // itself; each member is pushed and evaluated before the next is
-        // pushed, so its bucket probe meets only the tasks ahead of it
-        // (pushing the whole batch first made member i probe all n members
-        // of its bucket, not the i ahead).
+    /// Sequential submission under one lock hold. A new task only adds
+    /// constraints, so the sole candidate for enabling is the task itself;
+    /// each member is pushed and evaluated before the next is pushed, so its
+    /// bucket probe meets only the tasks ahead of it (pushing the whole
+    /// batch first made member i probe all n members of its bucket, not the
+    /// i ahead).
+    fn admit(&self, tasks: impl IntoIterator<Item = Arc<TaskRecord>>) {
         let to_enable = {
             let mut inner = self.inner.lock();
             let (mut ready, mut scratch, mut work) = (Vec::new(), Vec::new(), 0u64);
@@ -534,6 +528,20 @@ impl Scheduler for NaiveScheduler {
         for task in to_enable {
             (self.enable)(task);
         }
+    }
+}
+
+impl Scheduler for NaiveScheduler {
+    fn name(&self) -> &'static str {
+        "naive"
+    }
+
+    fn submit(&self, task: Arc<TaskRecord>) {
+        self.admit([task]);
+    }
+
+    fn submit_batch(&self, tasks: Vec<Arc<TaskRecord>>) {
+        self.admit(tasks);
     }
 
     fn on_await(&self, _blocked: Option<&Arc<TaskRecord>>, target: &Arc<TaskRecord>) {
@@ -610,6 +618,10 @@ impl Scheduler for NaiveScheduler {
         for task in to_enable {
             (self.enable)(task);
         }
+    }
+
+    fn wake_rechecks(&self) -> u64 {
+        self.inner.lock().rechecks
     }
 
     fn diagnostics(&self) -> crate::scheduler::SchedulerDiagnostics {

@@ -119,6 +119,15 @@ pub trait Scheduler: Send + Sync {
         let _ = region;
     }
 
+    /// Waiting tasks (naive) or parked effect records (tree) examined again
+    /// by wake-ups so far — completions, awaits, sweeps. Monotone, and
+    /// deterministic for a deterministic call sequence; per completion it
+    /// says how much of a conflicting backlog each completion goes back
+    /// over (`figures --fig backlog`).
+    fn wake_rechecks(&self) -> u64 {
+        0
+    }
+
     /// Current footprint counters ([`SchedulerDiagnostics`]). Diagnostic
     /// only — values may be stale the moment they are read. The default
     /// reports zeros; both bundled schedulers override it.

@@ -4,16 +4,23 @@
 //! instance (the analogue of the `TaskFuture` tuple in the formal semantics
 //! and of the `TaskFuture` class of Figure 5.3): its declared effects, its
 //! scheduling state (waiting / prioritized / enabled / done), the task it is
-//! currently blocked on, and its spawned-but-not-yet-joined children. The
-//! typed result of a task lives in a separate [`FutureState`] owned by the
-//! user-facing `TaskFuture<T>`.
+//! currently blocked on, and its spawned-but-not-yet-joined children.
+//!
+//! A task is **one allocation**. The record is generic over its last field,
+//! the [`TaskBody`]: the runtime builds an `Arc<TaskRecord<B>>` whose `B`
+//! holds the body closure and the typed result slot, and unsizes it to the
+//! `Arc<TaskRecord>` (= `Arc<TaskRecord<dyn TaskBody>>`) the schedulers, the
+//! pool and the user-facing `TaskFuture<T>` all share. [`TaskRecord::new`]
+//! makes a record without a body, which is all a bare scheduler needs.
 
 use parking_lot::Mutex;
+use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use twe_effects::EffectSet;
 
-use crate::tree::EffectRecord;
+use crate::tree::{EffectRecord, TreeRecords};
+use crate::RtInner;
 
 /// Nanoseconds since the process-global probe epoch (first call wins).
 ///
@@ -63,11 +70,31 @@ pub struct TaskSchedState {
     pub rechecking: bool,
 }
 
-/// The closure that actually runs the task body (type-erased).
-pub type TaskJob = Box<dyn FnOnce() + Send + 'static>;
+/// What a record carries for the runtime, behind its scheduling state: the
+/// body to run and the slot its result goes to.
+pub trait TaskBody: Send + Sync {
+    /// Runs the task to completion on the calling thread. `task` is the
+    /// record this body is the tail of.
+    fn run(&self, task: &Arc<TaskRecord>);
+
+    /// The result slot, a `Mutex<Option<std::thread::Result<T>>>` for the
+    /// task's value type `T`; the typed future downcasts it.
+    fn slot(&self) -> &dyn Any;
+}
+
+/// The body of a record made by [`TaskRecord::new`]: nothing to run.
+struct NoBody;
+
+impl TaskBody for NoBody {
+    fn run(&self, _task: &Arc<TaskRecord>) {}
+
+    fn slot(&self) -> &dyn Any {
+        self
+    }
+}
 
 /// The scheduler-facing record of one task instance.
-pub struct TaskRecord {
+pub struct TaskRecord<B: ?Sized = dyn TaskBody> {
     /// Unique id (creation order).
     pub id: u64,
     /// Human-readable name for diagnostics.
@@ -87,13 +114,23 @@ pub struct TaskRecord {
     /// Whether this task was created by `spawn` (it then bypasses the
     /// effect-based scheduler entirely).
     pub spawned: bool,
-    /// The type-erased body, taken exactly once when the task is enabled.
-    pub job: Mutex<Option<TaskJob>>,
-    /// Set once the task has finished (after its return value is stored).
+    /// The runtime the task belongs to, held once per task: the job, the
+    /// context and the future all reach it through the record. `None` for a
+    /// record made by [`TaskRecord::new`].
+    pub(crate) rt: Option<Arc<RtInner>>,
+    /// The record's handle to itself between submission and enabling: the
+    /// tree holds tasks weakly, so a parked task nobody awaits would
+    /// otherwise be dropped. Taken exactly once, by the enable callback,
+    /// which hands that same `Arc` to the pool.
+    pub(crate) pending: Mutex<Option<Arc<TaskRecord>>>,
+    /// Set once the task has finished (its effects not yet released).
     pub done_flag: AtomicBool,
-    /// Per-effect records used by the tree scheduler (empty for the naive
+    /// Set last of all, once the result is stored, the effects are released
+    /// and the admission slot is free: what the future polls.
+    pub(crate) completed: AtomicBool,
+    /// Per-effect records used by the tree scheduler (unset for the naive
     /// scheduler and for spawned tasks).
-    pub tree_effects: OnceLock<Vec<Arc<EffectRecord>>>,
+    pub tree_effects: OnceLock<TreeRecords>,
     /// Reference-region ids of dynamic effects currently held (chapter 7).
     /// Dynamic regions are ordinary interned RPL ids under the reserved
     /// `Root:__DynRegion` root, so they share the static conflict fast paths.
@@ -109,14 +146,24 @@ pub struct TaskRecord {
     /// Latency-probe timestamp: when the task finished (result published,
     /// spawned children joined). `0` = not stamped.
     pub done_at_ns: AtomicU64,
+    /// The body and the result slot. Last, so that the record unsizes.
+    pub(crate) body: B,
 }
 
-impl TaskRecord {
-    /// Creates a new record in the `Waiting` state.
-    pub fn new(id: u64, name: impl Into<String>, effects: EffectSet, spawned: bool) -> Arc<Self> {
+impl<B: TaskBody + 'static> TaskRecord<B> {
+    /// Creates the one allocation of a task: a record in the `Waiting`
+    /// state with `body` as its tail.
+    pub(crate) fn with_body(
+        id: u64,
+        name: String,
+        effects: EffectSet,
+        spawned: bool,
+        rt: Option<Arc<RtInner>>,
+        body: B,
+    ) -> Arc<TaskRecord> {
         Arc::new(TaskRecord {
             id,
-            name: name.into(),
+            name,
             effects,
             sched: Mutex::new(TaskSchedState {
                 status: TaskStatus::Waiting,
@@ -126,14 +173,30 @@ impl TaskRecord {
             blocker: Mutex::new(None),
             spawned_children: Mutex::new(Vec::new()),
             spawned,
-            job: Mutex::new(None),
+            rt,
+            pending: Mutex::new(None),
             done_flag: AtomicBool::new(false),
+            completed: AtomicBool::new(false),
             tree_effects: OnceLock::new(),
             dynamic_claims: Mutex::new(Vec::new()),
             submitted_at_ns: AtomicU64::new(0),
             enabled_at_ns: AtomicU64::new(0),
             done_at_ns: AtomicU64::new(0),
+            body,
         })
+    }
+}
+
+impl TaskRecord {
+    /// Creates a new record in the `Waiting` state, with no body and no
+    /// runtime: what drives a bare scheduler.
+    pub fn new(id: u64, name: impl Into<String>, effects: EffectSet, spawned: bool) -> Arc<Self> {
+        TaskRecord::with_body(id, name.into(), effects, spawned, None, NoBody)
+    }
+
+    /// The runtime of a task that has one.
+    pub(crate) fn runtime(&self) -> &Arc<RtInner> {
+        self.rt.as_ref().expect("the task was created by a runtime")
     }
 
     /// Stamps the submit timestamp (latency probe). A relaxed store to this
@@ -186,7 +249,7 @@ impl TaskRecord {
     /// The tree scheduler's per-effect records (empty until it admits the
     /// task).
     pub(crate) fn tree_records(&self) -> &[Arc<EffectRecord>] {
-        self.tree_effects.get().map_or(&[], Vec::as_slice)
+        self.tree_effects.get().map_or(&[], |records| records)
     }
 
     /// Snapshot of the not-yet-joined spawned children.
@@ -237,57 +300,6 @@ pub fn blocked_on(t_prime: &Arc<TaskRecord>, t: &Arc<TaskRecord>) -> bool {
     false
 }
 
-/// The typed result slot shared between a running task and its future.
-pub struct FutureState<T> {
-    /// The value produced by the task, once it returns.
-    pub result: Mutex<Option<T>>,
-    /// Panic payload if the task body panicked.
-    pub panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// Set (with release ordering) after the result or panic is stored.
-    pub done: AtomicBool,
-}
-
-impl<T> FutureState<T> {
-    /// A fresh, not-yet-completed state.
-    pub fn new() -> Arc<Self> {
-        Arc::new(FutureState {
-            result: Mutex::new(None),
-            panic: Mutex::new(None),
-            done: AtomicBool::new(false),
-        })
-    }
-
-    /// Has the result (or panic) been stored?
-    pub fn is_done(&self) -> bool {
-        self.done.load(Ordering::Acquire)
-    }
-
-    /// Stores the result and publishes completion.
-    pub fn complete(&self, value: T) {
-        *self.result.lock() = Some(value);
-        self.done.store(true, Ordering::Release);
-    }
-
-    /// Stores a panic payload and publishes completion.
-    pub fn complete_panic(&self, payload: Box<dyn std::any::Any + Send>) {
-        *self.panic.lock() = Some(payload);
-        self.done.store(true, Ordering::Release);
-    }
-
-    /// Takes the result; re-raises the payload if the task panicked.
-    /// Panics if called before completion or if the value was already taken.
-    pub fn take(&self) -> T {
-        assert!(self.is_done(), "task result taken before completion");
-        if let Some(payload) = self.panic.lock().take() {
-            std::panic::resume_unwind(payload);
-        }
-        self.result
-            .lock()
-            .take()
-            .expect("task result already taken (getValue may consume it only once)")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,24 +323,6 @@ mod tests {
         assert!(blocked_on(&a, &c));
         assert!(blocked_on(&b, &c));
         assert!(!blocked_on(&c, &a));
-    }
-
-    #[test]
-    fn future_state_roundtrip() {
-        let s = FutureState::new();
-        assert!(!s.is_done());
-        s.complete(42);
-        assert!(s.is_done());
-        assert_eq!(s.take(), 42);
-    }
-
-    #[test]
-    #[should_panic(expected = "already taken")]
-    fn future_state_double_take_panics() {
-        let s = FutureState::new();
-        s.complete(1);
-        let _ = s.take();
-        let _ = s.take();
     }
 
     #[test]

@@ -93,8 +93,9 @@ fn log_and_scheduler<S>(
 /// `TaskFuture::wait` does in the real runtime — `on_await(None, target)`,
 /// the prioritized recheck that resolves partial-enablement cycles between
 /// multi-effect waiters by effect stealing. Panics if that still makes no
-/// progress (a genuine stall).
-fn drain(sched: &dyn Scheduler, tasks: &[Arc<TaskRecord>]) {
+/// progress (a genuine stall). After every step the tree must satisfy the
+/// property its wake path rests on (debug builds: the walker is debug-only).
+fn drain(sched: &TreeScheduler, tasks: &[Arc<TaskRecord>]) {
     let mut remaining: Vec<Arc<TaskRecord>> = tasks.to_vec();
     let mut rounds = 0;
     while !remaining.is_empty() {
@@ -135,6 +136,7 @@ fn drain(sched: &dyn Scheduler, tasks: &[Arc<TaskRecord>]) {
         let t = remaining.remove(pos);
         t.mark_done();
         sched.task_done(&t);
+        sched.assert_wake_invariant();
     }
 }
 

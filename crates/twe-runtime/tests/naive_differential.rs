@@ -206,20 +206,15 @@ proptest! {
 /// One scheduler's side of the k-means lockstep trace: its own copies of
 /// the `M` WorkTasks, and the nested task each started WorkTask is blocked
 /// on.
-struct KmeansRun {
+struct KmeansRun<'s> {
     name: &'static str,
-    sched: Box<dyn Scheduler>,
+    sched: &'s dyn Scheduler,
     work: Vec<Arc<TaskRecord>>,
     nested: Vec<Option<Arc<TaskRecord>>>,
 }
 
-impl KmeansRun {
-    fn new<S: Scheduler + 'static>(
-        name: &'static str,
-        work_tasks: usize,
-        make: impl FnOnce(Box<dyn Fn(Arc<TaskRecord>) + Send + Sync>) -> S,
-    ) -> Self {
-        let sched = make(Box::new(|_| {}));
+impl<'s> KmeansRun<'s> {
+    fn new(name: &'static str, work_tasks: usize, sched: &'s dyn Scheduler) -> Self {
         let work: Vec<_> = (0..work_tasks as u64)
             .map(|i| TaskRecord::new(i, "WorkTask", EffectSet::parse("reads Root"), false))
             .collect();
@@ -227,7 +222,7 @@ impl KmeansRun {
         let nested = vec![None; work_tasks];
         KmeansRun {
             name,
-            sched: Box::new(sched),
+            sched,
             work,
             nested,
         }
@@ -271,7 +266,9 @@ impl KmeansRun {
 /// nested `reads Root, writes Clusters:[k]`" and "an enabled nested task and
 /// its WorkTask finish", at most 16 WorkTasks in flight over K = 3 clusters
 /// so the clusters collide. After every step the naive scheduler and the
-/// tree must agree on every live task's status.
+/// tree must agree on every live task's status, and the tree must satisfy
+/// the property its wake path rests on (debug builds: the walker is
+/// debug-only).
 #[test]
 fn kmeans_shape_tree_equals_naive_in_lockstep() {
     const M: usize = 120;
@@ -279,9 +276,11 @@ fn kmeans_shape_tree_equals_naive_in_lockstep() {
     const IN_FLIGHT: usize = 16;
     for seed in 1..=8u64 {
         let mut next = splitmix64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let naive = NaiveScheduler::new(Box::new(|_| {}));
+        let tree = TreeScheduler::new(Box::new(|_| {}));
         let mut runs = [
-            KmeansRun::new("naive", M, NaiveScheduler::new),
-            KmeansRun::new("tree", M, TreeScheduler::new),
+            KmeansRun::new("naive", M, &naive),
+            KmeansRun::new("tree", M, &tree),
         ];
         let agree = |runs: &[KmeansRun; 2], step: &str| {
             assert_eq!(
@@ -289,6 +288,7 @@ fn kmeans_shape_tree_equals_naive_in_lockstep() {
                 runs[1].statuses(),
                 "seed {seed}: tree left naive after {step}"
             );
+            tree.assert_wake_invariant();
         };
         agree(&runs, "the fan-out");
         let mut started = 0usize;
@@ -382,7 +382,7 @@ fn descent_shapes_tree_equals_naive_in_lockstep() {
         MemberByMember,
         AlwaysBatch,
     }
-    let trace = |sched: &dyn Scheduler, mode: Mode| -> Vec<Vec<TaskStatus>> {
+    let trace = |sched: &dyn Scheduler, audit: &dyn Fn(), mode: Mode| {
         let batch: Vec<Vec<String>> = EFFECTS.iter().map(|e| vec![e.to_string()]).collect();
         let tasks = make_tasks(&batch);
         let mut trace = Vec::new();
@@ -401,19 +401,29 @@ fn descent_shapes_tree_equals_naive_in_lockstep() {
                     sched.task_done(&tasks[i]);
                 }
             }
-            trace.push(tasks.iter().map(|t| t.status()).collect());
+            trace.push(tasks.iter().map(|t| t.status()).collect::<Vec<_>>());
+            audit();
         }
         let d = sched.diagnostics();
         assert_eq!((d.queued_tasks, d.recorded_effects), (0, 0), "{mode:?}");
         trace
     };
-    let naive = trace(&NaiveScheduler::new(Box::new(|_| {})), Mode::Scripted);
+    let naive = trace(
+        &NaiveScheduler::new(Box::new(|_| {})),
+        &|| {},
+        Mode::Scripted,
+    );
     // Not vacuous: 1, 2, 4, 5, 8 and 10 all had to wait.
     let waited = |i: usize| naive.iter().any(|s| s[i] == TaskStatus::Waiting);
     assert!([1, 2, 4, 5, 8, 10].into_iter().all(waited));
     for mode in [Mode::Scripted, Mode::MemberByMember, Mode::AlwaysBatch] {
-        let tree = trace(&TreeScheduler::new(Box::new(|_| {})), mode);
-        assert_eq!(tree, naive, "tree ({mode:?}) left naive");
+        let tree = TreeScheduler::new(Box::new(|_| {}));
+        let audit = || tree.assert_wake_invariant();
+        assert_eq!(
+            trace(&tree, &audit, mode),
+            naive,
+            "tree ({mode:?}) left naive"
+        );
     }
 }
 
@@ -460,7 +470,13 @@ fn read_write_cycle_makes_progress_without_an_awaiter() {
 #[test]
 fn multi_key_writers_drain_without_awaiters() {
     const N: u64 = 4_000;
-    for (threads, wave, seed) in [(1, 1, 5u64), (2, 64, 1)] {
+    // Seed 5 on one thread and seed 1 on two are the runs that stalled a
+    // hand-on without its `Enabled` check and without its node lock.
+    let runs = [1, 2, 4].into_iter().flat_map(|threads| {
+        let wave = if threads == 1 { 1 } else { 64 };
+        [1u64, 5, 11, 23].map(|seed| (threads, wave, seed))
+    });
+    for (threads, wave, seed) in runs {
         let mut next = splitmix64(seed);
         let key = |n: u64| format!("T{}:Key:[{}]", n % 4, (n / 4) % 16);
         let effects: Vec<EffectSet> = (0..N)
