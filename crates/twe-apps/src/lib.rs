@@ -14,21 +14,22 @@
 //! | [`tsp`] | TSP branch-and-bound — Fig 6.4 | recursive spawn with cut-off + atomic best | fork-join threads, sequential |
 //! | [`refine`] | Delaunay-style mesh refinement — §7.6 | retryable tasks with dynamic effects | coarse-grained lock, sequential |
 //! | [`coloring`] | greedy graph colouring — §7.6 | retryable tasks with dynamic effects | per-node mutexes, sequential |
-//! | [`service`] | open-loop multi-tenant keyed store (latency methodology, §6) | per-request tasks with per-key / per-tenant-wildcard effects, tenant churn through `DynCell` reclamation | sequential oracle (differential tests) |
 //!
-//! [`hist`] provides the bounded HDR-style latency histogram the service
-//! workload records into; [`util`] the shared PRNG and `RegionCell`.
+//! [`util`] provides the shared PRNG and `RegionCell`.
 //!
 //! Every module exposes a workload generator, the TWE implementation, the
 //! baselines the paper compares against, and a validation function used by
 //! the test suite to confirm all variants compute the same result.
+//! [`service`] is not a paper benchmark: it is the multi-tenant keyed store
+//! (per-key / per-tenant-wildcard effects, tenant churn through `DynCell`
+//! reclamation) and its sequential oracle, which the service differential
+//! and lifecycle tests drive.
 
 #![warn(missing_docs)]
 
 pub mod barneshut;
 pub mod coloring;
 pub mod fourwins;
-pub mod hist;
 pub mod imageedit;
 pub mod kmeans;
 pub mod montecarlo;

@@ -17,10 +17,13 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Duration;
-use twe_apps::service::{fresh_tenant, key_rpl, run_service, scan_rpl, OpMix, ServiceConfig};
+use twe_apps::service::{
+    apply_trace, fresh_tenant, key_rpl, scan_rpl, sequential_trace, ServiceOp,
+};
+use twe_apps::util::SplitMix64;
 use twe_effects::EffectSet;
 use twe_runtime::scheduler::SchedulerDiagnostics;
-use twe_runtime::{AdmissionPolicy, Runtime, SchedulerKind};
+use twe_runtime::{Runtime, SchedulerKind};
 
 /// Polls diagnostics until they return to `baseline` (retirement pruning
 /// runs from drop hooks, which settle quickly but asynchronously; the
@@ -133,28 +136,59 @@ fn churn_concurrent_with_scans_never_aliases_live_tenants() {
     assert_returns_to_baseline(&rt, baseline);
 }
 
+/// A fixed scan-heavy trace: 70 % point reads, 20 % point writes, 10 %
+/// tenant scans over `tenants` x `keys`, with one tenant retired (round
+/// robin) after every 100 requests.
+fn scan_heavy_trace(requests: usize, tenants: usize, keys: usize) -> Vec<ServiceOp> {
+    let mut rng = SplitMix64::new(7);
+    let mut trace = Vec::new();
+    for i in 0..requests {
+        let tenant = rng.next_below(tenants as u64) as usize;
+        let key = rng.next_below(keys as u64) as usize;
+        trace.push(match rng.next_below(10) {
+            0..=6 => ServiceOp::Read { tenant, key },
+            7..=8 => ServiceOp::Write {
+                tenant,
+                key,
+                value: rng.next_u64() >> 1,
+            },
+            _ => ServiceOp::Scan { tenant },
+        });
+        if (i + 1) % 100 == 0 {
+            trace.push(ServiceOp::Retire {
+                tenant: (i / 100) % tenants,
+            });
+        }
+    }
+    trace
+}
+
 #[test]
 fn service_harness_churn_returns_tree_to_baseline() {
-    // The same property through the real open-loop harness: a scan-heavy
-    // run with continuous tenant retirement must leave the scheduler
-    // tree exactly as it found it once everything drains (the harness
-    // retires every tenant's final cell when its submitter finishes and
-    // the in-flight requests complete).
-    let rt = Runtime::new(2, SchedulerKind::Tree);
-    let baseline = rt.scheduler_diagnostics();
-    let cfg = ServiceConfig {
-        tenants: 4,
-        keys_per_tenant: 16,
-        requests: 600,
-        rate_per_sec: 1e6,
-        mix: OpMix::SCAN_HEAVY,
-        seed: 7,
-        retire_every: Some(100),
-        reapers: 2,
-        policy: AdmissionPolicy::Unbounded,
-    };
-    let report = run_service(&rt, &cfg);
-    assert_eq!(report.completed, 600);
-    assert_eq!(report.retired_tenants, 6);
-    assert_returns_to_baseline(&rt, baseline);
+    // The same property through the service trace: a scan-heavy trace with
+    // continuous tenant retirement must leave either scheduler exactly as
+    // it found it once everything drains (`apply_trace` drops every
+    // tenant's final cell when it returns).
+    const TENANTS: usize = 4;
+    const KEYS: usize = 16;
+    let trace = scan_heavy_trace(600, TENANTS, KEYS);
+    for kind in [SchedulerKind::Naive, SchedulerKind::Tree] {
+        let rt = Runtime::new(2, kind);
+        let baseline = rt.scheduler_diagnostics();
+        let outcome = apply_trace(&rt, TENANTS, KEYS, &trace);
+        assert_eq!(outcome.results.len(), 600, "{kind:?}");
+        if kind == SchedulerKind::Naive {
+            assert_eq!(outcome, sequential_trace(TENANTS, KEYS, &trace));
+        }
+        assert_returns_to_baseline(&rt, baseline);
+        assert_eq!(rt.scheduler_diagnostics().queued_tasks, 0, "{kind:?}");
+        // Unbounded admission sheds nothing, and its gauge moved.
+        let stats = rt.admission_stats();
+        assert_eq!(
+            (stats.admitted, stats.shed, stats.depth),
+            (600, 0, 0),
+            "{kind:?}"
+        );
+        assert!(stats.peak_depth > 0, "{kind:?}");
+    }
 }

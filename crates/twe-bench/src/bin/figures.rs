@@ -1,10 +1,10 @@
 //! Regenerates the tables behind every figure of the TWE evaluation.
 //!
 //! ```text
-//! figures [--fig 6.1|6.2|6.3|6.4|7.1|conflict|submit|reclaim|service|backlog|all]
+//! figures [--fig 6.1|6.2|6.3|6.4|7.1|conflict|submit|reclaim|backlog|all]
 //!         [--quick] [--json out.json] [--conflict-json BENCH_conflict.json]
 //!         [--submit-json BENCH_submit.json] [--reclaim-json BENCH_reclaim.json]
-//!         [--service-json BENCH_service.json] [--backlog-json BENCH_backlog.json]
+//!         [--backlog-json BENCH_backlog.json]
 //! ```
 //!
 //! `--quick` shrinks the workloads so the whole sweep finishes in a couple of
@@ -31,17 +31,6 @@
 //! `--reclaim-json` writes the rows as `BENCH_reclaim.json` (also a CI
 //! smoke-job artifact).
 //!
-//! `--fig service` runs only the open-loop service-latency microbenchmark:
-//! the multi-tenant keyed store under a deterministic seeded arrival
-//! schedule, recording p50/p99/p999 submit→enable and submit→complete
-//! latency per (scheduler × tenants × rate × mix) cell with continuous
-//! tenant retirement through the epoch reclaimer; quick mode keeps the
-//! 4-tenant read-heavy cell on both schedulers (the scheduled-CI latency
-//! bar's input) plus one saturation cell per admission policy per
-//! scheduler; full mode adds the rate-scaled sweep and the full-size
-//! saturation cells; `--service-json` writes the rows as
-//! `BENCH_service.json` (also a CI smoke-job artifact).
-//!
 //! `--fig backlog` runs only the backlog microbenchmarks. The conflicting
 //! mix: the `svc-contended` population through a `Runtime` on both
 //! schedulers, closed loop at 64 to 4 096 in flight, three repetitions —
@@ -55,9 +44,8 @@
 
 use twe_bench::{
     print_backlog_rows, print_conflict_rows, print_conflicting_rows, print_reclaim_rows,
-    print_rows, print_service_rows, print_submit_rows, run_backlog_bench, run_conflict_bench,
-    run_conflicting_sweep, run_figures, run_reclaim_bench, run_service_bench, run_submit_bench,
-    BacklogRecord,
+    print_rows, print_submit_rows, run_backlog_bench, run_conflict_bench, run_conflicting_sweep,
+    run_figures, run_reclaim_bench, run_submit_bench, BacklogRecord,
 };
 
 fn main() {
@@ -68,7 +56,6 @@ fn main() {
     let mut conflict_json_path: Option<String> = None;
     let mut submit_json_path: Option<String> = None;
     let mut reclaim_json_path: Option<String> = None;
-    let mut service_json_path: Option<String> = None;
     let mut backlog_json_path: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
@@ -97,20 +84,16 @@ fn main() {
                 reclaim_json_path = args.get(i + 1).cloned();
                 i += 2;
             }
-            "--service-json" => {
-                service_json_path = args.get(i + 1).cloned();
-                i += 2;
-            }
             "--backlog-json" => {
                 backlog_json_path = args.get(i + 1).cloned();
                 i += 2;
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: figures [--fig 6.1|6.2|6.3|6.4|7.1|conflict|submit|reclaim|service|backlog|all] \
+                    "usage: figures [--fig 6.1|6.2|6.3|6.4|7.1|conflict|submit|reclaim|backlog|all] \
                      [--quick] [--json out.json] [--conflict-json BENCH_conflict.json] \
                      [--submit-json BENCH_submit.json] [--reclaim-json BENCH_reclaim.json] \
-                     [--service-json BENCH_service.json] [--backlog-json BENCH_backlog.json]"
+                     [--backlog-json BENCH_backlog.json]"
                 );
                 return;
             }
@@ -126,19 +109,15 @@ fn main() {
     let run_conflict = which == "conflict" || conflict_json_path.is_some();
     let run_submit = which == "submit" || submit_json_path.is_some();
     let run_reclaim = which == "reclaim" || reclaim_json_path.is_some();
-    let run_service = which == "service" || service_json_path.is_some();
     let run_backlog = which == "backlog" || backlog_json_path.is_some();
-    let micro_only = which == "conflict"
-        || which == "submit"
-        || which == "reclaim"
-        || which == "service"
-        || which == "backlog";
+    let micro_only =
+        which == "conflict" || which == "submit" || which == "reclaim" || which == "backlog";
     if micro_only {
         if json_path.is_some() {
             eprintln!(
                 "# note: --json applies to figure rows and is ignored with --fig {which}; \
-                 use --conflict-json / --submit-json / --reclaim-json / --service-json / \
-                 --backlog-json for the microbench records"
+                 use --conflict-json / --submit-json / --reclaim-json / --backlog-json \
+                 for the microbench records"
             );
         }
     } else {
@@ -196,22 +175,6 @@ fn main() {
         if let Some(path) = reclaim_json_path {
             let json = serde_json::to_string_pretty(&rows).expect("serialize reclaim rows");
             std::fs::write(&path, json).expect("write reclaim JSON output");
-            eprintln!("# wrote {path}");
-        }
-    }
-    if run_service {
-        eprintln!(
-            "# open-loop service-latency microbench ({} mode, host parallelism = {})",
-            if quick { "quick" } else { "full" },
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        );
-        let rows = run_service_bench(quick);
-        print_service_rows(&rows);
-        if let Some(path) = service_json_path {
-            let json = serde_json::to_string_pretty(&rows).expect("serialize service rows");
-            std::fs::write(&path, json).expect("write service JSON output");
             eprintln!("# wrote {path}");
         }
     }

@@ -16,7 +16,6 @@
 
 pub mod backlog;
 pub mod reclaim;
-pub mod service;
 
 pub use backlog::{
     print_backlog_rows, print_conflicting_rows, run_backlog_bench, run_conflicting_sweep,
@@ -24,9 +23,6 @@ pub use backlog::{
     BACKLOG_DEPTHS_INDEXED, CONFLICTING_IN_FLIGHT,
 };
 pub use reclaim::{print_reclaim_rows, run_reclaim_bench, ReclaimRow, RECLAIM_THREADS};
-pub use service::{
-    print_service_rows, run_service_bench, ServiceRow, SERVICE_RATES, SERVICE_TENANTS,
-};
 
 use serde::Serialize;
 use std::sync::Arc;

@@ -278,9 +278,9 @@ impl<J: Job> Shared<J> {
     ///
     /// The poll yields rather than spins: with more runnable threads than
     /// cores (a pool as wide as the host plus the submitting thread) a
-    /// spinning lingerer takes the submitter's core. Measured on the
-    /// `figures --fig service` harness (2 workers + submitter + reapers on
-    /// 2 CPUs, tree, 80 000 req/s): enable p50 16–21 µs at the parent,
+    /// spinning lingerer takes the submitter's core. Measured (PR 14) on the
+    /// since-deleted open-loop service harness (2 workers + submitter +
+    /// reapers on 2 CPUs, tree, 80 000 req/s): enable p50 16–21 µs at the parent,
     /// 25–60 µs spinning, 18–29 µs yielding; with a core to itself
     /// (`benchmark`, svc-disjoint) both give 6.1 µs.
     #[inline(never)]

@@ -97,7 +97,7 @@ use crate::tree::TreeScheduler;
 use parking_lot::Mutex;
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 use twe_effects::EffectSet;
@@ -147,7 +147,7 @@ impl SchedulerKind {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AdmissionPolicy {
     /// Admit everything immediately (the default). The depth gauge is still
-    /// maintained so saturation experiments can report peak backlog.
+    /// maintained; the policy tests read its [`AdmissionStats::peak_depth`].
     Unbounded,
     /// Block the submitting (non-worker) thread until the in-flight count
     /// drops below `max_queued` — classic backpressure: the producer is
@@ -168,15 +168,6 @@ pub enum AdmissionPolicy {
 }
 
 impl AdmissionPolicy {
-    /// Short label for benchmark output ("unbounded" / "block" / "shed").
-    pub fn label(&self) -> &'static str {
-        match self {
-            AdmissionPolicy::Unbounded => "unbounded",
-            AdmissionPolicy::BoundedBlock { .. } => "block",
-            AdmissionPolicy::BoundedShed { .. } => "shed",
-        }
-    }
-
     /// The configured depth cap, if the policy has one.
     pub fn max_queued(&self) -> Option<usize> {
         match self {
@@ -428,9 +419,8 @@ where
         }));
         finish_task(&ctx, self.spawned_parent.lock().take());
         // Publish the result last: a waiter that sees the future done also
-        // sees the done stamp, the effects released and the admission slot
-        // free. A waiter asleep in the pool is woken by the pool when this
-        // job returns.
+        // sees the effects released and the admission slot free. A waiter
+        // asleep in the pool is woken by the pool when this job returns.
         *self.result.lock() = Some(outcome);
         task.completed.store(true, Ordering::Release);
     }
@@ -451,9 +441,6 @@ fn finish_task(ctx: &TaskCtx<'_>, spawned_parent: Option<Arc<TaskRecord>>) {
     let (rt, task) = (ctx.rt, ctx.record);
     ctx.await_remaining_spawned();
     ctx.release_dynamic_effects();
-    if rt.latency_probe.load(Ordering::Relaxed) {
-        task.stamp_done();
-    }
     task.mark_done();
     rt.scheduler().task_done(task);
     if let Some(parent) = spawned_parent {
@@ -476,12 +463,6 @@ pub(crate) struct RtInner {
     admission: AdmissionState,
     tasks_executed: AtomicU64,
     task_retries: AtomicU64,
-    /// Latency probe switch: while on, each non-spawned task is stamped at
-    /// submit, enable and completion ([`TaskRecord::submit_to_enable_ns`]).
-    /// All three stamps are relaxed stores to the task's *own* record —
-    /// no shared cache line, no lock — so the probe adds only the clock
-    /// reads to the hot path (and nothing at all while off).
-    latency_probe: AtomicBool,
     /// Size of every wave (or chunk) handed to the scheduler, in order.
     #[cfg(test)]
     wave_sizes: parking_lot::Mutex<Vec<usize>>,
@@ -553,14 +534,9 @@ impl RtInner {
     }
 
     /// What every admission does to a task just before the scheduler sees
-    /// it: the record starts holding itself (see [`TaskRecord::pending`])
-    /// and is stamped, so submit→enable measures scheduler admission +
-    /// queueing, not the caller's task-building work.
+    /// it: the record starts holding itself (see [`TaskRecord::pending`]).
     fn prepare(&self, record: &Arc<TaskRecord>) {
         *record.pending.lock() = Some(record.clone());
-        if self.latency_probe.load(Ordering::Relaxed) {
-            record.stamp_submitted();
-        }
     }
 
     pub(crate) fn execute_later_impl<T, F>(
@@ -805,13 +781,7 @@ impl Runtime {
             let Some(me) = task.pending.lock().take() else {
                 return;
             };
-            let rt = task.runtime();
-            // The latency probe's enable stamp: a relaxed store to the
-            // task's own record, before the body is handed to the pool.
-            if rt.latency_probe.load(Ordering::Relaxed) {
-                me.stamp_enabled();
-            }
-            rt.submit_enabled(me);
+            task.runtime().submit_enabled(me);
         });
         let scheduler: Box<dyn Scheduler> = match kind {
             SchedulerKind::Naive => Box::new(NaiveScheduler::new(enable)),
@@ -827,7 +797,6 @@ impl Runtime {
             admission: AdmissionState::new(),
             tasks_executed: AtomicU64::new(0),
             task_retries: AtomicU64::new(0),
-            latency_probe: AtomicBool::new(false),
             #[cfg(test)]
             wave_sizes: parking_lot::Mutex::new(Vec::new()),
         });
@@ -855,24 +824,6 @@ impl Runtime {
         self.inner.kind
     }
 
-    /// Turns the latency probe on or off (default: off).
-    ///
-    /// While on, the runtime stamps each task's submit, enable, and
-    /// completion times into the task's own record
-    /// ([`TaskRecord::submitted_at_ns`] and friends) so harnesses can
-    /// compute submit→enable and submit→complete latencies from the
-    /// returned futures. Each stamp is a single relaxed store to memory
-    /// owned by that task — no shared counter, no lock — and with the
-    /// probe off the only cost is one relaxed flag load per task.
-    pub fn set_latency_probe(&self, on: bool) {
-        self.inner.latency_probe.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether the latency probe is currently on.
-    pub fn latency_probe(&self) -> bool {
-        self.inner.latency_probe.load(Ordering::Relaxed)
-    }
-
     /// A snapshot of scheduler-internal diagnostics (tree node count,
     /// recorded-effect count). Naive reports its queue length under
     /// `recorded_effects` and zero nodes.
@@ -880,15 +831,9 @@ impl Runtime {
         self.inner.scheduler().diagnostics()
     }
 
-    /// The admission policy this runtime was built with.
-    pub fn admission_policy(&self) -> AdmissionPolicy {
-        self.inner.policy
-    }
-
     /// A snapshot of the admission counters: tasks admitted and shed,
     /// current in-flight depth, and the depth high-water mark. Maintained
-    /// under every policy (including [`AdmissionPolicy::Unbounded`], whose
-    /// `peak_depth` is how saturation experiments report peak backlog).
+    /// under every policy, [`AdmissionPolicy::Unbounded`] included.
     pub fn admission_stats(&self) -> AdmissionStats {
         AdmissionStats {
             admitted: self.inner.admission.admitted.load(Ordering::Relaxed),
@@ -1037,7 +982,7 @@ impl std::fmt::Debug for Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
 
     #[test]
     fn run_simple_task_returns_value() {
@@ -1081,45 +1026,6 @@ mod tests {
                 assert_eq!(f.wait(), i * 3, "{kind:?}");
             }
             assert_eq!(rt.stats().tasks_executed, 128);
-        }
-    }
-
-    #[test]
-    fn latency_probe_stamps_on_both_schedulers() {
-        for kind in [SchedulerKind::Naive, SchedulerKind::Tree] {
-            let rt = Runtime::new(2, kind);
-
-            // Probe off (the default): nothing is stamped.
-            let f = rt.execute_later("unprobed", EffectSet::parse("writes P:[0]"), |_| 1u32);
-            f.wait();
-            assert_eq!(f.record().submit_to_enable_ns(), None, "{kind:?}");
-            assert_eq!(f.record().submit_to_complete_ns(), None, "{kind:?}");
-
-            // Probe on: submit→enable and submit→complete are both
-            // measurable and ordered, for execute_later and submit_all.
-            rt.set_latency_probe(true);
-            assert!(rt.latency_probe());
-            let f = rt.execute_later("probed", EffectSet::parse("writes P:[1]"), |_| 2u32);
-            f.wait();
-            let enable = f.record().submit_to_enable_ns().expect("enable stamped");
-            let complete = f
-                .record()
-                .submit_to_complete_ns()
-                .expect("complete stamped");
-            assert!(complete >= enable, "{kind:?}: {complete} < {enable}");
-
-            let futures = rt.submit_all((0..8).map(|i| {
-                (
-                    format!("wave{i}"),
-                    EffectSet::parse(&format!("writes P:[{i}]")),
-                    move |_: &TaskCtx<'_>| i,
-                )
-            }));
-            for f in &futures {
-                f.wait();
-                assert!(f.record().submit_to_enable_ns().is_some(), "{kind:?}");
-                assert!(f.record().submit_to_complete_ns().is_some(), "{kind:?}");
-            }
         }
     }
 
@@ -1691,6 +1597,102 @@ mod tests {
             let stats = rt.admission_stats();
             assert_eq!(stats.admitted, 4 * PER_THREAD as u64, "{kind:?}");
             assert!(stats.peak_depth <= 8, "{kind:?}: peak {}", stats.peak_depth);
+            assert_eq!(rt.scheduler_diagnostics().queued_tasks, 0, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn concurrent_shedding_submitters_account_for_every_request() {
+        // Four external submitters offer work to one small shedding cap,
+        // alternating single `try_execute_later`s with `submit_all` waves of
+        // 1..=16 (a wave above 8 always sheds its tail). Every offered task
+        // is either admitted, and then runs and returns its own value, or
+        // counted shed; nothing passes the cap and nothing is left behind.
+        const PER_THREAD: usize = 5_000;
+        for kind in [SchedulerKind::Naive, SchedulerKind::Tree] {
+            let rt = Arc::new(
+                Runtime::builder()
+                    .threads(2)
+                    .scheduler(kind)
+                    .admission_policy(AdmissionPolicy::BoundedShed { max_queued: 8 })
+                    .build(),
+            );
+            let submitters: Vec<_> = (0..4usize)
+                .map(|t| {
+                    let rt = rt.clone();
+                    std::thread::spawn(move || {
+                        let task = |i: usize| {
+                            let value = t * PER_THREAD + i;
+                            let effects = EffectSet::parse(&format!("writes G:[{}]", i % 16));
+                            (effects, move |_: &TaskCtx<'_>| value)
+                        };
+                        // (value the future must return, the future)
+                        let mut admitted = Vec::new();
+                        let (mut sent, mut round) = (0, 0);
+                        while sent < PER_THREAD {
+                            // Submitters pause now and then, so the cap is
+                            // both hit and drained.
+                            if round % 4 == 3 {
+                                std::thread::yield_now();
+                            }
+                            if (round + t) % 2 == 0 {
+                                let (effects, body) = task(sent);
+                                if let Some(f) = rt.try_execute_later("single", effects, body) {
+                                    admitted.push((t * PER_THREAD + sent, f));
+                                }
+                                sent += 1;
+                            } else {
+                                let wave = (round % 16 + 1).min(PER_THREAD - sent);
+                                let futures = rt.submit_all((sent..sent + wave).map(|i| {
+                                    let (effects, body) = task(i);
+                                    ("wave", effects, body)
+                                }));
+                                assert!(futures.len() <= wave);
+                                // The admitted prefix of the wave, in order.
+                                for (j, f) in futures.into_iter().enumerate() {
+                                    admitted.push((t * PER_THREAD + sent + j, f));
+                                }
+                                sent += wave;
+                            }
+                            round += 1;
+                        }
+                        admitted
+                    })
+                })
+                .collect();
+            // A lost task or a stranded submitter fails instead of hanging.
+            let deadline = std::time::Instant::now() + Duration::from_secs(120);
+            let mut admitted = Vec::new();
+            for s in submitters {
+                while !s.is_finished() {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "{kind:?}: a submitter is stuck"
+                    );
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                admitted.extend(s.join().expect("submitter"));
+            }
+            for (value, f) in &admitted {
+                while !f.is_done() {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "{kind:?}: task {value} never ran"
+                    );
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                assert_eq!(f.wait(), *value, "{kind:?}");
+            }
+            let stats = rt.admission_stats();
+            assert_eq!(stats.admitted, admitted.len() as u64, "{kind:?}");
+            assert_eq!(
+                stats.admitted + stats.shed,
+                4 * PER_THREAD as u64,
+                "{kind:?}: every offered request is admitted or shed"
+            );
+            assert!(stats.shed > 0, "{kind:?}: waves above the cap shed");
+            assert!(stats.peak_depth <= 8, "{kind:?}: peak {}", stats.peak_depth);
+            assert_eq!(stats.depth, 0, "{kind:?}");
             assert_eq!(rt.scheduler_diagnostics().queued_tasks, 0, "{kind:?}");
         }
     }

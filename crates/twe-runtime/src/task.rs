@@ -15,24 +15,12 @@
 
 use parking_lot::Mutex;
 use std::any::Any;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use twe_effects::EffectSet;
 
 use crate::tree::{EffectRecord, TreeRecords};
 use crate::RtInner;
-
-/// Nanoseconds since the process-global probe epoch (first call wins).
-///
-/// The latency probe stamps every timestamp through this one monotonic
-/// clock, so `enabled − submitted` differences are meaningful across
-/// threads. Never returns `0` — the probe fields use `0` for "not
-/// stamped".
-pub fn probe_now_ns() -> u64 {
-    static EPOCH: OnceLock<std::time::Instant> = OnceLock::new();
-    let epoch = *EPOCH.get_or_init(std::time::Instant::now);
-    epoch.elapsed().as_nanos() as u64 + 1
-}
 
 /// The scheduling status of a task (§5.3.1, Figure 5.3).
 ///
@@ -135,17 +123,6 @@ pub struct TaskRecord<B: ?Sized = dyn TaskBody> {
     /// Dynamic regions are ordinary interned RPL ids under the reserved
     /// `Root:__DynRegion` root, so they share the static conflict fast paths.
     pub dynamic_claims: Mutex<Vec<twe_effects::RplId>>,
-    /// Latency-probe timestamp ([`probe_now_ns`] nanos, `0` = not stamped):
-    /// when the task was handed to the scheduler. Stamped only while the
-    /// owning runtime's latency probe is on ([`crate::Runtime::set_latency_probe`]).
-    pub submitted_at_ns: AtomicU64,
-    /// Latency-probe timestamp: when the scheduler flipped the task to
-    /// `Enabled` (stamped inside the runtime's enable callback, before the
-    /// body is handed to the pool). `0` = not stamped.
-    pub enabled_at_ns: AtomicU64,
-    /// Latency-probe timestamp: when the task finished (result published,
-    /// spawned children joined). `0` = not stamped.
-    pub done_at_ns: AtomicU64,
     /// The body and the result slot. Last, so that the record unsizes.
     pub(crate) body: B,
 }
@@ -179,9 +156,6 @@ impl<B: TaskBody + 'static> TaskRecord<B> {
             completed: AtomicBool::new(false),
             tree_effects: OnceLock::new(),
             dynamic_claims: Mutex::new(Vec::new()),
-            submitted_at_ns: AtomicU64::new(0),
-            enabled_at_ns: AtomicU64::new(0),
-            done_at_ns: AtomicU64::new(0),
             body,
         })
     }
@@ -197,37 +171,6 @@ impl TaskRecord {
     /// The runtime of a task that has one.
     pub(crate) fn runtime(&self) -> &Arc<RtInner> {
         self.rt.as_ref().expect("the task was created by a runtime")
-    }
-
-    /// Stamps the submit timestamp (latency probe). A relaxed store to this
-    /// record's own field — no shared state, no lock.
-    pub fn stamp_submitted(&self) {
-        self.submitted_at_ns
-            .store(probe_now_ns(), Ordering::Relaxed);
-    }
-
-    /// Stamps the enable timestamp (latency probe).
-    pub fn stamp_enabled(&self) {
-        self.enabled_at_ns.store(probe_now_ns(), Ordering::Relaxed);
-    }
-
-    /// Stamps the completion timestamp (latency probe).
-    pub fn stamp_done(&self) {
-        self.done_at_ns.store(probe_now_ns(), Ordering::Relaxed);
-    }
-
-    /// Submit→enable latency in nanoseconds, if both stamps were taken.
-    pub fn submit_to_enable_ns(&self) -> Option<u64> {
-        let submitted = self.submitted_at_ns.load(Ordering::Relaxed);
-        let enabled = self.enabled_at_ns.load(Ordering::Relaxed);
-        (submitted != 0 && enabled != 0).then(|| enabled.saturating_sub(submitted))
-    }
-
-    /// Submit→complete latency in nanoseconds, if both stamps were taken.
-    pub fn submit_to_complete_ns(&self) -> Option<u64> {
-        let submitted = self.submitted_at_ns.load(Ordering::Relaxed);
-        let done = self.done_at_ns.load(Ordering::Relaxed);
-        (submitted != 0 && done != 0).then(|| done.saturating_sub(submitted))
     }
 
     /// Current status.
@@ -333,24 +276,6 @@ mod tests {
         assert_eq!(parent.spawned_children_snapshot().len(), 1);
         parent.remove_spawned_child(2);
         assert!(parent.spawned_children_snapshot().is_empty());
-    }
-
-    #[test]
-    fn probe_stamps_are_monotonic_and_opt_in() {
-        let t = TaskRecord::new(9, "t", EffectSet::pure(), false);
-        // Unstamped records report no latency at all.
-        assert_eq!(t.submit_to_enable_ns(), None);
-        assert_eq!(t.submit_to_complete_ns(), None);
-        t.stamp_submitted();
-        assert_eq!(t.submit_to_enable_ns(), None, "enable not stamped yet");
-        t.stamp_enabled();
-        t.stamp_done();
-        let enable = t.submit_to_enable_ns().expect("both stamps taken");
-        let complete = t.submit_to_complete_ns().expect("both stamps taken");
-        assert!(complete >= enable, "done is stamped after enable");
-        // The probe clock never returns the "unstamped" sentinel.
-        assert_ne!(probe_now_ns(), 0);
-        assert!(probe_now_ns() <= probe_now_ns());
     }
 
     #[test]
