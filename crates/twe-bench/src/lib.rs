@@ -57,8 +57,8 @@ pub struct Row {
     pub aux: u64,
 }
 
-/// Thread counts swept by the harness: powers of two up to the host's
-/// available parallelism (the paper swept 1..80 on a 40-core machine).
+/// Thread counts the harness sweeps: powers of two up to the host's
+/// available parallelism (the paper measured 1..80 on a 40-core machine).
 pub fn thread_counts() -> Vec<usize> {
     let max = std::thread::available_parallelism()
         .map(|n| n.get())

@@ -44,12 +44,11 @@
 //!    its effects and rechecks the records parked on their waiter lists.
 //!    The task's future completes last, so a waiter that sees it done
 //!    finds the effects released and the admission slot free.
-//! 5. **Sweep/prune** — the tree nodes finished tasks leave vacant are
-//!    pruned in batches by later admissions; records of tasks whose
-//!    `TaskRecord` was dropped *before* completion are unlinked lazily by
-//!    later conflict walks, their waiters rechecked, and empty leaves
-//!    pruned, so the scheduling tree does not grow monotonically under
-//!    index-region churn.
+//! 5. **Prune** — the tree nodes finished tasks leave vacant are pruned in
+//!    batches by later admissions, so the scheduling tree does not grow
+//!    monotonically under index-region churn. The runtime holds every task
+//!    from submission to `Done` (the `Scheduler` ownership contract), so
+//!    finishing is the only way a task's records leave the tree.
 //!
 //! Wide fan-out phases should prefer the batched admission path
 //! ([`Runtime::submit_all`], [`TaskCtx::execute_all_later`]): same
@@ -887,10 +886,10 @@ impl Runtime {
     /// cluster): the tree scheduler inserts all the batch's effect records
     /// in one admission round — records are grouped per child as the
     /// descent forks, so a shared region prefix is locked and
-    /// conflict-checked once per batch instead of once per task — and runs
-    /// one deferred recheck round; the naive scheduler takes its queue lock
-    /// once and evaluates each member against only the queued tasks its
-    /// interference index proves could conflict with it.
+    /// conflict-checked once per batch instead of once per task; the naive
+    /// scheduler takes its queue lock once and evaluates each member against
+    /// only the queued tasks its interference index proves could conflict
+    /// with it.
     ///
     /// An empty batch returns an empty vector without touching the
     /// scheduler, and a single-element batch takes the plain

@@ -532,10 +532,6 @@ impl NaiveScheduler {
 }
 
 impl Scheduler for NaiveScheduler {
-    fn name(&self) -> &'static str {
-        "naive"
-    }
-
     fn submit(&self, task: Arc<TaskRecord>) {
         self.admit([task]);
     }

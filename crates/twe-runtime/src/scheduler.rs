@@ -50,10 +50,19 @@ pub struct SchedulerDiagnostics {
 /// Spawned tasks bypass the scheduler entirely (their effects were
 /// transferred from a running parent) and are visible only through the
 /// conflict test's treatment of blocked tasks' children.
+///
+/// # Ownership
+///
+/// The caller keeps every submitted [`TaskRecord`] alive until it has
+/// called [`Scheduler::task_done`] for it. A scheduler may hold tasks
+/// weakly (the tree scheduler does: a task owns its effect records, and the
+/// tree only points back at the task), so a task dropped before `task_done`
+/// leaves behind effects nothing will release and waiters nothing will
+/// recheck; the tree scheduler asserts the rule in debug builds. The
+/// runtime keeps it by construction: a task holds itself from submission
+/// until it is enabled (`TaskRecord::pending`), and the pool's job holds it
+/// from then until it is done.
 pub trait Scheduler: Send + Sync {
-    /// A short name for diagnostics ("naive" / "tree").
-    fn name(&self) -> &'static str;
-
     /// `executeLater`: register the task and enable it (submit it for
     /// execution via the callback installed by the runtime) once no enabled
     /// task has conflicting effects.
@@ -72,8 +81,8 @@ pub trait Scheduler: Send + Sync {
     /// deeper conflicting member — callers needing a deterministic winner
     /// among conflicting tasks should submit them per-task or in separate
     /// batches). What the batch saves is the *per-task overhead* — repeated
-    /// lock acquisitions, repeated tree descents over a shared region
-    /// prefix, and per-task deferred-recheck rounds.
+    /// lock acquisitions and repeated tree descents over a shared region
+    /// prefix.
     ///
     /// An empty batch must be a no-op and a single-element batch must take
     /// the plain [`Scheduler::submit`] path (no extra recheck round), so
@@ -120,7 +129,7 @@ pub trait Scheduler: Send + Sync {
     }
 
     /// Waiting tasks (naive) or parked effect records (tree) examined again
-    /// by wake-ups so far — completions, awaits, sweeps. Monotone, and
+    /// by wake-ups so far — completions and awaits. Monotone, and
     /// deterministic for a deterministic call sequence; per completion it
     /// says how much of a conflicting backlog each completion goes back
     /// over (`figures --fig backlog`).

@@ -27,7 +27,7 @@ use crate::RtInner;
 /// Statuses are strictly ordered (`Waiting < Prioritized < Enabled <
 /// Done`) and only ever advance; the scheduler flips a task to `Enabled`
 /// exactly once. See the crate docs ("Task lifecycle") for the full
-/// submit → park → enable → done → sweep walk-through.
+/// submit → park → enable → done → prune walk-through.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TaskStatus {
     /// Waiting for its effects to be enabled by the scheduler.
@@ -107,9 +107,10 @@ pub struct TaskRecord<B: ?Sized = dyn TaskBody> {
     /// record made by [`TaskRecord::new`].
     pub(crate) rt: Option<Arc<RtInner>>,
     /// The record's handle to itself between submission and enabling: the
-    /// tree holds tasks weakly, so a parked task nobody awaits would
-    /// otherwise be dropped. Taken exactly once, by the enable callback,
-    /// which hands that same `Arc` to the pool.
+    /// runtime's side of the [`Scheduler`](crate::scheduler::Scheduler)
+    /// ownership contract, which the pool's job takes over from there until
+    /// `task_done`. Taken exactly once, by the enable callback, which hands
+    /// that same `Arc` to the pool.
     pub(crate) pending: Mutex<Option<Arc<TaskRecord>>>,
     /// Set once the task has finished (its effects not yet released).
     pub done_flag: AtomicBool,
@@ -163,7 +164,9 @@ impl<B: TaskBody + 'static> TaskRecord<B> {
 
 impl TaskRecord {
     /// Creates a new record in the `Waiting` state, with no body and no
-    /// runtime: what drives a bare scheduler.
+    /// runtime: what drives a bare scheduler. Whoever submits it holds it
+    /// until it has called `task_done` for it (the
+    /// [`Scheduler`](crate::scheduler::Scheduler) ownership contract).
     pub fn new(id: u64, name: impl Into<String>, effects: EffectSet, spawned: bool) -> Arc<Self> {
         TaskRecord::with_body(id, name.into(), effects, spawned, None, NoBody)
     }

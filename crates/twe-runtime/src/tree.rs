@@ -43,8 +43,7 @@
 //! [`TreeScheduler::submit_batch`] admits a whole fan-out of tasks under a
 //! single root descent: records are grouped per child as the descent forks,
 //! so a shared region prefix (e.g. `Data` in a `writes Data:[i]` fan-out) is
-//! locked and checked once per batch instead of once per task, and the
-//! deferred dead-record recheck round runs once at the end. At each node,
+//! locked and checked once per batch instead of once per task. At each node,
 //! records that settle there are processed *before* records descending
 //! further, which makes the batch observably equivalent to sequential
 //! submission (see `insert`). A task of one record — and any record a batch
@@ -452,16 +451,6 @@ impl NodeInner {
         self.record_count() == 0 && self.children.is_empty()
     }
 
-    /// Unlinks every record whose task record was dropped before completion.
-    fn sweep_dead(&mut self, swept: &mut Vec<Arc<EffectRecord>>) {
-        let mut cur = [0; 2];
-        while let Some((class, i)) = self.next_record(&mut cur) {
-            if self.record(class, i).task.strong_count() == 0 {
-                swept.push(self.unlink(class, i));
-            }
-        }
-    }
-
     /// The node's true subtree summary as far as this node can know it:
     /// exact Bloom bits for its own records, the (superset) child entries for
     /// everything deeper. Used to rewrite this node's entry in its parent
@@ -538,6 +527,10 @@ const PRUNE_BATCH: usize = 64;
 /// ... at which the completion that leaves the scheduler empty does: steady
 /// traffic keeps the list below this, so its workers never prune.
 const IDLE_PRUNE: usize = 2 * PRUNE_BATCH;
+/// What a debug build says when a conflict walk meets a record whose task
+/// is gone: nothing would ever unlink it or recheck its waiters.
+const OWNERSHIP: &str = "a submitted task was dropped before `task_done`: \
+    the `Scheduler` ownership contract keeps it alive until then";
 
 impl TreeScheduler {
     /// Creates a tree scheduler that enables tasks through `enable`.
@@ -700,14 +693,6 @@ impl TreeScheduler {
 
     /// Checks `e` against the enabled effects at the locked node (Figure 5.6).
     ///
-    /// Also sweeps **dead records** on the way: an effect whose task record
-    /// was dropped before completion (so `task_done` never removed it) can
-    /// never conflict again and is unlinked from the node list here rather
-    /// than lingering forever. Swept records are pushed onto `swept` so the
-    /// caller can recheck their waiters once every node lock is released —
-    /// a task parked behind the dropped task must not stay blocked on a
-    /// conflict that no longer exists.
-    ///
     /// Like every conflict walk below, returns the record `e` now waits
     /// behind, `None` when nothing blocks it.
     fn check_at(
@@ -715,7 +700,6 @@ impl TreeScheduler {
         guard: &mut NodeGuard,
         e: &Arc<EffectRecord>,
         prio: bool,
-        swept: &mut Vec<Arc<EffectRecord>>,
     ) -> Option<Arc<EffectRecord>> {
         let mut cur = guard.scan_for(e, true);
         // Enabled records `e` could conflict with still ahead in the classes
@@ -736,10 +720,7 @@ impl TreeScheduler {
             }
             let enabled = existing.enabled.load(Ordering::Acquire);
             ahead -= usize::from(enabled && (e.write || existing.write));
-            if existing.task.strong_count() == 0 {
-                swept.push(guard.unlink(class, i)); // dead-record sweep
-                continue;
-            }
+            debug_assert!(existing.task.strong_count() > 0, "{OWNERSHIP}");
             if enabled && self.conflicts(existing, e) {
                 if prio && self.try_disable(guard, class, i) {
                     push_waiter(e, guard.record(class, i));
@@ -772,18 +753,14 @@ impl TreeScheduler {
     ///   walked child has its stale filter rewritten fresh on the way out.
     /// * **Read-only node skip** — for a read effect, nodes holding no write
     ///   records are not scanned (reads never conflict with reads).
-    /// * **Dead-record sweep and empty-leaf pruning** — records whose task
-    ///   record was dropped before completion are unlinked, and a child left
-    ///   with no records and no children is removed from its parent, so
-    ///   index-region churn (`Data:[i]`) stops growing the tree
-    ///   monotonically.
+    /// * **Empty-leaf pruning** — a visited child left with no records and no
+    ///   children is removed from its parent.
     fn check_below(
         &self,
         parent_guard: &mut NodeGuard,
         e: &Arc<EffectRecord>,
         mut ne_guard: Option<&mut NodeGuard>,
         prio: bool,
-        swept: &mut Vec<Arc<EffectRecord>>,
     ) -> Option<Arc<EffectRecord>> {
         if !e.rpl.has_wildcard() {
             // A wildcard-free RPL is disjoint from every RPL with a longer
@@ -816,9 +793,7 @@ impl TreeScheduler {
             }
             if e.write && entry.bloom == 0 {
                 // No linked record anywhere in the subtree, so nothing for a
-                // write walk to conflict with, move up or sweep. (A subtree
-                // holding only done or dropped records still has bits set:
-                // the walk visits it and sweeps them.)
+                // write walk to conflict with or move up.
                 continue;
             }
             if any_index_only && entry.bloom & twe_effects::bloom_bit(key) == 0 {
@@ -842,10 +817,7 @@ impl TreeScheduler {
                 let mut cur = cg.scan_for(e, false);
                 while let Some((class, i)) = cg.next_record(&mut cur) {
                     let existing = cg.record(class, i);
-                    if existing.task.strong_count() == 0 {
-                        swept.push(cg.unlink(class, i)); // dead-record sweep
-                        continue;
-                    }
+                    debug_assert!(existing.task.strong_count() > 0, "{OWNERSHIP}");
                     if self.conflicts(existing, e) {
                         if !existing.enabled.load(Ordering::Acquire)
                             || (prio && self.try_disable(&mut cg, class, i))
@@ -867,7 +839,7 @@ impl TreeScheduler {
                 if blocker.is_none() && !any_index_only {
                     // `P:[?]` cannot overlap anything deeper than the index
                     // children of P; every other wildcard walks on down.
-                    blocker = self.check_below(&mut cg, e, Some(target), prio, swept);
+                    blocker = self.check_below(&mut cg, e, Some(target), prio);
                 }
                 blocker
             };
@@ -876,7 +848,7 @@ impl TreeScheduler {
                 // conflict exit, so rewrite its stale superset filter with
                 // the node's freshest knowledge (exact bits for its own
                 // records, superset entries for everything deeper). This is
-                // where the sweep/prune walks shrink the Blooms back down.
+                // where the walks shrink the Blooms back down.
                 let (bloom, write_bloom) = cg.fresh_summary();
                 if let Some(entry) = parent_guard.children.get_mut(&key) {
                     entry.bloom = bloom;
@@ -910,11 +882,10 @@ impl TreeScheduler {
         guard: &mut NodeGuard,
         e: &Arc<EffectRecord>,
         prio: bool,
-        swept: &mut Vec<Arc<EffectRecord>>,
     ) -> Option<Arc<EffectRecord>> {
         let blocker = self
-            .check_at(guard, e, prio, swept)
-            .or_else(|| self.check_below(guard, e, None, prio, swept));
+            .check_at(guard, e, prio)
+            .or_else(|| self.check_below(guard, e, None, prio));
         if blocker.is_none() {
             self.enable_effect(guard, e);
         }
@@ -939,16 +910,15 @@ impl TreeScheduler {
         e: &Arc<EffectRecord>,
         linked: bool,
         prio: bool,
-        swept: &mut Vec<Arc<EffectRecord>>,
     ) -> Option<Arc<EffectRecord>> {
         loop {
             if e.prefix_depth() == guard.depth {
                 if !linked {
                     add_effect(&mut guard, e);
                 }
-                return self.settle(&mut guard, e, prio, swept);
+                return self.settle(&mut guard, e, prio);
             }
-            if let Some(blocker) = self.check_at(&mut guard, e, prio, swept) {
+            if let Some(blocker) = self.check_at(&mut guard, e, prio) {
                 if !linked {
                     add_effect(&mut guard, e); // parked on the way down
                 }
@@ -989,16 +959,11 @@ impl TreeScheduler {
     /// always passes the shallower one's settle node after it was added,
     /// and same-depth pairs see each other in list order. (Within a single
     /// task the order is immaterial — a task never conflicts with itself.)
-    fn insert(
-        &self,
-        mut guard: NodeGuard,
-        records: &mut [Arc<EffectRecord>],
-        swept: &mut Vec<Arc<EffectRecord>>,
-    ) {
+    fn insert(&self, mut guard: NodeGuard, records: &mut [Arc<EffectRecord>]) {
         let depth = guard.depth;
         for e in records.iter().filter(|e| e.prefix_depth() == depth) {
             add_effect(&mut guard, e);
-            self.settle(&mut guard, e, false, swept);
+            self.settle(&mut guard, e, false);
         }
         // The records that pass this node unhindered are compacted to the
         // front of the slice, in order; one a conflict stops parks here.
@@ -1008,7 +973,7 @@ impl TreeScheduler {
             if e.prefix_depth() == depth {
                 continue;
             }
-            match self.check_at(&mut guard, e, false, swept) {
+            match self.check_at(&mut guard, e, false) {
                 Some(_) => add_effect(&mut guard, e),
                 None => {
                     records.swap(passing, i);
@@ -1049,9 +1014,9 @@ impl TreeScheduler {
             // Staging pays only where records still share a prefix: a group
             // of one goes the rest of its way as a single-record descent.
             if let [e] = group {
-                self.descend(child_guard, e, false, false, swept);
+                self.descend(child_guard, e, false, false);
             } else {
-                self.insert(child_guard, group, swept);
+                self.insert(child_guard, group);
             }
         }
     }
@@ -1069,10 +1034,9 @@ impl TreeScheduler {
 
     /// Prunes the tree along every pending vacated path (module docs,
     /// "Pruning"). Every node on a path that is (or becomes) empty is
-    /// unlinked from its parent, a surviving node's entry is rewritten with
-    /// a fresh summary, and dead records met on the way are swept exactly as
-    /// a conflict walk would sweep them. A path whose node was readmitted to
-    /// since (or is already gone) costs its descent and nothing else.
+    /// unlinked from its parent and a surviving node's entry is rewritten
+    /// with a fresh summary. A path whose node was readmitted to since (or
+    /// is already gone) costs its descent and nothing else.
     ///
     /// Locking: called with no node lock held. The paths are walked in
     /// sorted order, `PRUNE_BATCH` per chain of guards, and the root is let
@@ -1093,13 +1057,12 @@ impl TreeScheduler {
         // `guards[i]` holds the node of `held[i]` (`held` may run on past a
         // missing child); `guards[0]` is the root, which is never pruned.
         let mut guards = Vec::new();
-        let mut swept = Vec::new();
         for chunk in paths.chunks(PRUNE_BATCH) {
             guards.push(self.root.lock_arc());
             let mut held: &[RplId] = &[];
             for &path in chunk {
                 let shared = held.iter().zip(path).take_while(|(a, b)| a == b).count();
-                Self::unwind(&mut guards, held, shared.max(1), &mut swept);
+                Self::unwind(&mut guards, held, shared.max(1));
                 for key in &path[guards.len()..] {
                     let Some(entry) = guards[guards.len() - 1].children.get(key) else {
                         break;
@@ -1109,24 +1072,17 @@ impl TreeScheduler {
                 }
                 held = path;
             }
-            Self::unwind(&mut guards, held, 1, &mut swept);
+            Self::unwind(&mut guards, held, 1);
             guards.clear();
         }
-        self.recheck_swept(swept);
     }
 
     /// Releases the chain's guards down to its first `keep`, deepest first:
-    /// each node is swept, then unlinked from its parent if that left it
-    /// vacant (which may in turn vacate the parent) or re-summarised there.
-    fn unwind(
-        guards: &mut Vec<NodeGuard>,
-        held: &[RplId],
-        keep: usize,
-        swept: &mut Vec<Arc<EffectRecord>>,
-    ) {
+    /// each node is unlinked from its parent if vacant (which may in turn
+    /// vacate the parent) or re-summarised there.
+    fn unwind(guards: &mut Vec<NodeGuard>, held: &[RplId], keep: usize) {
         while guards.len() > keep {
-            let mut guard = guards.pop().expect("deeper than `keep`");
-            guard.sweep_dead(swept);
+            let guard = guards.pop().expect("deeper than `keep`");
             let summary = (!guard.is_vacant()).then(|| guard.fresh_summary());
             drop(guard);
             let key = held[guards.len()];
@@ -1144,25 +1100,19 @@ impl TreeScheduler {
 }
 
 impl Scheduler for TreeScheduler {
-    fn name(&self) -> &'static str {
-        "tree"
-    }
-
     fn submit(&self, task: Arc<TaskRecord>) {
         self.queued.fetch_add(1, Ordering::Relaxed);
-        let mut swept = Vec::new();
         match self.register_records(&task) {
             [] => {}
             // One record — every service request — needs no staging.
-            [e] => drop(self.descend(self.root.lock_arc(), e, false, false, &mut swept)),
+            [e] => drop(self.descend(self.root.lock_arc(), e, false, false)),
             // Several must go in atomically: `insert` locks every child
             // before it releases a node, so two tasks are ordered alike at
             // every node they share. Record by record, `K:[0], K:[2]` and
             // `K:[2], K:[0]` could each park their second behind the other's
             // first, and without an awaiter nothing would recheck either.
-            records => self.insert(self.root.lock_arc(), &mut records.to_vec(), &mut swept),
+            records => self.insert(self.root.lock_arc(), &mut records.to_vec()),
         }
-        self.recheck_swept(swept);
         self.drain_if_full(PRUNE_BATCH);
     }
 
@@ -1171,25 +1121,22 @@ impl Scheduler for TreeScheduler {
         // Register every task's records and admit the batch in sub-waves of
         // up to `CHUNK` records, each one `insert` at the root: shared region
         // prefixes are locked and checked once per sub-wave instead of once
-        // per task, and the deferred dead-record recheck round runs once at
-        // the end. The chunking bounds the working set a wave streams
+        // per task. The chunking bounds the working set a wave streams
         // through — one huge wave touches every record once per level and
         // falls out of cache between levels. Sub-wave boundaries fall on
         // task boundaries, so the admission order is still
         // sequential-equivalent (a sequence of sequential-equivalent waves,
         // via the settle-first ordering of `insert`).
         const CHUNK: usize = 512;
-        let mut swept = Vec::new();
         let mut wave: Vec<Arc<EffectRecord>> = Vec::new();
         for task in tasks {
             wave.extend_from_slice(self.register_records(&task));
             if wave.len() >= CHUNK {
-                self.insert(self.root.lock_arc(), &mut wave, &mut swept);
+                self.insert(self.root.lock_arc(), &mut wave);
                 wave.clear();
             }
         }
-        self.insert(self.root.lock_arc(), &mut wave, &mut swept);
-        self.recheck_swept(swept);
+        self.insert(self.root.lock_arc(), &mut wave);
         self.drain_if_full(PRUNE_BATCH);
     }
 
@@ -1238,11 +1185,9 @@ impl Scheduler for TreeScheduler {
                 self.vacated.lock().push(&e.prefix_path[..=depth]);
             }
         }
-        let mut swept = Vec::new();
         for e in task.tree_records() {
-            self.recheck_waiters_of(e, &mut swept);
+            self.recheck_waiters_of(e);
         }
-        self.recheck_swept(swept);
         if last {
             // Nobody may ever submit again, so an idle scheduler must not
             // sit on what a batch left behind; the list steady traffic
@@ -1255,18 +1200,16 @@ impl Scheduler for TreeScheduler {
         // A completed spawned child may have been the only thing keeping a
         // conflict alive (Figure 5.8 checks the spawned children of blocked
         // tasks), so recheck the waiters recorded on the parent's effects.
-        let mut swept = Vec::new();
         for e in parent.tree_records() {
-            self.recheck_waiters_of(e, &mut swept);
+            self.recheck_waiters_of(e);
         }
-        self.recheck_swept(swept);
     }
 
     fn region_retired(&self, region: RplId) {
         // No live task can still name the region (retire runs from
         // `DynCell::drop`, and live effects keep the cell alive through
-        // their task), so everything at the region's node is dead or done
-        // and the node can be pruned before the epoch reclaimer hands the
+        // their task), so every task that named it is done and the node is
+        // vacant: it can be pruned before the epoch reclaimer hands the
         // id to a new cell. Cell effects are fully specified, so they settle
         // exactly at the region's own node — pruning the interned path
         // covers them, once the flush has pruned the sub-region nodes
@@ -1529,118 +1472,20 @@ mod tests {
     }
 
     #[test]
-    fn dead_records_are_swept_during_tree_walks() {
-        // Regression test for the dead-record sweep: a task record dropped
-        // *before* completion leaves its effect records in the node lists
-        // (task_done never ran), and the next wildcard walk over those nodes
-        // must unlink them.
-        let h = harness();
-        let ghost = task(1, "writes Data:[3], writes Data:[4]");
-        h.sched.submit(ghost.clone());
-        assert_eq!(h.enabled_ids(), vec![1]);
-        assert_eq!(h.sched.recorded_effects(), 2);
-        let weak_records: Vec<std::sync::Weak<EffectRecord>> = ghost
-            .tree_effects
-            .get()
-            .unwrap()
-            .iter()
-            .map(Arc::downgrade)
-            .collect();
-        drop(ghost);
-        // The node lists still hold the records strongly…
-        assert_eq!(h.sched.recorded_effects(), 2);
-        assert_eq!(
-            weak_records
-                .iter()
-                .filter(|w| w.upgrade().is_some())
-                .count(),
-            2
-        );
-        // …until a walk visits their nodes and sweeps them.
-        let sweeper = task(2, "writes Data:*");
-        h.sched.submit(sweeper.clone());
-        assert!(h.enabled_ids().contains(&2));
-        assert_eq!(
-            h.sched.recorded_effects(),
-            1,
-            "only the sweeper's record may remain"
-        );
-        let leaked = weak_records
-            .iter()
-            .filter(|w| w.upgrade().is_some())
-            .count();
-        assert_eq!(
-            leaked, 0,
-            "records of a task dropped before completion must be dropped by the sweep"
-        );
-        h.finish(&sweeper);
-        assert_eq!(h.sched.recorded_effects(), 0);
-    }
-
-    #[test]
-    fn sweeping_a_dead_record_releases_its_waiters() {
-        // A task parked behind a dropped-before-completion task must not
-        // stay blocked once the sweep removes the dead record: the sweep
-        // rechecks the swept record's waiters after the walk.
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "ownership contract")]
+    fn a_walk_meeting_a_task_dropped_before_task_done_panics_in_debug_builds() {
+        // t1 is dropped while enabled, breaking the `Scheduler` ownership
+        // contract: nothing will ever unlink its record or recheck t2, parked
+        // behind it. The next walk that examines the record says so.
         let h = harness();
         let t1 = task(1, "writes Hot");
         let t2 = task(2, "reads Hot");
         h.sched.submit(t1.clone());
         h.sched.submit(t2.clone());
-        assert_eq!(h.enabled_ids(), vec![1]);
         assert_eq!(t2.status(), TaskStatus::Waiting);
-        // t1's record is dropped before completion (task_done never runs),
-        // leaving t2 registered on a record nothing will ever complete.
         drop(t1);
-        assert_eq!(t2.status(), TaskStatus::Waiting);
-        // A read walk over Hot sweeps the dead write record. t2's only
-        // conflict was with it, so t2 must come out enabled — and the
-        // reader (read vs read) must not be blocked by t2 either.
-        let reader = task(3, "reads Hot:*");
-        h.sched.submit(reader.clone());
-        assert_eq!(reader.status(), TaskStatus::Enabled);
-        assert_eq!(
-            t2.status(),
-            TaskStatus::Enabled,
-            "sweeping the dead record must recheck and release its waiters"
-        );
-        h.finish(&t2);
-        h.finish(&reader);
-        assert_eq!(h.sched.recorded_effects(), 0);
-    }
-
-    #[test]
-    fn empty_leaf_nodes_are_pruned_after_index_churn() {
-        let h = harness();
-        // The nodes finished tasks vacate are pruned by the drains (see
-        // `index_traffic_stays_bounded_without_wildcard_walks`); *dropped*
-        // tasks leave dead records behind and still rely on the lazy
-        // wildcard-walk sweep exercised here.
-        let tasks: Vec<_> = (0..64)
-            .map(|i| task(i, &format!("writes Churn:[{i}]")))
-            .collect();
-        for t in &tasks {
-            h.sched.submit(t.clone());
-        }
-        drop(tasks);
-        // Dropped-task churn left one leaf per distinct region, each holding
-        // a dead record.
-        let before = h.sched.tree_nodes();
-        assert!(
-            before >= 66,
-            "expected root + Churn + 64 leaves, got {before}"
-        );
-        // A wildcard walk over the subtree sweeps the dead records and
-        // prunes the emptied leaves.
-        let sweeper = task(100, "writes Churn:*");
-        h.sched.submit(sweeper.clone());
-        assert_eq!(sweeper.status(), TaskStatus::Enabled);
-        let after = h.sched.tree_nodes();
-        assert_eq!(after, 2, "only root and the Churn node may remain");
-        h.finish(&sweeper);
-        assert_eq!(raw_nodes(&h.sched), 2, "the sweeper's node is only vacated");
-        assert_eq!(h.sched.tree_nodes(), 1, "and pruned by the flush");
-        assert_eq!(h.sched.recorded_effects(), 0);
+        h.sched.submit(task(3, "reads Hot:*"));
     }
 
     #[test]
@@ -2213,14 +2058,12 @@ mod tests {
         let t = task(1, &format!("writes {}", cell.rpl()));
         h.sched.submit(t.clone());
         assert_eq!(t.status(), TaskStatus::Enabled);
-        assert!(h.sched.tree_nodes() > 1);
-        // The task record is dropped without completing (its effects become
-        // dead records), then the region is retired: the prune must sweep
-        // the dead record and unlink the region's node.
-        drop(t);
+        h.finish(&t);
+        // The finished task left the region's node vacant and its path
+        // pending (`raw_nodes` does not flush); retiring the region prunes it.
+        assert!(raw_nodes(&h.sched) > 1);
         h.sched.region_retired(cell.region_id());
-        assert_eq!(h.sched.tree_nodes(), 1);
-        assert_eq!(h.sched.recorded_effects(), 0);
+        assert_eq!(raw_nodes(&h.sched), 1);
     }
 
     #[test]
@@ -2251,15 +2094,15 @@ mod tests {
     }
 
     #[test]
-    fn write_walk_skips_empty_bloom_children_and_sweeps_dead_ones() {
+    fn write_walk_skips_empty_bloom_children_and_prunes_vacant_ones() {
         let h = harness();
-        let dead = twe_effects::Rpl::parse("X:[1]").prefix_id();
+        let vacant = twe_effects::Rpl::parse("X:[1]").prefix_id();
         let empty = twe_effects::Rpl::parse("X:[7]").prefix_id();
-        // X:[1] ends up holding only a dropped task's record: its Bloom
-        // bits stay set.
+        // X:[1] is left vacant by a finished task, its path pending: its
+        // Bloom bits stay set.
         let t1 = task(1, "writes X:[1]");
         h.sched.submit(t1.clone());
-        drop(t1);
+        h.finish(&t1);
         // X:[7] is a child with an empty subtree Bloom. No admission leaves
         // one behind (an emptied node is pruned), so it is linked by hand.
         let x = first_level_node(&h.sched, "X");
@@ -2267,11 +2110,12 @@ mod tests {
         let t2 = task(2, "writes X:*");
         h.sched.submit(t2.clone());
         assert_eq!(t2.status(), TaskStatus::Enabled);
-        assert_eq!(h.sched.recorded_effects(), 1, "t1's dead record was swept");
-        // A visited child that turns out vacant is unlinked; a skipped one
-        // is never locked, so it is still there.
+        // Looked at before anything flushes the vacated paths (the
+        // diagnostic counters do), so the walk did this: a visited child
+        // that turns out vacant is unlinked; a skipped one is never locked,
+        // so it is still there.
         let children = &x.lock().children;
-        assert!(!children.contains_key(&dead), "X:[1] visited and pruned");
+        assert!(!children.contains_key(&vacant), "X:[1] visited and pruned");
         assert!(children.contains_key(&empty), "X:[7] skipped");
     }
 

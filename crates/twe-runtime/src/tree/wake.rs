@@ -19,8 +19,8 @@ use super::*;
 /// or in a line taken from it whose taker has not come to this entry yet".
 /// Whoever takes a list keeps that true (`recheck_waiters_of`): a record
 /// that can still be registered on has the marks that name it cleared before
-/// anything is pushed, a finished or dead one may leave them. A mark that
-/// names another list only costs a duplicate entry.
+/// anything is pushed, a finished one may leave them. A mark that names
+/// another list only costs a duplicate entry.
 ///
 /// Entries are weak, and entries whose record has been dropped are pruned
 /// whenever the list is about to grow: a waiter enabled through another
@@ -59,42 +59,32 @@ impl TreeScheduler {
     /// Re-checks all the effects of a task that could not previously be
     /// enabled (Figure 5.12, lines 1–13).
     pub(super) fn recheck_task(&self, task: &Arc<TaskRecord>) {
-        let mut swept = Vec::new();
-        {
-            let _serial = self.recheck_lock.lock();
-            if task.is_done() || task.sched.lock().status >= TaskStatus::Enabled {
-                return;
-            }
-            task.sched.lock().rechecking = true;
-            for e in task.tree_records() {
-                let guard = self.lock_containing_node(e);
-                if !e.enabled.load(Ordering::Acquire) {
-                    self.descend(guard, e, true, true, &mut swept);
-                    if task.sched.lock().status >= TaskStatus::Enabled {
-                        break;
-                    }
+        let _serial = self.recheck_lock.lock();
+        if task.is_done() || task.sched.lock().status >= TaskStatus::Enabled {
+            return;
+        }
+        task.sched.lock().rechecking = true;
+        for e in task.tree_records() {
+            let guard = self.lock_containing_node(e);
+            if !e.enabled.load(Ordering::Acquire) {
+                self.descend(guard, e, true, true);
+                if task.sched.lock().status >= TaskStatus::Enabled {
+                    break;
                 }
             }
-            task.sched.lock().rechecking = false;
         }
-        // Outside the recheck lock (rechecking a swept record's waiters may
-        // itself recheck whole tasks, which re-takes that lock).
-        self.recheck_swept(swept);
+        task.sched.lock().rechecking = false;
     }
 
     /// Re-checks the waiters recorded on `e` after the conflict that made
-    /// them wait has been resolved (used by task completion, spawned-child
-    /// completion, and the dead-record sweep): in order, and only until one
-    /// of them says whom the rest of the line waits for now.
-    pub(super) fn recheck_waiters_of(
-        &self,
-        e: &Arc<EffectRecord>,
-        swept: &mut Vec<Arc<EffectRecord>>,
-    ) {
+    /// them wait has been resolved (used by task completion and spawned-child
+    /// completion): in order, and only until one of them says whom the rest
+    /// of the line waits for now.
+    pub(super) fn recheck_waiters_of(&self, e: &Arc<EffectRecord>) {
         let mut line: Vec<Weak<EffectRecord>> = std::mem::take(&mut *e.waiters.lock());
-        // A finished or dead record is never registered on again. A parent
-        // whose child finished is, at once, by the head of this very line:
-        // no mark may go on saying "on `e`'s list" of the list just taken.
+        // A finished record is never registered on again. A parent whose
+        // child finished is, at once, by the head of this very line: no mark
+        // may go on saying "on `e`'s list" of the list just taken.
         let over = e.task.upgrade().map_or(true, |t| t.is_done());
         if !over {
             for waiter in line.iter().filter_map(Weak::upgrade) {
@@ -104,7 +94,7 @@ impl TreeScheduler {
         }
         let mut at = 0;
         while at < line.len() {
-            let next = self.recheck_waiter(&line[at], swept);
+            let next = self.recheck_waiter(&line[at]);
             at += 1;
             if let Some(next) = next.filter(|_| at < line.len()) {
                 self.hand_on(e, over, &next, &mut line, at);
@@ -115,11 +105,7 @@ impl TreeScheduler {
     /// Re-checks one waiter from the node it is parked at. Returns the
     /// record the waiters behind it most likely conflict with too: the
     /// waiter itself once enabled, else the record it parked behind.
-    fn recheck_waiter(
-        &self,
-        waiter: &Weak<EffectRecord>,
-        swept: &mut Vec<Arc<EffectRecord>>,
-    ) -> Option<Arc<EffectRecord>> {
+    fn recheck_waiter(&self, waiter: &Weak<EffectRecord>) -> Option<Arc<EffectRecord>> {
         // Records of completed-and-dropped waiters simply vanish here.
         let waiter = waiter.upgrade()?;
         let waiter_task = waiter.task.upgrade()?;
@@ -134,7 +120,7 @@ impl TreeScheduler {
         }
         self.rechecks.fetch_add(1, Ordering::Relaxed);
         let prio = status == TaskStatus::Prioritized;
-        let blocker = self.descend(guard, &waiter, true, prio, swept);
+        let blocker = self.descend(guard, &waiter, true, prio);
         // Rechecking the single effect was not sufficient when a
         // prioritized task is still not enabled (some of its other
         // effects may have been disabled), or when the waiter is now
@@ -221,17 +207,5 @@ impl TreeScheduler {
             to.uid
         );
         drop(guard);
-    }
-
-    /// Drains the dead records collected by a conflict walk, rechecking the
-    /// waiters each one still holds: a waiter parked behind a task whose
-    /// record was dropped before completion must not stay blocked on a
-    /// conflict that no longer exists. Called with **no node or recheck lock
-    /// held** (rechecking walks the tree and may take the recheck lock).
-    /// Worklist-style because a recheck can sweep further dead records.
-    pub(super) fn recheck_swept(&self, mut swept: Vec<Arc<EffectRecord>>) {
-        while let Some(dead) = swept.pop() {
-            self.recheck_waiters_of(&dead, &mut swept);
-        }
     }
 }

@@ -37,7 +37,7 @@ fn cold_start_interning_races_conflict_walks() {
 
     let rt = Arc::new(Runtime::new(4, SchedulerKind::Tree));
     let done = Arc::new(AtomicUsize::new(0));
-    let swept = Arc::new(AtomicUsize::new(0));
+    let sweeps = Arc::new(AtomicUsize::new(0));
 
     std::thread::scope(|scope| {
         for s in 0..SUBMITTERS {
@@ -67,19 +67,19 @@ fn cold_start_interning_races_conflict_walks() {
             });
         }
         // Sweepers: wildcard walks over the whole partition root, forcing
-        // conflict walks (and dead-record sweeps / empty-leaf prunes) over
-        // subtrees whose nodes are being created concurrently.
+        // conflict walks (and empty-leaf prunes) over subtrees whose nodes
+        // are being created concurrently.
         for _ in 0..2 {
             let rt = rt.clone();
-            let swept = swept.clone();
+            let sweeps = sweeps.clone();
             scope.spawn(move || {
                 for _ in 0..6 {
-                    let swept = swept.clone();
+                    let sweeps = sweeps.clone();
                     rt.run(
                         "cold-sweeper",
                         EffectSet::parse("writes ColdStart:*"),
                         move |_| {
-                            swept.fetch_add(1, Ordering::Relaxed);
+                            sweeps.fetch_add(1, Ordering::Relaxed);
                         },
                     );
                 }
@@ -92,7 +92,7 @@ fn cold_start_interning_races_conflict_walks() {
         SUBMITTERS * WAVES * FANOUT,
         "every cold-start task must run exactly once"
     );
-    assert_eq!(swept.load(Ordering::Relaxed), 12);
+    assert_eq!(sweeps.load(Ordering::Relaxed), 12);
 }
 
 /// Wide batch admission races execution: each wave (128 records over 8
@@ -109,7 +109,7 @@ fn wide_batch_admission_races_execution_and_sweeps() {
 
     let rt = Arc::new(Runtime::new(4, SchedulerKind::Tree));
     let ran = Arc::new(AtomicUsize::new(0));
-    let swept = Arc::new(AtomicUsize::new(0));
+    let sweeps = Arc::new(AtomicUsize::new(0));
 
     std::thread::scope(|scope| {
         for s in 0..SUBMITTERS {
@@ -145,15 +145,15 @@ fn wide_batch_admission_races_execution_and_sweeps() {
         // every record a concurrent wave admits under that anchor.
         for a in 0..2 {
             let rt = rt.clone();
-            let swept = swept.clone();
+            let sweeps = sweeps.clone();
             scope.spawn(move || {
                 for _ in 0..4 {
-                    let swept = swept.clone();
+                    let sweeps = sweeps.clone();
                     rt.run(
                         "mixed-sweeper",
                         EffectSet::parse(&format!("writes Mixed{a}:*")),
                         move |_| {
-                            swept.fetch_add(1, Ordering::Relaxed);
+                            sweeps.fetch_add(1, Ordering::Relaxed);
                         },
                     );
                 }
@@ -166,7 +166,7 @@ fn wide_batch_admission_races_execution_and_sweeps() {
         SUBMITTERS * WAVES * ANCHORS * PER_ANCHOR,
         "every batched task must run exactly once"
     );
-    assert_eq!(swept.load(Ordering::Relaxed), 8);
+    assert_eq!(sweeps.load(Ordering::Relaxed), 8);
 }
 
 /// Distinct submitters racing the *same* fresh paths must agree on the
@@ -236,10 +236,9 @@ fn racing_interns_of_one_partition_still_serialize_conflicts() {
 
 /// Sweep/prune interaction on freshly-interned subtrees: a cold-started
 /// partition leaves one scheduler node per fresh region; once its records
-/// drain (including records dropped before completion, which only a walk
-/// may sweep), a wildcard walk over the fresh subtree must sweep the dead
-/// records and prune the empty leaves — while new sibling subtrees are
-/// still being first-interned by other threads.
+/// drain, a wildcard walk over the fresh subtree and the flushes of the
+/// vacated paths must prune the empty leaves — while new sibling subtrees
+/// are still being first-interned by other threads.
 #[test]
 fn sweep_and_prune_reclaim_freshly_interned_subtrees() {
     let sched = Arc::new(TreeScheduler::new(Box::new(|_t| {})));
@@ -280,17 +279,12 @@ fn sweep_and_prune_reclaim_freshly_interned_subtrees() {
             grown > baseline,
             "fresh subtrees must materialize as scheduler nodes"
         );
-        // Drain: complete most records, *drop* every fourth one without
-        // completion so the walk has dead records to sweep.
-        for (k, t) in tasks.iter().enumerate() {
-            if k % 4 != 0 {
-                t.mark_done();
-                sched.task_done(t);
-            }
+        for t in &tasks {
+            t.mark_done();
+            sched.task_done(t);
         }
-        drop(tasks);
-        // The wildcard walk over the fresh subtree sweeps the dead records
-        // and prunes the now-empty leaves under it.
+        // The wildcard walk over the fresh subtree prunes the now-empty
+        // leaves under it that no flush has reached yet.
         let sweeper = TaskRecord::new(
             round * 100 + 99,
             "sweeper",
@@ -301,7 +295,7 @@ fn sweep_and_prune_reclaim_freshly_interned_subtrees() {
         assert_eq!(
             sweeper.status(),
             TaskStatus::Enabled,
-            "dead records must not block the sweeper"
+            "finished records must not block the sweeper"
         );
         sweeper.mark_done();
         sched.task_done(&sweeper);

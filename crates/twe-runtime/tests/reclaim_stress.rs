@@ -36,7 +36,7 @@ fn cell_churn_races_wildcard_conflict_walks() {
 
     let rt = Arc::new(Runtime::new(4, SchedulerKind::Tree));
     let ran = Arc::new(AtomicUsize::new(0));
-    let swept = Arc::new(AtomicUsize::new(0));
+    let sweeps = Arc::new(AtomicUsize::new(0));
 
     std::thread::scope(|scope| {
         for _ in 0..CHURNERS {
@@ -77,15 +77,15 @@ fn cell_churn_races_wildcard_conflict_walks() {
         // exist at that instant — racing their retirement.
         for _ in 0..2 {
             let rt = rt.clone();
-            let swept = swept.clone();
+            let sweeps = sweeps.clone();
             scope.spawn(move || {
                 for _ in 0..10 {
-                    let swept = swept.clone();
+                    let sweeps = sweeps.clone();
                     rt.run(
                         "dyn-sweeper",
                         EffectSet::parse("writes __DynRegion:*"),
                         move |_| {
-                            swept.fetch_add(1, Ordering::Relaxed);
+                            sweeps.fetch_add(1, Ordering::Relaxed);
                         },
                     );
                 }
@@ -94,7 +94,7 @@ fn cell_churn_races_wildcard_conflict_walks() {
     });
 
     assert_eq!(ran.load(Ordering::Relaxed), CHURNERS * CYCLES * 2);
-    assert_eq!(swept.load(Ordering::Relaxed), 20);
+    assert_eq!(sweeps.load(Ordering::Relaxed), 20);
 }
 
 /// A recycled id opens its new era with a bumped generation: the previous

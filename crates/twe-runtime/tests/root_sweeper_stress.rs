@@ -20,11 +20,14 @@
 //! Every task must run exactly once; the enable callback path is the real
 //! runtime's, so a lost wakeup or a walk that misses a freshly-created
 //! first-level node deadlocks the test rather than merely skewing a counter.
+//! Two fault-tier tests ride along: bodies panicking mid-wave, and the
+//! runtime dropped under saturation.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use twe_effects::EffectSet;
-use twe_runtime::{DynCell, Runtime, SchedulerKind};
+use twe_runtime::{AdmissionPolicy, DynCell, Runtime, SchedulerKind};
 
 /// Tenant-disjoint submitters race `*` and `Root:[?]` sweepers: even
 /// submitters use named anchors (`S{i}:…`, reachable only by `*`), odd ones
@@ -39,7 +42,7 @@ fn first_level_submits_race_root_wildcard_sweepers() {
 
     let rt = Arc::new(Runtime::new(4, SchedulerKind::Tree));
     let ran = Arc::new(AtomicUsize::new(0));
-    let swept = Arc::new(AtomicUsize::new(0));
+    let sweeps = Arc::new(AtomicUsize::new(0));
 
     std::thread::scope(|scope| {
         for s in 0..SUBMITTERS {
@@ -75,12 +78,12 @@ fn first_level_submits_race_root_wildcard_sweepers() {
         // children in sorted order.
         for shape in ["writes *", "writes Root:[?]"] {
             let rt = rt.clone();
-            let swept = swept.clone();
+            let sweeps = sweeps.clone();
             scope.spawn(move || {
                 for _ in 0..5 {
-                    let swept = swept.clone();
+                    let sweeps = sweeps.clone();
                     rt.run("sweeper", EffectSet::parse(shape), move |_| {
-                        swept.fetch_add(1, Ordering::Relaxed);
+                        sweeps.fetch_add(1, Ordering::Relaxed);
                     });
                 }
             });
@@ -92,7 +95,7 @@ fn first_level_submits_race_root_wildcard_sweepers() {
         SUBMITTERS * WAVES * FANOUT,
         "every tenant task must run exactly once"
     );
-    assert_eq!(swept.load(Ordering::Relaxed), 10);
+    assert_eq!(sweeps.load(Ordering::Relaxed), 10);
 }
 
 /// `DynCell` retire-driven pruning races `__DynRegion` traffic and sweepers:
@@ -109,7 +112,7 @@ fn dyncell_retire_pruning_races_dynregion_traffic_and_sweepers() {
     let rt = Arc::new(Runtime::new(4, SchedulerKind::Tree));
     let cell_runs = Arc::new(AtomicUsize::new(0));
     let tenant_runs = Arc::new(AtomicUsize::new(0));
-    let swept = Arc::new(AtomicUsize::new(0));
+    let sweeps = Arc::new(AtomicUsize::new(0));
 
     std::thread::scope(|scope| {
         for _ in 0..CHURNERS {
@@ -148,12 +151,12 @@ fn dyncell_retire_pruning_races_dynregion_traffic_and_sweepers() {
         }
         for shape in ["writes *", "writes __DynRegion:[?]"] {
             let rt = rt.clone();
-            let swept = swept.clone();
+            let sweeps = sweeps.clone();
             scope.spawn(move || {
                 for _ in 0..5 {
-                    let swept = swept.clone();
+                    let sweeps = sweeps.clone();
                     rt.run("dyn-sweeper", EffectSet::parse(shape), move |_| {
-                        swept.fetch_add(1, Ordering::Relaxed);
+                        sweeps.fetch_add(1, Ordering::Relaxed);
                     });
                 }
             });
@@ -162,7 +165,7 @@ fn dyncell_retire_pruning_races_dynregion_traffic_and_sweepers() {
 
     assert_eq!(cell_runs.load(Ordering::Relaxed), CHURNERS * CYCLES);
     assert_eq!(tenant_runs.load(Ordering::Relaxed), CYCLES);
-    assert_eq!(swept.load(Ordering::Relaxed), 10);
+    assert_eq!(sweeps.load(Ordering::Relaxed), 10);
 }
 
 /// Fault tier: task bodies panic mid-wave with a root sweeper parked behind
@@ -232,5 +235,65 @@ fn panics_mid_wave_release_the_parked_root_sweeper() {
         assert_eq!(sweeper_runs.load(Ordering::SeqCst), 1, "{kind:?}");
         let d = rt.scheduler_diagnostics();
         assert_eq!((d.queued_tasks, d.recorded_effects), (0, 0), "{kind:?}");
+    }
+}
+
+/// Fault tier: the runtime is dropped under saturation. 4 000
+/// fire-and-forget tasks in waves of 8 over 4 tenants × 16 keys — single
+/// writes, three-key writes, tenant scans and reads — with every future
+/// dropped at once and the `Runtime` right after the last submit. A task
+/// the scheduler still holds is kept alive by itself until it is enabled
+/// (`TaskRecord::pending`) and by the pool's job until it is done, so every
+/// body must run.
+#[test]
+fn dropping_a_saturated_runtime_loses_no_admitted_task() {
+    const TASKS: usize = 4_000;
+    const WAVE: usize = 8;
+
+    for kind in [SchedulerKind::Tree, SchedulerKind::Naive] {
+        for threads in [1, 2] {
+            for policy in [
+                AdmissionPolicy::Unbounded,
+                AdmissionPolicy::BoundedBlock { max_queued: 64 },
+            ] {
+                let rt = Runtime::builder()
+                    .threads(threads)
+                    .scheduler(kind)
+                    .admission_policy(policy)
+                    .build();
+                let ran = Arc::new(AtomicUsize::new(0));
+                for wave in 0..TASKS / WAVE {
+                    drop(rt.submit_all((0..WAVE).map(|i| {
+                        let h = ((wave * WAVE + i) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                        let (t, k) = (h >> 62, (h >> 52) % 16);
+                        let effects = match (h >> 40) % 4 {
+                            0 => format!("writes T{t}:[{k}]"),
+                            1 => format!(
+                                "writes T{t}:[{k}], writes T{t}:[{}], writes T{t}:[{}]",
+                                (k + 5) % 16,
+                                (k + 11) % 16
+                            ),
+                            2 => format!("reads T{t}:*"),
+                            _ => format!("reads T{t}:[{k}]"),
+                        };
+                        let ran = ran.clone();
+                        (
+                            format!("fire-{wave}-{i}"),
+                            EffectSet::parse(&effects),
+                            move |_: &twe_runtime::TaskCtx<'_>| {
+                                ran.fetch_add(1, Ordering::Relaxed);
+                            },
+                        )
+                    })));
+                }
+                drop(rt);
+                let deadline = Instant::now() + Duration::from_secs(20);
+                while ran.load(Ordering::Relaxed) < TASKS && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                let ran = ran.load(Ordering::Relaxed);
+                assert_eq!(ran, TASKS, "{kind:?}, {threads} threads, {policy:?}");
+            }
+        }
     }
 }
