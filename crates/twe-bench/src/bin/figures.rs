@@ -1,28 +1,14 @@
 //! Regenerates the tables behind every figure of the TWE evaluation.
 //!
 //! ```text
-//! figures [--fig 6.1|6.2|6.3|6.4|7.1|conflict|submit|reclaim|backlog|all]
-//!         [--quick] [--json out.json] [--conflict-json BENCH_conflict.json]
-//!         [--submit-json BENCH_submit.json] [--reclaim-json BENCH_reclaim.json]
+//! figures [--fig 6.1|6.2|6.3|6.4|7.1|reclaim|backlog|all]
+//!         [--quick] [--json out.json] [--reclaim-json BENCH_reclaim.json]
 //!         [--backlog-json BENCH_backlog.json]
 //! ```
 //!
 //! `--quick` shrinks the workloads so the whole sweep finishes in a couple of
 //! minutes on a laptop; without it the workloads approximate the paper's
 //! sizes (50 000-point K-Means, 2048×2048 images, 400 000-edge SSCA2, …).
-//!
-//! `--fig conflict` runs only the conflict-test microbenchmark: id-based vs
-//! element-wise RPL disjointness on concrete, wildcard-mix and `P:[?]`
-//! workloads, plus summary-filtered vs all-pairs `EffectSet`
-//! non-interference on disjoint sets; `--conflict-json` additionally writes
-//! its rows as a JSON throughput record (`BENCH_conflict.json` in the
-//! scheduled CI smoke job, uploaded as an artifact so the perf trajectory is
-//! tracked).
-//!
-//! `--fig submit` runs only the batched-admission microbenchmark: per-task
-//! `Scheduler::submit` vs one-round `submit_batch` on disjoint fan-out waves
-//! of 64 / 512 / 4096 tasks, on both schedulers; `--submit-json` writes
-//! the rows as `BENCH_submit.json` (also a CI smoke-job artifact).
 //!
 //! `--fig reclaim` runs only the dynamic-region churn microbenchmark:
 //! create/drop churn of `__DynRegion` ids at 1/2/4 churn threads under two
@@ -43,9 +29,8 @@
 //! within 6x of 64; indexed 64k per_done_ns ≤ 8x its 4k value).
 
 use twe_bench::{
-    print_backlog_rows, print_conflict_rows, print_conflicting_rows, print_reclaim_rows,
-    print_rows, print_submit_rows, run_backlog_bench, run_conflict_bench, run_conflicting_sweep,
-    run_figures, run_reclaim_bench, run_submit_bench, BacklogRecord,
+    print_backlog_rows, print_conflicting_rows, print_reclaim_rows, print_rows, run_backlog_bench,
+    run_conflicting_sweep, run_figures, run_reclaim_bench, BacklogRecord,
 };
 
 fn main() {
@@ -53,8 +38,6 @@ fn main() {
     let mut which = "all".to_string();
     let mut quick = false;
     let mut json_path: Option<String> = None;
-    let mut conflict_json_path: Option<String> = None;
-    let mut submit_json_path: Option<String> = None;
     let mut reclaim_json_path: Option<String> = None;
     let mut backlog_json_path: Option<String> = None;
     let mut i = 0;
@@ -72,14 +55,6 @@ fn main() {
                 json_path = args.get(i + 1).cloned();
                 i += 2;
             }
-            "--conflict-json" => {
-                conflict_json_path = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--submit-json" => {
-                submit_json_path = args.get(i + 1).cloned();
-                i += 2;
-            }
             "--reclaim-json" => {
                 reclaim_json_path = args.get(i + 1).cloned();
                 i += 2;
@@ -90,9 +65,8 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: figures [--fig 6.1|6.2|6.3|6.4|7.1|conflict|submit|reclaim|backlog|all] \
-                     [--quick] [--json out.json] [--conflict-json BENCH_conflict.json] \
-                     [--submit-json BENCH_submit.json] [--reclaim-json BENCH_reclaim.json] \
+                    "usage: figures [--fig 6.1|6.2|6.3|6.4|7.1|reclaim|backlog|all] \
+                     [--quick] [--json out.json] [--reclaim-json BENCH_reclaim.json] \
                      [--backlog-json BENCH_backlog.json]"
                 );
                 return;
@@ -103,21 +77,17 @@ fn main() {
             }
         }
     }
-    // The microbenches are opt-in (`--fig conflict|submit` / their `--*-json`
+    // The microbenches are opt-in (`--fig reclaim|backlog` / their `--*-json`
     // flags) rather than part of `all`, so figure sweeps and the microbenches
     // are never silently paid for twice in one invocation.
-    let run_conflict = which == "conflict" || conflict_json_path.is_some();
-    let run_submit = which == "submit" || submit_json_path.is_some();
     let run_reclaim = which == "reclaim" || reclaim_json_path.is_some();
     let run_backlog = which == "backlog" || backlog_json_path.is_some();
-    let micro_only =
-        which == "conflict" || which == "submit" || which == "reclaim" || which == "backlog";
+    let micro_only = which == "reclaim" || which == "backlog";
     if micro_only {
         if json_path.is_some() {
             eprintln!(
                 "# note: --json applies to figure rows and is ignored with --fig {which}; \
-                 use --conflict-json / --submit-json / --reclaim-json / --backlog-json \
-                 for the microbench records"
+                 use --reclaim-json / --backlog-json for the microbench records"
             );
         }
     } else {
@@ -133,32 +103,6 @@ fn main() {
         if let Some(path) = json_path {
             let json = serde_json::to_string_pretty(&rows).expect("serialize rows");
             std::fs::write(&path, json).expect("write JSON output");
-            eprintln!("# wrote {path}");
-        }
-    }
-    if run_conflict {
-        eprintln!(
-            "# conflict-test microbench ({} mode)",
-            if quick { "quick" } else { "full" }
-        );
-        let rows = run_conflict_bench(quick);
-        print_conflict_rows(&rows);
-        if let Some(path) = conflict_json_path {
-            let json = serde_json::to_string_pretty(&rows).expect("serialize conflict rows");
-            std::fs::write(&path, json).expect("write conflict JSON output");
-            eprintln!("# wrote {path}");
-        }
-    }
-    if run_submit {
-        eprintln!(
-            "# batched-admission microbench ({} mode)",
-            if quick { "quick" } else { "full" }
-        );
-        let rows = run_submit_bench(quick);
-        print_submit_rows(&rows);
-        if let Some(path) = submit_json_path {
-            let json = serde_json::to_string_pretty(&rows).expect("serialize submit rows");
-            std::fs::write(&path, json).expect("write submit JSON output");
             eprintln!("# wrote {path}");
         }
     }

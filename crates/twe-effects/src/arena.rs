@@ -20,10 +20,10 @@
 //! exponentially-sized buckets, each a lazily-allocated slice of
 //! `OnceLock<Entry>` slots. Existing entries are never moved or reallocated,
 //! so every read-side query ([`parent`], [`depth`], [`last_elem`], [`path`],
-//! [`id_path`], [`is_ancestor_or_self`], [`is_index_child_of`]) is a pair of
-//! plain atomic loads — bucket pointer, then slot — with **no lock of any
-//! kind**. Only the write path (the *first* intern of a given child) takes
-//! the child index's write lock, and no conflict-plane read ever touches it.
+//! [`id_path`], [`is_ancestor_or_self`]) is a pair of plain atomic loads —
+//! bucket pointer, then slot — with **no lock of any kind**. Only the write
+//! path (the *first* intern of a given child) takes the child index's write
+//! lock, and no conflict-plane read ever touches it.
 //!
 //! **Publication invariant:** an entry is fully initialized — parent, depth,
 //! element, and both leaked path slices written and released via its slot's
@@ -291,15 +291,6 @@ pub fn is_ancestor_or_self(anc: RplId, desc: RplId) -> bool {
     a <= d.depth as usize && d.id_path[a] == anc
 }
 
-/// Is `child` a *direct* child of `parent` whose last element is a concrete
-/// array index? O(1); no lock. This is the shape test behind the `P:[?]`
-/// wildcard fast path: `P:[?]` overlaps a fully-specified RPL iff that RPL
-/// is an index child of `P`.
-pub fn is_index_child_of(child: RplId, parent: RplId) -> bool {
-    let c = entry(child);
-    c.depth > 0 && c.parent == parent && matches!(c.elem, RplElement::Index(_))
-}
-
 /// The reserved root of **dynamic reference regions** (chapter 7): every
 /// `DynCell` in `twe-runtime` interns its region as an index child of
 /// `Root:__DynRegion:[id]`, so dynamic claims carry ordinary [`RplId`]s,
@@ -401,20 +392,6 @@ mod tests {
         assert!(is_ancestor_or_self(d, d));
         assert!(!is_ancestor_or_self(d, a));
         assert!(!is_ancestor_or_self(other, d));
-    }
-
-    #[test]
-    fn index_child_shape_test() {
-        let p = intern_path(&[name("Arena"), name("IdxP")]);
-        let idx = intern_child(p, RplElement::Index(5));
-        let named = intern_child(p, name("NotAnIndex"));
-        let deep = intern_child(idx, RplElement::Index(9));
-        assert!(is_index_child_of(idx, p));
-        assert!(!is_index_child_of(named, p));
-        assert!(!is_index_child_of(deep, p)); // grandchild, not a child
-        assert!(!is_index_child_of(p, p));
-        assert!(!is_index_child_of(RplId::ROOT, RplId::ROOT));
-        assert!(is_index_child_of(deep, idx));
     }
 
     #[test]

@@ -33,16 +33,15 @@
 //! short) wildcard suffix is interned separately. An [`Rpl`] is therefore an
 //! 8-byte `Copy` value whose equality and hash are O(1), whose hot
 //! concrete-vs-concrete disjointness test is a single id comparison, and
-//! whose trailing-star (`P:*`) and trailing-any-index (`P:[?]`) relations are
-//! O(1) shape tests. The element-wise procedure of §2.3.1 is retained verbatim in
-//! [`rpl::oracle`] as the fallback for the remaining wildcard shapes (a
-//! wildcard before the last element) and as the differential-testing
-//! baseline.
+//! whose trailing-star (`P:*`) relations are O(1) ancestor tests. The
+//! element-wise procedure of §2.3.1 is retained verbatim in [`rpl::oracle`]
+//! as the fallback for every other wildcard shape (`P:[?]` included) and as
+//! the differential-testing baseline.
 //!
 //! Arena entries live in an append-only **chunked store** with wait-free
 //! reads: every read-side query (`depth`/`id_path`/element resolution/
-//! ancestor and `P:[?]` shape tests) is a pair of plain atomic loads with no
-//! lock of any kind. The write side is one child-index lock: a first
+//! ancestor tests) is a pair of plain atomic loads with no lock of any
+//! kind. The write side is one child-index lock: a first
 //! intern takes its write lock, a repeat intern its read lock. The
 //! **publication invariant** — an entry is fully initialized before its id
 //! is handed out — is what makes the lock-free reads safe even while

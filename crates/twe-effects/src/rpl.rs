@@ -21,7 +21,7 @@
 //! canonical, so `==`/`hash` are O(1) integer operations, and the hot
 //! conflict-test case — two fully-specified RPLs — is a single id comparison
 //! with no locking ([`Rpl::disjoint`]). Wildcard cases fall back to the
-//! O(1) shape tests for a single trailing `*` or `[?]`, and otherwise to the
+//! O(1) ancestor test for a single trailing `*`, and otherwise to the
 //! element-wise procedure of §2.3.1 (kept verbatim in [`oracle`], which also
 //! serves as the differential-testing baseline). The relations are pure
 //! functions of the two RPLs' elements — no state is keyed by id — so a
@@ -113,25 +113,19 @@ struct SuffixId(u32);
 const EMPTY_SUFFIX: SuffixId = SuffixId(0);
 /// Pre-seeded id of the suffix `[*]` (see [`star_suffix`]).
 const STAR_SUFFIX: SuffixId = SuffixId(1);
-/// Pre-seeded id of the suffix `[[?]]` (see [`anyindex_suffix`]).
-const ANYINDEX_SUFFIX: SuffixId = SuffixId(2);
 
 static SUFFIXES: OnceLock<LeakInterner<[RplElement]>> = OnceLock::new();
 
 fn suffixes() -> &'static LeakInterner<[RplElement]> {
     SUFFIXES.get_or_init(|| {
         let interner: LeakInterner<[RplElement]> = LeakInterner::with_seed(&[]);
-        // Pre-intern the two dominant wildcard shapes at fixed ids so their
-        // shape tests compare against compile-time constants (no lazy-init
-        // load on the conflict hot path).
+        // Pre-intern the dominant wildcard shape at a fixed id so its shape
+        // test compares against a compile-time constant (no lazy-init load
+        // on the conflict hot path).
         let star = interner.intern([RplElement::Star].as_slice(), |els| {
             Box::leak(els.to_vec().into_boxed_slice())
         });
-        let anyindex = interner.intern([RplElement::AnyIndex].as_slice(), |els| {
-            Box::leak(els.to_vec().into_boxed_slice())
-        });
         assert_eq!(star, STAR_SUFFIX.0, "suffix seeding order changed");
-        assert_eq!(anyindex, ANYINDEX_SUFFIX.0, "suffix seeding order changed");
         interner
     })
 }
@@ -152,15 +146,6 @@ fn suffix_slice(id: SuffixId) -> &'static [RplElement] {
 /// id so shape tests are compares against a constant.
 fn star_suffix() -> SuffixId {
     STAR_SUFFIX
-}
-
-/// The interned id of the suffix `[[?]]` — the trailing-any-index shape
-/// (`P:[?]`), the other common wildcard of index-partitioned workloads.
-/// Pre-seeded at a fixed id so its O(1) shape fast paths (parent id +
-/// last-element-kind checks, see [`Rpl::overlaps`]) compare against a
-/// constant.
-fn anyindex_suffix() -> SuffixId {
-    ANYINDEX_SUFFIX
 }
 
 // ---------------------------------------------------------------------------
@@ -348,20 +333,6 @@ impl Rpl {
         !self.is_fully_specified()
     }
 
-    /// True if the RPL's only wildcard is a single trailing `[?]` (the shape
-    /// `P:[?]`). Such an RPL can only overlap index children of `P` (and
-    /// wildcard RPLs reaching them), which schedulers exploit to prune their
-    /// conflict walks. O(1) id compare.
-    pub fn is_parent_any_index(&self) -> bool {
-        self.suffix == anyindex_suffix()
-    }
-
-    /// True if the RPL's only wildcard is a single trailing `*` (the shape
-    /// `P:*`). O(1) id compare.
-    pub fn is_trailing_star(&self) -> bool {
-        self.suffix == star_suffix()
-    }
-
     /// The maximal wildcard-free prefix of this RPL.
     pub fn max_wildcard_free_prefix(&self) -> &'static [RplElement] {
         arena::path(self.prefix)
@@ -398,8 +369,8 @@ impl Rpl {
     /// `A:[3]` but not `A:B`.
     ///
     /// Fully-specified `self` reduces to an O(1) id equality, a single
-    /// trailing `*` / `[?]` to an O(1) shape test; any other wildcard shape
-    /// is answered by [`oracle::includes`].
+    /// trailing `*` to an O(1) ancestor test; any other wildcard shape
+    /// (`P:[?]` included) is answered by [`oracle::includes`].
     pub fn includes(&self, other: &Rpl) -> bool {
         if self.is_fully_specified() {
             // A fully-specified RPL denotes exactly one region, and no
@@ -412,14 +383,6 @@ impl Rpl {
             // the RPLs whose elements start with P literally — i.e. whose
             // wildcard-free prefix descends from (or is) P. O(1).
             return arena::is_ancestor_or_self(self.prefix, other.prefix);
-        }
-        if self.suffix == anyindex_suffix() {
-            // `P:[?]` denotes exactly the index children of P, so it covers
-            // a fully-specified RPL iff that RPL is an index child of P, and
-            // among wildcard RPLs covers only `P:[?]` itself. O(1).
-            return (other.suffix == EMPTY_SUFFIX
-                && arena::is_index_child_of(other.prefix, self.prefix))
-                || self == other;
         }
         if self == other {
             return true;
@@ -441,8 +404,9 @@ impl Rpl {
     ///
     /// The hot case — both RPLs fully specified, which is what fine-grained
     /// task workloads produce — is a single id comparison with no locking;
-    /// trailing-wildcard shapes are O(1) arena lookups, and only an RPL with
-    /// a wildcard before its last element reaches the element-wise scan.
+    /// a trailing `*` against a fully-specified or trailing-`*` RPL is an
+    /// O(1) arena lookup, and every other wildcard shape (`P:[?]` included)
+    /// reaches the element-wise scan.
     pub fn disjoint(&self, other: &Rpl) -> bool {
         !self.overlaps(other)
     }
@@ -467,29 +431,6 @@ impl Rpl {
         if self.suffix == star && other.suffix == star {
             return arena::is_ancestor_or_self(self.prefix, other.prefix)
                 || arena::is_ancestor_or_self(other.prefix, self.prefix);
-        }
-        // Trailing-any-index fast paths: `P:[?]` denotes exactly the index
-        // children of P, so it overlaps a fully-specified RPL iff that RPL
-        // is an index child of P, overlaps `Q:[?]` iff P = Q, and overlaps
-        // `Q:*` iff Q reaches an index child of P (Q at/above P, or Q itself
-        // an index child of P). All O(1) shape checks on plain arena loads.
-        let anyindex = anyindex_suffix();
-        if self.suffix == anyindex && other.suffix == EMPTY_SUFFIX {
-            return arena::is_index_child_of(other.prefix, self.prefix);
-        }
-        if other.suffix == anyindex && self.suffix == EMPTY_SUFFIX {
-            return arena::is_index_child_of(self.prefix, other.prefix);
-        }
-        if self.suffix == anyindex && other.suffix == anyindex {
-            return self.prefix == other.prefix;
-        }
-        if self.suffix == anyindex && other.suffix == star {
-            return arena::is_ancestor_or_self(other.prefix, self.prefix)
-                || arena::is_index_child_of(other.prefix, self.prefix);
-        }
-        if self.suffix == star && other.suffix == anyindex {
-            return arena::is_ancestor_or_self(self.prefix, other.prefix)
-                || arena::is_index_child_of(self.prefix, other.prefix);
         }
         oracle::overlaps(self.elements(), other.elements())
     }
@@ -533,8 +474,7 @@ impl fmt::Debug for Rpl {
 /// This is the direct transcription of §2.3.1 that the interned
 /// representation replaced on the hot path. It is kept (a) as the fallback
 /// the id-based operations use for wildcard cases, and (b) as the oracle the
-/// differential proptests and the `conflict` microbenchmark compare the
-/// id-based fast paths against.
+/// differential proptests compare the id-based fast paths against.
 pub mod oracle {
     use super::RplElement;
 
@@ -722,12 +662,7 @@ mod tests {
     }
 
     #[test]
-    fn any_index_shape_fast_paths() {
-        // The `P:[?]` shape predicate.
-        assert!(rpl("A:[?]").is_parent_any_index());
-        assert!(!rpl("A:[?]:B").is_parent_any_index());
-        assert!(!rpl("A:*").is_parent_any_index());
-        assert!(rpl("A:*").is_trailing_star());
+    fn any_index_relations() {
         // vs fully-specified RPLs: only index children of P overlap.
         assert!(!rpl("A:[?]").disjoint(&rpl("A:[0]")));
         assert!(rpl("A:[?]").disjoint(&rpl("A")));

@@ -21,8 +21,8 @@ fn arb_elements() -> impl Strategy<Value = Vec<RplElement>> {
 }
 
 /// Element lists with a wildcard *before* the last element, so the RPL never
-/// takes an O(1) shape fast path and every relation on it reaches the
-/// element-wise fallback.
+/// takes the O(1) trailing-star fast path and every relation on it reaches
+/// the element-wise fallback.
 fn arb_interior_wildcard_elements() -> impl Strategy<Value = Vec<RplElement>> {
     (
         proptest::collection::vec(arb_element(), 0..4),
@@ -46,15 +46,28 @@ fn arb_concrete_elements() -> impl Strategy<Value = Vec<RplElement>> {
     )
 }
 
+/// Two element lists that share one concrete prefix of up to seven
+/// elements and then go their own way for up to two more: the deep
+/// ancestor / descendant pairs that independent draws almost never produce.
+fn arb_shared_prefix_pair() -> impl Strategy<Value = (Vec<RplElement>, Vec<RplElement>)> {
+    (
+        arb_concrete_elements(),
+        proptest::collection::vec(arb_element(), 0..3),
+        proptest::collection::vec(arb_element(), 0..3),
+    )
+        .prop_map(|(prefix, x, y)| ([&prefix[..], &x].concat(), [&prefix[..], &y].concat()))
+}
+
 proptest! {
     /// Id-based disjointness agrees with the element-wise oracle on
     /// arbitrary pairs, wildcard suffixes included; `w` reaches the
-    /// element-wise fallback on every case.
+    /// element-wise fallback on every case, `s` pairs share a deep prefix.
     #[test]
     fn disjoint_matches_oracle(
-        a in arb_elements(), b in arb_elements(), w in arb_interior_wildcard_elements()
+        a in arb_elements(), b in arb_elements(), w in arb_interior_wildcard_elements(),
+        s in arb_shared_prefix_pair()
     ) {
-        for (x, y) in [(&a, &b), (&w, &b), (&b, &w)] {
+        for (x, y) in [(&a, &b), (&w, &b), (&b, &w), (&s.0, &s.1), (&s.1, &s.0)] {
             let (rx, ry) = (Rpl::new(x.clone()), Rpl::new(y.clone()));
             prop_assert_eq!(
                 rx.disjoint(&ry),
@@ -65,12 +78,14 @@ proptest! {
     }
 
     /// Id-based inclusion agrees with the element-wise oracle in both
-    /// directions; `w` reaches the element-wise fallback on every case.
+    /// directions; `w` reaches the element-wise fallback on every case, `s`
+    /// pairs share a deep prefix.
     #[test]
     fn includes_matches_oracle(
-        a in arb_elements(), b in arb_elements(), w in arb_interior_wildcard_elements()
+        a in arb_elements(), b in arb_elements(), w in arb_interior_wildcard_elements(),
+        s in arb_shared_prefix_pair()
     ) {
-        for (x, y) in [(&a, &b), (&w, &b)] {
+        for (x, y) in [(&a, &b), (&w, &b), (&s.0, &s.1)] {
             let (rx, ry) = (Rpl::new(x.clone()), Rpl::new(y.clone()));
             prop_assert_eq!(
                 rx.includes(&ry),
@@ -278,7 +293,7 @@ fn concurrent_interning_across_parents_is_canonical() {
 }
 
 /// Wait-free read stress: reader threads hammer the lock-free arena
-/// accessors (`depth`/`id_path`/`path`/ancestor and `P:[?]` shape tests) on
+/// accessors (`depth`/`id_path`/`path`/ancestor tests, `P:[?]` relations) on
 /// already-published ids while writer threads race to intern fresh paths.
 /// Every id a reader holds must keep resolving to exactly the same static
 /// slices, and the O(1) relations must stay correct throughout.
@@ -352,7 +367,7 @@ fn wait_free_reads_race_first_interns() {
                         assert_eq!(arena::depth(id), 3);
                         assert!(arena::is_ancestor_or_self(anchor, id));
                         assert!(!arena::is_ancestor_or_self(id, anchor));
-                        // The `P:[?]` fast path over racing interns.
+                        // A `P:[?]` relation over racing interns.
                         let concrete = Rpl::from_prefix_id(id);
                         let is_left = p[1] == RplElement::name("L");
                         assert_eq!(qm.disjoint(&concrete), !is_left);

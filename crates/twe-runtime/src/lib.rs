@@ -152,7 +152,9 @@ pub enum AdmissionPolicy {
     /// drops below `max_queued` — classic backpressure: the producer is
     /// slowed to the service rate and no request is lost.
     BoundedBlock {
-        /// Maximum in-flight non-spawned tasks before submitters block.
+        /// Maximum in-flight non-spawned tasks before submitters block;
+        /// `max_queued` ≥ 1 (with no slot, nothing ever completes to open
+        /// one and the first submitter blocks forever).
         max_queued: usize,
     },
     /// Refuse work that does not fit instead of blocking: [`Runtime::submit_all`]
@@ -161,7 +163,9 @@ pub enum AdmissionPolicy {
     /// [`Runtime::try_execute_later`] returns `None` for a task that does
     /// not fit.
     BoundedShed {
-        /// Maximum in-flight non-spawned tasks before submissions shed.
+        /// Maximum in-flight non-spawned tasks before submissions shed;
+        /// `max_queued` ≥ 1 (with no slot, every shedding path refuses
+        /// everything while `execute_later` still admits).
         max_queued: usize,
     },
 }
@@ -771,7 +775,15 @@ impl Runtime {
     }
 
     /// Creates a runtime with an explicit [`AdmissionPolicy`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the policy's `max_queued` is 0.
     pub fn with_policy(threads: usize, kind: SchedulerKind, policy: AdmissionPolicy) -> Self {
+        assert!(
+            policy.max_queued() != Some(0),
+            "AdmissionPolicy max_queued must be at least 1: {policy:?}"
+        );
         // The scheduler invokes this exactly once per task, at the instant
         // it flips the task to `Enabled`, on whatever thread resolved the
         // conflict. The task brings its runtime along, and the handle it
@@ -1435,6 +1447,26 @@ mod tests {
             .expect("room after drain");
         assert_eq!(fourth.wait(), 4);
         assert_eq!(rt.admission_stats().shed, 1);
+    }
+
+    #[test]
+    fn a_zero_admission_cap_is_refused_at_build() {
+        // A cap of 0 blocks the first `execute_later` forever (BoundedBlock)
+        // or sheds every shedding submission (BoundedShed). Building is
+        // where it is refused; nothing is submitted, so a runtime that
+        // accepted the policy fails this test instead of hanging it.
+        for policy in [
+            AdmissionPolicy::BoundedBlock { max_queued: 0 },
+            AdmissionPolicy::BoundedShed { max_queued: 0 },
+        ] {
+            let built = std::panic::catch_unwind(|| {
+                Runtime::builder()
+                    .threads(1)
+                    .admission_policy(policy)
+                    .build()
+            });
+            assert!(built.is_err(), "{policy:?} must be refused");
+        }
     }
 
     #[test]

@@ -155,8 +155,9 @@ pub trait Scheduler: Send + Sync {
 ///
 /// The disjointness test runs over interned RPL ids ([`twe_effects::Rpl`]):
 /// for two fully-specified RPLs it is one integer comparison, and a
-/// trailing `*` / `[?]` is an O(1) shape test, so this function is cheap
-/// enough to sit on the per-task hot path of both schedulers.
+/// trailing `*` against a fully-specified RPL is an O(1) ancestor test, so
+/// this function is cheap enough to sit on the per-task hot path of both
+/// schedulers.
 pub fn effects_conflict(
     existing_task: &Arc<TaskRecord>,
     existing: &Effect,

@@ -30,13 +30,9 @@
 //! so a *negative* filter answer is definitive and lets the conflict walks
 //! skip whole subtrees without locking them:
 //!
-//! * a **read** effect skips any child whose `write_bloom` is empty (no
-//!   write record anywhere below — reads never conflict with reads), a
-//!   **write** effect any child whose `bloom` is empty (no record below);
-//! * a **`P:[?]`** effect skips an index child whose filter lacks the
-//!   child's own prefix bit: `P:[?]` denotes only the depth-`|P|+1` regions
-//!   `P:[n]`, so it can conflict only with records settled *at* the index
-//!   child node itself, and every such record contributes exactly that bit.
+//! a **read** effect skips any child whose `write_bloom` is empty (no write
+//! record anywhere below — reads never conflict with reads), a **write**
+//! effect any child whose `bloom` is empty (no record below).
 //!
 //! # Batch admission
 //!
@@ -740,17 +736,14 @@ impl TreeScheduler {
     /// containing `e`: `ne_guard`, or `parent_guard` itself when that is
     /// `None` (the top-level call).
     ///
-    /// Four refinements over the plain Figure 5.7 walk:
+    /// Three refinements over the plain Figure 5.7 walk:
     ///
-    /// * **`P:[?]` descent pruning** — a trailing-any-index effect settles
-    ///   at `P` and can only overlap index children of `P`, so the walk
-    ///   visits only index-keyed direct children and never recurses deeper.
     /// * **Subtree-Bloom skips** — the per-child subtree filters (module
     ///   docs) let the walk skip, *without locking the child*, any subtree
     ///   that provably holds nothing the effect can conflict with: a
-    ///   write-free subtree for a read effect, and, for `P:[?]`, an index
-    ///   child with no record settled at the child node itself. A fully
-    ///   walked child has its stale filter rewritten fresh on the way out.
+    ///   write-free subtree for a read effect, an empty one for a write. A
+    ///   fully walked child has its stale filter rewritten fresh on the way
+    ///   out.
     /// * **Read-only node skip** — for a read effect, nodes holding no write
     ///   records are not scanned (reads never conflict with reads).
     /// * **Empty-leaf pruning** — a visited child left with no records and no
@@ -767,7 +760,6 @@ impl TreeScheduler {
             // wildcard-free prefix, so nothing below can conflict.
             return None;
         }
-        let any_index_only = e.rpl.is_parent_any_index();
         // Walk the children in interned-id order, not map iteration order:
         // the walk stops at the *first* conflicting enabled record, and
         // which record a waiter parks behind must be reproducible — the
@@ -776,10 +768,6 @@ impl TreeScheduler {
         let mut keys: Vec<RplId> = parent_guard.children.keys().copied().collect();
         keys.sort_unstable();
         for key in keys {
-            if any_index_only && !twe_effects::arena::is_index_child_of(key, e.rpl.prefix_id()) {
-                // `P:[?]` only reaches index children of P.
-                continue;
-            }
             let Some(entry) = parent_guard.children.get(&key) else {
                 continue;
             };
@@ -794,15 +782,6 @@ impl TreeScheduler {
             if e.write && entry.bloom == 0 {
                 // No linked record anywhere in the subtree, so nothing for a
                 // write walk to conflict with or move up.
-                continue;
-            }
-            if any_index_only && entry.bloom & twe_effects::bloom_bit(key) == 0 {
-                // `P:[?]` denotes only the regions `P:[n]`, so it can
-                // conflict only with records settled *at* this index child
-                // (anything settled deeper has a longer wildcard-free
-                // prefix and denotes strictly deeper regions). Every such
-                // record carries the child's own prefix bit; its absence
-                // proves the child clean.
                 continue;
             }
             let child = entry.node.clone();
@@ -836,9 +815,7 @@ impl TreeScheduler {
                         }
                     }
                 }
-                if blocker.is_none() && !any_index_only {
-                    // `P:[?]` cannot overlap anything deeper than the index
-                    // children of P; every other wildcard walks on down.
+                if blocker.is_none() {
                     blocker = self.check_below(&mut cg, e, Some(target), prio);
                 }
                 blocker
@@ -1499,8 +1476,7 @@ mod tests {
         h.sched.submit(deep.clone());
         assert_eq!(h.enabled_ids(), vec![1, 2, 3]);
         // `Data:[?]` conflicts with the index child [7] but with neither the
-        // name child nor the deeper region (the pruned descent must still
-        // find the real conflict).
+        // name child nor the deeper region.
         let qm = task(4, "writes Data:[?]");
         h.sched.submit(qm.clone());
         assert_eq!(qm.status(), TaskStatus::Waiting);
@@ -1761,9 +1737,9 @@ mod tests {
     }
 
     #[test]
-    fn anyindex_bloom_skip_ignores_deeper_records_only() {
-        // `P:[?]` skips index children whose records all settled deeper
-        // (disjoint from `P:[n]`), but must still see records at the child.
+    fn any_index_walk_finds_index_children_and_passes_deeper_records() {
+        // `P:[?]` walks every child below P: a record settled at an index
+        // child blocks it, one settled deeper is disjoint from `P:[n]`.
         let h = harness();
         let deep = task(1, "writes Par:[3]:Sub:Leaf");
         let shallow = task(2, "writes Par:[4]");
