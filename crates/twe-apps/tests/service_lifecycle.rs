@@ -10,7 +10,7 @@
 //!   at once, and whenever an id comes back it carries a strictly newer
 //!   generation than its previous era;
 //! * **bounded footprint**: after the churn fully drains, the scheduler
-//!   tree returns to its baseline shape (`tree_nodes()` and recorded
+//!   tree returns to its baseline shape (`tree_nodes` and recorded
 //!   effect count as right after runtime construction) — retirement
 //!   really prunes, nothing leaks per churn cycle.
 
@@ -25,21 +25,23 @@ use twe_effects::EffectSet;
 use twe_runtime::scheduler::SchedulerDiagnostics;
 use twe_runtime::{Runtime, SchedulerKind};
 
-/// Polls diagnostics until they return to `baseline` (retirement pruning
-/// runs from drop hooks, which settle quickly but asynchronously; the
-/// vacated paths completions leave pending are flushed by the diagnostics
-/// themselves).
+/// Polls the scheduler's counters until its shape (tree nodes, recorded
+/// effects) returns to `baseline`'s (retirement pruning runs from drop
+/// hooks, which settle quickly but asynchronously; the vacated paths
+/// completions leave pending are flushed by the snapshot itself).
 fn assert_returns_to_baseline(rt: &Runtime, baseline: SchedulerDiagnostics) {
-    let mut diag = rt.scheduler_diagnostics();
+    let shape = |d: SchedulerDiagnostics| (d.tree_nodes, d.recorded_effects);
+    let mut diag = rt.stats().scheduler;
     for _ in 0..500 {
-        if diag == baseline {
+        if shape(diag) == shape(baseline) {
             break;
         }
         std::thread::sleep(Duration::from_millis(5));
-        diag = rt.scheduler_diagnostics();
+        diag = rt.stats().scheduler;
     }
     assert_eq!(
-        diag, baseline,
+        shape(diag),
+        shape(baseline),
         "scheduler tree must return to its baseline shape after full drain"
     );
     assert_eq!(diag.recorded_effects, 0);
@@ -52,7 +54,7 @@ fn churn_concurrent_with_scans_never_aliases_live_tenants() {
     const KEYS: usize = 8;
 
     let rt = Runtime::new(4, SchedulerKind::Tree);
-    let baseline = rt.scheduler_diagnostics();
+    let baseline = rt.stats().scheduler;
 
     // Region index → generation, for every currently-live tenant and for
     // the last era each index was ever seen with.
@@ -174,16 +176,15 @@ fn service_harness_churn_returns_tree_to_baseline() {
     let trace = scan_heavy_trace(600, TENANTS, KEYS);
     for kind in [SchedulerKind::Naive, SchedulerKind::Tree] {
         let rt = Runtime::new(2, kind);
-        let baseline = rt.scheduler_diagnostics();
+        let baseline = rt.stats().scheduler;
         let outcome = apply_trace(&rt, TENANTS, KEYS, &trace);
         assert_eq!(outcome.results.len(), 600, "{kind:?}");
         if kind == SchedulerKind::Naive {
             assert_eq!(outcome, sequential_trace(TENANTS, KEYS, &trace));
         }
         assert_returns_to_baseline(&rt, baseline);
-        assert_eq!(rt.scheduler_diagnostics().queued_tasks, 0, "{kind:?}");
         // Unbounded admission sheds nothing, and its gauge moved.
-        let stats = rt.admission_stats();
+        let stats = rt.stats();
         assert_eq!(
             (stats.admitted, stats.shed, stats.depth),
             (600, 0, 0),

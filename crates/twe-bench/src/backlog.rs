@@ -28,7 +28,7 @@
 //! is the work queue) through a `backlog`-deep batch of per-key write
 //! chains (`writes K:[i % keys]`, keys scaled to keep chains ~8 long) and
 //! reports nanoseconds per `task_done` plus the deterministic
-//! `wake_scan_work` counter. The scheduled-CI scaling bar reads the
+//! `scan_work` counter. The scheduled-CI scaling bar reads the
 //! indexed rows: `per_done_ns` at 64k backlog must stay within 8x its 4k
 //! value — quadratic wakeups fail that by an order of magnitude. The
 //! full-scan discipline is measured only at the smaller depths for the
@@ -93,7 +93,8 @@ pub struct ConflictingRow {
     /// Wall-clock nanoseconds per request, first submission to last
     /// completion.
     pub per_request_ns: Spread,
-    /// [`twe_runtime::RuntimeStats::wake_rechecks`] per completion.
+    /// [`twe_runtime::scheduler::SchedulerDiagnostics::wake_rechecks`] per
+    /// completion.
     pub rechecks_per_done: Spread,
     /// Worker threads of the runtime (the driver is one more).
     pub workers: usize,
@@ -171,7 +172,7 @@ fn conflicting_run(kind: SchedulerKind, in_flight: usize, requests: usize) -> (f
         }
     }
     let per_request = (started.elapsed().as_nanos() / requests as u128) as f64;
-    let rechecks = rt.stats().wake_rechecks as f64 / requests as f64;
+    let rechecks = rt.stats().scheduler.wake_rechecks as f64 / requests as f64;
     (per_request, rechecks)
 }
 
@@ -253,7 +254,7 @@ pub struct BacklogRow {
     pub keys: usize,
     /// Mean wall-clock nanoseconds per `task_done` over the whole drain.
     pub per_done_ns: u64,
-    /// Mean `wake_scan_work` units per completion (deterministic; the
+    /// Mean `scan_work` units per completion (deterministic; the
     /// structural push-CI assertion uses this, not the timing).
     pub scan_work_per_done: u64,
     /// `std::thread::available_parallelism()` of the measuring host.
@@ -308,7 +309,7 @@ fn measure(mode: &str, backlog: usize) -> BacklogRow {
         backlog,
         keys,
         per_done_ns: (elapsed.as_nanos() / backlog as u128) as u64,
-        scan_work_per_done: sched.wake_scan_work() / backlog as u64,
+        scan_work_per_done: sched.diagnostics().scan_work / backlog as u64,
         host_cpus: host_cpus(),
     }
 }

@@ -211,12 +211,7 @@ fn anchor_pair(rpl: &Rpl) -> Option<(RplId, RplId)> {
 
 /// The hashed Bloom bit for an arena id (Fibonacci multiplicative hash on
 /// the raw index; top 6 bits select the bit).
-///
-/// Public because the tree scheduler's per-node subtree summaries hash the
-/// same id space into the same 64-bit filters: a set-summary anchor and a
-/// scheduler-tree record prefix must land on the same bit for the two
-/// filter layers to be intersectable.
-pub fn bloom_bit(id: RplId) -> u64 {
+fn bloom_bit(id: RplId) -> u64 {
     1u64 << (id.index().wrapping_mul(0x9E37_79B9) >> 26)
 }
 
@@ -512,14 +507,6 @@ impl EffectSet {
         &self.summary.anchors_write
     }
 
-    /// The 64-bit Bloom filter over the depth-1 halves of
-    /// [`EffectSet::anchors`]. Bits are hashed with [`bloom_bit`], the same
-    /// hash the tree scheduler's subtree summaries use, so the two filter
-    /// layers can be intersected directly.
-    pub fn anchor_bloom(&self) -> u64 {
-        self.summary.bloom_all
-    }
-
     /// True if some effect's RPL starts with a wildcard (`*…`/`[?]…`). Such
     /// an effect has no anchor and may relate to any region, so every
     /// anchor-based prefilter must treat the set as universal.
@@ -589,11 +576,6 @@ impl EffectSet {
         self.effects
             .iter()
             .all(|a| other.effects.iter().any(|b| a.included_in(b)))
-    }
-
-    /// Does `other` cover `self`? Alias for `self.included_in(other)`.
-    pub fn covered_by(&self, other: &EffectSet) -> bool {
-        self.included_in(other)
     }
 
     /// Does this set cover the single effect `e`?
@@ -777,7 +759,7 @@ mod tests {
         for set in &sets {
             for pair in set.anchors() {
                 assert!(combined.anchors().contains(pair));
-                assert_ne!(combined.anchor_bloom() & bloom_bit(pair.0), 0);
+                assert_ne!(combined.summary.bloom_all & bloom_bit(pair.0), 0);
             }
             assert!(set.included_in(&combined));
         }

@@ -88,7 +88,7 @@ pub mod rpl;
 
 pub use arena::RplId;
 pub use compound::{BitCompound, CompoundEffect, CompoundOp, EffectDomain};
-pub use effect::{bloom_bit, Effect, EffectKind, EffectSet};
+pub use effect::{Effect, EffectKind, EffectSet};
 pub use intern::{intern, resolve, Symbol};
 pub use reclaim::{DynRegion, Reclaimer};
 pub use rpl::{Rpl, RplElement};

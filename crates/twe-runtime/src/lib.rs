@@ -137,7 +137,7 @@ impl SchedulerKind {
 ///   body calling `execute_later`/`execute_all_later`) always bypass the
 ///   bound — blocking a worker on admission would starve the very backlog
 ///   it is waiting on. The depth gauge still counts them, so
-///   [`AdmissionStats::peak_depth`] may transiently exceed the cap.
+///   [`RuntimeStats::peak_depth`] may transiently exceed the cap.
 /// * Plain [`Runtime::execute_later`] must return a future, so it cannot
 ///   shed: under [`AdmissionPolicy::BoundedShed`] it admits unconditionally.
 ///   Use [`Runtime::try_execute_later`] or [`Runtime::submit_all`] (which
@@ -146,7 +146,7 @@ impl SchedulerKind {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AdmissionPolicy {
     /// Admit everything immediately (the default). The depth gauge is still
-    /// maintained; the policy tests read its [`AdmissionStats::peak_depth`].
+    /// maintained; the policy tests read its [`RuntimeStats::peak_depth`].
     Unbounded,
     /// Block the submitting (non-worker) thread until the in-flight count
     /// drops below `max_queued` — classic backpressure: the producer is
@@ -159,7 +159,7 @@ pub enum AdmissionPolicy {
     },
     /// Refuse work that does not fit instead of blocking: [`Runtime::submit_all`]
     /// admits the longest prefix of the wave that fits under `max_queued`
-    /// and sheds the rest (counted in [`AdmissionStats::shed`]);
+    /// and sheds the rest (counted in [`RuntimeStats::shed`]);
     /// [`Runtime::try_execute_later`] returns `None` for a task that does
     /// not fit.
     BoundedShed {
@@ -179,21 +179,6 @@ impl AdmissionPolicy {
             | AdmissionPolicy::BoundedShed { max_queued } => Some(*max_queued),
         }
     }
-}
-
-/// Counters describing a runtime's admission behaviour so far
-/// ([`Runtime::admission_stats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AdmissionStats {
-    /// Non-spawned tasks admitted to the scheduler.
-    pub admitted: u64,
-    /// Tasks refused by a [`AdmissionPolicy::BoundedShed`] policy (or a
-    /// failed [`Runtime::try_execute_later`]).
-    pub shed: u64,
-    /// Current in-flight (submitted, not finished) non-spawned tasks.
-    pub depth: usize,
-    /// High-water mark of `depth`.
-    pub peak_depth: usize,
 }
 
 thread_local! {
@@ -368,16 +353,24 @@ impl AdmissionState {
     }
 }
 
-/// Counters describing what a runtime has executed so far.
+/// One snapshot of what a runtime has done so far ([`Runtime::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RuntimeStats {
     /// Tasks whose bodies ran to completion.
     pub tasks_executed: u64,
     /// Aborted attempts of retryable tasks (dynamic-effect conflicts).
     pub task_retries: u64,
-    /// Waiting tasks or parked effect records the scheduler has examined
-    /// again on wake-ups ([`scheduler::Scheduler::wake_rechecks`]).
-    pub wake_rechecks: u64,
+    /// Non-spawned tasks admitted to the scheduler.
+    pub admitted: u64,
+    /// Tasks refused by a [`AdmissionPolicy::BoundedShed`] policy (or a
+    /// failed [`Runtime::try_execute_later`]).
+    pub shed: u64,
+    /// Current in-flight (submitted, not finished) non-spawned tasks.
+    pub depth: usize,
+    /// High-water mark of `depth`.
+    pub peak_depth: usize,
+    /// The scheduler's own counters ([`scheduler::Scheduler::diagnostics`]).
+    pub scheduler: scheduler::SchedulerDiagnostics,
     /// Dynamic-effect acquisitions and conflicts.
     pub dynamic: DynamicStats,
 }
@@ -614,7 +607,7 @@ impl RtInner {
     /// Under [`AdmissionPolicy::BoundedShed`] only the longest prefix of the
     /// wave that fits under the cap is admitted — futures are returned for
     /// the admitted prefix only, and the shed tail is counted in
-    /// [`AdmissionStats::shed`]. Under [`AdmissionPolicy::BoundedBlock`] the
+    /// [`RuntimeStats::shed`]. Under [`AdmissionPolicy::BoundedBlock`] the
     /// wave is admitted in chunks as room frees up, blocking between chunks;
     /// every task is eventually admitted and all futures are returned. Only
     /// those two need the wave's length before they build a task, so only
@@ -750,40 +743,21 @@ impl RuntimeBuilder {
     }
 
     /// Builds the runtime.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the admission policy's `max_queued` is 0.
     pub fn build(self) -> Runtime {
+        let RuntimeBuilder { kind, policy, .. } = self;
+        assert!(
+            policy.max_queued() != Some(0),
+            "AdmissionPolicy max_queued must be at least 1: {policy:?}"
+        );
         let threads = self.threads.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4)
         });
-        Runtime::with_policy(threads, self.kind, self.policy)
-    }
-}
-
-/// The TWE runtime: an effect-aware task scheduler plus a work-stealing
-/// execution substrate.
-pub struct Runtime {
-    inner: Arc<RtInner>,
-}
-
-impl Runtime {
-    /// Creates a runtime with `threads` worker threads and the given
-    /// scheduler (unbounded admission; use [`Runtime::builder`] with
-    /// [`RuntimeBuilder::admission_policy`] for backpressure).
-    pub fn new(threads: usize, kind: SchedulerKind) -> Self {
-        Self::with_policy(threads, kind, AdmissionPolicy::Unbounded)
-    }
-
-    /// Creates a runtime with an explicit [`AdmissionPolicy`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy's `max_queued` is 0.
-    pub fn with_policy(threads: usize, kind: SchedulerKind, policy: AdmissionPolicy) -> Self {
-        assert!(
-            policy.max_queued() != Some(0),
-            "AdmissionPolicy max_queued must be at least 1: {policy:?}"
-        );
         // The scheduler invokes this exactly once per task, at the instant
         // it flips the task to `Enabled`, on whatever thread resolved the
         // conflict. The task brings its runtime along, and the handle it
@@ -819,6 +793,21 @@ impl Runtime {
         dynamics::register_retire_sink(sink);
         Runtime { inner }
     }
+}
+
+/// The TWE runtime: an effect-aware task scheduler plus a work-stealing
+/// execution substrate.
+pub struct Runtime {
+    inner: Arc<RtInner>,
+}
+
+impl Runtime {
+    /// Creates a runtime with `threads` worker threads and the given
+    /// scheduler (unbounded admission; use [`Runtime::builder`] with
+    /// [`RuntimeBuilder::admission_policy`] for backpressure).
+    pub fn new(threads: usize, kind: SchedulerKind) -> Self {
+        Self::builder().threads(threads).scheduler(kind).build()
+    }
 
     /// A builder with defaults (tree scheduler, all available cores).
     pub fn builder() -> RuntimeBuilder {
@@ -835,28 +824,9 @@ impl Runtime {
         self.inner.kind
     }
 
-    /// A snapshot of scheduler-internal diagnostics (tree node count,
-    /// recorded-effect count). Naive reports its queue length under
-    /// `recorded_effects` and zero nodes.
-    pub fn scheduler_diagnostics(&self) -> scheduler::SchedulerDiagnostics {
-        self.inner.scheduler().diagnostics()
-    }
-
-    /// A snapshot of the admission counters: tasks admitted and shed,
-    /// current in-flight depth, and the depth high-water mark. Maintained
-    /// under every policy, [`AdmissionPolicy::Unbounded`] included.
-    pub fn admission_stats(&self) -> AdmissionStats {
-        AdmissionStats {
-            admitted: self.inner.admission.admitted.load(Ordering::Relaxed),
-            shed: self.inner.admission.shed.load(Ordering::Relaxed),
-            depth: self.inner.admission.depth.load(Ordering::Relaxed),
-            peak_depth: self.inner.admission.peak_depth.load(Ordering::Relaxed),
-        }
-    }
-
     /// Load-shedding variant of [`Runtime::execute_later`]: under a bounded
     /// admission policy with no room left, returns `None` (the body is
-    /// dropped unexecuted and counted in [`AdmissionStats::shed`]) instead
+    /// dropped unexecuted and counted in [`RuntimeStats::shed`]) instead
     /// of blocking or over-admitting. Always succeeds under
     /// [`AdmissionPolicy::Unbounded`] and from pool worker threads.
     pub fn try_execute_later<T, F>(
@@ -912,7 +882,7 @@ impl Runtime {
     /// futures are returned for the admitted prefix only (callers pairing
     /// futures with per-task metadata by position stay aligned, since only
     /// the tail is dropped) and the rest is counted in
-    /// [`AdmissionStats::shed`]. Under [`AdmissionPolicy::BoundedBlock`]
+    /// [`RuntimeStats::shed`]. Under [`AdmissionPolicy::BoundedBlock`]
     /// the wave is admitted in chunks as room frees up — the call blocks
     /// between chunks, every task is admitted, and all futures are
     /// returned. Waves submitted from a pool worker thread bypass the
@@ -970,12 +940,22 @@ impl Runtime {
         self.execute_later(name, effects, body).wait()
     }
 
-    /// Execution counters.
+    /// A snapshot of every counter the runtime keeps: execution,
+    /// admission (maintained under every policy,
+    /// [`AdmissionPolicy::Unbounded`] included), the scheduler's and the
+    /// dynamic-effect table's. Diagnostic: it costs O(tree nodes) on the
+    /// tree scheduler and flushes its pending prunes
+    /// ([`scheduler::Scheduler::diagnostics`]).
     pub fn stats(&self) -> RuntimeStats {
+        let admission = &self.inner.admission;
         RuntimeStats {
             tasks_executed: self.inner.tasks_executed.load(Ordering::Relaxed),
             task_retries: self.inner.task_retries.load(Ordering::Relaxed),
-            wake_rechecks: self.inner.scheduler().wake_rechecks(),
+            admitted: admission.admitted.load(Ordering::Relaxed),
+            shed: admission.shed.load(Ordering::Relaxed),
+            depth: admission.depth.load(Ordering::Relaxed),
+            peak_depth: admission.peak_depth.load(Ordering::Relaxed),
+            scheduler: self.inner.scheduler().diagnostics(),
             dynamic: self.inner.dynamic.stats(),
         }
     }
@@ -1041,20 +1021,20 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_diagnostics_reports_tree_nodes() {
+    fn stats_report_the_tree_back_at_its_baseline() {
         let rt = Runtime::new(2, SchedulerKind::Tree);
-        let baseline = rt.scheduler_diagnostics();
+        let baseline = rt.stats().scheduler;
         rt.run("touch", EffectSet::parse("writes Diag:[3]"), |_| ());
         // After the run drains the tree is back to its baseline shape (the
         // diagnostics flush the vacated path the completion left pending)
         // and no effects remain recorded.
-        let mut diag = rt.scheduler_diagnostics();
+        let mut diag = rt.stats().scheduler;
         for _ in 0..100 {
             if diag == baseline {
                 break;
             }
             std::thread::sleep(std::time::Duration::from_millis(2));
-            diag = rt.scheduler_diagnostics();
+            diag = rt.stats().scheduler;
         }
         assert_eq!(diag, baseline);
         assert_eq!(diag.recorded_effects, 0);
@@ -1376,7 +1356,7 @@ mod tests {
             for f in &futures {
                 f.wait();
             }
-            let stats = rt.admission_stats();
+            let stats = rt.stats();
             assert_eq!(stats.admitted, 32, "{kind:?}");
             assert_eq!(stats.shed, 0, "{kind:?}");
             assert!(stats.peak_depth <= 4, "{kind:?}: peak {}", stats.peak_depth);
@@ -1409,7 +1389,7 @@ mod tests {
             for (i, f) in futures.iter().enumerate() {
                 assert_eq!(f.wait(), i, "{kind:?}");
             }
-            let stats = rt.admission_stats();
+            let stats = rt.stats();
             assert_eq!(
                 stats.admitted + stats.shed,
                 64,
@@ -1438,7 +1418,7 @@ mod tests {
         assert!(rt
             .try_execute_later("third", EffectSet::parse("writes G"), |_| 3u32)
             .is_none());
-        assert_eq!(rt.admission_stats().shed, 1);
+        assert_eq!(rt.stats().shed, 1);
         gate.wait();
         assert_eq!(second.wait(), 2);
         // With the backlog drained there is room again.
@@ -1446,7 +1426,7 @@ mod tests {
             .try_execute_later("fourth", EffectSet::parse("writes G"), |_| 4u32)
             .expect("room after drain");
         assert_eq!(fourth.wait(), 4);
-        assert_eq!(rt.admission_stats().shed, 1);
+        assert_eq!(rt.stats().shed, 1);
     }
 
     #[test]
@@ -1491,7 +1471,7 @@ mod tests {
                     inner.get_value(ctx) + 2
                 });
                 assert_eq!(v, 42, "{kind:?} under {policy:?}");
-                assert_eq!(rt.admission_stats().depth, 0, "{kind:?} {policy:?}");
+                assert_eq!(rt.stats().depth, 0, "{kind:?} {policy:?}");
             }
         }
     }
@@ -1519,7 +1499,7 @@ mod tests {
             let backlog: Vec<_> = (1..64)
                 .map(|i| rt.execute_later(&format!("b{i}"), EffectSet::parse("writes W"), |_| ()))
                 .collect();
-            assert_eq!(rt.admission_stats().depth, 64, "{kind:?}: at the cap");
+            assert_eq!(rt.stats().depth, 64, "{kind:?}: at the cap");
             rt.inner.wave_sizes.lock().clear();
 
             let rt2 = rt.clone();
@@ -1550,7 +1530,7 @@ mod tests {
             assert_eq!(chunks.iter().sum::<usize>(), 64, "{kind:?}: {chunks:?}");
             assert!(chunks.len() <= 3, "{kind:?}: chunks {chunks:?}");
             assert!(chunks[0] >= 32, "{kind:?}: chunks {chunks:?}");
-            let stats = rt.admission_stats();
+            let stats = rt.stats();
             assert_eq!((stats.admitted, stats.depth), (128, 0), "{kind:?}");
             assert!(
                 stats.peak_depth <= 64,
@@ -1611,7 +1591,7 @@ mod tests {
                     assert!(
                         std::time::Instant::now() < deadline,
                         "{kind:?}: a submitter is still parked at depth {} with {} tasks run",
-                        rt.admission_stats().depth,
+                        rt.stats().depth,
                         ran.load(Ordering::Relaxed)
                     );
                     std::thread::sleep(Duration::from_millis(1));
@@ -1622,13 +1602,12 @@ mod tests {
                 assert!(std::time::Instant::now() < deadline, "{kind:?}: tasks lost");
                 std::thread::sleep(Duration::from_millis(1));
             }
-            while rt.admission_stats().depth > 0 {
+            while rt.stats().depth > 0 {
                 std::thread::yield_now();
             }
-            let stats = rt.admission_stats();
+            let stats = rt.stats();
             assert_eq!(stats.admitted, 4 * PER_THREAD as u64, "{kind:?}");
             assert!(stats.peak_depth <= 8, "{kind:?}: peak {}", stats.peak_depth);
-            assert_eq!(rt.scheduler_diagnostics().queued_tasks, 0, "{kind:?}");
         }
     }
 
@@ -1714,7 +1693,7 @@ mod tests {
                 }
                 assert_eq!(f.wait(), *value, "{kind:?}");
             }
-            let stats = rt.admission_stats();
+            let stats = rt.stats();
             assert_eq!(stats.admitted, admitted.len() as u64, "{kind:?}");
             assert_eq!(
                 stats.admitted + stats.shed,
@@ -1724,7 +1703,6 @@ mod tests {
             assert!(stats.shed > 0, "{kind:?}: waves above the cap shed");
             assert!(stats.peak_depth <= 8, "{kind:?}: peak {}", stats.peak_depth);
             assert_eq!(stats.depth, 0, "{kind:?}");
-            assert_eq!(rt.scheduler_diagnostics().queued_tasks, 0, "{kind:?}");
         }
     }
 
@@ -1766,10 +1744,11 @@ mod tests {
     }
 
     #[test]
-    fn queued_tasks_gauge_tracks_backlog_on_both_schedulers() {
+    fn stats_snapshot_tracks_a_backlog_on_both_schedulers() {
         for kind in [SchedulerKind::Naive, SchedulerKind::Tree] {
             let rt = Runtime::new(1, kind);
-            assert_eq!(rt.scheduler_diagnostics().queued_tasks, 0, "{kind:?}");
+            // One task done first, so `admitted` and `depth` part ways.
+            rt.run("warm", EffectSet::parse("writes Q"), |_| ());
             let gate = Arc::new(std::sync::Barrier::new(2));
             let g2 = gate.clone();
             let first = rt.execute_later("hold", EffectSet::parse("writes Q"), move |_| {
@@ -1778,14 +1757,23 @@ mod tests {
             let rest: Vec<_> = (0..8)
                 .map(|i| rt.execute_later(&format!("q{i}"), EffectSet::parse("writes Q"), |_| ()))
                 .collect();
-            // The holder plus 8 parked waiters are all registered.
-            assert_eq!(rt.scheduler_diagnostics().queued_tasks, 9, "{kind:?}");
+            // The holder plus 8 parked waiters are in flight.
+            let stats = rt.stats();
+            assert_eq!((stats.depth, stats.admitted), (9, 10), "{kind:?}");
+            if kind == SchedulerKind::Naive {
+                assert_eq!(stats.scheduler.recorded_effects, 9);
+            }
             gate.wait();
             first.wait();
             for f in rest {
                 f.wait();
             }
-            assert_eq!(rt.scheduler_diagnostics().queued_tasks, 0, "{kind:?}");
+            let stats = rt.stats();
+            assert_eq!((stats.depth, stats.tasks_executed), (0, 10), "{kind:?}");
+            if kind == SchedulerKind::Tree {
+                assert!(stats.scheduler.wake_rechecks > 0);
+                assert_eq!(stats.scheduler.tree_nodes, 1);
+            }
         }
     }
 
@@ -1885,7 +1873,7 @@ mod tests {
             }
         }
         let examined = on_worker(|| tree::EXAMINED.with(|c| c.get()));
-        let rechecks = rt.stats().wake_rechecks;
+        let rechecks = rt.stats().scheduler.wake_rechecks;
         (
             rechecks as f64 / REQUESTS as f64,
             examined as f64 / REQUESTS as f64,

@@ -49,7 +49,7 @@
 //! [`NaiveScheduler::new_full_scan`] keeps the historical full-rescan
 //! discipline alive as a differential-testing and benchmarking baseline.
 
-use crate::scheduler::{tasks_conflict, Scheduler};
+use crate::scheduler::{tasks_conflict, Scheduler, SchedulerDiagnostics};
 use crate::task::{TaskRecord, TaskStatus};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -215,9 +215,10 @@ struct QueueInner {
     /// The interference index; `None` selects the full-scan discipline.
     index: Option<WaiterIndex>,
     /// Total enablement-scan width (tasks examined across all enable
-    /// rounds) — see [`NaiveScheduler::wake_scan_work`].
-    wake_work: u64,
-    /// Queued tasks re-evaluated by wake rounds ([`Scheduler::wake_rechecks`]).
+    /// rounds) — [`SchedulerDiagnostics::scan_work`].
+    scan_work: u64,
+    /// Queued tasks re-evaluated by wake rounds
+    /// ([`SchedulerDiagnostics::wake_rechecks`]).
     rechecks: u64,
 }
 
@@ -304,7 +305,7 @@ impl NaiveScheduler {
                 pos_of: HashMap::new(),
                 live: 0,
                 index: Some(WaiterIndex::default()),
-                wake_work: 0,
+                scan_work: 0,
                 rechecks: 0,
             }),
             enable,
@@ -325,22 +326,11 @@ impl NaiveScheduler {
                 pos_of: HashMap::new(),
                 live: 0,
                 index: None,
-                wake_work: 0,
+                scan_work: 0,
                 rechecks: 0,
             }),
             enable,
         }
-    }
-
-    /// Total enablement-scan width so far: for every candidate whose
-    /// enablement was evaluated, the number of queued tasks that evaluation
-    /// examined. This is the quantity that made the full-scan discipline
-    /// quadratic under a deep backlog (each of n completions examined all n
-    /// waiters); the saturation stress asserts it stays linear-ish in
-    /// drained tasks for the indexed mode. Deterministic for a
-    /// deterministic call sequence.
-    pub fn wake_scan_work(&self) -> u64 {
-        self.inner.lock().wake_work
     }
 
     /// Can `task` (at slot `pos`) be enabled?
@@ -505,7 +495,7 @@ impl NaiveScheduler {
         for pos in candidates {
             ready.extend(Self::evaluate(inner, pos, &mut scratch, &mut work));
         }
-        inner.wake_work += work;
+        inner.scan_work += work;
         ready
     }
     /// Sequential submission under one lock hold. A new task only adds
@@ -522,7 +512,7 @@ impl NaiveScheduler {
                 let pos = inner.push(task);
                 ready.extend(Self::evaluate(&inner, pos, &mut scratch, &mut work));
             }
-            inner.wake_work += work;
+            inner.scan_work += work;
             ready
         };
         for task in to_enable {
@@ -616,16 +606,13 @@ impl Scheduler for NaiveScheduler {
         }
     }
 
-    fn wake_rechecks(&self) -> u64 {
-        self.inner.lock().rechecks
-    }
-
-    fn diagnostics(&self) -> crate::scheduler::SchedulerDiagnostics {
+    fn diagnostics(&self) -> SchedulerDiagnostics {
         let inner = self.inner.lock();
-        crate::scheduler::SchedulerDiagnostics {
+        SchedulerDiagnostics {
             tree_nodes: 0,
             recorded_effects: inner.live,
-            queued_tasks: inner.live,
+            wake_rechecks: inner.rechecks,
+            scan_work: inner.scan_work,
         }
     }
 }
@@ -965,13 +952,12 @@ mod tests {
             sched.task_done(t);
         }
         assert_eq!(enabled.lock().len(), 200, "each completion wakes its key");
-        let diag = sched.diagnostics();
-        assert_eq!(diag.queued_tasks, 100);
+        assert_eq!(sched.diagnostics().recorded_effects, 100);
         for t in &second {
             t.mark_done();
             sched.task_done(t);
         }
-        assert_eq!(sched.diagnostics().queued_tasks, 0);
+        assert_eq!(sched.diagnostics().recorded_effects, 0);
     }
 
     #[test]
@@ -995,8 +981,8 @@ mod tests {
         build(&indexed);
         let (_, full) = collecting_full_scan();
         build(&full);
-        let per_event_indexed = indexed.wake_scan_work() / n;
-        let per_event_full = full.wake_scan_work() / n;
+        let per_event_indexed = indexed.diagnostics().scan_work / n;
+        let per_event_full = full.diagnostics().scan_work / n;
         assert!(
             per_event_indexed <= 4 * (n / keys),
             "indexed per-event scan width {per_event_indexed} should be near the \

@@ -11,9 +11,8 @@ use crate::task::{blocked_on, TaskRecord};
 use std::sync::Arc;
 use twe_effects::{Effect, RplId};
 
-/// Footprint counters a scheduler may expose for tests and diagnostics
-/// (e.g. the tenant-lifecycle stress asserting the scheduling tree returns
-/// to its baseline after churn fully drains).
+/// What a scheduler reports about itself ([`Scheduler::diagnostics`]), and
+/// the scheduler's part of [`crate::RuntimeStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedulerDiagnostics {
     /// Nodes in the scheduling tree (`1` = just the root); `0` for
@@ -22,11 +21,17 @@ pub struct SchedulerDiagnostics {
     /// Effect records currently registered (tree scheduler) or tasks
     /// currently queued (naive scheduler).
     pub recorded_effects: usize,
-    /// Tasks currently registered with the scheduler and not yet done —
-    /// the queue-depth gauge the runtime's admission policies
-    /// ([`crate::AdmissionPolicy`]) reason about. Diagnostic only; the
-    /// runtime's own admission accounting does not read it.
-    pub queued_tasks: usize,
+    /// Waiting tasks (naive) or parked effect records (tree) examined again
+    /// by wake-ups so far — completions and awaits. Monotone, and
+    /// deterministic for a deterministic call sequence; per completion it
+    /// says how much of a conflicting backlog each completion goes back
+    /// over (`figures --fig backlog`).
+    pub wake_rechecks: u64,
+    /// Queued tasks the naive scheduler's enable rounds have examined, summed
+    /// over every candidate evaluated: the quantity that made the full-scan
+    /// discipline quadratic under a deep backlog. Deterministic for a
+    /// deterministic call sequence; `0` for schedulers without a queue.
+    pub scan_work: u64,
 }
 
 /// The interface the runtime uses to drive an effect-aware task scheduler.
@@ -128,17 +133,9 @@ pub trait Scheduler: Send + Sync {
         let _ = region;
     }
 
-    /// Waiting tasks (naive) or parked effect records (tree) examined again
-    /// by wake-ups so far — completions and awaits. Monotone, and
-    /// deterministic for a deterministic call sequence; per completion it
-    /// says how much of a conflicting backlog each completion goes back
-    /// over (`figures --fig backlog`).
-    fn wake_rechecks(&self) -> u64 {
-        0
-    }
-
-    /// Current footprint counters ([`SchedulerDiagnostics`]). Diagnostic
-    /// only — values may be stale the moment they are read. The default
+    /// Current counters ([`SchedulerDiagnostics`]). Diagnostic only —
+    /// values may be stale the moment they are read. The tree scheduler
+    /// walks every node and flushes its pending prunes first. The default
     /// reports zeros; both bundled schedulers override it.
     fn diagnostics(&self) -> SchedulerDiagnostics {
         SchedulerDiagnostics::default()

@@ -15,24 +15,23 @@
 //! `checkBelow`, `conflicts`, `blockedOn`, `enable`/`tryDisable`, `await`,
 //! `recheckTask`/`recheckEffect`, `lockContainingNode`, and `taskDone`.
 //!
-//! # Subtree Blooms (summary-directed descent)
+//! # Subtree flags (summary-directed descent)
 //!
-//! Each node stores, next to every child pointer, a 64-bit Bloom filter over
-//! the settle-prefix ids of the records in that child's **whole subtree**
-//! (plus a second filter restricted to write records). The filters are
-//! *monotone stale supersets*: bits are OR'd in under the parent's lock
-//! whenever a record descends into the child (batch/single insert,
-//! recheck move-down), records leaving the subtree do not clear them, and
-//! only a full `check_below` walk of the child — which learns the subtree's
-//! true content — rewrites them fresh. Because every mutation that puts a
-//! record into a subtree happens while the parent is locked, a reader
-//! holding the parent lock always sees a superset of the subtree's records,
-//! so a *negative* filter answer is definitive and lets the conflict walks
-//! skip whole subtrees without locking them:
+//! Each node stores, next to every child pointer, two flags over that
+//! child's **whole subtree**: `any` (some record below) and `writes` (some
+//! write record below). The flags are *monotone stale supersets*: they are
+//! set under the parent's lock whenever a record descends into the child
+//! (batch/single insert, recheck move-down), records leaving the subtree do
+//! not clear them, and only a full `check_below` walk of the child — which
+//! learns the subtree's true content — or a prune rewrites them fresh.
+//! Because every mutation that puts a record into a subtree happens while
+//! the parent is locked, a reader holding the parent lock always sees a
+//! superset of the subtree's records, so a *clear* flag is definitive and
+//! lets the conflict walks skip whole subtrees without locking them:
 //!
-//! a **read** effect skips any child whose `write_bloom` is empty (no write
+//! a **read** effect skips any child whose `writes` is clear (no write
 //! record anywhere below — reads never conflict with reads), a **write**
-//! effect any child whose `bloom` is empty (no record below).
+//! effect any child whose `any` is clear (no record below).
 //!
 //! # Batch admission
 //!
@@ -64,7 +63,7 @@
 //! (a batch of N nobody follows: N vacant nodes until its last completion).
 //! A completion that leaves the scheduler empty flushes a list of
 //! `IDLE_PRUNE` or more itself (nobody may ever submit again), and
-//! `region_retired` and the diagnostic counters flush it, so "a drained
+//! `region_retired` and `diagnostics` flush it, so "a drained
 //! scheduler is a bare root" and "a recycled region id never meets its
 //! previous era's node" stay observable. The list is a plain mutex, never
 //! held with a node lock.
@@ -82,7 +81,7 @@
 //! `reads Root` fan-out, however wide, costs the admissions beneath it
 //! nothing. Lock order everywhere is strictly downward from the root.
 
-use crate::scheduler::Scheduler;
+use crate::scheduler::{Scheduler, SchedulerDiagnostics};
 use crate::task::{blocked_on, TaskRecord, TaskStatus};
 use parking_lot::{ArcMutexGuard, Mutex, RawMutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -209,31 +208,24 @@ impl std::ops::Deref for TreeRecords {
     }
 }
 
-/// The Bloom bit a record contributes to the subtree filters: hashed from
-/// its settle-prefix id with the same hash the [`twe_effects::EffectSet`]
-/// summaries use, so set-level and tree-level filters are intersectable.
-fn record_bit(e: &EffectRecord) -> u64 {
-    twe_effects::bloom_bit(e.rpl.prefix_id())
-}
-
-/// A child pointer plus the lazily-rebuilt Bloom summary of the child's
-/// whole subtree (module docs, "Subtree Blooms"). Stored *in the parent* so
-/// skip decisions never have to lock the child.
+/// A child pointer plus the lazily-rewritten summary of the child's whole
+/// subtree (module docs, "Subtree flags"). Stored *in the parent* so skip
+/// decisions never have to lock the child. Both flags are monotone stale
+/// supersets between rewrites: only a full walk or a prune may clear them.
 struct ChildEntry {
     node: NodeRef,
-    /// Bloom over [`record_bit`] of every record in the subtree. Monotone
-    /// stale superset between rebuilds: only a full walk may shrink it.
-    bloom: u64,
-    /// The same filter restricted to write records.
-    write_bloom: u64,
+    /// Some record may be in the subtree.
+    any: bool,
+    /// Some write record may be in the subtree.
+    writes: bool,
 }
 
 impl ChildEntry {
     fn new(depth: usize) -> Self {
         ChildEntry {
             node: new_node(depth),
-            bloom: 0,
-            write_bloom: 0,
+            any: false,
+            writes: false,
         }
     }
 
@@ -242,11 +234,8 @@ impl ChildEntry {
     /// that lock is released, so readers of the entry always see a superset
     /// of the subtree's content.
     fn absorb(&mut self, e: &EffectRecord) {
-        let bit = record_bit(e);
-        self.bloom |= bit;
-        if e.write {
-            self.write_bloom |= bit;
-        }
+        self.any = true;
+        self.writes |= e.write;
     }
 }
 
@@ -299,7 +288,7 @@ impl RecordList {
 /// parked here) never overlaps an exact record and is checked against the
 /// covering class alone — no work at all under a `reads Root` fan-out,
 /// however wide. A record settling here meets both classes, minus any class
-/// without a write when it is itself a read; per-child subtree Blooms (see
+/// without a write when it is itself a read; per-child subtree flags (see
 /// `ChildEntry`) extend that write-count idea below the node.
 #[derive(Default)]
 pub struct NodeInner {
@@ -448,23 +437,14 @@ impl NodeInner {
     }
 
     /// The node's true subtree summary as far as this node can know it:
-    /// exact Bloom bits for its own records, the (superset) child entries for
+    /// exact for its own records, the (superset) child entries for
     /// everything deeper. Used to rewrite this node's entry in its parent
-    /// after a full walk. Returns `(bloom, write_bloom)`.
-    fn fresh_summary(&self) -> (u64, u64) {
-        let (mut bloom, mut write_bloom) = (0u64, 0u64);
-        for e in self.live_records() {
-            let bit = record_bit(e);
-            bloom |= bit;
-            if e.write {
-                write_bloom |= bit;
-            }
-        }
-        for entry in self.children.values() {
-            bloom |= entry.bloom;
-            write_bloom |= entry.write_bloom;
-        }
-        (bloom, write_bloom)
+    /// after a full walk. Returns `(any, writes)`.
+    fn fresh_summary(&self) -> (bool, bool) {
+        let children = || self.children.values();
+        let any = self.record_count() > 0 || children().any(|c| c.any);
+        let writes = self.records.iter().any(|l| l.writes > 0) || children().any(|c| c.writes);
+        (any, writes)
     }
 }
 
@@ -506,14 +486,14 @@ pub struct TreeScheduler {
     /// repeatedly disabling each other's effects without progress.
     recheck_lock: Mutex<()>,
     enable: EnableFn,
-    /// Tasks submitted and not yet done — the queue-depth gauge surfaced
-    /// through [`Scheduler::diagnostics`] (spawned tasks bypass the
-    /// scheduler and are not counted).
+    /// Tasks submitted and not yet done (spawned tasks bypass the scheduler
+    /// and are not counted): the completion that takes it to zero may prune
+    /// (module docs, "Pruning").
     queued: AtomicUsize,
     /// Paths of the nodes finished tasks left vacant, waiting for the next
     /// drain (module docs, "Pruning").
     vacated: Mutex<Vec<&'static [RplId]>>,
-    /// Waiters rechecked so far ([`Scheduler::wake_rechecks`]).
+    /// Waiters rechecked so far ([`SchedulerDiagnostics::wake_rechecks`]).
     rechecks: AtomicU64,
 }
 
@@ -552,19 +532,6 @@ impl TreeScheduler {
             .iter()
             .map(|c| Self::sum_nodes(c, f))
             .sum::<usize>()
-    }
-
-    /// Number of effects currently recorded in the tree (diagnostic).
-    pub fn recorded_effects(&self) -> usize {
-        self.flush_vacated();
-        Self::sum_nodes(&self.root, &NodeInner::record_count)
-    }
-
-    /// Number of nodes in the scheduling tree, the root included (diagnostic;
-    /// exercised by the empty-leaf pruning tests).
-    pub fn tree_nodes(&self) -> usize {
-        self.flush_vacated();
-        Self::sum_nodes(&self.root, &|_| 1)
     }
 
     /// Builds and registers the per-effect tree records of a task being
@@ -738,11 +705,11 @@ impl TreeScheduler {
     ///
     /// Three refinements over the plain Figure 5.7 walk:
     ///
-    /// * **Subtree-Bloom skips** — the per-child subtree filters (module
+    /// * **Subtree-flag skips** — the per-child subtree flags (module
     ///   docs) let the walk skip, *without locking the child*, any subtree
     ///   that provably holds nothing the effect can conflict with: a
     ///   write-free subtree for a read effect, an empty one for a write. A
-    ///   fully walked child has its stale filter rewritten fresh on the way
+    ///   fully walked child has its stale flags rewritten fresh on the way
     ///   out.
     /// * **Read-only node skip** — for a read effect, nodes holding no write
     ///   records are not scanned (reads never conflict with reads).
@@ -771,15 +738,15 @@ impl TreeScheduler {
             let Some(entry) = parent_guard.children.get(&key) else {
                 continue;
             };
-            // Subtree-Bloom skips: negative answers are definitive because
-            // the entry is a superset of the subtree's records for as long
-            // as the parent lock is held (see `ChildEntry::absorb`).
-            if !e.write && entry.write_bloom == 0 {
+            // Subtree-flag skips: a clear flag is definitive because the
+            // entry is a superset of the subtree's records for as long as
+            // the parent lock is held (see `ChildEntry::absorb`).
+            if !e.write && !entry.writes {
                 // No write record anywhere in the subtree: a read effect
                 // cannot conflict with anything down there.
                 continue;
             }
-            if e.write && entry.bloom == 0 {
+            if e.write && !entry.any {
                 // No linked record anywhere in the subtree, so nothing for a
                 // write walk to conflict with or move up.
                 continue;
@@ -822,14 +789,13 @@ impl TreeScheduler {
             };
             if blocker.is_none() {
                 // Lazy rebuild: the child was examined without an early
-                // conflict exit, so rewrite its stale superset filter with
-                // the node's freshest knowledge (exact bits for its own
-                // records, superset entries for everything deeper). This is
-                // where the walks shrink the Blooms back down.
-                let (bloom, write_bloom) = cg.fresh_summary();
+                // conflict exit, so rewrite its stale superset flags with
+                // the node's freshest knowledge (exact for its own records,
+                // superset entries for everything deeper). This is where
+                // the walks clear the flags again.
+                let (any, writes) = cg.fresh_summary();
                 if let Some(entry) = parent_guard.children.get_mut(&key) {
-                    entry.bloom = bloom;
-                    entry.write_bloom = write_bloom;
+                    (entry.any, entry.writes) = (any, writes);
                 }
             }
             let prune = cg.is_vacant();
@@ -870,8 +836,8 @@ impl TreeScheduler {
     }
 
     /// Walks one record down from the locked node to its settle node, hand
-    /// over hand: lock the child, fold the record's Bloom bit into the
-    /// child's entry under the parent lock, release the parent. At every
+    /// over hand: lock the child, set the child entry's flags for the record
+    /// under the parent lock, release the parent. At every
     /// node on the way `check_at` may park the record behind a conflict.
     /// Returns the record `e` now waits behind, `None` once enabled.
     ///
@@ -965,8 +931,8 @@ impl TreeScheduler {
         let mut rest = &mut records[..passing];
         let next = |e: &Arc<EffectRecord>| e.prefix_path[depth + 1];
         rest.sort_by_key(next);
-        // Hand-over-hand: fold each group's Bloom bits into its child's
-        // subtree filter and lock the child *before this node's lock is
+        // Hand-over-hand: set each group's child's subtree flags and lock
+        // the child *before this node's lock is
         // released* (the publication invariant the skip rules rely on), then
         // continue in the children one by one.
         let mut locked: Vec<(NodeGuard, usize)> = Vec::new();
@@ -1064,13 +1030,12 @@ impl TreeScheduler {
             drop(guard);
             let key = held[guards.len()];
             let parent = guards.last_mut().expect("the root stays");
-            let Some((bloom, write_bloom)) = summary else {
+            let Some((any, writes)) = summary else {
                 parent.children.remove(&key);
                 continue;
             };
             if let Some(entry) = parent.children.get_mut(&key) {
-                entry.bloom = bloom;
-                entry.write_bloom = write_bloom;
+                (entry.any, entry.writes) = (any, writes);
             }
         }
     }
@@ -1197,15 +1162,15 @@ impl Scheduler for TreeScheduler {
         self.flush_vacated();
     }
 
-    fn wake_rechecks(&self) -> u64 {
-        self.rechecks.load(Ordering::Relaxed)
-    }
-
-    fn diagnostics(&self) -> crate::scheduler::SchedulerDiagnostics {
-        crate::scheduler::SchedulerDiagnostics {
-            tree_nodes: self.tree_nodes(),
-            recorded_effects: self.recorded_effects(),
-            queued_tasks: self.queued.load(Ordering::Relaxed),
+    /// Flushes the pending prunes first, so a drained scheduler reports a
+    /// bare root.
+    fn diagnostics(&self) -> SchedulerDiagnostics {
+        self.flush_vacated();
+        SchedulerDiagnostics {
+            tree_nodes: Self::sum_nodes(&self.root, &|_| 1),
+            recorded_effects: Self::sum_nodes(&self.root, &NodeInner::record_count),
+            wake_rechecks: self.rechecks.load(Ordering::Relaxed),
+            scan_work: 0,
         }
     }
 }
@@ -1376,7 +1341,7 @@ mod tests {
         for t in &tasks {
             h.finish(t);
         }
-        assert_eq!(h.sched.recorded_effects(), 0);
+        assert_eq!(h.sched.diagnostics().recorded_effects, 0);
     }
 
     #[test]
@@ -1391,9 +1356,9 @@ mod tests {
         let h = harness();
         let a = task(1, "writes A:B, reads C");
         h.sched.submit(a.clone());
-        assert!(h.sched.recorded_effects() >= 2);
+        assert!(h.sched.diagnostics().recorded_effects >= 2);
         h.finish(&a);
-        assert_eq!(h.sched.recorded_effects(), 0);
+        assert_eq!(h.sched.diagnostics().recorded_effects, 0);
     }
 
     #[test]
@@ -1445,7 +1410,7 @@ mod tests {
         h.finish(&t1);
         assert!(h.enabled_ids().contains(&2));
         h.finish(&t2);
-        assert_eq!(h.sched.recorded_effects(), 0);
+        assert_eq!(h.sched.diagnostics().recorded_effects, 0);
     }
 
     #[test]
@@ -1534,7 +1499,7 @@ mod tests {
         assert_eq!(all_cells.status(), TaskStatus::Enabled);
         h.finish(&all_cells);
         h.finish(&unrelated);
-        assert_eq!(h.sched.recorded_effects(), 0);
+        assert_eq!(h.sched.diagnostics().recorded_effects, 0);
     }
 
     #[test]
@@ -1574,7 +1539,7 @@ mod tests {
                 h.finish(first);
                 assert_eq!(second.status(), TaskStatus::Enabled, "flip={flip}");
                 h.finish(second);
-                assert_eq!(h.sched.recorded_effects(), 0);
+                assert_eq!(h.sched.diagnostics().recorded_effects, 0);
             }
         }
     }
@@ -1604,7 +1569,7 @@ mod tests {
         assert_eq!(depth_of(&deep), 3, "moved down to X:Y:Z");
         h.finish(&deep);
         h.finish(&other);
-        assert_eq!(h.sched.tree_nodes(), 1);
+        assert_eq!(h.sched.diagnostics().tree_nodes, 1);
     }
 
     #[test]
@@ -1618,7 +1583,7 @@ mod tests {
         for t in &tasks {
             h.finish(t);
         }
-        assert_eq!(h.sched.recorded_effects(), 0);
+        assert_eq!(h.sched.diagnostics().recorded_effects, 0);
     }
 
     #[test]
@@ -1634,7 +1599,7 @@ mod tests {
         assert_eq!(b.status(), TaskStatus::Enabled);
         h.finish(&b);
         h.finish(&c);
-        assert_eq!(h.sched.recorded_effects(), 0);
+        assert_eq!(h.sched.diagnostics().recorded_effects, 0);
     }
 
     #[test]
@@ -1642,11 +1607,11 @@ mod tests {
         let h = harness();
         h.sched.submit_batch(Vec::new());
         assert!(h.enabled_ids().is_empty());
-        assert_eq!(h.sched.recorded_effects(), 0);
+        assert_eq!(h.sched.diagnostics().recorded_effects, 0);
         let t = task(1, "writes A, reads B");
         h.sched.submit_batch(vec![t.clone()]);
         assert_eq!(h.enabled_ids(), vec![1]);
-        assert_eq!(h.sched.recorded_effects(), 2);
+        assert_eq!(h.sched.diagnostics().recorded_effects, 2);
         // A pure task in a batch enables immediately, like in `submit`.
         let pure = task(2, "");
         let busy = task(3, "writes A");
@@ -1656,15 +1621,15 @@ mod tests {
         h.finish(&t);
         h.finish(&pure);
         h.finish(&busy);
-        assert_eq!(h.sched.recorded_effects(), 0);
+        assert_eq!(h.sched.diagnostics().recorded_effects, 0);
     }
 
     #[test]
-    fn stale_subtree_blooms_never_hide_later_records() {
+    fn stale_subtree_flags_never_hide_later_records() {
         // Rebuild staleness: a full wildcard walk rewrites the subtree
-        // Blooms (possibly down to zero after churn); records inserted
+        // flags (possibly clearing them after churn); records inserted
         // *after* the rebuild must still be found by the next walk, because
-        // their bits are re-OR'd during the insert descent.
+        // the insert descent sets them again.
         let h = harness();
         let churn: Vec<_> = (0..32)
             .map(|i| task(i, &format!("writes Zone:[{i}]")))
@@ -1675,7 +1640,7 @@ mod tests {
         for t in &churn {
             h.finish(t);
         }
-        // Walk 1: rebuilds the Zone subtree's filters to empty (and prunes).
+        // Walk 1: clears the Zone subtree's flags (and prunes).
         let sweep1 = task(100, "writes Zone:*");
         h.sched.submit(sweep1.clone());
         assert_eq!(sweep1.status(), TaskStatus::Enabled);
@@ -1696,12 +1661,12 @@ mod tests {
         h.finish(&sweep2);
         assert_eq!(qm.status(), TaskStatus::Enabled);
         h.finish(&qm);
-        assert_eq!(h.sched.recorded_effects(), 0);
+        assert_eq!(h.sched.diagnostics().recorded_effects, 0);
     }
 
     #[test]
     fn read_walks_skip_write_free_subtrees_but_not_writers() {
-        // The write-Bloom skip: a read wildcard over a subtree holding only
+        // The `writes`-flag skip: a read wildcard over a subtree holding only
         // read records enables immediately; add one writer below and the
         // same walk must find it.
         let h = harness();
@@ -1718,8 +1683,8 @@ mod tests {
         for t in &readers {
             h.finish(t);
         }
-        // An enabled writer below must block the next read walk (the
-        // write-Bloom bits were re-OR'd during its insert descent).
+        // An enabled writer below must block the next read walk (its
+        // insert descent set the `writes` flags again).
         let writer = task(51, "writes Lib:[3]");
         h.sched.submit(writer.clone());
         assert_eq!(writer.status(), TaskStatus::Enabled);
@@ -1733,7 +1698,7 @@ mod tests {
         h.finish(&writer);
         assert_eq!(scan2.status(), TaskStatus::Enabled);
         h.finish(&scan2);
-        assert_eq!(h.sched.recorded_effects(), 0);
+        assert_eq!(h.sched.diagnostics().recorded_effects, 0);
     }
 
     #[test]
@@ -1757,7 +1722,7 @@ mod tests {
         );
         h.finish(&deep);
         h.finish(&qm);
-        assert_eq!(h.sched.recorded_effects(), 0);
+        assert_eq!(h.sched.diagnostics().recorded_effects, 0);
     }
 
     #[test]
@@ -1816,7 +1781,7 @@ mod tests {
             0,
             "task isolation violated"
         );
-        assert_eq!(sched.recorded_effects(), 0);
+        assert_eq!(sched.diagnostics().recorded_effects, 0);
     }
 
     #[test]
@@ -1904,7 +1869,7 @@ mod tests {
             "task isolation violated"
         );
         assert_eq!(enabled_count.load(Ordering::Relaxed), 200);
-        assert_eq!(sched.recorded_effects(), 0);
+        assert_eq!(sched.diagnostics().recorded_effects, 0);
     }
 
     #[test]
@@ -1966,7 +1931,7 @@ mod tests {
             }
         });
         assert_eq!(stuck, None, "(round, A, B) with nobody to await either");
-        assert_eq!(sched.recorded_effects(), 0);
+        assert_eq!(sched.diagnostics().recorded_effects, 0);
     }
 
     #[test]
@@ -2023,8 +1988,8 @@ mod tests {
             peak > 2 * (PRUNE_BATCH - 1),
             "pruned before the list filled"
         );
-        assert_eq!(h.sched.tree_nodes(), 1);
-        assert_eq!(raw_nodes(&h.sched), 1, "`tree_nodes` flushed the rest");
+        assert_eq!(h.sched.diagnostics().tree_nodes, 1);
+        assert_eq!(raw_nodes(&h.sched), 1, "`diagnostics` flushed the rest");
     }
 
     #[test]
@@ -2045,7 +2010,7 @@ mod tests {
     #[test]
     fn write_walk_skip_is_sound_with_waiting_records() {
         // A subtree holding only a *waiting* record must not be skipped by
-        // the empty-Bloom write skip: the trailing-star walk has to find t2
+        // the empty-subtree write skip: the trailing-star walk has to find t2
         // and park behind the subtree's conflict chain.
         let h = harness();
         let t1 = task(1, "writes X:[1]");
@@ -2070,24 +2035,24 @@ mod tests {
     }
 
     #[test]
-    fn write_walk_skips_empty_bloom_children_and_prunes_vacant_ones() {
+    fn write_walk_skips_empty_children_and_prunes_vacant_ones() {
         let h = harness();
         let vacant = twe_effects::Rpl::parse("X:[1]").prefix_id();
         let empty = twe_effects::Rpl::parse("X:[7]").prefix_id();
         // X:[1] is left vacant by a finished task, its path pending: its
-        // Bloom bits stay set.
+        // subtree flags stay set.
         let t1 = task(1, "writes X:[1]");
         h.sched.submit(t1.clone());
         h.finish(&t1);
-        // X:[7] is a child with an empty subtree Bloom. No admission leaves
+        // X:[7] is a child with clear subtree flags. No admission leaves
         // one behind (an emptied node is pruned), so it is linked by hand.
         let x = first_level_node(&h.sched, "X");
         x.lock().children.insert(empty, ChildEntry::new(2));
         let t2 = task(2, "writes X:*");
         h.sched.submit(t2.clone());
         assert_eq!(t2.status(), TaskStatus::Enabled);
-        // Looked at before anything flushes the vacated paths (the
-        // diagnostic counters do), so the walk did this: a visited child
+        // Looked at before anything flushes the vacated paths (as
+        // `diagnostics` does), so the walk did this: a visited child
         // that turns out vacant is unlinked; a skipped one is never locked,
         // so it is still there.
         let children = &x.lock().children;
@@ -2103,7 +2068,7 @@ mod tests {
     }
 
     /// Nodes in the tree right now, pending prunes included
-    /// ([`TreeScheduler::tree_nodes`] flushes them first).
+    /// ([`Scheduler::diagnostics`] flushes them first).
     fn raw_nodes(sched: &TreeScheduler) -> usize {
         TreeScheduler::sum_nodes(&sched.root, &|_| 1)
     }
@@ -2140,7 +2105,7 @@ mod tests {
             t.mark_done();
             sched.task_done(t);
         }
-        assert_eq!(sched.recorded_effects(), 0);
+        assert_eq!(sched.diagnostics().recorded_effects, 0);
         (examined, UNLINK_STEPS.with(|c| c.get()))
     }
 
@@ -2191,7 +2156,7 @@ mod tests {
         }
         assert_eq!(writer.status(), TaskStatus::Enabled);
         h.finish(&writer);
-        assert_eq!(h.sched.recorded_effects(), 0);
+        assert_eq!(h.sched.diagnostics().recorded_effects, 0);
     }
 
     #[test]
@@ -2206,7 +2171,7 @@ mod tests {
         assert_eq!(covering_at_root(&h.sched), 0, "nothing parked at the root");
         h.finish(&root);
         h.finish(&deep);
-        assert_eq!(h.sched.recorded_effects(), 0);
+        assert_eq!(h.sched.diagnostics().recorded_effects, 0);
     }
 
     #[test]
@@ -2242,7 +2207,7 @@ mod tests {
                 writer.tree_effects.get().unwrap()[0].prefix_depth()
             );
             h.finish(&writer);
-            assert_eq!(h.sched.recorded_effects(), 0);
+            assert_eq!(h.sched.diagnostics().recorded_effects, 0);
         }
     }
 
@@ -2282,7 +2247,7 @@ mod tests {
         assert_eq!(covering_at_a(), 0, "both moved down");
         h.finish(&t3);
         h.finish(&exact);
-        assert_eq!(h.sched.tree_nodes(), 1);
+        assert_eq!(h.sched.diagnostics().tree_nodes, 1);
     }
 
     #[test]
@@ -2300,7 +2265,7 @@ mod tests {
         h.finish(&r);
         assert_eq!(h.enabled_ids(), vec![1, 2, 3]);
         h.finish(&w2);
-        assert_eq!(h.sched.recorded_effects(), 0);
+        assert_eq!(h.sched.diagnostics().recorded_effects, 0);
     }
 
     /// Pruning is deferred, bounded and sound, at the first level too. (The
@@ -2339,8 +2304,8 @@ mod tests {
             h.finish(t);
         }
         assert!(first_level(&h) < IDLE_PRUNE, "idle: less than a batch left");
-        assert_eq!(h.sched.tree_nodes(), 1);
-        assert_eq!(first_level(&h), 0, "`tree_nodes` flushed the rest");
+        assert_eq!(h.sched.diagnostics().tree_nodes, 1);
+        assert_eq!(first_level(&h), 0, "`diagnostics` flushed the rest");
 
         let batch = wave(10_000);
         h.sched.submit_batch(batch.clone());
@@ -2352,7 +2317,7 @@ mod tests {
         assert_eq!(first_level(&h), 10_000, "nobody admitted, nobody pruned");
         h.finish(last);
         assert_eq!(first_level(&h), 0, "the completion that emptied it drained");
-        assert_eq!(h.sched.recorded_effects(), 0);
+        assert_eq!(h.sched.diagnostics().recorded_effects, 0);
 
         // A node is readmitted to while its vacated path is still pending:
         // the drain must leave it alone, and a `writes *` sweeper must find
@@ -2365,13 +2330,17 @@ mod tests {
         let sweeper = task(20_002, "writes *");
         h.sched.submit(again.clone());
         assert_eq!(again.status(), TaskStatus::Enabled);
-        assert_eq!(h.sched.tree_nodes(), 3, "flushed around the live record");
+        assert_eq!(
+            h.sched.diagnostics().tree_nodes,
+            3,
+            "flushed around the live record"
+        );
         h.sched.submit(sweeper.clone());
         assert_eq!(sweeper.status(), TaskStatus::Waiting, "found below [7]");
         h.finish(&again);
         assert_eq!(sweeper.status(), TaskStatus::Enabled);
         h.finish(&sweeper);
-        assert_eq!(h.sched.tree_nodes(), 1);
+        assert_eq!(h.sched.diagnostics().tree_nodes, 1);
     }
 
     #[test]
@@ -2396,7 +2365,7 @@ mod tests {
         h.sched.region_retired(cell.region_id());
         assert_eq!(raw_nodes(&h.sched), 2, "root and Other");
         h.finish(&keeper);
-        assert_eq!(h.sched.tree_nodes(), 1);
+        assert_eq!(h.sched.diagnostics().tree_nodes, 1);
     }
     /// What one completion cost the wake path, from the per-thread counters.
     #[derive(Debug, Default, Clone, Copy)]
@@ -2436,7 +2405,7 @@ mod tests {
                 h.sched.submit(t.clone());
             }
             assert_eq!(h.enabled_ids(), vec![0]);
-            let before = h.sched.wake_rechecks();
+            let before = h.sched.diagnostics().wake_rechecks;
             for (i, t) in writers.iter().enumerate() {
                 assert_eq!(t.status(), TaskStatus::Enabled, "n = {n}: writer {i}");
                 let cost = finish_counting(&h, t);
@@ -2445,8 +2414,12 @@ mod tests {
                     "n = {n}: completion {i} cost {cost:?}"
                 );
             }
-            assert_eq!(h.sched.wake_rechecks() - before, n, "one recheck each");
-            assert_eq!(h.sched.recorded_effects(), 0);
+            assert_eq!(
+                h.sched.diagnostics().wake_rechecks - before,
+                n,
+                "one recheck each"
+            );
+            assert_eq!(h.sched.diagnostics().recorded_effects, 0);
         }
     }
 
@@ -2504,7 +2477,7 @@ mod tests {
             let cost = finish_counting(&h, t);
             assert!(cost.locks <= 2 && cost.steps <= 1, "writer {i}: {cost:?}");
         }
-        assert_eq!(h.sched.wake_rechecks(), n);
+        assert_eq!(h.sched.diagnostics().wake_rechecks, n);
     }
 
     #[test]
@@ -2524,12 +2497,12 @@ mod tests {
             h.sched.submit((*t).clone());
         }
         assert_eq!(h.enabled_ids(), vec![0, 1]);
-        let before = h.sched.wake_rechecks();
+        let before = h.sched.diagnostics().wake_rechecks;
         h.finish(&t0);
         h.sched.assert_wake_invariant();
         assert_eq!(h.enabled_ids(), vec![0, 1, 3], "t3 took Y from t2");
         assert!(
-            h.sched.wake_rechecks() - before >= 3,
+            h.sched.diagnostics().wake_rechecks - before >= 3,
             "t2, t3 and t4 at least"
         );
         while let Some(next) = all.iter().find(|t| t.status() == TaskStatus::Enabled) {
@@ -2537,7 +2510,7 @@ mod tests {
             h.sched.assert_wake_invariant();
         }
         assert!(all.iter().all(|t| t.is_done()), "{:?}", h.enabled_ids());
-        assert_eq!(h.sched.recorded_effects(), 0);
+        assert_eq!(h.sched.diagnostics().recorded_effects, 0);
     }
 
     #[test]
@@ -2573,7 +2546,7 @@ mod tests {
                 h.sched.assert_wake_invariant();
             }
             assert!(line.iter().all(|t| t.is_done()), "{:?}", h.enabled_ids());
-            assert_eq!(h.sched.recorded_effects(), 0);
+            assert_eq!(h.sched.diagnostics().recorded_effects, 0);
         }
     }
 
@@ -2643,6 +2616,6 @@ mod tests {
             assert!(waiters.iter().all(|t| t.is_done()), "round {round}");
         }
         other.join().expect("the second completer");
-        assert_eq!(h.sched.recorded_effects(), 0);
+        assert_eq!(h.sched.diagnostics().recorded_effects, 0);
     }
 }

@@ -110,7 +110,7 @@ fn tree_submit_and_task_done_stay_within_their_allocation_budgets() {
         task.mark_done();
         sched.task_done(task);
     }
-    assert_eq!(sched.tree_nodes(), 1);
+    assert_eq!(sched.diagnostics().tree_nodes, 1);
 }
 
 #[test]

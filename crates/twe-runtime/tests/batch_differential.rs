@@ -208,7 +208,7 @@ proptest! {
         sched.submit_batch(tasks.clone());
         drain(&sched, &tasks);
         prop_assert_eq!(violations.load(Ordering::Relaxed), 0, "isolation violated");
-        prop_assert_eq!(sched.recorded_effects(), 0);
+        prop_assert_eq!(sched.diagnostics().recorded_effects, 0);
     }
 
     /// Tree scheduler with stale subtree Blooms: run a churn phase (tasks
@@ -251,6 +251,6 @@ proptest! {
         sched.submit_batch(tasks.clone());
         drain(&sched, &tasks);
         prop_assert_eq!(violations.load(Ordering::Relaxed), 0, "isolation violated");
-        prop_assert_eq!(sched.recorded_effects(), 0);
+        prop_assert_eq!(sched.diagnostics().recorded_effects, 0);
     }
 }

@@ -257,7 +257,7 @@ fn sweep_and_prune_reclaim_freshly_interned_subtrees() {
         })
     };
 
-    let baseline = sched.tree_nodes();
+    let baseline = sched.diagnostics().tree_nodes;
     for round in 0..4 {
         // Cold-start a fresh subtree: 48 new leaf regions nobody has ever
         // interned, plus records on them.
@@ -274,7 +274,7 @@ fn sweep_and_prune_reclaim_freshly_interned_subtrees() {
         for t in &tasks {
             sched.submit(t.clone());
         }
-        let grown = sched.tree_nodes();
+        let grown = sched.diagnostics().tree_nodes;
         assert!(
             grown > baseline,
             "fresh subtrees must materialize as scheduler nodes"
@@ -309,7 +309,7 @@ fn sweep_and_prune_reclaim_freshly_interned_subtrees() {
         sweeper2.mark_done();
         sched.task_done(&sweeper2);
         assert_eq!(
-            sched.recorded_effects(),
+            sched.diagnostics().recorded_effects,
             0,
             "round {round}: all records must drain"
         );
@@ -317,7 +317,7 @@ fn sweep_and_prune_reclaim_freshly_interned_subtrees() {
     // After churn + walks, the per-round leaves must have been pruned: the
     // tree must not retain a node per fresh leaf region (4 rounds × 48
     // leaves would be ≥192 nodes if pruning failed).
-    let after = sched.tree_nodes();
+    let after = sched.diagnostics().tree_nodes;
     assert!(
         after < baseline + 4 * 48 / 2,
         "empty fresh leaves must be pruned (baseline {baseline}, after {after})"

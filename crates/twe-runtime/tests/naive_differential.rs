@@ -19,7 +19,7 @@
 //!
 //! The saturation tier then proves the point of the index: an unbounded
 //! 100k-deep disjoint backlog drains with near-linear total wakeup work
-//! (measured by the deterministic `wake_scan_work` counter, not
+//! (measured by the deterministic `scan_work` counter, not
 //! wall-clock), and the bounded admission policies keep an open-loop
 //! submitter from ever building such a backlog in the first place.
 
@@ -198,8 +198,8 @@ proptest! {
                 );
             }
         }
-        prop_assert_eq!(full.diagnostics().queued_tasks, 0);
-        prop_assert_eq!(indexed.diagnostics().queued_tasks, 0);
+        prop_assert_eq!(full.diagnostics().recorded_effects, 0);
+        prop_assert_eq!(indexed.diagnostics().recorded_effects, 0);
     }
 }
 
@@ -320,7 +320,7 @@ fn kmeans_shape_tree_equals_naive_in_lockstep() {
         }
         for run in &runs {
             let d = run.sched.diagnostics();
-            assert_eq!((d.queued_tasks, d.recorded_effects), (0, 0), "{}", run.name);
+            assert_eq!(d.recorded_effects, 0, "{}", run.name);
         }
     }
 }
@@ -405,7 +405,7 @@ fn descent_shapes_tree_equals_naive_in_lockstep() {
             audit();
         }
         let d = sched.diagnostics();
-        assert_eq!((d.queued_tasks, d.recorded_effects), (0, 0), "{mode:?}");
+        assert_eq!(d.recorded_effects, 0, "{mode:?}");
         trace
     };
     let naive = trace(
@@ -454,7 +454,7 @@ fn read_write_cycle_makes_progress_without_an_awaiter() {
             next.mark_done();
             sched.task_done(next);
         }
-        assert_eq!(sched.diagnostics().queued_tasks, 0, "{name}");
+        assert_eq!(sched.diagnostics().recorded_effects, 0, "{name}");
     }
     for batched in [false, true] {
         run("naive", batched, &NaiveScheduler::new(Box::new(|_| {})));
@@ -529,7 +529,7 @@ fn drain_backlog(sched: &NaiveScheduler, ready: &Arc<Mutex<Vec<Arc<TaskRecord>>>
 
 /// Submits an `n`-deep backlog of per-key conflict chains (`n / keys`
 /// tasks per chain), drains it, and returns the average wakeup work per
-/// completion from the deterministic `wake_scan_work()` counter.
+/// completion from the deterministic `scan_work` counter.
 fn backlog_per_event_work(n: usize, keys: usize) -> u64 {
     let ready: Arc<Mutex<Vec<Arc<TaskRecord>>>> = Arc::new(Mutex::new(Vec::new()));
     let r2 = ready.clone();
@@ -545,13 +545,14 @@ fn backlog_per_event_work(n: usize, keys: usize) -> u64 {
         })
         .collect();
     sched.submit_batch(tasks.clone());
-    assert_eq!(sched.diagnostics().queued_tasks, n);
+    assert_eq!(sched.diagnostics().recorded_effects, n);
     drain_backlog(&sched, &ready, n);
     for t in &tasks {
         assert_eq!(t.status(), TaskStatus::Done);
     }
-    assert_eq!(sched.diagnostics().queued_tasks, 0);
-    sched.wake_scan_work() / n as u64
+    let d = sched.diagnostics();
+    assert_eq!(d.recorded_effects, 0);
+    d.scan_work / n as u64
 }
 
 /// The saturation payoff: an indexed naive scheduler drains a 100k-deep
@@ -610,7 +611,7 @@ fn bounded_block_survives_open_loop_saturation() {
     for f in futures {
         f.wait();
     }
-    let stats = rt.admission_stats();
+    let stats = rt.stats();
     assert_eq!(sum.load(Ordering::Relaxed), TASKS as u64);
     assert_eq!(stats.admitted, TASKS as u64);
     assert_eq!(stats.shed, 0);
@@ -660,7 +661,7 @@ fn bounded_shed_accounts_exactly_under_saturation() {
     for f in admitted_futures {
         f.wait();
     }
-    let stats = rt.admission_stats();
+    let stats = rt.stats();
     assert_eq!(stats.admitted, completed);
     assert_eq!(
         stats.admitted + stats.shed,

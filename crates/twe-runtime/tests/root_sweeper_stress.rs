@@ -233,8 +233,12 @@ fn panics_mid_wave_release_the_parked_root_sweeper() {
             "{kind:?}: sweeper ran before the wave finished"
         );
         assert_eq!(sweeper_runs.load(Ordering::SeqCst), 1, "{kind:?}");
-        let d = rt.scheduler_diagnostics();
-        assert_eq!((d.queued_tasks, d.recorded_effects), (0, 0), "{kind:?}");
+        let stats = rt.stats();
+        assert_eq!(
+            (stats.depth, stats.scheduler.recorded_effects),
+            (0, 0),
+            "{kind:?}"
+        );
     }
 }
 
