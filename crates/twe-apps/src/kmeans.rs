@@ -123,23 +123,37 @@ struct ClusterAccum {
     sum: Vec<f64>,
 }
 
+/// One cluster of a TWE job: its accumulator and the effect of the
+/// `accumulate` task that updates it.
+struct Cluster {
+    /// `reads Root, writes Clusters:[k]`, built once per job. A two-effect
+    /// set holds its effects inline, so each point's task gets a copy
+    /// without parsing or allocating.
+    accumulate: EffectSet,
+    accum: RegionCell<ClusterAccum>,
+}
+
 /// The TWE implementation: per-point (or per-small-chunk) WorkTasks with
 /// effect `reads Root`, each running an `accumulate` task with effect
-/// `reads Root, writes Clusters:[k]` for its point's cluster.
+/// `reads Root, writes Clusters:[k]` for its point's cluster. The job builds
+/// the `reads Root` set and the K accumulate sets once; every task clones
+/// one of them.
 pub fn run_twe(rt: &Runtime, input: &KMeansInput) -> KMeansOutput {
     let k = input.config.n_clusters;
     let nf = input.config.n_features;
     let input = Arc::new(input.clone());
-    let accums: Arc<Vec<RegionCell<ClusterAccum>>> = Arc::new(
+    let clusters: Arc<Vec<Cluster>> = Arc::new(
         (0..k)
-            .map(|_| {
-                RegionCell::new(ClusterAccum {
+            .map(|c| Cluster {
+                accumulate: EffectSet::parse(&format!("reads Root, writes Clusters:[{c}]")),
+                accum: RegionCell::new(ClusterAccum {
                     count: 0,
                     sum: vec![0.0; nf],
-                })
+                }),
             })
             .collect(),
     );
+    let work = EffectSet::parse("reads Root");
 
     let ranges = chunk_ranges(
         input.config.n_points,
@@ -161,28 +175,25 @@ pub fn run_twe(rt: &Runtime, input: &KMeansInput) -> KMeansOutput {
     // grew with the square of the point count.
     let futures = rt.submit_all(ranges.into_iter().map(|range| {
         let input = input.clone();
-        let accums = accums.clone();
+        let clusters = clusters.clone();
         (
             "WorkTask",
-            EffectSet::parse("reads Root"),
+            work.clone(),
             move |ctx: &twe_runtime::TaskCtx<'_>| {
                 for p in range.clone() {
                     let cluster = nearest_cluster(&input, p);
+                    let effects = clusters[cluster].accumulate.clone();
                     let input = input.clone();
-                    let accums = accums.clone();
+                    let clusters = clusters.clone();
                     // The body of `accumulate` in Figure 5.1: an atomic task
                     // with a write effect on the cluster's region.
-                    ctx.execute(
-                        "accumulate",
-                        EffectSet::parse(&format!("reads Root, writes Clusters:[{cluster}]")),
-                        move |_| {
-                            let acc = accums[cluster].get_mut();
-                            acc.count += 1;
-                            for f in 0..nf {
-                                acc.sum[f] += input.points[p * nf + f] as f64;
-                            }
-                        },
-                    );
+                    ctx.execute("accumulate", effects, move |_| {
+                        let acc = clusters[cluster].accum.get_mut();
+                        acc.count += 1;
+                        for f in 0..nf {
+                            acc.sum[f] += input.points[p * nf + f] as f64;
+                        }
+                    });
                 }
             },
         )
@@ -191,11 +202,12 @@ pub fn run_twe(rt: &Runtime, input: &KMeansInput) -> KMeansOutput {
         f.wait();
     }
 
-    let accums = Arc::try_unwrap(accums).unwrap_or_else(|_| panic!("accumulators still shared"));
+    let clusters =
+        Arc::try_unwrap(clusters).unwrap_or_else(|_| panic!("accumulators still shared"));
     let mut counts = vec![0u64; k];
     let mut sums = vec![0f64; k * nf];
-    for (c, cell) in accums.into_iter().enumerate() {
-        let acc = cell.into_inner();
+    for (c, cluster) in clusters.into_iter().enumerate() {
+        let acc = cluster.accum.into_inner();
         counts[c] = acc.count;
         sums[c * nf..(c + 1) * nf].copy_from_slice(&acc.sum);
     }

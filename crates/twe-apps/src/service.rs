@@ -185,7 +185,7 @@ pub fn apply_trace(
             let tenant = op.tenant();
             let cell = &slots[tenant];
             let f = rt.execute_later(
-                &format!("trace{i}"),
+                format!("trace{i}"),
                 request_effects(cell, op),
                 request_body(Arc::clone(cell), op),
             );

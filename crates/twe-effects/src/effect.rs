@@ -45,6 +45,7 @@
 //! the `Rpl`s themselves were built (parse/`child`/`from_elements`).
 
 use crate::arena::RplId;
+use crate::inline::InlineList;
 use crate::rpl::Rpl;
 use std::fmt;
 
@@ -151,9 +152,9 @@ impl fmt::Debug for Effect {
 struct SetSummary {
     /// Sorted, deduped (depth-1, depth-2) anchor pairs of all effects (see
     /// [`anchor_pair`] for the encoding of the depth-2 half).
-    anchors_all: Vec<(RplId, RplId)>,
+    anchors_all: InlineList<(RplId, RplId)>,
     /// Sorted, deduped anchor pairs of the write effects.
-    anchors_write: Vec<(RplId, RplId)>,
+    anchors_write: InlineList<(RplId, RplId)>,
     /// 64-bit Bloom filter over the depth-1 halves of `anchors_all` (one
     /// hashed bit per anchor; pairs only match on equal depth-1 ids, so the
     /// depth-1 filter is a sound superset of pair intersection).
@@ -215,8 +216,8 @@ fn bloom_bit(id: RplId) -> u64 {
     1u64 << (id.index().wrapping_mul(0x9E37_79B9) >> 26)
 }
 
-/// Inserts a pair into a small sorted deduped vec.
-fn insort(v: &mut Vec<(RplId, RplId)>, pair: (RplId, RplId)) {
+/// Inserts a pair into a small sorted deduped list.
+fn insort(v: &mut InlineList<(RplId, RplId)>, pair: (RplId, RplId)) {
     if let Err(pos) = v.binary_search(&pair) {
         v.insert(pos, pair);
     }
@@ -363,16 +364,21 @@ impl SetSummary {
 /// effects (an
 /// `Effect` is a small `Copy` value, so duplicates carry no information and
 /// would only lengthen the pairwise loops). Equality and hashing consider
-/// the effect list only.
+/// the effect list only, as a slice: a set hashes exactly as
+/// [`EffectSet::effects`] does.
+///
+/// The effect list and both anchor-pair arrays hold up to two items inline
+/// and spill to the heap from the third, so building or cloning a one- or
+/// two-effect set allocates nothing.
 #[derive(Clone, Default)]
 pub struct EffectSet {
-    effects: Vec<Effect>,
+    effects: InlineList<Effect>,
     summary: SetSummary,
 }
 
 impl PartialEq for EffectSet {
     fn eq(&self, other: &Self) -> bool {
-        self.effects == other.effects
+        self.effects() == other.effects()
     }
 }
 
@@ -380,7 +386,7 @@ impl Eq for EffectSet {}
 
 impl std::hash::Hash for EffectSet {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.effects.hash(state);
+        self.effects().hash(state);
     }
 }
 
@@ -470,7 +476,7 @@ impl EffectSet {
     /// in both.
     pub fn union(&self, other: &EffectSet) -> EffectSet {
         let mut union = self.clone();
-        for &e in &other.effects {
+        for &e in other.iter() {
             union.push(e);
         }
         union
@@ -487,7 +493,7 @@ impl EffectSet {
     pub fn union_all<'a>(sets: impl IntoIterator<Item = &'a EffectSet>) -> EffectSet {
         let mut union = EffectSet::default();
         for set in sets {
-            for &e in &set.effects {
+            for &e in set.iter() {
                 union.push(e);
             }
         }

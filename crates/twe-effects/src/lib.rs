@@ -81,6 +81,7 @@ pub mod arena;
 pub mod compound;
 pub mod effect;
 pub mod idhash;
+mod inline;
 pub mod intern;
 mod leak;
 pub mod reclaim;

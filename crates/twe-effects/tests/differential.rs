@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use twe_effects::rpl::oracle;
-use twe_effects::{arena, Effect, EffectSet, Rpl, RplElement};
+use twe_effects::{arena, Effect, EffectSet, Rpl, RplElement, RplId};
 
 fn arb_element() -> impl Strategy<Value = RplElement> {
     prop_oneof![
@@ -155,15 +155,17 @@ fn arb_effect_vec() -> impl Strategy<Value = Vec<(bool, Vec<RplElement>)>> {
     proptest::collection::vec(arb_effect(), 0..6)
 }
 
+fn to_effect((write, elements): &(bool, Vec<RplElement>)) -> Effect {
+    let rpl = Rpl::new(elements.clone());
+    if *write {
+        Effect::write(rpl)
+    } else {
+        Effect::read(rpl)
+    }
+}
+
 fn build_set(effects: &[(bool, Vec<RplElement>)]) -> EffectSet {
-    EffectSet::from_effects(effects.iter().map(|(w, els)| {
-        let rpl = Rpl::new(els.clone());
-        if *w {
-            Effect::write(rpl)
-        } else {
-            Effect::read(rpl)
-        }
-    }))
+    EffectSet::from_effects(effects.iter().map(to_effect))
 }
 
 /// All-pairs non-interference over the raw element lists: the oracle the
@@ -242,6 +244,113 @@ proptest! {
         );
         prop_assert!(sa.included_in(&u));
         prop_assert!(sb.included_in(&u));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Representation independence: a set keeps up to two effects (and anchor
+// pairs) inline and spills to the heap from the third. However a set was
+// built, and on whichever side of the spill it sits, its equality, hash,
+// anchors and relations must be those of its effect list.
+// ---------------------------------------------------------------------------
+
+/// Short RPLs, so a handful of draws repeat effects and share anchors.
+fn arb_small_effect() -> impl Strategy<Value = (bool, Vec<RplElement>)> {
+    (
+        any::<bool>(),
+        proptest::collection::vec(arb_element(), 0..3),
+    )
+}
+
+fn hash_of<T: std::hash::Hash + ?Sized>(value: &T) -> u64 {
+    use std::hash::Hasher;
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
+type Pairs = Vec<(RplId, RplId)>;
+
+/// The sorted, deduplicated anchor pairs of all effects and of the writes,
+/// collected from one-effect sets into plain `Vec`s.
+fn anchor_oracle(effects: &[Effect]) -> (Pairs, Pairs) {
+    let (mut all, mut writes) = (Vec::new(), Vec::new());
+    for &e in effects {
+        let single = EffectSet::from_effects([e]);
+        all.extend_from_slice(single.anchors());
+        if e.is_write() {
+            writes.extend_from_slice(single.anchors());
+        }
+    }
+    for pairs in [&mut all, &mut writes] {
+        pairs.sort();
+        pairs.dedup();
+    }
+    (all, writes)
+}
+
+/// One set of 0–5 effects built three ways: `from_effects` in draw order;
+/// `push` in another order with repeats (the picks, then every effect in
+/// reverse); `union_all` of one-effect sets.
+fn three_ways(effects: &[Effect], picks: &[usize]) -> [EffectSet; 3] {
+    let mut pushed = EffectSet::pure();
+    if !effects.is_empty() {
+        for &i in picks {
+            pushed.push(effects[i % effects.len()]);
+        }
+    }
+    for &e in effects.iter().rev() {
+        pushed.push(e);
+    }
+    let singletons: Vec<EffectSet> = effects
+        .iter()
+        .map(|&e| EffectSet::from_effects([e]))
+        .collect();
+    [
+        EffectSet::from_effects(effects.iter().copied()),
+        pushed,
+        EffectSet::union_all(&singletons),
+    ]
+}
+
+proptest! {
+    /// However a set is built, `==` and `Hash` are those of its effect
+    /// list, `anchors()` / `write_anchors()` are the sorted deduplicated
+    /// pairs, and the relations match the all-pairs oracle — below, at and
+    /// past the two-item inline capacity.
+    #[test]
+    fn set_representation_never_shows(
+        a in proptest::collection::vec(arb_small_effect(), 0..6),
+        b in proptest::collection::vec(arb_small_effect(), 0..6),
+        picks in proptest::collection::vec(0..8usize, 0..8),
+    ) {
+        let effects: Vec<Effect> = a.iter().map(to_effect).collect();
+        let built = three_ways(&effects, &picks);
+        let others = three_ways(&b.iter().map(to_effect).collect::<Vec<_>>(), &picks);
+        let (all, writes) = anchor_oracle(&effects);
+        let mut sorted: Vec<Effect> = built[0].effects().to_vec();
+        sorted.sort();
+        for x in &built {
+            prop_assert_eq!(hash_of(x), hash_of(x.effects()), "{} hashes as its list", x);
+            // The same set whatever the order it was built in.
+            let mut mine = x.effects().to_vec();
+            mine.sort();
+            prop_assert_eq!(&mine, &sorted);
+            prop_assert_eq!(x.anchors(), &all[..], "anchors of {}", x);
+            prop_assert_eq!(x.write_anchors(), &writes[..], "write anchors of {}", x);
+            // Rebuilt from its own list: equal, and equal hashes.
+            let rebuilt = EffectSet::from_effects(x.effects().iter().copied());
+            prop_assert!(rebuilt == *x);
+            prop_assert_eq!(hash_of(&rebuilt), hash_of(x));
+            for y in built.iter().chain(&others) {
+                prop_assert_eq!(x == y, x.effects() == y.effects(), "{} vs {}", x, y);
+            }
+            for y in &others {
+                prop_assert_eq!(x.non_interfering(y), pairwise_non_interfering(&a, &b));
+                prop_assert_eq!(x.included_in(y), pairwise_included_in(&a, &b));
+                prop_assert_eq!(y.included_in(x), pairwise_included_in(&b, &a));
+            }
+        }
     }
 }
 

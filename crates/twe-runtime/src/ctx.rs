@@ -12,6 +12,7 @@ use crate::dynamics::{Aborted, DynCell};
 use crate::future::{SpawnedTaskFuture, TaskFuture};
 use crate::task::{TaskRecord, TaskStatus};
 use crate::RtInner;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -58,7 +59,14 @@ impl<'rt> TaskCtx<'rt> {
 
     /// Creates an asynchronous task that will run once the effect-aware
     /// scheduler determines it cannot interfere with any running task.
-    pub fn execute_later<T, F>(&self, name: &str, effects: EffectSet, body: F) -> TaskFuture<T>
+    /// `name` labels it in diagnostics: a literal costs nothing, a `String`
+    /// is kept as it is.
+    pub fn execute_later<T, F>(
+        &self,
+        name: impl Into<Cow<'static, str>>,
+        effects: EffectSet,
+        body: F,
+    ) -> TaskFuture<T>
     where
         T: Send + 'static,
         F: FnOnce(&TaskCtx<'_>) -> T + Send + 'static,
@@ -75,13 +83,14 @@ impl<'rt> TaskCtx<'rt> {
     /// on the tree scheduler — see `Scheduler::submit_batch`); only the
     /// per-task admission overhead is batched away. Admission runs on the
     /// calling worker, so this can never wait on the pool it is called from.
+    /// Names are taken as [`TaskCtx::execute_later`] takes them.
     pub fn execute_all_later<T, N, F>(
         &self,
         tasks: impl IntoIterator<Item = (N, EffectSet, F)>,
     ) -> Vec<TaskFuture<T>>
     where
         T: Send + 'static,
-        N: Into<String>,
+        N: Into<Cow<'static, str>>,
         F: FnOnce(&TaskCtx<'_>) -> T + Send + 'static,
     {
         self.rt.submit_all_impl(tasks)
@@ -89,7 +98,13 @@ impl<'rt> TaskCtx<'rt> {
 
     /// Creates a task and immediately waits for it: the `execute` operation
     /// of §5.5.1, the TWE idiom for a critical section within a larger task.
-    pub fn execute<T, F>(&self, name: &str, effects: EffectSet, body: F) -> T
+    /// `name` as for [`TaskCtx::execute_later`].
+    pub fn execute<T, F>(
+        &self,
+        name: impl Into<Cow<'static, str>>,
+        effects: EffectSet,
+        body: F,
+    ) -> T
     where
         T: Send + 'static,
         F: FnOnce(&TaskCtx<'_>) -> T + Send + 'static,
@@ -104,12 +119,19 @@ impl<'rt> TaskCtx<'rt> {
     ///
     /// Panics if the child's effects are not covered by this task's current
     /// covering effect (the run-time analogue of the exception TWEJava throws
-    /// when the static analysis deferred the check to run time).
-    pub fn spawn<T, F>(&self, name: &str, effects: EffectSet, body: F) -> SpawnedTaskFuture<T>
+    /// when the static analysis deferred the check to run time). `name` as
+    /// for [`TaskCtx::execute_later`].
+    pub fn spawn<T, F>(
+        &self,
+        name: impl Into<Cow<'static, str>>,
+        effects: EffectSet,
+        body: F,
+    ) -> SpawnedTaskFuture<T>
     where
         T: Send + 'static,
         F: FnOnce(&TaskCtx<'_>) -> T + Send + 'static,
     {
+        let name = name.into();
         assert!(
             self.covers(&effects),
             "spawn of task `{name}` with effects `{effects}` not covered by the current \

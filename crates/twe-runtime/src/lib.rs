@@ -95,6 +95,7 @@ use crate::task::TaskBody;
 use crate::tree::TreeScheduler;
 use parking_lot::Mutex;
 use std::any::Any;
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -502,7 +503,7 @@ impl RtInner {
     /// and the future on it. A task with a `spawned_parent` is a spawned one.
     pub(crate) fn new_task<T, F>(
         self: &Arc<Self>,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         effects: EffectSet,
         spawned_parent: Option<Arc<TaskRecord>>,
         body: F,
@@ -537,7 +538,7 @@ impl RtInner {
 
     pub(crate) fn execute_later_impl<T, F>(
         self: &Arc<Self>,
-        name: &str,
+        name: impl Into<Cow<'static, str>>,
         effects: EffectSet,
         body: F,
     ) -> TaskFuture<T>
@@ -557,7 +558,7 @@ impl RtInner {
     /// the body is dropped unexecuted.
     pub(crate) fn try_execute_later_impl<T, F>(
         self: &Arc<Self>,
-        name: &str,
+        name: impl Into<Cow<'static, str>>,
         effects: EffectSet,
         body: F,
     ) -> Option<TaskFuture<T>>
@@ -618,7 +619,7 @@ impl RtInner {
     ) -> Vec<TaskFuture<T>>
     where
         T: Send + 'static,
-        N: Into<String>,
+        N: Into<Cow<'static, str>>,
         F: FnOnce(&TaskCtx<'_>) -> T + Send + 'static,
     {
         let build = |(name, effects, body)| self.new_task(name, effects, None, body);
@@ -658,7 +659,7 @@ impl RtInner {
     /// each `Err(Aborted)` (§7.2.4). A panic ends it like any other task.
     pub(crate) fn execute_later_retry_impl<T, F>(
         self: &Arc<Self>,
-        name: &str,
+        name: impl Into<Cow<'static, str>>,
         effects: EffectSet,
         body: F,
     ) -> TaskFuture<T>
@@ -831,7 +832,7 @@ impl Runtime {
     /// [`AdmissionPolicy::Unbounded`] and from pool worker threads.
     pub fn try_execute_later<T, F>(
         &self,
-        name: &str,
+        name: impl Into<Cow<'static, str>>,
         effects: EffectSet,
         body: F,
     ) -> Option<TaskFuture<T>>
@@ -844,8 +845,15 @@ impl Runtime {
 
     /// Creates an asynchronous task with the given declared effects; it runs
     /// once the scheduler determines it cannot interfere with any running
-    /// task.
-    pub fn execute_later<T, F>(&self, name: &str, effects: EffectSet, body: F) -> TaskFuture<T>
+    /// task. `name` labels the task in diagnostics: a literal costs nothing,
+    /// a `String` (`format!(..)`, passed by value) is kept as it is. Every
+    /// other task-creating method takes its names the same way.
+    pub fn execute_later<T, F>(
+        &self,
+        name: impl Into<Cow<'static, str>>,
+        effects: EffectSet,
+        body: F,
+    ) -> TaskFuture<T>
     where
         T: Send + 'static,
         F: FnOnce(&TaskCtx<'_>) -> T + Send + 'static,
@@ -855,6 +863,7 @@ impl Runtime {
 
     /// Creates a whole batch of asynchronous tasks — `(name, effects, body)`
     /// triples — and admits them to the scheduler in **one batch round**.
+    /// Names are taken as [`Runtime::execute_later`] takes them.
     ///
     /// The observable scheduling outcome is that of calling
     /// [`Runtime::execute_later`] on each triple sequentially — exactly in
@@ -909,7 +918,7 @@ impl Runtime {
     ) -> Vec<TaskFuture<T>>
     where
         T: Send + 'static,
-        N: Into<String>,
+        N: Into<Cow<'static, str>>,
         F: FnOnce(&TaskCtx<'_>) -> T + Send + 'static,
     {
         self.inner.submit_all_impl(tasks)
@@ -920,7 +929,7 @@ impl Runtime {
     /// returns `Err(Aborted)` after a dynamic-effect conflict.
     pub fn execute_later_retry<T, F>(
         &self,
-        name: &str,
+        name: impl Into<Cow<'static, str>>,
         effects: EffectSet,
         body: F,
     ) -> TaskFuture<T>
@@ -932,7 +941,7 @@ impl Runtime {
     }
 
     /// Creates a task and waits for it from the calling (non-task) thread.
-    pub fn run<T, F>(&self, name: &str, effects: EffectSet, body: F) -> T
+    pub fn run<T, F>(&self, name: impl Into<Cow<'static, str>>, effects: EffectSet, body: F) -> T
     where
         T: Send + 'static,
         F: FnOnce(&TaskCtx<'_>) -> T + Send + 'static,
@@ -990,7 +999,7 @@ mod tests {
         let futures: Vec<_> = (0..100)
             .map(|i| {
                 rt.execute_later(
-                    &format!("t{i}"),
+                    format!("t{i}"),
                     EffectSet::parse(&format!("writes Data:[{i}]")),
                     move |_| i * 2,
                 )
@@ -1140,7 +1149,7 @@ mod tests {
                 .map(|i| {
                     let shared = shared.clone();
                     rt.execute_later(
-                        &format!("inc{i}"),
+                        format!("inc{i}"),
                         EffectSet::parse("writes Counter"),
                         move |_| {
                             // Only safe because the scheduler guarantees task
@@ -1202,7 +1211,7 @@ mod tests {
             for i in 0..8 {
                 let c = c.clone();
                 ctx.spawn(
-                    &format!("child{i}"),
+                    format!("child{i}"),
                     EffectSet::parse(&format!("writes Data:[{i}]")),
                     move |_| {
                         std::thread::sleep(Duration::from_millis(1));
@@ -1239,7 +1248,7 @@ mod tests {
                 for i in 0..8 {
                     let ran = ran.clone();
                     drop(rt.execute_later(
-                        &format!("w{i}"),
+                        format!("w{i}"),
                         EffectSet::parse("writes Hot"),
                         move |_| {
                             ran.fetch_add(1, Ordering::Relaxed);
@@ -1306,7 +1315,7 @@ mod tests {
             .map(|i| {
                 let value = value.clone();
                 rt.execute_later(
-                    &format!("outer{i}"),
+                    format!("outer{i}"),
                     EffectSet::parse(&format!("writes Local:[{i}]")),
                     move |ctx| {
                         ctx.execute("crit", EffectSet::parse("writes Shared"), move |_| {
@@ -1348,7 +1357,7 @@ mod tests {
                 .build();
             let futures: Vec<_> = (0..32)
                 .map(|i| {
-                    rt.execute_later(&format!("slow{i}"), EffectSet::parse("writes S"), |_| {
+                    rt.execute_later(format!("slow{i}"), EffectSet::parse("writes S"), |_| {
                         std::thread::sleep(Duration::from_micros(200));
                     })
                 })
@@ -1497,7 +1506,7 @@ mod tests {
                 }
             });
             let backlog: Vec<_> = (1..64)
-                .map(|i| rt.execute_later(&format!("b{i}"), EffectSet::parse("writes W"), |_| ()))
+                .map(|i| rt.execute_later(format!("b{i}"), EffectSet::parse("writes W"), |_| ()))
                 .collect();
             assert_eq!(rt.stats().depth, 64, "{kind:?}: at the cap");
             rt.inner.wave_sizes.lock().clear();
@@ -1755,7 +1764,7 @@ mod tests {
                 g2.wait();
             });
             let rest: Vec<_> = (0..8)
-                .map(|i| rt.execute_later(&format!("q{i}"), EffectSet::parse("writes Q"), |_| ()))
+                .map(|i| rt.execute_later(format!("q{i}"), EffectSet::parse("writes Q"), |_| ()))
                 .collect();
             // The holder plus 8 parked waiters are in flight.
             let stats = rt.stats();
@@ -1784,7 +1793,7 @@ mod tests {
         let futures: Vec<_> = (0..16)
             .map(|i| {
                 let cells = cells.clone();
-                rt.execute_later_retry(&format!("dyn{i}"), EffectSet::pure(), move |ctx| {
+                rt.execute_later_retry(format!("dyn{i}"), EffectSet::pure(), move |ctx| {
                     // Claim two cells, then update both.
                     let a = &cells[i % 4];
                     let b = &cells[(i + 1) % 4];

@@ -15,6 +15,7 @@
 
 use parking_lot::Mutex;
 use std::any::Any;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use twe_effects::EffectSet;
@@ -85,8 +86,9 @@ impl TaskBody for NoBody {
 pub struct TaskRecord<B: ?Sized = dyn TaskBody> {
     /// Unique id (creation order).
     pub id: u64,
-    /// Human-readable name for diagnostics.
-    pub name: String,
+    /// Human-readable name for diagnostics: borrowed when it is a literal,
+    /// so naming a task allocates nothing.
+    pub name: Cow<'static, str>,
     /// The task's declared (static) effects.
     pub effects: EffectSet,
     /// Scheduling state (status, disabled-effect count, rechecking flag).
@@ -133,7 +135,7 @@ impl<B: TaskBody + 'static> TaskRecord<B> {
     /// state with `body` as its tail.
     pub(crate) fn with_body(
         id: u64,
-        name: String,
+        name: Cow<'static, str>,
         effects: EffectSet,
         spawned: bool,
         rt: Option<Arc<RtInner>>,
@@ -166,8 +168,14 @@ impl TaskRecord {
     /// Creates a new record in the `Waiting` state, with no body and no
     /// runtime: what drives a bare scheduler. Whoever submits it holds it
     /// until it has called `task_done` for it (the
-    /// [`Scheduler`](crate::scheduler::Scheduler) ownership contract).
-    pub fn new(id: u64, name: impl Into<String>, effects: EffectSet, spawned: bool) -> Arc<Self> {
+    /// [`Scheduler`](crate::scheduler::Scheduler) ownership contract). A
+    /// literal `name` costs nothing, a `String` is kept as it is.
+    pub fn new(
+        id: u64,
+        name: impl Into<Cow<'static, str>>,
+        effects: EffectSet,
+        spawned: bool,
+    ) -> Arc<Self> {
         TaskRecord::with_body(id, name.into(), effects, spawned, None, NoBody)
     }
 

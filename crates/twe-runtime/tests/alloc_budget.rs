@@ -5,11 +5,13 @@
 //! the bar. The allocator counts per thread and only while a measurement is
 //! armed, so pool workers and the harness do not disturb the numbers. Run
 //! with `--test-threads=1` all the same: the bars are about one submitter.
+//! What a task allocates on every thread, from submit to done, is counted
+//! by `twe-apps/tests/kmeans_alloc_budget.rs`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
-use twe_effects::{EffectSet, Rpl};
+use twe_effects::{Effect, EffectSet, Rpl};
 use twe_runtime::scheduler::Scheduler;
 use twe_runtime::tree::TreeScheduler;
 use twe_runtime::{DynCell, Runtime, SchedulerKind, TaskCtx, TaskRecord};
@@ -73,6 +75,44 @@ fn key_regions(tenants: &[Arc<DynCell<u32>>]) -> Vec<Rpl> {
                 .child_index((i / TENANTS) as i64)
         })
         .collect()
+}
+
+#[test]
+fn small_effect_sets_build_and_clone_without_allocating() {
+    let tenant = DynCell::new(0u32);
+    let (a, b, c) = (
+        tenant.rpl().child_name("Key").child_index(1),
+        tenant.rpl().child_name("Key").child_index(2),
+        tenant.rpl().child_name("Key").child_index(3),
+    );
+    let (n, sets) = allocations(|| {
+        let read = EffectSet::read(a);
+        let write = EffectSet::write(b);
+        let two = EffectSet::from_effects([Effect::read(a), Effect::write(b)]);
+        let clones = (read.clone(), write.clone(), two.clone());
+        (read, write, two, clones)
+    });
+    assert_eq!(
+        n, 0,
+        "allocations building and cloning 1- and 2-effect sets"
+    );
+    let (read, write, two, (read2, write2, two2)) = sets;
+    assert_eq!((read2, write2, &two2), (read, write, &two));
+    assert_eq!(two.len(), 2);
+    // A third effect spills to the heap and the set stays the same set.
+    let (n, three) = allocations(|| {
+        let mut three = two.clone();
+        three.push(Effect::write(c));
+        three
+    });
+    assert!(n > 0, "a three-effect set spills");
+    assert_eq!(
+        three,
+        EffectSet::from_effects([Effect::read(a), Effect::write(b), Effect::write(c)])
+    );
+    assert_ne!(three, two);
+    assert!(two.included_in(&three) && !three.included_in(&two));
+    assert!(three.interferes(&EffectSet::read(c)) && !two.interferes(&EffectSet::read(c)));
 }
 
 #[test]
