@@ -332,9 +332,9 @@ mod tests {
 
     #[test]
     fn one_task_per_point_at_the_benchmark_shape() {
-        // The shape `kmeans-batch` drives (Fig. 6.3): 2 000 `reads Root`
-        // WorkTasks in flight, each blocking on one nested `execute`, 40
-        // clusters to collide on.
+        // The shape `kmeans-batch` drives (Fig. 6.3) on the scheduler it
+        // drives it on: 2 000 `reads Root` WorkTasks in flight, each blocking
+        // on one nested `execute`, 40 clusters to collide on.
         let input = generate(&KMeansConfig {
             n_clusters: 40,
             ..KMeansConfig::default()
@@ -345,15 +345,10 @@ mod tests {
         );
         let expected = run_sequential(&input);
         let run = move || {
-            for kind in [SchedulerKind::Naive, SchedulerKind::Tree] {
-                for threads in [1, 2] {
-                    let rt = Runtime::new(threads, kind);
-                    let got = run_twe(&rt, &input);
-                    assert!(
-                        outputs_match(&got, &expected),
-                        "{kind:?}, {threads} threads"
-                    );
-                }
+            for threads in [1, 2] {
+                let rt = Runtime::new(threads, SchedulerKind::Tree);
+                let got = run_twe(&rt, &input);
+                assert!(outputs_match(&got, &expected), "{threads} threads");
             }
         };
         // The waiting thread helps run WorkTasks, each of which blocks in a

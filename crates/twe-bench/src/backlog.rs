@@ -1,60 +1,30 @@
-//! Backlog microbenchmarks (`BENCH_backlog.json`): what a completion costs
-//! behind a deep backlog, non-conflicting on the naive scheduler and
-//! conflicting on both.
+//! The backlog microbenchmark (`BENCH_backlog.json`): what a completion
+//! costs behind a deep conflicting backlog, on both schedulers.
 //!
-//! **Conflicting mix** ([`run_conflicting_sweep`]). The benchmark's
-//! `svc-contended` population — 4 tenants x 64 keys, Zipf(1.1) over both,
-//! 60 % read / 30 % write / 10 % tenant scan — through a [`Runtime`], closed
-//! loop in bursts of 64, a burst whenever it fits under the in-flight cap,
-//! at caps of 64 to 4 096: per-request wall time and the scheduler's
-//! `wake_rechecks` per completion, three repetitions each. A wake path that
-//! rechecks every waiter of every completion grows with the *cube* of the
-//! cap here (each of n completions rechecks O(n) waiters, each recheck
-//! scanning O(n) records); the tree's hand-on keeps rechecks per completion
-//! flat. The naive scheduler is the contrast column and is allowed to lose.
-//!
-//! **Naive chains.** The per-completion cost of the naive scheduler's wakeup
-//! path as a function of backlog depth, for both wakeup disciplines:
-//!
-//! * **indexed** (`NaiveScheduler::new`) — completions consult only the
-//!   waiter-index buckets their anchors hit, so per-completion cost tracks
-//!   the *conflict chain length*, not the queue depth;
-//! * **full_scan** (`NaiveScheduler::new_full_scan`) — the dissertation's
-//!   literal discipline: every completion rescans the whole queue, so
-//!   per-completion cost grows linearly with depth (and draining a backlog
-//!   is quadratic).
-//!
-//! Each row drives a raw scheduler (no worker pool — the enable callback
-//! is the work queue) through a `backlog`-deep batch of per-key write
-//! chains (`writes K:[i % keys]`, keys scaled to keep chains ~8 long) and
-//! reports nanoseconds per `task_done` plus the deterministic
-//! `scan_work` counter. The scheduled-CI scaling bar reads the
-//! indexed rows: `per_done_ns` at 64k backlog must stay within 8x its 4k
-//! value — quadratic wakeups fail that by an order of magnitude. The
-//! full-scan discipline is measured only at the smaller depths for the
-//! contrast column; at 64k it would be the quadratic grind the index
-//! exists to avoid.
+//! The benchmark's `svc-contended` population — 4 tenants x 64 keys,
+//! Zipf(1.1) over both, 60 % read / 30 % write / 10 % tenant scan — goes
+//! through a [`Runtime`] ([`run_conflicting_sweep`]), closed loop in bursts
+//! of 64, a burst whenever it fits under the in-flight cap, at caps of 64
+//! to 4 096: per-request wall time and the scheduler's `wake_rechecks` per
+//! completion, three repetitions each. A wake path that rechecks every
+//! waiter of every completion grows with the *cube* of the cap here (each
+//! of n completions rechecks O(n) waiters, each recheck scanning O(n)
+//! records); the tree's hand-on keeps rechecks per completion flat. The
+//! single queue is the paper's baseline and the contrast column.
 
 use serde::Serialize;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use twe_apps::util::SplitMix64;
 use twe_effects::{EffectSet, Rpl};
-use twe_runtime::naive::NaiveScheduler;
-use twe_runtime::scheduler::Scheduler;
-use twe_runtime::task::TaskRecord;
 use twe_runtime::{Runtime, SchedulerKind, TaskCtx};
 
-/// Both halves of `BENCH_backlog.json`.
+/// `BENCH_backlog.json`.
 #[derive(Clone, Debug, Serialize)]
 pub struct BacklogRecord {
     /// The conflicting mix through a `Runtime`, by scheduler and in-flight
     /// cap.
     pub conflicting_mix: Vec<ConflictingRow>,
-    /// The naive scheduler's per-key write chains, by wakeup discipline and
-    /// depth.
-    pub naive_chains: Vec<BacklogRow>,
 }
 
 /// A value over the repetitions of one cell.
@@ -243,118 +213,6 @@ pub fn print_conflicting_rows(rows: &[ConflictingRow]) {
     }
 }
 
-/// One row of `BENCH_backlog.json`.
-#[derive(Clone, Debug, Serialize)]
-pub struct BacklogRow {
-    /// Wakeup discipline: `"indexed"` or `"full_scan"`.
-    pub mode: String,
-    /// Queue depth the drain starts from.
-    pub backlog: usize,
-    /// Distinct conflict keys (chain length = `backlog / keys`).
-    pub keys: usize,
-    /// Mean wall-clock nanoseconds per `task_done` over the whole drain.
-    pub per_done_ns: u64,
-    /// Mean `scan_work` units per completion (deterministic; the
-    /// structural push-CI assertion uses this, not the timing).
-    pub scan_work_per_done: u64,
-    /// `std::thread::available_parallelism()` of the measuring host.
-    pub host_cpus: usize,
-}
-
-/// Backlog depths the indexed discipline is measured at.
-pub const BACKLOG_DEPTHS_INDEXED: [usize; 3] = [4_096, 16_384, 65_536];
-
-/// Backlog depths the full-scan contrast is measured at (stops before the
-/// quadratic wall).
-pub const BACKLOG_DEPTHS_FULL_SCAN: [usize; 2] = [4_096, 16_384];
-
-fn measure(mode: &str, backlog: usize) -> BacklogRow {
-    // Keys scale with depth so the chain length stays ~8: depth is the
-    // variable under test, per-key contention is held fixed.
-    let keys = (backlog / 8).max(1);
-    let ready: Arc<Mutex<Vec<Arc<TaskRecord>>>> = Arc::new(Mutex::new(Vec::new()));
-    let r2 = ready.clone();
-    let enable: Box<dyn Fn(Arc<TaskRecord>) + Send + Sync> =
-        Box::new(move |t| r2.lock().unwrap().push(t));
-    let sched = match mode {
-        "indexed" => NaiveScheduler::new(enable),
-        "full_scan" => NaiveScheduler::new_full_scan(enable),
-        _ => unreachable!("unknown mode {mode}"),
-    };
-    let tasks: Vec<Arc<TaskRecord>> = (0..backlog)
-        .map(|i| {
-            TaskRecord::new(
-                i as u64,
-                format!("b{i}"),
-                EffectSet::parse(&format!("writes K:[{}]", i % keys)),
-                false,
-            )
-        })
-        .collect();
-    sched.submit_batch(tasks);
-
-    let started = Instant::now();
-    let mut done = 0usize;
-    while done < backlog {
-        let next = ready.lock().unwrap().pop();
-        let t = next.unwrap_or_else(|| panic!("backlog drain stalled at {done}/{backlog}"));
-        t.mark_done();
-        sched.task_done(&t);
-        done += 1;
-    }
-    let elapsed = started.elapsed();
-
-    BacklogRow {
-        mode: mode.to_string(),
-        backlog,
-        keys,
-        per_done_ns: (elapsed.as_nanos() / backlog as u128) as u64,
-        scan_work_per_done: sched.diagnostics().scan_work / backlog as u64,
-        host_cpus: host_cpus(),
-    }
-}
-
-/// Runs the backlog sweep. Quick mode keeps the 4k cells (both modes) —
-/// enough for the structural push-CI check that indexed scan work per
-/// completion stays an order of magnitude under full scan's; the scheduled
-/// 64k/4k ≤ 8x timing bar needs the full sweep.
-pub fn run_backlog_bench(quick: bool) -> Vec<BacklogRow> {
-    let mut rows = Vec::new();
-    let indexed: &[usize] = if quick {
-        &BACKLOG_DEPTHS_INDEXED[..1]
-    } else {
-        &BACKLOG_DEPTHS_INDEXED
-    };
-    let full: &[usize] = if quick {
-        &BACKLOG_DEPTHS_FULL_SCAN[..1]
-    } else {
-        &BACKLOG_DEPTHS_FULL_SCAN
-    };
-    for &backlog in indexed {
-        eprintln!("# backlog cell: indexed depth={backlog}");
-        rows.push(measure("indexed", backlog));
-    }
-    for &backlog in full {
-        eprintln!("# backlog cell: full_scan depth={backlog}");
-        rows.push(measure("full_scan", backlog));
-    }
-    rows
-}
-
-/// Pretty-prints the backlog rows.
-pub fn print_backlog_rows(rows: &[BacklogRow]) {
-    println!(
-        "{:<10} {:>8} {:>8} {:>12} {:>16}",
-        "mode", "backlog", "keys", "per_done", "scan work/done"
-    );
-    for r in rows {
-        println!(
-            "{:<10} {:>8} {:>8} {:>10}ns {:>16}",
-            r.mode, r.backlog, r.keys, r.per_done_ns, r.scan_work_per_done
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,33 +236,6 @@ mod tests {
         assert!(
             naive > 0.1,
             "the single queue re-evaluated nothing: {naive}"
-        );
-    }
-
-    #[test]
-    fn backlog_rows_show_the_index_beating_full_scan() {
-        // Small depths so the test stays quick even in debug; the
-        // structural claim is scale-free: at equal depth the indexed
-        // discipline's deterministic scan work per completion must sit
-        // far below full scan's (which rescans the whole queue).
-        let indexed = measure("indexed", 2_048);
-        let full = measure("full_scan", 2_048);
-        assert_eq!(indexed.backlog, full.backlog);
-        assert!(indexed.scan_work_per_done > 0);
-        assert!(
-            indexed.scan_work_per_done * 8 < full.scan_work_per_done,
-            "indexed {} vs full {} scan work per completion",
-            indexed.scan_work_per_done,
-            full.scan_work_per_done
-        );
-        // Chain length is fixed, so doubling the depth must not blow up
-        // indexed per-completion scan work (allow 2x noise headroom).
-        let deeper = measure("indexed", 4_096);
-        assert!(
-            deeper.scan_work_per_done <= indexed.scan_work_per_done * 2 + 64,
-            "indexed scan work grew with depth: {} at 4k vs {} at 2k",
-            deeper.scan_work_per_done,
-            indexed.scan_work_per_done
         );
     }
 }

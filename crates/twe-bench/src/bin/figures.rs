@@ -17,20 +17,17 @@
 //! `--reclaim-json` writes the rows as `BENCH_reclaim.json` (also a CI
 //! smoke-job artifact).
 //!
-//! `--fig backlog` runs only the backlog microbenchmarks. The conflicting
-//! mix: the `svc-contended` population through a `Runtime` on both
-//! schedulers, closed loop at 64 to 4 096 in flight, three repetitions —
-//! per-request time and rechecks per completion (quick mode stops at 256).
-//! The naive chains: per-`task_done` wakeup cost at 4k/16k/64k queue
-//! depths, the indexed discipline vs the dissertation's full rescan (full
-//! scan stops at 16k — deeper is the quadratic grind the index removes).
-//! `--backlog-json` writes both as `BENCH_backlog.json`, the input of the
-//! scheduled-CI scaling bars (tree per-request time at 1 024 in flight
-//! within 6x of 64; indexed 64k per_done_ns ≤ 8x its 4k value).
+//! `--fig backlog` runs only the backlog microbenchmark: the
+//! `svc-contended` population through a `Runtime` on both schedulers,
+//! closed loop at 64 to 4 096 in flight, three repetitions — per-request
+//! time and rechecks per completion (quick mode stops at 256).
+//! `--backlog-json` writes it as `BENCH_backlog.json`, the input of the
+//! scheduled-CI scaling bar (tree per-request time at 1 024 in flight
+//! within 6x of 64).
 
 use twe_bench::{
-    print_backlog_rows, print_conflicting_rows, print_reclaim_rows, print_rows, run_backlog_bench,
-    run_conflicting_sweep, run_figures, run_reclaim_bench, BacklogRecord,
+    print_conflicting_rows, print_reclaim_rows, print_rows, run_conflicting_sweep, run_figures,
+    run_reclaim_bench, BacklogRecord,
 };
 
 fn main() {
@@ -124,7 +121,7 @@ fn main() {
     }
     if run_backlog {
         eprintln!(
-            "# backlog microbenches ({} mode, host parallelism = {})",
+            "# backlog microbench ({} mode, host parallelism = {})",
             if quick { "quick" } else { "full" },
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -132,10 +129,8 @@ fn main() {
         );
         let record = BacklogRecord {
             conflicting_mix: run_conflicting_sweep(quick),
-            naive_chains: run_backlog_bench(quick),
         };
         print_conflicting_rows(&record.conflicting_mix);
-        print_backlog_rows(&record.naive_chains);
         if let Some(path) = backlog_json_path {
             let json = serde_json::to_string_pretty(&record).expect("serialize backlog rows");
             std::fs::write(&path, json).expect("write backlog JSON output");

@@ -18,9 +18,8 @@ pub mod backlog;
 pub mod reclaim;
 
 pub use backlog::{
-    print_backlog_rows, print_conflicting_rows, run_backlog_bench, run_conflicting_sweep,
-    BacklogRecord, BacklogRow, ConflictingRow, Spread, BACKLOG_DEPTHS_FULL_SCAN,
-    BACKLOG_DEPTHS_INDEXED, CONFLICTING_IN_FLIGHT,
+    print_conflicting_rows, run_conflicting_sweep, BacklogRecord, ConflictingRow, Spread,
+    CONFLICTING_IN_FLIGHT,
 };
 pub use reclaim::{print_reclaim_rows, run_reclaim_bench, ReclaimRow, RECLAIM_THREADS};
 

@@ -878,9 +878,8 @@ impl Runtime {
     /// in one admission round — records are grouped per child as the
     /// descent forks, so a shared region prefix is locked and
     /// conflict-checked once per batch instead of once per task; the naive
-    /// scheduler takes its queue lock once and evaluates each member against
-    /// only the queued tasks its interference index proves could conflict
-    /// with it.
+    /// scheduler takes its queue lock once and evaluates each member as it
+    /// is appended.
     ///
     /// An empty batch returns an empty vector without touching the
     /// scheduler, and a single-element batch takes the plain

@@ -27,11 +27,6 @@ pub struct SchedulerDiagnostics {
     /// says how much of a conflicting backlog each completion goes back
     /// over (`figures --fig backlog`).
     pub wake_rechecks: u64,
-    /// Queued tasks the naive scheduler's enable rounds have examined, summed
-    /// over every candidate evaluated: the quantity that made the full-scan
-    /// discipline quadratic under a deep backlog. Deterministic for a
-    /// deterministic call sequence; `0` for schedulers without a queue.
-    pub scan_work: u64,
 }
 
 /// The interface the runtime uses to drive an effect-aware task scheduler.

@@ -1170,7 +1170,6 @@ impl Scheduler for TreeScheduler {
             tree_nodes: Self::sum_nodes(&self.root, &|_| 1),
             recorded_effects: Self::sum_nodes(&self.root, &NodeInner::record_count),
             wake_rechecks: self.rechecks.load(Ordering::Relaxed),
-            scan_work: 0,
         }
     }
 }

@@ -156,7 +156,7 @@ fn tree_submit_and_task_done_stay_within_their_allocation_budgets() {
 #[test]
 fn submit_all_of_one_stays_within_its_allocation_budget() {
     const REQUESTS: usize = 2048;
-    for (kind, bar) in [(SchedulerKind::Tree, 6.5), (SchedulerKind::Naive, 5.5)] {
+    for (kind, bar) in [(SchedulerKind::Tree, 6.5), (SchedulerKind::Naive, 3.5)] {
         let tenants: Vec<_> = (0..TENANTS).map(|_| DynCell::new(0u32)).collect();
         let regions = key_regions(&tenants);
         let rt = Runtime::new(1, kind);

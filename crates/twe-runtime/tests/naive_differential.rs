@@ -1,71 +1,26 @@
-//! Differential and saturation tests for the naive scheduler's
-//! interference-indexed wakeups and the runtime's admission policies.
+//! Lockstep differentials of the tree scheduler against the single queue,
+//! and saturation tests of the runtime's admission policies.
 //!
-//! The indexed scheduler (`NaiveScheduler::new`) must be **exactly**
-//! equivalent to the full-scan discipline (`NaiveScheduler::new_full_scan`)
-//! — same enable log, same per-task statuses, after admission and after
-//! every drain step, on randomized mixed batches of concrete, trailing-`*`,
-//! trailing-`[?]`, and root-wildcard effect shapes, with prioritized
-//! rechecks (`on_await`) fired mid-drain. Both run single-threaded here, so
-//! this is the race-free exact tie the sampled in-scheduler debug assert
-//! cannot be (a concurrent `mark_done` makes the oracle drift benignly).
+//! The single queue (`NaiveScheduler`, §3.4.2) re-runs the enablement rule
+//! over its whole queue, so it is the oracle here. The lockstep scripts run
+//! the same steps through it and the tree and compare every task's status
+//! after each step: the k-means shape of Fig. 6.3 — a `reads Root` fan-out
+//! whose tasks each block on a nested `reads Root, writes Clusters:[k]`,
+//! which the tree files apart from the records descending writers meet —
+//! and the shapes where the tree's single-record descent takes over from
+//! its batch insert.
 //!
-//! A second lockstep tie runs the k-means shape of Fig. 6.3 — a `reads
-//! Root` fan-out whose tasks each block on a nested `reads Root, writes
-//! Clusters:[k]` — through the naive scheduler, the tree scheduler and the
-//! tree's single-root baseline at once: the tree files the fan-out's
-//! records apart from the ones descending writers meet, and must still
-//! decide every step as the single queue does.
-//!
-//! The saturation tier then proves the point of the index: an unbounded
-//! 100k-deep disjoint backlog drains with near-linear total wakeup work
-//! (measured by the deterministic `scan_work` counter, not
-//! wall-clock), and the bounded admission policies keep an open-loop
-//! submitter from ever building such a backlog in the first place.
+//! The saturation tier drives an open-loop submitter against one worker:
+//! the bounded admission policies must keep it from building a backlog.
 
-use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use twe_effects::EffectSet;
 use twe_runtime::naive::NaiveScheduler;
 use twe_runtime::scheduler::Scheduler;
 use twe_runtime::task::{TaskRecord, TaskStatus};
 use twe_runtime::tree::TreeScheduler;
 use twe_runtime::{AdmissionPolicy, Runtime, SchedulerKind};
-
-/// Same shape space as `batch_differential::arb_effect_text`: anchored
-/// concrete / index / `*` / `[?]` tails plus occasional root-settling
-/// shapes, so the wildcard bucket and the full-scan fallback both get
-/// traffic.
-fn arb_effect_text() -> impl Strategy<Value = String> {
-    ((0..4u8, 0..3u8, 0..4u8), (any::<bool>(), 0..4i64), 0..9u8).prop_map(
-        |((anchor, depth, shape), (write, index), sel)| {
-            let kind = if write { "writes" } else { "reads" };
-            if sel == 0 {
-                return format!("{kind} {}", ["Root", "*", "Root:[?]", "*"][shape as usize]);
-            }
-            let mut path = vec![if anchor == 3 {
-                format!("[{index}]")
-            } else {
-                ["PA", "PB", "PC"][anchor as usize].to_string()
-            }];
-            for level in 0..depth {
-                path.push(format!("L{level}"));
-            }
-            match shape {
-                0 => path.push("T".to_string()),
-                1 => path.push(format!("[{index}]")),
-                2 => path.push("*".to_string()),
-                _ => path.push("[?]".to_string()),
-            }
-            format!("{kind} {}", path.join(":"))
-        },
-    )
-}
-
-fn arb_batch() -> impl Strategy<Value = Vec<Vec<String>>> {
-    proptest::collection::vec(proptest::collection::vec(arb_effect_text(), 1..4), 1..24)
-}
 
 fn make_tasks(batch: &[Vec<String>]) -> Vec<Arc<TaskRecord>> {
     batch
@@ -90,116 +45,6 @@ fn splitmix64(mut state: u64) -> impl FnMut() -> u64 {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
-    }
-}
-
-fn log_and_scheduler<S>(
-    make: impl FnOnce(Box<dyn Fn(Arc<TaskRecord>) + Send + Sync>) -> S,
-) -> (Arc<Mutex<Vec<u64>>>, S) {
-    let log: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let l2 = log.clone();
-    let sched = make(Box::new(move |t| l2.lock().unwrap().push(t.id)));
-    (log, sched)
-}
-
-proptest! {
-    /// naive_indexed_equals_full_scan: the waiter index must never change
-    /// *what* gets enabled or *when* — only how many queue slots each
-    /// completion inspects. Lockstep drain with deterministic mid-drain
-    /// `on_await` promotions (every third round prioritizes a rotating
-    /// remaining task in both runs) so the Prioritized evaluation rule
-    /// goes through the index too.
-    #[test]
-    fn naive_indexed_equals_full_scan(batch in arb_batch()) {
-        let (full_log, full) = log_and_scheduler(NaiveScheduler::new_full_scan);
-        let full_tasks = make_tasks(&batch);
-        let (idx_log, indexed) = log_and_scheduler(NaiveScheduler::new);
-        let idx_tasks = make_tasks(&batch);
-
-        // Mixed admission: first half submitted one by one, second half as
-        // one batch — both paths feed the same index.
-        let half = full_tasks.len() / 2;
-        for t in &full_tasks[..half] {
-            full.submit(t.clone());
-        }
-        full.submit_batch(full_tasks[half..].to_vec());
-        for t in &idx_tasks[..half] {
-            indexed.submit(t.clone());
-        }
-        indexed.submit_batch(idx_tasks[half..].to_vec());
-
-        prop_assert_eq!(
-            &*full_log.lock().unwrap(),
-            &*idx_log.lock().unwrap(),
-            "enable logs after admission"
-        );
-        for (f, x) in full_tasks.iter().zip(&idx_tasks) {
-            prop_assert_eq!(f.status(), x.status(), "task {} after admission", f.id);
-        }
-
-        let mut remaining: Vec<(Arc<TaskRecord>, Arc<TaskRecord>)> =
-            full_tasks.into_iter().zip(idx_tasks).collect();
-        let mut rounds = 0usize;
-        while !remaining.is_empty() {
-            rounds += 1;
-            prop_assert!(rounds < 100_000, "stalled with {}", remaining.len());
-            // Deterministic mid-drain prioritization: promote a rotating
-            // waiter in both runs, like a TaskFuture::wait would.
-            if rounds % 3 == 0 {
-                let victim = rounds / 3 % remaining.len();
-                let (f, x) = &remaining[victim];
-                full.on_await(None, f);
-                indexed.on_await(None, x);
-                prop_assert_eq!(
-                    &*full_log.lock().unwrap(),
-                    &*idx_log.lock().unwrap(),
-                    "enable logs after on_await"
-                );
-            }
-            let next = remaining
-                .iter()
-                .position(|(f, _)| f.status() == TaskStatus::Enabled);
-            let pos = match next {
-                Some(pos) => pos,
-                None => {
-                    for (f, x) in remaining.iter() {
-                        full.on_await(None, f);
-                        indexed.on_await(None, x);
-                    }
-                    remaining
-                        .iter()
-                        .position(|(f, _)| f.status() == TaskStatus::Enabled)
-                        .expect("full-scan naive scheduler stalled")
-                }
-            };
-            let (f, x) = remaining.remove(pos);
-            prop_assert_eq!(
-                x.status(),
-                TaskStatus::Enabled,
-                "indexed run diverged on task {}",
-                x.id
-            );
-            f.mark_done();
-            full.task_done(&f);
-            x.mark_done();
-            indexed.task_done(&x);
-            prop_assert_eq!(
-                &*full_log.lock().unwrap(),
-                &*idx_log.lock().unwrap(),
-                "enable logs mid-drain"
-            );
-            for (f, x) in remaining.iter() {
-                prop_assert_eq!(
-                    f.status(),
-                    x.status(),
-                    "task {} mid-drain, batch {:?}",
-                    f.id,
-                    batch
-                );
-            }
-        }
-        prop_assert_eq!(full.diagnostics().recorded_effects, 0);
-        prop_assert_eq!(indexed.diagnostics().recorded_effects, 0);
     }
 }
 
@@ -511,77 +356,6 @@ fn multi_key_writers_drain_without_awaiters() {
         }
         assert_eq!(done, N, "threads={threads} wave={wave} seed={seed}");
     }
-}
-
-/// Drives a raw scheduler (no pool) through a deep disjoint backlog using
-/// the enable log as the work queue, so the drain itself is O(total) and
-/// the measurement isolates the scheduler's wakeup work.
-fn drain_backlog(sched: &NaiveScheduler, ready: &Arc<Mutex<Vec<Arc<TaskRecord>>>>, total: usize) {
-    let mut done = 0usize;
-    while done < total {
-        let next = ready.lock().unwrap().pop();
-        let t = next.unwrap_or_else(|| panic!("stalled after {done}/{total}"));
-        t.mark_done();
-        sched.task_done(&t);
-        done += 1;
-    }
-}
-
-/// Submits an `n`-deep backlog of per-key conflict chains (`n / keys`
-/// tasks per chain), drains it, and returns the average wakeup work per
-/// completion from the deterministic `scan_work` counter.
-fn backlog_per_event_work(n: usize, keys: usize) -> u64 {
-    let ready: Arc<Mutex<Vec<Arc<TaskRecord>>>> = Arc::new(Mutex::new(Vec::new()));
-    let r2 = ready.clone();
-    let sched = NaiveScheduler::new(Box::new(move |t| r2.lock().unwrap().push(t)));
-    let tasks: Vec<Arc<TaskRecord>> = (0..n)
-        .map(|i| {
-            TaskRecord::new(
-                i as u64,
-                format!("b{i}"),
-                EffectSet::parse(&format!("writes K:[{}]", i % keys)),
-                false,
-            )
-        })
-        .collect();
-    sched.submit_batch(tasks.clone());
-    assert_eq!(sched.diagnostics().recorded_effects, n);
-    drain_backlog(&sched, &ready, n);
-    for t in &tasks {
-        assert_eq!(t.status(), TaskStatus::Done);
-    }
-    let d = sched.diagnostics();
-    assert_eq!(d.recorded_effects, 0);
-    d.scan_work / n as u64
-}
-
-/// The saturation payoff: an indexed naive scheduler drains a 100k-deep
-/// backlog of per-key conflict chains in total wakeup work linear-ish in
-/// the drained tasks. Per completion the index touches only its key's
-/// chain — O(chain) candidates, each evaluated against O(chain) indexed
-/// peers — so per-event work depends on the chain length, **not** the
-/// queue depth: growing the backlog 8x at fixed chain length must leave
-/// per-event cost flat, where the full-scan discipline's grows with the
-/// queue (pinned at smaller sizes by the in-crate test
-/// `indexed_scan_work_stays_near_linear_on_disjoint_backlog`; full scan
-/// at 100k would itself be the quadratic hours-long grind). Work is the
-/// deterministic counter, so the assertion cannot flake on load.
-#[test]
-fn indexed_backlog_100k_drains_with_linear_scan_work() {
-    // Same ~98-task chain length at both sizes; only the depth differs.
-    let small = backlog_per_event_work(12_500, 128);
-    let large = backlog_per_event_work(100_000, 1_024);
-    assert!(
-        large <= 2 * small + 64,
-        "per-event wakeup work grew with queue depth: {large} slots/event at 100k \
-         vs {small} at 12.5k — the index is no longer O(chain)"
-    );
-    // Absolute guard: far below any full-scan floor (~queue depth slots
-    // per event at 100k).
-    assert!(
-        large < 12_500,
-        "per-event work {large} is within full-scan territory"
-    );
 }
 
 /// Open-loop saturation against a one-worker runtime: a submitter far
