@@ -13,38 +13,10 @@
 //! effect of the larger set (the paper notes this excludes coverage by a
 //! combination of effects but is sufficient in practice).
 //!
-//! # Set summaries
-//!
-//! Every `EffectSet` carries a precomputed **summary** maintained on
-//! `push`/`union`: the sorted, deduplicated array of each effect's *anchor
-//! pair* — the (depth-1, depth-2) ancestor ids of its RPL's wildcard-free
-//! prefix — a 64-bit Bloom filter over the depth-1 halves, and flags for
-//! *root-level wildcard* effects (`*…`/`[?]…`, which relate to every
-//! anchor). The depth-2 half uses two reserved encodings: the RPL's own
-//! depth-1 id again for a fully specified depth-≤1 region (`Data`,
-//! `Root:[5]` — the region *is* its anchor, covering nothing below), and
-//! [`RplId::ROOT`] as a *below-anchor wildcard* sentinel for RPLs whose
-//! wildcard starts at depth 2 (`Data:*`, `Tenant:[i]:[?]` — they may relate
-//! to anything under their depth-1 anchor). Two effects can only interfere
-//! when one is a write and their RPLs overlap, and overlap forces matching
-//! anchor pairs (equal pairs, or a sentinel on either side, or a root-level
-//! wildcard); likewise inclusion forces the covering effect onto a pair
-//! covering the covered effect's. [`EffectSet::non_interfering`] and
-//! [`EffectSet::included_in`] therefore reject pair-disjoint sets in
-//! O(set) — one Bloom AND plus at most one sorted merge — before falling
-//! back to the pairwise loop. Anchoring at the *pair* rather than depth 1
-//! alone is what lets workloads living under one shared top-level region
-//! (`Data:X:*` vs `Data:Y:*`, tenant scans `Tenant:[i]:*`) still get
-//! summary rejection instead of degrading to the pairwise loop.
-//!
-//! Summary construction sits on the conflict plane's *read* side: anchors
-//! come from already-interned prefix id paths ([`Rpl::prefix_id_path`] is a
-//! wait-free arena load), so `push`/`union`/`union_all` never intern, never
-//! take the arena's child-index lock, and can run concurrently with any number of
-//! cold-start first-interns on other threads. All interning happened when
-//! the `Rpl`s themselves were built (parse/`child`/`from_elements`).
+//! Both set relations are the plain pairwise loops of §2.2 over the effect
+//! list; each pair costs one [`Rpl`] relation on interned ids. Building a
+//! set never interns: all interning happened when its `Rpl`s were built.
 
-use crate::arena::RplId;
 use crate::inline::InlineList;
 use crate::rpl::Rpl;
 use std::fmt;
@@ -145,235 +117,21 @@ impl fmt::Debug for Effect {
     }
 }
 
-/// The precomputed conflict summary of an [`EffectSet`] (see the module
-/// docs). Derived entirely from the effect list, so it is excluded from
-/// equality and hashing.
-#[derive(Clone, Debug, Default)]
-struct SetSummary {
-    /// Sorted, deduped (depth-1, depth-2) anchor pairs of all effects (see
-    /// [`anchor_pair`] for the encoding of the depth-2 half).
-    anchors_all: InlineList<(RplId, RplId)>,
-    /// Sorted, deduped anchor pairs of the write effects.
-    anchors_write: InlineList<(RplId, RplId)>,
-    /// 64-bit Bloom filter over the depth-1 halves of `anchors_all` (one
-    /// hashed bit per anchor; pairs only match on equal depth-1 ids, so the
-    /// depth-1 filter is a sound superset of pair intersection).
-    bloom_all: u64,
-    /// 64-bit Bloom filter over the depth-1 halves of `anchors_write`.
-    bloom_write: u64,
-    /// Set if some read effect's RPL starts with a wildcard (`*…`/`[?]…`):
-    /// such an effect has no anchor and may relate to any region.
-    universal_read: bool,
-    /// Set if some write effect's RPL starts with a wildcard.
-    universal_write: bool,
-}
-
-/// The (depth-1, depth-2) anchor pair of an RPL, or `None` for root-level
-/// wildcards (see the module docs).
-///
-/// The first half is the depth-1 ancestor id of the RPL's wildcard-free
-/// prefix ([`RplId::ROOT`] only for the concrete `Root` region itself). The
-/// second half is:
-///
-/// * the prefix's depth-2 ancestor id when the prefix reaches depth 2 —
-///   a child id is always distinct from its parent's and from `ROOT`, so
-///   neither reserved encoding below can collide with it;
-/// * the depth-1 id again (`a2 == a1`) for a fully specified depth-≤1 RPL:
-///   the region *is* its own anchor and relates to no deeper region;
-/// * [`RplId::ROOT`] as the **below-anchor wildcard sentinel** when the
-///   wildcard starts at depth 2 (`A:*`, `A:[?]`): the effect may relate to
-///   anything sharing its depth-1 anchor. `ROOT` has the smallest index, so
-///   sentinel pairs sort first within their depth-1 group, which the merge
-///   walks below exploit. The one pair whose second half is legitimately
-///   `ROOT` — the concrete `Root` region's `(ROOT, ROOT)` — is unambiguous:
-///   no anchored RPL with depth-1 half `ROOT` reaches depth 2 (those are
-///   root-level wildcards and carry no pair), so within the `ROOT` group
-///   the sentinel reading and the exact-match reading coincide.
-fn anchor_pair(rpl: &Rpl) -> Option<(RplId, RplId)> {
-    let depth = rpl.prefix_depth();
-    if depth == 0 {
-        return if rpl.is_fully_specified() {
-            Some((RplId::ROOT, RplId::ROOT)) // the concrete `Root` region itself
-        } else {
-            None // root-level wildcard: relates to every anchor
-        };
-    }
-    let path = rpl.prefix_id_path();
-    let a1 = path[1];
-    let a2 = if depth >= 2 {
-        path[2]
-    } else if rpl.is_fully_specified() {
-        a1 // the depth-1 region itself
-    } else {
-        RplId::ROOT // wildcard from depth 2 down: anything under `a1`
-    };
-    Some((a1, a2))
-}
-
-/// The hashed Bloom bit for an arena id (Fibonacci multiplicative hash on
-/// the raw index; top 6 bits select the bit).
-fn bloom_bit(id: RplId) -> u64 {
-    1u64 << (id.index().wrapping_mul(0x9E37_79B9) >> 26)
-}
-
-/// Inserts a pair into a small sorted deduped list.
-fn insort(v: &mut InlineList<(RplId, RplId)>, pair: (RplId, RplId)) {
-    if let Err(pos) = v.binary_search(&pair) {
-        v.insert(pos, pair);
-    }
-}
-
-/// One past the end of the run of pairs sharing `v[start]`'s depth-1 id.
-fn pair_group_end(v: &[(RplId, RplId)], start: usize) -> usize {
-    let a1 = v[start].0;
-    let mut end = start + 1;
-    while end < v.len() && v[end].0 == a1 {
-        end += 1;
-    }
-    end
-}
-
-/// Could a pair of `a` *match* a pair of `b` — equal pairs, or a
-/// below-anchor wildcard sentinel on either side of a shared depth-1 group?
-/// O(n + m) merge walk over the sorted pair arrays.
-fn pairs_intersect(a: &[(RplId, RplId)], b: &[(RplId, RplId)]) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => i = pair_group_end(a, i),
-            std::cmp::Ordering::Greater => j = pair_group_end(b, j),
-            std::cmp::Ordering::Equal => {
-                // Sentinels sort first in a group; either one matches the
-                // whole (non-empty) opposing group. Within the `ROOT` group
-                // both sides can only hold `(ROOT, ROOT)`, so the sentinel
-                // reading is exact there too.
-                if a[i].1 == RplId::ROOT || b[j].1 == RplId::ROOT {
-                    return true;
-                }
-                let (ae, be) = (pair_group_end(a, i), pair_group_end(b, j));
-                let (mut x, mut y) = (i, j);
-                while x < ae && y < be {
-                    match a[x].1.cmp(&b[y].1) {
-                        std::cmp::Ordering::Less => x += 1,
-                        std::cmp::Ordering::Greater => y += 1,
-                        std::cmp::Ordering::Equal => return true,
-                    }
-                }
-                i = ae;
-                j = be;
-            }
-        }
-    }
-    false
-}
-
-/// Is every pair of `a` *covered* by some pair of `b` — the same pair, or
-/// `b` holding the below-anchor wildcard sentinel for that depth-1 group?
-/// (A sentinel in `a` needs a sentinel cover.) O(n + m) merge walk.
-fn pairs_subset(a: &[(RplId, RplId)], b: &[(RplId, RplId)]) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() {
-        let a1 = a[i].0;
-        while j < b.len() && b[j].0 < a1 {
-            j = pair_group_end(b, j);
-        }
-        if j >= b.len() || b[j].0 != a1 {
-            return false;
-        }
-        let (ae, be) = (pair_group_end(a, i), pair_group_end(b, j));
-        if b[j].1 != RplId::ROOT {
-            if a[i].1 == RplId::ROOT {
-                return false; // `a`'s sentinel has no sentinel cover in `b`
-            }
-            // Column-wise subset over the depth-2 halves of the two groups.
-            let mut y = j;
-            'outer: for &(_, a2) in &a[i..ae] {
-                while y < be {
-                    match b[y].1.cmp(&a2) {
-                        std::cmp::Ordering::Less => y += 1,
-                        std::cmp::Ordering::Equal => {
-                            y += 1;
-                            continue 'outer;
-                        }
-                        std::cmp::Ordering::Greater => return false,
-                    }
-                }
-                return false;
-            }
-        }
-        i = ae;
-        j = be;
-    }
-    true
-}
-
-impl SetSummary {
-    fn add(&mut self, e: &Effect) {
-        match anchor_pair(&e.rpl) {
-            Some(pair) => {
-                let bit = bloom_bit(pair.0);
-                self.bloom_all |= bit;
-                insort(&mut self.anchors_all, pair);
-                if e.is_write() {
-                    self.bloom_write |= bit;
-                    insort(&mut self.anchors_write, pair);
-                }
-            }
-            None => {
-                if e.is_write() {
-                    self.universal_write = true;
-                } else {
-                    self.universal_read = true;
-                }
-            }
-        }
-    }
-
-    fn has_writes(&self) -> bool {
-        self.universal_write || !self.anchors_write.is_empty()
-    }
-
-    /// Could any pair drawn from the two summarised sets interfere?
-    /// `false` is definitive (the sets cannot interfere); `true` means the
-    /// pairwise loop must decide.
-    fn may_interfere(&self, other: &SetSummary) -> bool {
-        // A root-level wildcard write overlaps every region of a non-empty
-        // set; a root-level wildcard read interferes iff the other side
-        // writes anywhere.
-        if self.universal_write || other.universal_write {
-            return true;
-        }
-        if (self.universal_read && other.has_writes())
-            || (other.universal_read && self.has_writes())
-        {
-            return true;
-        }
-        // Otherwise interference needs a write and a matching-anchor partner.
-        (self.bloom_write & other.bloom_all != 0
-            && pairs_intersect(&self.anchors_write, &other.anchors_all))
-            || (other.bloom_write & self.bloom_all != 0
-                && pairs_intersect(&other.anchors_write, &self.anchors_all))
-    }
-}
-
 /// A set of read/write effects — the effect summary attached to a task or
 /// method. The empty set is the `pure` effect.
 ///
-/// The set carries a precomputed conflict summary (see the module docs)
-/// maintained on `push`/`union`; building a set deduplicates exactly-equal
-/// effects (an
-/// `Effect` is a small `Copy` value, so duplicates carry no information and
-/// would only lengthen the pairwise loops). Equality and hashing consider
-/// the effect list only, as a slice: a set hashes exactly as
-/// [`EffectSet::effects`] does.
+/// Building a set deduplicates exactly-equal effects (an `Effect` is a
+/// small `Copy` value, so duplicates carry no information and would only
+/// lengthen the pairwise loops). Equality and hashing consider the effect
+/// list only, as a slice: a set hashes exactly as [`EffectSet::effects`]
+/// does.
 ///
-/// The effect list and both anchor-pair arrays hold up to two items inline
-/// and spill to the heap from the third, so building or cloning a one- or
-/// two-effect set allocates nothing.
+/// The effect list holds up to two effects inline and spills to the heap
+/// from the third, so building or cloning a one- or two-effect set
+/// allocates nothing.
 #[derive(Clone, Default)]
 pub struct EffectSet {
     effects: InlineList<Effect>,
-    summary: SetSummary,
 }
 
 impl PartialEq for EffectSet {
@@ -461,15 +219,13 @@ impl EffectSet {
         self.effects.is_empty()
     }
 
-    /// Adds an effect to the set and folds it into the summary. An effect
-    /// already present (exact `Copy` equality) is skipped, so building a set
-    /// deduplicates and the pairwise loops never scan repeats.
+    /// Adds an effect to the set. An effect already present (exact `Copy`
+    /// equality) is skipped, so building a set deduplicates and the pairwise
+    /// loops never scan repeats.
     pub fn push(&mut self, effect: Effect) {
-        if self.effects.contains(&effect) {
-            return;
+        if !self.effects.contains(&effect) {
+            self.effects.push(effect);
         }
-        self.summary.add(&effect);
-        self.effects.push(effect);
     }
 
     /// Returns the union of two effect sets, deduplicating effects present
@@ -482,67 +238,19 @@ impl EffectSet {
         union
     }
 
-    /// The union of any number of effect sets in one pass — the combined
-    /// *footprint* of a batch of tasks.
-    ///
-    /// `Runtime::submit_all` unions the batch's declared sets with this
-    /// before admission: the combined summary is built once (anchors and
-    /// Bloom folded per effect, duplicates deduplicated) instead of once per
-    /// intermediate pair, and the schedulers use it to prefilter which
-    /// already-queued tasks the batch could possibly interact with.
-    pub fn union_all<'a>(sets: impl IntoIterator<Item = &'a EffectSet>) -> EffectSet {
-        let mut union = EffectSet::default();
-        for set in sets {
-            for &e in set.iter() {
-                union.push(e);
-            }
-        }
-        union
-    }
-
-    /// The sorted, deduplicated (depth-1, depth-2) anchor pairs of all
-    /// effects in the set (see the module docs for the depth-2 encoding;
-    /// root-level wildcard effects carry no pair and are reported by
-    /// [`EffectSet::has_root_wildcard`] instead).
-    pub fn anchors(&self) -> &[(RplId, RplId)] {
-        &self.summary.anchors_all
-    }
-
-    /// The sorted, deduplicated anchor pairs of the *write* effects only.
-    pub fn write_anchors(&self) -> &[(RplId, RplId)] {
-        &self.summary.anchors_write
-    }
-
-    /// True if some effect's RPL starts with a wildcard (`*…`/`[?]…`). Such
-    /// an effect has no anchor and may relate to any region, so every
-    /// anchor-based prefilter must treat the set as universal.
-    pub fn has_root_wildcard(&self) -> bool {
-        self.summary.universal_read || self.summary.universal_write
-    }
-
-    /// Summary-only non-interference test: `true` *guarantees* the two sets
-    /// cannot interfere (O(set): one Bloom AND plus at most one sorted
-    /// anchor merge, no per-pair work); `false` means a pair might
-    /// interfere and the pairwise test must decide. Schedulers use this as
-    /// their rescan filter.
+    /// [`EffectSet::non_interfering`] under its old name. Kept only for the
+    /// benchmark's replay, which reads it for `effects.summary_decided_frac`,
+    /// until ROADMAP's yardstick item drops that row and this with it.
     pub fn certainly_non_interfering(&self, other: &EffectSet) -> bool {
-        self.effects.is_empty()
-            || other.effects.is_empty()
-            || !self.summary.may_interfere(&other.summary)
+        self.non_interfering(other)
     }
 
     /// Set-level non-interference: every pair of effects drawn from the two
     /// sets is non-interfering.
-    ///
-    /// Anchor-disjoint sets are rejected by the summary in O(set) without
-    /// touching any pair; only sets sharing a top-level region (or
-    /// containing root-level wildcards) pay for the pairwise loop.
     pub fn non_interfering(&self, other: &EffectSet) -> bool {
-        self.certainly_non_interfering(other)
-            || self
-                .effects
-                .iter()
-                .all(|a| other.effects.iter().all(|b| a.non_interfering(b)))
+        self.effects
+            .iter()
+            .all(|a| other.effects.iter().all(|b| a.non_interfering(b)))
     }
 
     /// Set-level interference: some pair of effects interferes.
@@ -552,33 +260,7 @@ impl EffectSet {
 
     /// Set-level inclusion: every effect of `self` is included in some single
     /// effect of `other` (conservative, per §2.2).
-    ///
-    /// The summary rejects in O(set) when some anchor of `self` has no
-    /// possible cover in `other` (a cover must share the covered effect's
-    /// anchor or be a root-level wildcard of suitable kind); only then does
-    /// the pairwise loop run.
     pub fn included_in(&self, other: &EffectSet) -> bool {
-        if self.effects.is_empty() {
-            return true;
-        }
-        let (s, o) = (&self.summary, &other.summary);
-        // A root-level wildcard is only coverable by a root-level wildcard
-        // (a write one only by a write one).
-        if s.universal_write && !o.universal_write {
-            return false;
-        }
-        if s.universal_read && !(o.universal_read || o.universal_write) {
-            return false;
-        }
-        // Each write needs a write cover on its own anchor pair…
-        if !o.universal_write && !pairs_subset(&s.anchors_write, &o.anchors_write) {
-            return false;
-        }
-        // …and each effect needs some cover on its own anchor pair.
-        if !(o.universal_write || o.universal_read || pairs_subset(&s.anchors_all, &o.anchors_all))
-        {
-            return false;
-        }
         self.effects
             .iter()
             .all(|a| other.effects.iter().any(|b| a.included_in(b)))
@@ -749,98 +431,62 @@ mod tests {
     }
 
     #[test]
-    fn union_all_builds_the_combined_footprint() {
-        let sets = [
-            EffectSet::parse("writes A:[1], reads B"),
-            EffectSet::parse("writes A:[1], writes C:[2]"),
-            EffectSet::pure(),
-            EffectSet::parse("reads B, writes D:*"),
-        ];
-        let combined = EffectSet::union_all(sets.iter());
-        // Pairwise unions agree with the one-pass union.
-        let expected = sets.iter().fold(EffectSet::pure(), |acc, s| acc.union(s));
-        assert_eq!(combined, expected);
-        assert_eq!(combined.len(), 4, "duplicates must collapse: {combined}");
-        // The exported summary covers every member set's anchor pairs…
-        for set in &sets {
-            for pair in set.anchors() {
-                assert!(combined.anchors().contains(pair));
-                assert_ne!(combined.summary.bloom_all & bloom_bit(pair.0), 0);
-            }
-            assert!(set.included_in(&combined));
-        }
-        // …and writes show up in the write anchors.
-        assert!(!combined.write_anchors().is_empty());
-        assert!(!combined.has_root_wildcard());
-        assert!(EffectSet::parse("writes *").has_root_wildcard());
-        assert!(EffectSet::union_all([]).is_pure());
-    }
-
-    #[test]
-    fn summary_rejects_anchor_disjoint_sets() {
+    fn sets_on_disjoint_regions_do_not_interfere() {
         let a = EffectSet::parse("writes A:[1], reads A:[2], writes B:X");
         let b = EffectSet::parse("writes C:[1], reads D");
-        assert!(a.certainly_non_interfering(&b));
         assert!(a.non_interfering(&b));
-        // Shared anchor but read-only on both sides: summary may pass it to
-        // the pairwise loop, which must still answer "non-interfering".
+        // A shared top-level region read on both sides.
         let ra = EffectSet::parse("reads A:[1]");
         let rb = EffectSet::parse("reads A:[2]");
         assert!(ra.non_interfering(&rb));
-        // Shared anchor with a write: interference found by the pairwise loop.
+        // A shared region with a write.
         let wa = EffectSet::parse("writes A:[1]");
-        assert!(!wa.certainly_non_interfering(&a));
         assert!(wa.interferes(&a));
     }
 
     #[test]
-    fn pair_anchors_reject_siblings_under_a_shared_root() {
-        // Everything lives under one top-level region: depth-1 anchoring
-        // alone cannot separate these, the depth-2 half must.
+    fn siblings_under_a_shared_region_do_not_interfere() {
+        // Everything lives under one top-level region.
         let x = EffectSet::parse("writes Data:X:*, writes Data:X:[1]");
         let y = EffectSet::parse("writes Data:Y:*, reads Data:Y");
-        assert!(x.certainly_non_interfering(&y));
+        assert!(x.non_interfering(&y));
         // Tenant scans on distinct tenants — the service-scenario shape.
         let t1 = EffectSet::parse("writes Tenant:[1]:*");
         let t2 = EffectSet::parse("writes Tenant:[2]:*");
-        assert!(t1.certainly_non_interfering(&t2));
-        assert!(!t1.certainly_non_interfering(&t1.clone()));
-        // The depth-1 region itself is its own anchor and relates to no
-        // deeper sibling region…
+        assert!(t1.non_interfering(&t2));
+        assert!(t1.interferes(&t1.clone()));
+        // The depth-1 region itself relates to no deeper region…
         let data = EffectSet::parse("writes Data");
-        assert!(data.certainly_non_interfering(&x));
-        // …while a depth-2 wildcard under the same anchor is a sentinel that
-        // must fall through to the pairwise loop against both.
+        assert!(data.non_interfering(&x));
+        // …while a wildcard below it relates to both.
         let scan = EffectSet::parse("writes Data:*");
-        assert!(!scan.certainly_non_interfering(&x));
         assert!(scan.interferes(&x));
-        assert!(!scan.certainly_non_interfering(&data));
-        // Subset side: a concrete pair is covered by its sentinel, a
-        // sentinel is not covered by a concrete pair.
+        assert!(scan.interferes(&data));
+        // A concrete region is covered by a wildcard over it, not the
+        // other way round.
         assert!(x.included_in(&EffectSet::parse("writes Data:X:*, writes Data:*")));
         assert!(!EffectSet::parse("writes Data:*").included_in(&x));
         assert!(!x.included_in(&y));
     }
 
     #[test]
-    fn summary_handles_root_level_wildcards_and_root() {
+    fn root_level_wildcards_and_the_root_region() {
         let star = EffectSet::parse("writes *");
         let reads_star = EffectSet::parse("reads *");
         let reads_only = EffectSet::parse("reads A, reads B");
         let writes_c = EffectSet::parse("writes C");
         let root = EffectSet::parse("writes Root");
-        assert!(!star.certainly_non_interfering(&reads_only));
         assert!(star.interferes(&reads_only));
         assert!(reads_star.non_interfering(&reads_only));
         assert!(reads_star.interferes(&writes_c));
-        // The concrete Root region anchors at ROOT and only meets itself.
+        // The concrete Root region only meets itself and wildcards.
         assert!(root.non_interfering(&writes_c));
         assert!(root.interferes(&root));
-        assert!(!star.certainly_non_interfering(&root));
+        assert!(star.interferes(&root));
     }
 
     #[test]
-    fn summary_inclusion_rejections_are_consistent() {
+    fn set_inclusion_respects_wildcards_and_kinds() {
         let small = EffectSet::parse("writes A:[1]");
         let big = EffectSet::parse("writes A:[?], writes B");
         let elsewhere = EffectSet::parse("writes C:*, writes D");
@@ -851,7 +497,7 @@ mod tests {
         assert!(!star.included_in(&EffectSet::parse("writes A, writes B")));
         assert!(EffectSet::parse("reads *").included_in(&star));
         assert!(!EffectSet::parse("writes *").included_in(&EffectSet::parse("reads *")));
-        // A write needs a write cover even on a matching anchor.
+        // A write needs a write cover even on a region that covers it.
         assert!(!small.included_in(&EffectSet::parse("reads A:*")));
         assert!(small.included_in(&EffectSet::parse("writes A:*")));
     }
@@ -955,28 +601,6 @@ mod tests {
             fn write_self_interferes(rpl in arb_rpl()) {
                 let w = Effect::write(rpl);
                 prop_assert!(w.interferes(&w));
-            }
-
-            /// The summary is only ever a sound rejector: set-level
-            /// `non_interfering` and `included_in` must agree exactly with
-            /// the pairwise loops (the pair-anchor prechecks may never
-            /// reject a real cover or hide a real conflict).
-            #[test]
-            fn summary_agrees_with_pairwise(
-                a in proptest::collection::vec(arb_effect(), 0..4),
-                b in proptest::collection::vec(arb_effect(), 0..4),
-            ) {
-                let (a, b) = (EffectSet::from_effects(a), EffectSet::from_effects(b));
-                let pairwise_ni = a
-                    .effects()
-                    .iter()
-                    .all(|x| b.effects().iter().all(|y| x.non_interfering(y)));
-                prop_assert_eq!(a.non_interfering(&b), pairwise_ni);
-                let pairwise_inc = a
-                    .effects()
-                    .iter()
-                    .all(|x| b.effects().iter().any(|y| x.included_in(y)));
-                prop_assert_eq!(a.included_in(&b), pairwise_inc);
             }
 
             /// Set inclusion soundness lifted to sets.

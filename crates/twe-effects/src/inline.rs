@@ -1,5 +1,4 @@
-//! The short list an [`EffectSet`](crate::EffectSet) keeps its effects and
-//! anchor pairs in.
+//! The short list an [`EffectSet`](crate::EffectSet) keeps its effects in.
 //!
 //! Nearly every set a task declares holds one or two effects (a service
 //! request one; a k-means `accumulate` two: `reads Root, writes
@@ -41,29 +40,21 @@ impl<T: Copy> Deref for InlineList<T> {
 }
 
 impl<T: Copy> InlineList<T> {
-    /// Inserts `item` at `index` (at most the length), shifting the items
-    /// after it; a third item spills the list.
-    pub(crate) fn insert(&mut self, index: usize, item: T) {
+    /// Appends `item`; a third item spills the list.
+    pub(crate) fn push(&mut self, item: T) {
         *self = match std::mem::take(self) {
             InlineList::Empty => InlineList::One(item),
-            InlineList::One(first) if index == 0 => InlineList::Two([item, first]),
             InlineList::One(first) => InlineList::Two([first, item]),
-            InlineList::Two(items) => {
+            InlineList::Two([first, second]) => {
                 let mut spilled = Vec::with_capacity(4);
-                spilled.extend_from_slice(&items);
-                spilled.insert(index, item);
+                spilled.extend_from_slice(&[first, second, item]);
                 InlineList::Spilled(spilled)
             }
             InlineList::Spilled(mut items) => {
-                items.insert(index, item);
+                items.push(item);
                 InlineList::Spilled(items)
             }
         };
-    }
-
-    /// Appends `item`.
-    pub(crate) fn push(&mut self, item: T) {
-        self.insert(self.len(), item);
     }
 }
 
@@ -72,17 +63,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn inserts_in_place_across_the_spill() {
+    fn pushes_in_order_across_the_spill() {
         let mut list = InlineList::default();
         assert!(list.is_empty());
-        list.push(3);
-        list.insert(0, 1);
+        list.push(0);
+        list.push(1);
         assert!(matches!(list, InlineList::Two(_)));
-        list.insert(1, 2);
+        list.push(2);
         assert!(matches!(list, InlineList::Spilled(_)));
-        list.push(4);
-        list.insert(0, 0);
-        assert_eq!(&*list, &[0, 1, 2, 3, 4]);
+        list.push(3);
+        assert_eq!(&*list, &[0, 1, 2, 3]);
         let copy = list.clone();
         assert_eq!(&*copy, &*list);
     }

@@ -21,6 +21,8 @@
 //!   interferes with `A` also interferes with `B`
 //!   ([`Effect::included_in`]).
 //!
+//! [`EffectSet`] lifts both pairwise over its effects, as §2.2 defines them.
+//!
 //! [`compound::CompoundEffect`] implements the *compound effects* of
 //! chapter 4 of the paper (`E`, `E + E`, `E − E`, `E ∩ E`), which represent
 //! the covering effect at each program point during the static analysis.
@@ -52,13 +54,7 @@
 //! dynamic reference regions of chapter 7, so dynamic claims share the same
 //! id space and fast paths as static effects.
 //!
-//! # Effect-set summaries
-//!
-//! Each [`EffectSet`] carries a precomputed summary (sorted top-level-anchor
-//! ids plus a 64-bit Bloom filter, maintained on `push`/`union`) that lets
-//! [`EffectSet::non_interfering`] and [`EffectSet::included_in`] reject
-//! anchor-disjoint sets in O(set) before falling back to the pairwise §2.2
-//! loops; see the [`effect`] module docs.
+//! # Example
 //!
 //! ```
 //! use twe_effects::{Rpl, Effect, EffectSet};

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use twe_effects::rpl::oracle;
-use twe_effects::{arena, Effect, EffectSet, Rpl, RplElement, RplId};
+use twe_effects::{arena, Effect, EffectSet, Rpl, RplElement};
 
 fn arb_element() -> impl Strategy<Value = RplElement> {
     prop_oneof![
@@ -139,9 +139,9 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Set-level differential tests: the summary-filtered EffectSet relations
-// must agree with the plain all-pairs procedure (itself grounded in the
-// element-wise oracle) on arbitrary sets, wildcard suffixes included.
+// Set-level differential tests: the EffectSet relations must agree with
+// the all-pairs procedure over the element-wise oracle on arbitrary sets,
+// wildcard suffixes included.
 // ---------------------------------------------------------------------------
 
 fn arb_effect() -> impl Strategy<Value = (bool, Vec<RplElement>)> {
@@ -168,8 +168,8 @@ fn build_set(effects: &[(bool, Vec<RplElement>)]) -> EffectSet {
     EffectSet::from_effects(effects.iter().map(to_effect))
 }
 
-/// All-pairs non-interference over the raw element lists: the oracle the
-/// summary-filtered `EffectSet::non_interfering` must agree with.
+/// All-pairs non-interference over the raw element lists: the oracle
+/// `EffectSet::non_interfering` must agree with.
 fn pairwise_non_interfering(a: &[(bool, Vec<RplElement>)], b: &[(bool, Vec<RplElement>)]) -> bool {
     a.iter().all(|(wa, ea)| {
         b.iter()
@@ -187,9 +187,8 @@ fn pairwise_included_in(a: &[(bool, Vec<RplElement>)], b: &[(bool, Vec<RplElemen
 }
 
 proptest! {
-    /// Summary-filtered set non-interference agrees with the all-pairs
-    /// oracle on arbitrary sets (including wildcard suffixes), and the
-    /// summary-only rejection is sound (never claims certainty wrongly).
+    /// Set non-interference agrees with the all-pairs oracle on arbitrary
+    /// sets (including wildcard suffixes).
     #[test]
     fn set_non_interfering_matches_pairwise_oracle(
         a in arb_effect_vec(), b in arb_effect_vec()
@@ -201,12 +200,9 @@ proptest! {
             "set non-interference mismatch: {} vs {}", sa, sb
         );
         prop_assert_eq!(sb.non_interfering(&sa), expected, "must be symmetric");
-        if sa.certainly_non_interfering(&sb) {
-            prop_assert!(expected, "summary rejection must be sound: {} vs {}", sa, sb);
-        }
     }
 
-    /// Summary-filtered set inclusion agrees with the all-pairs oracle in
+    /// Set inclusion agrees with the all-pairs oracle in
     /// both directions.
     #[test]
     fn set_included_in_matches_pairwise_oracle(
@@ -248,13 +244,13 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Representation independence: a set keeps up to two effects (and anchor
-// pairs) inline and spills to the heap from the third. However a set was
-// built, and on whichever side of the spill it sits, its equality, hash,
-// anchors and relations must be those of its effect list.
+// Representation independence: a set keeps up to two effects inline and
+// spills to the heap from the third. However a set was built, and on
+// whichever side of the spill it sits, its equality, hash and relations
+// must be those of its effect list.
 // ---------------------------------------------------------------------------
 
-/// Short RPLs, so a handful of draws repeat effects and share anchors.
+/// Short RPLs, so a handful of draws repeat effects.
 fn arb_small_effect() -> impl Strategy<Value = (bool, Vec<RplElement>)> {
     (
         any::<bool>(),
@@ -269,29 +265,9 @@ fn hash_of<T: std::hash::Hash + ?Sized>(value: &T) -> u64 {
     hasher.finish()
 }
 
-type Pairs = Vec<(RplId, RplId)>;
-
-/// The sorted, deduplicated anchor pairs of all effects and of the writes,
-/// collected from one-effect sets into plain `Vec`s.
-fn anchor_oracle(effects: &[Effect]) -> (Pairs, Pairs) {
-    let (mut all, mut writes) = (Vec::new(), Vec::new());
-    for &e in effects {
-        let single = EffectSet::from_effects([e]);
-        all.extend_from_slice(single.anchors());
-        if e.is_write() {
-            writes.extend_from_slice(single.anchors());
-        }
-    }
-    for pairs in [&mut all, &mut writes] {
-        pairs.sort();
-        pairs.dedup();
-    }
-    (all, writes)
-}
-
 /// One set of 0–5 effects built three ways: `from_effects` in draw order;
 /// `push` in another order with repeats (the picks, then every effect in
-/// reverse); `union_all` of one-effect sets.
+/// reverse); a fold of `union` over one-effect sets.
 fn three_ways(effects: &[Effect], picks: &[usize]) -> [EffectSet; 3] {
     let mut pushed = EffectSet::pure();
     if !effects.is_empty() {
@@ -302,21 +278,19 @@ fn three_ways(effects: &[Effect], picks: &[usize]) -> [EffectSet; 3] {
     for &e in effects.iter().rev() {
         pushed.push(e);
     }
-    let singletons: Vec<EffectSet> = effects
-        .iter()
-        .map(|&e| EffectSet::from_effects([e]))
-        .collect();
+    let unioned = effects.iter().fold(EffectSet::pure(), |acc, &e| {
+        acc.union(&EffectSet::from_effects([e]))
+    });
     [
         EffectSet::from_effects(effects.iter().copied()),
         pushed,
-        EffectSet::union_all(&singletons),
+        unioned,
     ]
 }
 
 proptest! {
     /// However a set is built, `==` and `Hash` are those of its effect
-    /// list, `anchors()` / `write_anchors()` are the sorted deduplicated
-    /// pairs, and the relations match the all-pairs oracle — below, at and
+    /// list, and the relations match the all-pairs oracle — below, at and
     /// past the two-item inline capacity.
     #[test]
     fn set_representation_never_shows(
@@ -327,7 +301,6 @@ proptest! {
         let effects: Vec<Effect> = a.iter().map(to_effect).collect();
         let built = three_ways(&effects, &picks);
         let others = three_ways(&b.iter().map(to_effect).collect::<Vec<_>>(), &picks);
-        let (all, writes) = anchor_oracle(&effects);
         let mut sorted: Vec<Effect> = built[0].effects().to_vec();
         sorted.sort();
         for x in &built {
@@ -336,8 +309,6 @@ proptest! {
             let mut mine = x.effects().to_vec();
             mine.sort();
             prop_assert_eq!(&mine, &sorted);
-            prop_assert_eq!(x.anchors(), &all[..], "anchors of {}", x);
-            prop_assert_eq!(x.write_anchors(), &writes[..], "write anchors of {}", x);
             // Rebuilt from its own list: equal, and equal hashes.
             let rebuilt = EffectSet::from_effects(x.effects().iter().copied());
             prop_assert!(rebuilt == *x);

@@ -158,7 +158,8 @@ impl<T> DynCell<T> {
     /// the two conflict planes separate, §7.5), so a task holding a static
     /// effect on the cell is invisible to another task's `acquire_*` and
     /// vice versa; mixing the disciplines on one cell forfeits isolation
-    /// for it. Cross-plane coordination is a ROADMAP item.
+    /// for it. Nothing enforces the rule; ROADMAP parks a claim-table mode
+    /// bit that would.
     pub fn rpl(&self) -> Rpl {
         Rpl::from_prefix_id(self.region.id())
     }

@@ -131,9 +131,10 @@ impl<T: Send + 'static> SpawnedTaskFuture<T> {
 
 #[cfg(test)]
 mod tests {
-    // The future types are exercised end-to-end in the runtime integration
-    // tests (`tests/runtime_semantics.rs`) and in `ctx.rs`; the unit tests
-    // here only cover the plumbing that does not need a live runtime.
+    // The future types are exercised end-to-end by the runtime's own tests
+    // (`lib.rs`, `ctx.rs`) and the root package's `tests/safety_properties.rs`;
+    // the unit tests here only cover the plumbing that does not need a live
+    // runtime.
     use super::*;
 
     #[test]

@@ -10,20 +10,17 @@
 //! chapter 5 is measured against: its single lock and O(n) scans are exactly
 //! the scalability bottleneck the tree removes.
 //!
-//! When a task finishes, every queued task whose effect-set summary does not
-//! rule out interference with the finished task's effects is evaluated
-//! again, in queue order; a submission evaluates only the new task, since it
-//! only adds constraints.
+//! When a task finishes, every queued task whose effects interfere with the
+//! finished task's (the §2.2 pairwise test) is evaluated again, in queue
+//! order; a submission evaluates only the new task, since it only adds
+//! constraints.
 
-use crate::scheduler::{tasks_conflict, Scheduler, SchedulerDiagnostics};
+use crate::scheduler::{tasks_conflict, EnableFn, Scheduler, SchedulerDiagnostics};
 use crate::task::{TaskRecord, TaskStatus};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use twe_effects::EffectSet;
-
-/// Callback used to hand an enabled task to the execution substrate.
-pub type EnableFn = Box<dyn Fn(Arc<TaskRecord>) + Send + Sync>;
 
 /// The queue state behind the scheduler's single lock.
 ///
@@ -78,14 +75,14 @@ impl QueueInner {
 
     /// The slot indices, in queue order, of every queued task whose
     /// enablement the completion of a task with `effects` could have
-    /// changed: the whole queue, filtered by the effect-set summaries.
+    /// changed: those whose effects interfere with `effects`.
     fn wake_candidate_slots(&self, effects: &EffectSet) -> Vec<usize> {
         self.slots
             .iter()
             .enumerate()
             .filter_map(|(pos, slot)| {
                 let task = slot.as_ref()?;
-                (!effects.certainly_non_interfering(&task.effects)).then_some(pos)
+                effects.interferes(&task.effects).then_some(pos)
             })
             .collect()
     }
@@ -247,11 +244,11 @@ impl Scheduler for NaiveScheduler {
     }
 
     fn task_done(&self, task: &Arc<TaskRecord>) {
-        // Only waiters whose effects may interfere with the finished task's
-        // can have been blocked by it (its spawned children's effects are
-        // covered by its declared set, so the summary filter is
-        // conservative for them too). The filter may pass non-conflicting
-        // tasks; the enablement rule decides.
+        // Only waiters whose effects interfere with the finished task's can
+        // have been blocked by it (its spawned children's effects are
+        // covered by its declared set, and inclusion is sound, so the filter
+        // reaches every waiter they blocked too). The enablement rule
+        // decides.
         let to_enable = {
             let mut inner = self.inner.lock();
             inner.tombstone(task);
@@ -543,8 +540,8 @@ mod tests {
 
     #[test]
     fn any_completion_below_the_root_wakes_a_root_wildcard_waiter() {
-        // A `reads *` waiter shares no anchor with the writer it waits
-        // behind, and must still be woken when that writer completes.
+        // A root-level wildcard waiter must be woken by a completion on any
+        // region below the root.
         let (enabled, sched) = collecting_scheduler();
         let writer = task(1, "writes Data:Key");
         let sweep = task(2, "reads *");
@@ -580,6 +577,35 @@ mod tests {
         point.mark_done();
         sched.task_done(&point);
         assert_eq!(&*enabled.lock(), &[1, 2]);
+    }
+
+    #[test]
+    fn a_completion_rechecks_only_the_waiters_it_interferes_with() {
+        // Everything shares the regions `T` and `T:[1]`; only the keys
+        // below tell the tasks apart.
+        let (enabled, sched) = collecting_scheduler();
+        let keys: Vec<_> = (1..=64)
+            .map(|i| task(i, &format!("writes T:[1]:K:[{i}]")))
+            .collect();
+        for t in &keys {
+            sched.submit(t.clone());
+        }
+        let holder = task(100, "writes T:[1]:K:[0]");
+        let waiter = task(101, "writes T:[1]:K:[0]");
+        sched.submit(holder.clone());
+        sched.submit(waiter.clone());
+        assert_eq!(enabled.lock().len(), 65);
+        assert_eq!(waiter.status(), TaskStatus::Waiting);
+
+        let before = sched.diagnostics().wake_rechecks;
+        keys[0].mark_done();
+        sched.task_done(&keys[0]);
+        assert_eq!(sched.diagnostics().wake_rechecks, before);
+
+        holder.mark_done();
+        sched.task_done(&holder);
+        assert_eq!(sched.diagnostics().wake_rechecks, before + 1);
+        assert_eq!(waiter.status(), TaskStatus::Enabled);
     }
 
     #[test]

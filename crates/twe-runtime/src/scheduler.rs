@@ -11,6 +11,10 @@ use crate::task::{blocked_on, TaskRecord};
 use std::sync::Arc;
 use twe_effects::{Effect, RplId};
 
+/// Callback a scheduler hands each enabled task to (the runtime's pool
+/// submission).
+pub type EnableFn = Box<dyn Fn(Arc<TaskRecord>) + Send + Sync>;
+
 /// What a scheduler reports about itself ([`Scheduler::diagnostics`]), and
 /// the scheduler's part of [`crate::RuntimeStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -183,17 +187,8 @@ pub fn effects_conflict(
 
 /// Task-level conflict test: do any pair of effects of the two tasks
 /// conflict (with the effect-transfer exception applied per pair)?
-///
-/// The per-set summaries reject anchor-disjoint effect sets in O(set)
-/// before any pair is examined: the effect-transfer exception only ever
-/// *removes* conflicts, so "the sets cannot interfere" already implies "the
-/// tasks cannot conflict". This is what keeps the naive scheduler's O(n)
-/// queue rescans from degenerating into O(n · set²).
 pub fn tasks_conflict(existing: &Arc<TaskRecord>, new: &Arc<TaskRecord>) -> bool {
     if existing.id == new.id {
-        return false;
-    }
-    if existing.effects.certainly_non_interfering(&new.effects) {
         return false;
     }
     existing.effects.iter().any(|ee| {

@@ -81,16 +81,13 @@
 //! `reads Root` fan-out, however wide, costs the admissions beneath it
 //! nothing. Lock order everywhere is strictly downward from the root.
 
-use crate::scheduler::{Scheduler, SchedulerDiagnostics};
-use crate::task::{blocked_on, TaskRecord, TaskStatus};
+use crate::scheduler::{effects_conflict, EnableFn, Scheduler, SchedulerDiagnostics};
+use crate::task::{TaskRecord, TaskStatus};
 use parking_lot::{ArcMutexGuard, Mutex, RawMutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use twe_effects::idhash::IdHashMap;
 use twe_effects::{Effect, EffectKind, Rpl, RplId};
-
-/// Callback used to hand an enabled task to the execution substrate.
-pub type EnableFn = Box<dyn Fn(Arc<TaskRecord>) + Send + Sync>;
 
 /// One effect of one task, as tracked by the scheduler tree (Figure 5.3).
 pub struct EffectRecord {
@@ -617,7 +614,8 @@ impl TreeScheduler {
     /// Do the two effect records conflict (Figure 5.8)? `existing` is the
     /// record already in the tree, `new` the one being inserted or rechecked.
     /// Kind and region reject most pairs (read–read, disjoint) and cost no
-    /// reference count; only a pair they leave looks at the tasks.
+    /// reference count; only a pair they leave looks at the tasks, through
+    /// [`effects_conflict`].
     fn conflicts(&self, existing: &EffectRecord, new: &EffectRecord) -> bool {
         if (!existing.write && !new.write) || existing.rpl.disjoint(&new.rpl) {
             return false;
@@ -629,29 +627,12 @@ impl TreeScheduler {
         if existing_task.id == new_task.id || existing_task.is_done() {
             return false;
         }
-        if blocked_on(&existing_task, &new_task) {
-            // The existing task cannot resume until the new task completes;
-            // only effects it transferred to still-running spawned children
-            // keep the conflict alive.
-            let new_effect = new.as_effect();
-            for child in existing_task.spawned_children_snapshot() {
-                if child.is_done() {
-                    continue;
-                }
-                for child_effect in child.effects.iter() {
-                    if crate::scheduler::effects_conflict(
-                        &child,
-                        child_effect,
-                        &new_task,
-                        &new_effect,
-                    ) {
-                        return true;
-                    }
-                }
-            }
-            return false;
-        }
-        true
+        effects_conflict(
+            &existing_task,
+            &existing.as_effect(),
+            &new_task,
+            &new.as_effect(),
+        )
     }
 
     /// Checks `e` against the enabled effects at the locked node (Figure 5.6).

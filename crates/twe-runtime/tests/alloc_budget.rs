@@ -105,7 +105,7 @@ fn small_effect_sets_build_and_clone_without_allocating() {
         three.push(Effect::write(c));
         three
     });
-    assert!(n > 0, "a three-effect set spills");
+    assert_eq!(n, 1, "a three-effect set spills once");
     assert_eq!(
         three,
         EffectSet::from_effects([Effect::read(a), Effect::write(b), Effect::write(c)])
@@ -113,6 +113,21 @@ fn small_effect_sets_build_and_clone_without_allocating() {
     assert_ne!(three, two);
     assert!(two.included_in(&three) && !three.included_in(&two));
     assert!(three.interferes(&EffectSet::read(c)) && !two.interferes(&EffectSet::read(c)));
+    // The same on three different top-level regions: only the effect list
+    // spills.
+    let (a, b, c) = (
+        Rpl::parse("SpillA"),
+        Rpl::parse("SpillB"),
+        Rpl::parse("SpillC"),
+    );
+    let two = EffectSet::from_effects([Effect::read(a), Effect::write(b)]);
+    let (n, three) = allocations(|| {
+        let mut three = two.clone();
+        three.push(Effect::write(c));
+        three
+    });
+    assert_eq!(n, 1, "a spilled set allocates once");
+    assert_eq!(three.len(), 3);
 }
 
 #[test]

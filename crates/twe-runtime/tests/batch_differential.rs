@@ -7,8 +7,8 @@
 //! and progress under any admission order; it is checked invariant-style —
 //! an instrumented enable callback asserts that no two conflicting tasks
 //! are ever enabled concurrently, and a drain loop asserts every task
-//! eventually runs — including after index-region churn has populated and
-//! rebuilt the per-node subtree Blooms.
+//! eventually runs — including after index-region churn has set and
+//! rewritten the per-node subtree flags.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -211,8 +211,8 @@ proptest! {
         prop_assert_eq!(sched.diagnostics().recorded_effects, 0);
     }
 
-    /// Tree scheduler with stale subtree Blooms: run a churn phase (tasks
-    /// admitted and finished, leaving rebuilt/pruned summaries), a wildcard
+    /// Tree scheduler with stale subtree flags: run a churn phase (tasks
+    /// admitted and finished, leaving rewritten or pruned flags), a wildcard
     /// sweep, then admit a random batch — the walk-directed skips must not
     /// hide any conflict introduced by the new batch.
     #[test]
@@ -223,7 +223,7 @@ proptest! {
         let (violations, sched) = isolation_checking_tree();
         // Churn phase: index tasks under the same anchors the random batch
         // uses, finished immediately, then a sweeping wildcard walk that
-        // rebuilds (and prunes) the subtree summaries.
+        // rewrites (and prunes) the subtree flags.
         let churn_tasks: Vec<Arc<TaskRecord>> = churn
             .iter()
             .enumerate()
@@ -246,7 +246,7 @@ proptest! {
             sched.submit(s.clone());
         }
         drain(&sched, &sweeps);
-        // Random batch over the now-stale/rebuilt summaries.
+        // Random batch over the now-stale/rewritten flags.
         let tasks = make_tasks(&batch, 0);
         sched.submit_batch(tasks.clone());
         drain(&sched, &tasks);
