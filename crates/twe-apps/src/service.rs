@@ -11,8 +11,9 @@
 //!   whole tenant subtree, conflicting with every concurrent write to
 //!   that tenant but no other tenant's traffic;
 //! * a **retire** replaces the slot's cell with a fresh one once its
-//!   requests drained, which routes the old cell through `DynCell::drop` →
-//!   retire-sink pruning → the epoch reclaimer.
+//!   requests drained; dropping the old cell frees its region id, which a
+//!   later tenant gets back under a new generation, and the nodes its
+//!   requests vacated are pruned by a later admission.
 //!
 //! [`apply_trace`] runs a trace of such ops through a [`Runtime`] and
 //! [`sequential_trace`] applies it in order to a plain model store; the
@@ -157,8 +158,8 @@ pub struct TraceOutcome {
 ///   it nor the individual read/scan results need equal the oracle's.
 ///
 /// A `Retire` op waits that tenant's outstanding requests, drops the
-/// cell (routing the region through the epoch reclaimer), and installs a
-/// fresh zeroed store. Every tenant's last cell is dropped on return.
+/// cell (freeing its region id for a later cell), and installs a fresh
+/// zeroed store. Every tenant's last cell is dropped on return.
 pub fn apply_trace(
     rt: &Runtime,
     tenants: usize,

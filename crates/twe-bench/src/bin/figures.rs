@@ -1,21 +1,13 @@
 //! Regenerates the tables behind every figure of the TWE evaluation.
 //!
 //! ```text
-//! figures [--fig 6.1|6.2|6.3|6.4|7.1|reclaim|backlog|all]
-//!         [--quick] [--json out.json] [--reclaim-json BENCH_reclaim.json]
-//!         [--backlog-json BENCH_backlog.json]
+//! figures [--fig 6.1|6.2|6.3|6.4|7.1|backlog|all]
+//!         [--quick] [--json out.json] [--backlog-json BENCH_backlog.json]
 //! ```
 //!
 //! `--quick` shrinks the workloads so the whole sweep finishes in a couple of
 //! minutes on a laptop; without it the workloads approximate the paper's
 //! sizes (50 000-point K-Means, 2048×2048 images, 400 000-edge SSCA2, …).
-//!
-//! `--fig reclaim` runs only the dynamic-region churn microbenchmark:
-//! create/drop churn of `__DynRegion` ids at 1/2/4 churn threads under two
-//! pinned reader threads running relation walks, the epoch reclaimer vs the
-//! leaking baseline (bounded vs unbounded arena footprint);
-//! `--reclaim-json` writes the rows as `BENCH_reclaim.json` (also a CI
-//! smoke-job artifact).
 //!
 //! `--fig backlog` runs only the backlog microbenchmark: the
 //! `svc-contended` population through a `Runtime` on both schedulers,
@@ -26,8 +18,7 @@
 //! within 6x of 64).
 
 use twe_bench::{
-    print_conflicting_rows, print_reclaim_rows, print_rows, run_conflicting_sweep, run_figures,
-    run_reclaim_bench, BacklogRecord,
+    print_conflicting_rows, print_rows, run_conflicting_sweep, run_figures, BacklogRecord,
 };
 
 fn main() {
@@ -35,7 +26,6 @@ fn main() {
     let mut which = "all".to_string();
     let mut quick = false;
     let mut json_path: Option<String> = None;
-    let mut reclaim_json_path: Option<String> = None;
     let mut backlog_json_path: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
@@ -52,19 +42,14 @@ fn main() {
                 json_path = args.get(i + 1).cloned();
                 i += 2;
             }
-            "--reclaim-json" => {
-                reclaim_json_path = args.get(i + 1).cloned();
-                i += 2;
-            }
             "--backlog-json" => {
                 backlog_json_path = args.get(i + 1).cloned();
                 i += 2;
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: figures [--fig 6.1|6.2|6.3|6.4|7.1|reclaim|backlog|all] \
-                     [--quick] [--json out.json] [--reclaim-json BENCH_reclaim.json] \
-                     [--backlog-json BENCH_backlog.json]"
+                    "usage: figures [--fig 6.1|6.2|6.3|6.4|7.1|backlog|all] \
+                     [--quick] [--json out.json] [--backlog-json BENCH_backlog.json]"
                 );
                 return;
             }
@@ -74,17 +59,15 @@ fn main() {
             }
         }
     }
-    // The microbenches are opt-in (`--fig reclaim|backlog` / their `--*-json`
-    // flags) rather than part of `all`, so figure sweeps and the microbenches
-    // are never silently paid for twice in one invocation.
-    let run_reclaim = which == "reclaim" || reclaim_json_path.is_some();
+    // The microbench is opt-in (`--fig backlog` / `--backlog-json`) rather
+    // than part of `all`, so figure sweeps and the microbench are never
+    // silently paid for twice in one invocation.
     let run_backlog = which == "backlog" || backlog_json_path.is_some();
-    let micro_only = which == "reclaim" || which == "backlog";
-    if micro_only {
+    if which == "backlog" {
         if json_path.is_some() {
             eprintln!(
-                "# note: --json applies to figure rows and is ignored with --fig {which}; \
-                 use --reclaim-json / --backlog-json for the microbench records"
+                "# note: --json applies to figure rows and is ignored with --fig backlog; \
+                 use --backlog-json for the microbench record"
             );
         }
     } else {
@@ -100,22 +83,6 @@ fn main() {
         if let Some(path) = json_path {
             let json = serde_json::to_string_pretty(&rows).expect("serialize rows");
             std::fs::write(&path, json).expect("write JSON output");
-            eprintln!("# wrote {path}");
-        }
-    }
-    if run_reclaim {
-        eprintln!(
-            "# dynamic-region churn microbench ({} mode, host parallelism = {})",
-            if quick { "quick" } else { "full" },
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        );
-        let rows = run_reclaim_bench(quick);
-        print_reclaim_rows(&rows);
-        if let Some(path) = reclaim_json_path {
-            let json = serde_json::to_string_pretty(&rows).expect("serialize reclaim rows");
-            std::fs::write(&path, json).expect("write reclaim JSON output");
             eprintln!("# wrote {path}");
         }
     }

@@ -15,13 +15,11 @@
 #![warn(missing_docs)]
 
 pub mod backlog;
-pub mod reclaim;
 
 pub use backlog::{
     print_conflicting_rows, run_conflicting_sweep, BacklogRecord, ConflictingRow, Spread,
     CONFLICTING_IN_FLIGHT,
 };
-pub use reclaim::{print_reclaim_rows, run_reclaim_bench, ReclaimRow, RECLAIM_THREADS};
 
 use serde::Serialize;
 use std::time::Instant;

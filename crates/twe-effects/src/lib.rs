@@ -87,5 +87,5 @@ pub use arena::RplId;
 pub use compound::{BitCompound, CompoundEffect, CompoundOp, EffectDomain};
 pub use effect::{Effect, EffectKind, EffectSet};
 pub use intern::{intern, resolve, Symbol};
-pub use reclaim::{DynRegion, Reclaimer};
+pub use reclaim::DynRegion;
 pub use rpl::{Rpl, RplElement};

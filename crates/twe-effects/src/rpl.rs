@@ -820,8 +820,6 @@ mod tests {
         assert!(rpl("A:B").starts_with(&[]));
     }
 
-    use crate::reclaim::Reclaimer as _;
-
     mod proptests {
         use super::*;
         use proptest::prelude::*;
@@ -917,7 +915,7 @@ mod tests {
 
             /// Exactness under recycle: relations touching dynamic-region
             /// RPLs always agree with the element-wise oracle, across
-            /// retire/re-allocate cycles of the *same* arena id and across
+            /// drop/re-allocate cycles of the *same* arena id and across
             /// repeated queries.
             #[test]
             fn dyn_region_relations_match_oracle_across_recycles(
@@ -925,8 +923,8 @@ mod tests {
                 suffix in proptest::collection::vec(arb_element(), 0..3),
                 cycles in 1..4usize,
             ) {
-                let reclaimer = crate::reclaim::Epoch::new();
-                let mut region = reclaimer.allocate();
+                let _serial = crate::reclaim::TEST_SERIAL.lock();
+                let mut region = crate::reclaim::DynRegion::allocate();
                 for _ in 0..cycles {
                     let mut elems = region.rpl().elements().to_vec();
                     elems.extend(suffix.iter().cloned());
@@ -948,13 +946,14 @@ mod tests {
                             }
                         }
                     }
-                    let prev = region.id();
-                    reclaimer.retire(region);
-                    region = reclaimer.allocate();
-                    // The cycle genuinely reuses the id (idle churn, no
-                    // pinned readers), so era 2 queries the same ids era 1
-                    // did — the aliasing-prone case.
+                    let (prev, generation) = (region.id(), region.generation());
+                    drop(region);
+                    region = crate::reclaim::DynRegion::allocate();
+                    // The cycle genuinely reuses the id (nothing else
+                    // allocates meanwhile), so era 2 queries the same ids
+                    // era 1 did — the aliasing-prone case.
                     prop_assert_eq!(region.id(), prev);
+                    prop_assert_eq!(region.generation(), generation + 1);
                 }
             }
 

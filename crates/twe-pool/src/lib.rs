@@ -376,15 +376,6 @@ impl<J: Job> ThreadPool<J> {
         self.num_threads
     }
 
-    /// Is the calling thread one of *this* pool's worker threads?
-    ///
-    /// Used by callers that must never park a worker — e.g. the runtime's
-    /// blocking admission policy, which would deadlock if the thread it
-    /// blocked was one of the workers expected to drain the backlog.
-    pub fn on_worker_thread(&self) -> bool {
-        with_local(self.shared.id, |_: &Worker<J>| ()).is_some()
-    }
-
     /// Submits a job for execution. Jobs submitted from a worker thread of
     /// this pool go to that worker's own deque (LIFO); jobs submitted from
     /// any other thread go to the shared injector. One sleeping thread is

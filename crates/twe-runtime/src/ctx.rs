@@ -8,7 +8,7 @@
 //! children plus effects transferred back by joins), which implements the
 //! limited run-time check for `spawn` described in §3.1.5.
 
-use crate::dynamics::{Aborted, DynCell};
+use crate::dynamics::{Aborted, DynCell, RegionEra};
 use crate::future::{SpawnedTaskFuture, TaskFuture};
 use crate::task::{TaskRecord, TaskStatus};
 use crate::RtInner;
@@ -163,15 +163,15 @@ impl<'rt> TaskCtx<'rt> {
     /// task's dynamic effects, in which case the task should abort and retry
     /// (see `Runtime::execute_later_retry`).
     pub fn acquire_read<T>(&self, cell: &DynCell<T>) -> Result<(), Aborted> {
-        self.acquire_region(cell.region_id(), false)
+        self.acquire_region(cell.era(), false)
     }
 
     /// Adds a dynamic *write* effect on the reference region of `cell`.
     pub fn acquire_write<T>(&self, cell: &DynCell<T>) -> Result<(), Aborted> {
-        self.acquire_region(cell.region_id(), true)
+        self.acquire_region(cell.era(), true)
     }
 
-    fn acquire_region(&self, region: twe_effects::RplId, write: bool) -> Result<(), Aborted> {
+    fn acquire_region(&self, region: RegionEra, write: bool) -> Result<(), Aborted> {
         let result = if write {
             self.rt.dynamic.acquire_write(self.record.id, region)
         } else {
@@ -189,7 +189,7 @@ impl<'rt> TaskCtx<'rt> {
     /// Releases every dynamic effect this task has added so far (used when a
     /// retryable task aborts; completed tasks release automatically).
     pub fn release_dynamic_effects(&self) {
-        let claims: Vec<twe_effects::RplId> = self.record.dynamic_claims.lock().drain(..).collect();
+        let claims: Vec<RegionEra> = self.record.dynamic_claims.lock().drain(..).collect();
         self.rt.dynamic.release_all(self.record.id, &claims);
     }
 

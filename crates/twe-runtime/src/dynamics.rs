@@ -9,7 +9,7 @@
 //! detects conflicts between such dynamically-added effects and aborts and
 //! retries one of the conflicting tasks.
 //!
-//! In this implementation every [`DynCell`] owns a fresh *reference region*
+//! In this implementation every [`DynCell`] owns a *reference region*
 //! interned into the global RPL arena as `Root:__DynRegion:[id]` (under the
 //! reserved [`twe_effects::arena::dyn_region_root`]), so a dynamic region id
 //! **is** an ordinary [`RplId`]: disjointness against any static effect is
@@ -19,26 +19,25 @@
 //! `__DynRegion` subtree is disjoint from every statically-declared region —
 //! the same argument the paper uses for Java atomics (§5.5.4). Conflicts
 //! between *claims* are only possible between dynamic effects on the same
-//! cell, and a sharded claim table keyed by the region id performs exactly
-//! the conflict check the paper's per-tree-node dynamic effect sets perform
+//! cell, and a claim table keyed by the cell's region performs exactly the
+//! conflict check the paper's per-tree-node dynamic effect sets perform
 //! (§7.5), with the same abort-the-requester / retry resolution (§7.2.4).
 //!
-//! Reference regions are **recyclable**: cells allocate their region
-//! through the process-global epoch reclaimer
-//! ([`twe_effects::reclaim::global`]) and [`DynCell`]'s `Drop` retires it,
-//! so a workload churning through millions of short-lived cells keeps a
-//! bounded arena footprint instead of leaking one interned entry per cell.
-//! Dropping also notifies live runtimes (claim-table entry dropped, tree
-//! scheduler node pruned) before the id can start a new era. See the
-//! reclamation contract in `ARCHITECTURE.md` and the pin/generation
-//! discipline on [`DynCell::region_id`].
+//! A region lives exactly as long as its cell, as in the paper, where the
+//! JVM collector is TWEJava's only reclaimer: the cell owns a
+//! [`DynRegion`], and dropping the cell frees the id for a later cell under
+//! a bumped generation ([`twe_effects::reclaim`]), so a workload churning
+//! through millions of short-lived cells keeps a bounded arena footprint.
+//! Claims are keyed by `(id, generation)`, so a claim a task still holds on
+//! a dropped cell never meets the id's next era. See "Reclamation" in
+//! `ARCHITECTURE.md`.
 
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::Arc;
 use twe_effects::arena::RplId;
-use twe_effects::reclaim::{self, DynRegion, Reclaimer};
+use twe_effects::reclaim::DynRegion;
 use twe_effects::Rpl;
 
 /// Error returned when adding a dynamic effect conflicts with another task's
@@ -54,52 +53,10 @@ impl std::fmt::Display for Aborted {
 
 impl std::error::Error for Aborted {}
 
-/// Allocates a reference region `Root:__DynRegion:[n]` through the
-/// process-global epoch reclaimer ([`twe_effects::reclaim::global`]).
-///
-/// The arena stays append-only, but the *logical* region is recyclable:
-/// when the owning cell drops, [`DynCell`]'s `Drop` retires the region and
-/// — once the epoch grace period has passed — a later cell reuses the same
-/// interned id under a bumped generation. Steady-state arena footprint is
-/// therefore bounded by the live-cell window, not by the total number of
-/// cells ever created; `BENCH_reclaim.json` tracks this against the
-/// pre-reclamation leak baseline.
-fn fresh_dyn_region() -> DynRegion {
-    reclaim::global().allocate()
-}
-
-/// A consumer of region-retired notifications (the runtime: it drops the
-/// claim table's per-region state and lets the scheduler prune the
-/// region's tree node). Registered weakly so dropped runtimes unregister
-/// themselves.
-pub(crate) trait RegionRetireSink: Send + Sync {
-    /// `region` has been retired: no task's effect set can still name it.
-    fn region_retired(&self, region: RplId);
-}
-
-fn retire_sinks() -> &'static Mutex<Vec<Weak<dyn RegionRetireSink>>> {
-    static SINKS: OnceLock<Mutex<Vec<Weak<dyn RegionRetireSink>>>> = OnceLock::new();
-    SINKS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Registers a runtime for retire notifications (process-global, weak).
-pub(crate) fn register_retire_sink(sink: Weak<dyn RegionRetireSink>) {
-    let mut sinks = retire_sinks().lock();
-    sinks.retain(|s| s.strong_count() > 0);
-    sinks.push(sink);
-}
-
-/// Notifies every live runtime that `region` is retired. The sink list is
-/// snapshotted first: sinks take scheduler locks, so none are held here.
-fn notify_region_retired(region: RplId) {
-    let live: Vec<Arc<dyn RegionRetireSink>> = {
-        let sinks = retire_sinks().lock();
-        sinks.iter().filter_map(Weak::upgrade).collect()
-    };
-    for sink in live {
-        sink.region_retired(region);
-    }
-}
+/// What a dynamic claim names: a cell's region id and the era (generation)
+/// of that id the cell owns. The id alone is reused by later cells; the
+/// pair names one cell for the life of the process.
+pub type RegionEra = (RplId, u32);
 
 /// A shared object with its own unique *reference region*.
 ///
@@ -114,15 +71,19 @@ fn notify_region_retired(region: RplId) {
 /// [`DynCell::rpl`] can also be used to declare a *static* effect on the
 /// cell and route it through the effect-aware schedulers.
 pub struct DynCell<T> {
+    /// Dropped with the cell, which frees the id for the next cell. Reaching
+    /// the drop proves no task names this era: a task that claims the cell
+    /// holds its `Arc`, and a task with a static effect on `rpl()` got the
+    /// id from a cell its submitter keeps alive across the task.
     region: DynRegion,
     data: RwLock<T>,
 }
 
 impl<T> DynCell<T> {
-    /// Wraps `value` in a new cell with a fresh reference region.
+    /// Wraps `value` in a new cell with a reference region of its own.
     pub fn new(value: T) -> Arc<Self> {
         Arc::new(DynCell {
-            region: fresh_dyn_region(),
+            region: DynRegion::allocate(),
             data: RwLock::new(value),
         })
     }
@@ -130,19 +91,15 @@ impl<T> DynCell<T> {
     /// The interned id of this cell's reference region.
     ///
     /// The id is stable and arena-resolvable forever, but it names *this*
-    /// cell only while the cell is alive: after the cell drops, the epoch
-    /// reclaimer may recycle the id for a new cell under a bumped
-    /// generation ([`DynCell::generation`]). Code holding the cell's `Arc`
-    /// may use the id freely; code stashing raw ids across the cell's
-    /// lifetime must pin ([`twe_effects::reclaim::Reclaimer::pin`]) and
-    /// generation-check instead.
+    /// cell only while the cell is alive: once the cell drops, a later cell
+    /// may get the same id under a bumped [`DynCell::generation`].
     pub fn region_id(&self) -> RplId {
         self.region.id()
     }
 
-    /// The era of this cell's region: recycling the id for a later cell
-    /// bumps it, so `(region_id, generation)` is unique across the whole
-    /// process lifetime even though `region_id` alone is not.
+    /// The era of this cell's region: `(region_id, generation)` is unique
+    /// across the whole process lifetime even though `region_id` alone is
+    /// not.
     pub fn generation(&self) -> u32 {
         self.region.generation()
     }
@@ -161,7 +118,7 @@ impl<T> DynCell<T> {
     /// for it. Nothing enforces the rule; ROADMAP parks a claim-table mode
     /// bit that would.
     pub fn rpl(&self) -> Rpl {
-        Rpl::from_prefix_id(self.region.id())
+        self.region.rpl()
     }
 
     /// Read access to the data (the caller should hold a read or write claim).
@@ -173,21 +130,10 @@ impl<T> DynCell<T> {
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.data.write()
     }
-}
 
-impl<T> Drop for DynCell<T> {
-    fn drop(&mut self) {
-        // Reaching drop proves quiescence: under the one-discipline
-        // contract every task naming this region — through a claim
-        // (`acquire_*` holds the `Arc` via `TaskCtx`) or a static effect
-        // on `rpl()` (the effect set names an id obtained from a live
-        // cell the caller keeps alive across the task) — holds the cell,
-        // so no live task's effect set can still name the region. Clear
-        // the runtime state keyed on the id first (claim-table entry,
-        // scheduler tree node), then hand the id to the epoch reclaimer;
-        // only after the grace period can a new cell reuse it.
-        notify_region_retired(self.region.id());
-        reclaim::global().retire(self.region);
+    /// What a claim on this cell is keyed by.
+    pub(crate) fn era(&self) -> RegionEra {
+        (self.region.id(), self.region.generation())
     }
 }
 
@@ -225,46 +171,27 @@ pub struct DynamicStats {
 }
 
 /// The table recording which task currently holds dynamic effects on which
-/// reference regions. Sharded by region id to keep the hot path scalable.
+/// cell, keyed by the cell's [`RegionEra`]. An entry lives while some task
+/// holds a claim in it.
+#[derive(Default)]
 pub struct DynamicEffectTable {
-    shards: Vec<Mutex<HashMap<RplId, ClaimEntry>>>,
+    claims: Mutex<HashMap<RegionEra, ClaimEntry>>,
     acquires: AtomicU64,
     conflicts: AtomicU64,
 }
 
-impl Default for DynamicEffectTable {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl DynamicEffectTable {
-    /// Creates an empty table with a fixed shard count.
+    /// Creates an empty table.
     pub fn new() -> Self {
-        DynamicEffectTable {
-            shards: (0..64).map(|_| Mutex::new(HashMap::new())).collect(),
-            acquires: AtomicU64::new(0),
-            conflicts: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, region: RplId) -> &Mutex<HashMap<RplId, ClaimEntry>> {
-        &self.shards[(region.index() as usize) % self.shards.len()]
+        Self::default()
     }
 
     /// Adds a dynamic *read* effect on `region` for `task`.
     ///
     /// Fails (and counts a conflict) if another task holds a write claim.
-    ///
-    /// The op runs under an epoch pin: callers reach here holding the
-    /// cell's `Arc` (via `TaskCtx`), which already blocks retirement, but
-    /// the pin makes the table robust on its own terms — the region
-    /// cannot be recycled mid-operation even for a caller that passed a
-    /// raw id, so the entry this claim lands in is never a new era's.
-    pub fn acquire_read(&self, task: u64, region: RplId) -> Result<(), Aborted> {
-        let _pin = reclaim::global().pin();
-        let mut shard = self.shard(region).lock();
-        let entry = shard.entry(region).or_default();
+    pub fn acquire_read(&self, task: u64, region: RegionEra) -> Result<(), Aborted> {
+        let mut claims = self.claims.lock();
+        let entry = claims.entry(region).or_default();
         match entry.writer {
             Some(owner) if owner != task => {
                 self.conflicts.fetch_add(1, Ordering::Relaxed);
@@ -283,12 +210,9 @@ impl DynamicEffectTable {
     /// Adds a dynamic *write* effect on `region` for `task`.
     ///
     /// Fails (and counts a conflict) if another task holds any claim on it.
-    ///
-    /// Runs under an epoch pin, like [`DynamicEffectTable::acquire_read`].
-    pub fn acquire_write(&self, task: u64, region: RplId) -> Result<(), Aborted> {
-        let _pin = reclaim::global().pin();
-        let mut shard = self.shard(region).lock();
-        let entry = shard.entry(region).or_default();
+    pub fn acquire_write(&self, task: u64, region: RegionEra) -> Result<(), Aborted> {
+        let mut claims = self.claims.lock();
+        let entry = claims.entry(region).or_default();
         let other_writer = matches!(entry.writer, Some(owner) if owner != task);
         let other_reader = entry.readers.iter().any(|&r| r != task);
         if other_writer || other_reader {
@@ -302,41 +226,28 @@ impl DynamicEffectTable {
     }
 
     /// Does `task` currently hold a claim (read or write) on `region`?
-    pub fn holds(&self, task: u64, region: RplId) -> bool {
-        let shard = self.shard(region).lock();
-        shard
+    pub fn holds(&self, task: u64, region: RegionEra) -> bool {
+        self.claims
+            .lock()
             .get(&region)
-            .map(|e| e.writer == Some(task) || e.readers.contains(&task))
-            .unwrap_or(false)
+            .is_some_and(|e| e.writer == Some(task) || e.readers.contains(&task))
     }
 
     /// Releases every claim `task` holds on the given regions (called when a
     /// task completes, aborts, or retries).
-    pub fn release_all(&self, task: u64, regions: &[RplId]) {
-        for &region in regions {
-            let mut shard = self.shard(region).lock();
-            if let Some(entry) = shard.get_mut(&region) {
+    pub fn release_all(&self, task: u64, regions: &[RegionEra]) {
+        let mut claims = self.claims.lock();
+        for region in regions {
+            if let Some(entry) = claims.get_mut(region) {
                 if entry.writer == Some(task) {
                     entry.writer = None;
                 }
                 entry.readers.retain(|&r| r != task);
                 if entry.is_empty() {
-                    shard.remove(&region);
+                    claims.remove(region);
                 }
             }
         }
-    }
-
-    /// Drops all per-region state for a retired region.
-    ///
-    /// Called when the owning [`DynCell`] drops; at that point the
-    /// one-discipline contract guarantees no task still holds a claim on
-    /// it, so the entry (if any) records only stale bookkeeping. Removing
-    /// it keeps the table's footprint proportional to *live* claimed
-    /// regions even under cell churn, and guarantees a recycled id starts
-    /// its next era with a clean entry.
-    pub fn forget_region(&self, region: RplId) {
-        self.shard(region).lock().remove(&region);
     }
 
     /// Activity counters.
@@ -353,16 +264,12 @@ mod tests {
     use super::*;
     use twe_effects::arena;
 
-    /// A stable test region per tag, allocated through the real
-    /// [`fresh_dyn_region`] path — the same allocator (and recycler)
-    /// production cells use — instead of hand-minting `Index(1_000_000 +
-    /// tag)` arena children behind the reclaimer's back. The handles are
-    /// kept (never retired), so the ids can never be recycled out from
-    /// under the claims these tests record.
-    fn region(tag: i64) -> RplId {
-        static REGIONS: OnceLock<Mutex<HashMap<i64, DynRegion>>> = OnceLock::new();
-        let mut map = REGIONS.get_or_init(|| Mutex::new(HashMap::new())).lock();
-        map.entry(tag).or_insert_with(fresh_dyn_region).id()
+    /// A claim key per tag. The table never looks at what an id names, so
+    /// these are static regions: taking ids off the free list here would
+    /// hold them for the rest of the process, away from the tests that
+    /// expect a freed id back.
+    fn region(tag: i64) -> RegionEra {
+        (Rpl::parse(&format!("ClaimTest:[{tag}]")).prefix_id(), 0)
     }
 
     #[test]
@@ -437,29 +344,44 @@ mod tests {
     #[test]
     fn dropping_a_cell_retires_its_region() {
         let cell: Arc<DynCell<i32>> = DynCell::new(7);
-        let id = cell.region_id();
-        let generation = cell.generation();
-        assert_eq!(reclaim::global().generation_of(id), Some(generation));
+        let (id, generation) = (cell.region_id(), cell.generation());
         drop(cell);
-        // Retire bumps the generation immediately; the id may since have
-        // been recycled (and re-retired) by concurrent tests, so the era
-        // is strictly past ours rather than exactly ours + 1.
-        let now = reclaim::global()
-            .generation_of(id)
-            .expect("cell regions are reclaimer-tracked");
-        assert!(now > generation, "drop must end the cell's era");
+        // The id is free again. Other tests allocate concurrently and may
+        // take it first, so hold every other cell until it comes back; its
+        // era is past ours (ours + 1 unless another cell had it meanwhile).
+        // A fresh id (generation 0) means the free list is empty and another
+        // test's cell holds ours: wait for that cell to drop.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let mut held = Vec::new();
+        let back = loop {
+            let next = DynCell::new(0);
+            if next.region_id() == id {
+                break next;
+            }
+            if next.generation() == 0 {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "the dropped cell's id never came back"
+                );
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            held.push(next);
+        };
+        assert!(
+            back.generation() > generation,
+            "drop must end the cell's era"
+        );
     }
 
     #[test]
-    fn forget_region_clears_claims() {
+    fn a_recycled_id_starts_its_era_unclaimed() {
         let table = DynamicEffectTable::new();
-        let r = region(9_000);
-        assert!(table.acquire_write(1, r).is_ok());
-        assert!(table.holds(1, r));
-        table.forget_region(r);
-        assert!(!table.holds(1, r));
-        // A recycled id starts its next era unclaimed.
-        assert!(table.acquire_write(2, r).is_ok());
+        let (id, generation) = region(9_000);
+        assert!(table.acquire_write(1, (id, generation)).is_ok());
+        // The same id under the next era is another cell.
+        assert!(table.acquire_write(2, (id, generation + 1)).is_ok());
+        assert!(table.holds(1, (id, generation)));
+        assert!(!table.holds(1, (id, generation + 1)));
     }
 
     #[test]

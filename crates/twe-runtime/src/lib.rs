@@ -85,7 +85,7 @@ pub mod task;
 pub mod tree;
 
 pub use ctx::TaskCtx;
-pub use dynamics::{Aborted, DynCell, DynamicEffectTable, DynamicStats};
+pub use dynamics::{Aborted, DynCell, DynamicEffectTable, DynamicStats, RegionEra};
 pub use future::{SpawnedTaskFuture, TaskFuture};
 pub use task::{TaskRecord, TaskStatus};
 
@@ -98,7 +98,7 @@ use std::any::Any;
 use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::Duration;
 use twe_effects::EffectSet;
 use twe_pool::ThreadPool;
@@ -134,11 +134,14 @@ impl SchedulerKind {
 ///
 /// Two escape hatches keep the bounded policies deadlock-free and loss-free:
 ///
-/// * Submissions from one of the runtime's **own worker threads** (a task
-///   body calling `execute_later`/`execute_all_later`) always bypass the
-///   bound — blocking a worker on admission would starve the very backlog
-///   it is waiting on. The depth gauge still counts them, so
-///   [`RuntimeStats::peak_depth`] may transiently exceed the cap.
+/// * Submissions from **inside a task body** (`execute_later` /
+///   `execute_all_later` on a [`TaskCtx`], or any submission made while a
+///   body runs on the thread) always bypass the bound — the task making
+///   them holds an admission slot only its own completion can release, so
+///   blocking it could starve the very backlog it waits on. That covers
+///   the runtime's workers: every job they run is a task body. The depth
+///   gauge still counts these submissions, so [`RuntimeStats::peak_depth`]
+///   may transiently exceed the cap.
 /// * Plain [`Runtime::execute_later`] must return a future, so it cannot
 ///   shed: under [`AdmissionPolicy::BoundedShed`] it admits unconditionally.
 ///   Use [`Runtime::try_execute_later`] or [`Runtime::submit_all`] (which
@@ -212,7 +215,12 @@ impl Drop for TaskNestGuard {
     }
 }
 
-/// Is the calling thread currently inside a task body?
+/// Is the calling thread currently inside a task body? If so it is exempt
+/// from the bounded admission policies (see [`AdmissionPolicy`]). A pool
+/// worker needs no exemption of its own: every job the runtime's pool runs
+/// is a task, whose `Work::run` holds a [`TaskNestGuard`] from before the
+/// body to after `finish_task`, so a worker can only submit from inside a
+/// body.
 fn in_task_body() -> bool {
     TASK_NEST.with(|c| c.get() > 0)
 }
@@ -470,20 +478,12 @@ impl RtInner {
         self.scheduler.as_ref()
     }
 
-    /// Is the calling thread exempt from the bounded admission policies?
-    /// True inside a task body (including bodies run by helping external
-    /// threads) and on this runtime's pool workers — blocking either would
-    /// stall the machinery that drains the backlog. See [`AdmissionPolicy`].
-    fn admission_exempt(&self) -> bool {
-        in_task_body() || self.pool.on_worker_thread()
-    }
-
     /// Admits one task for a path that cannot shed (`execute_later` and
     /// friends): blocks under [`AdmissionPolicy::BoundedBlock`] (unless the
     /// caller is exempt — see [`AdmissionPolicy`]), force-admits otherwise.
     fn admit_one(&self) {
         match self.policy {
-            AdmissionPolicy::BoundedBlock { max_queued } if !self.admission_exempt() => {
+            AdmissionPolicy::BoundedBlock { max_queued } if !in_task_body() => {
                 self.admission.reserve_blocking(1, max_queued);
             }
             _ => self.admission.reserve_forced(1),
@@ -567,7 +567,7 @@ impl RtInner {
         F: FnOnce(&TaskCtx<'_>) -> T + Send + 'static,
     {
         match self.policy.max_queued() {
-            Some(cap) if !self.admission_exempt() => {
+            Some(cap) if !in_task_body() => {
                 if self.admission.reserve_up_to(1, cap) == 0 {
                     self.admission.count_shed(1);
                     return None;
@@ -624,7 +624,7 @@ impl RtInner {
     {
         let build = |(name, effects, body)| self.new_task(name, effects, None, body);
         match self.policy {
-            AdmissionPolicy::BoundedShed { max_queued } if !self.admission_exempt() => {
+            AdmissionPolicy::BoundedShed { max_queued } if !in_task_body() => {
                 let mut triples: Vec<(N, EffectSet, F)> = tasks.into_iter().collect();
                 let take = self.admission.reserve_up_to(triples.len(), max_queued);
                 self.admission.count_shed(triples.len() - take);
@@ -633,7 +633,7 @@ impl RtInner {
                 self.admit_wave(&futures);
                 futures
             }
-            AdmissionPolicy::BoundedBlock { max_queued } if !self.admission_exempt() => {
+            AdmissionPolicy::BoundedBlock { max_queued } if !in_task_body() => {
                 let triples: Vec<(N, EffectSet, F)> = tasks.into_iter().collect();
                 let mut futures = Vec::with_capacity(triples.len());
                 let mut rest = triples.into_iter();
@@ -681,16 +681,6 @@ impl RtInner {
                 }
             }
         })
-    }
-}
-
-impl dynamics::RegionRetireSink for RtInner {
-    fn region_retired(&self, region: twe_effects::RplId) {
-        // Ordering: the cell's drop runs this *before* the id is handed to
-        // the epoch reclaimer, so both cleanups finish before the id can
-        // open a new era.
-        self.dynamic.forget_region(region);
-        self.scheduler.region_retired(region);
     }
 }
 
@@ -786,12 +776,6 @@ impl RuntimeBuilder {
             #[cfg(test)]
             wave_sizes: parking_lot::Mutex::new(Vec::new()),
         });
-        // Register for region-retired notifications (DynCell drops): the
-        // runtime drops the claim table's per-region state and lets the
-        // scheduler prune the region's node. Weak, so a dropped runtime
-        // unregisters itself.
-        let sink: Weak<dyn dynamics::RegionRetireSink> = Arc::downgrade(&inner) as _;
-        dynamics::register_retire_sink(sink);
         Runtime { inner }
     }
 }

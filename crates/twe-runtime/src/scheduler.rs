@@ -9,7 +9,7 @@
 
 use crate::task::{blocked_on, TaskRecord};
 use std::sync::Arc;
-use twe_effects::{Effect, RplId};
+use twe_effects::Effect;
 
 /// Callback a scheduler hands each enabled task to (the runtime's pool
 /// submission).
@@ -116,20 +116,6 @@ pub trait Scheduler: Send + Sync {
     /// resolve conflicts for tasks waiting behind the blocked parent.
     fn spawned_child_done(&self, parent: &Arc<TaskRecord>) {
         let _ = parent;
-    }
-
-    /// A dynamic reference region was retired (its
-    /// [`DynCell`](crate::DynCell) dropped): no live task's effect set can
-    /// still name `region`, so any scheduler state attached to it is
-    /// permanently quiescent and may be reclaimed eagerly. The epoch
-    /// reclaimer may recycle the id for a new cell afterwards, so state
-    /// left behind would otherwise greet the next era.
-    ///
-    /// The default is a no-op (the naive scheduler keeps no per-region
-    /// state); the tree scheduler prunes the region's tree node instead of
-    /// waiting for a wildcard walk to stumble on it.
-    fn region_retired(&self, region: RplId) {
-        let _ = region;
     }
 
     /// Current counters ([`SchedulerDiagnostics`]). Diagnostic only —

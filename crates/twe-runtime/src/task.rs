@@ -122,10 +122,10 @@ pub struct TaskRecord<B: ?Sized = dyn TaskBody> {
     /// Per-effect records used by the tree scheduler (unset for the naive
     /// scheduler and for spawned tasks).
     pub tree_effects: OnceLock<TreeRecords>,
-    /// Reference-region ids of dynamic effects currently held (chapter 7).
-    /// Dynamic regions are ordinary interned RPL ids under the reserved
-    /// `Root:__DynRegion` root, so they share the static conflict fast paths.
-    pub dynamic_claims: Mutex<Vec<twe_effects::RplId>>,
+    /// The cells this task holds dynamic effects on (chapter 7), each as its
+    /// region id and era: a claim outlives the cell it names when the task
+    /// drops the cell's last handle before finishing.
+    pub dynamic_claims: Mutex<Vec<crate::dynamics::RegionEra>>,
     /// The body and the result slot. Last, so that the record unsizes.
     pub(crate) body: B,
 }

@@ -63,10 +63,10 @@
 //! (a batch of N nobody follows: N vacant nodes until its last completion).
 //! A completion that leaves the scheduler empty flushes a list of
 //! `IDLE_PRUNE` or more itself (nobody may ever submit again), and
-//! `region_retired` and `diagnostics` flush it, so "a drained
-//! scheduler is a bare root" and "a recycled region id never meets its
-//! previous era's node" stay observable. The list is a plain mutex, never
-//! held with a node lock.
+//! `diagnostics` flushes it, so "a drained scheduler is a bare root" stays
+//! observable. A recycled `DynCell` region id may meet its previous era's
+//! node while it is still pending: the node is vacant, so that costs
+//! nothing. The list is a plain mutex, never held with a node lock.
 //!
 //! # The root
 //!
@@ -1128,21 +1128,6 @@ impl Scheduler for TreeScheduler {
         }
     }
 
-    fn region_retired(&self, region: RplId) {
-        // No live task can still name the region (retire runs from
-        // `DynCell::drop`, and live effects keep the cell alive through
-        // their task), so every task that named it is done and the node is
-        // vacant: it can be pruned before the epoch reclaimer hands the
-        // id to a new cell. Cell effects are fully specified, so they settle
-        // exactly at the region's own node — pruning the interned path
-        // covers them, once the flush has pruned the sub-region nodes
-        // (`cell:Key:[j]`) finished tasks vacated below it.
-        self.vacated
-            .lock()
-            .push(twe_effects::arena::id_path(region));
-        self.flush_vacated();
-    }
-
     /// Flushes the pending prunes first, so a drained scheduler reports a
     /// bare root.
     fn diagnostics(&self) -> SchedulerDiagnostics {
@@ -1973,21 +1958,6 @@ mod tests {
     }
 
     #[test]
-    fn region_retired_prunes_the_region_node() {
-        let h = harness();
-        let cell = crate::DynCell::new(0u32);
-        let t = task(1, &format!("writes {}", cell.rpl()));
-        h.sched.submit(t.clone());
-        assert_eq!(t.status(), TaskStatus::Enabled);
-        h.finish(&t);
-        // The finished task left the region's node vacant and its path
-        // pending (`raw_nodes` does not flush); retiring the region prunes it.
-        assert!(raw_nodes(&h.sched) > 1);
-        h.sched.region_retired(cell.region_id());
-        assert_eq!(raw_nodes(&h.sched), 1);
-    }
-
-    #[test]
     fn write_walk_skip_is_sound_with_waiting_records() {
         // A subtree holding only a *waiting* record must not be skipped by
         // the empty-subtree write skip: the trailing-star walk has to find t2
@@ -2323,30 +2293,6 @@ mod tests {
         assert_eq!(h.sched.diagnostics().tree_nodes, 1);
     }
 
-    #[test]
-    fn retiring_a_region_prunes_its_pending_vacated_subtree() {
-        // Finished requests left `cell:Key:[j]` vacant and pending; nobody
-        // admits again. Retirement must still leave no node of the region,
-        // or a recycled id would meet its previous era's subtree.
-        let h = harness();
-        let cell = crate::DynCell::new(0u32);
-        let keeper = task(100, "writes Other");
-        h.sched.submit(keeper.clone());
-        for j in 0..8 {
-            let t = task(j, &format!("writes {}:Key:[{j}]", cell.rpl()));
-            h.sched.submit(t.clone());
-            h.finish(&t);
-        }
-        assert_eq!(
-            raw_nodes(&h.sched),
-            2 + 3 + 8,
-            "root, Other; region, Key, [j]"
-        );
-        h.sched.region_retired(cell.region_id());
-        assert_eq!(raw_nodes(&h.sched), 2, "root and Other");
-        h.finish(&keeper);
-        assert_eq!(h.sched.diagnostics().tree_nodes, 1);
-    }
     /// What one completion cost the wake path, from the per-thread counters.
     #[derive(Debug, Default, Clone, Copy)]
     struct WakeCost {

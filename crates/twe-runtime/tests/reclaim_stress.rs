@@ -1,27 +1,30 @@
-//! Reclamation stress: dynamic reference regions (`DynCell`) are created
-//! and dropped at high rate while conflict walks run over the very subtree
-//! being recycled, exercising the full PR-7 stack end to end:
+//! Recycling stress: dynamic reference regions (`DynCell`) are created and
+//! dropped at high rate while conflict walks run over the very subtree
+//! whose ids are being reused. A dropped cell's id goes straight back on
+//! the free list; nothing else happens at the drop, so these tests check
+//! what ownership alone has to guarantee:
 //!
-//! * `DynCell::drop` → retire-sink notifications (claim-table purge +
-//!   tree prune) → epoch retire, racing wildcard sweepers whose
-//!   `check_below` walks visit `__DynRegion` nodes as they disappear;
-//! * id recycling under the epoch reclaimer: a recycled id must come back
-//!   with a bumped generation (the stale-handle check fires) and must
-//!   never alias the previous era's claims or tree state;
-//! * bounded footprint: tens of thousands of create/drop cycles must not
-//!   grow the interned arena or the scheduling tree monotonically.
+//! * a recycled id comes back with a bumped generation, and no id is ever
+//!   held by two live cells at once;
+//! * a dynamic claim that outlives its cell (the task dropped the cell's
+//!   last handle before finishing) never meets the id's next era, because
+//!   claims are keyed by `(id, generation)`;
+//! * wildcard sweepers walking `__DynRegion` nodes race cells whose ids
+//!   recycle, and every task still runs exactly once;
+//! * bounded footprint: tens of thousands of create/drop cycles grow
+//!   neither the interned arena nor the scheduling tree.
 
 use parking_lot::Mutex;
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use twe_effects::reclaim::{self, Reclaimer};
 use twe_effects::{arena, EffectSet};
 use twe_runtime::{DynCell, Runtime, SchedulerKind};
 
-/// The tests of this binary all churn the **global** reclaimer and measure
-/// global counters (arena length, mint/recycle stats), so they must not
-/// interleave: a concurrent test's pins would stall recycling mid-
-/// measurement and its allocations would steal recycled ids.
+/// The tests of this binary share the process-global free list and measure
+/// the global arena, so they must not interleave: a concurrent test's
+/// allocations would take the ids they expect back and grow the arena
+/// mid-measurement.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Writers churn cells (create → two conflicting tasks → drop) while
@@ -48,9 +51,9 @@ fn cell_churn_races_wildcard_conflict_walks() {
                     let effects = EffectSet::parse(&format!("writes {}", cell.rpl()));
                     // Two conflicting writers on the same region: the
                     // second must park behind the first at the region's
-                    // tree node, so finishing and dropping exercises both
-                    // the waiter recheck and the retire prune on a node
-                    // that just held a conflict chain.
+                    // tree node, so finishing exercises the waiter recheck,
+                    // and the next cell may reuse the id while the node that
+                    // just held the conflict chain is still pending a prune.
                     let c1 = cell.clone();
                     let ran1 = ran.clone();
                     let f1 = rt.execute_later("churn-a", effects.clone(), move |ctx| {
@@ -68,7 +71,7 @@ fn cell_churn_races_wildcard_conflict_walks() {
                     f1.wait();
                     f2.wait();
                     assert_eq!(*cell.read(), 2, "cycle {i}: both writers ran");
-                    drop(cell); // retire: claim purge, tree prune, epoch limbo
+                    drop(cell); // frees the id for the next cycle's cell
                 }
             });
         }
@@ -97,69 +100,119 @@ fn cell_churn_races_wildcard_conflict_walks() {
     assert_eq!(sweeps.load(Ordering::Relaxed), 20);
 }
 
-/// A recycled id opens its new era with a bumped generation: the previous
-/// era's `DynRegion` handle observes `is_current == false` (the stale-
-/// handle generation check fires) and retiring through it is a no-op, so a
-/// stale handle can never free the new era's slot out from under it.
+/// A dropped cell's id is the next one out, under a bumped generation, and
+/// the new era is a cell of its own.
 #[test]
 fn recycled_ids_bump_generation_and_never_alias() {
     let _serial = SERIAL.lock();
-    let reclaimer = reclaim::global();
     let cell = DynCell::new(7u32);
-    let id = cell.region_id();
-    let generation = cell.generation();
+    let (id, generation) = (cell.region_id(), cell.generation());
+    let other = DynCell::new(0u32);
+    assert_ne!(other.region_id(), id, "a live id is never handed out twice");
     drop(cell);
-
-    // Recycling is not instantaneous (the id sits in the limbo window for
-    // two epoch advances) and the free list is a stack, so *hold* every
-    // non-matching cell the loop allocates: each held cell removes one id
-    // from circulation, which forces the allocator to dig down to the
-    // target within a bounded number of tries.
-    let mut held = Vec::new();
-    let mut reused = None;
-    for _ in 0..256 {
-        let next = DynCell::new(0u32);
-        if next.region_id() == id {
-            reused = Some(next);
-            break;
-        }
-        held.push(next);
-    }
-    let next = reused.expect("the retired id must eventually be recycled");
-    assert!(
-        next.generation() > generation,
-        "the recycled era must carry a bumped generation \
-         ({} -> {})",
-        generation,
-        next.generation()
-    );
-    // The old era's handle is stale: the generation check fires.
-    assert_eq!(reclaimer.generation_of(id), Some(next.generation()));
-    // And the new era is live and unaliased: its data is its own.
+    // Nothing else in this binary allocates while `SERIAL` is held.
+    let next = DynCell::new(0u32);
+    assert_eq!(next.region_id(), id, "the freed id comes straight back");
+    assert_eq!(next.generation(), generation + 1, "under the next era");
     *next.write() += 5;
-    assert_eq!(*next.read(), 5);
+    assert_eq!(*next.read(), 5, "the new era's data is its own");
 }
 
-/// Drop-count regression: ≥10k create/drop cycles with concurrent readers
-/// must leave both the interned arena and the scheduling tree bounded —
-/// the leak the epoch reclaimer exists to close (before PR 7 every cell
-/// interned a fresh arena entry forever).
+/// Four threads each keep a window of live cells and churn through 5 000
+/// create/drop cycles. A shared set holds the id of every live cell: an
+/// insert that finds the id already there means two live cells share it.
+/// Once the threads are joined, the arena has grown by at most the peak of
+/// cells alive at once, not by the number created.
+#[test]
+fn concurrent_churn_never_aliases_and_stays_bounded() {
+    let _serial = SERIAL.lock();
+    const THREADS: usize = 4;
+    const CYCLES: usize = 5_000;
+    const WINDOW: usize = 8;
+
+    let arena_before = arena::len();
+    let live = Mutex::new(HashSet::new());
+    std::thread::scope(|scope| {
+        for _ in 0..THREADS {
+            scope.spawn(|| {
+                let mut mine = VecDeque::new();
+                for _ in 0..CYCLES {
+                    let cell = DynCell::new(0u8);
+                    assert!(
+                        live.lock().insert(cell.region_id()),
+                        "two live cells hold {:?}",
+                        cell.rpl()
+                    );
+                    mine.push_back(cell);
+                    if mine.len() > WINDOW {
+                        let old = mine.pop_front().expect("over the window");
+                        // Out of the set before the drop frees the id.
+                        live.lock().remove(&old.region_id());
+                        drop(old);
+                    }
+                }
+                for old in mine {
+                    live.lock().remove(&old.region_id());
+                }
+            });
+        }
+    });
+    let arena_growth = arena::len() - arena_before;
+    assert!(
+        arena_growth <= 64,
+        "{} cells grew the arena by {arena_growth}",
+        THREADS * CYCLES
+    );
+}
+
+/// A retryable task claims a cell, drops the last handle to it and so frees
+/// its id while still holding the claim, gets the same id back in a new
+/// cell, and waits on a task that claims the new cell. The claim it still
+/// holds names the old era only, so the waited-on task never aborts; keyed
+/// by the id alone, that task would abort until its 1 000th attempt panics.
+#[test]
+fn a_claim_outliving_its_cell_never_aborts_the_next_era() {
+    let _serial = SERIAL.lock();
+    let rt = Arc::new(Runtime::new(2, SchedulerKind::Tree));
+    let submitter = rt.clone();
+    let outer = rt.execute_later_retry("outer", EffectSet::pure(), move |ctx| {
+        let cell = DynCell::new(0u32);
+        ctx.acquire_write(&cell)?;
+        let id = cell.region_id();
+        drop(cell);
+        let next = DynCell::new(41u32);
+        assert_eq!(next.region_id(), id, "the freed id comes straight back");
+        let attempts = AtomicUsize::new(0);
+        let inner = submitter.execute_later_retry("inner", EffectSet::pure(), move |ctx| {
+            let attempt = attempts.fetch_add(1, Ordering::Relaxed);
+            assert!(
+                attempt < 1_000,
+                "the next era's claim aborted {attempt} times"
+            );
+            ctx.acquire_write(&next)?;
+            Ok(*next.read() + 1)
+        });
+        Ok(inner.get_value(ctx))
+    });
+    assert_eq!(outer.wait(), 42);
+    assert_eq!(rt.stats().task_retries, 0);
+}
+
+/// Sequential churn through a runtime: 10 000 create/run/drop cycles reuse
+/// a handful of ids, and leave neither the arena nor the scheduling tree
+/// grown (before recycling, every cell interned a fresh arena entry
+/// forever).
 #[test]
 fn churn_footprint_stays_bounded() {
     let _serial = SERIAL.lock();
     const CYCLES: usize = 10_000;
 
     let rt = Runtime::new(2, SchedulerKind::Tree);
-    // Warm up: drain whatever earlier tests of this binary left in the
-    // limbo window into the free list, then measure from here.
-    for _ in 0..64 {
-        drop(DynCell::new(0u8));
-    }
     let arena_before = arena::len();
-    let stats_before = reclaim::global().stats();
-
+    let mut ids = HashSet::new();
     for i in 0..CYCLES {
         let cell = DynCell::new(i as u64);
+        ids.insert(cell.region_id());
         rt.run(
             "footprint",
             EffectSet::parse(&format!("reads {}", cell.rpl())),
@@ -174,21 +227,17 @@ fn churn_footprint_stays_bounded() {
         drop(cell);
     }
 
-    let stats = reclaim::global().stats();
-    let minted = stats.minted - stats_before.minted;
-    let recycled = stats.recycled - stats_before.recycled;
     let arena_growth = arena::len() - arena_before;
-    assert_eq!(
-        minted + recycled,
-        CYCLES as u64,
-        "every allocate is a mint or a recycle"
-    );
-    // Single-threaded churn with no long-lived pins recycles aggressively:
-    // the arena may grow by the small live-window + limbo transient, never
-    // linearly in CYCLES. (The bound is generous — the mechanism under
-    // test fails by minting ~CYCLES entries.)
+    // One cell alive at a time: the id it frees is the next cell's. (The
+    // bounds are generous — a missing recycle mints ~CYCLES entries.)
     assert!(
-        minted <= 64 && arena_growth <= 64,
-        "footprint must stay bounded: minted {minted}, arena grew {arena_growth}"
+        ids.len() <= 64 && arena_growth <= 64,
+        "footprint must stay bounded: {} ids, arena grew {arena_growth}",
+        ids.len()
+    );
+    assert_eq!(
+        rt.stats().scheduler.tree_nodes,
+        1,
+        "a drained tree is a bare root"
     );
 }

@@ -12,10 +12,11 @@
 //! * **root sweepers** — `writes *` and `writes Root:[?]` tasks that settle
 //!   at the root and walk its children in sorted order, parking
 //!   concurrent descents behind them at the root;
-//! * **retire-driven pruning** — `DynCell` regions retiring mid-traffic,
-//!   whose `region_retired` flushes the vacated paths (`flush_vacated`, guard
-//!   chains from the root down) through the `__DynRegion` subtree
-//!   while the same subtree admits new cells' records.
+//! * **recycled cell regions** — `DynCell`s dropped mid-traffic, whose ids
+//!   the next cells get back while the previous era's vacated paths are
+//!   still pending; admissions drain them (`flush_vacated`, guard chains
+//!   from the root down) through the `__DynRegion` subtree while the same
+//!   subtree admits the new cells' records.
 //!
 //! Every task must run exactly once; the enable callback path is the real
 //! runtime's, so a lost wakeup or a walk that misses a freshly-created
@@ -98,12 +99,12 @@ fn first_level_submits_race_root_wildcard_sweepers() {
     assert_eq!(sweeps.load(Ordering::Relaxed), 10);
 }
 
-/// `DynCell` retire-driven pruning races `__DynRegion` traffic and sweepers:
-/// churn threads create cells, run a writing task on each, and drop the
-/// cell — each drop retires the region and prunes its node out of the
-/// `__DynRegion` subtree (`flush_vacated`, root lock downward) while
-/// the same subtree keeps admitting the *next* cells' records and
-/// `__DynRegion:[?]` / `*` sweepers walk it.
+/// `DynCell` churn races `__DynRegion` traffic and sweepers: churn threads
+/// create cells, run a writing task on each, and drop the cell. Each drop
+/// frees the id, so the next cell may be admitted to its vacant node — or
+/// recreate it — while admissions prune vacated `__DynRegion` paths
+/// (`flush_vacated`, root lock downward) and `__DynRegion:[?]` / `*`
+/// sweepers walk the subtree.
 #[test]
 fn dyncell_retire_pruning_races_dynregion_traffic_and_sweepers() {
     const CHURNERS: usize = 3;
@@ -125,8 +126,8 @@ fn dyncell_retire_pruning_races_dynregion_traffic_and_sweepers() {
                     rt.run("cell-writer", EffectSet::write(cell.rpl()), move |_| {
                         cell_runs.fetch_add(1, Ordering::Relaxed);
                     });
-                    // Dropping the last handle retires the region: the
-                    // scheduler prunes its node before the id recycles.
+                    // Dropping the last handle frees the id; its vacant
+                    // node is pruned by some later admission.
                     drop(cell);
                 }
             });
