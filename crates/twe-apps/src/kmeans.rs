@@ -349,11 +349,15 @@ mod tests {
                 let rt = Runtime::new(threads, SchedulerKind::Tree);
                 let got = run_twe(&rt, &input);
                 assert!(outputs_match(&got, &expected), "{threads} threads");
+                let peak = rt.stats().peak_nesting;
+                eprintln!("{threads} thread(s): peak_nesting {peak}");
+                assert!(peak < 500, "{threads} thread(s): {peak} bodies deep");
             }
         };
-        // The waiting thread helps run WorkTasks, each of which blocks in a
-        // nested `execute` and helps in turn: up to 2 000 frames deep, more
-        // than an unoptimized build fits in a test thread's default stack.
+        // The waiting thread helps run WorkTasks, and an accumulate that has
+        // to wait for its cluster helps in turn: 2–170 bodies deep over 40
+        // runs, and nothing bounds it, so an unoptimized build gets a stack
+        // well above a test thread's default.
         let handle = thread::Builder::new().stack_size(256 << 20).spawn(run);
         handle.unwrap().join().unwrap();
     }

@@ -55,9 +55,9 @@ fn a_kmeans_job_allocates_at_most_five_times_per_task() {
         (2_000, 1)
     );
     let expected = run_sequential(&input);
-    // The thread that waits on a job helps run its tasks, thousands of
-    // nested frames deep: more than an unoptimized build fits in a test
-    // thread's default stack.
+    // The thread that waits on a job helps run its tasks, up to ~170 nested
+    // bodies deep (`RuntimeStats::peak_nesting`) and unbounded in general:
+    // an unoptimized build gets a stack well above a test thread's default.
     let measure = move || {
         let rt = Runtime::new(1, SchedulerKind::Tree);
         // One untimed job interns the regions and starts the worker.

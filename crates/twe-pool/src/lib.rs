@@ -188,9 +188,9 @@ impl<J: Job> Shared<J> {
     /// worker of this pool), then the injector, then other workers' deques.
     ///
     /// Like `linger` and `park` kept out of line: `run_until`'s frame stays
-    /// on the stack under every job a blocked helper runs — thousands deep
-    /// when each job blocks in turn — and should hold only what it needs
-    /// while a job runs.
+    /// on the stack under every job a blocked helper runs — up to ~170 jobs
+    /// deep on the runtime's k-means benchmark shape, and nothing bounds
+    /// it — and should hold only what it needs while a job runs.
     #[inline(never)]
     fn find_job(&self) -> Option<J> {
         let job = self.probe_queues()?;
@@ -333,8 +333,10 @@ impl<J: Job> Shared<J> {
 
 /// Stack size of a worker thread. A worker blocked in `help_until` runs
 /// other jobs on top of the blocked one, so its stack depth follows the
-/// number of blocked tasks in flight (one nested `execute` per k-means
-/// point, thousands deep): the 2 MiB default holds a few thousand such
+/// number of blocked tasks in flight. The runtime counts it
+/// (`RuntimeStats::peak_nesting`): up to ~170 bodies deep on its k-means
+/// benchmark shape, and nothing bounds it. The 2 MiB default holds a few
+/// thousand such
 /// frames of an optimized build and fewer than 2 000 of an unoptimized
 /// one. Untouched stack is address space only.
 const WORKER_STACK_BYTES: usize = 16 << 20;

@@ -99,6 +99,16 @@ impl<'rt> TaskCtx<'rt> {
     /// Creates a task and immediately waits for it: the `execute` operation
     /// of §5.5.1, the TWE idiom for a critical section within a larger task.
     /// `name` as for [`TaskCtx::execute_later`].
+    ///
+    /// A child that its own submission enables runs right here, on the
+    /// calling thread, and the pool never sees it — as a `ForkJoinPool` task
+    /// forked and joined at once runs on its joiner. It runs with this task
+    /// recorded as blocked on it, exactly as `get_value` records it while
+    /// helping, so effect transfer (Fig. 5.11) and the spawned-children
+    /// check (Fig. 5.8) see the same chain. A child that has to wait is
+    /// enabled later, by whichever thread resolves its conflict, and goes
+    /// through the pool while this task waits in `get_value`. Either way a
+    /// panic in the child is re-raised here.
     pub fn execute<T, F>(
         &self,
         name: impl Into<Cow<'static, str>>,
@@ -109,7 +119,11 @@ impl<'rt> TaskCtx<'rt> {
         T: Send + 'static,
         F: FnOnce(&TaskCtx<'_>) -> T + Send + 'static,
     {
-        self.execute_later(name, effects, body).get_value(self)
+        let future = self.rt.admit_new(name, effects, body);
+        if let Some(child) = self.rt.submit_wanting_back(&future.record) {
+            self.blocked_on(&child, || child.body.run(&child));
+        }
+        future.get_value(self)
     }
 
     /// Spawns a child task whose effects are transferred directly from this
@@ -205,9 +219,18 @@ impl<'rt> TaskCtx<'rt> {
         if done() {
             return;
         }
+        self.blocked_on(target, || {
+            self.rt.scheduler().on_await(Some(self.record), target);
+            self.rt.pool.help_until(&done);
+        });
+    }
+
+    /// Runs `wait` with `target` recorded as this task's blocker: what the
+    /// scheduler reads for effect transfer and for the spawned-children
+    /// check of a blocked task.
+    fn blocked_on(&self, target: &Arc<TaskRecord>, wait: impl FnOnce()) {
         *self.record.blocker.lock() = Some(target.clone());
-        self.rt.scheduler().on_await(Some(self.record), target);
-        self.rt.pool.help_until(&done);
+        wait();
         *self.record.blocker.lock() = None;
     }
 

@@ -38,7 +38,9 @@
 //!    other waiting tasks (Figure 5.10).
 //! 3. **Enabled** — once every effect is conflict-free the scheduler flips
 //!    the task to `Enabled` exactly once and hands its body to the thread
-//!    pool.
+//!    pool — or, when the submission of a [`TaskCtx::execute`] child
+//!    enabled it on the spot, back to the calling task, which runs it on
+//!    its own stack.
 //! 4. **Done** — after the body returns (and the implicit join of spawned
 //!    children), the runtime marks the task `Done`, the scheduler releases
 //!    its effects and rechecks the records parked on their waiter lists.
@@ -96,6 +98,7 @@ use crate::tree::TreeScheduler;
 use parking_lot::Mutex;
 use std::any::Any;
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -196,15 +199,30 @@ thread_local! {
     /// throttled, because the task it is executing is itself holding an
     /// admission slot (and possibly effects) that only its completion can
     /// release.
-    static TASK_NEST: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    static TASK_NEST: Cell<usize> = const { Cell::new(0) };
+
+    /// The id of the task whose submission this thread's innermost
+    /// [`TaskCtx::execute`] is making, 0 outside one (ids start at 1).
+    static WANTED: Cell<u64> = const { Cell::new(0) };
+
+    /// That task, once its submission has enabled it: kept from the pool
+    /// by [`RtInner::submit_enabled`] for the `execute` to run inline.
+    static HANDED_BACK: Cell<Option<Arc<TaskRecord>>> = const { Cell::new(None) };
 }
 
 /// Marks the current thread as executing a task body for its lifetime.
 struct TaskNestGuard;
 
 impl TaskNestGuard {
-    fn enter() -> Self {
-        TASK_NEST.with(|c| c.set(c.get() + 1));
+    /// Enters one more body on this thread and raises `peak` if no thread
+    /// has held that many before: a relaxed load, and a `fetch_max` only on
+    /// a new peak.
+    fn enter(peak: &AtomicUsize) -> Self {
+        let depth = TASK_NEST.get() + 1;
+        TASK_NEST.set(depth);
+        if depth > peak.load(Ordering::Relaxed) {
+            peak.fetch_max(depth, Ordering::Relaxed);
+        }
         TaskNestGuard
     }
 }
@@ -378,6 +396,11 @@ pub struct RuntimeStats {
     pub depth: usize,
     /// High-water mark of `depth`.
     pub peak_depth: usize,
+    /// The most task bodies ever on one thread's stack at once: a body
+    /// blocked in `get_value`, `join` or `wait` runs others on top of itself
+    /// while it helps the pool, and an inline [`TaskCtx::execute`] child
+    /// runs on top of its caller.
+    pub peak_nesting: usize,
     /// The scheduler's own counters ([`scheduler::Scheduler::diagnostics`]).
     pub scheduler: scheduler::SchedulerDiagnostics,
     /// Dynamic-effect acquisitions and conflicts.
@@ -413,7 +436,7 @@ where
 {
     fn run(&self, task: &Arc<TaskRecord>) {
         let rt = task.runtime();
-        let _nest = TaskNestGuard::enter();
+        let _nest = TaskNestGuard::enter(&rt.peak_nesting);
         rt.tasks_executed.fetch_add(1, Ordering::Relaxed);
         let ctx = TaskCtx::new(rt, task);
         // The body leaves the record only inside the call that consumes it:
@@ -439,8 +462,9 @@ where
 /// remaining spawned children (the awaitSpawned step of the `return` rule,
 /// §3.2.3), then the scheduler and the admission gauge let the task go. Not
 /// generic and not inlined: a worker blocked in `get_value` runs other tasks
-/// on top of the blocked one, thousands deep on the k-means shape, and what
-/// this needs must not sit in each of those frames.
+/// on top of the blocked one (`RuntimeStats::peak_nesting`: up to ~170
+/// bodies deep on the k-means benchmark shape, unbounded in general), and
+/// what this needs must not sit in each of those frames.
 #[inline(never)]
 fn finish_task(ctx: &TaskCtx<'_>, spawned_parent: Option<Arc<TaskRecord>>) {
     let (rt, task) = (ctx.rt, ctx.record);
@@ -468,6 +492,8 @@ pub(crate) struct RtInner {
     admission: AdmissionState,
     tasks_executed: AtomicU64,
     task_retries: AtomicU64,
+    /// [`RuntimeStats::peak_nesting`].
+    peak_nesting: AtomicUsize,
     /// Size of every wave (or chunk) handed to the scheduler, in order.
     #[cfg(test)]
     wave_sizes: parking_lot::Mutex<Vec<usize>>,
@@ -525,9 +551,26 @@ impl RtInner {
         TaskFuture { record, value }
     }
 
-    /// Hands an enabled task to the thread pool.
+    /// Hands an enabled task to the thread pool — unless it is the one this
+    /// thread's [`TaskCtx::execute`] is submitting ([`WANTED`]), which
+    /// keeps it to run it inline.
     pub(crate) fn submit_enabled(&self, task: Arc<TaskRecord>) {
-        self.pool.submit(RunTask(task));
+        if WANTED.get() == task.id {
+            HANDED_BACK.set(Some(task));
+        } else {
+            self.pool.submit(RunTask(task));
+        }
+    }
+
+    /// Submits `task` for [`TaskCtx::execute`] and returns it if the
+    /// submission itself enabled it on this thread: the enable callback ran
+    /// once and took `pending`, and that handle came back here instead of
+    /// going to the pool. [`WANTED`] is restored for an enclosing `execute`.
+    pub(crate) fn submit_wanting_back(&self, task: &Arc<TaskRecord>) -> Option<Arc<TaskRecord>> {
+        let outer = WANTED.replace(task.id);
+        self.scheduler().submit(task.clone());
+        WANTED.set(outer);
+        HANDED_BACK.take()
     }
 
     /// What every admission does to a task just before the scheduler sees
@@ -536,7 +579,9 @@ impl RtInner {
         *record.pending.lock() = Some(record.clone());
     }
 
-    pub(crate) fn execute_later_impl<T, F>(
+    /// Admits one task on a path that cannot shed and builds it, ready for
+    /// the scheduler.
+    pub(crate) fn admit_new<T, F>(
         self: &Arc<Self>,
         name: impl Into<Cow<'static, str>>,
         effects: EffectSet,
@@ -549,6 +594,20 @@ impl RtInner {
         self.admit_one();
         let future = self.new_task(name, effects, None, body);
         self.prepare(&future.record);
+        future
+    }
+
+    pub(crate) fn execute_later_impl<T, F>(
+        self: &Arc<Self>,
+        name: impl Into<Cow<'static, str>>,
+        effects: EffectSet,
+        body: F,
+    ) -> TaskFuture<T>
+    where
+        T: Send + 'static,
+        F: FnOnce(&TaskCtx<'_>) -> T + Send + 'static,
+    {
+        let future = self.admit_new(name, effects, body);
         self.scheduler().submit(future.record.clone());
         future
     }
@@ -773,6 +832,7 @@ impl RuntimeBuilder {
             admission: AdmissionState::new(),
             tasks_executed: AtomicU64::new(0),
             task_retries: AtomicU64::new(0),
+            peak_nesting: AtomicUsize::new(0),
             #[cfg(test)]
             wave_sizes: parking_lot::Mutex::new(Vec::new()),
         });
@@ -947,6 +1007,7 @@ impl Runtime {
             shed: admission.shed.load(Ordering::Relaxed),
             depth: admission.depth.load(Ordering::Relaxed),
             peak_depth: admission.peak_depth.load(Ordering::Relaxed),
+            peak_nesting: self.inner.peak_nesting.load(Ordering::Relaxed),
             scheduler: self.inner.scheduler().diagnostics(),
             dynamic: self.inner.dynamic.stats(),
         }
@@ -1312,6 +1373,143 @@ mod tests {
             f.wait();
         }
         assert_eq!(value.load(Ordering::Relaxed), 32);
+    }
+
+    #[test]
+    fn an_execute_enabled_by_its_own_submission_runs_inline() {
+        // Inside the child only the parent's job is pending: through the
+        // pool the child would be a second one.
+        for kind in [SchedulerKind::Naive, SchedulerKind::Tree] {
+            let rt = Runtime::new(2, kind);
+            let (parent, (child, jobs)) = rt.run("parent", EffectSet::parse("reads Root"), |ctx| {
+                let child = ctx.execute(
+                    "child",
+                    EffectSet::parse("reads Root, writes Clusters:[0]"),
+                    |ctx| (std::thread::current().id(), ctx.rt.pool.pending_jobs()),
+                );
+                (std::thread::current().id(), child)
+            });
+            assert_eq!(
+                child, parent,
+                "{kind:?}: the child ran on its caller's thread"
+            );
+            assert_eq!(jobs, 1, "{kind:?}: the child went through the pool");
+        }
+    }
+
+    #[test]
+    fn an_inline_child_keeps_its_parents_effect_transfer() {
+        // The grandchild's `writes A` conflicts with the running parent; it
+        // can start only through the chain parent → child → grandchild.
+        // One worker, on a side thread: a missing link stalls, not hangs.
+        for kind in [SchedulerKind::Naive, SchedulerKind::Tree] {
+            let (done, result) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let rt = Runtime::new(1, kind);
+                let v = rt.run("parent", EffectSet::parse("writes A"), |ctx| {
+                    ctx.execute("child", EffectSet::parse("writes B"), |ctx| {
+                        let grandchild =
+                            ctx.execute_later("grandchild", EffectSet::parse("writes A"), |_| 42);
+                        grandchild.get_value(ctx)
+                    })
+                });
+                let _ = done.send(v);
+            });
+            assert_eq!(
+                result.recv_timeout(Duration::from_secs(10)),
+                Ok(42),
+                "{kind:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_execute_that_conflicts_still_waits() {
+        // `gate` holds `writes S` on a worker; the critical section of
+        // `outer` must not run before the gate lets it go.
+        for kind in [SchedulerKind::Naive, SchedulerKind::Tree] {
+            let rt = Runtime::new(2, kind);
+            let released = Arc::new(AtomicBool::new(false));
+            let (entered, gate_is_running) = std::sync::mpsc::channel();
+            let (open, opened) = std::sync::mpsc::channel::<()>();
+            let r = released.clone();
+            let gate = rt.execute_later("gate", EffectSet::parse("writes S"), move |_| {
+                entered.send(()).expect("the test thread");
+                opened.recv().expect("the test thread");
+                r.store(true, Ordering::SeqCst);
+            });
+            gate_is_running.recv().expect("the gate");
+            let (reached, outer_reached) = std::sync::mpsc::channel();
+            let r = released.clone();
+            let outer = rt.execute_later("outer", EffectSet::parse("writes T"), move |ctx| {
+                reached.send(()).expect("the test thread");
+                ctx.execute("crit", EffectSet::parse("writes S"), move |_| {
+                    r.load(Ordering::SeqCst)
+                })
+            });
+            outer_reached.recv().expect("outer");
+            std::thread::sleep(Duration::from_millis(50));
+            open.send(()).expect("the gate");
+            assert!(outer.wait(), "{kind:?}: ran while `writes S` was held");
+            gate.wait();
+        }
+    }
+
+    #[test]
+    fn an_execute_enabled_by_a_completion_on_its_callers_thread_goes_to_the_pool() {
+        // One worker runs `outer`. `holder` sits in the pool holding
+        // `writes S`, so `crit` waits at its submission; `outer` helps, runs
+        // `holder`, and that completion enables `crit` on the same thread,
+        // outside any submission. The test thread never helps.
+        for kind in [SchedulerKind::Naive, SchedulerKind::Tree] {
+            let rt = Runtime::new(1, kind);
+            let (done, result) = std::sync::mpsc::channel();
+            rt.execute_later("outer", EffectSet::parse("writes T"), move |ctx| {
+                let held = Arc::new(AtomicBool::new(false));
+                let h = held.clone();
+                ctx.execute_later("holder", EffectSet::parse("writes S"), move |_| {
+                    h.store(true, Ordering::SeqCst)
+                });
+                let after_holder = ctx.execute("crit", EffectSet::parse("writes S"), move |_| {
+                    held.load(Ordering::SeqCst)
+                });
+                done.send(after_holder).expect("the test thread");
+            });
+            assert_eq!(
+                result.recv_timeout(Duration::from_secs(10)),
+                Ok(true),
+                "{kind:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn nested_executes_run_inline_and_a_panicking_one_reaches_its_caller() {
+        for kind in [SchedulerKind::Naive, SchedulerKind::Tree] {
+            let rt = Runtime::new(2, kind);
+            let (here, (there, jobs)) = rt.run("outer", EffectSet::parse("reads Root"), |ctx| {
+                let innermost = ctx.execute("one", EffectSet::parse("writes N1"), |ctx| {
+                    ctx.execute("two", EffectSet::parse("writes N2"), |ctx| {
+                        ctx.execute("three", EffectSet::parse("writes N3"), |ctx| {
+                            (std::thread::current().id(), ctx.rt.pool.pending_jobs())
+                        })
+                    })
+                });
+                (std::thread::current().id(), innermost)
+            });
+            assert_eq!((there, jobs), (here, 1), "{kind:?}");
+            assert!(rt.stats().peak_nesting >= 4, "{kind:?}");
+            let caught = rt.run("parent", EffectSet::parse("reads Root"), |ctx| {
+                catch_unwind(AssertUnwindSafe(|| {
+                    ctx.execute("boom", EffectSet::parse("writes B"), |_| -> u32 {
+                        panic!("deliberate failure")
+                    })
+                }))
+                .is_err()
+            });
+            assert!(caught, "{kind:?}: the panic reached the caller");
+            assert_eq!(rt.stats().depth, 0, "{kind:?}");
+        }
     }
 
     #[test]

@@ -64,8 +64,9 @@ pub struct SchedulerDiagnostics {
 /// leaves behind effects nothing will release and waiters nothing will
 /// recheck; the tree scheduler asserts the rule in debug builds. The
 /// runtime keeps it by construction: a task holds itself from submission
-/// until it is enabled (`TaskRecord::pending`), and the pool's job holds it
-/// from then until it is done.
+/// until it is enabled (`TaskRecord::pending`), and from then until it is
+/// done the pool's job holds it — or, for a `TaskCtx::execute` child its
+/// own submission enabled, the executing caller, which runs it inline.
 pub trait Scheduler: Send + Sync {
     /// `executeLater`: register the task and enable it (submit it for
     /// execution via the callback installed by the runtime) once no enabled

@@ -112,7 +112,8 @@ pub struct TaskRecord<B: ?Sized = dyn TaskBody> {
     /// runtime's side of the [`Scheduler`](crate::scheduler::Scheduler)
     /// ownership contract, which the pool's job takes over from there until
     /// `task_done`. Taken exactly once, by the enable callback, which hands
-    /// that same `Arc` to the pool.
+    /// that same `Arc` to the pool — or back to the `TaskCtx::execute` whose
+    /// own submission enabled the task, which runs it inline.
     pub(crate) pending: Mutex<Option<Arc<TaskRecord>>>,
     /// Set once the task has finished (its effects not yet released).
     pub done_flag: AtomicBool,
