@@ -16,11 +16,10 @@
 //! Two representations are provided:
 //!
 //! * [`CompoundEffect`] — the **symbolic/abstract form** used by the
-//!   structure-based analysis (§4.4) and by the run-time covering-effect
-//!   tracking for `spawn`: the base plus an additive–subtractive op sequence,
-//!   possibly nested under meets. Membership of an individual effect is
-//!   decided with the sequential procedure of Figure 4.1 without ever
-//!   materialising the set.
+//!   structure-based analysis (§4.4): the base plus an additive–subtractive
+//!   op sequence, possibly nested under meets. Membership of an individual
+//!   effect is decided with the sequential procedure of Figure 4.1 without
+//!   ever materialising the set.
 //! * [`EffectDomain`] + [`BitCompound`] — the **finite-domain bit-vector
 //!   form** used by the iterative dataflow algorithm (Figure 4.2), where `D`
 //!   is restricted to the effects of the operations appearing in the flow

@@ -3,34 +3,41 @@
 //! A [`TaskCtx`] is handed to every task body. It is the handle through which
 //! the task creates further tasks (`execute_later`, `spawn`, `execute`),
 //! waits for them (via the futures), and adds dynamic effects
-//! (`acquire_read`/`acquire_write`). It also tracks the task's *run-time
-//! covering effect* (declared effects minus effects transferred to spawned
-//! children plus effects transferred back by joins), which implements the
-//! limited run-time check for `spawn` described in §3.1.5.
+//! (`acquire_read`/`acquire_write`). It also answers for the task's *run-time
+//! covering effect*, which implements the limited run-time check for
+//! `spawn` described in §3.1.5: the declared effects minus those of every
+//! spawned child not yet joined. A join gives a child's effects back in
+//! full, so the set is exact, not the static analysis's conservative
+//! `−E … +E` approximation.
 
 use crate::dynamics::{Aborted, DynCell, RegionEra};
 use crate::future::{SpawnedTaskFuture, TaskFuture};
 use crate::task::{TaskRecord, TaskStatus};
 use crate::RtInner;
 use std::borrow::Cow;
-use std::cell::RefCell;
+use std::cell::Cell;
+use std::marker::PhantomData;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use twe_effects::{CompoundEffect, EffectSet};
+use twe_effects::EffectSet;
 
 /// The execution context of a running task.
 pub struct TaskCtx<'rt> {
     pub(crate) rt: &'rt Arc<RtInner>,
     pub(crate) record: &'rt Arc<TaskRecord>,
-    covering: RefCell<CompoundEffect>,
+    /// Not `Sync`: the context stays on its task's thread, whose
+    /// thread-locals (the body nesting that exempts it from admission, the
+    /// `execute` handback) are the task's.
+    on_its_thread: PhantomData<Cell<()>>,
 }
 
 impl<'rt> TaskCtx<'rt> {
     pub(crate) fn new(rt: &'rt Arc<RtInner>, record: &'rt Arc<TaskRecord>) -> Self {
+        let on_its_thread = PhantomData;
         TaskCtx {
             rt,
             record,
-            covering: RefCell::new(CompoundEffect::declared(record.effects.clone())),
+            on_its_thread,
         }
     }
 
@@ -49,12 +56,18 @@ impl<'rt> TaskCtx<'rt> {
         &self.record.effects
     }
 
-    /// Does the current run-time covering effect cover `effects`?
+    /// Does the current run-time covering effect cover `effects`? It does
+    /// when the declared effects cover each of them and none interferes
+    /// with a spawned child not yet joined; O(unjoined children) per effect.
     ///
     /// Statically-checked TWEJava code never needs to ask this; it is exposed
     /// for tests and for code that wants to assert its own effect discipline.
     pub fn covers(&self, effects: &EffectSet) -> bool {
-        self.covering.borrow().covers_set(effects)
+        let children = self.record.spawned_children.lock();
+        effects.iter().all(|e| {
+            self.record.effects.covers_effect(e)
+                && !children.iter().any(|c| c.effects.interferes_effect(e))
+        })
     }
 
     /// Creates an asynchronous task that will run once the effect-aware
@@ -132,9 +145,10 @@ impl<'rt> TaskCtx<'rt> {
     /// parent.
     ///
     /// Panics if the child's effects are not covered by this task's current
-    /// covering effect (the run-time analogue of the exception TWEJava throws
-    /// when the static analysis deferred the check to run time). `name` as
-    /// for [`TaskCtx::execute_later`].
+    /// covering effect ([`TaskCtx::covers`]: the declared effects minus
+    /// those of the children not yet joined) — the run-time analogue of the
+    /// exception TWEJava throws when the static analysis deferred the check
+    /// to run time. `name` as for [`TaskCtx::execute_later`].
     pub fn spawn<T, F>(
         &self,
         name: impl Into<Cow<'static, str>>,
@@ -152,21 +166,16 @@ impl<'rt> TaskCtx<'rt> {
              covering effect of task `{}`",
             self.record.name
         );
-        // Transfer the effects away from this task.
-        {
-            let mut covering = self.covering.borrow_mut();
-            *covering = covering.sub(effects.clone());
-        }
         let future = self
             .rt
-            .new_task(name, effects.clone(), Some(self.record.clone()), body);
-        // The spawned task is enabled from the start.
+            .new_task(name, effects, Some(self.record.clone()), body);
+        // The spawned task is enabled from the start. Listing it among the
+        // unjoined children transfers its effects away from this task.
         future.record.sched.lock().status = TaskStatus::Enabled;
         self.record.add_spawned_child(future.record.clone());
         self.rt.submit_enabled(future.record.clone());
         SpawnedTaskFuture {
             future,
-            transferred: effects,
             parent_id: self.record.id,
             joined: AtomicBool::new(false),
         }
@@ -234,14 +243,9 @@ impl<'rt> TaskCtx<'rt> {
         *self.record.blocker.lock() = None;
     }
 
-    /// Transfers effects back to this task after a `join` (dynamically we
-    /// always transfer the joined child's effects back, per §3.1.5).
-    pub(crate) fn transfer_back(&self, effects: &EffectSet) {
-        let mut covering = self.covering.borrow_mut();
-        *covering = covering.add(effects.clone());
-    }
-
-    /// Removes a joined child from the spawned-children list.
+    /// Removes a joined child from the spawned-children list, which
+    /// transfers its effects back to this task (dynamically we always
+    /// transfer the joined child's effects back, per §3.1.5).
     pub(crate) fn unregister_spawned_child(&self, child_id: u64) {
         self.record.remove_spawned_child(child_id);
     }

@@ -86,8 +86,6 @@ impl<T: Send + 'static> TaskFuture<T> {
 /// transfer from the spawning (parent) task.
 pub struct SpawnedTaskFuture<T> {
     pub(crate) future: TaskFuture<T>,
-    /// The effects transferred from the parent at the spawn.
-    pub(crate) transferred: EffectSet,
     /// Id of the parent task (only it may join).
     pub(crate) parent_id: u64,
     pub(crate) joined: AtomicBool,
@@ -101,7 +99,7 @@ impl<T: Send + 'static> SpawnedTaskFuture<T> {
 
     /// The effects that were transferred from the parent to this child.
     pub fn transferred_effects(&self) -> &EffectSet {
-        &self.transferred
+        &self.future.record.effects
     }
 
     /// Waits for the spawned task, transfers its effects back to the calling
@@ -123,7 +121,6 @@ impl<T: Send + 'static> SpawnedTaskFuture<T> {
         ctx.await_target(&self.future.record, || self.future.is_done());
         // Effect transfer back to the parent: the parent may again perform
         // operations covered by the child's effects.
-        ctx.transfer_back(&self.transferred);
         ctx.unregister_spawned_child(self.future.record.id);
         self.future.take()
     }

@@ -135,44 +135,29 @@ impl SchedulerKind {
 /// never policed: their effects were transferred from an already-admitted
 /// parent, so they represent no new backlog.
 ///
-/// Two escape hatches keep the bounded policies deadlock-free and loss-free:
-///
-/// * Submissions from **inside a task body** (`execute_later` /
-///   `execute_all_later` on a [`TaskCtx`], or any submission made while a
-///   body runs on the thread) always bypass the bound — the task making
-///   them holds an admission slot only its own completion can release, so
-///   blocking it could starve the very backlog it waits on. That covers
-///   the runtime's workers: every job they run is a task body. The depth
-///   gauge still counts these submissions, so [`RuntimeStats::peak_depth`]
-///   may transiently exceed the cap.
-/// * Plain [`Runtime::execute_later`] must return a future, so it cannot
-///   shed: under [`AdmissionPolicy::BoundedShed`] it admits unconditionally.
-///   Use [`Runtime::try_execute_later`] or [`Runtime::submit_all`] (which
-///   sheds the tail of a wave that does not fit) for load-shedding
-///   submission paths.
+/// Submissions from **inside a task body** (`execute_later` /
+/// `execute_all_later` on a [`TaskCtx`], or any submission made while a
+/// body runs on the thread) always bypass the bound: the task making them
+/// holds an admission slot only its own completion can release, so
+/// blocking it could starve the very backlog it waits on. That covers the
+/// runtime's workers: every job they run is a task body. The depth gauge
+/// still counts these submissions, so [`RuntimeStats::peak_depth`] may
+/// transiently exceed the cap.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AdmissionPolicy {
     /// Admit everything immediately (the default). The depth gauge is still
     /// maintained; the policy tests read its [`RuntimeStats::peak_depth`].
     Unbounded,
-    /// Block the submitting (non-worker) thread until the in-flight count
+    /// Hold the submitting (non-task) thread until the in-flight count
     /// drops below `max_queued` — classic backpressure: the producer is
-    /// slowed to the service rate and no request is lost.
+    /// slowed to the service rate and no request is lost. The held
+    /// submitter helps the pool run queued tasks until room frees, as a
+    /// thread in [`TaskFuture::wait`] does, so like `wait` its return can
+    /// wait for the body it is running.
     BoundedBlock {
         /// Maximum in-flight non-spawned tasks before submitters block;
         /// `max_queued` ≥ 1 (with no slot, nothing ever completes to open
         /// one and the first submitter blocks forever).
-        max_queued: usize,
-    },
-    /// Refuse work that does not fit instead of blocking: [`Runtime::submit_all`]
-    /// admits the longest prefix of the wave that fits under `max_queued`
-    /// and sheds the rest (counted in [`RuntimeStats::shed`]);
-    /// [`Runtime::try_execute_later`] returns `None` for a task that does
-    /// not fit.
-    BoundedShed {
-        /// Maximum in-flight non-spawned tasks before submissions shed;
-        /// `max_queued` ≥ 1 (with no slot, every shedding path refuses
-        /// everything while `execute_later` still admits).
         max_queued: usize,
     },
 }
@@ -182,8 +167,7 @@ impl AdmissionPolicy {
     pub fn max_queued(&self) -> Option<usize> {
         match self {
             AdmissionPolicy::Unbounded => None,
-            AdmissionPolicy::BoundedBlock { max_queued }
-            | AdmissionPolicy::BoundedShed { max_queued } => Some(*max_queued),
+            AdmissionPolicy::BoundedBlock { max_queued } => Some(*max_queued),
         }
     }
 }
@@ -195,7 +179,7 @@ thread_local! {
     /// in [`TaskFuture::wait`] *helps* the pool and may run task bodies
     /// itself, and a worker blocked in `get_value`/`join` runs nested jobs
     /// on its own stack. Any submission made while this is nonzero must
-    /// bypass the bounded admission policies — the thread cannot be
+    /// bypass [`AdmissionPolicy::BoundedBlock`] — the thread cannot be
     /// throttled, because the task it is executing is itself holding an
     /// admission slot (and possibly effects) that only its completion can
     /// release.
@@ -234,7 +218,7 @@ impl Drop for TaskNestGuard {
 }
 
 /// Is the calling thread currently inside a task body? If so it is exempt
-/// from the bounded admission policies (see [`AdmissionPolicy`]). A pool
+/// from [`AdmissionPolicy::BoundedBlock`] (see [`AdmissionPolicy`]). A pool
 /// worker needs no exemption of its own: every job the runtime's pool runs
 /// is a task, whose `Work::run` holds a [`TaskNestGuard`] from before the
 /// body to after `finish_task`, so a worker can only submit from inside a
@@ -243,44 +227,29 @@ fn in_task_body() -> bool {
     TASK_NEST.with(|c| c.get() > 0)
 }
 
-/// Admission bookkeeping: the in-flight gauge the policies act on, the
-/// shed/admitted counters, and the gate blocked submitters park on.
+/// Admission bookkeeping: the in-flight gauge the policy acts on and the
+/// admitted counter.
 ///
-/// **Gate protocol** ([`AdmissionPolicy::BoundedBlock`]). A submitter that
-/// finds no room parks on `gate`/`room` after publishing, under `gate`, the
-/// depth below which it wants waking (`wake_below`); a completion lowers
-/// `depth` and touches `gate` only if the new depth is below the published
-/// value. Both sides are SeqCst and store-then-load — the submitter
-/// publishes, then re-reads `depth`; the completion lowers `depth`, then
-/// reads `wake_below` — so either the submitter's re-check sees the room or
-/// the completion sees the threshold. A completion that crosses it takes
-/// `gate`, clears `wake_below` and wakes **every** blocked submitter; each
-/// that still lacks room re-publishes its own threshold under `gate`
-/// before waiting again, and `fetch_max` keeps the most eager one, so
-/// `wake_below` is never lower than any parked submitter's threshold and a
-/// second submitter cannot be stranded behind the first's.
+/// A submitter that [`AdmissionPolicy::BoundedBlock`] holds waits the way
+/// every other waiter does, by helping the pool
+/// ([`RtInner::reserve_blocking`]); there is no gate of its own. The depth
+/// falls only in `finish_task`, `finish_task` always runs inside a pool job
+/// (a [`RunTask`], or an inline `execute` child running inside one), and
+/// every job ends at the pool's one wake site, so the pool's idle protocol
+/// also carries admission waits.
 struct AdmissionState {
     depth: AtomicUsize,
     peak_depth: AtomicUsize,
     admitted: AtomicU64,
-    shed: AtomicU64,
-    /// Blocked submitters want waking once `depth < wake_below`; 0 when none
-    /// is parked (so under `Unbounded`/`BoundedShed` always). Written only
-    /// under `gate`.
-    wake_below: AtomicUsize,
-    gate: parking_lot::Mutex<()>,
-    room: parking_lot::Condvar,
-    /// Completions that took `gate`.
-    #[cfg(test)]
-    gate_touches: AtomicU64,
 }
 
 /// A blocked submitter waits for room for `min(want, cap / GATE_FRACTION)`
-/// slots, not for one. Waking it per completion admitted a blocked wave in
-/// chunks of one (`svc-capacity` at its cap: one `gate` lock + futex wake
-/// per task, ~140k req/s against ~240k below the cap, benchmark/README.md);
-/// half the cap wakes it at most twice per cap's worth of completions and
-/// still leaves the other half queued for the workers while it admits.
+/// slots, not for one. A helping submitter re-checks after every job that
+/// ends, so waiting for one slot would admit a blocked wave in chunks of
+/// one, as waking it per completion once did (`svc-capacity` at its cap:
+/// ~140k req/s against ~240k below the cap). Half the cap admits a wave
+/// blocked at the cap in at most three chunks and still leaves the other
+/// half queued for the workers while it admits.
 const GATE_FRACTION: usize = 2;
 
 impl AdmissionState {
@@ -289,12 +258,6 @@ impl AdmissionState {
             depth: AtomicUsize::new(0),
             peak_depth: AtomicUsize::new(0),
             admitted: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            wake_below: AtomicUsize::new(0),
-            gate: parking_lot::Mutex::new(()),
-            room: parking_lot::Condvar::new(),
-            #[cfg(test)]
-            gate_touches: AtomicU64::new(0),
         }
     }
 
@@ -302,8 +265,7 @@ impl AdmissionState {
         self.peak_depth.fetch_max(depth_now, Ordering::Relaxed);
     }
 
-    /// Unconditional reservation (unbounded policy, worker-thread bypass,
-    /// loss-free `execute_later` under shed).
+    /// Unconditional reservation (unbounded policy, task-body bypass).
     fn reserve_forced(&self, n: usize) {
         let now = self.depth.fetch_add(n, Ordering::SeqCst) + n;
         self.note_peak(now);
@@ -336,47 +298,10 @@ impl AdmissionState {
         }
     }
 
-    /// Reserves whatever part of `want` fits under `cap`, possibly nothing.
-    fn reserve_up_to(&self, want: usize, cap: usize) -> usize {
-        self.reserve(want, 1, cap)
-    }
-
-    /// Blocks until `min(want, cap / GATE_FRACTION)` slots fit under `cap`;
-    /// returns how many were reserved (that many up to `want`).
-    fn reserve_blocking(&self, want: usize, cap: usize) -> usize {
-        debug_assert!(want > 0);
-        let need = want.min((cap / GATE_FRACTION).max(1));
-        let take = self.reserve(want, need, cap);
-        if take > 0 {
-            return take;
-        }
-        let mut guard = self.gate.lock();
-        loop {
-            self.wake_below
-                .fetch_max((cap + 1).saturating_sub(need), Ordering::SeqCst);
-            let take = self.reserve(want, need, cap);
-            if take > 0 {
-                return take;
-            }
-            self.room.wait(&mut guard);
-        }
-    }
-
-    /// Releases `n` in-flight slots; wakes the blocked submitters if that
-    /// crossed the threshold one of them published.
+    /// Releases `n` in-flight slots. A submitter waiting for them is woken
+    /// by the pool when the job this runs in ends.
     fn release(&self, n: usize) {
-        let now = self.depth.fetch_sub(n, Ordering::SeqCst) - n;
-        if now < self.wake_below.load(Ordering::SeqCst) {
-            let _guard = self.gate.lock();
-            #[cfg(test)]
-            self.gate_touches.fetch_add(1, Ordering::Relaxed);
-            self.wake_below.store(0, Ordering::SeqCst);
-            self.room.notify_all();
-        }
-    }
-
-    fn count_shed(&self, n: usize) {
-        self.shed.fetch_add(n as u64, Ordering::Relaxed);
+        self.depth.fetch_sub(n, Ordering::SeqCst);
     }
 }
 
@@ -389,17 +314,15 @@ pub struct RuntimeStats {
     pub task_retries: u64,
     /// Non-spawned tasks admitted to the scheduler.
     pub admitted: u64,
-    /// Tasks refused by a [`AdmissionPolicy::BoundedShed`] policy (or a
-    /// failed [`Runtime::try_execute_later`]).
-    pub shed: u64,
     /// Current in-flight (submitted, not finished) non-spawned tasks.
     pub depth: usize,
     /// High-water mark of `depth`.
     pub peak_depth: usize,
     /// The most task bodies ever on one thread's stack at once: a body
-    /// blocked in `get_value`, `join` or `wait` runs others on top of itself
-    /// while it helps the pool, and an inline [`TaskCtx::execute`] child
-    /// runs on top of its caller.
+    /// blocked in `get_value`, `join` or `wait`, or a submitter blocked by
+    /// [`AdmissionPolicy::BoundedBlock`], runs others on top of itself while
+    /// it helps the pool, and an inline [`TaskCtx::execute`] child runs on
+    /// top of its caller.
     pub peak_nesting: usize,
     /// The scheduler's own counters ([`scheduler::Scheduler::diagnostics`]).
     pub scheduler: scheduler::SchedulerDiagnostics,
@@ -487,7 +410,7 @@ pub(crate) struct RtInner {
     pub(crate) dynamic: DynamicEffectTable,
     kind: SchedulerKind,
     /// Immutable after construction: how deep the in-flight backlog may grow
-    /// before submissions block or shed.
+    /// before submissions block.
     policy: AdmissionPolicy,
     admission: AdmissionState,
     tasks_executed: AtomicU64,
@@ -504,15 +427,32 @@ impl RtInner {
         self.scheduler.as_ref()
     }
 
-    /// Admits one task for a path that cannot shed (`execute_later` and
-    /// friends): blocks under [`AdmissionPolicy::BoundedBlock`] (unless the
-    /// caller is exempt — see [`AdmissionPolicy`]), force-admits otherwise.
+    /// Admits one task: blocks under [`AdmissionPolicy::BoundedBlock`]
+    /// (unless the caller is exempt — see [`AdmissionPolicy`]), force-admits
+    /// otherwise.
     fn admit_one(&self) {
         match self.policy {
             AdmissionPolicy::BoundedBlock { max_queued } if !in_task_body() => {
-                self.admission.reserve_blocking(1, max_queued);
+                self.reserve_blocking(1, max_queued);
             }
             _ => self.admission.reserve_forced(1),
+        }
+    }
+
+    /// Reserves `min(want, cap / GATE_FRACTION)` or more slots under `cap`,
+    /// helping the pool run queued tasks until that many fit; returns how
+    /// many were reserved (that many up to `want`).
+    fn reserve_blocking(&self, want: usize, cap: usize) -> usize {
+        debug_assert!(want > 0);
+        let need = want.min((cap / GATE_FRACTION).max(1));
+        loop {
+            let take = self.admission.reserve(want, need, cap);
+            if take > 0 {
+                return take;
+            }
+            let depth = &self.admission.depth;
+            self.pool
+                .help_until(|| depth.load(Ordering::SeqCst) + need <= cap);
         }
     }
 
@@ -579,8 +519,7 @@ impl RtInner {
         *record.pending.lock() = Some(record.clone());
     }
 
-    /// Admits one task on a path that cannot shed and builds it, ready for
-    /// the scheduler.
+    /// Admits one task and builds it, ready for the scheduler.
     pub(crate) fn admit_new<T, F>(
         self: &Arc<Self>,
         name: impl Into<Cow<'static, str>>,
@@ -612,34 +551,6 @@ impl RtInner {
         future
     }
 
-    /// Shedding variant of [`RtInner::execute_later_impl`]: under a bounded
-    /// policy with no room, the task is refused (`None`) and counted shed;
-    /// the body is dropped unexecuted.
-    pub(crate) fn try_execute_later_impl<T, F>(
-        self: &Arc<Self>,
-        name: impl Into<Cow<'static, str>>,
-        effects: EffectSet,
-        body: F,
-    ) -> Option<TaskFuture<T>>
-    where
-        T: Send + 'static,
-        F: FnOnce(&TaskCtx<'_>) -> T + Send + 'static,
-    {
-        match self.policy.max_queued() {
-            Some(cap) if !in_task_body() => {
-                if self.admission.reserve_up_to(1, cap) == 0 {
-                    self.admission.count_shed(1);
-                    return None;
-                }
-            }
-            _ => self.admission.reserve_forced(1),
-        }
-        let future = self.new_task(name, effects, None, body);
-        self.prepare(&future.record);
-        self.scheduler().submit(future.record.clone());
-        Some(future)
-    }
-
     /// Hands a wave (or chunk) of just-built tasks to the scheduler: a wave
     /// of one — what an open-loop service sends almost every time — through
     /// plain `submit`, anything longer through the batch path.
@@ -664,14 +575,10 @@ impl RtInner {
     /// tasks touches no scheduler state; a batch of one is routed through
     /// the plain `submit` path, so it is *exactly* `execute_later`.
     ///
-    /// Under [`AdmissionPolicy::BoundedShed`] only the longest prefix of the
-    /// wave that fits under the cap is admitted — futures are returned for
-    /// the admitted prefix only, and the shed tail is counted in
-    /// [`RuntimeStats::shed`]. Under [`AdmissionPolicy::BoundedBlock`] the
-    /// wave is admitted in chunks as room frees up, blocking between chunks;
-    /// every task is eventually admitted and all futures are returned. Only
-    /// those two need the wave's length before they build a task, so only
-    /// they collect it first.
+    /// Under [`AdmissionPolicy::BoundedBlock`] the wave is admitted in
+    /// chunks as room frees up, helping the pool between chunks; every task
+    /// is admitted and all futures are returned. Only that policy needs the
+    /// wave's length before it builds a task, so only it collects it first.
     pub(crate) fn submit_all_impl<T, N, F>(
         self: &Arc<Self>,
         tasks: impl IntoIterator<Item = (N, EffectSet, F)>,
@@ -683,21 +590,12 @@ impl RtInner {
     {
         let build = |(name, effects, body)| self.new_task(name, effects, None, body);
         match self.policy {
-            AdmissionPolicy::BoundedShed { max_queued } if !in_task_body() => {
-                let mut triples: Vec<(N, EffectSet, F)> = tasks.into_iter().collect();
-                let take = self.admission.reserve_up_to(triples.len(), max_queued);
-                self.admission.count_shed(triples.len() - take);
-                triples.truncate(take);
-                let futures: Vec<_> = triples.into_iter().map(build).collect();
-                self.admit_wave(&futures);
-                futures
-            }
             AdmissionPolicy::BoundedBlock { max_queued } if !in_task_body() => {
                 let triples: Vec<(N, EffectSet, F)> = tasks.into_iter().collect();
                 let mut futures = Vec::with_capacity(triples.len());
                 let mut rest = triples.into_iter();
                 while rest.len() > 0 {
-                    let take = self.admission.reserve_blocking(rest.len(), max_queued);
+                    let take = self.reserve_blocking(rest.len(), max_queued);
                     let admitted = futures.len();
                     futures.extend(rest.by_ref().take(take).map(build));
                     self.admit_wave(&futures[admitted..]);
@@ -869,24 +767,6 @@ impl Runtime {
         self.inner.kind
     }
 
-    /// Load-shedding variant of [`Runtime::execute_later`]: under a bounded
-    /// admission policy with no room left, returns `None` (the body is
-    /// dropped unexecuted and counted in [`RuntimeStats::shed`]) instead
-    /// of blocking or over-admitting. Always succeeds under
-    /// [`AdmissionPolicy::Unbounded`] and from pool worker threads.
-    pub fn try_execute_later<T, F>(
-        &self,
-        name: impl Into<Cow<'static, str>>,
-        effects: EffectSet,
-        body: F,
-    ) -> Option<TaskFuture<T>>
-    where
-        T: Send + 'static,
-        F: FnOnce(&TaskCtx<'_>) -> T + Send + 'static,
-    {
-        self.inner.try_execute_later_impl(name, effects, body)
-    }
-
     /// Creates an asynchronous task with the given declared effects; it runs
     /// once the scheduler determines it cannot interfere with any running
     /// task. `name` labels the task in diagnostics: a literal costs nothing,
@@ -929,16 +809,11 @@ impl Runtime {
     /// scheduler, and a single-element batch takes the plain
     /// `execute_later` path (no extra recheck round).
     ///
-    /// **Backpressure.** Under [`AdmissionPolicy::BoundedShed`] only the
-    /// longest prefix of the wave that fits under the cap is admitted:
-    /// futures are returned for the admitted prefix only (callers pairing
-    /// futures with per-task metadata by position stay aligned, since only
-    /// the tail is dropped) and the rest is counted in
-    /// [`RuntimeStats::shed`]. Under [`AdmissionPolicy::BoundedBlock`]
-    /// the wave is admitted in chunks as room frees up — the call blocks
-    /// between chunks, every task is admitted, and all futures are
-    /// returned. Waves submitted from a pool worker thread bypass the
-    /// policy entirely (see [`AdmissionPolicy`]).
+    /// **Backpressure.** Under [`AdmissionPolicy::BoundedBlock`] the wave
+    /// is admitted in chunks as room frees up: between chunks the calling
+    /// thread helps the pool run queued tasks, every task is admitted, and
+    /// all futures are returned. Waves submitted from inside a task body
+    /// bypass the policy entirely (see [`AdmissionPolicy`]).
     ///
     /// ```
     /// use twe_runtime::{Runtime, SchedulerKind};
@@ -1004,7 +879,6 @@ impl Runtime {
             tasks_executed: self.inner.tasks_executed.load(Ordering::Relaxed),
             task_retries: self.inner.task_retries.load(Ordering::Relaxed),
             admitted: admission.admitted.load(Ordering::Relaxed),
-            shed: admission.shed.load(Ordering::Relaxed),
             depth: admission.depth.load(Ordering::Relaxed),
             peak_depth: admission.peak_depth.load(Ordering::Relaxed),
             peak_nesting: self.inner.peak_nesting.load(Ordering::Relaxed),
@@ -1235,6 +1109,24 @@ mod tests {
             },
         );
         assert_eq!(total, 42);
+    }
+
+    #[test]
+    fn a_joined_reader_gives_back_the_right_to_write() {
+        // Joining the reader hands `A:[1]` back in full: the parent may
+        // write it again, so may a child it spawns, and the parent covers
+        // its whole declared set once more.
+        let rt = Runtime::new(2, SchedulerKind::Tree);
+        rt.run("parent", EffectSet::parse("writes A:*"), |ctx| {
+            let reader = ctx.spawn("reader", EffectSet::parse("reads A:[1]"), |_| ());
+            assert!(!ctx.covers(&EffectSet::parse("writes A:[1]")));
+            assert!(ctx.covers(&EffectSet::parse("reads A:[1], writes A:[2]")));
+            reader.join(ctx);
+            assert!(ctx.covers(&EffectSet::parse("writes A:[1]")));
+            assert!(ctx.covers(&EffectSet::parse("writes A:*")));
+            ctx.spawn("writer", EffectSet::parse("writes A:[1]"), |_| ())
+                .join(ctx);
+        });
     }
 
     #[test]
@@ -1548,95 +1440,24 @@ mod tests {
             }
             let stats = rt.stats();
             assert_eq!(stats.admitted, 32, "{kind:?}");
-            assert_eq!(stats.shed, 0, "{kind:?}");
             assert!(stats.peak_depth <= 4, "{kind:?}: peak {}", stats.peak_depth);
             assert_eq!(stats.depth, 0, "{kind:?}: all slots released");
         }
     }
 
     #[test]
-    fn bounded_shed_policy_sheds_the_wave_tail() {
-        for kind in [SchedulerKind::Naive, SchedulerKind::Tree] {
-            let rt = Runtime::builder()
-                .threads(1)
-                .scheduler(kind)
-                .admission_policy(AdmissionPolicy::BoundedShed { max_queued: 8 })
-                .build();
-            let futures = rt.submit_all((0..64).map(|i| {
-                (
-                    format!("w{i}"),
-                    EffectSet::parse("writes S"),
-                    move |_: &TaskCtx<'_>| {
-                        std::thread::sleep(Duration::from_micros(100));
-                        i
-                    },
-                )
-            }));
-            // Only the longest prefix that fit was admitted; the futures
-            // align positionally with the wave's head.
-            assert!(futures.len() <= 8, "{kind:?}: {} admitted", futures.len());
-            assert!(!futures.is_empty(), "{kind:?}: an empty runtime has room");
-            for (i, f) in futures.iter().enumerate() {
-                assert_eq!(f.wait(), i, "{kind:?}");
-            }
-            let stats = rt.stats();
-            assert_eq!(
-                stats.admitted + stats.shed,
-                64,
-                "{kind:?}: every request accounted for"
-            );
-            assert_eq!(stats.shed, 64 - futures.len() as u64, "{kind:?}");
-            assert_eq!(stats.depth, 0, "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn try_execute_later_sheds_only_when_full() {
-        let rt = Runtime::builder()
-            .threads(1)
-            .scheduler(SchedulerKind::Tree)
-            .admission_policy(AdmissionPolicy::BoundedShed { max_queued: 2 })
-            .build();
-        // Fill the two slots with tasks parked behind a gate region.
-        let gate = rt.execute_later("gate", EffectSet::parse("writes G"), |_| {
-            std::thread::sleep(Duration::from_millis(20));
-        });
-        let second = rt
-            .try_execute_later("second", EffectSet::parse("writes G"), |_| 2u32)
-            .expect("room for the second task");
-        // The cap is reached: the next try is refused and counted.
-        assert!(rt
-            .try_execute_later("third", EffectSet::parse("writes G"), |_| 3u32)
-            .is_none());
-        assert_eq!(rt.stats().shed, 1);
-        gate.wait();
-        assert_eq!(second.wait(), 2);
-        // With the backlog drained there is room again.
-        let fourth = rt
-            .try_execute_later("fourth", EffectSet::parse("writes G"), |_| 4u32)
-            .expect("room after drain");
-        assert_eq!(fourth.wait(), 4);
-        assert_eq!(rt.stats().shed, 1);
-    }
-
-    #[test]
     fn a_zero_admission_cap_is_refused_at_build() {
-        // A cap of 0 blocks the first `execute_later` forever (BoundedBlock)
-        // or sheds every shedding submission (BoundedShed). Building is
+        // A cap of 0 blocks the first `execute_later` forever. Building is
         // where it is refused; nothing is submitted, so a runtime that
         // accepted the policy fails this test instead of hanging it.
-        for policy in [
-            AdmissionPolicy::BoundedBlock { max_queued: 0 },
-            AdmissionPolicy::BoundedShed { max_queued: 0 },
-        ] {
-            let built = std::panic::catch_unwind(|| {
-                Runtime::builder()
-                    .threads(1)
-                    .admission_policy(policy)
-                    .build()
-            });
-            assert!(built.is_err(), "{policy:?} must be refused");
-        }
+        let policy = AdmissionPolicy::BoundedBlock { max_queued: 0 };
+        let built = std::panic::catch_unwind(|| {
+            Runtime::builder()
+                .threads(1)
+                .admission_policy(policy)
+                .build()
+        });
+        assert!(built.is_err(), "{policy:?} must be refused");
     }
 
     #[test]
@@ -1645,31 +1466,59 @@ mod tests {
         // the only admission slot: without the worker-thread bypass this
         // deadlocks — the worker would block on admission while being the
         // only thread able to free a slot.
-        for policy in [
-            AdmissionPolicy::BoundedBlock { max_queued: 1 },
-            AdmissionPolicy::BoundedShed { max_queued: 1 },
-        ] {
-            for kind in [SchedulerKind::Naive, SchedulerKind::Tree] {
-                let rt = Runtime::builder()
-                    .threads(2)
-                    .scheduler(kind)
-                    .admission_policy(policy)
-                    .build();
-                let v = rt.run("outer", EffectSet::parse("writes Outer"), |ctx| {
-                    let inner =
-                        ctx.execute_later("inner", EffectSet::parse("writes Inner"), |_| 40u32);
-                    inner.get_value(ctx) + 2
-                });
-                assert_eq!(v, 42, "{kind:?} under {policy:?}");
-                assert_eq!(rt.stats().depth, 0, "{kind:?} {policy:?}");
-            }
+        let policy = AdmissionPolicy::BoundedBlock { max_queued: 1 };
+        for kind in [SchedulerKind::Naive, SchedulerKind::Tree] {
+            let rt = Runtime::builder()
+                .threads(2)
+                .scheduler(kind)
+                .admission_policy(policy)
+                .build();
+            let v = rt.run("outer", EffectSet::parse("writes Outer"), |ctx| {
+                let inner = ctx.execute_later("inner", EffectSet::parse("writes Inner"), |_| 40u32);
+                inner.get_value(ctx) + 2
+            });
+            assert_eq!(v, 42, "{kind:?}");
+            assert_eq!(rt.stats().depth, 0, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn a_blocked_submitter_runs_the_task_that_frees_its_slot() {
+        // `hold` owns the one worker until `release`, queued behind it in
+        // the pool, tells it to stop; with both in flight the cap is
+        // reached, so the third submission blocks. Only a submitter that
+        // helps runs `release`: one that parks waits out `hold`'s timeout.
+        for kind in [SchedulerKind::Naive, SchedulerKind::Tree] {
+            let rt = Runtime::builder()
+                .threads(1)
+                .scheduler(kind)
+                .admission_policy(AdmissionPolicy::BoundedBlock { max_queued: 2 })
+                .build();
+            let (started, hold_is_running) = std::sync::mpsc::channel();
+            let (stop, stopped) = std::sync::mpsc::channel::<()>();
+            let hold = rt.execute_later("hold", EffectSet::parse("writes H"), move |_| {
+                started.send(()).expect("the test thread");
+                stopped.recv_timeout(Duration::from_secs(5)).is_ok()
+            });
+            hold_is_running.recv().expect("hold");
+            let release = rt.execute_later("release", EffectSet::parse("writes R"), move |_| {
+                stop.send(()).expect("hold");
+            });
+            let third = rt.execute_later("third", EffectSet::parse("writes T"), |_| 3u32);
+            assert!(
+                hold.wait(),
+                "{kind:?}: `hold` timed out before `release` ran"
+            );
+            release.wait();
+            assert_eq!(third.wait(), 3, "{kind:?}");
+            assert!(rt.stats().peak_depth <= 2, "{kind:?}");
         }
     }
 
     #[test]
     fn blocked_wave_is_admitted_in_a_few_chunks_not_one_per_completion() {
         // The backlog sits at the cap (64 serialized tasks behind a held
-        // region) when a 64-task wave arrives: the submitter must sleep
+        // region) when a 64-task wave arrives: the submitter must wait
         // until half the cap is free, not take each slot as it frees.
         for kind in [SchedulerKind::Naive, SchedulerKind::Tree] {
             let rt = Arc::new(
@@ -1680,12 +1529,15 @@ mod tests {
                     .build(),
             );
             let hold = Arc::new(AtomicBool::new(true));
+            let (started, hold_is_running) = std::sync::mpsc::channel();
             let h = hold.clone();
             let first = rt.execute_later("hold", EffectSet::parse("writes W"), move |_| {
+                started.send(()).expect("the test thread");
                 while h.load(Ordering::Acquire) {
                     std::thread::yield_now();
                 }
             });
+            hold_is_running.recv().expect("hold");
             let backlog: Vec<_> = (1..64)
                 .map(|i| rt.execute_later(format!("b{i}"), EffectSet::parse("writes W"), |_| ()))
                 .collect();
@@ -1702,11 +1554,11 @@ mod tests {
                     )
                 }))
             });
-            // Parked for certain: it has published its threshold.
-            while rt.inner.admission.wake_below.load(Ordering::SeqCst) == 0 {
-                std::thread::yield_now();
-            }
-            assert_eq!(rt.inner.admission.wake_below.load(Ordering::SeqCst), 33);
+            // `hold` owns the worker and the backlog is parked in the
+            // scheduler, so the helping submitter finds nothing to run and
+            // nothing frees: no chunk goes in until `hold` returns.
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(rt.inner.wave_sizes.lock().is_empty(), "{kind:?}");
             hold.store(false, Ordering::Release);
             let wave = submitter.join().expect("submitter");
             first.wait();
@@ -1733,8 +1585,8 @@ mod tests {
     #[test]
     fn concurrent_blocked_submitters_all_drain() {
         // Four external submitters with different thresholds share one small
-        // gate: two submit singles (wake at one free slot), two submit waves
-        // of 1..=8 (wake at up to half the cap). None may be left parked.
+        // cap: two submit singles (wait for one free slot), two submit waves
+        // of 1..=8 (wait for up to half the cap). None may be left waiting.
         const PER_THREAD: usize = 10_000;
         for kind in [SchedulerKind::Naive, SchedulerKind::Tree] {
             let rt = Arc::new(
@@ -1780,7 +1632,7 @@ mod tests {
                 while !s.is_finished() {
                     assert!(
                         std::time::Instant::now() < deadline,
-                        "{kind:?}: a submitter is still parked at depth {} with {} tasks run",
+                        "{kind:?}: a submitter is still waiting at depth {} with {} tasks run",
                         rt.stats().depth,
                         ran.load(Ordering::Relaxed)
                     );
@@ -1798,138 +1650,6 @@ mod tests {
             let stats = rt.stats();
             assert_eq!(stats.admitted, 4 * PER_THREAD as u64, "{kind:?}");
             assert!(stats.peak_depth <= 8, "{kind:?}: peak {}", stats.peak_depth);
-        }
-    }
-
-    #[test]
-    fn concurrent_shedding_submitters_account_for_every_request() {
-        // Four external submitters offer work to one small shedding cap,
-        // alternating single `try_execute_later`s with `submit_all` waves of
-        // 1..=16 (a wave above 8 always sheds its tail). Every offered task
-        // is either admitted, and then runs and returns its own value, or
-        // counted shed; nothing passes the cap and nothing is left behind.
-        const PER_THREAD: usize = 5_000;
-        for kind in [SchedulerKind::Naive, SchedulerKind::Tree] {
-            let rt = Arc::new(
-                Runtime::builder()
-                    .threads(2)
-                    .scheduler(kind)
-                    .admission_policy(AdmissionPolicy::BoundedShed { max_queued: 8 })
-                    .build(),
-            );
-            let submitters: Vec<_> = (0..4usize)
-                .map(|t| {
-                    let rt = rt.clone();
-                    std::thread::spawn(move || {
-                        let task = |i: usize| {
-                            let value = t * PER_THREAD + i;
-                            let effects = EffectSet::parse(&format!("writes G:[{}]", i % 16));
-                            (effects, move |_: &TaskCtx<'_>| value)
-                        };
-                        // (value the future must return, the future)
-                        let mut admitted = Vec::new();
-                        let (mut sent, mut round) = (0, 0);
-                        while sent < PER_THREAD {
-                            // Submitters pause now and then, so the cap is
-                            // both hit and drained.
-                            if round % 4 == 3 {
-                                std::thread::yield_now();
-                            }
-                            if (round + t) % 2 == 0 {
-                                let (effects, body) = task(sent);
-                                if let Some(f) = rt.try_execute_later("single", effects, body) {
-                                    admitted.push((t * PER_THREAD + sent, f));
-                                }
-                                sent += 1;
-                            } else {
-                                let wave = (round % 16 + 1).min(PER_THREAD - sent);
-                                let futures = rt.submit_all((sent..sent + wave).map(|i| {
-                                    let (effects, body) = task(i);
-                                    ("wave", effects, body)
-                                }));
-                                assert!(futures.len() <= wave);
-                                // The admitted prefix of the wave, in order.
-                                for (j, f) in futures.into_iter().enumerate() {
-                                    admitted.push((t * PER_THREAD + sent + j, f));
-                                }
-                                sent += wave;
-                            }
-                            round += 1;
-                        }
-                        admitted
-                    })
-                })
-                .collect();
-            // A lost task or a stranded submitter fails instead of hanging.
-            let deadline = std::time::Instant::now() + Duration::from_secs(120);
-            let mut admitted = Vec::new();
-            for s in submitters {
-                while !s.is_finished() {
-                    assert!(
-                        std::time::Instant::now() < deadline,
-                        "{kind:?}: a submitter is stuck"
-                    );
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                admitted.extend(s.join().expect("submitter"));
-            }
-            for (value, f) in &admitted {
-                while !f.is_done() {
-                    assert!(
-                        std::time::Instant::now() < deadline,
-                        "{kind:?}: task {value} never ran"
-                    );
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                assert_eq!(f.wait(), *value, "{kind:?}");
-            }
-            let stats = rt.stats();
-            assert_eq!(stats.admitted, admitted.len() as u64, "{kind:?}");
-            assert_eq!(
-                stats.admitted + stats.shed,
-                4 * PER_THREAD as u64,
-                "{kind:?}: every offered request is admitted or shed"
-            );
-            assert!(stats.shed > 0, "{kind:?}: waves above the cap shed");
-            assert!(stats.peak_depth <= 8, "{kind:?}: peak {}", stats.peak_depth);
-            assert_eq!(stats.depth, 0, "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn completions_leave_the_gate_alone_unless_a_submitter_is_parked() {
-        for policy in [
-            AdmissionPolicy::Unbounded,
-            AdmissionPolicy::BoundedShed { max_queued: 4 },
-            // Never reaches its cap here: nobody parks, nobody is woken.
-            AdmissionPolicy::BoundedBlock {
-                max_queued: 1 << 20,
-            },
-        ] {
-            let rt = Runtime::builder()
-                .threads(2)
-                .admission_policy(policy)
-                .build();
-            let futures = rt.submit_all((0..256).map(|i| {
-                (
-                    format!("t{i}"),
-                    EffectSet::parse(&format!("writes N:[{}]", i % 8)),
-                    move |_: &TaskCtx<'_>| i,
-                )
-            }));
-            let singles: Vec<_> = (0..256)
-                .filter_map(|i| {
-                    rt.try_execute_later("s", EffectSet::parse(&format!("reads N:[{i}]")), |_| ())
-                })
-                .collect();
-            for f in &futures {
-                f.wait();
-            }
-            for f in &singles {
-                f.wait();
-            }
-            let touches = rt.inner.admission.gate_touches.load(Ordering::Relaxed);
-            assert_eq!(touches, 0, "{policy:?}");
         }
     }
 

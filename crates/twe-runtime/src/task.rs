@@ -98,7 +98,8 @@ pub struct TaskRecord<B: ?Sized = dyn TaskBody> {
     /// mechanism of §3.1.4.
     pub blocker: Mutex<Option<Arc<TaskRecord>>>,
     /// Children created with `spawn` and not yet joined; their transferred
-    /// effects must be considered when this task is blocked on another
+    /// effects are outside this task's covering effect (`TaskCtx::covers`)
+    /// and must be considered when this task is blocked on another
     /// (Figure 5.8).
     pub spawned_children: Mutex<Vec<Arc<TaskRecord>>>,
     /// Whether this task was created by `spawn` (it then bypasses the
