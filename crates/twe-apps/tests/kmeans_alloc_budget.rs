@@ -44,7 +44,7 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 #[test]
-fn a_kmeans_job_allocates_at_most_five_times_per_task() {
+fn a_kmeans_job_allocates_at_most_three_times_per_task() {
     const JOBS: usize = 10;
     let input = generate(&KMeansConfig {
         n_clusters: 40,
@@ -76,12 +76,13 @@ fn a_kmeans_job_allocates_at_most_five_times_per_task() {
         .stack_size(256 << 20)
         .spawn(measure);
     let per_task = handle.unwrap().join().unwrap();
-    // The record, one effect record per effect, and for the two-effect
-    // accumulate its record list and `submit`'s staging copy; the job's own
-    // vectors amortise to a few hundredths.
+    // The record and one effect record per effect: the two-effect
+    // accumulate's record list, `submit`'s staging copy and `insert`'s child
+    // guards are inline, and a cluster leaf is made once, not once per
+    // prune. The job's own vectors amortise to a few hundredths.
     eprintln!("{per_task:.2} allocations per k-means task");
     assert!(
-        per_task <= 5.0,
+        per_task <= 3.0,
         "{per_task:.2} allocations per k-means task"
     );
 }

@@ -22,6 +22,8 @@
 //!   ([`Effect::included_in`]).
 //!
 //! [`EffectSet`] lifts both pairwise over its effects, as §2.2 defines them.
+//! It keeps them in an [`InlineList`], the short list (two items inline)
+//! the runtime's per-task lists use too.
 //!
 //! [`compound::CompoundEffect`] implements the *compound effects* of
 //! chapter 4 of the paper (`E`, `E + E`, `E − E`, `E ∩ E`), which represent
@@ -77,7 +79,7 @@ pub mod arena;
 pub mod compound;
 pub mod effect;
 pub mod idhash;
-mod inline;
+pub mod inline;
 pub mod intern;
 mod leak;
 pub mod reclaim;
@@ -86,6 +88,7 @@ pub mod rpl;
 pub use arena::RplId;
 pub use compound::{BitCompound, CompoundEffect, CompoundOp, EffectDomain};
 pub use effect::{Effect, EffectKind, EffectSet};
+pub use inline::InlineList;
 pub use intern::{intern, resolve, Symbol};
 pub use reclaim::DynRegion;
 pub use rpl::{Rpl, RplElement};

@@ -213,7 +213,10 @@ impl<'rt> TaskCtx<'rt> {
     /// retryable task aborts; completed tasks release automatically).
     pub fn release_dynamic_effects(&self) {
         let claims: Vec<RegionEra> = self.record.dynamic_claims.lock().drain(..).collect();
-        self.rt.dynamic.release_all(self.record.id, &claims);
+        // Most tasks hold none: they leave the process-wide table alone.
+        if !claims.is_empty() {
+            self.rt.dynamic.release_all(self.record.id, &claims);
+        }
     }
 
     // ------------------------------------------------------------------

@@ -18,9 +18,9 @@ use std::any::Any;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use twe_effects::EffectSet;
+use twe_effects::{EffectSet, InlineList};
 
-use crate::tree::{EffectRecord, TreeRecords};
+use crate::tree::EffectRecord;
 use crate::RtInner;
 
 /// The scheduling status of a task (§5.3.1, Figure 5.3).
@@ -121,9 +121,9 @@ pub struct TaskRecord<B: ?Sized = dyn TaskBody> {
     /// Set last of all, once the result is stored, the effects are released
     /// and the admission slot is free: what the future polls.
     pub(crate) completed: AtomicBool,
-    /// Per-effect records used by the tree scheduler (unset for the naive
-    /// scheduler and for spawned tasks).
-    pub tree_effects: OnceLock<TreeRecords>,
+    /// Per-effect records used by the tree scheduler, in effect order (unset
+    /// for the naive scheduler and for spawned tasks; inline up to two).
+    pub tree_effects: OnceLock<InlineList<Arc<EffectRecord>>>,
     /// The cells this task holds dynamic effects on (chapter 7), each as its
     /// region id and era: a claim outlives the cell it names when the task
     /// drops the cell's last handle before finishing.

@@ -52,15 +52,20 @@
 //! Unlinking the node a finished task left vacant means locking its whole
 //! path from the root, so the worker does not do it: `task_done` unlinks
 //! the record under its one node lock and pushes the vacated path onto a
-//! scheduler-level list. The **admitting** thread drains the list, at the
-//! end of the admission that finds `PRUNE_BATCH` (64) paths pending: nodes are
-//! allocated and freed by one thread, a node traffic came back to in the
-//! meantime is found occupied and left alone, and a drain locks the nodes
-//! its paths share once per chunk of `PRUNE_BATCH`, letting the root go in
-//! between. The garbage is bounded — fewer than `PRUNE_BATCH` vacant paths
-//! survive an admission and a completion can only vacate a node that was
-//! live, so the tree never exceeds its peak of live nodes plus one batch
-//! (a batch of N nobody follows: N vacant nodes until its last completion).
+//! scheduler-level list — once per node: the node's `prune_pending` flag,
+//! set with the push under the node's lock and cleared by the drain that
+//! walks the node, keeps a node that empties and refills between drains (a
+//! k-means cluster leaf) from being listed again, so it is neither pruned
+//! while in use nor rebuilt. The **admitting** thread drains the list, at
+//! the end of the admission that finds `PRUNE_BATCH` (64) paths pending:
+//! nodes are allocated and freed by one thread, a node traffic came back to
+//! in the meantime is found occupied and left alone, and a drain locks the
+//! nodes its paths share once per chunk of `PRUNE_BATCH`, letting the root
+//! go in between. The garbage is bounded — fewer than `PRUNE_BATCH`
+//! distinct vacant nodes survive an admission and a completion can only
+//! vacate a node that was live, so the tree never exceeds its peak of live
+//! nodes plus one batch (a batch of N nobody follows: N vacant nodes until
+//! its last completion).
 //! A completion that leaves the scheduler empty flushes a list of
 //! `IDLE_PRUNE` or more itself (nobody may ever submit again), and
 //! `diagnostics` flushes it, so "a drained scheduler is a bare root" stays
@@ -87,7 +92,7 @@ use parking_lot::{ArcMutexGuard, Mutex, RawMutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use twe_effects::idhash::IdHashMap;
-use twe_effects::{Effect, EffectKind, Rpl, RplId};
+use twe_effects::{Effect, EffectKind, InlineList, Rpl, RplId};
 
 /// One effect of one task, as tracked by the scheduler tree (Figure 5.3).
 pub struct EffectRecord {
@@ -185,26 +190,6 @@ impl std::fmt::Debug for EffectRecord {
     }
 }
 
-/// The per-effect records of one task ([`TaskRecord::tree_effects`]): almost
-/// every task has exactly one, which then needs no vector.
-pub enum TreeRecords {
-    /// The record of a one-effect task.
-    One([Arc<EffectRecord>; 1]),
-    /// The records of any other task, in effect order.
-    Many(Vec<Arc<EffectRecord>>),
-}
-
-impl std::ops::Deref for TreeRecords {
-    type Target = [Arc<EffectRecord>];
-
-    fn deref(&self) -> &Self::Target {
-        match self {
-            TreeRecords::One(one) => one,
-            TreeRecords::Many(many) => many,
-        }
-    }
-}
-
 /// A child pointer plus the lazily-rewritten summary of the child's whole
 /// subtree (module docs, "Subtree flags"). Stored *in the parent* so skip
 /// decisions never have to lock the child. Both flags are monotone stale
@@ -295,6 +280,9 @@ pub struct NodeInner {
     /// Arrival stamp of the newest record.
     stamp: u64,
     children: IdHashMap<RplId, ChildEntry>,
+    /// The node's path is on the vacated list, or about to be: it is not
+    /// listed again until a drain has walked it (module docs, "Pruning").
+    prune_pending: bool,
 }
 
 #[cfg(test)]
@@ -307,6 +295,8 @@ thread_local! {
     /// it pushed, tested or moved (a splice is one step).
     static WAKE_LOCKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     static WAITER_STEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// ... and for pruning: tree nodes made.
+    static NODES_MADE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Adds `n` to a cost-shape counter (tests only).
@@ -450,6 +440,7 @@ pub type NodeRef = Arc<Mutex<NodeInner>>;
 type NodeGuard = ArcMutexGuard<RawMutex, NodeInner>;
 
 fn new_node(depth: usize) -> NodeRef {
+    count!(NODES_MADE, 1);
     Arc::new(Mutex::new(NodeInner {
         depth,
         ..NodeInner::default()
@@ -536,14 +527,9 @@ impl TreeScheduler {
     /// and batched admission paths). A pure task has none, needs no tree
     /// insertion and is enabled on the spot.
     fn register_records<'t>(&self, task: &'t Arc<TaskRecord>) -> &'t [Arc<EffectRecord>] {
-        let records = match task.effects.effects() {
-            [one] => TreeRecords::One([EffectRecord::new(task, 0, one)]),
-            many => TreeRecords::Many(
-                (many.iter().enumerate())
-                    .map(|(i, e)| EffectRecord::new(task, i, e))
-                    .collect(),
-            ),
-        };
+        let records: InlineList<_> = (task.effects.effects().iter().enumerate())
+            .map(|(i, e)| EffectRecord::new(task, i, e))
+            .collect();
         let run_now = {
             let mut s = task.sched.lock();
             s.disabled_effects = records.len();
@@ -916,7 +902,7 @@ impl TreeScheduler {
         // the child *before this node's lock is
         // released* (the publication invariant the skip rules rely on), then
         // continue in the children one by one.
-        let mut locked: Vec<(NodeGuard, usize)> = Vec::new();
+        let mut locked = InlineList::default();
         let mut grouped = 0;
         while grouped < rest.len() {
             let key = next(&rest[grouped]);
@@ -1006,7 +992,8 @@ impl TreeScheduler {
     /// vacate the parent) or re-summarised there.
     fn unwind(guards: &mut Vec<NodeGuard>, held: &[RplId], keep: usize) {
         while guards.len() > keep {
-            let guard = guards.pop().expect("deeper than `keep`");
+            let mut guard = guards.pop().expect("deeper than `keep`");
+            guard.prune_pending = false;
             let summary = (!guard.is_vacant()).then(|| guard.fresh_summary());
             drop(guard);
             let key = held[guards.len()];
@@ -1034,7 +1021,10 @@ impl Scheduler for TreeScheduler {
             // every node they share. Record by record, `K:[0], K:[2]` and
             // `K:[2], K:[0]` could each park their second behind the other's
             // first, and without an awaiter nothing would recheck either.
-            records => self.insert(self.root.lock_arc(), &mut records.to_vec()),
+            records => {
+                let mut staged: InlineList<_> = records.iter().cloned().collect();
+                self.insert(self.root.lock_arc(), &mut staged);
+            }
         }
         self.drain_if_full(PRUNE_BATCH);
     }
@@ -1099,12 +1089,15 @@ impl Scheduler for TreeScheduler {
         for e in task.tree_records() {
             let mut guard = self.lock_containing_node(e);
             remove_effect(&mut guard, e);
-            let vacated = (guard.depth > 0 && guard.is_vacant()).then_some(guard.depth);
+            let vacated = guard.depth > 0
+                && guard.is_vacant()
+                && !std::mem::replace(&mut guard.prune_pending, true);
+            let depth = guard.depth;
             drop(guard);
-            if let Some(depth) = vacated {
-                // The finished task emptied this node; unlinking it is
-                // left to the admitting side (module docs, "Pruning"). A
-                // path pending twice is pruned once, so no dedup.
+            if vacated {
+                // The finished task emptied this node, and it is not listed
+                // yet; unlinking it is left to the admitting side (module
+                // docs, "Pruning").
                 self.vacated.lock().push(&e.prefix_path[..=depth]);
             }
         }
@@ -1942,6 +1935,7 @@ mod tests {
             h.sched.submit(t.clone());
             assert_eq!(t.status(), TaskStatus::Enabled);
             h.finish(&t);
+            h.sched.assert_vacant_nodes_listed();
             let nodes = raw_nodes(&h.sched);
             assert!(
                 nodes <= 2 + 2 * PRUNE_BATCH,
@@ -2237,6 +2231,9 @@ mod tests {
         let mut window = std::collections::VecDeque::new();
         let mut deferred = false;
         for t in wave(0) {
+            if t.id % 100 == 0 {
+                h.sched.assert_vacant_nodes_listed();
+            }
             h.sched.submit(t.clone());
             window.push_back(t);
             if window.len() > 100 {
@@ -2253,6 +2250,7 @@ mod tests {
         for t in &window {
             h.finish(t);
         }
+        h.sched.assert_vacant_nodes_listed();
         assert!(first_level(&h) < IDLE_PRUNE, "idle: less than a batch left");
         assert_eq!(h.sched.diagnostics().tree_nodes, 1);
         assert_eq!(first_level(&h), 0, "`diagnostics` flushed the rest");
@@ -2264,6 +2262,7 @@ mod tests {
         for t in rest {
             h.finish(t);
         }
+        h.sched.assert_vacant_nodes_listed();
         assert_eq!(first_level(&h), 10_000, "nobody admitted, nobody pruned");
         h.finish(last);
         assert_eq!(first_level(&h), 0, "the completion that emptied it drained");
@@ -2275,6 +2274,7 @@ mod tests {
         let once = task(20_000, "writes [7]:X");
         h.sched.submit(once.clone());
         h.finish(&once);
+        h.sched.assert_vacant_nodes_listed();
         assert_eq!(raw_nodes(&h.sched), 3, "root, [7] and [7]:X, path pending");
         let again = task(20_001, "writes [7]:X");
         let sweeper = task(20_002, "writes *");
@@ -2288,8 +2288,64 @@ mod tests {
         h.sched.submit(sweeper.clone());
         assert_eq!(sweeper.status(), TaskStatus::Waiting, "found below [7]");
         h.finish(&again);
+        h.sched.assert_vacant_nodes_listed();
         assert_eq!(sweeper.status(), TaskStatus::Enabled);
         h.finish(&sweeper);
+        assert_eq!(h.sched.diagnostics().tree_nodes, 1);
+    }
+
+    /// Fig. 6.3's accumulates one at a time: every completion empties its
+    /// cluster leaf and a later accumulate on that cluster fills it again.
+    /// Returns (nodes made, the most paths ever listed at once).
+    fn accumulate_one_at_a_time(h: &Harness, ids: std::ops::Range<u64>) -> (usize, usize) {
+        NODES_MADE.with(|c| c.set(0));
+        let mut peak = 0;
+        for id in ids {
+            let t = task(id, &format!("reads Root, writes Clusters:[{}]", id % 40));
+            h.sched.submit(t.clone());
+            assert_eq!(t.status(), TaskStatus::Enabled);
+            h.finish(&t);
+            peak = peak.max(h.sched.vacated.lock().len());
+            h.sched.assert_vacant_nodes_listed();
+        }
+        (NODES_MADE.with(|c| c.get()), peak)
+    }
+
+    #[test]
+    fn a_hot_leaf_is_listed_once_and_never_rebuilt() {
+        // Counts, not timings. Beside a running WorkTask (so no completion
+        // leaves the scheduler empty), 2 000 accumulates over 40 clusters:
+        // each leaf is made once and listed once, however often it empties,
+        // so no admission finds a full list and nothing is pruned and
+        // rebuilt (1 226 nodes made when every emptying listed its leaf).
+        let h = harness();
+        let work = task(0, "reads Root");
+        h.sched.submit(work.clone());
+        let (made, peak) = accumulate_one_at_a_time(&h, 1..2_001);
+        assert!(
+            made <= 41,
+            "{made} nodes made for 40 leaves and their parent"
+        );
+        assert!(peak <= 40, "{peak} paths listed for 40 leaves");
+        // A drain that finds every leaf occupied keeps them all and clears
+        // their flags: each is listed again the next time it empties, and
+        // nothing is made again.
+        let held: Vec<_> = (0..40u64)
+            .map(|k| task(3_000 + k, &format!("reads Root, writes Clusters:[{k}]")))
+            .collect();
+        held.iter().for_each(|t| h.sched.submit(t.clone()));
+        assert_eq!(
+            h.sched.diagnostics().tree_nodes,
+            42,
+            "root, Clusters, 40 leaves"
+        );
+        assert!(h.sched.vacated.lock().is_empty());
+        held.iter().for_each(|t| h.finish(t));
+        h.sched.assert_vacant_nodes_listed();
+        let (made, peak) = accumulate_one_at_a_time(&h, 4_000..6_000);
+        assert_eq!(made, 0, "the leaves outlived the drain");
+        assert!(peak <= 40, "{peak} paths listed for 40 leaves");
+        h.finish(&work);
         assert_eq!(h.sched.diagnostics().tree_nodes, 1);
     }
 

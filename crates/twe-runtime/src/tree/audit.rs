@@ -1,5 +1,6 @@
-//! Check of the property the wake path rests on (ARCHITECTURE.md, "Wake
-//! path"), for tests to call between steps.
+//! Checks of the property the wake path rests on (ARCHITECTURE.md, "Wake
+//! path") and of the one the prune bound rests on ("Pruning"), for tests to
+//! call between steps.
 
 use super::*;
 use std::collections::{HashMap, HashSet};
@@ -68,5 +69,48 @@ impl TreeScheduler {
             stranded.is_empty(),
             "parked records nobody will recheck: {stranded:#?}"
         );
+    }
+
+    /// Panics unless every vacant node below the root carries its
+    /// `prune_pending` flag and its path is on the vacated list: the next
+    /// drain prunes it, and a completion vacating it again lists it no
+    /// second time. Exact only while no other thread is inside the
+    /// scheduler.
+    #[doc(hidden)]
+    pub fn assert_vacant_nodes_listed(&self) {
+        // Copied out first: the list is never held with a node lock.
+        let listed: HashSet<&[RplId]> = (self.vacated.lock().iter())
+            .map(|path| &path[1..])
+            .collect();
+        let mut unlisted = Vec::new();
+        find_unlisted(&self.root, &mut Vec::new(), &listed, &mut unlisted);
+        assert!(
+            unlisted.is_empty(),
+            "vacant nodes no drain will prune: {unlisted:#?}"
+        );
+    }
+}
+
+/// Adds to `unlisted` every vacant node at or below `node` (at `path`, the
+/// root's own excluded) that is not flagged and listed.
+fn find_unlisted(
+    node: &NodeRef,
+    path: &mut Vec<RplId>,
+    listed: &HashSet<&[RplId]>,
+    unlisted: &mut Vec<String>,
+) {
+    let guard = node.lock();
+    let (flagged, on_list) = (guard.prune_pending, listed.contains(&path[..]));
+    if !path.is_empty() && guard.is_vacant() && !(flagged && on_list) {
+        unlisted.push(format!("{path:?}: flagged {flagged}, listed {on_list}"));
+    }
+    let children: Vec<(RplId, NodeRef)> = (guard.children.iter())
+        .map(|(&key, c)| (key, c.node.clone()))
+        .collect();
+    drop(guard);
+    for (key, child) in children {
+        path.push(key);
+        find_unlisted(&child, path, listed, unlisted);
+        path.pop();
     }
 }

@@ -137,6 +137,7 @@ fn drain(sched: &TreeScheduler, tasks: &[Arc<TaskRecord>]) {
         t.mark_done();
         sched.task_done(&t);
         sched.assert_wake_invariant();
+        sched.assert_vacant_nodes_listed();
     }
 }
 

@@ -134,6 +134,7 @@ fn kmeans_shape_tree_equals_naive_in_lockstep() {
                 "seed {seed}: tree left naive after {step}"
             );
             tree.assert_wake_invariant();
+            tree.assert_vacant_nodes_listed();
         };
         agree(&runs, "the fan-out");
         let mut started = 0usize;
@@ -263,7 +264,10 @@ fn descent_shapes_tree_equals_naive_in_lockstep() {
     assert!([1, 2, 4, 5, 8, 10].into_iter().all(waited));
     for mode in [Mode::Scripted, Mode::MemberByMember, Mode::AlwaysBatch] {
         let tree = TreeScheduler::new(Box::new(|_| {}));
-        let audit = || tree.assert_wake_invariant();
+        let audit = || {
+            tree.assert_wake_invariant();
+            tree.assert_vacant_nodes_listed();
+        };
         assert_eq!(
             trace(&tree, &audit, mode),
             naive,
