@@ -128,7 +128,9 @@ struct ClusterAccum {
 struct Cluster {
     /// `reads Root, writes Clusters:[k]`, built once per job. A two-effect
     /// set holds its effects inline, so each point's task gets a copy
-    /// without parsing or allocating.
+    /// without parsing or allocating. The calling WorkTask's `reads Root`
+    /// holds the first effect for it, so the tree scheduler registers only
+    /// `writes Clusters:[k]`: one record per accumulate, none at the root.
     accumulate: EffectSet,
     accum: RegionCell<ClusterAccum>,
 }

@@ -19,7 +19,7 @@ use std::cell::Cell;
 use std::marker::PhantomData;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use twe_effects::EffectSet;
+use twe_effects::{Effect, EffectSet};
 
 /// The execution context of a running task.
 pub struct TaskCtx<'rt> {
@@ -64,10 +64,25 @@ impl<'rt> TaskCtx<'rt> {
     /// for tests and for code that wants to assert its own effect discipline.
     pub fn covers(&self, effects: &EffectSet) -> bool {
         let children = self.record.spawned_children.lock();
-        effects.iter().all(|e| {
-            self.record.effects.covers_effect(e)
-                && !children.iter().any(|c| c.effects.interferes_effect(e))
-        })
+        effects.iter().all(|e| self.covers_one(&children, e))
+    }
+
+    /// Does the run-time covering effect cover `e`, given the unjoined
+    /// spawned `children`? What [`TaskCtx::covers`] asks of every effect
+    /// and what marks an `execute` child's effects as held by this task.
+    fn covers_one(&self, children: &[Arc<TaskRecord>], e: &Effect) -> bool {
+        self.record.effects.covers_effect(e)
+            && !children.iter().any(|c| c.effects.interferes_effect(e))
+    }
+
+    /// Which of `effects` this task holds for an `execute` child
+    /// ([`TaskRecord::held_effects`]): bit `i` for each of the first 64 that
+    /// the run-time covering effect covers.
+    fn held_for_child(&self, effects: &EffectSet) -> u64 {
+        let children = self.record.spawned_children.lock();
+        (effects.iter().take(64).enumerate())
+            .filter(|(_, e)| self.covers_one(&children, e))
+            .fold(0, |held, (i, _)| held | 1 << i)
     }
 
     /// Creates an asynchronous task that will run once the effect-aware
@@ -122,6 +137,16 @@ impl<'rt> TaskCtx<'rt> {
     /// enabled later, by whichever thread resolves its conflict, and goes
     /// through the pool while this task waits in `get_value`. Either way a
     /// panic in the child is re-raised here.
+    ///
+    /// The child's effects that this task's run-time covering effect covers
+    /// ([`TaskCtx::covers`]) are *held* for it
+    /// ([`TaskRecord::held_effects`]): this task waits for the child, and
+    /// its own enabled records guard them until after the child is done —
+    /// any task that interferes with a held effect interferes with the
+    /// effect covering it, so it is already parked behind this task. The
+    /// tree scheduler registers only the child's other effects, so a child
+    /// whose effects are all held is enabled on the spot and runs as a plain
+    /// nested call. The single queue checks every effect, as in §3.4.2.
     pub fn execute<T, F>(
         &self,
         name: impl Into<Cow<'static, str>>,
@@ -132,7 +157,8 @@ impl<'rt> TaskCtx<'rt> {
         T: Send + 'static,
         F: FnOnce(&TaskCtx<'_>) -> T + Send + 'static,
     {
-        let future = self.rt.admit_new(name, effects, body);
+        let held = self.held_for_child(&effects);
+        let future = self.rt.admit_new(name, effects, held, body);
         if let Some(child) = self.rt.submit_wanting_back(&future.record) {
             self.blocked_on(&child, || child.body.run(&child));
         }
@@ -168,7 +194,7 @@ impl<'rt> TaskCtx<'rt> {
         );
         let future = self
             .rt
-            .new_task(name, effects, Some(self.record.clone()), body);
+            .new_task(name, effects, 0, Some(self.record.clone()), body);
         // The spawned task is enabled from the start. Listing it among the
         // unjoined children transfers its effects away from this task.
         future.record.sched.lock().status = TaskStatus::Enabled;

@@ -30,7 +30,9 @@
 //!
 //! 1. **Submit** — the scheduler registers the task's effects (the tree
 //!    scheduler inserts one record per effect at its RPL's maximal
-//!    wildcard-free prefix) and checks them against every enabled task's.
+//!    wildcard-free prefix, except for the effects a [`TaskCtx::execute`]
+//!    caller holds for its child: its own records guard those) and checks
+//!    them against every enabled task's.
 //! 2. **Park on waiters** — each conflicting effect registers on the
 //!    blocking record's waiter list and the task stays `Waiting`; if a
 //!    running task blocks on it (`getValue`/`join`), it becomes
@@ -261,8 +263,13 @@ impl AdmissionState {
         }
     }
 
+    /// Raises `peak_depth` to `depth_now` if that is a new peak: a relaxed
+    /// load, and a `fetch_max` (a locked read-modify-write of the shared
+    /// line even when it changes nothing) only on a new peak.
     fn note_peak(&self, depth_now: usize) {
-        self.peak_depth.fetch_max(depth_now, Ordering::Relaxed);
+        if depth_now > self.peak_depth.load(Ordering::Relaxed) {
+            self.peak_depth.fetch_max(depth_now, Ordering::Relaxed);
+        }
     }
 
     /// Unconditional reservation (unbounded policy, task-body bypass).
@@ -466,11 +473,13 @@ impl RtInner {
     }
 
     /// Creates a task — record, body and result slot in one allocation —
-    /// and the future on it. A task with a `spawned_parent` is a spawned one.
+    /// and the future on it. A task with a `spawned_parent` is a spawned one;
+    /// `held` is [`TaskRecord::held_effects`], 0 but for an `execute` child.
     pub(crate) fn new_task<T, F>(
         self: &Arc<Self>,
         name: impl Into<Cow<'static, str>>,
         effects: EffectSet,
+        held: u64,
         spawned_parent: Option<Arc<TaskRecord>>,
         body: F,
     ) -> TaskFuture<T>
@@ -486,7 +495,7 @@ impl RtInner {
             result: Mutex::new(None),
         };
         let rt = Some(self.clone());
-        let record = TaskRecord::with_body(id, name.into(), effects, spawned, rt, work);
+        let record = TaskRecord::with_body(id, name.into(), effects, held, spawned, rt, work);
         let value = std::marker::PhantomData;
         TaskFuture { record, value }
     }
@@ -524,6 +533,7 @@ impl RtInner {
         self: &Arc<Self>,
         name: impl Into<Cow<'static, str>>,
         effects: EffectSet,
+        held: u64,
         body: F,
     ) -> TaskFuture<T>
     where
@@ -531,7 +541,7 @@ impl RtInner {
         F: FnOnce(&TaskCtx<'_>) -> T + Send + 'static,
     {
         self.admit_one();
-        let future = self.new_task(name, effects, None, body);
+        let future = self.new_task(name, effects, held, None, body);
         self.prepare(&future.record);
         future
     }
@@ -546,7 +556,7 @@ impl RtInner {
         T: Send + 'static,
         F: FnOnce(&TaskCtx<'_>) -> T + Send + 'static,
     {
-        let future = self.admit_new(name, effects, body);
+        let future = self.admit_new(name, effects, 0, body);
         self.scheduler().submit(future.record.clone());
         future
     }
@@ -588,7 +598,7 @@ impl RtInner {
         N: Into<Cow<'static, str>>,
         F: FnOnce(&TaskCtx<'_>) -> T + Send + 'static,
     {
-        let build = |(name, effects, body)| self.new_task(name, effects, None, body);
+        let build = |(name, effects, body)| self.new_task(name, effects, 0, None, body);
         match self.policy {
             AdmissionPolicy::BoundedBlock { max_queued } if !in_task_body() => {
                 let triples: Vec<(N, EffectSet, F)> = tasks.into_iter().collect();
@@ -1344,6 +1354,103 @@ mod tests {
             open.send(()).expect("the gate");
             assert!(outer.wait(), "{kind:?}: ran while `writes S` was held");
             gate.wait();
+        }
+    }
+
+    #[test]
+    fn an_execute_child_admits_only_what_its_caller_does_not_hold() {
+        // (parent, child, tree records the child holds, pool jobs it sees).
+        let cases = [
+            ("reads Root", "reads Root, writes Clusters:[0]", 1),
+            ("writes A", "reads A", 0),
+            ("writes A", "writes A", 0),
+        ];
+        let rt = Runtime::new(2, SchedulerKind::Tree);
+        for (parent, child, records) in cases {
+            let (here, there) = rt.run("parent", EffectSet::parse(parent), |ctx| {
+                let there = ctx.execute("child", EffectSet::parse(child), |ctx| {
+                    let records = ctx.record.tree_records().len();
+                    let jobs = ctx.rt.pool.pending_jobs();
+                    (std::thread::current().id(), records, jobs)
+                });
+                (std::thread::current().id(), there)
+            });
+            assert_eq!(there, (here, records, 1), "`{child}` inside `{parent}`");
+        }
+    }
+
+    /// Runs `body` as a `writes A:*` task on a side thread of a fresh
+    /// runtime and returns its value; a stall fails after 10 s.
+    fn on_a_side_thread(
+        kind: SchedulerKind,
+        threads: usize,
+        body: fn(&TaskCtx<'_>) -> bool,
+    ) -> Result<bool, std::sync::mpsc::RecvTimeoutError> {
+        let (done, result) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let rt = Runtime::new(threads, kind);
+            let _ = done.send(rt.run("parent", EffectSet::parse("writes A:*"), body));
+        });
+        result.recv_timeout(Duration::from_secs(10))
+    }
+
+    /// Spawns a `writes A:[1]` child that, once released, lingers 20 ms in
+    /// its body; releases it and returns the flag it sets as it leaves.
+    fn spawn_a_lingering_writer(ctx: &TaskCtx<'_>) -> (SpawnedTaskFuture<()>, Arc<AtomicBool>) {
+        let left = Arc::new(AtomicBool::new(false));
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let l = left.clone();
+        let spawned = ctx.spawn("writer", EffectSet::parse("writes A:[1]"), move |_| {
+            released.recv().expect("the parent");
+            std::thread::sleep(Duration::from_millis(20));
+            l.store(true, Ordering::SeqCst);
+        });
+        release.send(()).expect("the spawned writer");
+        (spawned, left)
+    }
+
+    #[test]
+    fn an_execute_child_waits_for_a_running_spawned_child() {
+        // The spawned writer's `writes A:[1]` is outside the parent's
+        // run-time covering effect, so the parent does not hold the reader's
+        // `reads A:[1]` for it: the reader waits for the writer to leave.
+        for kind in [SchedulerKind::Naive, SchedulerKind::Tree] {
+            for threads in [1, 2] {
+                let after_the_writer = on_a_side_thread(kind, threads, |ctx| {
+                    let (writer, left) = spawn_a_lingering_writer(ctx);
+                    let seen = ctx.execute("reader", EffectSet::parse("reads A:[1]"), move |_| {
+                        left.load(Ordering::SeqCst)
+                    });
+                    writer.join(ctx);
+                    seen
+                });
+                assert_eq!(after_the_writer, Ok(true), "{kind:?}, {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn a_held_execute_child_keeps_its_own_spawned_childs_effects() {
+        // The parent holds all of `middle`'s `writes A:*`, so `middle` has
+        // no tree record; its spawned writer's effects must still keep the
+        // reader that `middle` waits for out, although the only record in
+        // the reader's way is the parent's, and the parent's chain of
+        // blocked tasks runs through `middle` to the reader.
+        for kind in [SchedulerKind::Naive, SchedulerKind::Tree] {
+            for threads in [1, 2] {
+                let after_the_writer = on_a_side_thread(kind, threads, |ctx| {
+                    ctx.execute("middle", EffectSet::parse("writes A:*"), |ctx| {
+                        let (writer, left) = spawn_a_lingering_writer(ctx);
+                        let seen =
+                            ctx.execute("reader", EffectSet::parse("reads A:[1]"), move |_| {
+                                left.load(Ordering::SeqCst)
+                            });
+                        writer.join(ctx);
+                        seen
+                    })
+                });
+                assert_eq!(after_the_writer, Ok(true), "{kind:?}, {threads} threads");
+            }
         }
     }
 

@@ -55,6 +55,17 @@ pub struct SchedulerDiagnostics {
 /// transferred from a running parent) and are visible only through the
 /// conflict test's treatment of blocked tasks' children.
 ///
+/// A scheduler *may* skip the effects that the caller of a
+/// `TaskCtx::execute` child holds for it
+/// ([`TaskRecord::held_effects`](crate::task::TaskRecord::held_effects)):
+/// the caller is enabled, waits for the child, and keeps its own effects
+/// registered until after the child is done, and anything that interferes
+/// with a held effect interferes with the caller's effect covering it. The
+/// tree scheduler skips them; the single queue checks them, which is
+/// conservative and as sound. [`effects_conflict`] checks the spawned
+/// children of such a child at its caller's effects, and a scheduler that
+/// skips must recheck what the child waits for when one of them finishes.
+///
 /// # Ownership
 ///
 /// The caller keeps every submitted [`TaskRecord`] alive until it has
@@ -156,16 +167,25 @@ pub fn effects_conflict(
     if blocked_on(existing_task, new_task) {
         // The blocked task cannot resume until `new_task` completes, so its
         // own effects are transferred — but effects it handed to spawned
-        // children that are still running must still be respected.
-        for child in existing_task.spawned_children_snapshot() {
-            if child.is_done() {
-                continue;
-            }
-            for child_effect in child.effects.iter() {
-                if effects_conflict(&child, child_effect, new_task, new) {
-                    return true;
+        // children that are still running must still be respected. So must
+        // those of the `execute` child it waits for when it holds effects
+        // for that child (`TaskRecord::held_effects`), and so on down the
+        // chain: the child has no record of its own for a held effect, and
+        // this one stands in for it.
+        let mut holder = Some(existing_task.clone());
+        while let Some(task) = holder {
+            for child in task.spawned_children_snapshot() {
+                if child.is_done() {
+                    continue;
+                }
+                for child_effect in child.effects.iter() {
+                    if effects_conflict(&child, child_effect, new_task, new) {
+                        return true;
+                    }
                 }
             }
+            let next = task.blocker.lock().clone();
+            holder = next.filter(|b| b.held_effects != 0);
         }
         return false;
     }

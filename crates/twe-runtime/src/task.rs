@@ -91,6 +91,14 @@ pub struct TaskRecord<B: ?Sized = dyn TaskBody> {
     pub name: Cow<'static, str>,
     /// The task's declared (static) effects.
     pub effects: EffectSet,
+    /// Which of `effects` (bit `i` for the `i`-th; none past the 64th) the
+    /// caller of a [`TaskCtx::execute`](crate::TaskCtx::execute) child holds
+    /// for it: those its run-time covering effect covers. The caller waits
+    /// for the child and its records stay in place until after the child is
+    /// done, so they already guard these effects (§3.1.4) and the tree
+    /// scheduler registers none of its own for them. Fixed when the record
+    /// is built; 0 for every other task.
+    pub held_effects: u64,
     /// Scheduling state (status, disabled-effect count, rechecking flag).
     pub sched: Mutex<TaskSchedState>,
     /// The task this task is currently blocked on via `getValue`/`join`
@@ -139,6 +147,7 @@ impl<B: TaskBody + 'static> TaskRecord<B> {
         id: u64,
         name: Cow<'static, str>,
         effects: EffectSet,
+        held_effects: u64,
         spawned: bool,
         rt: Option<Arc<RtInner>>,
         body: B,
@@ -147,6 +156,7 @@ impl<B: TaskBody + 'static> TaskRecord<B> {
             id,
             name,
             effects,
+            held_effects,
             sched: Mutex::new(TaskSchedState {
                 status: TaskStatus::Waiting,
                 disabled_effects: 0,
@@ -178,7 +188,7 @@ impl TaskRecord {
         effects: EffectSet,
         spawned: bool,
     ) -> Arc<Self> {
-        TaskRecord::with_body(id, name.into(), effects, spawned, None, NoBody)
+        TaskRecord::with_body(id, name.into(), effects, 0, spawned, None, NoBody)
     }
 
     /// The runtime of a task that has one.
@@ -200,6 +210,23 @@ impl TaskRecord {
     pub fn mark_done(&self) {
         self.sched.lock().status = TaskStatus::Done;
         self.done_flag.store(true, Ordering::Release);
+    }
+
+    /// Does the caller of this `execute` child hold its `i`-th effect for it
+    /// ([`TaskRecord::held_effects`])?
+    pub(crate) fn caller_holds(&self, i: usize) -> bool {
+        i < 64 && self.held_effects & 1 << i != 0
+    }
+
+    /// The task this `execute` child waits for, if its caller holds effects
+    /// for it: then a conflict its spawned children keep alive is checked
+    /// at the caller's records ([`effects_conflict`]), and the waiter to
+    /// recheck once one of them finishes is on this chain.
+    ///
+    /// [`effects_conflict`]: crate::scheduler::effects_conflict
+    pub(crate) fn held_and_blocked_on(&self) -> Option<Arc<TaskRecord>> {
+        let blocker = self.blocker.lock().clone();
+        blocker.filter(|_| self.held_effects != 0)
     }
 
     /// The tree scheduler's per-effect records (empty until it admits the

@@ -522,12 +522,13 @@ impl TreeScheduler {
             .sum::<usize>()
     }
 
-    /// Builds and registers the per-effect tree records of a task being
-    /// submitted, setting its disabled-effect count (shared by the single
-    /// and batched admission paths). A pure task has none, needs no tree
-    /// insertion and is enabled on the spot.
+    /// Builds and registers a submitted task's tree records, one per effect
+    /// its `execute` caller does not hold ([`TaskRecord::held_effects`]),
+    /// and sets its disabled-effect count (single and batched admission
+    /// alike). A task left with none is enabled on the spot.
     fn register_records<'t>(&self, task: &'t Arc<TaskRecord>) -> &'t [Arc<EffectRecord>] {
         let records: InlineList<_> = (task.effects.effects().iter().enumerate())
+            .filter(|&(i, _)| !task.caller_holds(i))
             .map(|(i, e)| EffectRecord::new(task, i, e))
             .collect();
         let run_now = {
@@ -1115,9 +1116,13 @@ impl Scheduler for TreeScheduler {
     fn spawned_child_done(&self, parent: &Arc<TaskRecord>) {
         // A completed spawned child may have been the only thing keeping a
         // conflict alive (Figure 5.8 checks the spawned children of blocked
-        // tasks), so recheck the waiters recorded on the parent's effects.
+        // tasks), so recheck the waiters recorded on the parent's effects,
+        // and those checked at its caller's when the caller holds for it.
         for e in parent.tree_records() {
             self.recheck_waiters_of(e);
+        }
+        if let Some(target) = parent.held_and_blocked_on() {
+            self.on_await(Some(parent), &target);
         }
     }
 
