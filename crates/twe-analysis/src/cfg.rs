@@ -9,9 +9,10 @@
 //! structure, e.g. `"2.then.0"`), which lets tests cross-validate their
 //! results.
 
+use crate::compound::CompoundOp;
 use crate::ir::{Block, MethodId, Program, Stmt, TaskId};
 use std::collections::HashMap;
-use twe_effects::{CompoundOp, Effect, EffectSet};
+use twe_effects::{Effect, EffectSet};
 
 /// One flattened operation inside a basic block.
 #[derive(Clone, Debug)]

@@ -25,8 +25,8 @@
 //!   is restricted to the effects of the operations appearing in the flow
 //!   graph under analysis.
 
-use crate::effect::{Effect, EffectSet};
 use std::fmt;
+use twe_effects::{Effect, EffectSet};
 
 /// One additive or subtractive step applied to a compound effect.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -355,7 +355,7 @@ impl BitCompound {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rpl::Rpl;
+    use twe_effects::Rpl;
 
     fn es(s: &str) -> EffectSet {
         EffectSet::parse(s)

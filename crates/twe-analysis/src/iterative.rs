@@ -14,8 +14,9 @@
 
 use crate::cfg::{build_cfg, Cfg, FlatOp};
 use crate::checker::{CheckError, CheckErrorKind, SpawnCoverage, SpawnSite};
+use crate::compound::{BitCompound, CompoundOp, EffectDomain};
 use crate::ir::{Block, Program};
-use twe_effects::{BitCompound, CompoundOp, EffectDomain, EffectSet};
+use twe_effects::EffectSet;
 
 /// Result of the iterative analysis over one task or method body.
 #[derive(Clone, Debug)]

@@ -14,10 +14,14 @@
 //!
 //! * [`iterative`] — the classic iterative dataflow algorithm of Figure 4.2
 //!   over a control-flow graph and a finite effect domain (bit-vector
-//!   compound effects);
+//!   compound effects, [`BitCompound`]);
 //! * [`structural`] — the structure-based traversal of §4.4 that the TWEJava
 //!   compiler actually uses, operating on the AST with symbolic compound
-//!   effects.
+//!   effects ([`CompoundEffect`]).
+//!
+//! Both represent the covering effect at a program point as a *compound
+//! effect* (`E`, `E + E`, `E − E`, `E ∩ E`; [`compound`]), built on
+//! `twe-effects`' effect sets and relations.
 //!
 //! Both compute the meet-over-paths solution (the framework is distributive
 //! and rapid; see the property tests), and [`checker`] packages them behind a
@@ -29,10 +33,12 @@
 
 pub mod cfg;
 pub mod checker;
+pub mod compound;
 pub mod examples;
 pub mod ir;
 pub mod iterative;
 pub mod structural;
 
 pub use checker::{check_program, Algorithm, CheckError, CheckReport, SpawnCoverage};
+pub use compound::{BitCompound, CompoundEffect, CompoundOp, EffectDomain};
 pub use ir::{Block, MethodDecl, MethodId, Program, Stmt, TaskDecl, TaskId};

@@ -2,7 +2,7 @@
 //!
 //! This is the algorithm the TWEJava compiler implements: a traversal of the
 //! (structured) AST in program order, carrying the covering effect as a
-//! *symbolic* compound effect ([`twe_effects::CompoundEffect`]) rather than a
+//! *symbolic* compound effect ([`CompoundEffect`]) rather than a
 //! materialised set. Branches are analysed separately and met (`∩`) at the
 //! merge point; loops are analysed once and, if the covering effect at the
 //! end of the body differs from the one at the start, re-analysed with the
@@ -11,9 +11,10 @@
 
 use crate::cfg::{join_transfer_effects, spawn_bindings};
 use crate::checker::{CheckError, CheckErrorKind, SpawnCoverage, SpawnSite};
+use crate::compound::CompoundEffect;
 use crate::ir::{Block, Program, Stmt, TaskId};
 use std::collections::HashMap;
-use twe_effects::{CompoundEffect, Effect, EffectSet};
+use twe_effects::{Effect, EffectSet};
 
 /// Result of the structure-based analysis over one task or method body.
 #[derive(Clone, Debug)]

@@ -25,10 +25,6 @@
 //! It keeps them in an [`InlineList`], the short list (two items inline)
 //! the runtime's per-task lists use too.
 //!
-//! [`compound::CompoundEffect`] implements the *compound effects* of
-//! chapter 4 of the paper (`E`, `E + E`, `E − E`, `E ∩ E`), which represent
-//! the covering effect at each program point during the static analysis.
-//!
 //! # The interned RPL arena
 //!
 //! RPLs are not stored as element vectors: every wildcard-free prefix is
@@ -76,7 +72,6 @@
 #![warn(missing_docs)]
 
 pub mod arena;
-pub mod compound;
 pub mod effect;
 pub mod idhash;
 pub mod inline;
@@ -86,7 +81,6 @@ pub mod reclaim;
 pub mod rpl;
 
 pub use arena::RplId;
-pub use compound::{BitCompound, CompoundEffect, CompoundOp, EffectDomain};
 pub use effect::{Effect, EffectKind, EffectSet};
 pub use inline::InlineList;
 pub use intern::{intern, resolve, Symbol};

@@ -258,7 +258,7 @@ impl<'rt> TaskCtx<'rt> {
             return;
         }
         self.blocked_on(target, || {
-            self.rt.scheduler().on_await(Some(self.record), target);
+            self.rt.scheduler().on_await(target);
             self.rt.pool.help_until(&done);
         });
     }

@@ -115,8 +115,9 @@ impl<T> DynCell<T> {
     /// the two conflict planes separate, §7.5), so a task holding a static
     /// effect on the cell is invisible to another task's `acquire_*` and
     /// vice versa; mixing the disciplines on one cell forfeits isolation
-    /// for it. Nothing enforces the rule; ROADMAP parks a claim-table mode
-    /// bit that would.
+    /// for it. Nothing enforces the rule yet: ROADMAP's "Dynamic effects
+    /// live on their cell" item fixes a cell's discipline at its first
+    /// checked access.
     pub fn rpl(&self) -> Rpl {
         self.region.rpl()
     }

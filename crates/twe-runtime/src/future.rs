@@ -75,7 +75,7 @@ impl<T: Send + 'static> TaskFuture<T> {
     pub fn wait(&self) -> T {
         if !self.is_done() {
             let rt = self.record.runtime();
-            rt.scheduler().on_await(None, &self.record);
+            rt.scheduler().on_await(&self.record);
             rt.pool.help_until(|| self.is_done());
         }
         self.take()
@@ -136,9 +136,14 @@ mod tests {
 
     #[test]
     fn spawned_future_records_transferred_effects() {
-        // Construct the pieces by hand to check the accessors.
         let rt = crate::Runtime::new(1, crate::SchedulerKind::Tree);
-        let fut = rt.execute_later("t", EffectSet::parse("writes A"), |_| 5usize);
+        let parent = EffectSet::parse("writes A, reads B");
+        let fut = rt.execute_later("parent", parent, |ctx| {
+            let declared = EffectSet::parse("writes A");
+            let child = ctx.spawn("child", declared.clone(), |_| 5usize);
+            assert_eq!(child.transferred_effects().effects(), declared.effects());
+            child.join(ctx)
+        });
         assert_eq!(fut.wait(), 5);
         assert!(fut.is_done());
     }

@@ -203,7 +203,7 @@ impl Scheduler for NaiveScheduler {
         self.admit(tasks);
     }
 
-    fn on_await(&self, _blocked: Option<&Arc<TaskRecord>>, target: &Arc<TaskRecord>) {
+    fn on_await(&self, target: &Arc<TaskRecord>) {
         // Prioritize the awaited task and everything it is transitively
         // blocked on, then recheck exactly that chain: the caller has
         // already recorded itself as the blocker, so both status changes
@@ -354,7 +354,7 @@ mod tests {
         assert_eq!(&*enabled.lock(), &[1]);
         // a (running) now blocks on b: record the blocker, then notify.
         *a.blocker.lock() = Some(b.clone());
-        sched.on_await(Some(&a), &b);
+        sched.on_await(&b);
         assert_eq!(&*enabled.lock(), &[1, 2]);
         assert_eq!(b.status(), TaskStatus::Enabled);
     }
@@ -373,7 +373,7 @@ mod tests {
         // a blocks on b -> b becomes prioritized and only needs
         // isolation from *enabled* tasks, so it can jump ahead of w.
         *a.blocker.lock() = Some(b.clone());
-        sched.on_await(Some(&a), &b);
+        sched.on_await(&b);
         assert_eq!(&*enabled.lock(), &[1, 3]);
     }
 
@@ -393,7 +393,7 @@ mod tests {
         assert_eq!(&*enabled.lock(), &[1]);
         *a.blocker.lock() = Some(b.clone());
         *b.blocker.lock() = Some(a.clone());
-        sched.on_await(None, &a);
+        sched.on_await(&a);
         // The walk visited a, then b, then stopped. Both are prioritized,
         // but a conflicts with the enabled gate on X and b on Y, so both
         // stay parked until the gate completes.
@@ -413,7 +413,7 @@ mod tests {
         let t: Vec<_> = (1..=3).map(|i| task(i, "writes C:[0]")).collect();
         for x in &t {
             sched.submit(x.clone());
-            sched.on_await(None, x);
+            sched.on_await(x);
         }
         t[0].mark_done();
         sched.task_done(&t[0]);
@@ -448,7 +448,7 @@ mod tests {
         for w in tasks.windows(2) {
             *w[0].blocker.lock() = Some(w[1].clone());
         }
-        sched.on_await(None, &tasks[0]);
+        sched.on_await(&tasks[0]);
         for t in &tasks {
             assert_eq!(t.status(), TaskStatus::Prioritized, "task {}", t.id);
         }

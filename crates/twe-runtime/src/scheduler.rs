@@ -105,19 +105,22 @@ pub trait Scheduler: Send + Sync {
     /// `submit_all` of one task is *exactly* `execute_later`.
     ///
     /// The default implementation is the sequential loop; both bundled
-    /// schedulers override it (the tree scheduler inserts the whole batch
-    /// under a single root descent, the naive scheduler submits the members
-    /// in order under one hold of its queue lock).
+    /// schedulers override it (the tree scheduler inserts the batch in
+    /// sub-waves of up to 512 records, one root descent each, the naive
+    /// scheduler submits the members in order under one hold of its queue
+    /// lock).
     fn submit_batch(&self, tasks: Vec<Arc<TaskRecord>>) {
         for task in tasks {
             self.submit(task);
         }
     }
 
-    /// A task (or an external thread, when `blocked` is `None`) is about to
-    /// wait for `target`: prioritize `target` and recheck it — the blocked
-    /// task's effects are treated as transferred to it (§3.1.4).
-    fn on_await(&self, blocked: Option<&Arc<TaskRecord>>, target: &Arc<TaskRecord>);
+    /// A task or an external thread is about to wait for `target`:
+    /// prioritize `target` and recheck it and the chain of tasks it waits
+    /// behind. A waiting task has already recorded `target` as its
+    /// [`TaskRecord::blocker`], which is where the scheduler finds it: its
+    /// effects are treated as transferred along that chain (§3.1.4).
+    fn on_await(&self, target: &Arc<TaskRecord>);
 
     /// `task` has finished: release its effects and recheck waiting tasks.
     fn task_done(&self, task: &Arc<TaskRecord>);

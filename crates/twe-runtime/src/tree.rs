@@ -15,30 +15,13 @@
 //! `checkBelow`, `conflicts`, `blockedOn`, `enable`/`tryDisable`, `await`,
 //! `recheckTask`/`recheckEffect`, `lockContainingNode`, and `taskDone`.
 //!
-//! # Subtree flags (summary-directed descent)
-//!
-//! Each node stores, next to every child pointer, two flags over that
-//! child's **whole subtree**: `any` (some record below) and `writes` (some
-//! write record below). The flags are *monotone stale supersets*: they are
-//! set under the parent's lock whenever a record descends into the child
-//! (batch/single insert, recheck move-down), records leaving the subtree do
-//! not clear them, and only a full `check_below` walk of the child — which
-//! learns the subtree's true content — or a prune rewrites them fresh.
-//! Because every mutation that puts a record into a subtree happens while
-//! the parent is locked, a reader holding the parent lock always sees a
-//! superset of the subtree's records, so a *clear* flag is definitive and
-//! lets the conflict walks skip whole subtrees without locking them:
-//!
-//! a **read** effect skips any child whose `writes` is clear (no write
-//! record anywhere below — reads never conflict with reads), a **write**
-//! effect any child whose `any` is clear (no record below).
-//!
 //! # Batch admission
 //!
-//! [`TreeScheduler::submit_batch`] admits a whole fan-out of tasks under a
-//! single root descent: records are grouped per child as the descent forks,
-//! so a shared region prefix (e.g. `Data` in a `writes Data:[i]` fan-out) is
-//! locked and checked once per batch instead of once per task. At each node,
+//! [`TreeScheduler::submit_batch`] admits a whole fan-out of tasks in
+//! sub-waves of up to 512 records, one root descent each: records are
+//! grouped per child as the descent forks, so a shared region prefix (e.g.
+//! `Data` in a `writes Data:[i]` fan-out) is locked and checked once per
+//! sub-wave instead of once per task. At each node,
 //! records that settle there are processed *before* records descending
 //! further, which makes the batch observably equivalent to sequential
 //! submission (see `insert`). A task of one record — and any record a batch
@@ -190,37 +173,6 @@ impl std::fmt::Debug for EffectRecord {
     }
 }
 
-/// A child pointer plus the lazily-rewritten summary of the child's whole
-/// subtree (module docs, "Subtree flags"). Stored *in the parent* so skip
-/// decisions never have to lock the child. Both flags are monotone stale
-/// supersets between rewrites: only a full walk or a prune may clear them.
-struct ChildEntry {
-    node: NodeRef,
-    /// Some record may be in the subtree.
-    any: bool,
-    /// Some write record may be in the subtree.
-    writes: bool,
-}
-
-impl ChildEntry {
-    fn new(depth: usize) -> Self {
-        ChildEntry {
-            node: new_node(depth),
-            any: false,
-            writes: false,
-        }
-    }
-
-    /// Records that a record is descending into (or settling in) this
-    /// subtree. Must be called while the parent node is locked, *before*
-    /// that lock is released, so readers of the entry always see a superset
-    /// of the subtree's content.
-    fn absorb(&mut self, e: &EffectRecord) {
-        self.any = true;
-        self.writes |= e.write;
-    }
-}
-
 /// Class of a record whose region *is* its node's region: wildcard-free and
 /// settled at its own depth (`reads Root` at the root).
 const EXACT: usize = 0;
@@ -270,8 +222,7 @@ impl RecordList {
 /// parked here) never overlaps an exact record and is checked against the
 /// covering class alone — no work at all under a `reads Root` fan-out,
 /// however wide. A record settling here meets both classes, minus any class
-/// without a write when it is itself a read; per-child subtree flags (see
-/// `ChildEntry`) extend that write-count idea below the node.
+/// without a write when it is itself a read.
 #[derive(Default)]
 pub struct NodeInner {
     depth: usize,
@@ -279,7 +230,7 @@ pub struct NodeInner {
     records: [RecordList; 2],
     /// Arrival stamp of the newest record.
     stamp: u64,
-    children: IdHashMap<RplId, ChildEntry>,
+    children: IdHashMap<RplId, NodeRef>,
     /// The node's path is on the vacated list, or about to be: it is not
     /// listed again until a drain has walked it (module docs, "Pruning").
     prune_pending: bool,
@@ -287,8 +238,8 @@ pub struct NodeInner {
 
 #[cfg(test)]
 thread_local! {
-    /// What the cost-shape tests count, per thread: records `check_at`
-    /// examined, slots unlinking touched (compaction included).
+    /// What the cost-shape tests count, per thread: records `check_at` and
+    /// `check_below` examined, slots unlinking touched (compaction included).
     pub(crate) static EXAMINED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     static UNLINK_STEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     /// ... and for the wake path: node locks it took, waiter-list entries
@@ -422,17 +373,6 @@ impl NodeInner {
     fn is_vacant(&self) -> bool {
         self.record_count() == 0 && self.children.is_empty()
     }
-
-    /// The node's true subtree summary as far as this node can know it:
-    /// exact for its own records, the (superset) child entries for
-    /// everything deeper. Used to rewrite this node's entry in its parent
-    /// after a full walk. Returns `(any, writes)`.
-    fn fresh_summary(&self) -> (bool, bool) {
-        let children = || self.children.values();
-        let any = self.record_count() > 0 || children().any(|c| c.any);
-        let writes = self.records.iter().any(|l| l.writes > 0) || children().any(|c| c.writes);
-        (any, writes)
-    }
 }
 
 /// A reference-counted, individually locked tree node.
@@ -513,7 +453,7 @@ impl TreeScheduler {
     /// snapshot under concurrent traffic, exact when the tree is quiescent.
     fn sum_nodes(node: &NodeRef, f: &impl Fn(&NodeInner) -> usize) -> usize {
         let guard = node.lock();
-        let children: Vec<NodeRef> = guard.children.values().map(|c| c.node.clone()).collect();
+        let children: Vec<NodeRef> = guard.children.values().cloned().collect();
         let here = f(&guard);
         drop(guard);
         here + children
@@ -671,14 +611,8 @@ impl TreeScheduler {
     /// containing `e`: `ne_guard`, or `parent_guard` itself when that is
     /// `None` (the top-level call).
     ///
-    /// Three refinements over the plain Figure 5.7 walk:
+    /// Two refinements over the plain Figure 5.7 walk:
     ///
-    /// * **Subtree-flag skips** — the per-child subtree flags (module
-    ///   docs) let the walk skip, *without locking the child*, any subtree
-    ///   that provably holds nothing the effect can conflict with: a
-    ///   write-free subtree for a read effect, an empty one for a write. A
-    ///   fully walked child has its stale flags rewritten fresh on the way
-    ///   out.
     /// * **Read-only node skip** — for a read effect, nodes holding no write
     ///   records are not scanned (reads never conflict with reads).
     /// * **Empty-leaf pruning** — a visited child left with no records and no
@@ -703,23 +637,9 @@ impl TreeScheduler {
         let mut keys: Vec<RplId> = parent_guard.children.keys().copied().collect();
         keys.sort_unstable();
         for key in keys {
-            let Some(entry) = parent_guard.children.get(&key) else {
+            let Some(child) = parent_guard.children.get(&key) else {
                 continue;
             };
-            // Subtree-flag skips: a clear flag is definitive because the
-            // entry is a superset of the subtree's records for as long as
-            // the parent lock is held (see `ChildEntry::absorb`).
-            if !e.write && !entry.writes {
-                // No write record anywhere in the subtree: a read effect
-                // cannot conflict with anything down there.
-                continue;
-            }
-            if e.write && !entry.any {
-                // No linked record anywhere in the subtree, so nothing for a
-                // write walk to conflict with or move up.
-                continue;
-            }
-            let child = entry.node.clone();
             let mut cg = child.lock_arc();
             let blocker = {
                 // The guard of `ne`, which receives the records moved up.
@@ -730,6 +650,7 @@ impl TreeScheduler {
                 let mut blocker = None;
                 let mut cur = cg.scan_for(e, false);
                 while let Some((class, i)) = cg.next_record(&mut cur) {
+                    count!(EXAMINED, 1);
                     let existing = cg.record(class, i);
                     debug_assert!(existing.task.strong_count() > 0, "{OWNERSHIP}");
                     if self.conflicts(existing, e) {
@@ -755,17 +676,6 @@ impl TreeScheduler {
                 }
                 blocker
             };
-            if blocker.is_none() {
-                // Lazy rebuild: the child was examined without an early
-                // conflict exit, so rewrite its stale superset flags with
-                // the node's freshest knowledge (exact for its own records,
-                // superset entries for everything deeper). This is where
-                // the walks clear the flags again.
-                let (any, writes) = cg.fresh_summary();
-                if let Some(entry) = parent_guard.children.get_mut(&key) {
-                    (entry.any, entry.writes) = (any, writes);
-                }
-            }
             let prune = cg.is_vacant();
             drop(cg);
             if prune {
@@ -804,8 +714,7 @@ impl TreeScheduler {
     }
 
     /// Walks one record down from the locked node to its settle node, hand
-    /// over hand: lock the child, set the child entry's flags for the record
-    /// under the parent lock, release the parent. At every
+    /// over hand: lock the child, release the parent. At every
     /// node on the way `check_at` may park the record behind a conflict.
     /// Returns the record `e` now waits behind, `None` once enabled.
     ///
@@ -840,12 +749,11 @@ impl TreeScheduler {
                 remove_effect(&mut guard, e);
             }
             let child_depth = guard.depth + 1;
-            let entry = guard
+            let child = guard
                 .children
                 .entry(e.prefix_path[child_depth])
-                .or_insert_with(|| ChildEntry::new(child_depth));
-            entry.absorb(e);
-            let mut child_guard = entry.node.lock_arc();
+                .or_insert_with(|| new_node(child_depth));
+            let mut child_guard = child.lock_arc();
             if linked {
                 add_effect(&mut child_guard, e);
             }
@@ -899,24 +807,24 @@ impl TreeScheduler {
         let mut rest = &mut records[..passing];
         let next = |e: &Arc<EffectRecord>| e.prefix_path[depth + 1];
         rest.sort_by_key(next);
-        // Hand-over-hand: set each group's child's subtree flags and lock
-        // the child *before this node's lock is
-        // released* (the publication invariant the skip rules rely on), then
-        // continue in the children one by one.
+        // Hand-over-hand: lock every group's child *before this node's lock
+        // is released*, so two multi-effect admissions are ordered alike at
+        // every node they share (see `submit`), then continue in the
+        // children one by one.
         let mut locked = InlineList::default();
         let mut grouped = 0;
         while grouped < rest.len() {
             let key = next(&rest[grouped]);
-            let entry = guard
+            let len = rest[grouped..]
+                .iter()
+                .take_while(|e| next(e) == key)
+                .count();
+            grouped += len;
+            let child = guard
                 .children
                 .entry(key)
-                .or_insert_with(|| ChildEntry::new(depth + 1));
-            let start = grouped;
-            for e in rest[start..].iter().take_while(|e| next(e) == key) {
-                entry.absorb(e);
-                grouped += 1;
-            }
-            locked.push((entry.node.lock_arc(), grouped - start));
+                .or_insert_with(|| new_node(depth + 1));
+            locked.push((child.lock_arc(), len));
         }
         drop(guard);
         for (child_guard, len) in locked {
@@ -945,17 +853,16 @@ impl TreeScheduler {
 
     /// Prunes the tree along every pending vacated path (module docs,
     /// "Pruning"). Every node on a path that is (or becomes) empty is
-    /// unlinked from its parent and a surviving node's entry is rewritten
-    /// with a fresh summary. A path whose node was readmitted to since (or
+    /// unlinked from its parent. A path whose node was readmitted to since (or
     /// is already gone) costs its descent and nothing else.
     ///
     /// Locking: called with no node lock held. The paths are walked in
     /// sorted order, `PRUNE_BATCH` per chain of guards, and the root is let
     /// go between chunks: a long list stalls no admission for longer than
     /// one batch. A chain only ever grows downward from a node it holds, so
-    /// it cannot deadlock with concurrent traffic, and each parent-entry
-    /// rewrite/removal happens while that parent's guard is still held —
-    /// the discipline of `check_below`'s rebuild and prune steps.
+    /// it cannot deadlock with concurrent traffic, and each unlinking
+    /// happens while the parent's guard is still held — the discipline of
+    /// `check_below`'s prune step.
     fn flush_vacated(&self) {
         let mut paths = {
             let mut pending = self.vacated.lock();
@@ -975,10 +882,10 @@ impl TreeScheduler {
                 let shared = held.iter().zip(path).take_while(|(a, b)| a == b).count();
                 Self::unwind(&mut guards, held, shared.max(1));
                 for key in &path[guards.len()..] {
-                    let Some(entry) = guards[guards.len() - 1].children.get(key) else {
+                    let Some(child) = guards[guards.len() - 1].children.get(key) else {
                         break;
                     };
-                    let child_guard = entry.node.lock_arc();
+                    let child_guard = child.lock_arc();
                     guards.push(child_guard);
                 }
                 held = path;
@@ -988,23 +895,19 @@ impl TreeScheduler {
         }
     }
 
-    /// Releases the chain's guards down to its first `keep`, deepest first:
-    /// each node is unlinked from its parent if vacant (which may in turn
-    /// vacate the parent) or re-summarised there.
+    /// Releases the chain's guards down to its first `keep`, deepest first,
+    /// unlinking each vacant node from its parent (which may in turn vacate
+    /// the parent).
     fn unwind(guards: &mut Vec<NodeGuard>, held: &[RplId], keep: usize) {
         while guards.len() > keep {
             let mut guard = guards.pop().expect("deeper than `keep`");
             guard.prune_pending = false;
-            let summary = (!guard.is_vacant()).then(|| guard.fresh_summary());
+            let vacant = guard.is_vacant();
             drop(guard);
-            let key = held[guards.len()];
-            let parent = guards.last_mut().expect("the root stays");
-            let Some((any, writes)) = summary else {
+            if vacant {
+                let key = held[guards.len()];
+                let parent = guards.last_mut().expect("the root stays");
                 parent.children.remove(&key);
-                continue;
-            };
-            if let Some(entry) = parent.children.get_mut(&key) {
-                (entry.any, entry.writes) = (any, writes);
             }
         }
     }
@@ -1050,11 +953,13 @@ impl Scheduler for TreeScheduler {
                 wave.clear();
             }
         }
-        self.insert(self.root.lock_arc(), &mut wave);
+        if !wave.is_empty() {
+            self.insert(self.root.lock_arc(), &mut wave);
+        }
         self.drain_if_full(PRUNE_BATCH);
     }
 
-    fn on_await(&self, _blocked: Option<&Arc<TaskRecord>>, target: &Arc<TaskRecord>) {
+    fn on_await(&self, target: &Arc<TaskRecord>) {
         if target.is_done() {
             return;
         }
@@ -1122,7 +1027,7 @@ impl Scheduler for TreeScheduler {
             self.recheck_waiters_of(e);
         }
         if let Some(target) = parent.held_and_blocked_on() {
-            self.on_await(Some(parent), &target);
+            self.on_await(&target);
         }
     }
 
@@ -1258,7 +1163,7 @@ mod tests {
         assert_eq!(scribble.status(), TaskStatus::Waiting);
         // work blocks on scribble.
         *work.blocker.lock() = Some(scribble.clone());
-        h.sched.on_await(Some(&work), &scribble);
+        h.sched.on_await(&scribble);
         assert_eq!(h.enabled_ids(), vec![1, 2]);
         assert_eq!(scribble.status(), TaskStatus::Enabled);
     }
@@ -1282,7 +1187,7 @@ mod tests {
         let blocker_task = task(99, "writes C");
         h.sched.submit(blocker_task.clone());
         *blocker_task.blocker.lock() = Some(t3.clone());
-        h.sched.on_await(Some(&blocker_task), &t3);
+        h.sched.on_await(&t3);
         assert!(h.enabled_ids().contains(&3));
         assert_eq!(t2.status(), TaskStatus::Waiting);
         // Everyone eventually runs once the others finish.
@@ -1344,7 +1249,7 @@ mod tests {
         let blocker = task(99, "writes C");
         h.sched.submit(blocker.clone());
         *blocker.blocker.lock() = Some(t3.clone());
-        h.sched.on_await(Some(&blocker), &t3);
+        h.sched.on_await(&t3);
         assert!(h.enabled_ids().contains(&3));
         // t3 completes and its record is dropped; t2 still waits on t1. The
         // runtime clears the blocker link once the join returns, so the test
@@ -1588,11 +1493,31 @@ mod tests {
     }
 
     #[test]
-    fn stale_subtree_flags_never_hide_later_records() {
-        // Rebuild staleness: a full wildcard walk rewrites the subtree
-        // flags (possibly clearing them after churn); records inserted
-        // *after* the rebuild must still be found by the next walk, because
-        // the insert descent sets them again.
+    fn a_batch_without_records_never_locks_the_root() {
+        // Pure tasks register no record, so the batch has nothing to insert:
+        // it enables them without waiting for the root, held here.
+        let h = harness();
+        let pure: Vec<_> = (0..3).map(|i| task(i, "")).collect();
+        let root = h.sched.root.lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let (h, pure) = (&h, &pure);
+            s.spawn(move || {
+                h.sched.submit_batch(pure.clone());
+                tx.send(()).unwrap();
+            });
+            let done = rx.recv_timeout(std::time::Duration::from_secs(5));
+            drop(root);
+            assert!(done.is_ok(), "the batch waited for the root lock");
+        });
+        assert_eq!(h.enabled_ids(), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn records_admitted_after_a_pruning_walk_block_the_next_walk() {
+        // A full wildcard walk over churned-out children prunes them;
+        // records admitted *after* it rebuild the path and must be found
+        // by the next walk.
         let h = harness();
         let churn: Vec<_> = (0..32)
             .map(|i| task(i, &format!("writes Zone:[{i}]")))
@@ -1603,12 +1528,12 @@ mod tests {
         for t in &churn {
             h.finish(t);
         }
-        // Walk 1: clears the Zone subtree's flags (and prunes).
+        // Walk 1: prunes the vacant Zone children.
         let sweep1 = task(100, "writes Zone:*");
         h.sched.submit(sweep1.clone());
         assert_eq!(sweep1.status(), TaskStatus::Enabled);
         h.finish(&sweep1);
-        // Fresh record below Zone, inserted after the rebuild…
+        // Fresh record below Zone, admitted after the walk…
         let worker = task(101, "writes Zone:[7]");
         h.sched.submit(worker.clone());
         assert_eq!(worker.status(), TaskStatus::Enabled);
@@ -1628,31 +1553,35 @@ mod tests {
     }
 
     #[test]
-    fn read_walks_skip_write_free_subtrees_but_not_writers() {
-        // The `writes`-flag skip: a read wildcard over a subtree holding only
-        // read records enables immediately; add one writer below and the
-        // same walk must find it.
+    fn a_read_walk_examines_only_the_records_of_nodes_holding_a_write() {
+        // Counts, not timings. A read wildcard locks every child below its
+        // settle node but skips the records of any node class without a
+        // write (`RecordList::writes`): over 1 000 enabled readers it
+        // examines nothing and enables; with one writer among them it
+        // examines that writer alone and parks behind it.
         let h = harness();
-        let readers: Vec<_> = (0..8)
+        let readers: Vec<_> = (0..1_000)
             .map(|i| task(i, &format!("reads Lib:[{i}]")))
             .collect();
         for t in &readers {
             h.sched.submit(t.clone());
         }
-        let scan = task(50, "reads Lib:*");
-        h.sched.submit(scan.clone());
+        let examined_by = |scan: &Arc<TaskRecord>| {
+            EXAMINED.with(|c| c.set(0));
+            h.sched.submit(scan.clone());
+            EXAMINED.with(|c| c.get())
+        };
+        let scan = task(1_000, "reads Lib:*");
+        assert_eq!(examined_by(&scan), 0);
         assert_eq!(scan.status(), TaskStatus::Enabled);
         h.finish(&scan);
-        for t in &readers {
-            h.finish(t);
-        }
-        // An enabled writer below must block the next read walk (its
-        // insert descent set the `writes` flags again).
-        let writer = task(51, "writes Lib:[3]");
+        // The writer takes reader 3's place.
+        h.finish(&readers[3]);
+        let writer = task(1_001, "writes Lib:[3]");
         h.sched.submit(writer.clone());
         assert_eq!(writer.status(), TaskStatus::Enabled);
-        let scan2 = task(52, "reads Lib:*");
-        h.sched.submit(scan2.clone());
+        let scan2 = task(1_002, "reads Lib:*");
+        assert_eq!(examined_by(&scan2), 1);
         assert_eq!(
             scan2.status(),
             TaskStatus::Waiting,
@@ -1661,6 +1590,9 @@ mod tests {
         h.finish(&writer);
         assert_eq!(scan2.status(), TaskStatus::Enabled);
         h.finish(&scan2);
+        for t in readers.iter().filter(|t| !t.is_done()) {
+            h.finish(t);
+        }
         assert_eq!(h.sched.diagnostics().recorded_effects, 0);
     }
 
@@ -1957,9 +1889,8 @@ mod tests {
     }
 
     #[test]
-    fn write_walk_skip_is_sound_with_waiting_records() {
-        // A subtree holding only a *waiting* record must not be skipped by
-        // the empty-subtree write skip: the trailing-star walk has to find t2
+    fn a_write_walk_finds_a_subtree_holding_only_a_waiting_record() {
+        // The trailing-star walk has to find t2, parked behind t1 below it,
         // and park behind the subtree's conflict chain.
         let h = harness();
         let t1 = task(1, "writes X:[1]");
@@ -1984,35 +1915,28 @@ mod tests {
     }
 
     #[test]
-    fn write_walk_skips_empty_children_and_prunes_vacant_ones() {
+    fn a_wildcard_walk_prunes_the_vacant_children_it_visits() {
         let h = harness();
         let vacant = twe_effects::Rpl::parse("X:[1]").prefix_id();
-        let empty = twe_effects::Rpl::parse("X:[7]").prefix_id();
-        // X:[1] is left vacant by a finished task, its path pending: its
-        // subtree flags stay set.
+        // X:[1] is left vacant by a finished task, its path pending.
         let t1 = task(1, "writes X:[1]");
         h.sched.submit(t1.clone());
         h.finish(&t1);
-        // X:[7] is a child with clear subtree flags. No admission leaves
-        // one behind (an emptied node is pruned), so it is linked by hand.
         let x = first_level_node(&h.sched, "X");
-        x.lock().children.insert(empty, ChildEntry::new(2));
+        assert!(x.lock().children.contains_key(&vacant), "X:[1] pending");
         let t2 = task(2, "writes X:*");
         h.sched.submit(t2.clone());
         assert_eq!(t2.status(), TaskStatus::Enabled);
         // Looked at before anything flushes the vacated paths (as
-        // `diagnostics` does), so the walk did this: a visited child
-        // that turns out vacant is unlinked; a skipped one is never locked,
-        // so it is still there.
-        let children = &x.lock().children;
-        assert!(!children.contains_key(&vacant), "X:[1] visited and pruned");
-        assert!(children.contains_key(&empty), "X:[7] skipped");
+        // `diagnostics` does), so the walk did this: a visited child that
+        // turns out vacant is unlinked.
+        assert!(!x.lock().children.contains_key(&vacant), "X:[1] pruned");
     }
 
     /// The first-level node `name` (it must exist).
     fn first_level_node(sched: &TreeScheduler, name: &str) -> NodeRef {
         let id = twe_effects::Rpl::parse(name).prefix_id_path()[1];
-        let node = sched.root.lock().children[&id].node.clone();
+        let node = sched.root.lock().children[&id].clone();
         node
     }
 

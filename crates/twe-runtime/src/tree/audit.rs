@@ -8,7 +8,7 @@ use std::collections::{HashMap, HashSet};
 fn collect(node: &NodeRef, linked: &mut Vec<Arc<EffectRecord>>) {
     let guard = node.lock();
     linked.extend(guard.live_records().cloned());
-    let children: Vec<NodeRef> = guard.children.values().map(|c| c.node.clone()).collect();
+    let children: Vec<NodeRef> = guard.children.values().cloned().collect();
     drop(guard);
     children.iter().for_each(|c| collect(c, linked));
 }
@@ -105,7 +105,7 @@ fn find_unlisted(
         unlisted.push(format!("{path:?}: flagged {flagged}, listed {on_list}"));
     }
     let children: Vec<(RplId, NodeRef)> = (guard.children.iter())
-        .map(|(&key, c)| (key, c.node.clone()))
+        .map(|(&key, c)| (key, c.clone()))
         .collect();
     drop(guard);
     for (key, child) in children {

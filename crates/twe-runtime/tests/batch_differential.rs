@@ -7,8 +7,8 @@
 //! and progress under any admission order; it is checked invariant-style —
 //! an instrumented enable callback asserts that no two conflicting tasks
 //! are ever enabled concurrently, and a drain loop asserts every task
-//! eventually runs — including after index-region churn has set and
-//! rewritten the per-node subtree flags.
+//! eventually runs — including after index-region churn has vacated
+//! subtrees and a wildcard walk has pruned them.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -90,7 +90,7 @@ fn log_and_scheduler<S>(
 
 /// Drains a scheduler to completion: repeatedly finishes the lowest-id
 /// enabled task. When no task is enabled, emulates what every
-/// `TaskFuture::wait` does in the real runtime — `on_await(None, target)`,
+/// `TaskFuture::wait` does in the real runtime — `on_await(target)`,
 /// the prioritized recheck that resolves partial-enablement cycles between
 /// multi-effect waiters by effect stealing. Panics if that still makes no
 /// progress (a genuine stall). After every step the tree must satisfy the
@@ -116,7 +116,7 @@ fn drain(sched: &TreeScheduler, tasks: &[Arc<TaskRecord>]) {
             // Nothing enabled: an external waiter would now block on some
             // task's future, prioritizing it. Try each remaining task.
             for t in remaining.iter() {
-                sched.on_await(None, t);
+                sched.on_await(t);
             }
             remaining
                 .iter()
@@ -212,10 +212,10 @@ proptest! {
         prop_assert_eq!(sched.diagnostics().recorded_effects, 0);
     }
 
-    /// Tree scheduler with stale subtree flags: run a churn phase (tasks
-    /// admitted and finished, leaving rewritten or pruned flags), a wildcard
-    /// sweep, then admit a random batch — the walk-directed skips must not
-    /// hide any conflict introduced by the new batch.
+    /// Tree scheduler after churn: run a churn phase (tasks admitted and
+    /// finished, leaving vacant nodes), a wildcard sweep that prunes them,
+    /// then admit a random batch — the rebuilt paths must not hide any
+    /// conflict introduced by the new batch.
     #[test]
     fn tree_batched_after_churn_isolation_holds(
         batch in arb_batch(),
@@ -224,7 +224,7 @@ proptest! {
         let (violations, sched) = isolation_checking_tree();
         // Churn phase: index tasks under the same anchors the random batch
         // uses, finished immediately, then a sweeping wildcard walk that
-        // rewrites (and prunes) the subtree flags.
+        // prunes the vacant nodes.
         let churn_tasks: Vec<Arc<TaskRecord>> = churn
             .iter()
             .enumerate()
@@ -247,7 +247,7 @@ proptest! {
             sched.submit(s.clone());
         }
         drain(&sched, &sweeps);
-        // Random batch over the now-stale/rewritten flags.
+        // Random batch over the pruned subtrees.
         let tasks = make_tasks(&batch, 0);
         sched.submit_batch(tasks.clone());
         drain(&sched, &tasks);

@@ -80,7 +80,7 @@ impl<'s> KmeansRun<'s> {
         let nested = TaskRecord::new((self.work.len() + i) as u64, "accumulate", effects, false);
         self.sched.submit(nested.clone());
         *self.work[i].blocker.lock() = Some(nested.clone());
-        self.sched.on_await(Some(&self.work[i]), &nested);
+        self.sched.on_await(&nested);
         self.nested[i] = Some(nested);
     }
 

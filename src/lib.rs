@@ -6,8 +6,9 @@
 //! It re-exports the public API of the workspace crates:
 //!
 //! * [`effects`] — the hierarchical region/effect system (RPLs, effects,
-//!   compound effects);
-//! * [`analysis`] — the task IR and the static covering-effect analysis;
+//!   effect sets and their relations);
+//! * [`analysis`] — the task IR, compound effects and the static
+//!   covering-effect analysis;
 //! * [`pool`] — the work-stealing execution substrate;
 //! * [`runtime`] — the effect-aware task runtime (naive and tree schedulers,
 //!   effect transfer, dynamic effects);

@@ -9,7 +9,8 @@
 //! covers, agree with it exactly until the first join, and may cover more
 //! only after one.
 
-use twe::effects::{CompoundEffect, Effect, EffectSet};
+use twe::analysis::CompoundEffect;
+use twe::effects::{Effect, EffectSet};
 use twe::runtime::{Runtime, SchedulerKind, SpawnedTaskFuture};
 
 const SEQUENCES: u64 = 4_000;
