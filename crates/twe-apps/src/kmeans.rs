@@ -139,22 +139,21 @@ struct Cluster {
 /// effect `reads Root`, each running an `accumulate` task with effect
 /// `reads Root, writes Clusters:[k]` for its point's cluster. The job builds
 /// the `reads Root` set and the K accumulate sets once; every task clones
-/// one of them.
+/// one of them. The input and the accumulators share one `Arc`, so each
+/// WorkTask and each accumulate captures one handle to the job's data.
 pub fn run_twe(rt: &Runtime, input: &KMeansInput) -> KMeansOutput {
     let k = input.config.n_clusters;
     let nf = input.config.n_features;
-    let input = Arc::new(input.clone());
-    let clusters: Arc<Vec<Cluster>> = Arc::new(
-        (0..k)
-            .map(|c| Cluster {
-                accumulate: EffectSet::parse(&format!("reads Root, writes Clusters:[{c}]")),
-                accum: RegionCell::new(ClusterAccum {
-                    count: 0,
-                    sum: vec![0.0; nf],
-                }),
-            })
-            .collect(),
-    );
+    let clusters: Vec<Cluster> = (0..k)
+        .map(|c| Cluster {
+            accumulate: EffectSet::parse(&format!("reads Root, writes Clusters:[{c}]")),
+            accum: RegionCell::new(ClusterAccum {
+                count: 0,
+                sum: vec![0.0; nf],
+            }),
+        })
+        .collect();
+    let job = Arc::new((input.clone(), clusters));
     let work = EffectSet::parse("reads Root");
 
     let ranges = chunk_ranges(
@@ -176,20 +175,20 @@ pub fn run_twe(rt: &Runtime, input: &KMeansInput) -> KMeansOutput {
     // split each nested admission walked all of them, and a job's cost
     // grew with the square of the point count.
     let futures = rt.submit_all(ranges.into_iter().map(|range| {
-        let input = input.clone();
-        let clusters = clusters.clone();
+        let job = job.clone();
         (
             "WorkTask",
             work.clone(),
             move |ctx: &twe_runtime::TaskCtx<'_>| {
+                let (input, clusters) = &*job;
                 for p in range.clone() {
-                    let cluster = nearest_cluster(&input, p);
+                    let cluster = nearest_cluster(input, p);
                     let effects = clusters[cluster].accumulate.clone();
-                    let input = input.clone();
-                    let clusters = clusters.clone();
+                    let job = job.clone();
                     // The body of `accumulate` in Figure 5.1: an atomic task
                     // with a write effect on the cluster's region.
                     ctx.execute("accumulate", effects, move |_| {
+                        let (input, clusters) = &*job;
                         let acc = clusters[cluster].accum.get_mut();
                         acc.count += 1;
                         for f in 0..nf {
@@ -204,8 +203,8 @@ pub fn run_twe(rt: &Runtime, input: &KMeansInput) -> KMeansOutput {
         f.wait();
     }
 
-    let clusters =
-        Arc::try_unwrap(clusters).unwrap_or_else(|_| panic!("accumulators still shared"));
+    let (_, clusters) =
+        Arc::try_unwrap(job).unwrap_or_else(|_| panic!("accumulators still shared"));
     let mut counts = vec![0u64; k];
     let mut sums = vec![0f64; k * nf];
     for (c, cluster) in clusters.into_iter().enumerate() {

@@ -15,29 +15,41 @@ use crate::future::{SpawnedTaskFuture, TaskFuture};
 use crate::task::{TaskRecord, TaskStatus};
 use crate::RtInner;
 use std::borrow::Cow;
-use std::cell::Cell;
-use std::marker::PhantomData;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use twe_effects::{Effect, EffectSet};
 
 /// The execution context of a running task.
+///
+/// Not `Sync`: the context stays on its task's thread, whose thread-locals
+/// (the body nesting that exempts it from admission, the `execute`
+/// handback) are the task's. What only the body itself ever changes lives
+/// here, owned by that thread, rather than behind a lock in the
+/// [`TaskRecord`]: whether it has spawned, and its dynamic claims. A task
+/// that never spawns or claims takes no lock for either.
 pub struct TaskCtx<'rt> {
     pub(crate) rt: &'rt Arc<RtInner>,
     pub(crate) record: &'rt Arc<TaskRecord>,
-    /// Not `Sync`: the context stays on its task's thread, whose
-    /// thread-locals (the body nesting that exempts it from admission, the
-    /// `execute` handback) are the task's.
-    on_its_thread: PhantomData<Cell<()>>,
+    /// Set by the first [`TaskCtx::spawn`], before it lists the child in
+    /// [`TaskRecord::spawned_children`], which nothing else adds to: while
+    /// it is clear, that list is empty and nobody here locks it.
+    has_spawned: Cell<bool>,
+    /// The cells this task holds dynamic effects on (chapter 7), each as its
+    /// region id and era: a claim outlives the cell it names when the task
+    /// drops the cell's last handle before finishing. Only this body adds
+    /// them, and its runtime gives them all back when it ends, however it
+    /// ends.
+    dynamic_claims: RefCell<Vec<RegionEra>>,
 }
 
 impl<'rt> TaskCtx<'rt> {
     pub(crate) fn new(rt: &'rt Arc<RtInner>, record: &'rt Arc<TaskRecord>) -> Self {
-        let on_its_thread = PhantomData;
         TaskCtx {
             rt,
             record,
-            on_its_thread,
+            has_spawned: Cell::new(false),
+            dynamic_claims: RefCell::new(Vec::new()),
         }
     }
 
@@ -63,8 +75,16 @@ impl<'rt> TaskCtx<'rt> {
     /// Statically-checked TWEJava code never needs to ask this; it is exposed
     /// for tests and for code that wants to assert its own effect discipline.
     pub fn covers(&self, effects: &EffectSet) -> bool {
-        let children = self.record.spawned_children.lock();
-        effects.iter().all(|e| self.covers_one(&children, e))
+        self.with_unjoined_children(|children| effects.iter().all(|e| self.covers_one(children, e)))
+    }
+
+    /// Runs `f` on the spawned children not yet joined: an empty list, and
+    /// no lock, until this body has spawned.
+    fn with_unjoined_children<R>(&self, f: impl FnOnce(&[Arc<TaskRecord>]) -> R) -> R {
+        if !self.has_spawned.get() {
+            return f(&[]);
+        }
+        f(&self.record.spawned_children.lock())
     }
 
     /// Does the run-time covering effect cover `e`, given the unjoined
@@ -79,10 +99,11 @@ impl<'rt> TaskCtx<'rt> {
     /// ([`TaskRecord::held_effects`]): bit `i` for each of the first 64 that
     /// the run-time covering effect covers.
     fn held_for_child(&self, effects: &EffectSet) -> u64 {
-        let children = self.record.spawned_children.lock();
-        (effects.iter().take(64).enumerate())
-            .filter(|(_, e)| self.covers_one(&children, e))
-            .fold(0, |held, (i, _)| held | 1 << i)
+        self.with_unjoined_children(|children| {
+            (effects.iter().take(64).enumerate())
+                .filter(|(_, e)| self.covers_one(children, e))
+                .fold(0, |held, (i, _)| held | 1 << i)
+        })
     }
 
     /// Creates an asynchronous task that will run once the effect-aware
@@ -198,6 +219,7 @@ impl<'rt> TaskCtx<'rt> {
         // The spawned task is enabled from the start. Listing it among the
         // unjoined children transfers its effects away from this task.
         future.record.sched.lock().status = TaskStatus::Enabled;
+        self.has_spawned.set(true);
         self.record.add_spawned_child(future.record.clone());
         self.rt.submit_enabled(future.record.clone());
         SpawnedTaskFuture {
@@ -227,7 +249,7 @@ impl<'rt> TaskCtx<'rt> {
             self.rt.dynamic.acquire_read(self.record.id, region)
         };
         if result.is_ok() {
-            let mut claims = self.record.dynamic_claims.lock();
+            let mut claims = self.dynamic_claims.borrow_mut();
             if !claims.contains(&region) {
                 claims.push(region);
             }
@@ -236,9 +258,10 @@ impl<'rt> TaskCtx<'rt> {
     }
 
     /// Releases every dynamic effect this task has added so far (used when a
-    /// retryable task aborts; completed tasks release automatically).
+    /// retryable task aborts). The runtime calls it once the body has ended,
+    /// whether it returned or panicked, so no claim outlives its task.
     pub fn release_dynamic_effects(&self) {
-        let claims: Vec<RegionEra> = self.record.dynamic_claims.lock().drain(..).collect();
+        let claims = std::mem::take(&mut *self.dynamic_claims.borrow_mut());
         // Most tasks hold none: they leave the process-wide table alone.
         if !claims.is_empty() {
             self.rt.dynamic.release_all(self.record.id, &claims);
@@ -283,6 +306,9 @@ impl<'rt> TaskCtx<'rt> {
     /// before a task returns (the `awaitSpawned` rule of the dynamic
     /// semantics, §3.2.3).
     pub(crate) fn await_remaining_spawned(&self) {
+        if !self.has_spawned.get() {
+            return;
+        }
         loop {
             let children = self.record.spawned_children_snapshot();
             if children.is_empty() {

@@ -350,11 +350,9 @@ impl twe_pool::Job for RunTask {
 /// The tail of a runtime task's record ([`TaskBody`]): the body until the
 /// task runs, its outcome afterwards.
 struct Work<T, F> {
-    /// The body, taken by the one run.
-    body: Mutex<Option<F>>,
-    /// For a spawned task, the parent its completion is reported to; taken
-    /// with the body.
-    spawned_parent: Mutex<Option<Arc<TaskRecord>>>,
+    /// The body and, for a spawned task, the parent its completion is
+    /// reported to: taken together, in one lock, by the one run.
+    body: Mutex<Option<(F, Option<Arc<TaskRecord>>)>>,
     /// The value the body returned, or the payload it panicked with.
     result: Mutex<Option<std::thread::Result<T>>>,
 }
@@ -371,11 +369,13 @@ where
         let ctx = TaskCtx::new(rt, task);
         // The body leaves the record only inside the call that consumes it:
         // this frame stays under every task a blocked body helps with.
+        let mut spawned_parent = None;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let body = self.body.lock().take().expect("a task runs once");
+            let (body, parent) = self.body.lock().take().expect("a task runs once");
+            spawned_parent = parent;
             body(&ctx)
         }));
-        finish_task(&ctx, self.spawned_parent.lock().take());
+        finish_task(&ctx, spawned_parent);
         // Publish the result last: a waiter that sees the future done also
         // sees the effects released and the admission slot free. A waiter
         // asleep in the pool is woken by the pool when this job returns.
@@ -490,8 +490,7 @@ impl RtInner {
         let id = self.next_task_id.fetch_add(1, Ordering::Relaxed);
         let spawned = spawned_parent.is_some();
         let work = Work {
-            body: Mutex::new(Some(body)),
-            spawned_parent: Mutex::new(spawned_parent),
+            body: Mutex::new(Some((body, spawned_parent))),
             result: Mutex::new(None),
         };
         let rt = Some(self.clone());
@@ -1455,6 +1454,38 @@ mod tests {
     }
 
     #[test]
+    fn a_task_that_never_spawned_never_locks_its_children() {
+        // The test thread holds the gated task's `spawned_children` lock
+        // while the body runs an `execute` and a `covers` and returns. A
+        // body that has not spawned has no child to look at, so it must
+        // finish without that lock.
+        for kind in [SchedulerKind::Naive, SchedulerKind::Tree] {
+            let rt = Runtime::new(1, kind);
+            let (go, gate) = std::sync::mpsc::channel::<()>();
+            let task = rt.execute_later("gated", EffectSet::parse("writes A"), move |ctx| {
+                gate.recv().expect("the test thread");
+                let child = ctx.execute("child", EffectSet::parse("writes B"), |_| 1);
+                child == 1 && ctx.covers(&EffectSet::parse("writes A"))
+            });
+            let children = task.record.spawned_children.lock();
+            go.send(()).expect("the gated task");
+            let deadline = std::time::Instant::now() + Duration::from_secs(2);
+            while !task.record.completed.load(Ordering::Acquire)
+                && std::time::Instant::now() < deadline
+            {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let finished = task.record.completed.load(Ordering::Acquire);
+            drop(children);
+            assert!(
+                finished,
+                "{kind:?}: the body waited for its children's lock"
+            );
+            assert!(task.wait(), "{kind:?}");
+        }
+    }
+
+    #[test]
     fn an_execute_enabled_by_a_completion_on_its_callers_thread_goes_to_the_pool() {
         // One worker runs `outer`. `holder` sits in the pool holding
         // `writes S`, so `crit` waits at its submission; `outer` helps, runs
@@ -1820,6 +1851,25 @@ mod tests {
         assert_eq!(total, 32);
         assert!(rt.stats().dynamic.acquires >= 32);
     }
+
+    #[test]
+    fn a_panicking_body_gives_its_dynamic_claims_back() {
+        for kind in [SchedulerKind::Naive, SchedulerKind::Tree] {
+            let rt = Runtime::new(1, kind);
+            let cell = DynCell::new(0u32);
+            let c = cell.clone();
+            let boom = rt.execute_later("boom", EffectSet::pure(), move |ctx| {
+                ctx.acquire_write(&c).expect("nobody else claims the cell");
+                panic!("deliberate failure");
+            });
+            assert!(catch_unwind(AssertUnwindSafe(|| boom.wait())).is_err());
+            let claimed = rt.run("after", EffectSet::pure(), move |ctx| {
+                ctx.acquire_write(&cell).is_ok()
+            });
+            assert!(claimed, "{kind:?}: the panicked task kept its claim");
+        }
+    }
+
     /// `svc-contended`'s mix (4 tenants x 64 keys, Zipf(1.1) over both,
     /// 60 % read / 30 % write / 10 % tenant scan) in bursts of 64, a burst
     /// whenever it fits under `in_flight`, with a body that spins 300 ns.

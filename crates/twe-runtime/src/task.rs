@@ -108,8 +108,13 @@ pub struct TaskRecord<B: ?Sized = dyn TaskBody> {
     /// Children created with `spawn` and not yet joined; their transferred
     /// effects are outside this task's covering effect (`TaskCtx::covers`)
     /// and must be considered when this task is blocked on another
-    /// (Figure 5.8).
-    pub spawned_children: Mutex<Vec<Arc<TaskRecord>>>,
+    /// (Figure 5.8). Only the task's own [`TaskCtx::spawn`] adds to it, so
+    /// its body reads it only once it has spawned; the schedulers read it
+    /// of a blocked task from any thread
+    /// ([`TaskRecord::spawned_children_snapshot`]).
+    ///
+    /// [`TaskCtx::spawn`]: crate::TaskCtx::spawn
+    pub(crate) spawned_children: Mutex<Vec<Arc<TaskRecord>>>,
     /// Whether this task was created by `spawn` (it then bypasses the
     /// effect-based scheduler entirely).
     pub spawned: bool,
@@ -132,10 +137,6 @@ pub struct TaskRecord<B: ?Sized = dyn TaskBody> {
     /// Per-effect records used by the tree scheduler, in effect order (unset
     /// for the naive scheduler and for spawned tasks; inline up to two).
     pub tree_effects: OnceLock<InlineList<Arc<EffectRecord>>>,
-    /// The cells this task holds dynamic effects on (chapter 7), each as its
-    /// region id and era: a claim outlives the cell it names when the task
-    /// drops the cell's last handle before finishing.
-    pub dynamic_claims: Mutex<Vec<crate::dynamics::RegionEra>>,
     /// The body and the result slot. Last, so that the record unsizes.
     pub(crate) body: B,
 }
@@ -170,7 +171,6 @@ impl<B: TaskBody + 'static> TaskRecord<B> {
             done_flag: AtomicBool::new(false),
             completed: AtomicBool::new(false),
             tree_effects: OnceLock::new(),
-            dynamic_claims: Mutex::new(Vec::new()),
             body,
         })
     }
@@ -240,13 +240,14 @@ impl TaskRecord {
         self.spawned_children.lock().clone()
     }
 
-    /// Registers a spawned child.
-    pub fn add_spawned_child(&self, child: Arc<TaskRecord>) {
+    /// Registers a spawned child: what [`TaskCtx::spawn`](crate::TaskCtx::spawn)
+    /// does, and nothing else in a running task.
+    pub(crate) fn add_spawned_child(&self, child: Arc<TaskRecord>) {
         self.spawned_children.lock().push(child);
     }
 
     /// Removes a spawned child once it has been joined.
-    pub fn remove_spawned_child(&self, child_id: u64) {
+    pub(crate) fn remove_spawned_child(&self, child_id: u64) {
         self.spawned_children.lock().retain(|c| c.id != child_id);
     }
 }

@@ -778,7 +778,7 @@ impl TreeScheduler {
     /// always passes the shallower one's settle node after it was added,
     /// and same-depth pairs see each other in list order. (Within a single
     /// task the order is immaterial — a task never conflicts with itself.)
-    fn insert(&self, mut guard: NodeGuard, records: &mut [Arc<EffectRecord>]) {
+    fn insert(&self, mut guard: NodeGuard, records: &mut [&Arc<EffectRecord>]) {
         let depth = guard.depth;
         for e in records.iter().filter(|e| e.prefix_depth() == depth) {
             add_effect(&mut guard, e);
@@ -805,7 +805,7 @@ impl TreeScheduler {
         // wave order, and children are disjoint subtrees, so the order
         // *between* them decides nothing.
         let mut rest = &mut records[..passing];
-        let next = |e: &Arc<EffectRecord>| e.prefix_path[depth + 1];
+        let next = |e: &&Arc<EffectRecord>| e.prefix_path[depth + 1];
         rest.sort_by_key(next);
         // Hand-over-hand: lock every group's child *before this node's lock
         // is released*, so two multi-effect admissions are ordered alike at
@@ -926,7 +926,7 @@ impl Scheduler for TreeScheduler {
             // `K:[2], K:[0]` could each park their second behind the other's
             // first, and without an awaiter nothing would recheck either.
             records => {
-                let mut staged: InlineList<_> = records.iter().cloned().collect();
+                let mut staged: InlineList<_> = records.iter().collect();
                 self.insert(self.root.lock_arc(), &mut staged);
             }
         }
@@ -945,9 +945,9 @@ impl Scheduler for TreeScheduler {
         // sequential-equivalent (a sequence of sequential-equivalent waves,
         // via the settle-first ordering of `insert`).
         const CHUNK: usize = 512;
-        let mut wave: Vec<Arc<EffectRecord>> = Vec::new();
-        for task in tasks {
-            wave.extend_from_slice(self.register_records(&task));
+        let mut wave: Vec<&Arc<EffectRecord>> = Vec::new();
+        for task in &tasks {
+            wave.extend(self.register_records(task));
             if wave.len() >= CHUNK {
                 self.insert(self.root.lock_arc(), &mut wave);
                 wave.clear();

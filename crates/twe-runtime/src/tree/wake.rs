@@ -82,6 +82,9 @@ impl TreeScheduler {
     /// of the line waits for now.
     pub(super) fn recheck_waiters_of(&self, e: &Arc<EffectRecord>) {
         let mut line: Vec<Weak<EffectRecord>> = std::mem::take(&mut *e.waiters.lock());
+        if line.is_empty() {
+            return;
+        }
         // A finished record is never registered on again. A parent whose
         // child finished is, at once, by the head of this very line: no mark
         // may go on saying "on `e`'s list" of the list just taken.
