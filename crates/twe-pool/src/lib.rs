@@ -42,10 +42,14 @@
 //!    SeqCst fence, re-checks `queued` and `done()`, and only then waits on
 //!    the condvar (which releases the lock atomically).
 //!
-//! Every wake site — [`ThreadPool::execute`] after its push, the end of
+//! Every wake site — [`ThreadPool::submit_all`] after its push, the end of
 //! every job, [`ThreadPool::notify_all`] and `Drop` — goes through one
 //! helper: publish (the push, the completion flag, the shutdown flag), SeqCst
-//! fence, then `if sleepers > 0 { lock sleep_lock; notify }`. This is the
+//! fence, then `if sleepers > 0 { lock sleep_lock; notify }`. A batch of n
+//! jobs is one publish: `queued` and `pending` rise by n, the n jobs go onto
+//! one queue under one hold of its lock, then one fence and one wake (every
+//! sleeper for n > 1, since each can take a job; one for a single job, which
+//! [`ThreadPool::submit`] is). This is the
 //! store-buffering (Dekker) pattern: with a full fence between each side's
 //! store and its load, either the sleeper's re-check sees what was
 //! published or the waker's load sees the sleeper. In the second case the
@@ -134,22 +138,30 @@ struct Shared<J> {
     id: u64,
     injector: Injector<J>,
     stealers: Vec<Stealer<J>>,
-    /// Number of jobs submitted but not yet finished executing.
-    pending: AtomicUsize,
-    /// Number of jobs sitting in some queue: raised before the push, lowered
-    /// when `find_job` takes one. What a lingering thread polls and a
-    /// parking thread re-checks.
-    queued: AtomicUsize,
+    gauges: Gauges,
     shutdown: AtomicBool,
-    /// Threads registered asleep on `wakeup`; changed only under
-    /// `sleep_lock`, read by wakers without it.
-    sleepers: AtomicUsize,
     /// Set while one thread holds the linger slot.
     lingering: AtomicBool,
     sleep_lock: Mutex<()>,
     wakeup: Condvar,
     #[cfg(test)]
     counters: TestCounters,
+}
+
+/// The counts every push, job and wake writes or reads, on a cache line of
+/// their own, apart from the read-mostly fields of [`Shared`] (its `id` and
+/// `stealers`, which every submit or `find_job` reads).
+#[repr(align(64))]
+struct Gauges {
+    /// Number of jobs submitted but not yet finished executing.
+    pending: AtomicUsize,
+    /// Number of jobs sitting in some queue: raised before the push, lowered
+    /// when `find_job` takes one. What a lingering thread polls and a
+    /// parking thread re-checks.
+    queued: AtomicUsize,
+    /// Threads registered asleep on `wakeup`; changed only under
+    /// `sleep_lock`, read by wakers without it.
+    sleepers: AtomicUsize,
 }
 
 /// What the unit tests count instead of timing.
@@ -172,10 +184,12 @@ impl<J: Job> Shared<J> {
             id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
             injector: Injector::new(),
             stealers,
-            pending: AtomicUsize::new(0),
-            queued: AtomicUsize::new(0),
+            gauges: Gauges {
+                pending: AtomicUsize::new(0),
+                queued: AtomicUsize::new(0),
+                sleepers: AtomicUsize::new(0),
+            },
             shutdown: AtomicBool::new(false),
-            sleepers: AtomicUsize::new(0),
             lingering: AtomicBool::new(false),
             sleep_lock: Mutex::new(()),
             wakeup: Condvar::new(),
@@ -194,7 +208,7 @@ impl<J: Job> Shared<J> {
     #[inline(never)]
     fn find_job(&self) -> Option<J> {
         let job = self.probe_queues()?;
-        self.queued.fetch_sub(1, Ordering::SeqCst);
+        self.gauges.queued.fetch_sub(1, Ordering::SeqCst);
         Some(job)
     }
 
@@ -227,7 +241,7 @@ impl<J: Job> Shared<J> {
 
     fn run_job(&self, job: J) {
         job.run();
-        self.pending.fetch_sub(1, Ordering::Release);
+        self.gauges.pending.fetch_sub(1, Ordering::Release);
         // A completed job may unblock helpers waiting on a condition.
         self.wake(true);
     }
@@ -239,7 +253,7 @@ impl<J: Job> Shared<J> {
     /// futex call.
     fn wake(&self, all: bool) {
         fence(Ordering::SeqCst);
-        if self.sleepers.load(Ordering::SeqCst) == 0 {
+        if self.gauges.sleepers.load(Ordering::SeqCst) == 0 {
             return;
         }
         // Under the lock: a registered sleeper holds it from its re-check
@@ -297,7 +311,7 @@ impl<J: Job> Shared<J> {
         }
         let start = Instant::now();
         let found = loop {
-            if self.queued.load(Ordering::Acquire) > 0 || done() {
+            if self.gauges.queued.load(Ordering::Acquire) > 0 || done() {
                 break true;
             }
             if start.elapsed() >= LINGER {
@@ -316,18 +330,18 @@ impl<J: Job> Shared<J> {
     #[inline(never)]
     fn park(&self, done: &dyn Fn() -> bool) {
         let mut guard = self.sleep_lock.lock();
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        self.gauges.sleepers.fetch_add(1, Ordering::SeqCst);
         // Pairs with the fence in `wake`: either this re-check sees what the
         // waker published, or the waker's load sees this registration.
         fence(Ordering::SeqCst);
-        if self.queued.load(Ordering::SeqCst) == 0 && !done() {
+        if self.gauges.queued.load(Ordering::SeqCst) == 0 && !done() {
             let _timed_out = self.wakeup.wait_for(&mut guard, PARK_BACKSTOP).timed_out();
             #[cfg(test)]
-            if _timed_out && (self.queued.load(Ordering::SeqCst) > 0 || done()) {
+            if _timed_out && (self.gauges.queued.load(Ordering::SeqCst) > 0 || done()) {
                 self.counters.rescues.fetch_add(1, Ordering::Relaxed);
             }
         }
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        self.gauges.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -378,22 +392,41 @@ impl<J: Job> ThreadPool<J> {
         self.num_threads
     }
 
-    /// Submits a job for execution. Jobs submitted from a worker thread of
-    /// this pool go to that worker's own deque (LIFO); jobs submitted from
-    /// any other thread go to the shared injector. One sleeping thread is
-    /// signalled if there is one; with every worker busy or lingering the
-    /// call touches no lock but the queue's.
+    /// Submits a job for execution: [`ThreadPool::submit_all`] of one.
     pub fn submit(&self, job: J) {
-        self.shared.pending.fetch_add(1, Ordering::Acquire);
-        self.shared.queued.fetch_add(1, Ordering::SeqCst);
-        let mut job = Some(job);
-        with_local(self.shared.id, |worker| {
-            worker.push(job.take().expect("pushed once"))
-        });
-        if let Some(job) = job {
-            self.shared.injector.push(job);
+        self.submit_all(std::iter::once(job));
+    }
+
+    /// Submits a batch of jobs as one publish: the gauges rise once by the
+    /// batch's length, the jobs go onto one queue under one hold of its
+    /// lock, and one wake follows (see "Idle protocol"). Jobs submitted
+    /// from a worker thread of this pool go to that worker's own deque
+    /// (LIFO); jobs submitted from any other thread go to the shared
+    /// injector. Sleeping threads are signalled only if there are any —
+    /// one for a single job, all of them for more; with every worker busy
+    /// or lingering the call touches no lock but the queue's. An empty
+    /// batch touches nothing.
+    pub fn submit_all<I>(&self, jobs: I)
+    where
+        I: IntoIterator<Item = J>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let jobs = jobs.into_iter();
+        let n = jobs.len();
+        if n == 0 {
+            return;
         }
-        self.shared.wake(false);
+        let gauges = &self.shared.gauges;
+        gauges.pending.fetch_add(n, Ordering::Acquire);
+        gauges.queued.fetch_add(n, Ordering::SeqCst);
+        let mut jobs = Some(jobs);
+        with_local(self.shared.id, |worker| {
+            worker.push_all(jobs.take().expect("pushed once"))
+        });
+        if let Some(jobs) = jobs {
+            self.shared.injector.push_all(jobs);
+        }
+        self.shared.wake(n > 1);
     }
 
     /// Runs jobs on the calling thread until `done()` returns true.
@@ -419,13 +452,13 @@ impl<J: Job> ThreadPool<J> {
 
     /// Number of submitted jobs that have not finished executing.
     pub fn pending_jobs(&self) -> usize {
-        self.shared.pending.load(Ordering::Acquire)
+        self.shared.gauges.pending.load(Ordering::Acquire)
     }
 
     /// Blocks until every submitted job has finished executing, helping run
     /// them from the calling thread.
     pub fn wait_idle(&self) {
-        self.help_until(|| self.shared.pending.load(Ordering::Acquire) == 0);
+        self.help_until(|| self.shared.gauges.pending.load(Ordering::Acquire) == 0);
     }
 }
 
@@ -635,8 +668,8 @@ mod tests {
         let mine: Worker<BoxedJob> = Worker::new_lifo();
         let other: Worker<BoxedJob> = Worker::new_lifo();
         let shared = Shared::new(vec![mine.stealer(), other.stealer()]);
-        shared.pending.store(3, Ordering::Relaxed);
-        shared.queued.store(3, Ordering::Relaxed);
+        shared.gauges.pending.store(3, Ordering::Relaxed);
+        shared.gauges.queued.store(3, Ordering::Relaxed);
         let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
         let job = |name: &'static str| -> BoxedJob {
             let order = Arc::clone(&order);
@@ -652,8 +685,8 @@ mod tests {
         }
         LOCAL.with(|l| *l.borrow_mut() = None);
         assert_eq!(*order.lock(), ["local", "injected", "stolen"]);
-        assert_eq!(shared.pending.load(Ordering::Acquire), 0);
-        assert_eq!(shared.queued.load(Ordering::Acquire), 0);
+        assert_eq!(shared.gauges.pending.load(Ordering::Acquire), 0);
+        assert_eq!(shared.gauges.queued.load(Ordering::Acquire), 0);
     }
 
     /// Spins (yielding) until `cond` holds; panics after 10 s so a lost
@@ -694,7 +727,7 @@ mod tests {
         spin_until("both workers inside their job", || {
             inside.load(Ordering::SeqCst) == 2
         });
-        assert_eq!(pool.shared.sleepers.load(Ordering::SeqCst), 0);
+        assert_eq!(pool.shared.gauges.sleepers.load(Ordering::SeqCst), 0);
         let before = notifies(&pool.shared);
         let ran = Arc::new(AtomicU32::new(0));
         for _ in 0..1000 {
@@ -712,6 +745,103 @@ mod tests {
         pool.wait_idle();
         assert_eq!(ran.load(Ordering::Relaxed), 1000);
         assert_eq!(rescues(&pool.shared), 0);
+    }
+
+    /// Parks every worker of a fresh `threads`-worker pool.
+    fn parked_pool(threads: usize) -> ThreadPool {
+        let pool = ThreadPool::new(threads);
+        spin_until("every worker parked", || {
+            pool.shared.gauges.sleepers.load(Ordering::SeqCst) == threads
+        });
+        pool
+    }
+
+    /// `n` jobs that each count one on `ran`.
+    fn counting_jobs(ran: &Arc<AtomicU32>, n: usize) -> Vec<BoxedJob> {
+        (0..n)
+            .map(|_| {
+                let ran = Arc::clone(ran);
+                Box::new(move || {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                }) as BoxedJob
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_batch_onto_busy_workers_notifies_nobody() {
+        let pool = ThreadPool::new(2);
+        let inside = Arc::new(AtomicU32::new(0));
+        let release = Arc::new(AtomicBool::new(false));
+        for _ in 0..2 {
+            let inside = Arc::clone(&inside);
+            let release = Arc::clone(&release);
+            pool.execute(Box::new(move || {
+                inside.fetch_add(1, Ordering::SeqCst);
+                while !release.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            }));
+        }
+        spin_until("both workers inside their job", || {
+            inside.load(Ordering::SeqCst) == 2
+        });
+        let before = notifies(&pool.shared);
+        let ran = Arc::new(AtomicU32::new(0));
+        pool.submit_all(counting_jobs(&ran, 1000));
+        assert_eq!(pool.shared.gauges.queued.load(Ordering::SeqCst), 1000);
+        assert_eq!(
+            notifies(&pool.shared),
+            before,
+            "a batch onto busy workers notified"
+        );
+        release.store(true, Ordering::Release);
+        pool.wait_idle();
+        assert_eq!(ran.load(Ordering::Relaxed), 1000);
+        assert_eq!(rescues(&pool.shared), 0);
+    }
+
+    #[test]
+    fn a_batch_onto_parked_workers_runs_every_job_without_a_rescue() {
+        // The test thread only watches, so the workers themselves must be
+        // woken for the batch: a lost wakeup is a 2 s stall and a rescue.
+        let pool = parked_pool(3);
+        let ran = Arc::new(AtomicU32::new(0));
+        pool.submit_all(counting_jobs(&ran, 300));
+        spin_until("every job of the batch", || {
+            ran.load(Ordering::Relaxed) == 300
+        });
+        assert!(notifies(&pool.shared) > 0, "nobody was woken");
+        assert_eq!(rescues(&pool.shared), 0, "a wakeup was lost");
+    }
+
+    #[test]
+    fn a_batch_from_a_worker_lands_in_its_own_deque() {
+        let pool = Arc::new(ThreadPool::new(1));
+        let ran = Arc::new(AtomicU32::new(0));
+        let (seen, queued) = std::sync::mpsc::channel();
+        let p = Arc::clone(&pool);
+        let jobs = counting_jobs(&ran, 8);
+        pool.execute(Box::new(move || {
+            p.submit_all(jobs);
+            let local = with_local(p.shared.id, |w: &Worker<BoxedJob>| w.len());
+            let _ = seen.send((local, p.shared.injector.is_empty()));
+        }));
+        let (local, injector_empty) = queued.recv().expect("the job");
+        assert_eq!((local, injector_empty), (Some(8), true));
+        spin_until("the batch", || ran.load(Ordering::Relaxed) == 8);
+    }
+
+    #[test]
+    fn an_empty_batch_touches_no_gauge() {
+        let pool = parked_pool(2);
+        let before = notifies(&pool.shared);
+        pool.submit_all(Vec::<BoxedJob>::new());
+        let gauges = &pool.shared.gauges;
+        assert_eq!(gauges.pending.load(Ordering::SeqCst), 0);
+        assert_eq!(gauges.queued.load(Ordering::SeqCst), 0);
+        assert_eq!(gauges.sleepers.load(Ordering::SeqCst), 2);
+        assert_eq!(notifies(&pool.shared), before);
     }
 
     #[test]
@@ -774,7 +904,7 @@ mod tests {
         assert_eq!(counters.lingerers_peak.load(Ordering::SeqCst), 1);
         // With nothing left to do every worker ends up parked, not polling.
         spin_until("all four workers parked", || {
-            pool.shared.sleepers.load(Ordering::SeqCst) == 4
+            pool.shared.gauges.sleepers.load(Ordering::SeqCst) == 4
         });
         assert_eq!(counters.lingerers.load(Ordering::SeqCst), 0);
         assert_eq!(rescues(&pool.shared), 0);
@@ -785,7 +915,7 @@ mod tests {
         let pool: ThreadPool = ThreadPool::new(3);
         let shared = Arc::clone(&pool.shared);
         spin_until("all three workers parked", || {
-            shared.sleepers.load(Ordering::SeqCst) == 3
+            shared.gauges.sleepers.load(Ordering::SeqCst) == 3
         });
         drop(pool);
         assert_eq!(

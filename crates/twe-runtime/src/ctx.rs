@@ -221,7 +221,7 @@ impl<'rt> TaskCtx<'rt> {
         future.record.sched.lock().status = TaskStatus::Enabled;
         self.has_spawned.set(true);
         self.record.add_spawned_child(future.record.clone());
-        self.rt.submit_enabled(future.record.clone());
+        self.rt.pool.submit(crate::RunTask(future.record.clone()));
         SpawnedTaskFuture {
             future,
             parent_id: self.record.id,

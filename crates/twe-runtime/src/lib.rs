@@ -80,6 +80,7 @@
 
 #![warn(missing_docs)]
 
+mod counters;
 pub mod ctx;
 pub mod dynamics;
 pub mod future;
@@ -93,8 +94,9 @@ pub use dynamics::{Aborted, DynCell, DynamicEffectTable, DynamicStats, RegionEra
 pub use future::{SpawnedTaskFuture, TaskFuture};
 pub use task::{TaskRecord, TaskStatus};
 
+use crate::counters::{PerThread, ADMITTED, EXECUTED, RETRIES};
 use crate::naive::NaiveScheduler;
-use crate::scheduler::Scheduler;
+use crate::scheduler::{EnableAllFn, EnableFn, Scheduler};
 use crate::task::TaskBody;
 use crate::tree::TreeScheduler;
 use parking_lot::Mutex;
@@ -102,7 +104,7 @@ use std::any::Any;
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use twe_effects::EffectSet;
@@ -192,8 +194,21 @@ thread_local! {
     static WANTED: Cell<u64> = const { Cell::new(0) };
 
     /// That task, once its submission has enabled it: kept from the pool
-    /// by [`RtInner::submit_enabled`] for the `execute` to run inline.
+    /// by [`for_the_pool`] for the `execute` to run inline.
     static HANDED_BACK: Cell<Option<Arc<TaskRecord>>> = const { Cell::new(None) };
+}
+
+/// Takes the handle an enabled task has held on itself since its submission
+/// ([`TaskRecord::pending`]), for the pool — or keeps it from the pool: the
+/// task this thread's [`TaskCtx::execute`] is submitting ([`WANTED`]) goes
+/// back to that `execute`, to run inline.
+fn for_the_pool(task: &TaskRecord) -> Option<Arc<TaskRecord>> {
+    let me = task.pending.lock().take()?;
+    if WANTED.get() != me.id {
+        return Some(me);
+    }
+    HANDED_BACK.set(Some(me));
+    None
 }
 
 /// Marks the current thread as executing a task body for its lifetime.
@@ -229,8 +244,11 @@ fn in_task_body() -> bool {
     TASK_NEST.with(|c| c.get() > 0)
 }
 
-/// Admission bookkeeping: the in-flight gauge the policy acts on and the
-/// admitted counter.
+/// Admission bookkeeping: the in-flight gauge the policy acts on and its
+/// high-water mark, on a cache line of their own. The gauge is the
+/// runtime's one count of tasks in flight: the release that takes it to
+/// zero tells the scheduler it is idle ([`Scheduler::idle`]). It stays one
+/// atomic because the cap and the peak need it exact.
 ///
 /// A submitter that [`AdmissionPolicy::BoundedBlock`] holds waits the way
 /// every other waiter does, by helping the pool
@@ -239,10 +257,10 @@ fn in_task_body() -> bool {
 /// (a [`RunTask`], or an inline `execute` child running inside one), and
 /// every job ends at the pool's one wake site, so the pool's idle protocol
 /// also carries admission waits.
+#[repr(align(64))]
 struct AdmissionState {
     depth: AtomicUsize,
     peak_depth: AtomicUsize,
-    admitted: AtomicU64,
 }
 
 /// A blocked submitter waits for room for `min(want, cap / GATE_FRACTION)`
@@ -259,7 +277,6 @@ impl AdmissionState {
         AdmissionState {
             depth: AtomicUsize::new(0),
             peak_depth: AtomicUsize::new(0),
-            admitted: AtomicU64::new(0),
         }
     }
 
@@ -276,7 +293,6 @@ impl AdmissionState {
     fn reserve_forced(&self, n: usize) {
         let now = self.depth.fetch_add(n, Ordering::SeqCst) + n;
         self.note_peak(now);
-        self.admitted.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     /// Reserves up to `want` slots under `cap` (CAS loop), but only if at
@@ -297,7 +313,6 @@ impl AdmissionState {
             ) {
                 Ok(_) => {
                     self.note_peak(cur + take);
-                    self.admitted.fetch_add(take as u64, Ordering::Relaxed);
                     return take;
                 }
                 Err(seen) => cur = seen,
@@ -305,14 +320,20 @@ impl AdmissionState {
         }
     }
 
-    /// Releases `n` in-flight slots. A submitter waiting for them is woken
-    /// by the pool when the job this runs in ends.
-    fn release(&self, n: usize) {
-        self.depth.fetch_sub(n, Ordering::SeqCst);
+    /// Releases `n` in-flight slots; true when that left none in flight. A
+    /// submitter waiting for them is woken by the pool when the job this
+    /// runs in ends.
+    fn release(&self, n: usize) -> bool {
+        self.depth.fetch_sub(n, Ordering::SeqCst) == n
     }
 }
 
 /// One snapshot of what a runtime has done so far ([`Runtime::stats`]).
+///
+/// `tasks_executed`, `task_retries` and `admitted` are kept per thread, each
+/// thread on a cache line of its own, and summed here: exact for all work
+/// that happened before the call (a task whose future is done has been
+/// counted), and free of a shared write per task.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RuntimeStats {
     /// Tasks whose bodies ran to completion.
@@ -365,7 +386,7 @@ where
     fn run(&self, task: &Arc<TaskRecord>) {
         let rt = task.runtime();
         let _nest = TaskNestGuard::enter(&rt.peak_nesting);
-        rt.tasks_executed.fetch_add(1, Ordering::Relaxed);
+        rt.counters.add(EXECUTED, 1);
         let ctx = TaskCtx::new(rt, task);
         // The body leaves the record only inside the call that consumes it:
         // this frame stays under every task a blocked body helps with.
@@ -410,18 +431,21 @@ fn finish_task(ctx: &TaskCtx<'_>, spawned_parent: Option<Arc<TaskRecord>>) {
     rt.release_admission(task);
 }
 
+/// The runtime every task holds (`TaskRecord::runtime`). Aligned to a cache
+/// line so that the `Arc`'s reference counts, which every task's creation
+/// and drop write, sit on a line apart from the fields every task reads.
+#[repr(align(64))]
 pub(crate) struct RtInner {
     pub(crate) pool: ThreadPool<RunTask>,
     scheduler: Box<dyn Scheduler>,
-    next_task_id: AtomicU64,
     pub(crate) dynamic: DynamicEffectTable,
     kind: SchedulerKind,
     /// Immutable after construction: how deep the in-flight backlog may grow
     /// before submissions block.
     policy: AdmissionPolicy,
     admission: AdmissionState,
-    tasks_executed: AtomicU64,
-    task_retries: AtomicU64,
+    /// Task ids and the per-thread half of [`RuntimeStats`].
+    counters: PerThread,
     /// [`RuntimeStats::peak_nesting`].
     peak_nesting: AtomicUsize,
     /// Size of every wave (or chunk) handed to the scheduler, in order.
@@ -442,8 +466,14 @@ impl RtInner {
             AdmissionPolicy::BoundedBlock { max_queued } if !in_task_body() => {
                 self.reserve_blocking(1, max_queued);
             }
-            _ => self.admission.reserve_forced(1),
+            _ => self.reserve_forced(1),
         }
+    }
+
+    /// [`AdmissionState::reserve_forced`], counted.
+    fn reserve_forced(&self, n: usize) {
+        self.admission.reserve_forced(n);
+        self.counters.add(ADMITTED, n as u64);
     }
 
     /// Reserves `min(want, cap / GATE_FRACTION)` or more slots under `cap`,
@@ -455,6 +485,7 @@ impl RtInner {
         loop {
             let take = self.admission.reserve(want, need, cap);
             if take > 0 {
+                self.counters.add(ADMITTED, take as u64);
                 return take;
             }
             let depth = &self.admission.depth;
@@ -464,12 +495,12 @@ impl RtInner {
     }
 
     /// Releases `task`'s admission slot (no-op for spawned tasks, which were
-    /// never admitted through the policy).
+    /// never admitted through the policy), and tells the scheduler when it
+    /// was the last one in flight.
     fn release_admission(&self, task: &TaskRecord) {
-        if task.spawned {
-            return;
+        if !task.spawned && self.admission.release(1) {
+            self.scheduler().idle();
         }
-        self.admission.release(1);
     }
 
     /// Creates a task — record, body and result slot in one allocation —
@@ -487,7 +518,7 @@ impl RtInner {
         T: Send + 'static,
         F: FnOnce(&TaskCtx<'_>) -> T + Send + 'static,
     {
-        let id = self.next_task_id.fetch_add(1, Ordering::Relaxed);
+        let id = self.counters.next_task_id();
         let spawned = spawned_parent.is_some();
         let work = Work {
             body: Mutex::new(Some((body, spawned_parent))),
@@ -497,17 +528,6 @@ impl RtInner {
         let record = TaskRecord::with_body(id, name.into(), effects, held, spawned, rt, work);
         let value = std::marker::PhantomData;
         TaskFuture { record, value }
-    }
-
-    /// Hands an enabled task to the thread pool — unless it is the one this
-    /// thread's [`TaskCtx::execute`] is submitting ([`WANTED`]), which
-    /// keeps it to run it inline.
-    pub(crate) fn submit_enabled(&self, task: Arc<TaskRecord>) {
-        if WANTED.get() == task.id {
-            HANDED_BACK.set(Some(task));
-        } else {
-            self.pool.submit(RunTask(task));
-        }
     }
 
     /// Submits `task` for [`TaskCtx::execute`] and returns it if the
@@ -579,13 +599,16 @@ impl RtInner {
         }
     }
 
-    /// Batched `execute_later`: creates every task of the batch, then admits
-    /// them through the scheduler's one-round batch path. A batch of zero
-    /// tasks touches no scheduler state; a batch of one is routed through
-    /// the plain `submit` path, so it is *exactly* `execute_later`.
+    /// Batched `execute_later`: creates the tasks of the batch a chunk at a
+    /// time and admits each chunk through the scheduler's one-round batch
+    /// path as soon as it is built, so the workers start on a wide fan-out
+    /// while the rest is still being built. A chunk is the tree's sub-wave
+    /// (`tree::SUB_WAVE` tasks). A batch of zero tasks touches no scheduler
+    /// state; a batch of one is routed through the plain `submit` path, so
+    /// it is *exactly* `execute_later`.
     ///
-    /// Under [`AdmissionPolicy::BoundedBlock`] the wave is admitted in
-    /// chunks as room frees up, helping the pool between chunks; every task
+    /// Under [`AdmissionPolicy::BoundedBlock`] the chunks are as large as
+    /// the room that frees up, helping the pool between chunks; every task
     /// is admitted and all futures are returned. Only that policy needs the
     /// wave's length before it builds a task, so only it collects it first.
     pub(crate) fn submit_all_impl<T, N, F>(
@@ -612,10 +635,17 @@ impl RtInner {
                 futures
             }
             _ => {
-                let futures: Vec<_> = tasks.into_iter().map(build).collect();
-                self.admission.reserve_forced(futures.len());
-                self.admit_wave(&futures);
-                futures
+                let mut rest = tasks.into_iter();
+                let mut futures = Vec::with_capacity(rest.size_hint().0);
+                loop {
+                    let admitted = futures.len();
+                    futures.extend(rest.by_ref().take(tree::SUB_WAVE).map(build));
+                    if futures.len() == admitted {
+                        return futures;
+                    }
+                    self.reserve_forced(futures.len() - admitted);
+                    self.admit_wave(&futures[admitted..]);
+                }
             }
         }
     }
@@ -640,7 +670,7 @@ impl RtInner {
                     Ok(value) => break value,
                     Err(Aborted) => {
                         ctx.release_dynamic_effects();
-                        ctx.rt.task_retries.fetch_add(1, Ordering::Relaxed);
+                        ctx.rt.counters.add(RETRIES, 1);
                         attempts += 1;
                         backoff(ctx.task_id(), attempts);
                     }
@@ -715,30 +745,44 @@ impl RuntimeBuilder {
                 .map(|n| n.get())
                 .unwrap_or(4)
         });
-        // The scheduler invokes this exactly once per task, at the instant
-        // it flips the task to `Enabled`, on whatever thread resolved the
-        // conflict. The task brings its runtime along, and the handle it
-        // has held on itself since submission is the one the pool gets.
-        let enable: Box<dyn Fn(Arc<TaskRecord>) + Send + Sync> = Box::new(|task| {
-            let Some(me) = task.pending.lock().take() else {
-                return;
-            };
-            task.runtime().submit_enabled(me);
-        });
+        // The scheduler hands each task over exactly once, right after it
+        // flipped it to `Enabled`, on whatever thread resolved the conflict.
+        // The task brings its runtime along (a group's tasks share their
+        // scheduler, hence their runtime), and the handle it has held on
+        // itself since submission is the one the pool gets: a group's in
+        // one push.
         let scheduler: Box<dyn Scheduler> = match kind {
-            SchedulerKind::Naive => Box::new(NaiveScheduler::new(enable)),
-            SchedulerKind::Tree => Box::new(TreeScheduler::new(enable)),
+            SchedulerKind::Naive => {
+                let enable: EnableFn = Box::new(|task| {
+                    if let Some(me) = for_the_pool(&task) {
+                        task.runtime().pool.submit(RunTask(me));
+                    }
+                });
+                Box::new(NaiveScheduler::new(enable))
+            }
+            SchedulerKind::Tree => {
+                let enable: EnableAllFn = Box::new(|tasks| {
+                    let Some(first) = tasks.first().cloned() else {
+                        return;
+                    };
+                    tasks.retain_mut(|task| for_the_pool(task).map(|me| *task = me).is_some());
+                    first
+                        .runtime()
+                        .pool
+                        .submit_all(tasks.drain(..).map(RunTask));
+                });
+                Box::new(TreeScheduler::grouped(enable))
+            }
         };
         let inner = Arc::new(RtInner {
             pool: ThreadPool::new(threads),
             scheduler,
-            next_task_id: AtomicU64::new(1),
             dynamic: DynamicEffectTable::new(),
             kind,
             policy,
             admission: AdmissionState::new(),
-            tasks_executed: AtomicU64::new(0),
-            task_retries: AtomicU64::new(0),
+            // The workers, and one slot for the thread that drives them.
+            counters: PerThread::new(threads + 1),
             peak_nesting: AtomicUsize::new(0),
             #[cfg(test)]
             wave_sizes: parking_lot::Mutex::new(Vec::new()),
@@ -885,9 +929,9 @@ impl Runtime {
     pub fn stats(&self) -> RuntimeStats {
         let admission = &self.inner.admission;
         RuntimeStats {
-            tasks_executed: self.inner.tasks_executed.load(Ordering::Relaxed),
-            task_retries: self.inner.task_retries.load(Ordering::Relaxed),
-            admitted: admission.admitted.load(Ordering::Relaxed),
+            tasks_executed: self.inner.counters.sum(EXECUTED),
+            task_retries: self.inner.counters.sum(RETRIES),
+            admitted: self.inner.counters.sum(ADMITTED),
             depth: admission.depth.load(Ordering::Relaxed),
             peak_depth: admission.peak_depth.load(Ordering::Relaxed),
             peak_nesting: self.inner.peak_nesting.load(Ordering::Relaxed),
@@ -1823,6 +1867,45 @@ mod tests {
                 assert_eq!(stats.scheduler.tree_nodes, 1);
             }
         }
+    }
+
+    #[test]
+    fn the_completion_that_empties_a_runtime_prunes_without_a_stats_call() {
+        // 200 index leaves, all admitted before any task may finish, then
+        // vacated one by one: no admission comes after them to prune, so
+        // only the last completion can. The test thread never helps, so
+        // every completion runs on the one worker, whose count a probe
+        // reads.
+        const LEAVES: usize = 200;
+        let rt = Runtime::new(1, SchedulerKind::Tree);
+        let on_worker = |probe: fn() -> usize| {
+            let future = rt.execute_later("probe", EffectSet::pure(), move |_| probe());
+            while !future.is_done() {
+                std::thread::yield_now();
+            }
+            future.wait()
+        };
+        on_worker(|| tree::FLUSHED.with(|c| c.replace(0)));
+        let go = Arc::new(AtomicBool::new(false));
+        let leaves = rt.submit_all((0..LEAVES).map(|i| {
+            let go = go.clone();
+            let effects = EffectSet::parse(&format!("writes Idle:[{i}]"));
+            (format!("leaf{i}"), effects, move |_: &TaskCtx<'_>| {
+                while !go.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            })
+        }));
+        go.store(true, Ordering::Release);
+        while !leaves.iter().all(TaskFuture::is_done) {
+            std::thread::yield_now();
+        }
+        let flushed = on_worker(|| tree::FLUSHED.with(|c| c.get()));
+        assert!(
+            flushed >= tree::IDLE_PRUNE,
+            "{flushed} vacated paths flushed when the runtime went idle"
+        );
+        assert_eq!(flushed, LEAVES, "every leaf's path, once");
     }
 
     #[test]

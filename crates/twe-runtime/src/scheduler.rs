@@ -15,6 +15,12 @@ use twe_effects::Effect;
 /// submission).
 pub type EnableFn = Box<dyn Fn(Arc<TaskRecord>) + Send + Sync>;
 
+/// Callback a scheduler hands a group of enabled tasks to at once
+/// ([`TreeScheduler::grouped`](crate::tree::TreeScheduler::grouped)). It
+/// may take the tasks out of the vector; the scheduler clears it after the
+/// call and reuses its capacity.
+pub type EnableAllFn = Box<dyn Fn(&mut Vec<Arc<TaskRecord>>) + Send + Sync>;
+
 /// What a scheduler reports about itself ([`Scheduler::diagnostics`]), and
 /// the scheduler's part of [`crate::RuntimeStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -49,8 +55,14 @@ pub struct SchedulerDiagnostics {
 /// Tasks move through the lifecycle documented on
 /// [`TaskStatus`](crate::task::TaskStatus): `submit` registers a `Waiting`
 /// task; `on_await` may promote it to `Prioritized`; the scheduler flips it
-/// to `Enabled` (invoking the enable callback installed by the runtime)
-/// exactly once; the runtime marks it `Done` *before* calling `task_done`.
+/// to `Enabled` exactly once and hands it to the enable callback installed
+/// by the runtime; the runtime marks it `Done` *before* calling
+/// `task_done`. The flip happens under the scheduler's lock, the hand-over
+/// after that lock is released, and before the call that flipped it
+/// returns: the tree scheduler hands over the tasks one node lock flipped
+/// in one call (all of a batch's tasks that settle at the root: one call
+/// per sub-wave), the single queue those one hold of its lock flipped, one
+/// call each.
 /// Spawned tasks bypass the scheduler entirely (their effects were
 /// transferred from a running parent) and are visible only through the
 /// conflict test's treatment of blocked tasks' children.
@@ -132,6 +144,13 @@ pub trait Scheduler: Send + Sync {
     fn spawned_child_done(&self, parent: &Arc<TaskRecord>) {
         let _ = parent;
     }
+
+    /// The runtime's last in-flight task has finished (its in-flight gauge,
+    /// `RuntimeStats::depth`, fell to zero): a chance to tidy up what no
+    /// later admission may come to do. The tree scheduler prunes its
+    /// vacated paths here once `IDLE_PRUNE` (128) are pending. The default
+    /// does nothing.
+    fn idle(&self) {}
 
     /// Current counters ([`SchedulerDiagnostics`]). Diagnostic only —
     /// values may be stale the moment they are read. The tree scheduler

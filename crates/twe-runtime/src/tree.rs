@@ -18,17 +18,19 @@
 //! # Batch admission
 //!
 //! [`TreeScheduler::submit_batch`] admits a whole fan-out of tasks in
-//! sub-waves of up to 512 records, one root descent each: records are
-//! grouped per child as the descent forks, so a shared region prefix (e.g.
-//! `Data` in a `writes Data:[i]` fan-out) is locked and checked once per
-//! sub-wave instead of once per task. At each node,
+//! sub-waves of up to `SUB_WAVE` (512) records, one root descent each:
+//! records are grouped per child as the descent forks, so a shared region
+//! prefix (e.g. `Data` in a `writes Data:[i]` fan-out) is locked and
+//! checked once per sub-wave instead of once per task. At each node,
 //! records that settle there are processed *before* records descending
 //! further, which makes the batch observably equivalent to sequential
-//! submission (see `insert`). A task of one record — and any record a batch
-//! leaves alone in its group — needs no staging (`descend`): it walks hand
-//! over hand down its own path, allocating nothing per level. A task of
-//! several is a batch of one task: its admission has to be atomic against a
-//! concurrent submitter (see `submit`).
+//! submission (see `insert`); the tasks they enable go to the runtime in
+//! one call once the node is let go (`hand_over`), as every enabled task
+//! does, so no node lock is held across a pool push. A task of one record
+//! — and any record a batch leaves alone in its group — needs no staging
+//! (`descend`): it walks hand over hand down its own path, allocating
+//! nothing per level. A task of several is a batch of one task: its
+//! admission has to be atomic against a concurrent submitter (see `submit`).
 //!
 //! # Pruning
 //!
@@ -49,8 +51,8 @@
 //! vacate a node that was live, so the tree never exceeds its peak of live
 //! nodes plus one batch (a batch of N nobody follows: N vacant nodes until
 //! its last completion).
-//! A completion that leaves the scheduler empty flushes a list of
-//! `IDLE_PRUNE` or more itself (nobody may ever submit again), and
+//! [`Scheduler::idle`] (the runtime's last in-flight task is done) flushes
+//! a list of `IDLE_PRUNE` or more (nobody may ever submit again), and
 //! `diagnostics` flushes it, so "a drained scheduler is a bare root" stays
 //! observable. A recycled `DynCell` region id may meet its previous era's
 //! node while it is still pending: the node is vacant, so that costs
@@ -69,13 +71,14 @@
 //! `reads Root` fan-out, however wide, costs the admissions beneath it
 //! nothing. Lock order everywhere is strictly downward from the root.
 
-use crate::scheduler::{effects_conflict, EnableFn, Scheduler, SchedulerDiagnostics};
+use crate::scheduler::{effects_conflict, EnableAllFn, EnableFn, Scheduler, SchedulerDiagnostics};
 use crate::task::{TaskRecord, TaskStatus};
 use parking_lot::{ArcMutexGuard, Mutex, RawMutex};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use twe_effects::idhash::IdHashMap;
-use twe_effects::{Effect, EffectKind, InlineList, Rpl, RplId};
+use twe_effects::{Effect, InlineList, Rpl, RplId};
 
 /// One effect of one task, as tracked by the scheduler tree (Figure 5.3).
 pub struct EffectRecord {
@@ -145,13 +148,10 @@ impl EffectRecord {
 
     /// The effect as a plain [`Effect`] value.
     pub fn as_effect(&self) -> Effect {
-        Effect {
-            kind: if self.write {
-                EffectKind::Write
-            } else {
-                EffectKind::Read
-            },
-            rpl: self.rpl,
+        if self.write {
+            Effect::write(self.rpl)
+        } else {
+            Effect::read(self.rpl)
         }
     }
 
@@ -163,13 +163,8 @@ impl EffectRecord {
 
 impl std::fmt::Debug for EffectRecord {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} {} (enabled={})",
-            if self.write { "writes" } else { "reads" },
-            self.rpl,
-            self.enabled.load(Ordering::Relaxed)
-        )
+        let enabled = self.enabled.load(Ordering::Relaxed);
+        write!(f, "{} (enabled={enabled})", self.as_effect())
     }
 }
 
@@ -236,6 +231,12 @@ pub struct NodeInner {
     prune_pending: bool,
 }
 
+thread_local! {
+    /// Tasks this thread flipped to `Enabled` and has not handed over yet;
+    /// empty between calls into a scheduler, so schedulers may share it.
+    static FLIPPED: RefCell<Vec<Arc<TaskRecord>>> = const { RefCell::new(Vec::new()) };
+}
+
 #[cfg(test)]
 thread_local! {
     /// What the cost-shape tests count, per thread: records `check_at` and
@@ -246,8 +247,9 @@ thread_local! {
     /// it pushed, tested or moved (a splice is one step).
     static WAKE_LOCKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     static WAITER_STEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    /// ... and for pruning: tree nodes made.
+    /// ... and for pruning: tree nodes made, vacated paths flushed.
     static NODES_MADE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    pub(crate) static FLUSHED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Adds `n` to a cost-shape counter (tests only).
@@ -399,6 +401,18 @@ fn linked_at(guard: &NodeGuard, e: &Arc<EffectRecord>) -> Option<(usize, usize)>
     matches!(slot, Some(Some((_, x))) if Arc::ptr_eq(x, e)).then_some((class, i))
 }
 
+/// Sets `task`'s count of disabled effects to `f` of itself; at zero a task
+/// not enabled yet is flipped to `Enabled`, for the next `hand_over`.
+fn count_disabled(task: Arc<TaskRecord>, f: impl FnOnce(usize) -> usize) {
+    let mut s = task.sched.lock();
+    s.disabled_effects = f(s.disabled_effects);
+    if s.disabled_effects == 0 && s.status < TaskStatus::Enabled {
+        s.status = TaskStatus::Enabled;
+        drop(s);
+        FLIPPED.with_borrow_mut(|f| f.push(task));
+    }
+}
+
 fn remove_effect(guard: &mut NodeGuard, e: &Arc<EffectRecord>) {
     if let Some((class, i)) = linked_at(guard, e) {
         guard.unlink(class, i);
@@ -413,11 +427,7 @@ pub struct TreeScheduler {
     /// may have its effects rechecked, preventing two conflicting tasks from
     /// repeatedly disabling each other's effects without progress.
     recheck_lock: Mutex<()>,
-    enable: EnableFn,
-    /// Tasks submitted and not yet done (spawned tasks bypass the scheduler
-    /// and are not counted): the completion that takes it to zero may prune
-    /// (module docs, "Pruning").
-    queued: AtomicUsize,
+    enable: EnableAllFn,
     /// Paths of the nodes finished tasks left vacant, waiting for the next
     /// drain (module docs, "Pruning").
     vacated: Mutex<Vec<&'static [RplId]>>,
@@ -428,22 +438,29 @@ pub struct TreeScheduler {
 /// Pending vacated paths at which an admission flushes the list, and the
 /// most one hold of the root prunes.
 const PRUNE_BATCH: usize = 64;
-/// ... at which the completion that leaves the scheduler empty does: steady
-/// traffic keeps the list below this, so its workers never prune.
-const IDLE_PRUNE: usize = 2 * PRUNE_BATCH;
+/// ... at which [`Scheduler::idle`] does: steady traffic keeps the list
+/// below this, so its workers never prune.
+pub(crate) const IDLE_PRUNE: usize = 2 * PRUNE_BATCH;
+/// The most records one `insert` at the root admits (`submit_batch`).
+pub(crate) const SUB_WAVE: usize = 512;
 /// What a debug build says when a conflict walk meets a record whose task
 /// is gone: nothing would ever unlink it or recheck its waiters.
 const OWNERSHIP: &str = "a submitted task was dropped before `task_done`: \
     the `Scheduler` ownership contract keeps it alive until then";
 
 impl TreeScheduler {
-    /// Creates a tree scheduler that enables tasks through `enable`.
+    /// Creates a tree scheduler that enables tasks through `enable`, one by one.
     pub fn new(enable: EnableFn) -> Self {
+        Self::grouped(Box::new(move |tasks| tasks.drain(..).for_each(&enable)))
+    }
+
+    /// Creates a tree scheduler that hands the tasks it enables to `enable`
+    /// a group at a time, once it has let go of the node they settled at.
+    pub fn grouped(enable: EnableAllFn) -> Self {
         TreeScheduler {
             root: new_node(0),
             recheck_lock: Mutex::new(()),
             enable,
-            queued: AtomicUsize::new(0),
             vacated: Mutex::new(Vec::new()),
             rechecks: AtomicU64::new(0),
         }
@@ -456,10 +473,8 @@ impl TreeScheduler {
         let children: Vec<NodeRef> = guard.children.values().cloned().collect();
         let here = f(&guard);
         drop(guard);
-        here + children
-            .iter()
-            .map(|c| Self::sum_nodes(c, f))
-            .sum::<usize>()
+        let below = children.iter().map(|c| Self::sum_nodes(c, f));
+        here + below.sum::<usize>()
     }
 
     /// Builds and registers a submitted task's tree records, one per effect
@@ -471,20 +486,23 @@ impl TreeScheduler {
             .filter(|&(i, _)| !task.caller_holds(i))
             .map(|(i, e)| EffectRecord::new(task, i, e))
             .collect();
-        let run_now = {
-            let mut s = task.sched.lock();
-            s.disabled_effects = records.len();
-            let pure = records.is_empty() && s.status < TaskStatus::Enabled;
-            if pure {
-                s.status = TaskStatus::Enabled;
-            }
-            pure
-        };
+        let disabled = records.len();
         let _ = task.tree_effects.set(records);
-        if run_now {
-            (self.enable)(task.clone());
-        }
+        count_disabled(task.clone(), |_| disabled);
+        self.hand_over(None);
         task.tree_records()
+    }
+
+    /// Releases `guard`, the lock the tasks this thread has flipped were
+    /// flipped under, then hands them to `enable` in one call.
+    fn hand_over(&self, guard: Option<NodeGuard>) {
+        drop(guard);
+        let mut flipped = FLIPPED.take();
+        if !flipped.is_empty() {
+            (self.enable)(&mut flipped);
+            flipped.clear();
+        }
+        FLIPPED.set(flipped);
     }
 
     // ------------------------------------------------------------------
@@ -492,25 +510,15 @@ impl TreeScheduler {
     // ------------------------------------------------------------------
 
     /// Enables `e`, a record of the locked node, and its task with it if
-    /// that was its last disabled effect.
+    /// that was its last disabled effect (handed over at the next `hand_over`).
     fn enable_effect(&self, guard: &mut NodeGuard, e: &Arc<EffectRecord>) {
         if e.enabled.swap(true, Ordering::AcqRel) {
             return; // already enabled
         }
         let class = guard.class_of(e);
         guard.records[class].enabled[usize::from(e.write)] += 1;
-        let Some(task) = e.task.upgrade() else { return };
-        let submit = {
-            let mut s = task.sched.lock();
-            s.disabled_effects = s.disabled_effects.saturating_sub(1);
-            let submit = s.disabled_effects == 0 && s.status < TaskStatus::Enabled;
-            if submit {
-                s.status = TaskStatus::Enabled;
-            }
-            submit
-        };
-        if submit {
-            (self.enable)(task);
+        if let Some(task) = e.task.upgrade() {
+            count_disabled(task, |n| n.saturating_sub(1));
         }
     }
 
@@ -629,11 +637,9 @@ impl TreeScheduler {
             // wildcard-free prefix, so nothing below can conflict.
             return None;
         }
-        // Walk the children in interned-id order, not map iteration order:
-        // the walk stops at the *first* conflicting enabled record, and
-        // which record a waiter parks behind must be reproducible — the
-        // differential tests replay one batch through two scheduler
-        // instances and compare the waiter graphs step for step.
+        // Walk the children in interned-id order, not map order: the walk
+        // stops at the *first* conflicting enabled record, and the waiter
+        // graphs the differential tests compare must be reproducible.
         let mut keys: Vec<RplId> = parent_guard.children.keys().copied().collect();
         keys.sort_unstable();
         for key in keys {
@@ -736,7 +742,9 @@ impl TreeScheduler {
                 if !linked {
                     add_effect(&mut guard, e);
                 }
-                return self.settle(&mut guard, e, prio);
+                let blocker = self.settle(&mut guard, e, prio);
+                self.hand_over(Some(guard));
+                return blocker;
             }
             if let Some(blocker) = self.check_at(&mut guard, e, prio) {
                 if !linked {
@@ -826,7 +834,7 @@ impl TreeScheduler {
                 .or_insert_with(|| new_node(depth + 1));
             locked.push((child.lock_arc(), len));
         }
-        drop(guard);
+        self.hand_over(Some(guard)); // what settled here, in one call
         for (child_guard, len) in locked {
             let (group, tail) = rest.split_at_mut(len);
             rest = tail;
@@ -872,6 +880,7 @@ impl TreeScheduler {
             std::mem::replace(&mut *pending, Vec::with_capacity(PRUNE_BATCH))
         };
         paths.sort_unstable();
+        count!(FLUSHED, paths.len());
         // `guards[i]` holds the node of `held[i]` (`held` may run on past a
         // missing child); `guards[0]` is the root, which is never pruned.
         let mut guards = Vec::new();
@@ -915,7 +924,6 @@ impl TreeScheduler {
 
 impl Scheduler for TreeScheduler {
     fn submit(&self, task: Arc<TaskRecord>) {
-        self.queued.fetch_add(1, Ordering::Relaxed);
         match self.register_records(&task) {
             [] => {}
             // One record — every service request — needs no staging.
@@ -934,9 +942,8 @@ impl Scheduler for TreeScheduler {
     }
 
     fn submit_batch(&self, tasks: Vec<Arc<TaskRecord>>) {
-        self.queued.fetch_add(tasks.len(), Ordering::Relaxed);
         // Register every task's records and admit the batch in sub-waves of
-        // up to `CHUNK` records, each one `insert` at the root: shared region
+        // up to `SUB_WAVE` records, each one `insert` at the root: shared region
         // prefixes are locked and checked once per sub-wave instead of once
         // per task. The chunking bounds the working set a wave streams
         // through — one huge wave touches every record once per level and
@@ -944,11 +951,10 @@ impl Scheduler for TreeScheduler {
         // task boundaries, so the admission order is still
         // sequential-equivalent (a sequence of sequential-equivalent waves,
         // via the settle-first ordering of `insert`).
-        const CHUNK: usize = 512;
         let mut wave: Vec<&Arc<EffectRecord>> = Vec::new();
         for task in &tasks {
             wave.extend(self.register_records(task));
-            if wave.len() >= CHUNK {
+            if wave.len() >= SUB_WAVE {
                 self.insert(self.root.lock_arc(), &mut wave);
                 wave.clear();
             }
@@ -988,9 +994,6 @@ impl Scheduler for TreeScheduler {
     }
 
     fn task_done(&self, task: &Arc<TaskRecord>) {
-        // Spawned tasks were never submitted, so they were never counted;
-        // the guard keeps the gauge from underflowing.
-        let last = !task.spawned && self.queued.fetch_sub(1, Ordering::Relaxed) == 1;
         // The runtime has already set the task's status to Done.
         for e in task.tree_records() {
             let mut guard = self.lock_containing_node(e);
@@ -1010,12 +1013,6 @@ impl Scheduler for TreeScheduler {
         for e in task.tree_records() {
             self.recheck_waiters_of(e);
         }
-        if last {
-            // Nobody may ever submit again, so an idle scheduler must not
-            // sit on what a batch left behind; the list steady traffic
-            // leaves is the next admission's.
-            self.drain_if_full(IDLE_PRUNE);
-        }
     }
 
     fn spawned_child_done(&self, parent: &Arc<TaskRecord>) {
@@ -1029,6 +1026,11 @@ impl Scheduler for TreeScheduler {
         if let Some(target) = parent.held_and_blocked_on() {
             self.on_await(&target);
         }
+    }
+
+    /// Nobody may ever submit again: prune what a batch left behind.
+    fn idle(&self) {
+        self.drain_if_full(IDLE_PRUNE);
     }
 
     /// Flushes the pending prunes first, so a drained scheduler reports a
@@ -1468,6 +1470,42 @@ mod tests {
         h.finish(&b);
         h.finish(&c);
         assert_eq!(h.sched.diagnostics().recorded_effects, 0);
+    }
+
+    #[test]
+    fn a_batch_hands_over_what_settles_at_the_root_once_per_sub_wave_after_the_lock() {
+        // Each call records its tasks and whether the root was free.
+        type Calls = Mutex<Vec<(Vec<u64>, bool)>>;
+        let (root, calls) = (
+            Arc::new(std::sync::OnceLock::<NodeRef>::new()),
+            Arc::new(Calls::default()),
+        );
+        let (r, c) = (root.clone(), calls.clone());
+        let sched = TreeScheduler::grouped(Box::new(move |tasks| {
+            let free = r.get().expect("the root").try_lock().is_some();
+            c.lock()
+                .push((tasks.drain(..).map(|t| t.id).collect(), free));
+        }));
+        let _ = root.set(sched.root.clone());
+        let readers: Vec<_> = (1..=2000).map(|i| task(i, "reads Root")).collect();
+        sched.submit_batch(readers.clone());
+        let calls = calls.lock();
+        assert_eq!(
+            calls.len(),
+            2000usize.div_ceil(SUB_WAVE),
+            "one call per sub-wave"
+        );
+        assert!(
+            calls.iter().all(|(_, free)| *free),
+            "enabled under the root lock"
+        );
+        let mut ids: Vec<u64> = calls.iter().flat_map(|(ids, _)| ids.clone()).collect();
+        ids.sort_unstable();
+        assert_eq!(
+            ids,
+            (1..=2000).collect::<Vec<_>>(),
+            "each task exactly once"
+        );
     }
 
     #[test]
@@ -2180,6 +2218,7 @@ mod tests {
             h.finish(t);
         }
         h.sched.assert_vacant_nodes_listed();
+        h.sched.idle(); // what the runtime calls once nothing is in flight
         assert!(first_level(&h) < IDLE_PRUNE, "idle: less than a batch left");
         assert_eq!(h.sched.diagnostics().tree_nodes, 1);
         assert_eq!(first_level(&h), 0, "`diagnostics` flushed the rest");
@@ -2194,7 +2233,9 @@ mod tests {
         h.sched.assert_vacant_nodes_listed();
         assert_eq!(first_level(&h), 10_000, "nobody admitted, nobody pruned");
         h.finish(last);
-        assert_eq!(first_level(&h), 0, "the completion that emptied it drained");
+        assert_eq!(first_level(&h), 10_000, "a completion prunes nothing");
+        h.sched.idle();
+        assert_eq!(first_level(&h), 0, "idle drained");
         assert_eq!(h.sched.diagnostics().recorded_effects, 0);
 
         // A node is readmitted to while its vacated path is still pending:
@@ -2291,9 +2332,9 @@ mod tests {
             counter.with(|c| c.set(0));
         }
         h.finish(t);
-        // The walker is linear in the tree: after every completion only
-        // while that stays cheap, then on a sample.
-        if h.sched.queued.load(Ordering::Relaxed) <= 256 || t.id % 256 == 0 {
+        // The walker is linear in the tree: after each of the first 256
+        // completions, then on a sample.
+        if t.id <= 256 || t.id % 256 == 0 {
             h.sched.assert_wake_invariant();
         }
         WakeCost {

@@ -162,12 +162,10 @@ impl TreeScheduler {
         line: &mut Vec<Weak<EffectRecord>>,
         at: usize,
     ) {
-        let Some(to_task) = to.task.upgrade() else {
+        let enabled = |t: &Arc<TaskRecord>| t.status() == TaskStatus::Enabled;
+        let Some(to_task) = to.task.upgrade().filter(enabled) else {
             return;
         };
-        if to_task.status() != TaskStatus::Enabled {
-            return;
-        }
         // A writer of the very region `from` was on conflicts with whatever
         // conflicted with `from`, unless it is blocked on the waiter's task
         // (effect transfer): the whole line goes over in one piece, its
