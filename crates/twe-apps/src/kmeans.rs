@@ -139,8 +139,9 @@ struct Cluster {
 /// effect `reads Root`, each running an `accumulate` task with effect
 /// `reads Root, writes Clusters:[k]` for its point's cluster. The job builds
 /// the `reads Root` set and the K accumulate sets once; every task clones
-/// one of them. The input and the accumulators share one `Arc`, so each
-/// WorkTask and each accumulate captures one handle to the job's data.
+/// one of them. The input and the accumulators share one `Arc`: each
+/// WorkTask captures one handle to the job's data and lends it to each of
+/// its accumulates in turn, which returns it as its value.
 pub fn run_twe(rt: &Runtime, input: &KMeansInput) -> KMeansOutput {
     let k = input.config.n_clusters;
     let nf = input.config.n_features;
@@ -180,20 +181,22 @@ pub fn run_twe(rt: &Runtime, input: &KMeansInput) -> KMeansOutput {
             "WorkTask",
             work.clone(),
             move |ctx: &twe_runtime::TaskCtx<'_>| {
-                let (input, clusters) = &*job;
+                let mut job = job;
                 for p in range.clone() {
+                    let (input, clusters) = &*job;
                     let cluster = nearest_cluster(input, p);
                     let effects = clusters[cluster].accumulate.clone();
-                    let job = job.clone();
                     // The body of `accumulate` in Figure 5.1: an atomic task
-                    // with a write effect on the cluster's region.
-                    ctx.execute("accumulate", effects, move |_| {
+                    // with a write effect on the cluster's region. It takes
+                    // the WorkTask's handle to the job and gives it back.
+                    job = ctx.execute("accumulate", effects, move |_| {
                         let (input, clusters) = &*job;
                         let acc = clusters[cluster].accum.get_mut();
                         acc.count += 1;
                         for f in 0..nf {
                             acc.sum[f] += input.points[p * nf + f] as f64;
                         }
+                        job
                     });
                 }
             },

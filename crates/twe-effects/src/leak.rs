@@ -1,11 +1,12 @@
 //! Shared leaked-copy interner.
 //!
-//! Both the region-name interner ([`crate::intern`]) and the RPL
-//! wildcard-suffix table ([`crate::rpl`]) follow the same discipline: map a
-//! borrowed unsized key to a small `u32` id, leaking exactly one `'static`
-//! copy of each distinct key so resolution never clones, with double-checked
-//! read-then-write locking so lookups of already-interned keys take only the
-//! read lock. This type implements that discipline once.
+//! Both the region-name interner ([`crate::intern`](mod@crate::intern))
+//! and the RPL wildcard-suffix table ([`crate::rpl`]) follow the same
+//! discipline: map a borrowed unsized key to a small `u32` id, leaking
+//! exactly one `'static` copy of each distinct key so resolution never
+//! clones, with double-checked read-then-write locking so lookups of
+//! already-interned keys take only the read lock. This type implements that
+//! discipline once.
 
 use parking_lot::RwLock;
 use std::collections::HashMap;

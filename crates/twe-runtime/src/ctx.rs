@@ -149,6 +149,12 @@ impl<'rt> TaskCtx<'rt> {
     /// of §5.5.1, the TWE idiom for a critical section within a larger task.
     /// `name` as for [`TaskCtx::execute_later`].
     ///
+    /// The child is *carried* by this task: this task is blocked on it, so
+    /// this task's admission slot covers it — it reserves none of its own,
+    /// as a spawned child reserves none, though
+    /// [`RuntimeStats::admitted`](crate::RuntimeStats::admitted) counts it —
+    /// and the future held here keeps it alive, so it never holds itself.
+    ///
     /// A child that its own submission enables runs right here, on the
     /// calling thread, and the pool never sees it — as a `ForkJoinPool` task
     /// forked and joined at once runs on its joiner. It runs with this task
@@ -179,9 +185,10 @@ impl<'rt> TaskCtx<'rt> {
         F: FnOnce(&TaskCtx<'_>) -> T + Send + 'static,
     {
         let held = self.held_for_child(&effects);
-        let future = self.rt.admit_new(name, effects, held, body);
-        if let Some(child) = self.rt.submit_wanting_back(&future.record) {
-            self.blocked_on(&child, || child.body.run(&child));
+        let future = self.rt.carry_new(name, effects, held, body);
+        let child = &future.record;
+        if self.rt.submit_wanting_back(child) {
+            self.blocked_on(child, || child.body.run(child));
         }
         future.get_value(self)
     }
@@ -215,7 +222,7 @@ impl<'rt> TaskCtx<'rt> {
         );
         let future = self
             .rt
-            .new_task(name, effects, 0, Some(self.record.clone()), body);
+            .new_task(name, effects, None, Some(self.record.clone()), body);
         // The spawned task is enabled from the start. Listing it among the
         // unjoined children transfers its effects away from this task.
         future.record.sched.lock().status = TaskStatus::Enabled;

@@ -132,12 +132,14 @@ impl SchedulerKind {
 
 /// How a [`Runtime`] admits new top-level tasks when its backlog is deep.
 ///
-/// The policy bounds the number of **in-flight** non-spawned tasks —
+/// The policy bounds the number of **in-flight** tasks that take a slot —
 /// submitted and not yet finished — so an open-loop producer that outruns
 /// the workers cannot grow the scheduler's queue without bound (the
-/// saturation collapse the service benchmarks measure). Spawned tasks are
-/// never policed: their effects were transferred from an already-admitted
-/// parent, so they represent no new backlog.
+/// saturation collapse the service benchmarks measure). Spawned tasks and
+/// [`TaskCtx::execute`] children take none: a spawned task's effects were
+/// transferred from an already-admitted parent, and an `execute` child is
+/// *carried* by its caller, which is blocked on it and whose slot covers
+/// it. Neither is new backlog.
 ///
 /// Submissions from **inside a task body** (`execute_later` /
 /// `execute_all_later` on a [`TaskCtx`], or any submission made while a
@@ -145,7 +147,8 @@ impl SchedulerKind {
 /// holds an admission slot only its own completion can release, so
 /// blocking it could starve the very backlog it waits on. That covers the
 /// runtime's workers: every job they run is a task body. The depth gauge
-/// still counts these submissions, so [`RuntimeStats::peak_depth`] may
+/// still counts these submissions (but not an `execute` child, which never
+/// holds a slot of its own), so [`RuntimeStats::peak_depth`] may
 /// transiently exceed the cap.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AdmissionPolicy {
@@ -193,22 +196,25 @@ thread_local! {
     /// [`TaskCtx::execute`] is making, 0 outside one (ids start at 1).
     static WANTED: Cell<u64> = const { Cell::new(0) };
 
-    /// That task, once its submission has enabled it: kept from the pool
-    /// by [`for_the_pool`] for the `execute` to run inline.
-    static HANDED_BACK: Cell<Option<Arc<TaskRecord>>> = const { Cell::new(None) };
+    /// Set once that task's submission has enabled it: [`for_the_pool`]
+    /// kept it from the pool for the `execute` to run inline.
+    static HANDED_BACK: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Takes the handle an enabled task has held on itself since its submission
-/// ([`TaskRecord::pending`]), for the pool — or keeps it from the pool: the
-/// task this thread's [`TaskCtx::execute`] is submitting ([`WANTED`]) goes
-/// back to that `execute`, to run inline.
-fn for_the_pool(task: &TaskRecord) -> Option<Arc<TaskRecord>> {
-    let me = task.pending.lock().take()?;
-    if WANTED.get() != me.id {
-        return Some(me);
+/// Whether the pool runs a task the scheduler just enabled; it gets the
+/// very `Arc` the scheduler enabled the task with. A task that has held
+/// itself since its submission ([`TaskRecord::pending`]) lets that handle
+/// go. A carried [`TaskCtx::execute`] child holds nothing (its caller's
+/// future keeps it alive), and the one this thread's `execute` is
+/// submitting ([`WANTED`]) stays with that `execute`, to run inline.
+fn for_the_pool(task: &TaskRecord) -> bool {
+    if !task.carried {
+        drop(task.pending.lock().take());
+    } else if WANTED.get() == task.id {
+        HANDED_BACK.set(true);
+        return false;
     }
-    HANDED_BACK.set(Some(me));
-    None
+    true
 }
 
 /// Marks the current thread as executing a task body for its lifetime.
@@ -257,6 +263,9 @@ fn in_task_body() -> bool {
 /// (a [`RunTask`], or an inline `execute` child running inside one), and
 /// every job ends at the pool's one wake site, so the pool's idle protocol
 /// also carries admission waits.
+///
+/// A [`TaskCtx::execute`] child is counted in `admitted` but never touches
+/// this line: its caller's slot covers it ([`TaskRecord::carried`]).
 #[repr(align(64))]
 struct AdmissionState {
     depth: AtomicUsize,
@@ -340,9 +349,12 @@ pub struct RuntimeStats {
     pub tasks_executed: u64,
     /// Aborted attempts of retryable tasks (dynamic-effect conflicts).
     pub task_retries: u64,
-    /// Non-spawned tasks admitted to the scheduler.
+    /// Non-spawned tasks admitted to the scheduler, [`TaskCtx::execute`]
+    /// children included.
     pub admitted: u64,
-    /// Current in-flight (submitted, not finished) non-spawned tasks.
+    /// Current in-flight (submitted, not finished) tasks that hold an
+    /// admission slot: neither spawned tasks nor [`TaskCtx::execute`]
+    /// children, whose parent's or caller's slot covers them.
     pub depth: usize,
     /// High-water mark of `depth`.
     pub peak_depth: usize,
@@ -494,23 +506,24 @@ impl RtInner {
         }
     }
 
-    /// Releases `task`'s admission slot (no-op for spawned tasks, which were
-    /// never admitted through the policy), and tells the scheduler when it
-    /// was the last one in flight.
+    /// Releases `task`'s admission slot (no-op for spawned and carried
+    /// tasks, which never reserved one), and tells the scheduler when it was
+    /// the last one in flight.
     fn release_admission(&self, task: &TaskRecord) {
-        if !task.spawned && self.admission.release(1) {
+        if !task.spawned && !task.carried && self.admission.release(1) {
             self.scheduler().idle();
         }
     }
 
     /// Creates a task — record, body and result slot in one allocation —
     /// and the future on it. A task with a `spawned_parent` is a spawned one;
-    /// `held` is [`TaskRecord::held_effects`], 0 but for an `execute` child.
+    /// `held` is `Some` for a carried `execute` child, with its
+    /// [`TaskRecord::held_effects`].
     pub(crate) fn new_task<T, F>(
         self: &Arc<Self>,
         name: impl Into<Cow<'static, str>>,
         effects: EffectSet,
-        held: u64,
+        held: Option<u64>,
         spawned_parent: Option<Arc<TaskRecord>>,
         body: F,
     ) -> TaskFuture<T>
@@ -530,11 +543,29 @@ impl RtInner {
         TaskFuture { record, value }
     }
 
-    /// Submits `task` for [`TaskCtx::execute`] and returns it if the
-    /// submission itself enabled it on this thread: the enable callback ran
-    /// once and took `pending`, and that handle came back here instead of
-    /// going to the pool. [`WANTED`] is restored for an enclosing `execute`.
-    pub(crate) fn submit_wanting_back(&self, task: &Arc<TaskRecord>) -> Option<Arc<TaskRecord>> {
+    /// Builds a [`TaskCtx::execute`] child, carried by its caller
+    /// ([`TaskRecord::carried`]): counted as admitted, but it reserves no
+    /// slot and does not hold itself.
+    pub(crate) fn carry_new<T, F>(
+        self: &Arc<Self>,
+        name: impl Into<Cow<'static, str>>,
+        effects: EffectSet,
+        held: u64,
+        body: F,
+    ) -> TaskFuture<T>
+    where
+        T: Send + 'static,
+        F: FnOnce(&TaskCtx<'_>) -> T + Send + 'static,
+    {
+        self.counters.add(ADMITTED, 1);
+        self.new_task(name, effects, Some(held), None, body)
+    }
+
+    /// Submits the carried `task` for [`TaskCtx::execute`]; true if the
+    /// submission itself enabled it on this thread, and the enable callback
+    /// kept it from the pool for the caller to run. [`WANTED`] is restored
+    /// for an enclosing `execute`.
+    pub(crate) fn submit_wanting_back(&self, task: &Arc<TaskRecord>) -> bool {
         let outer = WANTED.replace(task.id);
         self.scheduler().submit(task.clone());
         WANTED.set(outer);
@@ -547,24 +578,6 @@ impl RtInner {
         *record.pending.lock() = Some(record.clone());
     }
 
-    /// Admits one task and builds it, ready for the scheduler.
-    pub(crate) fn admit_new<T, F>(
-        self: &Arc<Self>,
-        name: impl Into<Cow<'static, str>>,
-        effects: EffectSet,
-        held: u64,
-        body: F,
-    ) -> TaskFuture<T>
-    where
-        T: Send + 'static,
-        F: FnOnce(&TaskCtx<'_>) -> T + Send + 'static,
-    {
-        self.admit_one();
-        let future = self.new_task(name, effects, held, None, body);
-        self.prepare(&future.record);
-        future
-    }
-
     pub(crate) fn execute_later_impl<T, F>(
         self: &Arc<Self>,
         name: impl Into<Cow<'static, str>>,
@@ -575,7 +588,9 @@ impl RtInner {
         T: Send + 'static,
         F: FnOnce(&TaskCtx<'_>) -> T + Send + 'static,
     {
-        let future = self.admit_new(name, effects, 0, body);
+        self.admit_one();
+        let future = self.new_task(name, effects, None, None, body);
+        self.prepare(&future.record);
         self.scheduler().submit(future.record.clone());
         future
     }
@@ -603,9 +618,13 @@ impl RtInner {
     /// time and admits each chunk through the scheduler's one-round batch
     /// path as soon as it is built, so the workers start on a wide fan-out
     /// while the rest is still being built. A chunk is the tree's sub-wave
-    /// (`tree::SUB_WAVE` tasks). A batch of zero tasks touches no scheduler
-    /// state; a batch of one is routed through the plain `submit` path, so
-    /// it is *exactly* `execute_later`.
+    /// (`tree::SUB_WAVE` tasks); a batch known to be longer than one starts
+    /// with a chunk of one task and doubles the chunk up to a sub-wave, so
+    /// a worker has a task as soon as one is built, not after the first
+    /// 512. A wave of up to a sub-wave (every service wave) goes in whole.
+    /// A batch of zero tasks touches no scheduler state; a batch of one is
+    /// routed through the plain `submit` path, so it is *exactly*
+    /// `execute_later`.
     ///
     /// Under [`AdmissionPolicy::BoundedBlock`] the chunks are as large as
     /// the room that frees up, helping the pool between chunks; every task
@@ -620,7 +639,7 @@ impl RtInner {
         N: Into<Cow<'static, str>>,
         F: FnOnce(&TaskCtx<'_>) -> T + Send + 'static,
     {
-        let build = |(name, effects, body)| self.new_task(name, effects, 0, None, body);
+        let build = |(name, effects, body)| self.new_task(name, effects, None, None, body);
         match self.policy {
             AdmissionPolicy::BoundedBlock { max_queued } if !in_task_body() => {
                 let triples: Vec<(N, EffectSet, F)> = tasks.into_iter().collect();
@@ -636,15 +655,22 @@ impl RtInner {
             }
             _ => {
                 let mut rest = tasks.into_iter();
-                let mut futures = Vec::with_capacity(rest.size_hint().0);
+                let known = rest.size_hint().0;
+                let mut futures = Vec::with_capacity(known);
+                let mut chunk = if known > tree::SUB_WAVE {
+                    1
+                } else {
+                    tree::SUB_WAVE
+                };
                 loop {
                     let admitted = futures.len();
-                    futures.extend(rest.by_ref().take(tree::SUB_WAVE).map(build));
+                    futures.extend(rest.by_ref().take(chunk).map(build));
                     if futures.len() == admitted {
                         return futures;
                     }
                     self.reserve_forced(futures.len() - admitted);
                     self.admit_wave(&futures[admitted..]);
+                    chunk = (2 * chunk).min(tree::SUB_WAVE);
                 }
             }
         }
@@ -748,14 +774,15 @@ impl RuntimeBuilder {
         // The scheduler hands each task over exactly once, right after it
         // flipped it to `Enabled`, on whatever thread resolved the conflict.
         // The task brings its runtime along (a group's tasks share their
-        // scheduler, hence their runtime), and the handle it has held on
-        // itself since submission is the one the pool gets: a group's in
-        // one push.
+        // scheduler, hence their runtime), and the handle the scheduler
+        // enabled it with is the one the pool gets: a group's in one push.
         let scheduler: Box<dyn Scheduler> = match kind {
             SchedulerKind::Naive => {
                 let enable: EnableFn = Box::new(|task| {
-                    if let Some(me) = for_the_pool(&task) {
-                        task.runtime().pool.submit(RunTask(me));
+                    if for_the_pool(&task) {
+                        // `task` moves into the job: a second handle reaches the pool.
+                        let same = task.clone();
+                        same.runtime().pool.submit(RunTask(task));
                     }
                 });
                 Box::new(NaiveScheduler::new(enable))
@@ -765,7 +792,7 @@ impl RuntimeBuilder {
                     let Some(first) = tasks.first().cloned() else {
                         return;
                     };
-                    tasks.retain_mut(|task| for_the_pool(task).map(|me| *task = me).is_some());
+                    tasks.retain(|task| for_the_pool(task));
                     first
                         .runtime()
                         .pool
@@ -1587,6 +1614,31 @@ mod tests {
     }
 
     #[test]
+    fn an_execute_child_rides_on_its_callers_slot() {
+        // Each child is counted as admitted, but its blocked caller's slot
+        // covers it: the in-flight gauge never sees a second task.
+        for kind in [SchedulerKind::Naive, SchedulerKind::Tree] {
+            let rt = Runtime::new(1, kind);
+            let sum = rt.run("caller", EffectSet::parse("reads Root"), |ctx| {
+                (0..1_000u64)
+                    .map(|i| {
+                        let effects = EffectSet::parse(&format!("writes Clusters:[{}]", i % 40));
+                        ctx.execute("child", effects, move |_| i)
+                    })
+                    .sum::<u64>()
+            });
+            assert_eq!(sum, 999 * 1_000 / 2, "{kind:?}");
+            let stats = rt.stats();
+            let counts = (stats.peak_depth, stats.admitted, stats.depth);
+            assert_eq!(
+                counts,
+                (1, 1_001, 0),
+                "{kind:?}: (peak_depth, admitted, depth)"
+            );
+        }
+    }
+
+    #[test]
     fn panicking_task_propagates_to_waiter() {
         let rt = Runtime::new(2, SchedulerKind::Tree);
         let fut = rt.execute_later("boom", EffectSet::parse("writes A"), |_| {
@@ -1761,6 +1813,30 @@ mod tests {
                 "{kind:?}: peak {}",
                 stats.peak_depth
             );
+        }
+    }
+
+    #[test]
+    fn a_long_fan_out_starts_with_one_task() {
+        // A wave longer than a sub-wave reaches the workers after its first
+        // task is built, then in chunks doubling up to a sub-wave; a short
+        // wave (every service wave) goes in whole.
+        for kind in [SchedulerKind::Naive, SchedulerKind::Tree] {
+            let rt = Runtime::new(1, kind);
+            let fan_out = |n: usize| {
+                rt.inner.wave_sizes.lock().clear();
+                let futures = rt.submit_all((0..n).map(|i| {
+                    let effects = EffectSet::parse(&format!("writes Fan:[{i}]"));
+                    ("fan", effects, move |_: &TaskCtx<'_>| i)
+                }));
+                let values: Vec<usize> = futures.iter().map(TaskFuture::wait).collect();
+                assert_eq!(values, (0..n).collect::<Vec<_>>(), "{kind:?}");
+                rt.inner.wave_sizes.lock().clone()
+            };
+            let mut ramp: Vec<usize> = (0..9).map(|i| 1 << i).collect();
+            ramp.extend([512, 512, 465]);
+            assert_eq!(fan_out(2_000), ramp, "{kind:?}");
+            assert_eq!(fan_out(64), [64], "{kind:?}");
         }
     }
 

@@ -88,8 +88,8 @@ pub struct SchedulerDiagnostics {
 /// recheck; the tree scheduler asserts the rule in debug builds. The
 /// runtime keeps it by construction: a task holds itself from submission
 /// until it is enabled (`TaskRecord::pending`), and from then until it is
-/// done the pool's job holds it — or, for a `TaskCtx::execute` child its
-/// own submission enabled, the executing caller, which runs it inline.
+/// done the pool's job holds it. A `TaskCtx::execute` child needs neither:
+/// its caller waits for it and holds its future throughout.
 pub trait Scheduler: Send + Sync {
     /// `executeLater`: register the task and enable it (submit it for
     /// execution via the callback installed by the runtime) once no enabled

@@ -118,16 +118,24 @@ pub struct TaskRecord<B: ?Sized = dyn TaskBody> {
     /// Whether this task was created by `spawn` (it then bypasses the
     /// effect-based scheduler entirely).
     pub spawned: bool,
+    /// Whether this task is a [`TaskCtx::execute`](crate::TaskCtx::execute)
+    /// child, *carried* by its caller: the caller is blocked on it, so the
+    /// caller's admission slot covers it (it reserves none, as a spawned
+    /// task reserves none) and the caller's future keeps it alive (it never
+    /// holds itself through `pending`).
+    pub(crate) carried: bool,
     /// The runtime the task belongs to, held once per task: the job, the
     /// context and the future all reach it through the record. `None` for a
     /// record made by [`TaskRecord::new`].
     pub(crate) rt: Option<Arc<RtInner>>,
-    /// The record's handle to itself between submission and enabling: the
-    /// runtime's side of the [`Scheduler`](crate::scheduler::Scheduler)
-    /// ownership contract, which the pool's job takes over from there until
-    /// `task_done`. Taken exactly once, by the enable callback, which hands
-    /// that same `Arc` to the pool — or back to the `TaskCtx::execute` whose
-    /// own submission enabled the task, which runs it inline.
+    /// The record's handle to itself between submission and enabling, for
+    /// a task nobody may be waiting on: the runtime's side of the
+    /// [`Scheduler`](crate::scheduler::Scheduler) ownership contract, which
+    /// the pool's job takes over from there until `task_done`. Dropped by the
+    /// enable callback, which hands the pool the `Arc` the scheduler enabled
+    /// the task with. Always empty for a `carried` task: its caller's future
+    /// holds it until it is done, and the `TaskCtx::execute` whose own
+    /// submission enabled it runs it inline.
     pub(crate) pending: Mutex<Option<Arc<TaskRecord>>>,
     /// Set once the task has finished (its effects not yet released).
     pub done_flag: AtomicBool,
@@ -143,12 +151,14 @@ pub struct TaskRecord<B: ?Sized = dyn TaskBody> {
 
 impl<B: TaskBody + 'static> TaskRecord<B> {
     /// Creates the one allocation of a task: a record in the `Waiting`
-    /// state with `body` as its tail.
+    /// state with `body` as its tail. `held` is `Some` for a `carried`
+    /// [`TaskCtx::execute`](crate::TaskCtx::execute) child, with its
+    /// [`TaskRecord::held_effects`].
     pub(crate) fn with_body(
         id: u64,
         name: Cow<'static, str>,
         effects: EffectSet,
-        held_effects: u64,
+        held: Option<u64>,
         spawned: bool,
         rt: Option<Arc<RtInner>>,
         body: B,
@@ -157,7 +167,7 @@ impl<B: TaskBody + 'static> TaskRecord<B> {
             id,
             name,
             effects,
-            held_effects,
+            held_effects: held.unwrap_or(0),
             sched: Mutex::new(TaskSchedState {
                 status: TaskStatus::Waiting,
                 disabled_effects: 0,
@@ -166,6 +176,7 @@ impl<B: TaskBody + 'static> TaskRecord<B> {
             blocker: Mutex::new(None),
             spawned_children: Mutex::new(Vec::new()),
             spawned,
+            carried: held.is_some(),
             rt,
             pending: Mutex::new(None),
             done_flag: AtomicBool::new(false),
@@ -188,7 +199,7 @@ impl TaskRecord {
         effects: EffectSet,
         spawned: bool,
     ) -> Arc<Self> {
-        TaskRecord::with_body(id, name.into(), effects, 0, spawned, None, NoBody)
+        TaskRecord::with_body(id, name.into(), effects, None, spawned, None, NoBody)
     }
 
     /// The runtime of a task that has one.

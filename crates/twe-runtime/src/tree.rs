@@ -36,27 +36,23 @@
 //!
 //! Unlinking the node a finished task left vacant means locking its whole
 //! path from the root, so the worker does not do it: `task_done` unlinks
-//! the record under its one node lock and pushes the vacated path onto a
-//! scheduler-level list — once per node: the node's `prune_pending` flag,
-//! set with the push under the node's lock and cleared by the drain that
-//! walks the node, keeps a node that empties and refills between drains (a
-//! k-means cluster leaf) from being listed again, so it is neither pruned
-//! while in use nor rebuilt. The **admitting** thread drains the list, at
-//! the end of the admission that finds `PRUNE_BATCH` (64) paths pending:
-//! nodes are allocated and freed by one thread, a node traffic came back to
-//! in the meantime is found occupied and left alone, and a drain locks the
-//! nodes its paths share once per chunk of `PRUNE_BATCH`, letting the root
-//! go in between. The garbage is bounded — fewer than `PRUNE_BATCH`
-//! distinct vacant nodes survive an admission and a completion can only
-//! vacate a node that was live, so the tree never exceeds its peak of live
-//! nodes plus one batch (a batch of N nobody follows: N vacant nodes until
-//! its last completion).
-//! [`Scheduler::idle`] (the runtime's last in-flight task is done) flushes
-//! a list of `IDLE_PRUNE` or more (nobody may ever submit again), and
-//! `diagnostics` flushes it, so "a drained scheduler is a bare root" stays
-//! observable. A recycled `DynCell` region id may meet its previous era's
-//! node while it is still pending: the node is vacant, so that costs
-//! nothing. The list is a plain mutex, never held with a node lock.
+//! the record under its one node lock and lists the vacated path — once per
+//! node: the node's `prune_pending` flag, set with the push under its lock
+//! and cleared by the drain that walks it, keeps a node that empties and
+//! refills between drains (a k-means cluster leaf) from being listed again,
+//! pruned while in use or rebuilt. The **admitting** thread drains the list
+//! at the end of an admission that finds `PRUNE_BATCH` (64) paths pending
+//! (a length kept beside the list: finding fewer takes no lock), a chunk of
+//! `PRUNE_BATCH` per hold of the root. Nodes are allocated and freed by one
+//! thread, and a node traffic came back to is found occupied and left. The
+//! garbage is bounded: fewer than `PRUNE_BATCH` distinct vacant nodes
+//! survive an admission, so the tree never exceeds its peak of live nodes
+//! plus one batch (a batch of N nobody follows: N vacant nodes until its
+//! last completion). [`Scheduler::idle`] (the runtime's last in-flight task
+//! is done) flushes `IDLE_PRUNE` or more, and `diagnostics` flushes all, so
+//! "a drained scheduler is a bare root" stays observable. A recycled
+//! `DynCell` region id meeting its previous era's pending node finds it
+//! vacant. The list is a plain mutex, never held with a node lock.
 //!
 //! # The root
 //!
@@ -73,7 +69,7 @@
 
 use crate::scheduler::{effects_conflict, EnableAllFn, EnableFn, Scheduler, SchedulerDiagnostics};
 use crate::task::{TaskRecord, TaskStatus};
-use parking_lot::{ArcMutexGuard, Mutex, RawMutex};
+use parking_lot::{ArcMutexGuard, Mutex, MutexGuard, RawMutex};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -122,16 +118,13 @@ pub struct EffectRecord {
 impl EffectRecord {
     fn new(task: &Arc<TaskRecord>, index: usize, effect: &Effect) -> Arc<Self> {
         let fits = task.id < 1 << 48 && index < u16::MAX as usize;
+        let uid = task.id << 16 | (index as u64 + 1);
         Arc::new(EffectRecord {
             write: effect.is_write(),
             rpl: effect.rpl,
             prefix_path: effect.rpl.prefix_id_path(),
             task: Arc::downgrade(task),
-            uid: if fits {
-                task.id << 16 | (index as u64 + 1)
-            } else {
-                0
-            },
+            uid: if fits { uid } else { 0 },
             parked_on: AtomicU64::new(0),
             node: Mutex::new(None),
             slot: AtomicUsize::new(0),
@@ -247,9 +240,10 @@ thread_local! {
     /// it pushed, tested or moved (a splice is one step).
     static WAKE_LOCKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     static WAITER_STEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    /// ... and for pruning: tree nodes made, vacated paths flushed.
+    /// ... and for pruning: tree nodes made, paths flushed, list locks.
     static NODES_MADE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     pub(crate) static FLUSHED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    static VACATED_LOCKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Adds `n` to a cost-shape counter (tests only).
@@ -429,8 +423,9 @@ pub struct TreeScheduler {
     recheck_lock: Mutex<()>,
     enable: EnableAllFn,
     /// Paths of the nodes finished tasks left vacant, waiting for the next
-    /// drain (module docs, "Pruning").
+    /// drain (module docs, "Pruning"), and their number, set under its lock.
     vacated: Mutex<Vec<&'static [RplId]>>,
+    vacated_len: AtomicUsize,
     /// Waiters rechecked so far ([`SchedulerDiagnostics::wake_rechecks`]).
     rechecks: AtomicU64,
 }
@@ -462,19 +457,19 @@ impl TreeScheduler {
             recheck_lock: Mutex::new(()),
             enable,
             vacated: Mutex::new(Vec::new()),
+            vacated_len: AtomicUsize::new(0),
             rechecks: AtomicU64::new(0),
         }
     }
 
-    /// Sums `f` over every node of the tree, one node lock at a time: a racy
-    /// snapshot under concurrent traffic, exact when the tree is quiescent.
-    fn sum_nodes(node: &NodeRef, f: &impl Fn(&NodeInner) -> usize) -> usize {
+    /// Calls `f` on every node at or below `node`, one node lock at a time:
+    /// a racy walk under concurrent traffic, exact when the tree is quiescent.
+    fn visit(node: &NodeRef, f: &mut impl FnMut(&NodeInner)) {
         let guard = node.lock();
+        f(&guard);
         let children: Vec<NodeRef> = guard.children.values().cloned().collect();
-        let here = f(&guard);
         drop(guard);
-        let below = children.iter().map(|c| Self::sum_nodes(c, f));
-        here + below.sum::<usize>()
+        children.iter().for_each(|c| Self::visit(c, f));
     }
 
     /// Builds and registers a submitted task's tree records, one per effect
@@ -619,12 +614,8 @@ impl TreeScheduler {
     /// containing `e`: `ne_guard`, or `parent_guard` itself when that is
     /// `None` (the top-level call).
     ///
-    /// Two refinements over the plain Figure 5.7 walk:
-    ///
-    /// * **Read-only node skip** — for a read effect, nodes holding no write
-    ///   records are not scanned (reads never conflict with reads).
-    /// * **Empty-leaf pruning** — a visited child left with no records and no
-    ///   children is removed from its parent.
+    /// Beyond the plain walk, a read skips a class holding no write
+    /// (`scan_for`) and a visited child left vacant is unlinked.
     fn check_below(
         &self,
         parent_guard: &mut NodeGuard,
@@ -854,9 +845,15 @@ impl TreeScheduler {
 
     /// Flushes the vacated paths once `full` of them are pending.
     fn drain_if_full(&self, full: usize) {
-        if self.vacated.lock().len() >= full {
+        if self.vacated_len.load(Ordering::Relaxed) >= full {
             self.flush_vacated();
         }
+    }
+
+    /// The vacated list, locked.
+    fn vacated(&self) -> MutexGuard<'_, Vec<&'static [RplId]>> {
+        count!(VACATED_LOCKS, 1);
+        self.vacated.lock()
     }
 
     /// Prunes the tree along every pending vacated path (module docs,
@@ -873,10 +870,11 @@ impl TreeScheduler {
     /// `check_below`'s prune step.
     fn flush_vacated(&self) {
         let mut paths = {
-            let mut pending = self.vacated.lock();
+            let mut pending = self.vacated();
             if pending.is_empty() {
                 return;
             }
+            self.vacated_len.store(0, Ordering::Relaxed);
             std::mem::replace(&mut *pending, Vec::with_capacity(PRUNE_BATCH))
         };
         paths.sort_unstable();
@@ -1007,7 +1005,9 @@ impl Scheduler for TreeScheduler {
                 // The finished task emptied this node, and it is not listed
                 // yet; unlinking it is left to the admitting side (module
                 // docs, "Pruning").
-                self.vacated.lock().push(&e.prefix_path[..=depth]);
+                let mut paths = self.vacated();
+                paths.push(&e.prefix_path[..=depth]);
+                self.vacated_len.store(paths.len(), Ordering::Relaxed);
             }
         }
         for e in task.tree_records() {
@@ -1037,11 +1037,15 @@ impl Scheduler for TreeScheduler {
     /// bare root.
     fn diagnostics(&self) -> SchedulerDiagnostics {
         self.flush_vacated();
-        SchedulerDiagnostics {
-            tree_nodes: Self::sum_nodes(&self.root, &|_| 1),
-            recorded_effects: Self::sum_nodes(&self.root, &NodeInner::record_count),
+        let mut counts = SchedulerDiagnostics {
             wake_rechecks: self.rechecks.load(Ordering::Relaxed),
-        }
+            ..SchedulerDiagnostics::default()
+        };
+        Self::visit(&self.root, &mut |node| {
+            counts.tree_nodes += 1;
+            counts.recorded_effects += node.record_count();
+        });
+        counts
     }
 }
 
@@ -1981,7 +1985,9 @@ mod tests {
     /// Nodes in the tree right now, pending prunes included
     /// ([`Scheduler::diagnostics`] flushes them first).
     fn raw_nodes(sched: &TreeScheduler) -> usize {
-        TreeScheduler::sum_nodes(&sched.root, &|_| 1)
+        let mut nodes = 0;
+        TreeScheduler::visit(&sched.root, &mut |_| nodes += 1);
+        nodes
     }
 
     /// Live covering records at the root: wildcard settlers and the
@@ -2317,6 +2323,36 @@ mod tests {
         assert!(peak <= 40, "{peak} paths listed for 40 leaves");
         h.finish(&work);
         assert_eq!(h.sched.diagnostics().tree_nodes, 1);
+    }
+
+    #[test]
+    fn a_submission_below_a_full_prune_batch_never_locks_the_vacated_list() {
+        // Counts, not timings: the length kept beside the list is what an
+        // admission reads, so with fewer than `PRUNE_BATCH` paths pending
+        // neither a single submission nor a batch takes the list's lock.
+        let h = harness();
+        let locks = || VACATED_LOCKS.with(|c| c.replace(0));
+        let leaf = |id: u64| task(id, &format!("writes Vac:[{id}]"));
+        let vacate = |ids: std::ops::Range<u64>| {
+            for t in ids.map(leaf) {
+                h.sched.submit(t.clone());
+                h.finish(&t);
+            }
+        };
+        vacate(0..PRUNE_BATCH as u64 - 1);
+        assert_eq!(h.sched.vacated.lock().len(), PRUNE_BATCH - 1);
+        locks();
+        h.sched.submit(task(1_000, "reads Root"));
+        h.sched.submit(leaf(1_001));
+        h.sched.submit_batch((1_002..1_010).map(leaf).collect());
+        assert_eq!(locks(), 0, "a submission locked the vacated list");
+        // One more vacated path fills the batch (the lock its completion
+        // lists it under), and the next submission flushes it (one more).
+        vacate(2_000..2_001);
+        assert_eq!(locks(), 1, "the completion's");
+        h.sched.submit(leaf(3_000));
+        assert_eq!(locks(), 1, "the flush");
+        assert!(h.sched.vacated.lock().is_empty());
     }
 
     /// What one completion cost the wake path, from the per-thread counters.

@@ -5,14 +5,6 @@
 use super::*;
 use std::collections::{HashMap, HashSet};
 
-fn collect(node: &NodeRef, linked: &mut Vec<Arc<EffectRecord>>) {
-    let guard = node.lock();
-    linked.extend(guard.live_records().cloned());
-    let children: Vec<NodeRef> = guard.children.values().cloned().collect();
-    drop(guard);
-    children.iter().for_each(|c| collect(c, linked));
-}
-
 impl TreeScheduler {
     /// Panics unless, right now, every parked record — disabled, of a task
     /// that is not enabled yet — is registered on a linked record that
@@ -24,7 +16,8 @@ impl TreeScheduler {
     #[doc(hidden)]
     pub fn assert_wake_invariant(&self) {
         let mut linked = Vec::new();
-        collect(&self.root, &mut linked);
+        let mut link = |node: &NodeInner| linked.extend(node.live_records().cloned());
+        Self::visit(&self.root, &mut link);
         // Waiter → the linked records it is registered on.
         let mut registered: HashMap<*const EffectRecord, Vec<&Arc<EffectRecord>>> = HashMap::new();
         for on in &linked {

@@ -42,17 +42,19 @@ pub(super) fn push_waiter(on: &EffectRecord, waiter: &Arc<EffectRecord>) {
 impl TreeScheduler {
     pub(super) fn lock_containing_node(&self, e: &Arc<EffectRecord>) -> NodeGuard {
         loop {
-            let Some(node) = e.node.lock().clone() else {
-                // The effect is not in any node yet (its admission is still
-                // descending); yield rather than spin so the admitting
-                // thread can finish on machines with few cores.
-                std::thread::yield_now();
-                continue;
-            };
-            let guard = node.lock_arc();
-            if matches!(&*e.node.lock(), Some(n) if Arc::ptr_eq(n, &node)) {
+            // Records only move up, so one settling at the root is nowhere
+            // else; a record in no node yet locks the root to find that out.
+            let node = (e.prefix_depth() > 0)
+                .then(|| e.node.lock().clone())
+                .flatten();
+            let guard = node.as_ref().unwrap_or(&self.root).lock_arc();
+            if matches!(&*e.node.lock(), Some(n) if Arc::ptr_eq(n, NodeGuard::mutex(&guard))) {
                 return guard;
             }
+            // The effect is in no node yet (its admission is still
+            // descending) or has just moved up: yield rather than spin so
+            // the admitting thread can finish on machines with few cores.
+            std::thread::yield_now();
         }
     }
 
