@@ -21,9 +21,10 @@
 //!
 //! There is no grace period beyond ownership: the owner's drop *is* the
 //! proof that nothing holding the owner still names the era. State that
-//! outlives the owner — a dynamic claim, a scheduler record — is either
-//! keyed by `(id, generation)` or may meet the id's next era, which for the
-//! runtime only ever makes a task wait (ARCHITECTURE.md, "Reclamation").
+//! outlives the owner either belongs to that owner alone — a dynamic claim
+//! holds its cell's claim state, which no later cell shares — or may meet
+//! the id's next era — a scheduler record, which for the runtime only ever
+//! makes a task wait (ARCHITECTURE.md, "Reclamation").
 //!
 //! ```
 //! use twe_effects::reclaim::DynRegion;

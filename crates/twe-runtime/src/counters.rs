@@ -12,6 +12,10 @@ pub(crate) const EXECUTED: usize = 0;
 pub(crate) const RETRIES: usize = 1;
 /// [`crate::RuntimeStats::admitted`].
 pub(crate) const ADMITTED: usize = 2;
+/// [`crate::DynamicStats::acquires`].
+pub(crate) const ACQUIRES: usize = 3;
+/// [`crate::DynamicStats::conflicts`].
+pub(crate) const CONFLICTS: usize = 4;
 
 /// Task ids a thread takes from the shared counter at a time.
 const ID_BLOCK: u64 = 64;
@@ -38,14 +42,15 @@ thread_local! {
 
 #[derive(Default)]
 #[repr(align(64))]
-struct Slot([AtomicU64; 3]);
+struct Slot([AtomicU64; 5]);
 
 /// One runtime's counters, a cache-line slot per thread. A thread takes the
 /// next slot the first time it counts here (again after it has counted in
 /// another table); past the last slot, threads share slots, which costs
 /// only the sharing.
 pub(crate) struct PerThread {
-    table: u64,
+    /// Unique in the process: it tells one runtime's task ids from another's.
+    pub(crate) table: u64,
     joined: AtomicUsize,
     slots: Box<[Slot]>,
     /// The next task id no thread has taken a block of; ids start at 1.
@@ -79,7 +84,8 @@ impl PerThread {
         place
     }
 
-    /// Adds `n` to `counter` ([`EXECUTED`], [`RETRIES`], [`ADMITTED`]).
+    /// Adds `n` to `counter` ([`EXECUTED`], [`RETRIES`], [`ADMITTED`],
+    /// [`ACQUIRES`], [`CONFLICTS`]).
     pub(crate) fn add(&self, counter: usize, n: u64) {
         let slot = &self.slots[self.place().slot];
         slot.0[counter].fetch_add(n, Ordering::Relaxed);

@@ -10,7 +10,8 @@
 //! full, so the set is exact, not the static analysis's conservative
 //! `−E … +E` approximation.
 
-use crate::dynamics::{Aborted, DynCell, RegionEra};
+use crate::counters::{ACQUIRES, CONFLICTS};
+use crate::dynamics::{Aborted, Claims, DynCell, Holder};
 use crate::future::{SpawnedTaskFuture, TaskFuture};
 use crate::task::{TaskRecord, TaskStatus};
 use crate::RtInner;
@@ -35,12 +36,12 @@ pub struct TaskCtx<'rt> {
     /// [`TaskRecord::spawned_children`], which nothing else adds to: while
     /// it is clear, that list is empty and nobody here locks it.
     has_spawned: Cell<bool>,
-    /// The cells this task holds dynamic effects on (chapter 7), each as its
-    /// region id and era: a claim outlives the cell it names when the task
+    /// The claims of the cells this task holds dynamic effects on (chapter
+    /// 7), one entry per cell: a claim outlives its cell when the task
     /// drops the cell's last handle before finishing. Only this body adds
     /// them, and its runtime gives them all back when it ends, however it
     /// ends.
-    dynamic_claims: RefCell<Vec<RegionEra>>,
+    dynamic_claims: RefCell<Vec<Arc<Claims>>>,
 }
 
 impl<'rt> TaskCtx<'rt> {
@@ -241,37 +242,38 @@ impl<'rt> TaskCtx<'rt> {
     /// task's dynamic effects, in which case the task should abort and retry
     /// (see `Runtime::execute_later_retry`).
     pub fn acquire_read<T>(&self, cell: &DynCell<T>) -> Result<(), Aborted> {
-        self.acquire_region(cell.era(), false)
+        self.claim(&cell.claims, false)
     }
 
     /// Adds a dynamic *write* effect on the reference region of `cell`.
     pub fn acquire_write<T>(&self, cell: &DynCell<T>) -> Result<(), Aborted> {
-        self.acquire_region(cell.era(), true)
+        self.claim(&cell.claims, true)
     }
 
-    fn acquire_region(&self, region: RegionEra, write: bool) -> Result<(), Aborted> {
-        let result = if write {
-            self.rt.dynamic.acquire_write(self.record.id, region)
-        } else {
-            self.rt.dynamic.acquire_read(self.record.id, region)
-        };
-        if result.is_ok() {
-            let mut claims = self.dynamic_claims.borrow_mut();
-            if !claims.contains(&region) {
-                claims.push(region);
-            }
+    /// This task among every runtime's tasks.
+    fn holder(&self) -> Holder {
+        (self.rt.counters.table, self.record.id)
+    }
+
+    fn claim(&self, claims: &Arc<Claims>, write: bool) -> Result<(), Aborted> {
+        if let Err(aborted) = claims.acquire(self.holder(), write) {
+            self.rt.counters.add(CONFLICTS, 1);
+            return Err(aborted);
         }
-        result
+        self.rt.counters.add(ACQUIRES, 1);
+        let mut held = self.dynamic_claims.borrow_mut();
+        if !held.iter().any(|c| Arc::ptr_eq(c, claims)) {
+            held.push(claims.clone());
+        }
+        Ok(())
     }
 
     /// Releases every dynamic effect this task has added so far (used when a
     /// retryable task aborts). The runtime calls it once the body has ended,
     /// whether it returned or panicked, so no claim outlives its task.
     pub fn release_dynamic_effects(&self) {
-        let claims = std::mem::take(&mut *self.dynamic_claims.borrow_mut());
-        // Most tasks hold none: they leave the process-wide table alone.
-        if !claims.is_empty() {
-            self.rt.dynamic.release_all(self.record.id, &claims);
+        for claims in self.dynamic_claims.borrow_mut().drain(..) {
+            claims.release(self.holder());
         }
     }
 

@@ -19,22 +19,20 @@
 //! `__DynRegion` subtree is disjoint from every statically-declared region —
 //! the same argument the paper uses for Java atomics (§5.5.4). Conflicts
 //! between *claims* are only possible between dynamic effects on the same
-//! cell, and a claim table keyed by the cell's region performs exactly the
-//! conflict check the paper's per-tree-node dynamic effect sets perform
-//! (§7.5), with the same abort-the-requester / retry resolution (§7.2.4).
+//! cell, so each cell keeps its own claims, as the paper keeps a dynamic
+//! effect set per object (§7.5), with the same abort-the-requester / retry
+//! resolution (§7.2.4).
 //!
 //! A region lives exactly as long as its cell, as in the paper, where the
 //! JVM collector is TWEJava's only reclaimer: the cell owns a
 //! [`DynRegion`], and dropping the cell frees the id for a later cell under
 //! a bumped generation ([`twe_effects::reclaim`]), so a workload churning
 //! through millions of short-lived cells keeps a bounded arena footprint.
-//! Claims are keyed by `(id, generation)`, so a claim a task still holds on
-//! a dropped cell never meets the id's next era. See "Reclamation" in
-//! `ARCHITECTURE.md`.
+//! A task holds its claims' state, not the cell: a claim that outlives its
+//! cell names state no later cell shares, and never delays the id's reuse.
+//! See "Reclamation" in `ARCHITECTURE.md`.
 
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use twe_effects::arena::RplId;
 use twe_effects::reclaim::DynRegion;
@@ -53,29 +51,29 @@ impl std::fmt::Display for Aborted {
 
 impl std::error::Error for Aborted {}
 
-/// What a dynamic claim names: a cell's region id and the era (generation)
-/// of that id the cell owns. The id alone is reused by later cells; the
-/// pair names one cell for the life of the process.
-pub type RegionEra = (RplId, u32);
-
 /// A shared object with its own unique *reference region*.
 ///
 /// Tasks must acquire the region (via `TaskCtx::acquire_read` /
-/// `TaskCtx::acquire_write`) before touching the data; the claim table then
-/// guarantees that no two tasks with conflicting dynamic effects run
-/// concurrently. The inner `RwLock` keeps the data memory-safe even if a
-/// buggy caller skips the acquire (in TWEJava the static checker would reject
-/// such code; in Rust we fall back to the lock).
+/// `TaskCtx::acquire_write`) before touching the data; the cell's claims
+/// then guarantee that no two tasks with conflicting dynamic effects run
+/// concurrently, whichever runtimes they run on. The inner `RwLock` keeps
+/// the data memory-safe even if a buggy caller skips the acquire (in
+/// TWEJava the static checker would reject such code; in Rust we fall back
+/// to the lock): it can go only once access is checked against the task's
+/// effects, which nothing does yet.
 ///
 /// The reference region is a real arena region (`Root:__DynRegion:[id]`), so
 /// [`DynCell::rpl`] can also be used to declare a *static* effect on the
 /// cell and route it through the effect-aware schedulers.
 pub struct DynCell<T> {
     /// Dropped with the cell, which frees the id for the next cell. Reaching
-    /// the drop proves no task names this era: a task that claims the cell
-    /// holds its `Arc`, and a task with a static effect on `rpl()` got the
-    /// id from a cell its submitter keeps alive across the task.
+    /// the drop proves no task names this era: a task with a static effect
+    /// on `rpl()` got the id from a cell its submitter keeps alive across
+    /// the task, and a claim holds only `claims`.
     region: DynRegion,
+    /// The tasks that hold dynamic effects on this cell. A claiming task
+    /// keeps a clone until it releases.
+    pub(crate) claims: Arc<Claims>,
     data: RwLock<T>,
 }
 
@@ -84,6 +82,7 @@ impl<T> DynCell<T> {
     pub fn new(value: T) -> Arc<Self> {
         Arc::new(DynCell {
             region: DynRegion::allocate(),
+            claims: Arc::default(),
             data: RwLock::new(value),
         })
     }
@@ -110,14 +109,13 @@ impl<T> DynCell<T> {
     /// **One discipline per cell:** a cell must be guarded either by
     /// dynamic claims (`acquire_read`/`acquire_write`, optimistic
     /// abort-and-retry) or by static effects on this RPL (pessimistic
-    /// scheduling) — not both concurrently. The claim table and the
+    /// scheduling) — not both concurrently. The cell's claims and the
     /// schedulers do not check against each other (the paper likewise keeps
     /// the two conflict planes separate, §7.5), so a task holding a static
     /// effect on the cell is invisible to another task's `acquire_*` and
     /// vice versa; mixing the disciplines on one cell forfeits isolation
-    /// for it. Nothing enforces the rule yet: ROADMAP's "Dynamic effects
-    /// live on their cell" item fixes a cell's discipline at its first
-    /// checked access.
+    /// for it. Nothing enforces the rule yet: a cell's discipline can be
+    /// fixed only at its first checked access, and access is not checked.
     pub fn rpl(&self) -> Rpl {
         self.region.rpl()
     }
@@ -130,11 +128,6 @@ impl<T> DynCell<T> {
     /// Write access to the data (the caller should hold a write claim).
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.data.write()
-    }
-
-    /// What a claim on this cell is keyed by.
-    pub(crate) fn era(&self) -> RegionEra {
-        (self.region.id(), self.region.generation())
     }
 }
 
@@ -150,15 +143,48 @@ impl<T: std::fmt::Debug> std::fmt::Debug for DynCell<T> {
     }
 }
 
-#[derive(Default, Debug)]
-struct ClaimEntry {
-    writer: Option<u64>,
-    readers: Vec<u64>,
+/// The dynamic effects tasks hold on one cell.
+#[derive(Default)]
+pub(crate) struct Claims(Mutex<Holders>);
+
+/// Who holds a claim: its runtime's id and its task's id. Task ids are
+/// unique only within a runtime, and runtimes may share a cell.
+pub(crate) type Holder = (u64, u64);
+
+#[derive(Default)]
+struct Holders {
+    writer: Option<Holder>,
+    readers: Vec<Holder>,
 }
 
-impl ClaimEntry {
-    fn is_empty(&self) -> bool {
-        self.writer.is_none() && self.readers.is_empty()
+impl Claims {
+    /// Adds a dynamic read (or, with `write`, write) effect for `task`.
+    /// Fails if another task writes the cell or, for a write, reads it.
+    pub(crate) fn acquire(&self, task: Holder, write: bool) -> Result<(), Aborted> {
+        let mut holders = self.0.lock();
+        let Holders { writer, readers } = &mut *holders;
+        if writer.is_some_and(|owner| owner != task) {
+            return Err(Aborted);
+        }
+        if write {
+            if readers.iter().any(|&r| r != task) {
+                return Err(Aborted);
+            }
+            *writer = Some(task);
+            readers.clear();
+        } else if *writer != Some(task) && !readers.contains(&task) {
+            readers.push(task);
+        }
+        Ok(())
+    }
+
+    /// Drops every effect `task` holds here.
+    pub(crate) fn release(&self, task: Holder) {
+        let mut holders = self.0.lock();
+        if holders.writer == Some(task) {
+            holders.writer = None;
+        }
+        holders.readers.retain(|&r| r != task);
     }
 }
 
@@ -171,152 +197,99 @@ pub struct DynamicStats {
     pub conflicts: u64,
 }
 
-/// The table recording which task currently holds dynamic effects on which
-/// cell, keyed by the cell's [`RegionEra`]. An entry lives while some task
-/// holds a claim in it.
-#[derive(Default)]
-pub struct DynamicEffectTable {
-    claims: Mutex<HashMap<RegionEra, ClaimEntry>>,
-    acquires: AtomicU64,
-    conflicts: AtomicU64,
-}
-
-impl DynamicEffectTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a dynamic *read* effect on `region` for `task`.
-    ///
-    /// Fails (and counts a conflict) if another task holds a write claim.
-    pub fn acquire_read(&self, task: u64, region: RegionEra) -> Result<(), Aborted> {
-        let mut claims = self.claims.lock();
-        let entry = claims.entry(region).or_default();
-        match entry.writer {
-            Some(owner) if owner != task => {
-                self.conflicts.fetch_add(1, Ordering::Relaxed);
-                Err(Aborted)
-            }
-            _ => {
-                if !entry.readers.contains(&task) {
-                    entry.readers.push(task);
-                }
-                self.acquires.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-        }
-    }
-
-    /// Adds a dynamic *write* effect on `region` for `task`.
-    ///
-    /// Fails (and counts a conflict) if another task holds any claim on it.
-    pub fn acquire_write(&self, task: u64, region: RegionEra) -> Result<(), Aborted> {
-        let mut claims = self.claims.lock();
-        let entry = claims.entry(region).or_default();
-        let other_writer = matches!(entry.writer, Some(owner) if owner != task);
-        let other_reader = entry.readers.iter().any(|&r| r != task);
-        if other_writer || other_reader {
-            self.conflicts.fetch_add(1, Ordering::Relaxed);
-            return Err(Aborted);
-        }
-        entry.writer = Some(task);
-        entry.readers.retain(|&r| r != task);
-        self.acquires.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Does `task` currently hold a claim (read or write) on `region`?
-    pub fn holds(&self, task: u64, region: RegionEra) -> bool {
-        self.claims
-            .lock()
-            .get(&region)
-            .is_some_and(|e| e.writer == Some(task) || e.readers.contains(&task))
-    }
-
-    /// Releases every claim `task` holds on the given regions (called when a
-    /// task completes, aborts, or retries).
-    pub fn release_all(&self, task: u64, regions: &[RegionEra]) {
-        let mut claims = self.claims.lock();
-        for region in regions {
-            if let Some(entry) = claims.get_mut(region) {
-                if entry.writer == Some(task) {
-                    entry.writer = None;
-                }
-                entry.readers.retain(|&r| r != task);
-                if entry.is_empty() {
-                    claims.remove(region);
-                }
-            }
-        }
-    }
-
-    /// Activity counters.
-    pub fn stats(&self) -> DynamicStats {
-        DynamicStats {
-            acquires: self.acquires.load(Ordering::Relaxed),
-            conflicts: self.conflicts.load(Ordering::Relaxed),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twe_effects::arena;
-
-    /// A claim key per tag. The table never looks at what an id names, so
-    /// these are static regions: taking ids off the free list here would
-    /// hold them for the rest of the process, away from the tests that
-    /// expect a freed id back.
-    fn region(tag: i64) -> RegionEra {
-        (Rpl::parse(&format!("ClaimTest:[{tag}]")).prefix_id(), 0)
-    }
+    use crate::{Runtime, SchedulerKind};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::{Duration, Instant};
+    use twe_effects::{arena, EffectSet};
 
     #[test]
     fn readers_share_writers_exclude() {
-        let table = DynamicEffectTable::new();
-        assert!(table.acquire_read(1, region(100)).is_ok());
-        assert!(table.acquire_read(2, region(100)).is_ok());
+        let (a, b) = (DynCell::new(()), DynCell::new(()));
+        assert!(a.claims.acquire((0, 1), false).is_ok());
+        assert!(a.claims.acquire((0, 2), false).is_ok());
         // A writer conflicts with the existing readers.
-        assert_eq!(table.acquire_write(3, region(100)), Err(Aborted));
-        // Readers of a different region are unaffected.
-        assert!(table.acquire_write(3, region(200)).is_ok());
+        assert_eq!(a.claims.acquire((0, 3), true), Err(Aborted));
+        // Readers of a different cell are unaffected.
+        assert!(b.claims.acquire((0, 3), true).is_ok());
         // And another task cannot read what task 3 writes.
-        assert_eq!(table.acquire_read(1, region(200)), Err(Aborted));
+        assert_eq!(b.claims.acquire((0, 1), false), Err(Aborted));
     }
 
     #[test]
     fn same_task_can_upgrade_and_reacquire() {
-        let table = DynamicEffectTable::new();
-        assert!(table.acquire_read(1, region(7)).is_ok());
-        assert!(table.acquire_write(1, region(7)).is_ok());
-        assert!(table.acquire_write(1, region(7)).is_ok());
-        assert!(table.acquire_read(1, region(7)).is_ok());
-        assert!(table.holds(1, region(7)));
+        let cell = DynCell::new(());
+        let claims = &cell.claims;
+        assert!(claims.acquire((0, 1), false).is_ok());
+        assert!(claims.acquire((0, 1), true).is_ok());
+        assert!(claims.acquire((0, 1), true).is_ok());
+        assert!(claims.acquire((0, 1), false).is_ok());
         // Another task still conflicts.
-        assert_eq!(table.acquire_read(2, region(7)), Err(Aborted));
+        assert_eq!(claims.acquire((0, 2), false), Err(Aborted));
+        // One release gives back all four.
+        claims.release((0, 1));
+        assert!(claims.acquire((0, 2), true).is_ok());
     }
 
     #[test]
     fn release_makes_region_available_again() {
-        let table = DynamicEffectTable::new();
-        assert!(table.acquire_write(1, region(42)).is_ok());
-        assert_eq!(table.acquire_write(2, region(42)), Err(Aborted));
-        table.release_all(1, &[region(42)]);
-        assert!(!table.holds(1, region(42)));
-        assert!(table.acquire_write(2, region(42)).is_ok());
+        let cell = DynCell::new(());
+        let claims = &cell.claims;
+        assert!(claims.acquire((0, 1), true).is_ok());
+        assert_eq!(claims.acquire((0, 2), true), Err(Aborted));
+        claims.release((0, 1));
+        assert!(claims.acquire((0, 2), true).is_ok());
+        claims.release((0, 2));
+        // A reader's release leaves the other readers' claims standing.
+        assert!(claims.acquire((0, 1), false).is_ok());
+        assert!(claims.acquire((0, 2), false).is_ok());
+        claims.release((0, 1));
+        assert_eq!(claims.acquire((0, 3), true), Err(Aborted));
+        claims.release((0, 2));
+        assert!(claims.acquire((0, 3), true).is_ok());
     }
 
     #[test]
     fn stats_count_acquires_and_conflicts() {
-        let table = DynamicEffectTable::new();
-        table.acquire_write(1, region(301)).unwrap();
-        table.acquire_write(1, region(302)).unwrap();
-        let _ = table.acquire_write(2, region(301));
-        let stats = table.stats();
+        let rt = Runtime::new(1, SchedulerKind::Tree);
+        let (a, b) = (DynCell::new(0u32), DynCell::new(0u32));
+        let rival = rt.run("claimer", EffectSet::pure(), move |ctx| {
+            ctx.acquire_write(&a).unwrap();
+            ctx.acquire_write(&b).unwrap();
+            // An `execute` child is another task: it meets its caller's
+            // claim.
+            ctx.execute("rival", EffectSet::pure(), move |ctx| ctx.acquire_write(&a))
+        });
+        assert_eq!(rival, Err(Aborted));
+        let stats = rt.stats().dynamic;
         assert_eq!(stats.acquires, 2);
         assert_eq!(stats.conflicts, 1);
+    }
+
+    #[test]
+    fn a_task_of_another_runtime_with_the_same_id_neither_shares_nor_releases_a_claim() {
+        let (a, b) = (
+            Runtime::new(1, SchedulerKind::Tree),
+            Runtime::new(1, SchedulerKind::Tree),
+        );
+        let cell = DynCell::new(0u32);
+        let (stranger, next) = a.run("holder", EffectSet::pure(), move |ctx| {
+            ctx.acquire_write(&cell).unwrap();
+            let (holder, c) = (ctx.task_id(), cell.clone());
+            let stranger = b.run("stranger", EffectSet::pure(), move |ctx| {
+                assert_eq!(ctx.task_id(), holder, "both runtimes number from 1");
+                ctx.acquire_write(&c)
+            });
+            // Runtime `b` has released whatever its task held.
+            let next = ctx.execute("next", EffectSet::pure(), move |ctx| {
+                ctx.acquire_write(&cell)
+            });
+            (stranger, next)
+        });
+        assert_eq!(next, Err(Aborted), "the holder still runs");
+        assert_eq!(stranger, Err(Aborted));
     }
 
     #[test]
@@ -342,32 +315,37 @@ mod tests {
         assert!(!any_cell.disjoint(&a.rpl()));
     }
 
-    #[test]
-    fn dropping_a_cell_retires_its_region() {
-        let cell: Arc<DynCell<i32>> = DynCell::new(7);
-        let (id, generation) = (cell.region_id(), cell.generation());
-        drop(cell);
-        // The id is free again. Other tests allocate concurrently and may
-        // take it first, so hold every other cell until it comes back; its
-        // era is past ours (ours + 1 unless another cell had it meanwhile).
-        // A fresh id (generation 0) means the free list is empty and another
-        // test's cell holds ours: wait for that cell to drop.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    /// The next cell to get the freed `id`. Other tests allocate
+    /// concurrently and may take it first, so every other cell is held
+    /// until it comes back. A fresh id (generation 0) means the free list is
+    /// empty and another test's cell holds ours: wait for that cell to drop.
+    fn the_cell_that_gets(id: RplId) -> Arc<DynCell<()>> {
+        let deadline = Instant::now() + Duration::from_secs(10);
         let mut held = Vec::new();
-        let back = loop {
-            let next = DynCell::new(0);
+        loop {
+            let next = DynCell::new(());
             if next.region_id() == id {
-                break next;
+                return next;
             }
             if next.generation() == 0 {
                 assert!(
-                    std::time::Instant::now() < deadline,
+                    Instant::now() < deadline,
                     "the dropped cell's id never came back"
                 );
-                std::thread::sleep(std::time::Duration::from_millis(1));
+                std::thread::sleep(Duration::from_millis(1));
             }
             held.push(next);
-        };
+        }
+    }
+
+    #[test]
+    fn dropping_a_cell_retires_its_region() {
+        let cell = DynCell::new(());
+        let (id, generation) = (cell.region_id(), cell.generation());
+        drop(cell);
+        // Its era is past ours (ours + 1 unless another cell had it
+        // meanwhile).
+        let back = the_cell_that_gets(id);
         assert!(
             back.generation() > generation,
             "drop must end the cell's era"
@@ -376,26 +354,28 @@ mod tests {
 
     #[test]
     fn a_recycled_id_starts_its_era_unclaimed() {
-        let table = DynamicEffectTable::new();
-        let (id, generation) = region(9_000);
-        assert!(table.acquire_write(1, (id, generation)).is_ok());
+        let cell = DynCell::new(());
+        cell.claims.acquire((0, 1), true).unwrap();
+        // Task 1 still holds the claim when the cell drops.
+        let (id, held) = (cell.region_id(), cell.claims.clone());
+        drop(cell);
+        let next = the_cell_that_gets(id);
         // The same id under the next era is another cell.
-        assert!(table.acquire_write(2, (id, generation + 1)).is_ok());
-        assert!(table.holds(1, (id, generation)));
-        assert!(!table.holds(1, (id, generation + 1)));
+        assert!(next.claims.acquire((0, 2), true).is_ok());
+        assert_eq!(held.acquire((0, 2), true), Err(Aborted));
     }
 
     #[test]
     fn concurrent_claims_never_grant_two_writers() {
-        let table = Arc::new(DynamicEffectTable::new());
+        let cells: Arc<Vec<_>> = Arc::new((0..100).map(|_| DynCell::new(())).collect());
         let successes = Arc::new(AtomicU64::new(0));
         let handles: Vec<_> = (0..8u64)
             .map(|task| {
-                let table = table.clone();
+                let cells = cells.clone();
                 let successes = successes.clone();
                 std::thread::spawn(move || {
-                    for r in 0..100i64 {
-                        if table.acquire_write(task + 1, region(2_000 + r)).is_ok() {
+                    for cell in cells.iter() {
+                        if cell.claims.acquire((0, task + 1), true).is_ok() {
                             successes.fetch_add(1, Ordering::Relaxed);
                         }
                     }
@@ -405,7 +385,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        // Exactly one winner per region.
+        // Exactly one winner per cell.
         assert_eq!(successes.load(Ordering::Relaxed), 100);
     }
 }

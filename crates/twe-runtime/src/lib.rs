@@ -18,7 +18,8 @@
 //!   specifications.
 //!
 //! Dynamic effects (chapter 7) are supported through [`DynCell`] reference
-//! regions, `TaskCtx::acquire_read`/`acquire_write`, and retryable tasks
+//! regions, each of which keeps the claims tasks hold on it,
+//! `TaskCtx::acquire_read`/`acquire_write`, and retryable tasks
 //! ([`Runtime::execute_later_retry`]). **Contract:** a cell is guarded
 //! either by dynamic claims or by static effects on [`DynCell::rpl`] —
 //! never both concurrently on one cell (see the [`DynCell`] docs).
@@ -90,11 +91,11 @@ pub mod task;
 pub mod tree;
 
 pub use ctx::TaskCtx;
-pub use dynamics::{Aborted, DynCell, DynamicEffectTable, DynamicStats, RegionEra};
+pub use dynamics::{Aborted, DynCell, DynamicStats};
 pub use future::{SpawnedTaskFuture, TaskFuture};
 pub use task::{TaskRecord, TaskStatus};
 
-use crate::counters::{PerThread, ADMITTED, EXECUTED, RETRIES};
+use crate::counters::{PerThread, ACQUIRES, ADMITTED, CONFLICTS, EXECUTED, RETRIES};
 use crate::naive::NaiveScheduler;
 use crate::scheduler::{EnableAllFn, EnableFn, Scheduler};
 use crate::task::TaskBody;
@@ -339,10 +340,10 @@ impl AdmissionState {
 
 /// One snapshot of what a runtime has done so far ([`Runtime::stats`]).
 ///
-/// `tasks_executed`, `task_retries` and `admitted` are kept per thread, each
-/// thread on a cache line of its own, and summed here: exact for all work
-/// that happened before the call (a task whose future is done has been
-/// counted), and free of a shared write per task.
+/// `tasks_executed`, `task_retries`, `admitted` and `dynamic` are kept per
+/// thread, each thread on a cache line of its own, and summed here: exact
+/// for all work that happened before the call (a task whose future is done
+/// has been counted), and free of a shared write per task.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RuntimeStats {
     /// Tasks whose bodies ran to completion.
@@ -450,7 +451,6 @@ fn finish_task(ctx: &TaskCtx<'_>, spawned_parent: Option<Arc<TaskRecord>>) {
 pub(crate) struct RtInner {
     pub(crate) pool: ThreadPool<RunTask>,
     scheduler: Box<dyn Scheduler>,
-    pub(crate) dynamic: DynamicEffectTable,
     kind: SchedulerKind,
     /// Immutable after construction: how deep the in-flight backlog may grow
     /// before submissions block.
@@ -804,7 +804,6 @@ impl RuntimeBuilder {
         let inner = Arc::new(RtInner {
             pool: ThreadPool::new(threads),
             scheduler,
-            dynamic: DynamicEffectTable::new(),
             kind,
             policy,
             admission: AdmissionState::new(),
@@ -950,7 +949,7 @@ impl Runtime {
     /// A snapshot of every counter the runtime keeps: execution,
     /// admission (maintained under every policy,
     /// [`AdmissionPolicy::Unbounded`] included), the scheduler's and the
-    /// dynamic-effect table's. Diagnostic: it costs O(tree nodes) on the
+    /// dynamic claims'. Diagnostic: it costs O(tree nodes) on the
     /// tree scheduler and flushes its pending prunes
     /// ([`scheduler::Scheduler::diagnostics`]).
     pub fn stats(&self) -> RuntimeStats {
@@ -963,7 +962,10 @@ impl Runtime {
             peak_depth: admission.peak_depth.load(Ordering::Relaxed),
             peak_nesting: self.inner.peak_nesting.load(Ordering::Relaxed),
             scheduler: self.inner.scheduler().diagnostics(),
-            dynamic: self.inner.dynamic.stats(),
+            dynamic: DynamicStats {
+                acquires: self.inner.counters.sum(ACQUIRES),
+                conflicts: self.inner.counters.sum(CONFLICTS),
+            },
         }
     }
 }

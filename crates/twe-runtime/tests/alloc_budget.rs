@@ -265,3 +265,42 @@ fn a_wave_of_64_through_submit_all_stays_within_its_allocation_budget() {
     eprintln!("tree: {per_task} allocations per task of a submit_all of {WAVE}");
     assert!(per_task <= 6.0, "{per_task} allocations per batched task");
 }
+
+#[test]
+fn claiming_cells_others_claimed_before_allocates_only_the_tasks_list() {
+    const CELLS: usize = 16;
+    let cells: Arc<Vec<_>> = Arc::new((0..CELLS).map(|_| DynCell::new(0u32)).collect());
+    // Half of the cells read, half written.
+    fn claim_all(ctx: &TaskCtx<'_>, cells: &[Arc<DynCell<u32>>]) {
+        for (i, cell) in cells.iter().enumerate() {
+            let claimed = if i % 2 == 0 {
+                ctx.acquire_read(cell)
+            } else {
+                ctx.acquire_write(cell)
+            };
+            claimed.expect("no other task holds a claim");
+        }
+    }
+    let rt = Runtime::new(1, SchedulerKind::Tree);
+    for _ in 0..2 {
+        let cells = cells.clone();
+        rt.run("earlier", EffectSet::pure(), move |ctx| {
+            claim_all(ctx, &cells)
+        });
+    }
+    let n = rt.run("counted", EffectSet::pure(), move |ctx| {
+        let (n, ()) = allocations(|| {
+            claim_all(ctx, &cells);
+            ctx.release_dynamic_effects();
+        });
+        n
+    });
+    // The task's list of held claims grows to 16 (three allocations); a
+    // cell's claims keep the room earlier claimers left.
+    eprintln!("{n} allocations claiming and releasing {CELLS} cells");
+    assert!(
+        n <= 4,
+        "{n} allocations claiming and releasing {CELLS} cells"
+    );
+    assert_eq!(rt.stats().dynamic.acquires, 3 * CELLS as u64);
+}

@@ -8,7 +8,7 @@
 //!   held by two live cells at once;
 //! * a dynamic claim that outlives its cell (the task dropped the cell's
 //!   last handle before finishing) never meets the id's next era, because
-//!   claims are keyed by `(id, generation)`;
+//!   it holds the dropped cell's claim state, which no later cell shares;
 //! * wildcard sweepers walking `__DynRegion` nodes race cells whose ids
 //!   recycle, and every task still runs exactly once;
 //! * bounded footprint: tens of thousands of create/drop cycles grow
