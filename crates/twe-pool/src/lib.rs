@@ -43,9 +43,9 @@
 //!    the condvar (which releases the lock atomically).
 //!
 //! Every wake site — [`ThreadPool::submit_all`] after its push, the end of
-//! every job, [`ThreadPool::notify_all`] and `Drop` — goes through one
-//! helper: publish (the push, the completion flag, the shutdown flag), SeqCst
-//! fence, then `if sleepers > 0 { lock sleep_lock; notify }`. A batch of n
+//! every job and `Drop` — goes through one helper: publish (the push, the
+//! completion flag, the shutdown flag), SeqCst fence, then
+//! `if sleepers > 0 { lock sleep_lock; notify }`. A batch of n
 //! jobs is one publish: `queued` and `pending` rise by n, the n jobs go onto
 //! one queue under one hold of its lock, then one fence and one wake (every
 //! sleeper for n > 1, since each can take a job; one for a single job, which
@@ -58,10 +58,24 @@
 //! waker notifies under the same lock. With no sleeper registered a wake
 //! costs one fence and one load — no lock, no futex call.
 //!
-//! The timed wait (`PARK_BACKSTOP`) is kept as insurance, not as part of
-//! the protocol: the unit tests count waits that timed out and *then* found
-//! work or `done()` — wakeups the protocol lost and the timer rescued — and
-//! assert that count is zero.
+//! A parked thread waits untimed: nothing but a wake gets it going again.
+//! The unit test module `model` checks the handshake exhaustively: every
+//! interleaving of a worker, a helper and a submitter, with a store buffer
+//! per thread, up to its stated bound. Each step of the model names the
+//! line of this file it stands for.
+//!
+//! ## Waiting: the `help_until` contract
+//!
+//! A parked helper wakes only at a wake site, so the condition it waits for
+//! must turn true inside a job of the same pool, whose end is a wake site.
+//! Every `help_until` site, beside the line that makes its condition true:
+//!
+//! | site | waits for | made true by |
+//! |---|---|---|
+//! | `TaskFuture::wait` (twe-runtime) | the task's `completed` | `task.completed.store(true, ..)`, the last line of `Work::run` (twe-runtime `lib.rs`), inside the job that runs the body; `wait` helps the pool of the task's own runtime |
+//! | `TaskCtx::await_target`: `get_value`, `join`, `await_remaining_spawned` | the awaited task's `completed` | the same line; `await_target` asserts that the awaited task belongs to the caller's runtime, so the pool it helps is the task's |
+//! | `RtInner::reserve_blocking` (a `BoundedBlock` submitter) | `depth + need <= cap` | `AdmissionState::release`'s `depth.fetch_sub`, which `finish_task` reaches at the end of every body, inside its job |
+//! | [`ThreadPool::wait_idle`] | `pending == 0` | `pending.fetch_sub` in `Shared::run_job`, after every job and just before its wake |
 
 #![warn(missing_docs)]
 
@@ -99,22 +113,6 @@ static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
 /// covers two mean inter-arrival gaps of that workload, and an idle pool
 /// still reaches the parked state 100 µs after its last job.
 const LINGER: Duration = Duration::from_micros(100);
-
-/// Upper bound on one park. The idle protocol does not depend on it (see
-/// the crate docs); it bounds the damage of a wakeup the protocol loses and
-/// of a `help_until` condition that turns true outside any pool job without
-/// a [`ThreadPool::notify_all`]. Every parked thread pays for it with one
-/// timed wakeup per period, 10–20 µs each on the 2-CPU host: at the 1 ms
-/// (workers) and 200 µs (helpers) that used to double as the rescue for lost
-/// wakeups, four idle workers burned 11–15 ms of CPU per 300 ms (23 ms in a
-/// debug build); at 10 ms they burn 1–2 ms. Under `cfg(test)` it is long
-/// enough that a timeout coinciding with a notify in flight cannot be
-/// mistaken for a rescue, and a lost wakeup is a visible stall.
-const PARK_BACKSTOP: Duration = if cfg!(test) {
-    Duration::from_secs(2)
-} else {
-    Duration::from_millis(10)
-};
 
 thread_local! {
     /// The local deque of the current worker thread, if this thread belongs
@@ -170,9 +168,6 @@ struct Gauges {
 struct TestCounters {
     /// Condvar notifications issued (wakes that found a sleeper).
     notifies: AtomicUsize,
-    /// Parks that timed out and then found work or `done()`: wakeups the
-    /// protocol lost and the backstop rescued.
-    rescues: AtomicUsize,
     /// Threads inside the linger loop now, and the most there ever were.
     lingerers: AtomicUsize,
     lingerers_peak: AtomicUsize,
@@ -272,8 +267,8 @@ impl<J: Job> Shared<J> {
     /// worker (`done` = shutdown) and of [`ThreadPool::help_until`]. With
     /// nothing to run it lingers if it has just been busy (on entry, or
     /// after a job) and the slot is free, and parks otherwise — a thread
-    /// that wakes to nothing (a completion that was not its own, the
-    /// backstop) goes straight back to sleep, so an idle pool does not poll.
+    /// that wakes to nothing (a completion that was not its own, a spurious
+    /// wakeup) goes straight back to sleep, so an idle pool does not poll.
     fn run_until(&self, done: &dyn Fn() -> bool) {
         let mut was_busy = true;
         while !done() {
@@ -325,8 +320,8 @@ impl<J: Job> Shared<J> {
         found
     }
 
-    /// Registers as a sleeper, re-checks, and waits for a wake. `done` runs
-    /// with `sleep_lock` held and must not call into the pool.
+    /// Registers as a sleeper, re-checks, and waits, untimed, for a wake.
+    /// `done` runs with `sleep_lock` held and must not call into the pool.
     #[inline(never)]
     fn park(&self, done: &dyn Fn() -> bool) {
         let mut guard = self.sleep_lock.lock();
@@ -335,11 +330,7 @@ impl<J: Job> Shared<J> {
         // waker published, or the waker's load sees this registration.
         fence(Ordering::SeqCst);
         if self.gauges.queued.load(Ordering::SeqCst) == 0 && !done() {
-            let _timed_out = self.wakeup.wait_for(&mut guard, PARK_BACKSTOP).timed_out();
-            #[cfg(test)]
-            if _timed_out && (self.gauges.queued.load(Ordering::SeqCst) > 0 || done()) {
-                self.counters.rescues.fetch_add(1, Ordering::Relaxed);
-            }
+            self.wakeup.wait(&mut guard);
         }
         self.gauges.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
@@ -435,19 +426,13 @@ impl<J: Job> ThreadPool<J> {
     /// worker thread hostage, it *helps* by executing other ready jobs. With
     /// no job available it lingers or parks like an idle worker; a finished
     /// job or a new one wakes it. `done` may be called with an internal lock
-    /// held and must not call back into the pool. A condition that turns
-    /// true outside any job of this pool should be followed by
-    /// [`ThreadPool::notify_all`]; without it a parked helper notices only
-    /// at its next timed wakeup (10 ms).
+    /// held and must not call back into the pool. A parked helper wakes only
+    /// when a job of this pool ends, a job is submitted or the pool shuts
+    /// down, so `done` must turn true inside a job of this pool (see "Waiting:
+    /// the `help_until` contract"); a condition set from anywhere else is
+    /// seen only by a helper that happens to be awake.
     pub fn help_until(&self, done: impl Fn() -> bool) {
         self.shared.run_until(&done);
-    }
-
-    /// Wakes every sleeping worker and helper so they re-check their
-    /// conditions. The pool does this itself after every job; callers need
-    /// it only for a `help_until` condition they change from outside a job.
-    pub fn notify_all(&self) {
-        self.shared.wake(true);
     }
 
     /// Number of submitted jobs that have not finished executing.
@@ -496,6 +481,9 @@ fn worker_loop<J: Job>(shared: Arc<Shared<J>>, worker: Worker<J>) {
     shared.run_until(&|| shared.shutdown.load(Ordering::SeqCst));
     LOCAL.with(|l| *l.borrow_mut() = None);
 }
+
+#[cfg(test)]
+mod model;
 
 #[cfg(test)]
 mod tests {
@@ -703,12 +691,34 @@ mod tests {
         shared.counters.notifies.load(Ordering::Relaxed)
     }
 
-    fn rescues(shared: &Shared<BoxedJob>) -> usize {
-        shared.counters.rescues.load(Ordering::Relaxed)
+    /// Runs `body` on a thread of its own and fails the test `name` if it
+    /// has not returned within 10 s: a park is untimed, so a lost wakeup is
+    /// a hang, and this turns it into a failure that names the test.
+    fn watchdog(name: &str, body: impl FnOnce() + Send + 'static) {
+        let (finished, outcome) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            body();
+            let _ = finished.send(());
+        });
+        match outcome.recv_timeout(Duration::from_secs(10)) {
+            Ok(()) => runner.join().expect("the body returned"),
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("{name}: no progress in 10 s (a lost wakeup)")
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(runner.join().expect_err("the body panicked"))
+            }
+        }
     }
 
     #[test]
     fn execute_onto_busy_workers_issues_no_notify() {
+        watchdog("execute_onto_busy_workers_issues_no_notify", || {
+            execute_onto_busy_workers()
+        });
+    }
+
+    fn execute_onto_busy_workers() {
         // Both workers are inside jobs and the test thread never parks, so
         // nobody is asleep: a push must not touch the condvar.
         let pool = ThreadPool::new(2);
@@ -744,7 +754,6 @@ mod tests {
         release.store(true, Ordering::Release);
         pool.wait_idle();
         assert_eq!(ran.load(Ordering::Relaxed), 1000);
-        assert_eq!(rescues(&pool.shared), 0);
     }
 
     /// Parks every worker of a fresh `threads`-worker pool.
@@ -770,6 +779,12 @@ mod tests {
 
     #[test]
     fn a_batch_onto_busy_workers_notifies_nobody() {
+        watchdog("a_batch_onto_busy_workers_notifies_nobody", || {
+            a_batch_onto_busy_workers()
+        });
+    }
+
+    fn a_batch_onto_busy_workers() {
         let pool = ThreadPool::new(2);
         let inside = Arc::new(AtomicU32::new(0));
         let release = Arc::new(AtomicBool::new(false));
@@ -798,21 +813,21 @@ mod tests {
         release.store(true, Ordering::Release);
         pool.wait_idle();
         assert_eq!(ran.load(Ordering::Relaxed), 1000);
-        assert_eq!(rescues(&pool.shared), 0);
     }
 
     #[test]
-    fn a_batch_onto_parked_workers_runs_every_job_without_a_rescue() {
+    fn a_batch_onto_parked_workers_runs_every_job() {
         // The test thread only watches, so the workers themselves must be
-        // woken for the batch: a lost wakeup is a 2 s stall and a rescue.
-        let pool = parked_pool(3);
-        let ran = Arc::new(AtomicU32::new(0));
-        pool.submit_all(counting_jobs(&ran, 300));
-        spin_until("every job of the batch", || {
-            ran.load(Ordering::Relaxed) == 300
+        // woken for the batch: a lost wakeup is a hang.
+        watchdog("a_batch_onto_parked_workers_runs_every_job", || {
+            let pool = parked_pool(3);
+            let ran = Arc::new(AtomicU32::new(0));
+            pool.submit_all(counting_jobs(&ran, 300));
+            spin_until("every job of the batch", || {
+                ran.load(Ordering::Relaxed) == 300
+            });
+            assert!(notifies(&pool.shared) > 0, "nobody was woken");
         });
-        assert!(notifies(&pool.shared) > 0, "nobody was woken");
-        assert_eq!(rescues(&pool.shared), 0, "a wakeup was lost");
     }
 
     #[test]
@@ -845,7 +860,11 @@ mod tests {
     }
 
     #[test]
-    fn ping_pong_handoffs_are_never_rescued_by_the_backstop() {
+    fn ping_pong_handoffs_never_lose_a_wakeup() {
+        watchdog("ping_pong_handoffs_never_lose_a_wakeup", ping_pong_handoffs);
+    }
+
+    fn ping_pong_handoffs() {
         // One job at a time onto an otherwise idle pool. Back-to-back
         // handoffs find the worker lingering; a pause longer than LINGER
         // (one handoff in eight pauses 0–300 µs) finds it parked. The test
@@ -883,11 +902,14 @@ mod tests {
             notified < 2 * ROUNDS,
             "every push and every completion notified: nobody ever lingered"
         );
-        assert_eq!(rescues(&pool.shared), 0, "a wakeup was lost");
     }
 
     #[test]
     fn at_most_one_thread_lingers() {
+        watchdog("at_most_one_thread_lingers", at_most_one_lingerer);
+    }
+
+    fn at_most_one_lingerer() {
         let pool = ThreadPool::new(4);
         let ran = Arc::new(AtomicU32::new(0));
         for burst in 1..=200u32 {
@@ -907,21 +929,28 @@ mod tests {
             pool.shared.gauges.sleepers.load(Ordering::SeqCst) == 4
         });
         assert_eq!(counters.lingerers.load(Ordering::SeqCst), 0);
-        assert_eq!(rescues(&pool.shared), 0);
     }
 
     #[test]
-    fn drop_while_every_worker_is_parked_joins_without_the_backstop() {
-        let pool: ThreadPool = ThreadPool::new(3);
-        let shared = Arc::clone(&pool.shared);
-        spin_until("all three workers parked", || {
-            shared.gauges.sleepers.load(Ordering::SeqCst) == 3
-        });
-        drop(pool);
-        assert_eq!(
-            rescues(&shared),
-            0,
-            "shutdown reached a parked worker only through the timeout"
+    fn drop_while_every_worker_is_parked_joins_every_worker() {
+        // Only the shutdown wake can get a parked worker out: a lost one
+        // leaves `drop` joining forever.
+        watchdog(
+            "drop_while_every_worker_is_parked_joins_every_worker",
+            || {
+                let pool: ThreadPool = ThreadPool::new(3);
+                let shared = Arc::clone(&pool.shared);
+                spin_until("all three workers parked", || {
+                    shared.gauges.sleepers.load(Ordering::SeqCst) == 3
+                });
+                drop(pool);
+                assert_eq!(shared.gauges.sleepers.load(Ordering::SeqCst), 0);
+                assert_eq!(
+                    Arc::strong_count(&shared),
+                    1,
+                    "a worker still holds the pool"
+                );
+            },
         );
     }
 

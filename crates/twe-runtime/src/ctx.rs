@@ -285,7 +285,23 @@ impl<'rt> TaskCtx<'rt> {
     /// this task's blocker so the scheduler can apply effect transfer
     /// (Figure 5.11). The blocked worker thread helps run other enabled tasks
     /// while it waits.
+    ///
+    /// Panics if `target` belongs to another runtime, before it reaches this
+    /// runtime's scheduler: its record means nothing to that scheduler, and
+    /// its completion wakes only its own pool, not the one this task helps.
+    /// [`TaskFuture::wait`](crate::TaskFuture::wait) awaits a task of any
+    /// runtime.
     pub(crate) fn await_target(&self, target: &Arc<TaskRecord>, done: impl Fn() -> bool) {
+        let theirs = target.runtime();
+        assert!(
+            Arc::ptr_eq(self.rt, theirs),
+            "task `{}` of runtime {} awaits task `{}` of runtime {}: a task awaits only tasks \
+             of its own runtime; use TaskFuture::wait for another runtime's",
+            self.record.name,
+            self.rt.counters.table,
+            target.name,
+            theirs.counters.table
+        );
         if done() {
             return;
         }

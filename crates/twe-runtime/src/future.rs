@@ -63,7 +63,8 @@ impl<T: Send + 'static> TaskFuture<T> {
     /// task is transitively blocked on), which both avoids a class of
     /// deadlocks and enables the critical-section idiom of §3.1.4. The value
     /// may be taken only once; a second `get_value` on the same future
-    /// panics.
+    /// panics. So does a `get_value` on a task of another runtime than the
+    /// calling task's: [`TaskFuture::wait`] awaits one of those.
     pub fn get_value(&self, ctx: &TaskCtx<'_>) -> T {
         ctx.await_target(&self.record, || self.is_done());
         self.take()

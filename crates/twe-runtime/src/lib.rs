@@ -1326,6 +1326,149 @@ mod tests {
     }
 
     #[test]
+    fn get_value_on_a_future_of_another_runtime_panics_naming_both() {
+        // `target` of runtime `b` waits behind a gated writer when a task of
+        // runtime `a` calls `get_value` on it. That task helps `a`'s pool,
+        // which `target`'s completion never wakes: refused at once, before
+        // the record reaches `a`'s scheduler (`on_await` would prioritize
+        // it and recheck it against `a`'s state) or `a`'s blocker chain.
+        for kind in [SchedulerKind::Naive, SchedulerKind::Tree] {
+            let (a, b) = (Runtime::new(1, kind), Runtime::new(1, kind));
+            let (open, gate) = std::sync::mpsc::channel::<()>();
+            let writer = b.execute_later("gate", EffectSet::parse("writes A"), move |_| {
+                gate.recv().expect("the test thread");
+            });
+            let target = b.execute_later("target", EffectSet::parse("writes A"), |_| 7u32);
+            assert_eq!(target.record().status(), TaskStatus::Waiting, "{kind:?}");
+            let foreign = target.clone();
+            let caller = a.execute_later("caller", EffectSet::parse("writes A"), move |ctx| {
+                let outcome = catch_unwind(AssertUnwindSafe(|| foreign.get_value(ctx)));
+                let blocker = ctx.record.blocker.lock().is_some();
+                let message = outcome.map_err(|payload| match payload.downcast::<String>() {
+                    Ok(message) => *message,
+                    Err(_) => "a panic without a message".to_string(),
+                });
+                (message, blocker)
+            });
+            // A caller that blocks instead waits for the gate: fail, don't hang.
+            let (sent, answer) = std::sync::mpsc::channel();
+            let waiter = std::thread::spawn(move || {
+                let _ = sent.send(caller.wait());
+            });
+            let (message, blocker) =
+                answer
+                    .recv_timeout(Duration::from_secs(5))
+                    .unwrap_or_else(|_| {
+                        panic!("{kind:?}: get_value on another runtime's future blocked")
+                    });
+            let message = message.expect_err("get_value on another runtime's future returned");
+            for rt in [&a, &b] {
+                let id = format!("runtime {}", rt.inner.counters.table);
+                assert!(message.contains(&id), "{kind:?}: `{message}` names no {id}");
+            }
+            assert!(
+                !blocker,
+                "{kind:?}: the foreign task became the caller's blocker"
+            );
+            assert_eq!(
+                target.record().status(),
+                TaskStatus::Waiting,
+                "{kind:?}: the caller's scheduler prioritized a foreign task"
+            );
+            open.send(()).expect("the gated writer");
+            assert_eq!(target.wait(), 7, "{kind:?}");
+            writer.wait();
+            waiter.join().expect("the waiting thread");
+        }
+    }
+
+    #[test]
+    fn dropping_a_runtime_with_a_parked_backlog_runs_every_task_and_ends_its_workers() {
+        // The runtime and every future are dropped while 1 000 `writes A`
+        // tasks wait behind a gated writer. The last task's drop takes the
+        // pool down on a worker: only the shutdown wake reaches a parked
+        // worker, and no timer stands behind it.
+        struct OnExit(Arc<AtomicUsize>);
+        impl Drop for OnExit {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static EXIT: std::cell::RefCell<Option<OnExit>> = const { std::cell::RefCell::new(None) };
+        }
+        const PARKED: usize = 1_000;
+        for kind in [SchedulerKind::Naive, SchedulerKind::Tree] {
+            for threads in [1, 2] {
+                let ran = Arc::new(AtomicUsize::new(0));
+                // Worker threads that ran a body, and those of them that exited.
+                let (entered, exited) =
+                    (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+                let watch = {
+                    let (entered, exited) = (entered.clone(), exited.clone());
+                    move || {
+                        EXIT.with(|exit| {
+                            exit.borrow_mut().get_or_insert_with(|| {
+                                entered.fetch_add(1, Ordering::SeqCst);
+                                OnExit(exited.clone())
+                            });
+                        })
+                    }
+                };
+                let rt = Runtime::new(threads, kind);
+                let inner = Arc::downgrade(&rt.inner);
+                let (open, gate) = std::sync::mpsc::channel::<()>();
+                let w = watch.clone();
+                let writer = rt.execute_later("gate", EffectSet::parse("writes A"), move |_| {
+                    w();
+                    gate.recv().expect("the test thread");
+                });
+                let parked: Vec<_> = (0..PARKED)
+                    .map(|i| {
+                        let (ran, w) = (ran.clone(), watch.clone());
+                        rt.execute_later(
+                            format!("parked{i}"),
+                            EffectSet::parse("writes A"),
+                            move |_| {
+                                w();
+                                ran.fetch_add(1, Ordering::SeqCst);
+                            },
+                        )
+                    })
+                    .collect();
+                assert!(
+                    parked
+                        .iter()
+                        .all(|f| f.record().status() == TaskStatus::Waiting),
+                    "{kind:?}, {threads}: a task ran past the gate"
+                );
+                drop((rt, writer, parked));
+                open.send(()).expect("the gated writer");
+                let start = std::time::Instant::now();
+                while ran.load(Ordering::SeqCst) < PARKED
+                    || inner.strong_count() > 0
+                    || exited.load(Ordering::SeqCst) < entered.load(Ordering::SeqCst)
+                {
+                    assert!(
+                        start.elapsed() < Duration::from_secs(10),
+                        "{kind:?}, {threads} workers: after 10 s {} of {PARKED} tasks ran, \
+                         the runtime is {}, and {} of {} worker threads exited",
+                        ran.load(Ordering::SeqCst),
+                        if inner.strong_count() > 0 {
+                            "alive"
+                        } else {
+                            "gone"
+                        },
+                        exited.load(Ordering::SeqCst),
+                        entered.load(Ordering::SeqCst)
+                    );
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn execute_acts_as_critical_section() {
         let rt = Runtime::new(4, SchedulerKind::Tree);
         let value = Arc::new(AtomicUsize::new(0));
