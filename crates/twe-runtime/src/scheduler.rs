@@ -120,7 +120,8 @@ pub trait Scheduler: Send + Sync {
     /// schedulers override it (the tree scheduler inserts the batch in
     /// sub-waves of up to 512 records, one root descent each, the naive
     /// scheduler submits the members in order under one hold of its queue
-    /// lock).
+    /// lock). In the tree the two entry points are one path: its `submit`
+    /// is a batch of one, so a single-element batch is that same path.
     fn submit_batch(&self, tasks: Vec<Arc<TaskRecord>>) {
         for task in tasks {
             self.submit(task);

@@ -15,22 +15,23 @@
 //! `checkBelow`, `conflicts`, `blockedOn`, `enable`/`tryDisable`, `await`,
 //! `recheckTask`/`recheckEffect`, `lockContainingNode`, and `taskDone`.
 //!
-//! # Batch admission
+//! # Admission
 //!
-//! [`TreeScheduler::submit_batch`] admits a whole fan-out of tasks in
-//! sub-waves of up to `SUB_WAVE` (512) records, one root descent each:
-//! records are grouped per child as the descent forks, so a shared region
-//! prefix (e.g. `Data` in a `writes Data:[i]` fan-out) is locked and
-//! checked once per sub-wave instead of once per task. At each node,
-//! records that settle there are processed *before* records descending
-//! further, which makes the batch observably equivalent to sequential
-//! submission (see `insert`); the tasks they enable go to the runtime in
-//! one call once the node is let go (`hand_over`), as every enabled task
-//! does, so no node lock is held across a pool push. A task of one record
-//! — and any record a batch leaves alone in its group — needs no staging
-//! (`descend`): it walks hand over hand down its own path, allocating
-//! nothing per level. A task of several is a batch of one task: its
-//! admission has to be atomic against a concurrent submitter (see `submit`).
+//! Every admission is one walk, `insert`, from the root. A `submit` is a
+//! batch of one task; [`TreeScheduler::submit_batch`] admits a whole
+//! fan-out of tasks in sub-waves of up to `SUB_WAVE` (512) records, one
+//! root descent each: records are grouped per child as the descent forks,
+//! so a shared region prefix (e.g. `Data` in a `writes Data:[i]` fan-out)
+//! is locked and checked once per sub-wave instead of once per task. At
+//! each node, records that settle there are processed *before* records
+//! descending further, which makes the batch observably equivalent to
+//! sequential submission (see `insert`); the tasks they enable go to the
+//! runtime in one call once the node is let go (`hand_over`), as every
+//! enabled task does. Where the records still going down all go to one
+//! child — always, for a lone record — the walk steps into it in the same
+//! frame, hand over hand, allocating nothing per level. A task's records go
+//! in together: its admission has to be atomic against a concurrent
+//! submitter (see `admit`).
 //!
 //! # Pruning
 //!
@@ -484,7 +485,9 @@ impl TreeScheduler {
         let disabled = records.len();
         let _ = task.tree_effects.set(records);
         count_disabled(task.clone(), |_| disabled);
-        self.hand_over(None);
+        if disabled == 0 {
+            self.hand_over(None);
+        }
         task.tree_records()
     }
 
@@ -710,60 +713,9 @@ impl TreeScheduler {
         blocker
     }
 
-    /// Walks one record down from the locked node to its settle node, hand
-    /// over hand: lock the child, release the parent. At every
-    /// node on the way `check_at` may park the record behind a conflict.
-    /// Returns the record `e` now waits behind, `None` once enabled.
-    ///
-    /// Both the admission of one record (Figure 5.4; `linked` is false: the
-    /// record joins only the node it stops at, and nothing is allocated on
-    /// the way but a missing child) and the recheck of a record that could
-    /// not previously be enabled (Figure 5.12, lines 14–30; `linked` is
-    /// true: the record is in the locked node's list and moves from list to
-    /// list, so a concurrent recheck always finds it).
-    fn descend(
-        &self,
-        mut guard: NodeGuard,
-        e: &Arc<EffectRecord>,
-        linked: bool,
-        prio: bool,
-    ) -> Option<Arc<EffectRecord>> {
-        loop {
-            if e.prefix_depth() == guard.depth {
-                if !linked {
-                    add_effect(&mut guard, e);
-                }
-                let blocker = self.settle(&mut guard, e, prio);
-                self.hand_over(Some(guard));
-                return blocker;
-            }
-            if let Some(blocker) = self.check_at(&mut guard, e, prio) {
-                if !linked {
-                    add_effect(&mut guard, e); // parked on the way down
-                }
-                return Some(blocker);
-            }
-            // No conflict here and not yet at the settle node: one level down.
-            if linked {
-                remove_effect(&mut guard, e);
-            }
-            let child_depth = guard.depth + 1;
-            let child = guard
-                .children
-                .entry(e.prefix_path[child_depth])
-                .or_insert_with(|| new_node(child_depth));
-            let mut child_guard = child.lock_arc();
-            if linked {
-                add_effect(&mut child_guard, e);
-            }
-            guard = child_guard;
-        }
-    }
-
-    /// Inserts a group of effect records (possibly from many tasks of one
-    /// batch) into the subtree rooted at the locked node; a batch admission
-    /// is this call on the root. The slice is this call's scratch space: it
-    /// comes back permuted.
+    /// Inserts a group of effect records (one task's, or a batch's) into the
+    /// subtree rooted at the locked node; an admission is this call on the
+    /// root. The slice is this call's scratch space: it comes back permuted.
     ///
     /// Records that settle **here** are processed before records descending
     /// further: a record that settles (and possibly enables) at this node
@@ -777,71 +729,115 @@ impl TreeScheduler {
     /// always passes the shallower one's settle node after it was added,
     /// and same-depth pairs see each other in list order. (Within a single
     /// task the order is immaterial — a task never conflicts with itself.)
-    fn insert(&self, mut guard: NodeGuard, records: &mut [&Arc<EffectRecord>]) {
-        let depth = guard.depth;
-        for e in records.iter().filter(|e| e.prefix_depth() == depth) {
-            add_effect(&mut guard, e);
-            self.settle(&mut guard, e, false);
-        }
-        // The records that pass this node unhindered are compacted to the
-        // front of the slice, in order; one a conflict stops parks here.
-        let mut passing = 0;
-        for i in 0..records.len() {
-            let e = &records[i];
-            if e.prefix_depth() == depth {
-                continue;
-            }
-            match self.check_at(&mut guard, e, false) {
-                Some(_) => add_effect(&mut guard, e),
-                None => {
-                    records.swap(passing, i);
-                    passing += 1;
+    ///
+    /// While every record that passes a node goes to the same child — a
+    /// lone record always does — the walk steps into that child in this
+    /// frame; it forks only where the records part ways.
+    fn insert(&self, mut guard: NodeGuard, mut records: &mut [&Arc<EffectRecord>]) {
+        loop {
+            let depth = guard.depth;
+            // Settle what settles here; the rest go to the front, in order.
+            let (mut settled, mut going) = (false, 0);
+            for i in 0..records.len() {
+                let e = records[i];
+                if e.prefix_depth() == depth {
+                    add_effect(&mut guard, e);
+                    self.settle(&mut guard, e, false);
+                    settled = true;
+                } else {
+                    records.swap(going, i);
+                    going += 1;
                 }
             }
-        }
-        // Group them per child in place, no per-level vectors or maps: a
-        // stable sort by next path component keeps each child's records in
-        // wave order, and children are disjoint subtrees, so the order
-        // *between* them decides nothing.
-        let mut rest = &mut records[..passing];
-        let next = |e: &&Arc<EffectRecord>| e.prefix_path[depth + 1];
-        rest.sort_by_key(next);
-        // Hand-over-hand: lock every group's child *before this node's lock
-        // is released*, so two multi-effect admissions are ordered alike at
-        // every node they share (see `submit`), then continue in the
-        // children one by one.
-        let mut locked = InlineList::default();
-        let mut grouped = 0;
-        while grouped < rest.len() {
-            let key = next(&rest[grouped]);
-            let len = rest[grouped..]
-                .iter()
-                .take_while(|e| next(e) == key)
-                .count();
-            grouped += len;
-            let child = guard
-                .children
-                .entry(key)
-                .or_insert_with(|| new_node(depth + 1));
-            locked.push((child.lock_arc(), len));
-        }
-        self.hand_over(Some(guard)); // what settled here, in one call
-        for (child_guard, len) in locked {
-            let (group, tail) = rest.split_at_mut(len);
-            rest = tail;
-            // Staging pays only where records still share a prefix: a group
-            // of one goes the rest of its way as a single-record descent.
-            if let [e] = group {
-                self.descend(child_guard, e, false, false);
-            } else {
+            // Of those, the ones that pass unhindered stay at the front, in
+            // order; one a conflict stops parks here.
+            let mut passing = 0;
+            for i in 0..going {
+                let e = records[i];
+                match self.check_at(&mut guard, e, false) {
+                    Some(_) => add_effect(&mut guard, e),
+                    None => {
+                        records.swap(passing, i);
+                        passing += 1;
+                    }
+                }
+            }
+            let mut rest = &mut std::mem::take(&mut records)[..passing];
+            let next = |e: &&Arc<EffectRecord>| e.prefix_path[depth + 1];
+            let Some(key) = rest.first().map(next) else {
+                return self.release(guard, settled);
+            };
+            // Hand over hand: a child is locked *before this node's lock is
+            // released*, so two multi-effect admissions are ordered alike at
+            // every node they share (see `admit`).
+            let mut child = |key| {
+                let child = guard.children.entry(key);
+                child.or_insert_with(|| new_node(depth + 1)).lock_arc()
+            };
+            if rest.iter().all(|e| next(e) == key) {
+                let child_guard = child(key);
+                self.release(std::mem::replace(&mut guard, child_guard), settled);
+                records = rest;
+                continue;
+            }
+            // The records part ways here: group them per child in place, no
+            // per-level vectors or maps. A stable sort by next path component
+            // keeps each child's records in wave order, and children are
+            // disjoint subtrees, so the order *between* them decides nothing.
+            rest.sort_by_key(next);
+            let mut locked = InlineList::default();
+            while let Some(key) = rest.first().map(next) {
+                let len = rest.iter().take_while(|e| next(e) == key).count();
+                let (group, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                locked.push((child(key), group));
+                rest = tail;
+            }
+            self.release(guard, settled);
+            for (child_guard, group) in locked {
                 self.insert(child_guard, group);
             }
+            return;
+        }
+    }
+
+    /// Releases `guard`, and hands over the tasks flipped under it if a
+    /// record `settled` there: `check_at` without priority enables nothing.
+    fn release(&self, guard: NodeGuard, settled: bool) {
+        if settled {
+            self.hand_over(Some(guard));
         }
     }
 
     // ------------------------------------------------------------------
     // Admission and pruning
     // ------------------------------------------------------------------
+
+    /// Registers the records of `tasks` (a `submit` is a batch of one) and
+    /// admits them in sub-waves of up to `SUB_WAVE` records, one `insert`
+    /// at the root each: the chunking bounds the working set a wave streams
+    /// through, and its boundaries fall on task boundaries, so the order is
+    /// still sequential-equivalent. A task's records go in together:
+    /// `insert` locks every child before it releases a node, so two tasks
+    /// are ordered alike at every node they share. Record by record,
+    /// `K:[0], K:[2]` and `K:[2], K:[0]` could each park their second
+    /// behind the other's first, and without an awaiter nothing would
+    /// recheck either.
+    fn admit(&self, tasks: &[Arc<TaskRecord>]) {
+        let mut wave = InlineList::default();
+        for task in tasks {
+            for e in self.register_records(task) {
+                wave.push(e);
+            }
+            if wave.len() >= SUB_WAVE {
+                self.insert(self.root.lock_arc(), &mut wave);
+                wave = InlineList::default();
+            }
+        }
+        if !wave.is_empty() {
+            self.insert(self.root.lock_arc(), &mut wave);
+        }
+        self.drain_if_full(PRUNE_BATCH);
+    }
 
     /// Flushes the vacated paths once `full` of them are pending.
     fn drain_if_full(&self, full: usize) {
@@ -922,45 +918,11 @@ impl TreeScheduler {
 
 impl Scheduler for TreeScheduler {
     fn submit(&self, task: Arc<TaskRecord>) {
-        match self.register_records(&task) {
-            [] => {}
-            // One record — every service request — needs no staging.
-            [e] => drop(self.descend(self.root.lock_arc(), e, false, false)),
-            // Several must go in atomically: `insert` locks every child
-            // before it releases a node, so two tasks are ordered alike at
-            // every node they share. Record by record, `K:[0], K:[2]` and
-            // `K:[2], K:[0]` could each park their second behind the other's
-            // first, and without an awaiter nothing would recheck either.
-            records => {
-                let mut staged: InlineList<_> = records.iter().collect();
-                self.insert(self.root.lock_arc(), &mut staged);
-            }
-        }
-        self.drain_if_full(PRUNE_BATCH);
+        self.admit(std::slice::from_ref(&task));
     }
 
     fn submit_batch(&self, tasks: Vec<Arc<TaskRecord>>) {
-        // Register every task's records and admit the batch in sub-waves of
-        // up to `SUB_WAVE` records, each one `insert` at the root: shared region
-        // prefixes are locked and checked once per sub-wave instead of once
-        // per task. The chunking bounds the working set a wave streams
-        // through — one huge wave touches every record once per level and
-        // falls out of cache between levels. Sub-wave boundaries fall on
-        // task boundaries, so the admission order is still
-        // sequential-equivalent (a sequence of sequential-equivalent waves,
-        // via the settle-first ordering of `insert`).
-        let mut wave: Vec<&Arc<EffectRecord>> = Vec::new();
-        for task in &tasks {
-            wave.extend(self.register_records(task));
-            if wave.len() >= SUB_WAVE {
-                self.insert(self.root.lock_arc(), &mut wave);
-                wave.clear();
-            }
-        }
-        if !wave.is_empty() {
-            self.insert(self.root.lock_arc(), &mut wave);
-        }
-        self.drain_if_full(PRUNE_BATCH);
+        self.admit(&tasks);
     }
 
     fn on_await(&self, target: &Arc<TaskRecord>) {
@@ -1382,11 +1344,10 @@ mod tests {
         // record with a shallower wildcard that overlaps it must serialize
         // the pair regardless of batch order — without settle-first
         // processing, the order [deep, wildcard] let both enable. The other
-        // pairs put the conflict where the single-record descent takes over
-        // from the staged insert: multi-effect tasks whose records settle at
+        // pairs put the conflict where the walk stops forking and goes on
+        // down with what is left: multi-effect tasks whose records settle at
         // different depths (conflicting at the deep one, then at the shallow
-        // one), and a wildcard whose partner leaves the shared prefix as a
-        // group of one.
+        // one), and a wildcard whose partner leaves the shared prefix alone.
         for (a, b) in [
             ("writes X:Y", "writes X:*"),
             ("writes X, reads X:Y:Z", "writes X:Y:Z, reads W"),
@@ -1419,31 +1380,42 @@ mod tests {
     }
 
     #[test]
-    fn groups_of_one_descend_alone_and_may_park_on_the_way() {
-        // Both members of the batch leave the root as a group of one, so
-        // each goes the rest of its way as a single-record descent: `Q`
-        // settles and enables, `X:Y:Z` meets the holder's `X:*` at `X` and
-        // parks there, two levels above its settle node, until the holder
-        // is done.
-        let h = harness();
-        let holder = task(1, "writes X:*");
-        let deep = task(2, "writes X:Y:Z");
-        let other = task(3, "writes Q");
+    fn a_lone_record_walks_down_alone_and_may_park_on_the_way() {
+        // A record that goes on alone, whether it left a batch's root as a
+        // group of one or is a plain single-record `submit`, walks the rest
+        // of its way in the one `insert` loop: `Q` settles and enables,
+        // `X:Y:Z` meets the holder's `X:*` at `X` and parks there, two
+        // levels above its settle node, until the holder is done.
         let depth_of = |t: &Arc<TaskRecord>| {
             let node = t.tree_records()[0].node.lock().clone().unwrap();
             let depth = node.lock().depth;
             depth
         };
-        h.sched.submit(holder.clone());
-        h.sched.submit_batch(vec![deep.clone(), other.clone()]);
-        assert_eq!(h.enabled_ids(), vec![1, 3]);
-        assert_eq!(depth_of(&deep), 1, "parked at X");
-        h.finish(&holder);
-        assert_eq!(deep.status(), TaskStatus::Enabled);
-        assert_eq!(depth_of(&deep), 3, "moved down to X:Y:Z");
-        h.finish(&deep);
-        h.finish(&other);
-        assert_eq!(h.sched.diagnostics().tree_nodes, 1);
+        for batched in [true, false] {
+            let h = harness();
+            let holder = task(1, "writes X:*");
+            let deep = task(2, "writes X:Y:Z");
+            let other = task(3, "writes Q");
+            h.sched.submit(holder.clone());
+            if batched {
+                h.sched.submit_batch(vec![deep.clone(), other.clone()]);
+            } else {
+                h.sched.submit(deep.clone());
+                h.sched.submit(other.clone());
+            }
+            assert_eq!(h.enabled_ids(), vec![1, 3], "batched={batched}");
+            assert_eq!(depth_of(&deep), 1, "parked at X (batched={batched})");
+            h.finish(&holder);
+            assert_eq!(deep.status(), TaskStatus::Enabled, "batched={batched}");
+            assert_eq!(
+                depth_of(&deep),
+                3,
+                "moved down to X:Y:Z (batched={batched})"
+            );
+            h.finish(&deep);
+            h.finish(&other);
+            assert_eq!(h.sched.diagnostics().tree_nodes, 1);
+        }
     }
 
     #[test]

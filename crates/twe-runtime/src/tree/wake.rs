@@ -51,10 +51,43 @@ impl TreeScheduler {
             if matches!(&*e.node.lock(), Some(n) if Arc::ptr_eq(n, NodeGuard::mutex(&guard))) {
                 return guard;
             }
-            // The effect is in no node yet (its admission is still
-            // descending) or has just moved up: yield rather than spin so
-            // the admitting thread can finish on machines with few cores.
+            // The effect is in no node yet (its admission has not got that
+            // far) or has just moved up: yield rather than spin so the
+            // admitting thread can finish on machines with few cores.
             std::thread::yield_now();
+        }
+    }
+
+    /// Re-checks a record that could not previously be enabled from the
+    /// locked node holding it (Figure 5.12, lines 14–30): it moves down its
+    /// path from list to list, hand over hand — lock the child, release the
+    /// parent — so a concurrent recheck always finds it, until `check_at`
+    /// parks it behind a conflict or it reaches its settle node. Returns the
+    /// record `e` now waits behind, `None` once enabled.
+    fn descend(
+        &self,
+        mut guard: NodeGuard,
+        e: &Arc<EffectRecord>,
+        prio: bool,
+    ) -> Option<Arc<EffectRecord>> {
+        loop {
+            if e.prefix_depth() == guard.depth {
+                let blocker = self.settle(&mut guard, e, prio);
+                self.hand_over(Some(guard));
+                return blocker;
+            }
+            if let Some(blocker) = self.check_at(&mut guard, e, prio) {
+                return Some(blocker);
+            }
+            remove_effect(&mut guard, e);
+            let child_depth = guard.depth + 1;
+            let child = guard
+                .children
+                .entry(e.prefix_path[child_depth])
+                .or_insert_with(|| new_node(child_depth));
+            let mut child_guard = child.lock_arc();
+            add_effect(&mut child_guard, e);
+            guard = child_guard;
         }
     }
 
@@ -69,7 +102,7 @@ impl TreeScheduler {
         for e in task.tree_records() {
             let guard = self.lock_containing_node(e);
             if !e.enabled.load(Ordering::Acquire) {
-                self.descend(guard, e, true, true);
+                self.descend(guard, e, true);
                 if task.sched.lock().status >= TaskStatus::Enabled {
                     break;
                 }
@@ -125,7 +158,7 @@ impl TreeScheduler {
         }
         self.rechecks.fetch_add(1, Ordering::Relaxed);
         let prio = status == TaskStatus::Prioritized;
-        let blocker = self.descend(guard, &waiter, true, prio);
+        let blocker = self.descend(guard, &waiter, prio);
         // Rechecking the single effect was not sufficient when a
         // prioritized task is still not enabled (some of its other
         // effects may have been disabled), or when the waiter is now
