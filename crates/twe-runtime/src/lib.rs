@@ -621,7 +621,10 @@ impl RtInner {
     /// (`tree::SUB_WAVE` tasks); a batch known to be longer than one starts
     /// with a chunk of one task and doubles the chunk up to a sub-wave, so
     /// a worker has a task as soon as one is built, not after the first
-    /// 512. A wave of up to a sub-wave (every service wave) goes in whole.
+    /// 512. A wave of up to a sub-wave (every service wave) goes in whole;
+    /// the tree hands what it enables to the pool on the same 1, 2, 4, …
+    /// ramp, so the first enabled task reaches the pool before the rest of
+    /// the wave is walked.
     /// A batch of zero tasks touches no scheduler state; a batch of one is
     /// routed through the plain `submit` path, so it is *exactly*
     /// `execute_later`.
@@ -771,8 +774,9 @@ impl RuntimeBuilder {
                 .map(|n| n.get())
                 .unwrap_or(4)
         });
-        // The scheduler hands each task over exactly once, right after it
-        // flipped it to `Enabled`, on whatever thread resolved the conflict.
+        // The scheduler hands each task over exactly once, after it flipped
+        // it to `Enabled` and before the call that flipped it returns, on
+        // whatever thread resolved the conflict.
         // The task brings its runtime along (a group's tasks share their
         // scheduler, hence their runtime), and the handle the scheduler
         // enabled it with is the one the pool gets: a group's in one push.

@@ -59,10 +59,10 @@ pub struct SchedulerDiagnostics {
 /// by the runtime; the runtime marks it `Done` *before* calling
 /// `task_done`. The flip happens under the scheduler's lock, the hand-over
 /// after that lock is released, and before the call that flipped it
-/// returns: the tree scheduler hands over the tasks one node lock flipped
-/// in one call (all of a batch's tasks that settle at the root: one call
-/// per sub-wave), the single queue those one hold of its lock flipped, one
-/// call each.
+/// returns: the tree scheduler hands over an admission's flipped tasks in
+/// groups of 1, 2, 4, … (all of a batch's tasks that settle at the root:
+/// one call per sub-wave) and a recheck's at once, the single queue those
+/// one hold of its lock flipped, one call each.
 /// Spawned tasks bypass the scheduler entirely (their effects were
 /// transferred from a running parent) and are visible only through the
 /// conflict test's treatment of blocked tasks' children.

@@ -26,12 +26,14 @@
 //! each node, records that settle there are processed *before* records
 //! descending further, which makes the batch observably equivalent to
 //! sequential submission (see `insert`); the tasks they enable go to the
-//! runtime in one call once the node is let go (`hand_over`), as every
-//! enabled task does. Where the records still going down all go to one
-//! child — always, for a lone record — the walk steps into it in the same
-//! frame, hand over hand, allocating nothing per level. A task's records go
-//! in together: its admission has to be atomic against a concurrent
-//! submitter (see `admit`).
+//! runtime after the node is let go (`hand_over`), as every enabled task
+//! does: an admission's first at once, then in groups of 2, 4, 8, …, the
+//! rest when the root `insert` returns (a wave of 64 on 64 leaves: 7 calls,
+//! not 64). Where the records still going down all go to one child —
+//! always, for a lone record — the walk steps into it in the same frame,
+//! hand over hand, allocating nothing per level. A task's records go in
+//! together: its admission has to be atomic against a concurrent submitter
+//! (see `admit`).
 //!
 //! # Pruning
 //!
@@ -45,15 +47,17 @@
 //! at the end of an admission that finds `PRUNE_BATCH` (64) paths pending
 //! (a length kept beside the list: finding fewer takes no lock), a chunk of
 //! `PRUNE_BATCH` per hold of the root. Nodes are allocated and freed by one
-//! thread, and a node traffic came back to is found occupied and left. The
-//! garbage is bounded: fewer than `PRUNE_BATCH` distinct vacant nodes
-//! survive an admission, so the tree never exceeds its peak of live nodes
-//! plus one batch (a batch of N nobody follows: N vacant nodes until its
-//! last completion). [`Scheduler::idle`] (the runtime's last in-flight task
-//! is done) flushes `IDLE_PRUNE` or more, and `diagnostics` flushes all, so
-//! "a drained scheduler is a bare root" stays observable. A recycled
-//! `DynCell` region id meeting its previous era's pending node finds it
-//! vacant. The list is a plain mutex, never held with a node lock.
+//! thread (freeing task records on the worker cost `kmeans-batch` 34 %:
+//! ARCHITECTURE.md, "Pruning"), and a node traffic came back to is found
+//! occupied and left. The garbage is bounded: fewer than `PRUNE_BATCH`
+//! distinct vacant nodes survive an admission, so the tree never exceeds
+//! its peak of live nodes plus one batch (a batch of N nobody follows: N
+//! vacant nodes until its last completion). [`Scheduler::idle`] (the
+//! runtime's last in-flight task is done) flushes `IDLE_PRUNE` or more, and
+//! `diagnostics` flushes all, so "a drained scheduler is a bare root" stays
+//! observable. A recycled `DynCell` region id meeting its previous era's
+//! pending node finds it vacant. The list is a plain mutex, never held with
+//! a node lock.
 //!
 //! # The root
 //!
@@ -491,8 +495,8 @@ impl TreeScheduler {
         task.tree_records()
     }
 
-    /// Releases `guard`, the lock the tasks this thread has flipped were
-    /// flipped under, then hands them to `enable` in one call.
+    /// Releases `guard`, then hands every task this thread has flipped to
+    /// `enable` in one call: at once, or along an admission's ramp (`release`).
     fn hand_over(&self, guard: Option<NodeGuard>) {
         drop(guard);
         let mut flipped = FLIPPED.take();
@@ -733,17 +737,21 @@ impl TreeScheduler {
     /// While every record that passes a node goes to the same child — a
     /// lone record always does — the walk steps into that child in this
     /// frame; it forks only where the records part ways.
-    fn insert(&self, mut guard: NodeGuard, mut records: &mut [&Arc<EffectRecord>]) {
+    fn insert(
+        &self,
+        mut guard: NodeGuard,
+        mut records: &mut [&Arc<EffectRecord>],
+        ramp: &mut usize,
+    ) {
         loop {
             let depth = guard.depth;
             // Settle what settles here; the rest go to the front, in order.
-            let (mut settled, mut going) = (false, 0);
+            let mut going = 0;
             for i in 0..records.len() {
                 let e = records[i];
                 if e.prefix_depth() == depth {
                     add_effect(&mut guard, e);
                     self.settle(&mut guard, e, false);
-                    settled = true;
                 } else {
                     records.swap(going, i);
                     going += 1;
@@ -765,7 +773,7 @@ impl TreeScheduler {
             let mut rest = &mut std::mem::take(&mut records)[..passing];
             let next = |e: &&Arc<EffectRecord>| e.prefix_path[depth + 1];
             let Some(key) = rest.first().map(next) else {
-                return self.release(guard, settled);
+                return self.release(guard, ramp);
             };
             // Hand over hand: a child is locked *before this node's lock is
             // released*, so two multi-effect admissions are ordered alike at
@@ -776,7 +784,7 @@ impl TreeScheduler {
             };
             if rest.iter().all(|e| next(e) == key) {
                 let child_guard = child(key);
-                self.release(std::mem::replace(&mut guard, child_guard), settled);
+                self.release(std::mem::replace(&mut guard, child_guard), ramp);
                 records = rest;
                 continue;
             }
@@ -792,19 +800,22 @@ impl TreeScheduler {
                 locked.push((child(key), group));
                 rest = tail;
             }
-            self.release(guard, settled);
+            self.release(guard, ramp);
             for (child_guard, group) in locked {
-                self.insert(child_guard, group);
+                self.insert(child_guard, group, ramp);
             }
             return;
         }
     }
 
-    /// Releases `guard`, and hands over the tasks flipped under it if a
-    /// record `settled` there: `check_at` without priority enables nothing.
-    fn release(&self, guard: NodeGuard, settled: bool) {
-        if settled {
-            self.hand_over(Some(guard));
+    /// Releases `guard`, then hands over the tasks this admission has flipped
+    /// once there are `ramp` of them and doubles `ramp`: the first at once,
+    /// then groups of 2, 4, 8, … (the rest when the root `insert` returns).
+    fn release(&self, guard: NodeGuard, ramp: &mut usize) {
+        drop(guard);
+        if FLIPPED.with_borrow(Vec::len) >= *ramp {
+            *ramp *= 2;
+            self.hand_over(None);
         }
     }
 
@@ -821,20 +832,22 @@ impl TreeScheduler {
     /// are ordered alike at every node they share. Record by record,
     /// `K:[0], K:[2]` and `K:[2], K:[0]` could each park their second
     /// behind the other's first, and without an awaiter nothing would
-    /// recheck either.
+    /// recheck either. All its `insert`s hand over on one ramp (`release`).
     fn admit(&self, tasks: &[Arc<TaskRecord>]) {
-        let mut wave = InlineList::default();
+        let (mut wave, mut ramp) = (InlineList::default(), 1);
         for task in tasks {
             for e in self.register_records(task) {
                 wave.push(e);
             }
             if wave.len() >= SUB_WAVE {
-                self.insert(self.root.lock_arc(), &mut wave);
+                self.insert(self.root.lock_arc(), &mut wave, &mut ramp);
+                self.hand_over(None);
                 wave = InlineList::default();
             }
         }
         if !wave.is_empty() {
-            self.insert(self.root.lock_arc(), &mut wave);
+            self.insert(self.root.lock_arc(), &mut wave, &mut ramp);
+            self.hand_over(None);
         }
         self.drain_if_full(PRUNE_BATCH);
     }
@@ -1482,6 +1495,48 @@ mod tests {
             (1..=2000).collect::<Vec<_>>(),
             "each task exactly once"
         );
+    }
+
+    #[test]
+    fn a_wave_on_distinct_leaves_hands_over_in_doubling_groups_after_the_locks() {
+        // `svc-capacity`'s shape: single-record tasks on distinct leaves
+        // under 16 first-level regions. Each call records its tasks and
+        // whether the root and the leaf of every one of them were free.
+        type Calls = Mutex<Vec<(Vec<u64>, bool)>>;
+        for (n, groups) in [(64, &[1, 2, 4, 8, 16, 32, 1][..]), (1, &[1])] {
+            let (root, calls) = (
+                Arc::new(std::sync::OnceLock::<NodeRef>::new()),
+                Arc::new(Calls::default()),
+            );
+            let (r, c) = (root.clone(), calls.clone());
+            let sched = TreeScheduler::grouped(Box::new(move |tasks| {
+                let mut leaves = tasks
+                    .iter()
+                    .map(|t| t.tree_records()[0].node.lock().clone());
+                let free = r.get().expect("the root").try_lock().is_some()
+                    && leaves.all(|leaf| leaf.expect("settled").try_lock().is_some());
+                c.lock()
+                    .push((tasks.drain(..).map(|t| t.id).collect(), free));
+            }));
+            let _ = root.set(sched.root.clone());
+            let wave: Vec<_> = (0..n)
+                .map(|i| task(i + 1, &format!("writes Doubling{}:Key{}", i / 4, i % 4)))
+                .collect();
+            sched.submit_batch(wave.clone());
+            let calls = calls.lock();
+            let sizes: Vec<usize> = calls.iter().map(|(ids, _)| ids.len()).collect();
+            assert_eq!(sizes, groups, "doubling groups, the rest at the end");
+            assert!(
+                calls.iter().all(|(_, free)| *free),
+                "handed over under a node lock"
+            );
+            let ids: Vec<u64> = calls.iter().flat_map(|(ids, _)| ids.clone()).collect();
+            assert_eq!(
+                ids,
+                (1..=n).collect::<Vec<_>>(),
+                "each task once, in admission order"
+            );
+        }
     }
 
     #[test]
